@@ -104,17 +104,6 @@ let dispatch ~connect ~jobs req =
 (* Response rendering                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let native_json (n : Api.native_summary) =
-  let open Obs.Json in
-  Obj
-    [
-      ("checksum", String n.Api.native_checksum);
-      ("wall_ns", Int (Int64.to_int n.Api.native_wall_ns));
-      ("compiler", String n.Api.native_compiler);
-      ("units", Int n.Api.native_units);
-      ("matches", Bool n.Api.native_matches);
-    ]
-
 let stats_json ?spmd ?native ?plan (s : Api.summary) report =
   let open Obs.Json in
   let base =
@@ -142,12 +131,13 @@ let stats_json ?spmd ?native ?plan (s : Api.summary) report =
   let base = match spmd with Some j -> base @ [ ("spmd", j) ] | None -> base in
   let base =
     match native with
-    | Some n -> base @ [ ("native", native_json n) ]
+    | Some n -> base @ [ ("native", Obs.Codec.encode Api.native_codec n) ]
     | None -> base
   in
   let base =
     match plan with
-    | Some p -> base @ [ ("plan", Plan.Driver.provenance_json p) ]
+    | Some p ->
+        base @ [ ("plan", Obs.Codec.encode Plan.Driver.provenance_codec p) ]
     | None -> base
   in
   match Obs.report_to_json report with

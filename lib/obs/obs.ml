@@ -92,6 +92,11 @@ module Json = struct
 
   exception Parse of string
 
+  (* Past this many open brackets the parser gives up: nesting costs
+     stack, and no value this repo prints nests more than a few
+     levels. *)
+  let max_depth = 512
+
   let of_string s =
     let n = String.length s in
     let pos = ref 0 in
@@ -138,8 +143,17 @@ module Json = struct
             | Some 'f' -> Buffer.add_char b '\012'; advance (); go ()
             | Some 'u' ->
                 advance ();
+                let hex i =
+                  match s.[!pos + i] with
+                  | '0' .. '9' as c -> Char.code c - Char.code '0'
+                  | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+                  | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+                  | _ -> fail "bad \\u escape"
+                in
                 if !pos + 4 > n then fail "bad \\u escape";
-                let code = int_of_string ("0x" ^ String.sub s !pos 4) in
+                let code =
+                  (hex 0 lsl 12) lor (hex 1 lsl 8) lor (hex 2 lsl 4) lor hex 3
+                in
                 pos := !pos + 4;
                 (* our own printer only escapes control characters *)
                 if code < 0x80 then Buffer.add_char b (Char.chr code)
@@ -172,7 +186,8 @@ module Json = struct
           | Some f -> Float f
           | None -> fail "bad number %S" tok)
     in
-    let rec parse_value () =
+    let rec parse_value depth =
+      if depth > max_depth then fail "nested deeper than %d" max_depth;
       skip_ws ();
       match peek () with
       | None -> fail "unexpected end of input"
@@ -185,13 +200,13 @@ module Json = struct
           skip_ws ();
           if peek () = Some ']' then begin advance (); List [] end
           else begin
-            let items = ref [ parse_value () ] in
+            let items = ref [ parse_value (depth + 1) ] in
             let rec more () =
               skip_ws ();
               match peek () with
               | Some ',' ->
                   advance ();
-                  items := parse_value () :: !items;
+                  items := parse_value (depth + 1) :: !items;
                   more ()
               | Some ']' -> advance ()
               | _ -> fail "expected ',' or ']'"
@@ -209,7 +224,7 @@ module Json = struct
               let k = parse_string () in
               skip_ws ();
               expect ':';
-              let v = parse_value () in
+              let v = parse_value (depth + 1) in
               (k, v)
             in
             let items = ref [ field () ] in
@@ -231,7 +246,7 @@ module Json = struct
       match c with '0' .. '9' | '-' -> true | _ -> false
     in
     match
-      let v = parse_value () in
+      let v = parse_value 0 in
       skip_ws ();
       if !pos <> n then raise (Parse "trailing garbage");
       v
@@ -247,6 +262,202 @@ module Json = struct
     match path with
     | [] -> Some v
     | k :: rest -> ( match member k v with None -> None | Some v' -> find v' rest)
+end
+
+(* ------------------------------------------------------------------ *)
+(* Codecs                                                              *)
+(* ------------------------------------------------------------------ *)
+
+module Codec = struct
+  type 'a t = { encode : 'a -> Json.t; decode : Json.t -> ('a, string) result }
+
+  let encode c = c.encode
+  let decode c = c.decode
+  let ( let* ) = Result.bind
+  let in_member name r = Result.map_error (Printf.sprintf "%s: %s" name) r
+
+  let all f l =
+    let rec go acc = function
+      | [] -> Ok (List.rev acc)
+      | x :: tl ->
+          let* y = f x in
+          go (y :: acc) tl
+    in
+    go [] l
+
+  let scalar what encode of_json =
+    let decode j =
+      match of_json j with Some v -> Ok v | None -> Error ("expected " ^ what)
+    in
+    { encode; decode }
+
+  let string =
+    scalar "a string" (fun s -> Json.String s) (function
+      | Json.String s -> Some s
+      | _ -> None)
+
+  let bool =
+    scalar "a boolean" (fun b -> Json.Bool b) (function
+      | Json.Bool b -> Some b
+      | _ -> None)
+
+  (* an integral float is an int too, inside the range where
+     int_of_float is defined *)
+  let int =
+    scalar "an integer" (fun i -> Json.Int i) (function
+      | Json.Int i -> Some i
+      | Json.Float f
+        when Float.is_integer f
+             && f >= Float.of_int min_int
+             && f < -.Float.of_int min_int ->
+          Some (int_of_float f)
+      | _ -> None)
+
+  let float =
+    scalar "a number" (fun f -> Json.Float f) (function
+      | Json.Int i -> Some (float_of_int i)
+      | Json.Float f -> Some f
+      | _ -> None)
+
+  let json = { encode = Fun.id; decode = Result.ok }
+
+  let const v =
+    scalar (Json.to_string v) (fun () -> v) (fun j ->
+        if j = v then Some () else None)
+
+  let conv of_a to_a c =
+    let decode j = Result.map of_a (c.decode j) in
+    { encode = (fun b -> c.encode (to_a b)); decode }
+
+  let list c =
+    let decode = function
+      | Json.List l -> all c.decode l
+      | _ -> Error "expected an array"
+    in
+    { encode = (fun l -> Json.List (List.map c.encode l)); decode }
+
+  let assoc c =
+    let member (k, v) = Result.map (fun v -> (k, v)) (in_member k (c.decode v))
+    in
+    let decode = function
+      | Json.Obj kvs -> all member kvs
+      | _ -> Error "expected an object"
+    in
+    let encode kvs = Json.Obj (List.map (fun (k, v) -> (k, c.encode v)) kvs) in
+    { encode; decode }
+
+  let nullable c =
+    let decode = function
+      | Json.Null -> Ok None
+      | j -> Result.map Option.some (c.decode j)
+    in
+    { encode = (function None -> Json.Null | Some v -> c.encode v); decode }
+
+  let enum cases =
+    let name v = fst (List.find (fun (_, v') -> v' = v) cases) in
+    let names = String.concat "|" (List.map fst cases) in
+    let decode j =
+      let* s = string.decode j in
+      match List.assoc_opt s cases with
+      | Some v -> Ok v
+      | None -> Error (Printf.sprintf "unknown value %S (%s)" s names)
+    in
+    { encode = (fun v -> Json.String (name v)); decode }
+
+  (* the knot is tied once, before any use, so later reads of [self]
+     from any domain see the finished codec *)
+  let fix f =
+    let self = ref None in
+    let get () = Option.get !self in
+    let c =
+      f
+        {
+          encode = (fun v -> (get ()).encode v);
+          decode = (fun j -> (get ()).decode j);
+        }
+    in
+    self := Some c;
+    c
+
+  (* Object members.  [write] prepends to a reversed member list; [read]
+     looks its members up in the whole object, so unknown members are
+     ignored and member order does not matter on input. *)
+  type ('r, 'a) fields = {
+    write : 'r -> (string * Json.t) list -> (string * Json.t) list;
+    read : (string * Json.t) list -> ('a, string) result;
+  }
+
+  let record k = { write = (fun _ acc -> acc); read = (fun _ -> Ok k) }
+
+  let ( |+ ) b f =
+    let read kvs =
+      let* k = b.read kvs in
+      let* x = f.read kvs in
+      Ok (k x)
+    in
+    { write = (fun r acc -> f.write r (b.write r acc)); read }
+
+  let field ?default ?(omit = fun _ -> false) name c get =
+    let read kvs =
+      match (List.assoc_opt name kvs, default) with
+      | Some j, _ -> in_member name (c.decode j)
+      | None, Some d -> Ok d
+      | None, None -> Error (Printf.sprintf "missing field %S" name)
+    in
+    let write r acc = if omit r then acc else (name, c.encode (get r)) :: acc in
+    { write; read }
+
+  let opt name c get =
+    field name (nullable c) get ~default:None ~omit:(fun r -> get r = None)
+
+  let spread f get =
+    { write = (fun r acc -> f.write (get r) acc); read = f.read }
+
+  let obj f =
+    let decode = function
+      | Json.Obj kvs -> f.read kvs
+      | _ -> Error "expected an object"
+    in
+    { encode = (fun r -> Json.Obj (List.rev (f.write r []))); decode }
+
+  type 'a case =
+    | Case : ('p, 'p) fields * ('a -> 'p option) * ('p -> 'a) -> 'a case
+
+  let case f proj inj = Case (f, proj, inj)
+
+  (* the members of the first case that claims [v], after [tag]'s *)
+  let rec write_case tag v acc = function
+    | [] -> invalid_arg "Obs.Codec: a value matches no case"
+    | (t, Case (f, proj, _)) :: rest -> (
+        match proj v with
+        | Some p -> f.write p (tag t acc)
+        | None -> write_case tag v acc rest)
+
+  let read_case (Case (f, _, inj)) kvs = Result.map inj (f.read kvs)
+
+  let variant key tag cases =
+    let read kvs =
+      match List.assoc_opt key kvs with
+      | None -> Error (Printf.sprintf "missing field %S" key)
+      | Some j -> (
+          let* t = in_member key (tag.decode j) in
+          match List.assoc_opt t cases with
+          | Some c -> read_case c kvs
+          | None ->
+              Error (Printf.sprintf "unknown %s %s" key (Json.to_string j)))
+    in
+    let write_tag t acc = (key, tag.encode t) :: acc in
+    { write = (fun v acc -> write_case write_tag v acc cases); read }
+
+  let keyed cases =
+    let read kvs =
+      match List.find_opt (fun (k, _) -> List.mem_assoc k kvs) cases with
+      | Some (_, c) -> read_case c kvs
+      | None ->
+          let keys = String.concat " or " (List.map fst cases) in
+          Error ("expected a member " ^ keys)
+    in
+    { write = (fun v acc -> write_case (fun _ acc -> acc) v acc cases); read }
 end
 
 (* ------------------------------------------------------------------ *)
@@ -283,15 +494,22 @@ module Diagnostic = struct
 
   let pp ppf d = Format.pp_print_string ppf (to_string d)
 
-  let to_json d =
-    Json.Obj
-      ([ ("severity", Json.String (severity_name d.severity));
-         ("phase", Json.String d.phase) ]
-      @ (match d.loc with
-        | Some (file, line) ->
-            [ ("file", Json.String file); ("line", Json.Int line) ]
-        | None -> [])
-      @ [ ("message", Json.String d.message) ])
+  (* [loc] is spread over two members, both written or neither *)
+  let codec =
+    let open Codec in
+    obj
+      (record (fun severity phase file line message ->
+           let loc =
+             match (file, line) with Some f, Some l -> Some (f, l) | _ -> None
+           in
+           { severity; phase; loc; message })
+      |+ field "severity"
+           (enum (List.map (fun s -> (severity_name s, s)) [ Error; Warning ]))
+           (fun d -> d.severity)
+      |+ field "phase" string (fun d -> d.phase)
+      |+ opt "file" string (fun d -> Option.map fst d.loc)
+      |+ opt "line" int (fun d -> Option.map snd d.loc)
+      |+ field "message" string (fun d -> d.message))
 end
 
 exception Error of Diagnostic.t

@@ -43,14 +43,117 @@ module Json : sig
   (** Indented multi-line rendering. *)
 
   val of_string : string -> (t, string) result
-  (** Strict parser for the subset this module prints (numbers,
-      strings with the common escapes, arrays, objects). *)
+  (** Strict, total parser for the subset this module prints (numbers,
+      strings with the common escapes, arrays, objects).  Malformed
+      input, including a [\u] escape without four hex digits and
+      nesting deeper than {!max_depth}, is an [Error], never an
+      exception. *)
+
+  val max_depth : int
+  (** {!of_string} rejects a value nested inside more than this many
+      arrays and objects. *)
 
   val member : string -> t -> t option
   (** Field lookup on [Obj]; [None] elsewhere. *)
 
   val find : t -> string list -> t option
   (** Nested field lookup along a path. *)
+end
+
+(** Bidirectional JSON codecs: one description of a wire type gives
+    both its encoder and its decoder, so the two cannot disagree on a
+    member name, a default or an omission rule.
+
+    Decoding is lenient where the wire protocol needs it: unknown
+    object members are ignored, a member with a [default] may be
+    absent, [null] decodes to [None] under {!nullable}, and an
+    integral float in the [int] range decodes as an {!int}. *)
+module Codec : sig
+  type 'a t
+
+  val encode : 'a t -> 'a -> Json.t
+  val decode : 'a t -> Json.t -> ('a, string) result
+
+  (** {2 Values} *)
+
+  val string : string t
+  val bool : bool t
+  val int : int t
+  (** Also accepts an integral [Float] inside the [int] range. *)
+
+  val float : float t
+  (** Encodes as [Float]; also accepts an [Int]. *)
+
+  val json : Json.t t
+  (** Any value, unchanged. *)
+
+  val const : Json.t -> unit t
+  (** Exactly this value; anything else fails to decode. *)
+
+  val conv : ('a -> 'b) -> ('b -> 'a) -> 'a t -> 'b t
+  (** [conv of_a to_a c]: a ['b] carried as [c]'s ['a]. *)
+
+  val list : 'a t -> 'a list t
+  val assoc : 'a t -> (string * 'a) list t
+  (** A string-keyed object, members in list order. *)
+
+  val nullable : 'a t -> 'a option t
+  (** [None] is [null]. *)
+
+  val enum : (string * 'a) list -> 'a t
+  (** Each value as its name (a string). *)
+
+  val fix : ('a t -> 'a t) -> 'a t
+  (** A recursive codec: [fix (fun self -> ...)]. *)
+
+  (** {2 Objects}
+
+      A record is described member by member, in wire order, starting
+      from its constructor:
+      [obj (record (fun a b -> {a; b}) |+ field "a" int (fun r -> r.a)
+      |+ field "b" string (fun r -> r.b))]. *)
+
+  type ('r, 'a) fields
+  (** Members written from an ['r] and read back as an ['a]. *)
+
+  val record : 'k -> ('r, 'k) fields
+  val ( |+ ) : ('r, 'a -> 'k) fields -> ('r, 'a) fields -> ('r, 'k) fields
+
+  val field :
+    ?default:'a ->
+    ?omit:('r -> bool) ->
+    string ->
+    'a t ->
+    ('r -> 'a) ->
+    ('r, 'a) fields
+  (** One member.  [default] is decoded when the member is absent
+      (without it, absence is an error); [omit r] drops the member
+      when encoding [r]. *)
+
+  val opt : string -> 'a t -> ('r -> 'a option) -> ('r, 'a option) fields
+  (** A member written only when [Some]; absent or [null] is [None]. *)
+
+  val spread : ('a, 'a) fields -> ('r -> 'a) -> ('r, 'a) fields
+  (** Another description's members, inline in this object. *)
+
+  val obj : ('a, 'a) fields -> 'a t
+
+  (** {2 Variants} *)
+
+  type 'a case
+
+  val case : ('p, 'p) fields -> ('a -> 'p option) -> ('p -> 'a) -> 'a case
+  (** [case members proj inj]: the values [proj] maps to [Some],
+      carried as [members] and rebuilt with [inj]. *)
+
+  val variant : string -> 'k t -> ('k * 'a case) list -> ('a, 'a) fields
+  (** [variant key tag cases] is tag-dispatched: member [key] holds the
+      case's tag, encoded with [tag], and the case's own members follow
+      in the same object. *)
+
+  val keyed : (string * 'a case) list -> ('a, 'a) fields
+  (** Dispatched by presence: the first case whose key is a member of
+      the object is decoded. *)
 end
 
 (** Uniform compiler diagnostics: the error type of the result-based
@@ -79,7 +182,10 @@ module Diagnostic : sig
       the location prefixed when present. *)
 
   val pp : Format.formatter -> t -> unit
-  val to_json : t -> Json.t
+
+  val codec : t Codec.t
+  (** [{"severity", "phase", "file"?, "line"?, "message"}]: [loc] is
+      spread over [file] and [line]. *)
 end
 
 exception Error of Diagnostic.t

@@ -176,72 +176,77 @@ let compile_ilp ?(search = Search.default) ?(ilp = Ilp.default) ~cost prog =
                 ilp_blocks;
               } ))
 
-let provenance_json p =
-  let open Obs.Json in
-  let opt_float = function Some v -> Float v | None -> Null in
-  let opt_bool = function Some v -> Bool v | None -> Null in
-  Obj
-    ([
-       ("strategy", String p.strategy);
-       ("machine", String p.machine);
-       ("procs", Int p.procs);
-       ("greedy_total_ns", Float p.greedy_total_ns);
-       ("search_total_ns", Float p.search_total_ns);
-       ("chosen_total_ns", Float p.chosen_total_ns);
-       ("fallback", Bool p.fallback);
-     ]
-    @ (match p.ilp_total_ns with
-      | None -> []
-      | Some _ ->
-          [
-            ("ilp_total_ns", opt_float p.ilp_total_ns);
-            ("proved_optimal", opt_bool p.proved_optimal);
-            ("certified_lb_ns", opt_float p.certified_lb_ns);
-          ])
-    @ [
-        ( "blocks",
-          List
-            (List.map
-               (fun r ->
-                 Obj
-                   [
-                     ("block", Int r.block);
-                     ("expanded", Int r.stats.Search.expanded);
-                     ("generated", Int r.stats.Search.generated);
-                     ("pruned", Int r.stats.Search.pruned);
-                     ("deduped", Int r.stats.Search.deduped);
-                     ("beam_rounds", Int r.stats.Search.beam_rounds);
-                     ("greedy_ns", Float r.stats.Search.greedy_ns);
-                     ("best_ns", Float r.stats.Search.best_ns);
-                     ("improved", Bool r.stats.Search.improved);
-                   ])
-               p.blocks) );
-      ]
-    @
-    match p.ilp_blocks with
-    | [] -> []
-    | ilp_blocks ->
-        [
-          ( "ilp_blocks",
-            List
-              (List.map
-                 (fun r ->
-                   Obj
-                     [
-                       ("block", Int r.iblock);
-                       ("clusters", Int r.istats.Ilp.clusters);
-                       ("complete", Bool r.istats.Ilp.complete);
-                       ("nodes", Int r.istats.Ilp.nodes);
-                       ("cuts", Int r.istats.Ilp.cuts);
-                       ("pivots", Int r.istats.Ilp.pivots);
-                       ("proved", Bool r.istats.Ilp.proved);
-                       ( "objective_exact",
-                         Bool r.istats.Ilp.objective_exact );
-                       ( "lower_bound_ns",
-                         opt_float r.istats.Ilp.lower_bound_ns );
-                       ("greedy_ns", Float r.istats.Ilp.greedy_ns);
-                       ("best_ns", Float r.istats.Ilp.best_ns);
-                       ("improved", Bool r.istats.Ilp.improved);
-                     ])
-                 ilp_blocks) );
-        ])
+(* The ILP members are written, nulls allowed, exactly when the ILP ran
+   (ilp_total_ns is Some).  Absent or null, they decode to None. *)
+let provenance_codec =
+  let open Obs.Codec in
+  let ilp_only name c get =
+    field name (nullable c) get ~default:None ~omit:(fun p ->
+        p.ilp_total_ns = None)
+  in
+  (* the members a search block report and an ILP one share *)
+  let number get = field "block" int get in
+  let outcome =
+    record (fun g b i -> (g, b, i))
+    |+ field "greedy_ns" float (fun (g, _, _) -> g)
+    |+ field "best_ns" float (fun (_, b, _) -> b)
+    |+ field "improved" bool (fun (_, _, i) -> i)
+  in
+  let block =
+    obj
+      (record
+         (fun block expanded generated pruned deduped beam_rounds
+              (greedy_ns, best_ns, improved) ->
+           { block; stats = { Search.expanded; generated; pruned; deduped;
+                              beam_rounds; greedy_ns; best_ns; improved } })
+      |+ number (fun r -> r.block)
+      |+ field "expanded" int (fun r -> r.stats.Search.expanded)
+      |+ field "generated" int (fun r -> r.stats.Search.generated)
+      |+ field "pruned" int (fun r -> r.stats.Search.pruned)
+      |+ field "deduped" int (fun r -> r.stats.Search.deduped)
+      |+ field "beam_rounds" int (fun r -> r.stats.Search.beam_rounds)
+      |+ spread outcome (fun { stats = s; _ } ->
+             (s.Search.greedy_ns, s.best_ns, s.improved)))
+  in
+  let ilp_block =
+    obj
+      (record
+         (fun iblock clusters complete nodes cuts pivots proved objective_exact
+              lower_bound_ns (greedy_ns, best_ns, improved) ->
+           { iblock; istats = { Ilp.clusters; complete; nodes; cuts; pivots;
+                                proved; objective_exact; lower_bound_ns;
+                                greedy_ns; best_ns; improved } })
+      |+ number (fun r -> r.iblock)
+      |+ field "clusters" int (fun r -> r.istats.Ilp.clusters)
+      |+ field "complete" bool (fun r -> r.istats.Ilp.complete)
+      |+ field "nodes" int (fun r -> r.istats.Ilp.nodes)
+      |+ field "cuts" int (fun r -> r.istats.Ilp.cuts)
+      |+ field "pivots" int (fun r -> r.istats.Ilp.pivots)
+      |+ field "proved" bool (fun r -> r.istats.Ilp.proved)
+      |+ field "objective_exact" bool (fun r -> r.istats.Ilp.objective_exact)
+      |+ field "lower_bound_ns" (nullable float) (fun r ->
+             r.istats.Ilp.lower_bound_ns)
+      |+ spread outcome (fun { istats = s; _ } ->
+             (s.Ilp.greedy_ns, s.best_ns, s.improved)))
+  in
+  obj
+    (record
+       (fun strategy machine procs greedy_total_ns search_total_ns
+            chosen_total_ns fallback ilp_total_ns proved_optimal certified_lb_ns
+            blocks ilp_blocks ->
+         { strategy; machine; procs; greedy_total_ns; search_total_ns;
+           ilp_total_ns; chosen_total_ns; fallback; proved_optimal;
+           certified_lb_ns; blocks; ilp_blocks })
+    |+ field "strategy" string (fun p -> p.strategy)
+    |+ field "machine" string (fun p -> p.machine)
+    |+ field "procs" int (fun p -> p.procs)
+    |+ field "greedy_total_ns" float (fun p -> p.greedy_total_ns)
+    |+ field "search_total_ns" float (fun p -> p.search_total_ns)
+    |+ field "chosen_total_ns" float (fun p -> p.chosen_total_ns)
+    |+ field "fallback" bool (fun p -> p.fallback)
+    |+ ilp_only "ilp_total_ns" float (fun p -> p.ilp_total_ns)
+    |+ ilp_only "proved_optimal" bool (fun p -> p.proved_optimal)
+    |+ ilp_only "certified_lb_ns" float (fun p -> p.certified_lb_ns)
+    |+ field "blocks" (list block) (fun p -> p.blocks)
+    |+ field "ilp_blocks" (list ilp_block) (fun p -> p.ilp_blocks) ~default:[]
+         ~omit:(fun p -> p.ilp_blocks = []))

@@ -79,9 +79,9 @@ val compile_ilp :
     Counter ["plan.ilp.fallback"] fires when the ILP plan is not the
     one returned. *)
 
-val provenance_json : provenance -> Obs.Json.t
-(** Stable schema used by [zapc --stats] and the plan bench:
-    [{"strategy", "machine", "procs", "greedy_total_ns",
+val provenance_codec : provenance Obs.Codec.t
+(** The wire shape, used by [zapc --stats], the plan bench and the
+    zapd replies: [{"strategy", "machine", "procs", "greedy_total_ns",
     "search_total_ns", "chosen_total_ns", "fallback",
     "blocks": [{"block", "expanded", ...}]}], extended under
     {!compile_ilp} with ["ilp_total_ns"], ["proved_optimal"],

@@ -1,28 +1,48 @@
 module Json = Obs.Json
 module Diag = Obs.Diagnostic
+module C = Obs.Codec
 
 let protocol_version = 1
 
+(* Each wire type is followed by its codec, the one description of its
+   JSON shape: both directions come from it. *)
+
+(* a boolean member written only when true *)
+let flag name get =
+  C.field name C.bool get ~default:false ~omit:(fun r -> not (get r))
+
 (* ------------------------------------------------------------------ *)
-(* Request types                                                       *)
+(* Requests                                                            *)
 (* ------------------------------------------------------------------ *)
 
 type source =
   | Bench of { name : string; tile : int option }
   | Text of { name : string; text : string }
 
+(* the key present tells which source is sent *)
+let source =
+  let open C in
+  let bench =
+    case
+      (record (fun name tile -> (name, tile))
+      |+ field "bench" string fst |+ opt "tile" int snd)
+      (function Bench { name; tile } -> Some (name, tile) | Text _ -> None)
+      (fun (name, tile) -> Bench { name; tile })
+  in
+  let text =
+    case
+      (record (fun name text -> (name, text))
+      |+ field "name" string fst |+ field "text" string snd)
+      (function Text { name; text } -> Some (name, text) | Bench _ -> None)
+      (fun (name, text) -> Text { name; text })
+  in
+  obj (keyed [ ("bench", bench); ("text", text) ])
+
 type plan_mode = Greedy | Search | Ilp
 
-let plan_mode_name = function
-  | Greedy -> "greedy"
-  | Search -> "search"
-  | Ilp -> "ilp"
-
-let plan_mode_of_name = function
-  | "greedy" -> Some Greedy
-  | "search" -> Some Search
-  | "ilp" -> Some Ilp
-  | _ -> None
+let plan_modes = [ ("greedy", Greedy); ("search", Search); ("ilp", Ilp) ]
+let plan_mode_name m = fst (List.find (fun (_, m') -> m' = m) plan_modes)
+let plan_mode_of_name n = List.assoc_opt n plan_modes
 
 type compile_opts = {
   level : string;
@@ -49,9 +69,36 @@ let default_compile_opts =
     emit_c = false;
   }
 
+let compile_opts =
+  let open C in
+  let d = default_compile_opts in
+  obj
+    (record
+       (fun level plan config merge simplify dump_ir dump_plan dump_c emit_c ->
+         { level; plan; config; merge; simplify; dump_ir; dump_plan; dump_c;
+           emit_c })
+    |+ field "level" string (fun o -> o.level) ~default:d.level
+    |+ field "plan" (enum plan_modes) (fun o -> o.plan) ~default:d.plan
+    |+ field "config" (assoc float) (fun o -> o.config) ~default:d.config
+         ~omit:(fun o -> o.config = [])
+    |+ flag "merge" (fun o -> o.merge)
+    |+ flag "simplify" (fun o -> o.simplify)
+    |+ flag "dump_ir" (fun o -> o.dump_ir)
+    |+ flag "dump_plan" (fun o -> o.dump_plan)
+    |+ flag "dump_c" (fun o -> o.dump_c)
+    |+ flag "emit_c" (fun o -> o.emit_c))
+
 type target = { machine : string; procs : int }
 
 let default_target = { machine = "t3e"; procs = 1 }
+
+let target =
+  let open C in
+  obj
+    (record (fun machine procs -> { machine; procs })
+    |+ field "machine" string (fun t -> t.machine)
+         ~default:default_target.machine
+    |+ field "procs" int (fun t -> t.procs) ~default:default_target.procs)
 
 type request =
   | Compile of { source : source; opts : compile_opts; target : target }
@@ -67,8 +114,63 @@ type request =
   | Stats
   | Shutdown
 
+(* the members compile, run and plan share *)
+let source_opts_target =
+  let open C in
+  record (fun s o t -> (s, o, t))
+  |+ field "source" source (fun (s, _, _) -> s)
+  |+ field "opts" compile_opts (fun (_, o, _) -> o)
+       ~default:default_compile_opts
+  |+ field "target" target (fun (_, _, t) -> t) ~default:default_target
+
+let request =
+  C.fix @@ fun request ->
+  let open C in
+  let ops =
+    [
+      ( "compile",
+        case source_opts_target
+          (function Compile r -> Some (r.source, r.opts, r.target) | _ -> None)
+          (fun (source, opts, target) -> Compile { source; opts; target }) );
+      ( "run",
+        case
+          (record (fun sot spmd native -> (sot, spmd, native))
+          |+ spread source_opts_target (fun (sot, _, _) -> sot)
+          |+ flag "spmd" (fun (_, spmd, _) -> spmd)
+          |+ flag "native" (fun (_, _, native) -> native))
+          (function
+            | Run r -> Some ((r.source, r.opts, r.target), r.spmd, r.native)
+            | _ -> None)
+          (fun ((source, opts, target), spmd, native) ->
+            Run { source; opts; target; spmd; native }) );
+      ( "plan",
+        case source_opts_target
+          (function Plan r -> Some (r.source, r.opts, r.target) | _ -> None)
+          (fun (source, opts, target) -> Plan { source; opts; target }) );
+      ( "batch",
+        case
+          (record Fun.id |+ field "requests" (list request) Fun.id)
+          (function Batch rs -> Some rs | _ -> None)
+          (fun rs -> Batch rs) );
+      ( "stats",
+        case (record ()) (function Stats -> Some () | _ -> None) (fun () ->
+            Stats) );
+      ( "shutdown",
+        case (record ())
+          (function Shutdown -> Some () | _ -> None)
+          (fun () -> Shutdown) );
+    ]
+  in
+  (* "v" is checked on every request, batched ones included, and never
+     written: absence means the current version *)
+  obj
+    (record (fun () r -> r)
+    |+ field "v" (const (Json.Int protocol_version)) ignore ~default:()
+         ~omit:(fun _ -> true)
+    |+ spread (variant "op" string ops) Fun.id)
+
 (* ------------------------------------------------------------------ *)
-(* Response types                                                      *)
+(* Responses                                                           *)
 (* ------------------------------------------------------------------ *)
 
 type summary = {
@@ -88,6 +190,36 @@ type summary = {
   emit_c : string option;
 }
 
+let summary =
+  let open C in
+  obj
+    (record
+       (fun program level arrays_total contracted_compiler contracted_user
+            remaining footprint_bytes contracted merged_away fingerprint dump_ir
+            dump_plan dump_c emit_c ->
+         { program; level; arrays_total; contracted_compiler; contracted_user;
+           remaining; footprint_bytes; contracted; merged_away; fingerprint;
+           dump_ir; dump_plan; dump_c; emit_c })
+    |+ field "program" string (fun s -> s.program)
+    |+ field "level" string (fun s -> s.level)
+    |+ field "arrays_total" int (fun s -> s.arrays_total)
+    |+ field "contracted_compiler" int (fun s -> s.contracted_compiler)
+    |+ field "contracted_user" int (fun s -> s.contracted_user)
+    |+ field "remaining" int (fun s -> s.remaining)
+    |+ field "footprint_bytes" int (fun s -> s.footprint_bytes)
+    |+ field "contracted"
+         (list
+            (obj
+               (record (fun x shape -> (x, shape))
+               |+ field "array" string fst |+ field "shape" string snd)))
+         (fun s -> s.contracted)
+    |+ field "merged_away" (list string) (fun s -> s.merged_away)
+    |+ field "fingerprint" string (fun s -> s.fingerprint)
+    |+ opt "dump_ir" string (fun s -> s.dump_ir)
+    |+ opt "dump_plan" string (fun s -> s.dump_plan)
+    |+ opt "dump_c" string (fun s -> s.dump_c)
+    |+ opt "emit_c" string (fun s -> s.emit_c))
+
 type perf = {
   machine : string;
   procs : int;
@@ -103,6 +235,28 @@ type perf = {
   msg_bytes : int;
   checksum : string;
 }
+
+let perf =
+  let open C in
+  obj
+    (record
+       (fun machine procs time_ns comp_ns comm_ns flops loads stores l1_miss_pct
+            l2_miss_pct messages msg_bytes checksum ->
+         { machine; procs; time_ns; comp_ns; comm_ns; flops; loads; stores;
+           l1_miss_pct; l2_miss_pct; messages; msg_bytes; checksum })
+    |+ field "machine" string (fun p -> p.machine)
+    |+ field "procs" int (fun p -> p.procs)
+    |+ field "time_ns" float (fun p -> p.time_ns)
+    |+ field "comp_ns" float (fun p -> p.comp_ns)
+    |+ field "comm_ns" float (fun p -> p.comm_ns)
+    |+ field "flops" int (fun p -> p.flops)
+    |+ field "loads" int (fun p -> p.loads)
+    |+ field "stores" int (fun p -> p.stores)
+    |+ field "l1_miss_pct" float (fun p -> p.l1_miss_pct)
+    |+ opt "l2_miss_pct" float (fun p -> p.l2_miss_pct)
+    |+ field "messages" int (fun p -> p.messages)
+    |+ field "msg_bytes" int (fun p -> p.msg_bytes)
+    |+ field "checksum" string (fun p -> p.checksum))
 
 type spmd_summary = {
   spmd_time_ns : float;
@@ -120,6 +274,31 @@ type spmd_summary = {
   report : Json.t;
 }
 
+let spmd_summary =
+  let open C in
+  obj
+    (record
+       (fun spmd_time_ns supersteps matches_model charged_messages charged_bytes
+            wire_messages wire_bytes ghost_fills unmodeled_exchanges
+            reduction_messages spmd_l1_miss_pct spmd_checksum report ->
+         { spmd_time_ns; supersteps; matches_model; charged_messages;
+           charged_bytes; wire_messages; wire_bytes; ghost_fills;
+           unmodeled_exchanges; reduction_messages; spmd_l1_miss_pct;
+           spmd_checksum; report })
+    |+ field "time_ns" float (fun s -> s.spmd_time_ns)
+    |+ field "supersteps" int (fun s -> s.supersteps)
+    |+ field "matches_model" bool (fun s -> s.matches_model)
+    |+ field "charged_messages" int (fun s -> s.charged_messages)
+    |+ field "charged_bytes" int (fun s -> s.charged_bytes)
+    |+ field "wire_messages" int (fun s -> s.wire_messages)
+    |+ field "wire_bytes" int (fun s -> s.wire_bytes)
+    |+ field "ghost_fills" int (fun s -> s.ghost_fills)
+    |+ field "unmodeled_exchanges" int (fun s -> s.unmodeled_exchanges)
+    |+ field "reduction_messages" int (fun s -> s.reduction_messages)
+    |+ opt "l1_miss_pct" float (fun s -> s.spmd_l1_miss_pct)
+    |+ field "checksum" string (fun s -> s.spmd_checksum)
+    |+ field "report" json (fun s -> s.report))
+
 (* Wall-clock is the single timing-dependent field: everything else in
    a Ran response is byte-identical between a cold and a warm serve of
    the same request, and the stats *shape* (field set and order) never
@@ -132,6 +311,23 @@ type native_summary = {
   native_matches : bool;  (** checksum equals the modeled run's *)
 }
 
+(* wall_ns is a JSON integer: runner wall clocks are far below 2^62 ns
+   (about 146 years) *)
+let native_codec =
+  let open C in
+  obj
+    (record
+       (fun native_checksum native_wall_ns native_compiler native_units
+            native_matches ->
+         { native_checksum; native_wall_ns; native_compiler; native_units;
+           native_matches })
+    |+ field "checksum" string (fun n -> n.native_checksum)
+    |+ field "wall_ns" (conv Int64.of_int Int64.to_int int) (fun n ->
+           n.native_wall_ns)
+    |+ field "compiler" string (fun n -> n.native_compiler)
+    |+ field "units" int (fun n -> n.native_units)
+    |+ field "matches" bool (fun n -> n.native_matches))
+
 type cache_stats = {
   shards : int;
   cache_capacity : int;
@@ -142,6 +338,21 @@ type cache_stats = {
   insertions : int;
 }
 
+let cache_stats =
+  let open C in
+  obj
+    (record
+       (fun shards cache_capacity entries hits misses evictions insertions ->
+         { shards; cache_capacity; entries; hits; misses; evictions;
+           insertions })
+    |+ field "shards" int (fun c -> c.shards)
+    |+ field "capacity" int (fun c -> c.cache_capacity)
+    |+ field "entries" int (fun c -> c.entries)
+    |+ field "hits" int (fun c -> c.hits)
+    |+ field "misses" int (fun c -> c.misses)
+    |+ field "evictions" int (fun c -> c.evictions)
+    |+ field "insertions" int (fun c -> c.insertions))
+
 type server_stats = {
   requests : (string * int) list;
   cache : cache_stats;
@@ -151,6 +362,29 @@ type server_stats = {
   natives_reused : int;
   native_runs : int;
 }
+
+(* the native counters are flat here and nested on the wire *)
+let server_stats =
+  let open C in
+  let native =
+    obj
+      (record (fun b r n -> (b, r, n))
+      |+ field "built" int (fun (b, _, _) -> b)
+      |+ field "reused" int (fun (_, r, _) -> r)
+      |+ field "runs" int (fun (_, _, n) -> n))
+  in
+  obj
+    (record
+       (fun requests cache compiles_computed plans_computed
+            (natives_built, natives_reused, native_runs) ->
+         { requests; cache; compiles_computed; plans_computed; natives_built;
+           natives_reused; native_runs })
+    |+ field "requests" (assoc int) (fun s -> s.requests)
+    |+ field "cache" cache_stats (fun s -> s.cache)
+    |+ field "compiles_computed" int (fun s -> s.compiles_computed)
+    |+ field "plans_computed" int (fun s -> s.plans_computed)
+    |+ field "native" native (fun s ->
+           (s.natives_built, s.natives_reused, s.native_runs)))
 
 type response =
   | Compiled of {
@@ -173,6 +407,78 @@ type response =
   | Shutting_down
   | Failed of Diag.t
 
+(* the members compiled, ran and planned lead with *)
+let summary_provenance =
+  let open C in
+  record (fun s p -> (s, p))
+  |+ field "summary" summary fst
+  |+ opt "provenance" Plan.Driver.provenance_codec snd
+
+(* {"ok":false,"error":...} for a failure, else {"ok":true,"type":...} *)
+let response =
+  C.fix @@ fun response ->
+  let open C in
+  let one name c = record Fun.id |+ field name c Fun.id in
+  let types =
+    [
+      ( "compiled",
+        case summary_provenance
+          (function Compiled r -> Some (r.summary, r.provenance) | _ -> None)
+          (fun (summary, provenance) -> Compiled { summary; provenance }) );
+      ( "ran",
+        case
+          (record (fun sp perf spmd native -> (sp, perf, spmd, native))
+          |+ spread summary_provenance (fun (sp, _, _, _) -> sp)
+          |+ field "perf" perf (fun (_, p, _, _) -> p)
+          |+ opt "spmd" spmd_summary (fun (_, _, s, _) -> s)
+          |+ opt "native" native_codec (fun (_, _, _, n) -> n))
+          (function
+            | Ran r ->
+                Some ((r.summary, r.provenance), r.perf, r.spmd, r.native)
+            | _ -> None)
+          (fun ((summary, provenance), perf, spmd, native) ->
+            Ran { summary; provenance; perf; spmd; native }) );
+      ( "planned",
+        case summary_provenance
+          (function Planned r -> Some (r.summary, r.provenance) | _ -> None)
+          (fun (summary, provenance) -> Planned { summary; provenance }) );
+      ( "batch",
+        case (one "responses" (list response))
+          (function Batch_reply rs -> Some rs | _ -> None)
+          (fun rs -> Batch_reply rs) );
+      ( "stats",
+        case (one "stats" server_stats)
+          (function Stats_reply s -> Some s | _ -> None)
+          (fun s -> Stats_reply s) );
+      ( "shutting-down",
+        case (record ())
+          (function Shutting_down -> Some () | _ -> None)
+          (fun () -> Shutting_down) );
+    ]
+  in
+  obj
+    (variant "ok" bool
+       [
+         ( false,
+           case (one "error" Diag.codec)
+             (function Failed d -> Some d | _ -> None)
+             (fun d -> Failed d) );
+         ( true,
+           case (variant "type" string types)
+             (function Failed _ -> None | r -> Some r)
+             Fun.id );
+       ])
+
+let request_to_json = C.encode request
+let request_of_json = C.decode request
+let response_to_json = C.encode response
+let response_of_json = C.decode response
+
+let request_of_line line =
+  match Json.of_string line with
+  | Error e -> Error (Printf.sprintf "bad request line: %s" e)
+  | Ok j -> request_of_json j
+
 (* ------------------------------------------------------------------ *)
 (* Shared validation                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -183,7 +489,13 @@ let machine_of_name name =
   | "sp2" | "sp-2" -> Ok Machine.sp2
   | "paragon" -> Ok Machine.paragon
   | other ->
-      Error (Diag.errorf ~phase:"cli" "unknown machine %S (t3e|sp2|paragon)" other)
+      Error
+        (Diag.errorf ~phase:"cli" "unknown machine %S (t3e|sp2|paragon)" other)
+
+let machine_of_target (t : target) =
+  if t.procs < 1 then
+    Error (Diag.errorf ~phase:"cli" "procs must be >= 1 (got %d)" t.procs)
+  else machine_of_name t.machine
 
 let level_of_name name =
   match Compilers.Driver.level_of_name name with
@@ -194,743 +506,3 @@ let level_of_name name =
            "unknown level %S (baseline, f1, c1, f2, f3, c2, c2+f3, c2+f4, \
             c2+p; '+' may be omitted)"
            name)
-
-(* ------------------------------------------------------------------ *)
-(* Decoder combinators                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let ( let* ) = Result.bind
-
-let field name j =
-  match Json.member name j with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing field %S" name)
-
-let to_str = function
-  | Json.String s -> Ok s
-  | _ -> Error "expected a string"
-
-let to_int = function
-  | Json.Int i -> Ok i
-  | Json.Float f when Float.is_integer f -> Ok (int_of_float f)
-  | _ -> Error "expected an integer"
-
-let to_num = function
-  | Json.Int i -> Ok (float_of_int i)
-  | Json.Float f -> Ok f
-  | _ -> Error "expected a number"
-
-let to_bool = function
-  | Json.Bool b -> Ok b
-  | _ -> Error "expected a boolean"
-
-let to_list = function
-  | Json.List l -> Ok l
-  | _ -> Error "expected an array"
-
-let str_field name j = Result.bind (field name j) to_str
-let int_field name j = Result.bind (field name j) to_int
-let num_field name j = Result.bind (field name j) to_num
-let bool_field name j = Result.bind (field name j) to_bool
-
-let opt_str_field name j =
-  match Json.member name j with
-  | None | Some Json.Null -> Ok None
-  | Some v -> Result.map Option.some (to_str v)
-
-let opt_num_field name j =
-  match Json.member name j with
-  | None | Some Json.Null -> Ok None
-  | Some v -> Result.map Option.some (to_num v)
-
-let opt_int_field name j =
-  match Json.member name j with
-  | None | Some Json.Null -> Ok None
-  | Some v -> Result.map Option.some (to_int v)
-
-let opt_bool_field name j =
-  match Json.member name j with
-  | None | Some Json.Null -> Ok None
-  | Some v -> Result.map Option.some (to_bool v)
-
-let map_result f l =
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | x :: tl ->
-        let* y = f x in
-        go (y :: acc) tl
-  in
-  go [] l
-
-let opt_json name v = match v with None -> [] | Some s -> [ (name, Json.String s) ]
-
-(* ------------------------------------------------------------------ *)
-(* Request codec                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let source_to_json = function
-  | Bench { name; tile } ->
-      Json.Obj
-        ([ ("bench", Json.String name) ]
-        @ match tile with Some t -> [ ("tile", Json.Int t) ] | None -> [])
-  | Text { name; text } ->
-      Json.Obj [ ("name", Json.String name); ("text", Json.String text) ]
-
-let source_of_json j =
-  match Json.member "bench" j with
-  | Some (Json.String name) ->
-      let* tile = opt_int_field "tile" j in
-      Ok (Bench { name; tile })
-  | Some _ -> Error "source.bench must be a string"
-  | None ->
-      let* name = str_field "name" j in
-      let* text = str_field "text" j in
-      Ok (Text { name; text })
-
-let opts_to_json (o : compile_opts) =
-  let flag name v = if v then [ (name, Json.Bool true) ] else [] in
-  Json.Obj
-    ([
-       ("level", Json.String o.level);
-       ("plan", Json.String (plan_mode_name o.plan));
-     ]
-    @ (if o.config = [] then []
-       else
-         [
-           ( "config",
-             Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) o.config) );
-         ])
-    @ flag "merge" o.merge @ flag "simplify" o.simplify
-    @ flag "dump_ir" o.dump_ir @ flag "dump_plan" o.dump_plan
-    @ flag "dump_c" o.dump_c @ flag "emit_c" o.emit_c)
-
-let opts_of_json j =
-  let d = default_compile_opts in
-  let flag name dflt =
-    match Json.member name j with
-    | None -> Ok dflt
-    | Some v -> to_bool v
-  in
-  let* level =
-    match Json.member "level" j with None -> Ok d.level | Some v -> to_str v
-  in
-  let* plan =
-    match Json.member "plan" j with
-    | None -> Ok d.plan
-    | Some v -> (
-        let* s = to_str v in
-        match plan_mode_of_name s with
-        | Some m -> Ok m
-        | None -> Error (Printf.sprintf "unknown plan mode %S" s))
-  in
-  let* config =
-    match Json.member "config" j with
-    | None -> Ok []
-    | Some (Json.Obj kvs) ->
-        map_result
-          (fun (k, v) ->
-            let* f = to_num v in
-            Ok (k, f))
-          kvs
-    | Some _ -> Error "config must be an object"
-  in
-  let* merge = flag "merge" d.merge in
-  let* simplify = flag "simplify" d.simplify in
-  let* dump_ir = flag "dump_ir" d.dump_ir in
-  let* dump_plan = flag "dump_plan" d.dump_plan in
-  let* dump_c = flag "dump_c" d.dump_c in
-  let* emit_c = flag "emit_c" d.emit_c in
-  Ok { level; plan; config; merge; simplify; dump_ir; dump_plan; dump_c; emit_c }
-
-let target_to_json (t : target) =
-  Json.Obj [ ("machine", Json.String t.machine); ("procs", Json.Int t.procs) ]
-
-let target_of_json = function
-  | None -> Ok default_target
-  | Some j ->
-      let* machine =
-        match Json.member "machine" j with
-        | None -> Ok default_target.machine
-        | Some v -> to_str v
-      in
-      let* procs =
-        match Json.member "procs" j with
-        | None -> Ok default_target.procs
-        | Some v -> to_int v
-      in
-      Ok { machine; procs }
-
-let rec request_to_json = function
-  | Compile { source; opts; target } ->
-      Json.Obj
-        [
-          ("op", Json.String "compile");
-          ("source", source_to_json source);
-          ("opts", opts_to_json opts);
-          ("target", target_to_json target);
-        ]
-  | Run { source; opts; target; spmd; native } ->
-      Json.Obj
-        ([
-           ("op", Json.String "run");
-           ("source", source_to_json source);
-           ("opts", opts_to_json opts);
-           ("target", target_to_json target);
-         ]
-        @ (if spmd then [ ("spmd", Json.Bool true) ] else [])
-        @ if native then [ ("native", Json.Bool true) ] else [])
-  | Plan { source; opts; target } ->
-      Json.Obj
-        [
-          ("op", Json.String "plan");
-          ("source", source_to_json source);
-          ("opts", opts_to_json opts);
-          ("target", target_to_json target);
-        ]
-  | Batch reqs ->
-      Json.Obj
-        [
-          ("op", Json.String "batch");
-          ("requests", Json.List (List.map request_to_json reqs));
-        ]
-  | Stats -> Json.Obj [ ("op", Json.String "stats") ]
-  | Shutdown -> Json.Obj [ ("op", Json.String "shutdown") ]
-
-let rec request_of_json j =
-  let* () =
-    match Json.member "v" j with
-    | None -> Ok ()
-    | Some (Json.Int v) when v = protocol_version -> Ok ()
-    | Some (Json.Int v) ->
-        Error
-          (Printf.sprintf "protocol version %d not supported (this is %d)" v
-             protocol_version)
-    | Some _ -> Error "v must be an integer"
-  in
-  let* op = str_field "op" j in
-  let sot () =
-    let* sj = field "source" j in
-    let* source = source_of_json sj in
-    let* opts =
-      match Json.member "opts" j with
-      | None -> Ok default_compile_opts
-      | Some oj -> opts_of_json oj
-    in
-    let* target = target_of_json (Json.member "target" j) in
-    Ok (source, opts, target)
-  in
-  match op with
-  | "compile" ->
-      let* source, opts, target = sot () in
-      Ok (Compile { source; opts; target })
-  | "run" ->
-      let* source, opts, target = sot () in
-      let* spmd =
-        match Json.member "spmd" j with None -> Ok false | Some v -> to_bool v
-      in
-      let* native =
-        match Json.member "native" j with
-        | None -> Ok false
-        | Some v -> to_bool v
-      in
-      Ok (Run { source; opts; target; spmd; native })
-  | "plan" ->
-      let* source, opts, target = sot () in
-      Ok (Plan { source; opts; target })
-  | "batch" ->
-      let* rs = Result.bind (field "requests" j) to_list in
-      let* reqs = map_result request_of_json rs in
-      Ok (Batch reqs)
-  | "stats" -> Ok Stats
-  | "shutdown" -> Ok Shutdown
-  | other -> Error (Printf.sprintf "unknown op %S" other)
-
-let request_of_line line =
-  match Json.of_string line with
-  | Error e -> Error (Printf.sprintf "bad request line: %s" e)
-  | Ok j -> request_of_json j
-
-(* ------------------------------------------------------------------ *)
-(* Provenance codec (inverse of Plan.Driver.provenance_json)           *)
-(* ------------------------------------------------------------------ *)
-
-let provenance_of_json j =
-  let* strategy = str_field "strategy" j in
-  let* machine = str_field "machine" j in
-  let* procs = int_field "procs" j in
-  let* greedy_total_ns = num_field "greedy_total_ns" j in
-  let* search_total_ns = num_field "search_total_ns" j in
-  let* chosen_total_ns = num_field "chosen_total_ns" j in
-  let* fallback = bool_field "fallback" j in
-  let* bs = Result.bind (field "blocks" j) to_list in
-  let* blocks =
-    map_result
-      (fun bj ->
-        let* block = int_field "block" bj in
-        let* expanded = int_field "expanded" bj in
-        let* generated = int_field "generated" bj in
-        let* pruned = int_field "pruned" bj in
-        let* deduped = int_field "deduped" bj in
-        let* beam_rounds = int_field "beam_rounds" bj in
-        let* greedy_ns = num_field "greedy_ns" bj in
-        let* best_ns = num_field "best_ns" bj in
-        let* improved = bool_field "improved" bj in
-        Ok
-          {
-            Plan.Driver.block;
-            stats =
-              {
-                Plan.Search.expanded;
-                generated;
-                pruned;
-                deduped;
-                beam_rounds;
-                greedy_ns;
-                best_ns;
-                improved;
-              };
-          })
-      bs
-  in
-  (* ILP extension fields: absent under --plan search, null-tolerant *)
-  let* ilp_total_ns = opt_num_field "ilp_total_ns" j in
-  let* proved_optimal = opt_bool_field "proved_optimal" j in
-  let* certified_lb_ns = opt_num_field "certified_lb_ns" j in
-  let* ilp_blocks =
-    match Json.member "ilp_blocks" j with
-    | None | Some Json.Null -> Ok []
-    | Some v ->
-        let* ibs = to_list v in
-        map_result
-          (fun bj ->
-            let* iblock = int_field "block" bj in
-            let* clusters = int_field "clusters" bj in
-            let* complete = bool_field "complete" bj in
-            let* nodes = int_field "nodes" bj in
-            let* cuts = int_field "cuts" bj in
-            let* pivots = int_field "pivots" bj in
-            let* proved = bool_field "proved" bj in
-            let* objective_exact = bool_field "objective_exact" bj in
-            let* lower_bound_ns = opt_num_field "lower_bound_ns" bj in
-            let* greedy_ns = num_field "greedy_ns" bj in
-            let* best_ns = num_field "best_ns" bj in
-            let* improved = bool_field "improved" bj in
-            Ok
-              {
-                Plan.Driver.iblock;
-                istats =
-                  {
-                    Plan.Ilp.clusters;
-                    complete;
-                    nodes;
-                    cuts;
-                    pivots;
-                    proved;
-                    objective_exact;
-                    lower_bound_ns;
-                    greedy_ns;
-                    best_ns;
-                    improved;
-                  };
-              })
-          ibs
-  in
-  Ok
-    {
-      Plan.Driver.strategy;
-      machine;
-      procs;
-      greedy_total_ns;
-      search_total_ns;
-      ilp_total_ns;
-      chosen_total_ns;
-      fallback;
-      proved_optimal;
-      certified_lb_ns;
-      blocks;
-      ilp_blocks;
-    }
-
-(* ------------------------------------------------------------------ *)
-(* Response codec                                                      *)
-(* ------------------------------------------------------------------ *)
-
-let summary_to_json (s : summary) =
-  Json.Obj
-    ([
-       ("program", Json.String s.program);
-       ("level", Json.String s.level);
-       ("arrays_total", Json.Int s.arrays_total);
-       ("contracted_compiler", Json.Int s.contracted_compiler);
-       ("contracted_user", Json.Int s.contracted_user);
-       ("remaining", Json.Int s.remaining);
-       ("footprint_bytes", Json.Int s.footprint_bytes);
-       ( "contracted",
-         Json.List
-           (List.map
-              (fun (x, shape) ->
-                Json.Obj
-                  [ ("array", Json.String x); ("shape", Json.String shape) ])
-              s.contracted) );
-       ("merged_away", Json.List (List.map (fun x -> Json.String x) s.merged_away));
-       ("fingerprint", Json.String s.fingerprint);
-     ]
-    @ opt_json "dump_ir" s.dump_ir
-    @ opt_json "dump_plan" s.dump_plan
-    @ opt_json "dump_c" s.dump_c
-    @ opt_json "emit_c" s.emit_c)
-
-let summary_of_json j =
-  let* program = str_field "program" j in
-  let* level = str_field "level" j in
-  let* arrays_total = int_field "arrays_total" j in
-  let* contracted_compiler = int_field "contracted_compiler" j in
-  let* contracted_user = int_field "contracted_user" j in
-  let* remaining = int_field "remaining" j in
-  let* footprint_bytes = int_field "footprint_bytes" j in
-  let* cs = Result.bind (field "contracted" j) to_list in
-  let* contracted =
-    map_result
-      (fun cj ->
-        let* x = str_field "array" cj in
-        let* shape = str_field "shape" cj in
-        Ok (x, shape))
-      cs
-  in
-  let* ms = Result.bind (field "merged_away" j) to_list in
-  let* merged_away = map_result to_str ms in
-  let* fingerprint = str_field "fingerprint" j in
-  let* dump_ir = opt_str_field "dump_ir" j in
-  let* dump_plan = opt_str_field "dump_plan" j in
-  let* dump_c = opt_str_field "dump_c" j in
-  let* emit_c = opt_str_field "emit_c" j in
-  Ok
-    {
-      program;
-      level;
-      arrays_total;
-      contracted_compiler;
-      contracted_user;
-      remaining;
-      footprint_bytes;
-      contracted;
-      merged_away;
-      fingerprint;
-      dump_ir;
-      dump_plan;
-      dump_c;
-      emit_c;
-    }
-
-let perf_to_json (p : perf) =
-  Json.Obj
-    ([
-       ("machine", Json.String p.machine);
-       ("procs", Json.Int p.procs);
-       ("time_ns", Json.Float p.time_ns);
-       ("comp_ns", Json.Float p.comp_ns);
-       ("comm_ns", Json.Float p.comm_ns);
-       ("flops", Json.Int p.flops);
-       ("loads", Json.Int p.loads);
-       ("stores", Json.Int p.stores);
-       ("l1_miss_pct", Json.Float p.l1_miss_pct);
-     ]
-    @ (match p.l2_miss_pct with
-      | Some v -> [ ("l2_miss_pct", Json.Float v) ]
-      | None -> [])
-    @ [
-        ("messages", Json.Int p.messages);
-        ("msg_bytes", Json.Int p.msg_bytes);
-        ("checksum", Json.String p.checksum);
-      ])
-
-let perf_of_json j =
-  let* machine = str_field "machine" j in
-  let* procs = int_field "procs" j in
-  let* time_ns = num_field "time_ns" j in
-  let* comp_ns = num_field "comp_ns" j in
-  let* comm_ns = num_field "comm_ns" j in
-  let* flops = int_field "flops" j in
-  let* loads = int_field "loads" j in
-  let* stores = int_field "stores" j in
-  let* l1_miss_pct = num_field "l1_miss_pct" j in
-  let* l2_miss_pct = opt_num_field "l2_miss_pct" j in
-  let* messages = int_field "messages" j in
-  let* msg_bytes = int_field "msg_bytes" j in
-  let* checksum = str_field "checksum" j in
-  Ok
-    {
-      machine;
-      procs;
-      time_ns;
-      comp_ns;
-      comm_ns;
-      flops;
-      loads;
-      stores;
-      l1_miss_pct;
-      l2_miss_pct;
-      messages;
-      msg_bytes;
-      checksum;
-    }
-
-let spmd_to_json (s : spmd_summary) =
-  Json.Obj
-    ([
-       ("time_ns", Json.Float s.spmd_time_ns);
-       ("supersteps", Json.Int s.supersteps);
-       ("matches_model", Json.Bool s.matches_model);
-       ("charged_messages", Json.Int s.charged_messages);
-       ("charged_bytes", Json.Int s.charged_bytes);
-       ("wire_messages", Json.Int s.wire_messages);
-       ("wire_bytes", Json.Int s.wire_bytes);
-       ("ghost_fills", Json.Int s.ghost_fills);
-       ("unmodeled_exchanges", Json.Int s.unmodeled_exchanges);
-       ("reduction_messages", Json.Int s.reduction_messages);
-     ]
-    @ (match s.spmd_l1_miss_pct with
-      | Some v -> [ ("l1_miss_pct", Json.Float v) ]
-      | None -> [])
-    @ [ ("checksum", Json.String s.spmd_checksum); ("report", s.report) ])
-
-let spmd_of_json j =
-  let* spmd_time_ns = num_field "time_ns" j in
-  let* supersteps = int_field "supersteps" j in
-  let* matches_model = bool_field "matches_model" j in
-  let* charged_messages = int_field "charged_messages" j in
-  let* charged_bytes = int_field "charged_bytes" j in
-  let* wire_messages = int_field "wire_messages" j in
-  let* wire_bytes = int_field "wire_bytes" j in
-  let* ghost_fills = int_field "ghost_fills" j in
-  let* unmodeled_exchanges = int_field "unmodeled_exchanges" j in
-  let* reduction_messages = int_field "reduction_messages" j in
-  let* spmd_l1_miss_pct = opt_num_field "l1_miss_pct" j in
-  let* spmd_checksum = str_field "checksum" j in
-  let* report = field "report" j in
-  Ok
-    {
-      spmd_time_ns;
-      supersteps;
-      matches_model;
-      charged_messages;
-      charged_bytes;
-      wire_messages;
-      wire_bytes;
-      ghost_fills;
-      unmodeled_exchanges;
-      reduction_messages;
-      spmd_l1_miss_pct;
-      spmd_checksum;
-      report;
-    }
-
-(* wall_ns is serialized as a JSON integer: runner wall clocks are far
-   below 2^62 ns (about 146 years) *)
-let native_to_json (n : native_summary) =
-  Json.Obj
-    [
-      ("checksum", Json.String n.native_checksum);
-      ("wall_ns", Json.Int (Int64.to_int n.native_wall_ns));
-      ("compiler", Json.String n.native_compiler);
-      ("units", Json.Int n.native_units);
-      ("matches", Json.Bool n.native_matches);
-    ]
-
-let native_of_json j =
-  let* native_checksum = str_field "checksum" j in
-  let* wall = int_field "wall_ns" j in
-  let* native_compiler = str_field "compiler" j in
-  let* native_units = int_field "units" j in
-  let* native_matches = bool_field "matches" j in
-  Ok
-    {
-      native_checksum;
-      native_wall_ns = Int64.of_int wall;
-      native_compiler;
-      native_units;
-      native_matches;
-    }
-
-let stats_to_json (s : server_stats) =
-  Json.Obj
-    [
-      ( "requests",
-        Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) s.requests) );
-      ( "cache",
-        Json.Obj
-          [
-            ("shards", Json.Int s.cache.shards);
-            ("capacity", Json.Int s.cache.cache_capacity);
-            ("entries", Json.Int s.cache.entries);
-            ("hits", Json.Int s.cache.hits);
-            ("misses", Json.Int s.cache.misses);
-            ("evictions", Json.Int s.cache.evictions);
-            ("insertions", Json.Int s.cache.insertions);
-          ] );
-      ("compiles_computed", Json.Int s.compiles_computed);
-      ("plans_computed", Json.Int s.plans_computed);
-      ( "native",
-        Json.Obj
-          [
-            ("built", Json.Int s.natives_built);
-            ("reused", Json.Int s.natives_reused);
-            ("runs", Json.Int s.native_runs);
-          ] );
-    ]
-
-let stats_of_json j =
-  let* rj = field "requests" j in
-  let* requests =
-    match rj with
-    | Json.Obj kvs ->
-        map_result
-          (fun (k, v) ->
-            let* n = to_int v in
-            Ok (k, n))
-          kvs
-    | _ -> Error "requests must be an object"
-  in
-  let* cj = field "cache" j in
-  let* shards = int_field "shards" cj in
-  let* cache_capacity = int_field "capacity" cj in
-  let* entries = int_field "entries" cj in
-  let* hits = int_field "hits" cj in
-  let* misses = int_field "misses" cj in
-  let* evictions = int_field "evictions" cj in
-  let* insertions = int_field "insertions" cj in
-  let* compiles_computed = int_field "compiles_computed" j in
-  let* plans_computed = int_field "plans_computed" j in
-  let* nj = field "native" j in
-  let* natives_built = int_field "built" nj in
-  let* natives_reused = int_field "reused" nj in
-  let* native_runs = int_field "runs" nj in
-  Ok
-    {
-      requests;
-      cache =
-        { shards; cache_capacity; entries; hits; misses; evictions; insertions };
-      compiles_computed;
-      plans_computed;
-      natives_built;
-      natives_reused;
-      native_runs;
-    }
-
-let diag_of_json j =
-  let* severity = str_field "severity" j in
-  let* phase = str_field "phase" j in
-  let* message = str_field "message" j in
-  let* file = opt_str_field "file" j in
-  let* line = opt_int_field "line" j in
-  let loc = match (file, line) with Some f, Some l -> Some (f, l) | _ -> None in
-  match severity with
-  | "error" -> Ok (Diag.error ?loc ~phase message)
-  | "warning" -> Ok (Diag.warning ?loc ~phase message)
-  | other -> Error (Printf.sprintf "unknown severity %S" other)
-
-let prov_json name = function
-  | None -> []
-  | Some p -> [ (name, Plan.Driver.provenance_json p) ]
-
-let rec response_to_json = function
-  | Compiled { summary; provenance } ->
-      Json.Obj
-        ([
-           ("ok", Json.Bool true);
-           ("type", Json.String "compiled");
-           ("summary", summary_to_json summary);
-         ]
-        @ prov_json "provenance" provenance)
-  | Ran { summary; provenance; perf; spmd; native } ->
-      Json.Obj
-        ([
-           ("ok", Json.Bool true);
-           ("type", Json.String "ran");
-           ("summary", summary_to_json summary);
-         ]
-        @ prov_json "provenance" provenance
-        @ [ ("perf", perf_to_json perf) ]
-        @ (match spmd with Some s -> [ ("spmd", spmd_to_json s) ] | None -> [])
-        @
-        match native with
-        | Some n -> [ ("native", native_to_json n) ]
-        | None -> [])
-  | Planned { summary; provenance } ->
-      Json.Obj
-        ([
-           ("ok", Json.Bool true);
-           ("type", Json.String "planned");
-           ("summary", summary_to_json summary);
-         ]
-        @ prov_json "provenance" provenance)
-  | Batch_reply rs ->
-      Json.Obj
-        [
-          ("ok", Json.Bool true);
-          ("type", Json.String "batch");
-          ("responses", Json.List (List.map response_to_json rs));
-        ]
-  | Stats_reply s ->
-      Json.Obj
-        [
-          ("ok", Json.Bool true);
-          ("type", Json.String "stats");
-          ("stats", stats_to_json s);
-        ]
-  | Shutting_down ->
-      Json.Obj [ ("ok", Json.Bool true); ("type", Json.String "shutting-down") ]
-  | Failed d ->
-      Json.Obj [ ("ok", Json.Bool false); ("error", Diag.to_json d) ]
-
-let rec response_of_json j =
-  let* ok = bool_field "ok" j in
-  if not ok then
-    let* dj = field "error" j in
-    let* d = diag_of_json dj in
-    Ok (Failed d)
-  else
-    let* ty = str_field "type" j in
-    let prov () =
-      match Json.member "provenance" j with
-      | None -> Ok None
-      | Some pj -> Result.map Option.some (provenance_of_json pj)
-    in
-    match ty with
-    | "compiled" ->
-        let* sj = field "summary" j in
-        let* summary = summary_of_json sj in
-        let* provenance = prov () in
-        Ok (Compiled { summary; provenance })
-    | "planned" ->
-        let* sj = field "summary" j in
-        let* summary = summary_of_json sj in
-        let* provenance = prov () in
-        Ok (Planned { summary; provenance })
-    | "ran" ->
-        let* sj = field "summary" j in
-        let* summary = summary_of_json sj in
-        let* provenance = prov () in
-        let* pj = field "perf" j in
-        let* perf = perf_of_json pj in
-        let* spmd =
-          match Json.member "spmd" j with
-          | None -> Ok None
-          | Some sp -> Result.map Option.some (spmd_of_json sp)
-        in
-        let* native =
-          match Json.member "native" j with
-          | None -> Ok None
-          | Some n -> Result.map Option.some (native_of_json n)
-        in
-        Ok (Ran { summary; provenance; perf; spmd; native })
-    | "batch" ->
-        let* rs = Result.bind (field "responses" j) to_list in
-        let* responses = map_result response_of_json rs in
-        Ok (Batch_reply responses)
-    | "stats" ->
-        let* sj = field "stats" j in
-        let* stats = stats_of_json sj in
-        Ok (Stats_reply stats)
-    | "shutting-down" -> Ok Shutting_down
-    | other -> Error (Printf.sprintf "unknown response type %S" other)

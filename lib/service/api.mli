@@ -199,13 +199,23 @@ type response =
 val machine_of_name : string -> (Machine.t, Obs.Diagnostic.t) result
 (** ["t3e"], ["sp2"]/["sp-2"], ["paragon"], case-insensitively. *)
 
+val machine_of_target : target -> (Machine.t, Obs.Diagnostic.t) result
+(** {!machine_of_name} of the target's machine, after checking
+    [procs >= 1].  The engine resolves every target it prices or runs
+    through this, so a bad processor count is a typed failure, the
+    same locally and over the wire. *)
+
 val level_of_name : string -> (Compilers.Driver.level, Obs.Diagnostic.t) result
 (** {!Compilers.Driver.level_of_name} with the CLI's diagnostic. *)
 
 (** {1 Wire codecs}
 
-    Total: every value round-trips ([request_of_json (request_to_json
-    r) = Ok r], and likewise for responses — property-tested). *)
+    Each wire type is described once, as an {!Obs.Codec}, and both
+    directions come from that description (grammar in docs/zapd.md),
+    so every value round-trips.  Decoding ignores unknown members,
+    defaults an absent [opts], [target] or flag, reads an absent or
+    [null] optional member as [None], and takes an integral float in
+    the [int] range as an integer. *)
 
 val request_to_json : request -> Obs.Json.t
 val request_of_json : Obs.Json.t -> (request, string) result
@@ -215,6 +225,6 @@ val response_of_json : Obs.Json.t -> (response, string) result
 val request_of_line : string -> (request, string) result
 (** Parse one protocol line. *)
 
-val provenance_of_json : Obs.Json.t -> (Plan.Driver.provenance, string) result
-(** Inverse of {!Plan.Driver.provenance_json} (used by the client side
-    of the wire). *)
+val native_codec : native_summary Obs.Codec.t
+(** The [native] member of a [ran] reply, also written by
+    [zapc --stats]. *)

@@ -195,7 +195,7 @@ let cache_key ~fingerprint ~level ~(opts : Api.compile_opts)
           procs = 0;
         }
   | (Api.Search | Api.Ilp) as mode ->
-      let* m = Api.machine_of_name target.Api.machine in
+      let* m = Api.machine_of_target target in
       Ok
         {
           Cache.fingerprint;
@@ -216,7 +216,7 @@ let compute t ~search_jobs ~level ~(opts : Api.compile_opts)
   | (Api.Search | Api.Ilp) as mode ->
       Atomic.incr t.compiles_computed;
       Atomic.incr t.plans_computed;
-      let* m = Api.machine_of_name target.Api.machine in
+      let* m = Api.machine_of_target target in
       let cost =
         Plan.Cost.create
           {
@@ -546,7 +546,7 @@ let rec exec t ~search_jobs ~in_worker req =
         (let* _, summary, c, provenance, (key, entry) =
            compiled_of t ~search_jobs ~opts ~target source
          in
-         let* m = Api.machine_of_name target.Api.machine in
+         let* m = Api.machine_of_target target in
          let r, perf = perf_of ~m ~procs:target.Api.procs c in
          let* spmd =
            if spmd then

@@ -42,13 +42,99 @@ let test_json_accessors () =
         | _ -> None)
     | _ -> None)
 
+let nested d = String.make d '[' ^ String.make d ']'
+
 let test_json_rejects_garbage () =
   List.iter
     (fun s ->
       match Obs.Json.of_string s with
       | Ok v -> Alcotest.failf "accepted %S as %s" s (Obs.Json.to_string v)
       | Error _ -> ())
-    [ ""; "{"; "[1,]"; "{\"a\":}"; "nulll"; "\"unterminated"; "{} trailing" ]
+    [
+      "";
+      "{";
+      "[1,]";
+      "{\"a\":}";
+      "nulll";
+      "\"unterminated";
+      "{} trailing";
+      (* a \u escape takes exactly four hex digits *)
+      {|{"op":"\uzzzz"}|};
+      {|"\u00_1"|};
+      {|"\u12"|};
+      nested (Obs.Json.max_depth + 2);
+      String.make 100_000 '[';
+    ]
+
+(* the nesting cap is not below what it promises, and \u escapes decode *)
+let test_json_limits () =
+  Alcotest.(check bool)
+    "nesting up to the cap parses" true
+    (Result.is_ok (Obs.Json.of_string (nested (Obs.Json.max_depth + 1))));
+  Alcotest.check json "hex escapes decode" (Obs.Json.String "A\n")
+    (Result.get_ok (Obs.Json.of_string {|"\u0041\u000A"|}))
+
+(* ---------------- Codec ------------------------------------------ *)
+
+type point = { x : int; y : int option; tags : string list }
+
+let point =
+  Obs.Codec.(
+    obj
+      (record (fun x y tags -> { x; y; tags })
+      |+ field "x" int (fun p -> p.x)
+      |+ opt "y" int (fun p -> p.y)
+      |+ field "tags" (list string) (fun p -> p.tags) ~default:[]
+           ~omit:(fun p -> p.tags = [])))
+
+type shape = Dot | Box of point
+
+let shape =
+  Obs.Codec.(
+    obj
+      (variant "kind" string
+         [
+           ( "dot",
+             case (record ())
+               (function Dot -> Some () | _ -> None)
+               (fun () -> Dot) );
+           ( "box",
+             case
+               (record Fun.id |+ field "at" point Fun.id)
+               (function Box p -> Some p | _ -> None)
+               (fun p -> Box p) );
+         ]))
+
+let test_codec () =
+  let enc c v = Obs.Json.to_string (Obs.Codec.encode c v) in
+  let dec c s = Result.bind (Obs.Json.of_string s) (Obs.Codec.decode c) in
+  Alcotest.(check string)
+    "omitted members are not written" {|{"x":1}|}
+    (enc point { x = 1; y = None; tags = [] });
+  Alcotest.(check string)
+    "members in description order"
+    {|{"kind":"box","at":{"x":1,"y":2,"tags":["a"]}}|}
+    (enc shape (Box { x = 1; y = Some 2; tags = [ "a" ] }));
+  let ok c s v = Alcotest.(check bool) s true (dec c s = Ok v) in
+  ok point {|{"x":1}|} { x = 1; y = None; tags = [] };
+  ok point {|{"x":1,"y":null,"extra":[]}|} { x = 1; y = None; tags = [] };
+  ok point {|{"tags":[],"x":3.0}|} { x = 3; y = None; tags = [] };
+  ok shape {|{"kind":"dot"}|} Dot;
+  let rejects c s =
+    match dec c s with
+    | Ok _ -> Alcotest.failf "accepted %s" s
+    | Error _ -> ()
+  in
+  List.iter (rejects point)
+    [
+      {|{}|};
+      {|{"x":1.5}|};
+      {|{"x":1e19}|};
+      {|{"x":-1e19}|};
+      {|{"x":1,"tags":null}|};
+      {|[]|};
+    ];
+  List.iter (rejects shape) [ {|{"kind":"circle"}|}; {|{"at":{"x":1}}|} ]
 
 (* ---------------- Diagnostic ------------------------------------- *)
 
@@ -284,6 +370,8 @@ let suites =
         Alcotest.test_case "round-trip" `Quick test_json_roundtrip;
         Alcotest.test_case "accessors" `Quick test_json_accessors;
         Alcotest.test_case "rejects garbage" `Quick test_json_rejects_garbage;
+        Alcotest.test_case "nesting cap and escapes" `Quick test_json_limits;
+        Alcotest.test_case "codec" `Quick test_codec;
       ] );
     ( "obs.recorder",
       [

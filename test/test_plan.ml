@@ -276,7 +276,7 @@ let plan_fingerprint (c : Compilers.Driver.compiled) =
 let test_deterministic () =
   let run () =
     let _prog, c, prov = planned_compile ~procs:4 "sp" in
-    (plan_fingerprint c, Obs.Json.to_string (Plan.Driver.provenance_json prov))
+    (plan_fingerprint c, Obs.Json.to_string (Obs.Codec.encode Plan.Driver.provenance_codec prov))
   in
   let f1, j1 = run () in
   let f2, j2 = run () in
@@ -308,7 +308,7 @@ let test_parallel_search_deterministic () =
     with
     | Ok (c, prov) ->
         ( plan_fingerprint c,
-          Obs.Json.to_string (Plan.Driver.provenance_json prov) )
+          Obs.Json.to_string (Obs.Codec.encode Plan.Driver.provenance_codec prov) )
     | Error d ->
         Alcotest.failf "plan compile failed: %s" (Obs.Diagnostic.to_string d)
   in
@@ -356,7 +356,7 @@ let test_beam_fallback_deterministic () =
             0 prov.Plan.Driver.blocks
         in
         ( plan_fingerprint c,
-          Obs.Json.to_string (Plan.Driver.provenance_json prov),
+          Obs.Json.to_string (Obs.Codec.encode Plan.Driver.provenance_codec prov),
           rounds )
     | Error d ->
         Alcotest.failf "plan compile failed: %s" (Obs.Diagnostic.to_string d)
@@ -445,7 +445,7 @@ let test_ilp_proves_small_bench () =
 let test_ilp_deterministic () =
   let run () =
     let _prog, c, prov = ilp_compile ~procs:4 "sp" ~max_clusters:400 in
-    (plan_fingerprint c, Obs.Json.to_string (Plan.Driver.provenance_json prov))
+    (plan_fingerprint c, Obs.Json.to_string (Obs.Codec.encode Plan.Driver.provenance_codec prov))
   in
   let f1, j1 = run () in
   let f2, j2 = run () in

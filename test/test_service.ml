@@ -239,6 +239,19 @@ let sample_requests =
         opts = { Api.default_compile_opts with Api.plan = Api.Search };
         target = { Api.machine = "sp2"; procs = 4 };
       };
+    Api.Run
+      {
+        source = Api.Bench { name = "frac"; tile = Some 16 };
+        opts =
+          {
+            Api.default_compile_opts with
+            Api.plan = Api.Ilp;
+            config = [ ("n", 48.0) ];
+          };
+        target = { Api.machine = "t3e"; procs = 4 };
+        spmd = false;
+        native = true;
+      };
     Api.Batch [ Api.Stats; Api.Shutdown ];
     Api.Stats;
     Api.Shutdown;
@@ -270,6 +283,38 @@ let sample_provenance =
               beam_rounds = 0;
               greedy_ns = 1234.5;
               best_ns = 1000.25;
+              improved = true;
+            };
+        };
+      ];
+  }
+
+(* An ILP-planned provenance: the ILP-only fields are written, with a
+   null certified bound, and one block's enumeration was capped. *)
+let sample_ilp_provenance =
+  {
+    sample_provenance with
+    Plan.Driver.strategy = "ilp";
+    ilp_total_ns = Some 990.5;
+    chosen_total_ns = 990.5;
+    proved_optimal = Some false;
+    certified_lb_ns = None;
+    ilp_blocks =
+      [
+        {
+          Plan.Driver.iblock = 0;
+          istats =
+            {
+              Plan.Ilp.clusters = 512;
+              complete = false;
+              nodes = 3;
+              cuts = 1;
+              pivots = 57;
+              proved = false;
+              objective_exact = true;
+              lower_bound_ns = None;
+              greedy_ns = 1234.5;
+              best_ns = 990.5;
               improved = true;
             };
         };
@@ -358,6 +403,8 @@ let sample_responses =
         native = Some sample_native;
       };
     Api.Planned { summary = sample_summary; provenance = Some sample_provenance };
+    Api.Planned
+      { summary = sample_summary; provenance = Some sample_ilp_provenance };
     Api.Batch_reply [ Api.Shutting_down; Api.Failed (Obs.Diagnostic.error ~phase:"cli" "boom") ];
     Api.Stats_reply
       {
@@ -427,6 +474,55 @@ let wire_roundtrip () =
       | Error e -> Alcotest.failf "response %d failed on the wire: %s" i e)
     sample_responses
 
+(* The exact bytes of each sample on the wire.  zapc --connect output
+   is byte-identical to local output only while these stay fixed: a
+   change here is a protocol change (bump [Api.protocol_version]). *)
+let golden_requests =
+  [
+    {|{"op":"compile","source":{"bench":"ep","tile":256},"opts":{"level":"c2+f4","plan":"search","config":{"n":32.0,"eps":0.125},"merge":true,"simplify":true,"dump_ir":true,"dump_c":true,"emit_c":true},"target":{"machine":"paragon","procs":16}}|};
+    {|{"op":"run","source":{"name":"x.zap","text":"program x;\n"},"opts":{"level":"c2+f3","plan":"greedy"},"target":{"machine":"t3e","procs":1},"spmd":true}|};
+    {|{"op":"plan","source":{"bench":"tomcatv"},"opts":{"level":"c2+f3","plan":"search"},"target":{"machine":"sp2","procs":4}}|};
+    {|{"op":"run","source":{"bench":"frac","tile":16},"opts":{"level":"c2+f3","plan":"ilp","config":{"n":48.0}},"target":{"machine":"t3e","procs":4},"native":true}|};
+    {|{"op":"batch","requests":[{"op":"stats"},{"op":"shutdown"}]}|};
+    {|{"op":"stats"}|};
+    {|{"op":"shutdown"}|};
+  ]
+
+let golden_responses =
+  [
+    {|{"ok":true,"type":"compiled","summary":{"program":"ep","level":"c2+f3","arrays_total":22,"contracted_compiler":0,"contracted_user":22,"remaining":0,"footprint_bytes":0,"contracted":[{"array":"t1","shape":"scalar"},{"array":"t2","shape":"dims:01"}],"merged_away":["u"],"fingerprint":"00112233aabbccdd","dump_ir":"ir text\n","dump_c":"c text\n"},"provenance":{"strategy":"search","machine":"Cray T3E","procs":16,"greedy_total_ns":1234.5,"search_total_ns":1000.25,"chosen_total_ns":1000.25,"fallback":false,"blocks":[{"block":0,"expanded":10,"generated":40,"pruned":7,"deduped":3,"beam_rounds":0,"greedy_ns":1234.5,"best_ns":1000.25,"improved":true}]}}|};
+    {|{"ok":true,"type":"compiled","summary":{"program":"ep","level":"c2+f3","arrays_total":22,"contracted_compiler":0,"contracted_user":22,"remaining":0,"footprint_bytes":0,"contracted":[{"array":"t1","shape":"scalar"},{"array":"t2","shape":"dims:01"}],"merged_away":["u"],"fingerprint":"00112233aabbccdd","dump_ir":"ir text\n","dump_c":"c text\n"}}|};
+    {|{"ok":true,"type":"ran","summary":{"program":"ep","level":"c2+f3","arrays_total":22,"contracted_compiler":0,"contracted_user":22,"remaining":0,"footprint_bytes":0,"contracted":[{"array":"t1","shape":"scalar"},{"array":"t2","shape":"dims:01"}],"merged_away":["u"],"fingerprint":"00112233aabbccdd","dump_ir":"ir text\n","dump_c":"c text\n"},"perf":{"machine":"Cray T3E","procs":4,"time_ns":487000.5,"comp_ns":487000.25,"comm_ns":0.25,"flops":221184,"loads":17,"stores":3,"l1_miss_pct":21.34,"l2_miss_pct":1.5,"messages":12,"msg_bytes":4096,"checksum":"308149a4cb0e1adc"},"spmd":{"time_ns":4440000.0,"supersteps":13,"matches_model":true,"charged_messages":4,"charged_bytes":128,"wire_messages":4,"wire_bytes":128,"ghost_fills":2,"unmodeled_exchanges":0,"reduction_messages":1,"checksum":"308149a4cb0e1adc","report":{"supersteps":13}}}|};
+    {|{"ok":true,"type":"ran","summary":{"program":"ep","level":"c2+f3","arrays_total":22,"contracted_compiler":0,"contracted_user":22,"remaining":0,"footprint_bytes":0,"contracted":[{"array":"t1","shape":"scalar"},{"array":"t2","shape":"dims:01"}],"merged_away":["u"],"fingerprint":"00112233aabbccdd","dump_ir":"ir text\n","dump_c":"c text\n"},"provenance":{"strategy":"search","machine":"Cray T3E","procs":16,"greedy_total_ns":1234.5,"search_total_ns":1000.25,"chosen_total_ns":1000.25,"fallback":false,"blocks":[{"block":0,"expanded":10,"generated":40,"pruned":7,"deduped":3,"beam_rounds":0,"greedy_ns":1234.5,"best_ns":1000.25,"improved":true}]},"perf":{"machine":"Cray T3E","procs":4,"time_ns":487000.5,"comp_ns":487000.25,"comm_ns":0.25,"flops":221184,"loads":17,"stores":3,"l1_miss_pct":21.34,"messages":12,"msg_bytes":4096,"checksum":"308149a4cb0e1adc"},"native":{"checksum":"308149a4cb0e1adc","wall_ns":57049,"compiler":"cc (Debian 12.2.0) 12.2.0","units":13,"matches":true}}|};
+    {|{"ok":true,"type":"planned","summary":{"program":"ep","level":"c2+f3","arrays_total":22,"contracted_compiler":0,"contracted_user":22,"remaining":0,"footprint_bytes":0,"contracted":[{"array":"t1","shape":"scalar"},{"array":"t2","shape":"dims:01"}],"merged_away":["u"],"fingerprint":"00112233aabbccdd","dump_ir":"ir text\n","dump_c":"c text\n"},"provenance":{"strategy":"search","machine":"Cray T3E","procs":16,"greedy_total_ns":1234.5,"search_total_ns":1000.25,"chosen_total_ns":1000.25,"fallback":false,"blocks":[{"block":0,"expanded":10,"generated":40,"pruned":7,"deduped":3,"beam_rounds":0,"greedy_ns":1234.5,"best_ns":1000.25,"improved":true}]}}|};
+    {|{"ok":true,"type":"planned","summary":{"program":"ep","level":"c2+f3","arrays_total":22,"contracted_compiler":0,"contracted_user":22,"remaining":0,"footprint_bytes":0,"contracted":[{"array":"t1","shape":"scalar"},{"array":"t2","shape":"dims:01"}],"merged_away":["u"],"fingerprint":"00112233aabbccdd","dump_ir":"ir text\n","dump_c":"c text\n"},"provenance":{"strategy":"ilp","machine":"Cray T3E","procs":16,"greedy_total_ns":1234.5,"search_total_ns":1000.25,"chosen_total_ns":990.5,"fallback":false,"ilp_total_ns":990.5,"proved_optimal":false,"certified_lb_ns":null,"blocks":[{"block":0,"expanded":10,"generated":40,"pruned":7,"deduped":3,"beam_rounds":0,"greedy_ns":1234.5,"best_ns":1000.25,"improved":true}],"ilp_blocks":[{"block":0,"clusters":512,"complete":false,"nodes":3,"cuts":1,"pivots":57,"proved":false,"objective_exact":true,"lower_bound_ns":null,"greedy_ns":1234.5,"best_ns":990.5,"improved":true}]}}|};
+    {|{"ok":true,"type":"batch","responses":[{"ok":true,"type":"shutting-down"},{"ok":false,"error":{"severity":"error","phase":"cli","message":"boom"}}]}|};
+    {|{"ok":true,"type":"stats","stats":{"requests":{"service.request.compile":3},"cache":{"shards":8,"capacity":256,"entries":2,"hits":1,"misses":2,"evictions":0,"insertions":2},"compiles_computed":2,"plans_computed":1,"native":{"built":1,"reused":3,"runs":4}}}|};
+    {|{"ok":true,"type":"shutting-down"}|};
+    {|{"ok":false,"error":{"severity":"error","phase":"parse","file":"x.zap","line":3,"message":"bad token"}}|};
+  ]
+
+let wire_golden () =
+  let check what enc samples goldens =
+    Alcotest.(check int)
+      (what ^ ": one golden per sample")
+      (List.length samples) (List.length goldens);
+    List.iteri
+      (fun i (x, golden) ->
+        Alcotest.(check string)
+          (Printf.sprintf "%s %d encodes to its golden line" what i)
+          golden
+          (Obs.Json.to_string (enc x)))
+      (List.combine samples goldens)
+  in
+  check "request" Api.request_to_json sample_requests golden_requests;
+  check "response" Api.response_to_json sample_responses golden_responses
+
+(* a well-formed line nested one level past the parser's cap *)
+let deep_line =
+  let d = Obs.Json.max_depth + 2 in
+  String.make d '[' ^ String.make d ']'
+
 let request_rejects_bad_input () =
   List.iter
     (fun line ->
@@ -440,6 +536,9 @@ let request_rejects_bad_input () =
       {|{"op":"compile"}|};
       {|{"op":"compile","source":{"bench":"ep"},"v":999}|};
       {|{"op":"compile","source":{"bench":"ep"},"opts":{"plan":"mystic"}}|};
+      {|{"op":"run","source":{"bench":"ep"},"target":{"procs":1e19}}|};
+      {|{"op":"\uzzzz"}|};
+      deep_line;
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -546,6 +645,26 @@ let engine_stats_and_failures () =
    with
   | Api.Failed _ -> ()
   | _ -> Alcotest.fail "unknown level must fail");
+  (* a non-positive processor count fails typed instead of raising out
+     of the SPMD executor *)
+  List.iter
+    (fun procs ->
+      match
+        Engine.handle e
+          (Api.Run
+             {
+               source = source_ep;
+               opts = Api.default_compile_opts;
+               target = { Api.default_target with Api.procs };
+               spmd = true;
+               native = false;
+             })
+      with
+      | Api.Failed d ->
+          Alcotest.(check string) "procs failure is a cli error" "cli"
+            d.Obs.Diagnostic.phase
+      | _ -> Alcotest.failf "procs = %d must fail" procs)
+    [ 0; -4 ];
   match Engine.handle e Api.Stats with
   | Api.Stats_reply s ->
       Alcotest.(check int)
@@ -620,22 +739,46 @@ let socket_smoke () =
 
 let socket_protocol_error () =
   with_server (fun socket ->
-      (* raw connection so we can send a malformed line *)
+      (* raw connection so we can send malformed lines; each is answered
+         with a typed failure on the same connection *)
       let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
       Unix.connect fd (Unix.ADDR_UNIX socket);
       let oc = Unix.out_channel_of_descr fd in
       let ic = Unix.in_channel_of_descr fd in
-      output_string oc "this is not json\n";
-      flush oc;
-      let line = input_line ic in
+      let procs_zero =
+        Obs.Json.to_string
+          (Api.request_to_json
+             (Api.Run
+                {
+                  source = source_ep;
+                  opts = Api.default_compile_opts;
+                  target = { Api.default_target with Api.procs = 0 };
+                  spmd = true;
+                  native = false;
+                }))
+      in
+      List.iter
+        (fun (line, phase) ->
+          output_string oc (line ^ "\n");
+          flush oc;
+          match
+            Result.bind (Obs.Json.of_string (input_line ic)) Api.response_of_json
+          with
+          | Ok (Api.Failed d) ->
+              Alcotest.(check string)
+                (Printf.sprintf "%s phase for %S" phase
+                   (String.sub line 0 (min 20 (String.length line))))
+                phase d.Obs.Diagnostic.phase
+          | Ok _ -> Alcotest.fail "expected a Failed response"
+          | Error e -> Alcotest.failf "unparseable error reply: %s" e)
+        [
+          ("this is not json", "protocol");
+          ({|{"op":"\uzzzz"}|}, "protocol");
+          (deep_line, "protocol");
+          (procs_zero, "cli");
+        ];
       Unix.close fd;
-      (match Result.bind (Obs.Json.of_string line) Api.response_of_json with
-      | Ok (Api.Failed d) ->
-          Alcotest.(check string)
-            "protocol phase" "protocol" d.Obs.Diagnostic.phase
-      | Ok _ -> Alcotest.fail "expected a Failed response"
-      | Error e -> Alcotest.failf "unparseable error reply: %s" e);
-      (* the connection error did not kill the daemon *)
+      (* the bad lines did not kill the daemon *)
       match Service.Client.roundtrip ~socket Api.Stats with
       | Ok (Api.Stats_reply _) -> ()
       | Ok _ -> Alcotest.fail "expected a stats reply"
@@ -666,6 +809,7 @@ let suites =
         Alcotest.test_case "request round-trip" `Quick request_roundtrip;
         Alcotest.test_case "response round-trip" `Quick response_roundtrip;
         Alcotest.test_case "wire round-trip" `Quick wire_roundtrip;
+        Alcotest.test_case "wire golden bytes" `Quick wire_golden;
         Alcotest.test_case "bad input rejected" `Quick request_rejects_bad_input;
       ] );
     ( "service-engine",

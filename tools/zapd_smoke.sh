@@ -2,7 +2,8 @@
 # zapd CI smoke: start the daemon, replay a tiny suite twice through
 # zapc --connect, assert the second pass is served from the plan cache
 # (>= 90% hits, zero planner searches) with byte-identical responses,
-# then shut down cleanly.
+# check that zapc --connect prints what local zapc prints, then shut
+# down cleanly.
 set -eu
 
 ZAPD=${ZAPD:-_build/default/bin/zapd.exe}
@@ -63,6 +64,39 @@ print(f"warm pass: {hits} hits / {looked} lookups ({100*rate:.0f}%), "
 assert rate >= 0.9, f"warm hit rate {rate:.2f} < 0.90"
 assert plans == 0, f"warm pass re-planned {plans} times"
 EOF
+
+# The same invocation run locally and through the daemon must print the
+# same bytes and exit with the same code.  --native is left out: its
+# wall time varies run to run.
+both() {
+  name=$1
+  shift
+  set +e
+  "$ZAPC" "$@" > "$WORK/$name.local" 2>&1
+  echo "exit $?" >> "$WORK/$name.local"
+  "$ZAPC" "$@" --connect "$SOCK" > "$WORK/$name.remote" 2>&1
+  echo "exit $?" >> "$WORK/$name.remote"
+  set -e
+  diff "$WORK/$name.local" "$WORK/$name.remote"
+}
+
+printf 'program bad;\nregion R = [1..n;\n' > "$WORK/bad.zap"
+both ilp-plan --bench frac --tile 16 --plan ilp --dump-plan
+both spmd-run --bench ep --tile 256 --run --spmd -p 4
+both search-c --bench tomcatv --tile 16 --plan search --dump-c --simplify
+both parse-error "$WORK/bad.zap"
+grep -q '^exit 124$' "$WORK/parse-error.local"
+
+# --stats: the plan object comes from the reply; spans and counters are
+# the client process's own and differ
+plan_of() {
+  python3 -c 'import json, sys; print(json.dumps(json.load(sys.stdin)["plan"]))'
+}
+"$ZAPC" --bench frac --tile 16 --plan ilp --stats json:- | plan_of > "$WORK/plan.local"
+"$ZAPC" --bench frac --tile 16 --plan ilp --stats json:- --connect "$SOCK" \
+  | plan_of > "$WORK/plan.remote"
+diff "$WORK/plan.local" "$WORK/plan.remote"
+echo "local vs --connect: 5 cases identical"
 
 "$ZAPC" --shutdown --connect "$SOCK" > /dev/null
 wait "$ZAPD_PID"
