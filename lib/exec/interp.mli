@@ -7,10 +7,23 @@
     become scalars, so their former references produce {e no} memory
     traffic — precisely the effect the paper measures.
 
+    Each {!run} resolves the program once, then executes it.  Resolving
+    allocates the arrays, gives every scalar name a slot in one float
+    array (plus an int mirror for each loop variable no assignment
+    writes, which its subscripts read), binds every array reference to
+    its allocation, and turns each statement into an OCaml closure with
+    its load and flop counts precomputed; the traced and untraced
+    closures are built apart.  Executing runs the closures.  All of
+    this state belongs to the one call, so concurrent runs are
+    independent.
+
     Array elements are modelled as 8-byte doubles laid out row-major;
     each allocation gets a disjoint base address.  Out-of-bounds
     subscripts raise — the interpreter doubles as a scalarizer
-    validator. *)
+    validator.  Every [Runtime_error] (out of bounds, rank mismatch,
+    undefined scalar or array) still fires only when the offending
+    statement executes, after the trace events of everything before
+    it: a loop that never runs raises nothing. *)
 
 type counters = {
   mutable loads : int;  (** array element reads *)
@@ -56,8 +69,9 @@ module Digest : sig
 end
 
 val checksum : result -> string
-(** Order-independent-of-nothing digest of all live-out values — two
-    observationally equivalent runs produce identical checksums. *)
+(** {!Digest} of every live-out value, in [live_out] order and
+    row-major within each array — two observationally equivalent runs
+    produce identical checksums. *)
 
 val footprint_bytes : Sir.Code.program -> int
 (** Bytes of array storage the program allocates (8 per element). *)

@@ -488,7 +488,7 @@ let flush_obs ctx ~obs_arrays ~obs_reds =
       let res = Obs.span "lazy.execute" (fun () -> Exec.Interp.run code) in
       List.iter
         (fun ((n : node), name) ->
-          n.values <- Some (Array.copy (Exec.Interp.get_array res name)))
+          n.values <- Some (Exec.Interp.get_array res name))
         l.named_arrays;
       List.iter
         (fun ((r : red), name) ->

@@ -159,6 +159,25 @@ let test_fig8_jobs_invariant () = check_jobs_invariant "fig8" "fig8 --json"
 let test_plan_jobs_invariant () =
   check_jobs_invariant "plan" "plan --json --tiny"
 
+(* The reproduced figures themselves, pinned: integer cache counts and
+   IEEE arithmetic with no libm calls, so the rows are byte-portable.
+   Regenerate with
+     bench/main.exe fig6 fig7 fig8 fig9 fig10 fig11 --json > test/golden/figures.jsonl
+   only when a change is meant to move the figures. *)
+let test_figures_golden () =
+  if available then begin
+    let code, out = run "fig6 fig7 fig8 fig9 fig10 fig11 --json" in
+    Alcotest.(check int) "exit 0" 0 code;
+    let ic = open_in_bin "golden/figures.jsonl" in
+    let want = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    let want = lines want and got = lines out in
+    Alcotest.(check int) "row count" (List.length want) (List.length got);
+    List.iteri
+      (fun i (w, g) -> Alcotest.(check string) (Printf.sprintf "row %d" (i + 1)) w g)
+      (List.combine want got)
+  end
+
 let suites =
   [
     ( "bench.json",
@@ -173,5 +192,7 @@ let suites =
           test_fig8_jobs_invariant;
         Alcotest.test_case "plan rows invariant under --jobs" `Slow
           test_plan_jobs_invariant;
+        Alcotest.test_case "fig6-fig11 rows match the golden" `Slow
+          test_figures_golden;
       ] );
   ]

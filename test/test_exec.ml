@@ -178,6 +178,188 @@ let test_footprint () =
   Alcotest.(check int) "bytes" (8 * 12) (Exec.Interp.footprint_bytes (hand_program ()))
 
 (* ------------------------------------------------------------------ *)
+(* Observable behaviour, pinned                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Digest of the ordered (addr, write) stream a traced run emits. *)
+let run_traced code =
+  let module H = Support.Hash64 in
+  let d = ref H.empty in
+  let r =
+    Exec.Interp.run
+      ~trace:(fun ~addr ~write -> d := H.mix_int (H.mix_int !d addr) (Bool.to_int write))
+      code
+  in
+  (r, H.to_hex !d)
+
+(* checksum, (loads, stores, flops, iters) and trace digest of every
+   suite benchmark at tile 16 *)
+let suite_golden =
+  [
+    ("ep", "baseline", "7cad4da4cb0e1adc", (960, 352, 864, 352), "a6127f5dcb8321e0");
+    ("ep", "c2", "7cad4da4cb0e1adc", (0, 0, 864, 0), "0000000000000000");
+    ("ep", "c2+f3", "7cad4da4cb0e1adc", (0, 0, 864, 0), "0000000000000000");
+    ("frac", "baseline", "747b488625d50500", (64512, 34560, 46080, 34560), "b6b425186474df00");
+    ("frac", "c2", "747b488625d50500", (27648, 9984, 46080, 9984), "f8d864f98c939f00");
+    ("frac", "c2+f3", "747b488625d50500", (27648, 9984, 46080, 9984), "f8d864f98c939f00");
+    ("tomcatv", "baseline", "b31bc8883aa10e30", (56832, 17236, 57700, 17236), "fb0e38b6683acdd4");
+    ("tomcatv", "c2", "b31bc8883aa10e30", (32768, 8532, 57700, 8532), "332e6e2a070c4754");
+    ("tomcatv", "c2+f3", "b31bc8883aa10e30", (32768, 8532, 57700, 8532), "3fb94a71b0fa0f54");
+    ("sp", "baseline", "c3babfb6c9f3fdf3", (95384, 18840, 126388, 18840), "3433df5dc9c54548");
+    ("sp", "c2", "c3babfb6c9f3fdf3", (89240, 14232, 126388, 14232), "1ff5355dffd9b3c8");
+    ("sp", "c2+f3", "c3babfb6c9f3fdf3", (89240, 14232, 126388, 14232), "6cd01ca8e6b02d88");
+    ("simple", "baseline", "a546c199137dfc5d", (86664, 30324, 107836, 30324), "42f4bd3f4ff24504");
+    ("simple", "c2", "a546c199137dfc5d", (75144, 21876, 107836, 21876), "6b9268c09475ad84");
+    ("simple", "c2+f3", "a546c199137dfc5d", (75144, 21876, 107836, 21876), "8f32e9da6fc0d7c4");
+    ("fibro", "baseline", "424fb4100dfb1d10", (115456, 38244, 155736, 38244), "5690da0454196b64");
+    ("fibro", "c2", "424fb4100dfb1d10", (93184, 21348, 155736, 21348), "e40f07c1e76a3b64");
+    ("fibro", "c2+f3", "424fb4100dfb1d10", (93184, 21348, 155736, 21348), "052e56fa6582b364");
+  ]
+
+let test_suite_golden () =
+  List.iter
+    (fun (bench, level, sum, (loads, stores, flops, iters), trace) ->
+      let lvl = Option.get (Compilers.Driver.level_of_name level) in
+      let code =
+        (Compilers.Driver.compile_exn_opts (Compilers.Driver.opts lvl)
+           (Suite.load ~tile:16 bench))
+          .Compilers.Driver.code
+      in
+      let what = bench ^ " " ^ level in
+      let r = Exec.Interp.run code in
+      let c = Exec.Interp.counters r in
+      let rt, digest = run_traced code in
+      let ct = Exec.Interp.counters rt in
+      Alcotest.(check string) (what ^ " checksum") sum (Exec.Interp.checksum r);
+      Alcotest.(check (list int))
+        (what ^ " loads/stores/flops/iters")
+        [ loads; stores; flops; iters ]
+        [ c.loads; c.stores; c.flops; c.iters ];
+      Alcotest.(check string) (what ^ " trace digest") trace digest;
+      Alcotest.(check string)
+        (what ^ " traced checksum")
+        sum (Exec.Interp.checksum rt);
+      Alcotest.(check (list int))
+        (what ^ " traced counters")
+        [ loads; stores; flops; iters ]
+        [ ct.loads; ct.stores; ct.flops; ct.iters ])
+    suite_golden
+
+let sub base off = { Code.base; off }
+
+(* A: 0..5, M: 0..3 x 0..2, scalars s = 2.7 and t = -0.7. *)
+let edge_program body =
+  {
+    Code.name = "edge";
+    allocs =
+      [
+        { Code.name = "A"; dims = [| (0, 5) |] };
+        { Code.name = "M"; dims = [| (0, 3); (0, 2) |] };
+      ];
+    scalars = [ ("s", 2.7); ("t", -0.7) ];
+    body;
+    live_out = [ "A" ];
+  }
+
+let loop ?(step = 1) var lo hi body = Code.For { var; lo; hi; step; body }
+
+let raises_exactly what msg body =
+  match Exec.Interp.run (edge_program body) with
+  | _ -> Alcotest.failf "%s: no Runtime_error" what
+  | exception Exec.Interp.Runtime_error m -> Alcotest.(check string) what msg m
+
+let test_error_text () =
+  let one = Code.Const 1.0 in
+  raises_exactly "out of bounds, dim 1" "M: subscript 5 out of bounds [0..3] in dim 1"
+    [ Code.Store ("M", [| sub "" 5; sub "" 0 |], one) ];
+  raises_exactly "out of bounds, dim 2" "M: subscript -1 out of bounds [0..2] in dim 2"
+    [ Code.Sassign ("x", Code.Load ("M", [| sub "" 1; sub "" (-1) |])) ];
+  raises_exactly "rank mismatch" "M: rank 1 subscript on rank 2 array"
+    [ Code.Store ("M", [| sub "" 0 |], one) ];
+  raises_exactly "undefined scalar read" "undefined scalar nope"
+    [ Code.Sassign ("x", Code.Scalar "nope") ];
+  raises_exactly "undefined subscript base" "undefined scalar q"
+    [ Code.Store ("A", [| sub "q" 0 |], one) ];
+  raises_exactly "undefined array load" "undefined (or contracted) array Z"
+    [ Code.Sassign ("x", Code.Load ("Z", [| sub "" 0 |])) ];
+  raises_exactly "undefined array store" "undefined (or contracted) array Z"
+    [ Code.Store ("Z", [| sub "" 0 |], one) ];
+  (* evaluation order: a store's right-hand side before its target, all
+     subscripts before any bounds check *)
+  raises_exactly "store rhs first" "undefined scalar nope"
+    [ Code.Store ("Z", [| sub "" 0 |], Code.Scalar "nope") ];
+  raises_exactly "subscripts before bounds" "undefined scalar q"
+    [ Code.Store ("M", [| sub "" 9; sub "q" 0 |], one) ];
+  (* Select is a blend: the unselected arm still executes *)
+  raises_exactly "select evaluates both arms" "A: subscript 99 out of bounds [0..5] in dim 1"
+    [ Code.Sassign ("x", Code.Select (one, one, Code.Load ("A", [| sub "" 99 |]))) ]
+
+let test_edge_behaviour () =
+  let run body = Exec.Interp.run (edge_program body) in
+  let bad =
+    [
+      Code.Store ("Z", [| sub "" 0 |], Code.Scalar "nope");
+      Code.Store ("A", [| sub "" 99 |], Code.Load ("M", [| sub "q" 0 |]));
+      Code.Sassign ("x", Code.Scalar "nope");
+    ]
+  in
+  ignore (run [ loop "__i1" 5 4 bad; loop ~step:(-1) "__i2" 3 2 bad ]);
+  (* events emitted before an out-of-bounds access mid-loop *)
+  let events = ref 0 in
+  (match
+     Exec.Interp.run
+       ~trace:(fun ~addr:_ ~write:_ -> incr events)
+       (edge_program
+          [
+            loop "__i1" 0 5
+              [ Code.Store ("M", [| sub "" 0; sub "__i1" 0 |], Code.Load ("A", [| sub "__i1" 3 |])) ];
+          ])
+   with
+  | _ -> Alcotest.fail "mid-loop out of bounds: no Runtime_error"
+  | exception Exec.Interp.Runtime_error m ->
+      Alcotest.(check string) "mid-loop error" "A: subscript 6 out of bounds [0..5] in dim 1" m);
+  Alcotest.(check int) "trace events before the error" 6 !events;
+  let get r x = Exec.Interp.get_scalar r x in
+  let r = run [ loop "__i1" 0 5 []; loop ~step:(-1) "__i2" 1 4 [] ] in
+  Alcotest.(check (float 0.0)) "ascending loop variable after its loop" 5.0 (get r "__i1");
+  Alcotest.(check (float 0.0)) "descending loop variable after its loop" 1.0 (get r "__i2");
+  let undefined what f =
+    Alcotest.(check bool) what true
+      (try
+         ignore (f ());
+         false
+       with Exec.Interp.Runtime_error m -> m = "undefined scalar __i1")
+  in
+  undefined "loop variable read before its loop" (fun () ->
+      run [ Code.Sassign ("x", Code.Scalar "__i1"); loop "__i1" 0 1 [] ]);
+  undefined "loop variable of a zero-trip loop" (fun () ->
+      get (run [ loop "__i1" 1 0 [] ]) "__i1");
+  let r =
+    run
+      [
+        loop "__i1" 0 3
+          [
+            Code.Sassign ("__i1", Code.Const 5.5);
+            Code.Store ("A", [| sub "__i1" 0 |], Code.Scalar "__i1");
+          ];
+      ]
+  in
+  Alcotest.(check (float 0.0)) "reassigned loop variable" 5.5 (get r "__i1");
+  Alcotest.(check (float 0.0)) "reassigned loop variable as subscript" 5.5
+    (Exec.Interp.read_point r "A" [| 5 |]);
+  let r =
+    run
+      [
+        Code.Store ("A", [| sub "s" 1 |], Code.Const 1.0);
+        Code.Store ("A", [| sub "t" 0 |], Code.Const 2.0);
+      ]
+  in
+  Alcotest.(check (array (float 0.0)))
+    "scalar subscript bases truncate toward zero"
+    [| 2.0; 0.0; 0.0; 1.0; 0.0; 0.0 |]
+    (Exec.Interp.get_array r "A")
+
+(* ------------------------------------------------------------------ *)
 (* Reference interpreter                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -264,6 +446,10 @@ let suites =
         Alcotest.test_case "descending loop" `Quick test_descending_loop;
         Alcotest.test_case "checksum sensitivity" `Quick test_checksum_sensitivity;
         Alcotest.test_case "footprint" `Quick test_footprint;
+        Alcotest.test_case "suite golden: checksums, counters, traces" `Quick
+          test_suite_golden;
+        Alcotest.test_case "golden error text" `Quick test_error_text;
+        Alcotest.test_case "golden edge behaviour" `Quick test_edge_behaviour;
       ] );
     ( "exec.refinterp",
       [
