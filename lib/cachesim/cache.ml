@@ -51,28 +51,32 @@ let create cfg =
 let access t ~addr =
   let line = addr lsr t.line_shift in
   let set = line mod t.sets in
-  let base = set * t.cfg.assoc in
+  let assoc = t.cfg.assoc in
+  let base = set * assoc in
+  let tags = t.tags and ages = t.ages in
   t.accesses <- t.accesses + 1;
   t.clock <- t.clock + 1;
-  let rec find i =
-    if i >= t.cfg.assoc then None
-    else if t.tags.(base + i) = line then Some i
-    else find (i + 1)
-  in
-  match find 0 with
-  | Some i ->
-      t.hits <- t.hits + 1;
-      t.ages.(base + i) <- t.clock;
-      true
-  | None ->
-      (* evict the LRU way *)
-      let victim = ref 0 in
-      for i = 1 to t.cfg.assoc - 1 do
-        if t.ages.(base + i) < t.ages.(base + !victim) then victim := i
-      done;
-      t.tags.(base + !victim) <- line;
-      t.ages.(base + !victim) <- t.clock;
-      false
+  (* a plain loop over the set's ways: this runs once per simulated
+     access, so it allocates nothing *)
+  let way = ref 0 in
+  while !way < assoc && tags.(base + !way) <> line do
+    incr way
+  done;
+  if !way < assoc then begin
+    t.hits <- t.hits + 1;
+    ages.(base + !way) <- t.clock;
+    true
+  end
+  else begin
+    (* evict the LRU way *)
+    let victim = ref 0 in
+    for i = 1 to assoc - 1 do
+      if ages.(base + i) < ages.(base + !victim) then victim := i
+    done;
+    tags.(base + !victim) <- line;
+    ages.(base + !victim) <- t.clock;
+    false
+  end
 
 let stats t =
   { accesses = t.accesses; hits = t.hits; misses = t.accesses - t.hits }

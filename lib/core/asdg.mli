@@ -10,7 +10,11 @@
 type t
 
 val build : Ir.Nstmt.t list -> t
-(** Computes all pairwise dependences.  O(s²·refs). *)
+(** Computes all pairwise dependences.  O(s²·refs).  Also tabulates,
+    once, the per-array answers of {!vars}, {!deps_on} and
+    {!stmts_referencing}: the planners ask them for every candidate
+    array of every state they price, so each is a lookup.  The value
+    is read-only afterwards and safe to share across domains. *)
 
 val n : t -> int
 (** Number of statements (vertices). *)
@@ -30,9 +34,10 @@ val vars : t -> string list
     occurrence order. *)
 
 val deps_on : t -> string -> ((int * int) * Dep.label) list
-(** Every dependence induced by the given variable. *)
+(** Every dependence induced by the given variable, in {!edges} order
+    and, within an edge, in {!labels} order. *)
 
 val stmts_referencing : t -> string -> int list
-(** Indices of statements that reference the array. *)
+(** Indices of statements that reference the array, ascending. *)
 
 val pp : Format.formatter -> t -> unit

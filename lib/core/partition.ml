@@ -7,7 +7,8 @@ let trivial g = { asdg = g; dsu = Support.Dsu.create (Asdg.n g) }
 let asdg t = t.asdg
 let cluster_of t i = Support.Dsu.find t.dsu i
 let clusters t = Support.Dsu.groups t.dsu
-let members t rep = List.find (fun c -> List.hd c = rep) (clusters t)
+let find_members groups rep = List.find (fun c -> List.hd c = rep) groups
+let members t rep = find_members (clusters t) rep
 let n_clusters t = Support.Dsu.n_sets t.dsu
 let same_cluster t i j = Support.Dsu.same t.dsu i j
 
@@ -36,29 +37,31 @@ let loop_structure t rep =
 
 (* Map representatives to dense ids for Toposort. *)
 let cluster_graph t =
-  let reps = List.map List.hd (clusters t) in
-  let id = Hashtbl.create 16 in
-  List.iteri (fun k r -> Hashtbl.add id r k) reps;
+  let n = Asdg.n t.asdg in
+  let id = Array.make n (-1) in
+  let reps = Array.of_list (List.map List.hd (clusters t)) in
+  Array.iteri (fun k r -> id.(r) <- k) reps;
   let edges =
-    List.map
-      (fun (a, b) -> (Hashtbl.find id a, Hashtbl.find id b))
-      (inter_cluster_edges t)
+    List.map (fun (a, b) -> (id.(a), id.(b))) (inter_cluster_edges t)
   in
-  (Array.of_list reps, id, edges)
+  (reps, id, edges)
 
-let grow t c =
+(* Staged: [grow t] builds the cluster graph once, for every cluster
+   set then asked of it. *)
+let grow t =
   let reps, id, edges = cluster_graph t in
   let n = Array.length reps in
-  let c_ids = List.map (Hashtbl.find id) c in
-  let fwd = Support.Toposort.reachable ~n ~edges ~from:c_ids in
   let redges = List.map (fun (a, b) -> (b, a)) edges in
-  let bwd = Support.Toposort.reachable ~n ~edges:redges ~from:c_ids in
-  let out = ref [] in
-  for k = n - 1 downto 0 do
-    if fwd.(k) && bwd.(k) && not (List.mem k c_ids) then
-      out := reps.(k) :: !out
-  done;
-  !out
+  fun c ->
+    let c_ids = List.map (fun r -> id.(r)) c in
+    let fwd = Support.Toposort.reachable ~n ~edges ~from:c_ids in
+    let bwd = Support.Toposort.reachable ~n ~edges:redges ~from:c_ids in
+    let out = ref [] in
+    for k = n - 1 downto 0 do
+      if fwd.(k) && bwd.(k) && not (List.mem k c_ids) then
+        out := reps.(k) :: !out
+    done;
+    !out
 
 (* ---- hypothetical merge ------------------------------------------- *)
 
@@ -69,28 +72,21 @@ let merge t c =
   | first :: rest -> List.iter (fun r -> Support.Dsu.union dsu first r) rest);
   { t with dsu }
 
-(* All statements of the given cluster set. *)
+(* All statements of the given cluster set; the clusters are computed
+   once, not once per member. *)
 let stmts_of t c =
-  List.concat_map (fun r -> members t r) c |> List.sort compare
+  let groups = clusters t in
+  List.concat_map (find_members groups) c |> List.sort compare
 
-let udvs_within t (stmt_set : int list) =
-  let mem i = List.mem i stmt_set in
-  Asdg.edges t.asdg
+(* Labels of the dependences between statements of the set, in edge
+   order: one pass over the edges, membership by array. *)
+let labels_within t stmt_set =
+  let g = t.asdg in
+  let mem = Array.make (Asdg.n g) false in
+  List.iter (fun i -> mem.(i) <- true) stmt_set;
+  Asdg.edges g
   |> List.concat_map (fun (i, j) ->
-         if mem i && mem j then
-           List.map (fun (l : Dep.label) -> l.udv) (Asdg.labels t.asdg i j)
-         else [])
-
-let flow_udvs_within t stmt_set =
-  let mem i = List.mem i stmt_set in
-  Asdg.edges t.asdg
-  |> List.concat_map (fun (i, j) ->
-         if mem i && mem j then
-           List.filter_map
-             (fun (l : Dep.label) ->
-               if l.kind = Dep.Flow then Some l.udv else None)
-             (Asdg.labels t.asdg i j)
-         else [])
+         if mem.(i) && mem.(j) then Asdg.labels g i j else [])
 
 let acyclic t =
   let _, _, edges = cluster_graph t in
@@ -117,17 +113,23 @@ let check_stmt_set ?(relax_flow = false) t ss =
     | r0 :: rest -> List.for_all (Ir.Region.equal r0) rest
   in
   if not same_region then Error Region_mismatch
-  else if
-    (not relax_flow)
-    && not (List.for_all Support.Vec.is_null (flow_udvs_within t ss))
-  then Error Nonnull_flow
   else
-    match ss with
-    | [] -> Ok ()
-    | s :: _ ->
-        let rank = Ir.Region.rank (Asdg.stmt g s).Ir.Nstmt.region in
-        if Loopstruct.find ~rank (udvs_within t ss) <> None then Ok ()
-        else Error No_loop_structure
+    let within = labels_within t ss in
+    if
+      (not relax_flow)
+      && List.exists
+           (fun (l : Dep.label) ->
+             l.kind = Dep.Flow && not (Support.Vec.is_null l.udv))
+           within
+    then Error Nonnull_flow
+    else
+      match ss with
+      | [] -> Ok ()
+      | s :: _ ->
+          let rank = Ir.Region.rank (Asdg.stmt g s).Ir.Nstmt.region in
+          let udvs = List.map (fun (l : Dep.label) -> l.udv) within in
+          if Loopstruct.find ~rank udvs <> None then Ok ()
+          else Error No_loop_structure
 
 let valid_stmt_set ?relax_flow t ss = check_stmt_set ?relax_flow t ss = Ok ()
 

@@ -46,7 +46,9 @@ val grow : t -> int list -> int list
 (** [grow p c] (the paper's GROW): representatives of clusters outside
     [c] lying on a dependence path from [c] to [c] — exactly the
     clusters that would end up on an inter-cluster cycle if [c] were
-    fused.  O(e). *)
+    fused.  O(e).  Staged: [grow t] builds the cluster graph once, so
+    applying it to many cluster sets of one partition pays for the
+    graph once. *)
 
 type veto =
   | Region_mismatch  (** condition (i): statements iterate different regions *)

@@ -37,18 +37,47 @@ let add a b =
 
 type block_info = {
   stmts : Nstmt.t list;
+  volumes : int array;  (** per statement, its region's volume *)
+  streams : (string * int) array array;
+      (** per statement, its reference streams in sweep order (the
+          written array, then every read): array name and simulated
+          base address *)
+  weights : (string, int) Hashtbl.t;  (** array -> reference weight *)
   mult : int;
   base_refs : int;  (** element references per execution, before contraction *)
   flops : int;  (** floating-point operations per execution *)
 }
 
+(* A probe's result is decided by its line count and the base
+   addresses of its streams, in order; the key is exactly that,
+   [| lines; base_1; ...; base_k |].  Bases are multiples of the
+   alignment, so the hash folds every element in and mixes the high
+   bits back down. *)
+module Probe_memo = Hashtbl.Make (struct
+  type t = int array
+
+  let equal (a : t) b =
+    let n = Array.length a in
+    n = Array.length b
+    &&
+    let rec go i = i = n || (a.(i) = b.(i) && go (i + 1)) in
+    go 0
+
+  let hash (a : t) =
+    let h = ref 0 in
+    for i = 0 to Array.length a - 1 do
+      let x = (!h lxor a.(i)) * 0x100000001b3 in
+      h := x lxor (x lsr 29)
+    done;
+    !h land max_int
+end)
+
 type t = {
   cfg : cfg;
   blocks : block_info array;
   red_execs : int;
-  base : (string, int) Hashtbl.t;  (** array -> simulated base address *)
-  memo : (string, float * float) Hashtbl.t;
-      (** cluster probe signature -> (L1, L2) misses per execution *)
+  memo : (float * float) Probe_memo.t;
+      (** probe key -> (L1, L2) misses per execution *)
   memo_lock : Mutex.t;
       (** [memo] is the only mutable field touched after [create];
           parallel plan search costs sibling states from several
@@ -71,6 +100,19 @@ let rec expr_flops (e : Expr.t) =
 let create cfg prog =
   let blocks = Prog.blocks prog in
   let mults, red_execs = Comm.Model.block_multipliers prog in
+  (* Deterministic simulated layout: arrays in declaration order, each
+     base aligned well past both line sizes, with a guard line between
+     allocations so distinct arrays never share a cache line. *)
+  let base = Hashtbl.create 16 in
+  let align = 256 in
+  let next = ref 0 in
+  List.iter
+    (fun (a : Prog.array_info) ->
+      Hashtbl.replace base a.Prog.name !next;
+      let bytes = (8 * Region.volume a.Prog.bounds) + align in
+      next := (!next + bytes + align - 1) / align * align)
+    prog.Prog.arrays;
+  let stream x = (x, Option.value ~default:0 (Hashtbl.find_opt base x)) in
   let info =
     List.mapi
       (fun bi stmts ->
@@ -87,27 +129,32 @@ let create cfg prog =
               acc + (expr_flops s.rhs * Region.volume s.region))
             0 stmts
         in
-        { stmts; mult = mults.(bi); base_refs; flops })
+        let per_stmt f = Array.of_list (List.map f stmts) in
+        let volumes = per_stmt (fun s -> Region.volume s.Nstmt.region) in
+        let streams =
+          per_stmt (fun s ->
+              Array.of_list
+                (stream s.Nstmt.lhs
+                :: List.map (fun (x, _) -> stream x) (Expr.refs s.Nstmt.rhs)))
+        in
+        let weights = Hashtbl.create 16 in
+        List.iter
+          (fun (s : Nstmt.t) ->
+            List.iter
+              (fun x ->
+                Hashtbl.replace weights x
+                  (Option.value ~default:0 (Hashtbl.find_opt weights x)
+                  + (Nstmt.ref_count s x * Region.volume s.region)))
+              (Nstmt.arrays s))
+          stmts;
+        { stmts; volumes; streams; weights; mult = mults.(bi); base_refs; flops })
       blocks
   in
-  (* Deterministic simulated layout: arrays in declaration order, each
-     base aligned well past both line sizes, with a guard line between
-     allocations so distinct arrays never share a cache line. *)
-  let base = Hashtbl.create 16 in
-  let align = 256 in
-  let next = ref 0 in
-  List.iter
-    (fun (a : Prog.array_info) ->
-      Hashtbl.replace base a.Prog.name !next;
-      let bytes = (8 * Region.volume a.Prog.bounds) + align in
-      next := (!next + bytes + align - 1) / align * align)
-    prog.Prog.arrays;
   {
     cfg;
     blocks = Array.of_list info;
     red_execs;
-    base;
-    memo = Hashtbl.create 256;
+    memo = Probe_memo.create 256;
     memo_lock = Mutex.create ();
   }
 
@@ -115,10 +162,7 @@ let cfg t = t.cfg
 let block_mult t ~block = t.blocks.(block).mult
 
 let block_weight t ~block x =
-  List.fold_left
-    (fun acc (s : Nstmt.t) ->
-      acc + (Nstmt.ref_count s x * Region.volume s.region))
-    0 t.blocks.(block).stmts
+  Option.value ~default:0 (Hashtbl.find_opt t.blocks.(block).weights x)
 
 let lines_of_volume t vol =
   let line = t.cfg.machine.Machine.l1.Cachesim.Cache.line_bytes in
@@ -137,50 +181,41 @@ let scalar_contracted (bp : Sir.Scalarize.block_plan) =
    and scale the measured misses to the sweep's real line count. *)
 let cluster_misses t ~block members ~contracted =
   let info = t.blocks.(block) in
-  let stmts_arr = Array.of_list info.stmts in
-  let stmts = List.map (fun i -> stmts_arr.(i)) members in
-  let refs =
+  let bases =
     List.concat_map
-      (fun (s : Nstmt.t) ->
-        (s.Nstmt.lhs, true)
-        :: List.map (fun (x, _) -> (x, false)) (Expr.refs s.Nstmt.rhs))
-      stmts
-    |> List.filter (fun (x, _) -> not (List.mem x contracted))
+      (fun i ->
+        Array.fold_right
+          (fun (x, b) acc -> if List.mem x contracted then acc else b :: acc)
+          info.streams.(i) [])
+      members
   in
-  match (refs, stmts) with
-  | [], _ | _, [] -> (0.0, 0.0)
-  | _, (s0 : Nstmt.t) :: _ ->
-      let vol = Region.volume s0.Nstmt.region in
+  match bases with
+  | [] -> (0.0, 0.0)
+  | _ ->
+      let vol = info.volumes.(List.hd members) in
       let m = t.cfg.machine in
       let line = m.Machine.l1.Cachesim.Cache.line_bytes in
       let lines = lines_of_volume t vol in
-      let key =
-        Printf.sprintf "%d|%s|%s" block
-          (String.concat "," (List.map string_of_int members))
-          (String.concat ","
-             (List.sort compare
-                (List.filter
-                   (fun x -> List.exists (fun (s : Nstmt.t) -> Nstmt.ref_count s x > 0) stmts)
-                   contracted)))
-      in
+      let key = Array.of_list (lines :: bases) in
       (* the lock covers only the table; a missed lookup is recomputed
          outside it — two domains may race the same probe, but the
          result is deterministic, so the duplicate work is benign *)
-      (match Mutex.protect t.memo_lock (fun () -> Hashtbl.find_opt t.memo key) with
+      (match Mutex.protect t.memo_lock (fun () -> Probe_memo.find_opt t.memo key) with
       | Some r -> r
       | None ->
           let probe = min lines probe_cap in
           let hier =
             Cachesim.Cache.Hierarchy.create ~l1:m.Machine.l1 ?l2:m.Machine.l2 ()
           in
+          let k = Array.length key in
+          (* the hierarchy is write-allocate: a stream's access kind
+             does not change what it hits *)
           for i = 0 to probe - 1 do
-            List.iter
-              (fun (x, write) ->
-                let b = try Hashtbl.find t.base x with Not_found -> 0 in
-                Cachesim.Cache.Hierarchy.access hier
-                  ~addr:(b + (i * line))
-                  ~write)
-              refs
+            let off = i * line in
+            for r = 1 to k - 1 do
+              Cachesim.Cache.Hierarchy.access hier ~addr:(key.(r) + off)
+                ~write:false
+            done
           done;
           let scale = float_of_int lines /. float_of_int probe in
           let l1 =
@@ -194,7 +229,7 @@ let cluster_misses t ~block members ~contracted =
             | None -> 0.0
           in
           Mutex.protect t.memo_lock (fun () ->
-              Hashtbl.replace t.memo key (l1, l2));
+              Probe_memo.replace t.memo key (l1, l2));
           (l1, l2))
 
 let block_cost t ~block (bp : Sir.Scalarize.block_plan) =

@@ -24,9 +24,11 @@
 
     Block costs are weighted by the block's execution multiplier
     (enclosing sequential loops), matching [Comm.Model.analyze].
-    Per-cluster cache probes are memoized on (block, cluster
-    statement set, contracted arrays referenced), so a search that
-    reshuffles the same clusters re-pays nothing.
+    Per-cluster cache probes are memoized on what decides them: the
+    sweep's line count and the base addresses of its streams, in
+    order.  A search that reshuffles the same clusters, and every
+    cluster of any block that sweeps the same streams, re-pays
+    nothing.
 
     The model deliberately prices {e sweeps}, not absolute seconds:
     each cluster is costed as if its working set starts uncached

@@ -88,9 +88,10 @@ let bound_of cost_t ~block ~candidates g p (bp : Sir.Scalarize.block_plan)
    pairwise cluster merges, each closed under GROW (so acyclicity is
    preserved by construction) and vetted by check_merge. *)
 let moves g p =
+  let grow = Core.Partition.grow p in
   let closure c =
     let c = List.sort_uniq compare c in
-    List.sort_uniq compare (c @ Core.Partition.grow p c)
+    List.sort_uniq compare (c @ grow c)
   in
   let array_moves =
     List.filter_map

@@ -36,6 +36,10 @@ let serve_connection engine fd =
   verdict
 
 let serve ?on_ready ~socket engine =
+  (* a client that hangs up before its reply must not kill the daemon:
+     with SIGPIPE ignored the write fails with EPIPE, which surfaces as
+     [Sys_error] and closes just that connection *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   (* a stale socket file from a dead daemon would make bind fail;
      replacing it is safe because a live daemon would still own the
      listening descriptor *)

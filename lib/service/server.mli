@@ -23,6 +23,8 @@ val serve :
   (unit, Obs.Diagnostic.t) result
 (** Bind [socket] (an existing stale socket file is replaced), then
     accept/serve until a [Shutdown] request is acknowledged; the
-    socket file is unlinked on the way out.  [on_ready] fires once the
+    socket file is unlinked on the way out.  SIGPIPE is ignored for the
+    whole process, so a client that hangs up before reading its reply
+    only ends its own connection.  [on_ready] fires once the
     listener is accepting (tests and the daemon's "listening" banner
     hook here). *)

@@ -236,6 +236,67 @@ let prop_cache_matches_naive =
         (fun a -> Cachesim.Cache.access fast ~addr:a = Naive.access slow a)
         addrs)
 
+(* Seeded random streams through every cache geometry the machines
+   use, plus associativity 1-4 at a power-of-two and a
+   non-power-of-two set count: every access must hit or miss exactly
+   as in the reference, and the stats must agree. *)
+let test_cache_differential () =
+  let geometries =
+    List.concat_map
+      (fun (m : Machine.t) ->
+        let l1 = m.Machine.l1 in
+        (m.Machine.name ^ " l1", l1)
+        :: Option.to_list
+             (Option.map (fun l2 -> (m.Machine.name ^ " l2", l2)) m.Machine.l2))
+      Machine.all
+    @ List.concat_map
+        (fun assoc ->
+          List.map
+            (fun sets ->
+              ( Printf.sprintf "assoc %d, %d sets" assoc sets,
+                {
+                  Cachesim.Cache.size_bytes = 32 * assoc * sets;
+                  line_bytes = 32;
+                  assoc;
+                } ))
+            [ 16; 24 ])
+        [ 1; 2; 3; 4 ]
+  in
+  List.iteri
+    (fun gi (name, (cfg : Cachesim.Cache.config)) ->
+      let rng = Random.State.make [| 17; gi |] in
+      let span = 4 * cfg.Cachesim.Cache.size_bytes in
+      let fast = Cachesim.Cache.create cfg in
+      let slow =
+        Naive.create ~size:cfg.Cachesim.Cache.size_bytes
+          ~line:cfg.Cachesim.Cache.line_bytes ~assoc:cfg.Cachesim.Cache.assoc
+      in
+      (* runs of unit-stride, strided and scattered addresses *)
+      for run = 1 to 200 do
+        let start = Random.State.int rng span in
+        let stride =
+          match Random.State.int rng 3 with
+          | 0 -> 8
+          | 1 -> cfg.Cachesim.Cache.line_bytes * (1 + Random.State.int rng 4)
+          | _ -> 0
+        in
+        for k = 0 to 49 do
+          let addr =
+            if stride = 0 then Random.State.int rng span else start + (k * stride)
+          in
+          let hit = Cachesim.Cache.access fast ~addr in
+          if hit <> Naive.access slow addr then
+            Alcotest.failf "%s: access %d of run %d (addr %d): hit=%b" name k
+              run addr hit
+        done
+      done;
+      let st = Cachesim.Cache.stats fast in
+      Alcotest.(check (list int))
+        (name ^ ": accesses, hits, misses")
+        [ slow.Naive.accesses; slow.Naive.hits; slow.Naive.accesses - slow.Naive.hits ]
+        [ st.Cachesim.Cache.accesses; st.Cachesim.Cache.hits; st.Cachesim.Cache.misses ])
+    geometries
+
 (* --- Dist: grid factorization, split dims, neighbor directions ---- *)
 
 let check_per_dim msg ~rank ~procs expect =
@@ -300,5 +361,9 @@ let suites =
           test_dist_split_and_remote_dir;
       ] );
     ( "cachesim.reference",
-      [ QCheck_alcotest.to_alcotest prop_cache_matches_naive ] );
+      [
+        QCheck_alcotest.to_alcotest prop_cache_matches_naive;
+        Alcotest.test_case "every geometry == naive LRU" `Quick
+          test_cache_differential;
+      ] );
   ]

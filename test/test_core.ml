@@ -420,6 +420,79 @@ let prop_contracted_deps_null =
                      && Vec.is_null l.Core.Dep.udv))
             contracted)
 
+(* ------------------------------------------------------------------ *)
+(* ASDG per-array tables vs the scans they replace                     *)
+(* ------------------------------------------------------------------ *)
+
+(* The straightforward definitions, kept here as oracles: each scans
+   every statement or every edge on every call. *)
+module Naive_asdg = struct
+  let vars g =
+    let seen = Hashtbl.create 16 in
+    let out = ref [] in
+    Array.iter
+      (fun s ->
+        List.iter
+          (fun x ->
+            if not (Hashtbl.mem seen x) then begin
+              Hashtbl.add seen x ();
+              out := x :: !out
+            end)
+          (Nstmt.arrays s))
+      (Core.Asdg.stmts g);
+    List.rev !out
+
+  let deps_on g x =
+    List.concat_map
+      (fun e ->
+        List.filter_map
+          (fun (l : Core.Dep.label) -> if l.var = x then Some (e, l) else None)
+          (Core.Asdg.labels g (fst e) (snd e)))
+      (Core.Asdg.edges g)
+
+  let stmts_referencing g x =
+    let out = ref [] in
+    Array.iteri
+      (fun i s -> if List.mem x (Nstmt.arrays s) then out := i :: !out)
+      (Core.Asdg.stmts g);
+    List.rev !out
+end
+
+let check_tables_against_scans what prog =
+  List.iteri
+    (fun bi stmts ->
+      let g = Core.Asdg.build stmts in
+      let fail fn x = Alcotest.failf "%s, block %d: %s %s differs" what bi fn x in
+      let vars = Core.Asdg.vars g in
+      if vars <> Naive_asdg.vars g then fail "vars" "";
+      List.iter
+        (fun x ->
+          if Core.Asdg.stmts_referencing g x <> Naive_asdg.stmts_referencing g x
+          then fail "stmts_referencing" x;
+          if Core.Asdg.deps_on g x <> Naive_asdg.deps_on g x then fail "deps_on" x)
+        ("no-such-array" :: vars))
+    (Prog.blocks prog)
+
+let test_asdg_tables () =
+  let corpus =
+    Sys.readdir "corpus" |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".zir")
+    |> List.sort compare
+  in
+  Alcotest.(check bool) "corpus is not empty" true (corpus <> []);
+  List.iter
+    (fun f ->
+      match Fuzz.Repro.load (Filename.concat "corpus" f) with
+      | Ok prog -> check_tables_against_scans f prog
+      | Error m -> Alcotest.failf "%s: %s" f m)
+    corpus;
+  let rng = Support.Prng.create 2024L in
+  for i = 1 to 200 do
+    check_tables_against_scans
+      (Printf.sprintf "generated program %d" i)
+      (Fuzz.Gen.generate rng)
+  done
+
 let suites =
   [
     ( "core.fig2",
@@ -455,4 +528,9 @@ let suites =
       ] );
     ( "core.contraction",
       [ Alcotest.test_case "partial (extension)" `Quick test_partial_contraction ] );
+    ( "core.asdg",
+      [
+        Alcotest.test_case "per-array tables == naive scans" `Quick
+          test_asdg_tables;
+      ] );
   ]

@@ -95,6 +95,47 @@ let prop_search_never_worse =
           in
           stats.Plan.Search.best_ns <= stats.Plan.Search.greedy_ns +. 1e-6)
 
+(* The probe memo is shared by every cluster of every block priced
+   against one Cost.t; it must never change an answer.  s0 and s1 feed
+   the same two streams over regions of different size, so their
+   probes differ only in the line count. *)
+let test_probe_memo_exact () =
+  let r55 = Region.of_bounds [ (1, 5); (1, 5) ] in
+  let a = Expr.Ref ("A", v [ 0; 0 ]) and b = Expr.Ref ("B", v [ 0; 0 ]) in
+  let stmts =
+    [
+      Nstmt.make ~region:r44 ~lhs:"B" a;
+      Nstmt.make ~region:r55 ~lhs:"B" a;
+      Nstmt.make ~region:r44 ~lhs:"C" (Expr.Binop (Expr.Add, a, b));
+      Nstmt.make ~region:r44 ~lhs:"D" (Expr.Binop (Expr.Add, b, a));
+    ]
+  in
+  let prog = mk_prog stmts in
+  let shared = Plan.Cost.create cost_cfg prog in
+  List.iter
+    (fun (members, contracted) ->
+      let fresh = Plan.Cost.create cost_cfg prog in
+      let name =
+        Printf.sprintf "[%s] without [%s]"
+          (String.concat ";" (List.map string_of_int members))
+          (String.concat ";" contracted)
+      in
+      Alcotest.(check (pair (float 0.0) (float 0.0)))
+        name
+        (Plan.Cost.cluster_misses fresh ~block:0 members ~contracted)
+        (Plan.Cost.cluster_misses shared ~block:0 members ~contracted))
+    [
+      ([ 0 ], []);
+      ([ 1 ], []);
+      ([ 0; 2 ], []);
+      ([ 2; 0 ], []);
+      ([ 0; 2 ], [ "B" ]);
+      ([ 2 ], [ "B" ]);
+      ([ 3 ], []);
+      ([ 0; 2; 3 ], [ "A" ]);
+      ([ 1 ], [ "A"; "B" ]);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* ILP partitioner properties                                          *)
 (* ------------------------------------------------------------------ *)
@@ -375,7 +416,7 @@ let test_beam_fallback_deterministic () =
     [ 2; 8 ]
 
 let ilp_compile ?(machine = Machine.t3e) ?(procs = 1) ?(max_clusters = 1500)
-    name =
+    ?(jobs = 1) name =
   let b =
     match Suite.by_name name with
     | Some b -> b
@@ -388,8 +429,13 @@ let ilp_compile ?(machine = Machine.t3e) ?(procs = 1) ?(max_clusters = 1500)
   match
     Plan.Driver.compile_ilp
       ~search:
-        { Plan.Search.default with Plan.Search.max_states = 600; beam_width = 2 }
-      ~ilp:{ Plan.Ilp.default with Plan.Ilp.max_clusters }
+        {
+          Plan.Search.default with
+          Plan.Search.max_states = 600;
+          beam_width = 2;
+          jobs;
+        }
+      ~ilp:{ Plan.Ilp.default with Plan.Ilp.max_clusters; jobs }
       ~cost prog
   with
   | Ok (c, prov) -> (prog, c, prov)
@@ -441,16 +487,23 @@ let test_ilp_proves_small_bench () =
   | _ -> Alcotest.fail "proved cell must carry a certified bound"
 
 (* two identical solves must agree bit-for-bit, plans and provenance
-   JSON alike — the B&B explores a deterministic tree *)
+   JSON alike — the B&B explores a deterministic tree — and so must
+   solves whose columns and search children are priced on a pool of 2
+   or 4 domains against the shared probe memo *)
 let test_ilp_deterministic () =
-  let run () =
-    let _prog, c, prov = ilp_compile ~procs:4 "sp" ~max_clusters:400 in
+  let run jobs =
+    let _prog, c, prov = ilp_compile ~procs:4 "sp" ~max_clusters:400 ~jobs in
     (plan_fingerprint c, Obs.Json.to_string (Obs.Codec.encode Plan.Driver.provenance_codec prov))
   in
-  let f1, j1 = run () in
-  let f2, j2 = run () in
-  Alcotest.(check string) "same plan" f1 f2;
-  Alcotest.(check string) "same provenance JSON" j1 j2
+  let f1, j1 = run 1 in
+  List.iter
+    (fun jobs ->
+      let f, j = run jobs in
+      Alcotest.(check string) (Printf.sprintf "same plan at %d jobs" jobs) f1 f;
+      Alcotest.(check string)
+        (Printf.sprintf "same provenance JSON at %d jobs" jobs)
+        j1 j)
+    [ 1; 2; 4 ]
 
 let test_never_worse_across_suite () =
   List.iter
@@ -468,6 +521,8 @@ let suites =
       [
         Alcotest.test_case "cost prefers contraction" `Quick
           test_cost_prefers_contraction;
+        Alcotest.test_case "probe memo never changes an answer" `Quick
+          test_probe_memo_exact;
         Alcotest.test_case "simple: search beats greedy, checksum equal" `Slow
           test_simple_search_wins;
         Alcotest.test_case "deterministic plans and provenance" `Slow

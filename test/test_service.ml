@@ -687,6 +687,53 @@ let engine_mirrors_obs () =
   Alcotest.(check int) "hit mirrored" 1 (get Metrics.cache_hit);
   Alcotest.(check int) "compile mirrored" 1 (get Metrics.compile_computed)
 
+(* The planner's decisions, pinned: the exact reply line of a cold
+   Plan{plan=ilp} for ep, frac, tomcatv and sp on the default target,
+   and for frac and tomcatv at tile 16 on sp2 and paragon with 16
+   processors (the communication model and two more cache
+   geometries).  Every chosen plan, cost and provenance field is in
+   these bytes.  Regenerate test/golden/plans.jsonl, one line per
+   request in this order, from
+     Obs.Json.to_string (Api.response_to_json (Engine.handle (Engine.create ()) req))
+   only when a change is meant to move a plan. *)
+let golden_plan_requests =
+  let plan ?tile ?(machine = "t3e") ?(procs = 1) name =
+    Api.Plan
+      {
+        source = Api.Bench { name; tile };
+        opts = { Api.default_compile_opts with Api.plan = Api.Ilp };
+        target = { Api.machine; procs };
+      }
+  in
+  [
+    plan "ep";
+    plan "frac";
+    plan "tomcatv";
+    plan "sp";
+    plan ~tile:16 ~machine:"sp2" ~procs:16 "frac";
+    plan ~tile:16 ~machine:"sp2" ~procs:16 "tomcatv";
+    plan ~tile:16 ~machine:"paragon" ~procs:16 "frac";
+    plan ~tile:16 ~machine:"paragon" ~procs:16 "tomcatv";
+  ]
+
+let golden_plans () =
+  let ic = open_in_bin "golden/plans.jsonl" in
+  let want = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  let want =
+    List.filter (fun l -> l <> "") (String.split_on_char '\n' want)
+  in
+  Alcotest.(check int) "line count" (List.length golden_plan_requests)
+    (List.length want);
+  List.iteri
+    (fun i (req, w) ->
+      let got =
+        Obs.Json.to_string
+          (Api.response_to_json (Engine.handle (Engine.create ()) req))
+      in
+      Alcotest.(check string) (Printf.sprintf "line %d" (i + 1)) w got)
+    (List.combine golden_plan_requests want)
+
 (* ------------------------------------------------------------------ *)
 (* Server / client over a real socket                                  *)
 (* ------------------------------------------------------------------ *)
@@ -784,6 +831,85 @@ let socket_protocol_error () =
       | Ok _ -> Alcotest.fail "expected a stats reply"
       | Error d -> Alcotest.failf "stats: %s" (Obs.Diagnostic.to_string d))
 
+(* A client that hangs up before reading its reply must not take the
+   daemon down: writing that reply raises SIGPIPE, which kills a
+   process that does not ignore it.  The real zapd runs as a child
+   process, so a daemon that dies fails this test instead of killing
+   the test runner. *)
+let zapd = "../bin/zapd.exe"
+
+let zapd_survives_hangup () =
+  if Sys.file_exists zapd then begin
+    let socket =
+      Filename.concat
+        (Filename.get_temp_dir_name ())
+        (Printf.sprintf "zapd-hangup-%d-%d.sock" (Unix.getpid ())
+           (Random.int 10000))
+    in
+    let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+    let pid =
+      Unix.create_process zapd
+        [| zapd; "--socket"; socket; "--quiet"; "--jobs"; "1" |]
+        null null null
+    in
+    Unix.close null;
+    let status () =
+      match Unix.waitpid [ Unix.WNOHANG ] pid with
+      | 0, _ -> "running"
+      | _, Unix.WEXITED c -> Printf.sprintf "exited with status %d" c
+      | _, Unix.WSIGNALED n when n = Sys.sigpipe -> "killed by SIGPIPE"
+      | _, Unix.WSIGNALED n -> Printf.sprintf "killed by signal %d" n
+      | _, Unix.WSTOPPED n -> Printf.sprintf "stopped by signal %d" n
+    in
+    let connect () =
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      match Unix.connect fd (Unix.ADDR_UNIX socket) with
+      | () -> Some fd
+      | exception Unix.Unix_error _ ->
+          Unix.close fd;
+          None
+    in
+    let finished = ref false in
+    Fun.protect
+      ~finally:(fun () ->
+        if not !finished then begin
+          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+          (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
+        end;
+        try Sys.remove socket with Sys_error _ -> ())
+      (fun () ->
+        let rec await tries =
+          match connect () with
+          | Some fd -> fd
+          | None when tries > 0 ->
+              Unix.sleepf 0.05;
+              await (tries - 1)
+          | None -> Alcotest.failf "zapd did not come up (%s)" (status ())
+        in
+        let fd = await 200 in
+        (* a slow cold plan, then hang up before the reply *)
+        let line =
+          {|{"op":"plan","source":{"bench":"frac"},"opts":{"plan":"ilp"}}|}
+          ^ "\n"
+        in
+        ignore (Unix.write_substring fd line 0 (String.length line));
+        Unix.close fd;
+        (match Service.Client.roundtrip ~socket Api.Stats with
+        | Ok (Api.Stats_reply _) -> ()
+        | Ok _ -> Alcotest.fail "expected a stats reply"
+        | Error d ->
+            Alcotest.failf "zapd %s: %s" (status ())
+              (Obs.Diagnostic.to_string d));
+        (match Service.Client.roundtrip ~socket Api.Shutdown with
+        | Ok _ -> ()
+        | Error d ->
+            Alcotest.failf "shutdown: %s" (Obs.Diagnostic.to_string d));
+        finished := true;
+        match Unix.waitpid [] pid with
+        | _, Unix.WEXITED 0 -> ()
+        | _ -> Alcotest.fail "zapd did not exit cleanly after shutdown")
+  end
+
 let suites =
   [
     ( "service-fingerprint",
@@ -822,11 +948,15 @@ let suites =
           engine_batch_deterministic_across_domains;
         Alcotest.test_case "failures and stats" `Quick engine_stats_and_failures;
         Alcotest.test_case "obs counters mirrored" `Quick engine_mirrors_obs;
+        Alcotest.test_case "cold ILP plans match the golden" `Slow
+          golden_plans;
       ] );
     ( "service-socket",
       [
         Alcotest.test_case "compile/stats/shutdown smoke" `Slow socket_smoke;
         Alcotest.test_case "protocol error keeps daemon alive" `Quick
           socket_protocol_error;
+        Alcotest.test_case "zapd survives a client hang-up" `Quick
+          zapd_survives_hangup;
       ] );
   ]
