@@ -141,6 +141,12 @@ let check_merge ?relax_flow t c =
       | Error _ as e -> e
       | Ok () -> if acyclic (merge t c) then Ok () else Error Cycle)
 
+(* Contracting a set of an acyclic cluster graph creates a cycle only
+   through a path that leaves the set and comes back; a grow-closed set
+   has none, so condition (iii) holds without rebuilding the graph. *)
+let check_closed_merge t c =
+  match c with [] | [ _ ] -> Ok () | _ -> check_stmt_set t (stmts_of t c)
+
 let can_merge ?relax_flow t c = check_merge ?relax_flow t c = Ok ()
 
 let contractible t x ~within =

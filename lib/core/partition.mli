@@ -70,6 +70,14 @@ val check_merge : ?relax_flow:bool -> t -> int list -> (unit, veto) result
     it enables the partial-contraction extension (see
     {!Contraction.decide_partial}). *)
 
+val check_closed_merge : t -> int list -> (unit, veto) result
+(** {!check_merge} for a set closed under {!grow} ([grow t c = []]) of
+    an acyclic partition — e.g. [c @ grow t c] for any [c].  Merging
+    such a set cannot create an inter-cluster cycle, so only
+    conditions (i), (ii) and (iv) are checked, and the verdict equals
+    {!check_merge}'s without copying the partition or rebuilding its
+    cluster graph.  On any other set the verdict is unspecified. *)
+
 val can_merge : ?relax_flow:bool -> t -> int list -> bool
 (** [check_merge] as a predicate. *)
 

@@ -74,6 +74,7 @@ end)
 
 type t = {
   cfg : cfg;
+  base : (string, int) Hashtbl.t;  (** array -> simulated base address *)
   blocks : block_info array;
   red_execs : int;
   memo : (float * float) Probe_memo.t;
@@ -84,11 +85,65 @@ type t = {
           domains against one [t] *)
 }
 
-(* Probing a sweep at more lines than this buys no new information:
-   interleaved unit-stride streams behave periodically once every set
-   of the cache has been visited, so measured miss rates are scaled
-   linearly up to the real line count. *)
+(* A sweep longer than this is priced as this many lines, and the
+   misses scaled linearly up to the real line count. *)
 let probe_cap = 512
+
+let alignment (m : Machine.t) =
+  List.fold_left
+    (fun acc (c : Cachesim.Cache.config) -> max acc c.Cachesim.Cache.line_bytes)
+    256
+    (m.Machine.l1 :: Option.to_list m.Machine.l2)
+
+(* L1 misses of [key]'s sweep ([| lines; base_1; ...; base_k |]) and
+   the L2 misses they cause, counted over [min lines probe_cap] steps
+   of one L1 line per stream and scaled to [lines].
+
+   Every base is a multiple of every line size, and no two streams'
+   sweeps share a line unless their bases are equal ([create]'s layout,
+   for references within their arrays' bounds).  So no line is reused
+   across steps, and which streams share a cache set is the same at
+   every step.  Each step therefore misses in L1 exactly like the
+   first; in L2, whose line spans [period] L1 lines, every run of
+   [period] steps starting at a multiple of [period] misses exactly
+   like the first.  Simulating one period counts them all. *)
+let sweep_misses (m : Machine.t) key =
+  let l1_line = m.Machine.l1.Cachesim.Cache.line_bytes in
+  let period =
+    match m.Machine.l2 with
+    | Some l2 -> max 1 (l2.Cachesim.Cache.line_bytes / l1_line)
+    | None -> 1
+  in
+  let hier =
+    Cachesim.Cache.Hierarchy.create ~l1:m.Machine.l1 ?l2:m.Machine.l2 ()
+  in
+  (* [l1_after.(i)], [l2_after.(i)]: misses after the period's first
+     [i] steps *)
+  let l1_after = Array.make (period + 1) 0 in
+  let l2_after = Array.make (period + 1) 0 in
+  let k = Array.length key in
+  for i = 0 to period - 1 do
+    let off = i * l1_line in
+    (* the hierarchy is write-allocate: a stream's access kind does not
+       change what it hits *)
+    for r = 1 to k - 1 do
+      Cachesim.Cache.Hierarchy.access hier ~addr:(key.(r) + off) ~write:false
+    done;
+    l1_after.(i + 1) <-
+      (Cachesim.Cache.Hierarchy.l1_stats hier).Cachesim.Cache.misses;
+    l2_after.(i + 1) <-
+      (match Cachesim.Cache.Hierarchy.l2_stats hier with
+      | Some s -> s.Cachesim.Cache.misses
+      | None -> 0)
+  done;
+  let lines = key.(0) in
+  let steps = min lines probe_cap in
+  let count after =
+    (steps / period * after.(period)) + after.(steps mod period)
+  in
+  let scale = float_of_int lines /. float_of_int steps in
+  ( float_of_int (count l1_after) *. scale,
+    float_of_int (count l2_after) *. scale )
 
 let rec expr_flops (e : Expr.t) =
   match e with
@@ -101,10 +156,11 @@ let create cfg prog =
   let blocks = Prog.blocks prog in
   let mults, red_execs = Comm.Model.block_multipliers prog in
   (* Deterministic simulated layout: arrays in declaration order, each
-     base aligned well past both line sizes, with a guard line between
-     allocations so distinct arrays never share a cache line. *)
+     base aligned to a multiple of every line size of the machine, with
+     a guard of that size between allocations so distinct arrays never
+     share a cache line.  [sweep_misses] relies on both. *)
   let base = Hashtbl.create 16 in
-  let align = 256 in
+  let align = alignment cfg.machine in
   let next = ref 0 in
   List.iter
     (fun (a : Prog.array_info) ->
@@ -152,6 +208,7 @@ let create cfg prog =
   in
   {
     cfg;
+    base;
     blocks = Array.of_list info;
     red_execs;
     memo = Probe_memo.create 256;
@@ -159,6 +216,7 @@ let create cfg prog =
   }
 
 let cfg t = t.cfg
+let base t x = Hashtbl.find_opt t.base x
 let block_mult t ~block = t.blocks.(block).mult
 
 let block_weight t ~block x =
@@ -176,10 +234,10 @@ let scalar_contracted (bp : Sir.Scalarize.block_plan) =
     bp.Sir.Scalarize.contracted
 
 (* One fused cluster = one loop nest sweeping the cluster's region:
-   feed an interleaved line-granular stream (one stream per reference,
-   contracted arrays excluded) through the machine's cache hierarchy
-   and scale the measured misses to the sweep's real line count. *)
-let cluster_misses t ~block members ~contracted =
+   an interleaved line-granular stream per reference, contracted arrays
+   excluded.  Its probe key: the sweep's line count, then the streams'
+   base addresses in sweep order. *)
+let sweep t ~block members ~contracted =
   let info = t.blocks.(block) in
   let bases =
     List.concat_map
@@ -190,47 +248,23 @@ let cluster_misses t ~block members ~contracted =
       members
   in
   match bases with
-  | [] -> (0.0, 0.0)
+  | [] -> [||]
   | _ ->
-      let vol = info.volumes.(List.hd members) in
-      let m = t.cfg.machine in
-      let line = m.Machine.l1.Cachesim.Cache.line_bytes in
-      let lines = lines_of_volume t vol in
-      let key = Array.of_list (lines :: bases) in
+      Array.of_list (lines_of_volume t info.volumes.(List.hd members) :: bases)
+
+let cluster_misses t ~block members ~contracted =
+  match sweep t ~block members ~contracted with
+  | [||] -> (0.0, 0.0)
+  | key -> (
       (* the lock covers only the table; a missed lookup is recomputed
          outside it — two domains may race the same probe, but the
          result is deterministic, so the duplicate work is benign *)
-      (match Mutex.protect t.memo_lock (fun () -> Probe_memo.find_opt t.memo key) with
+      match Mutex.protect t.memo_lock (fun () -> Probe_memo.find_opt t.memo key) with
       | Some r -> r
       | None ->
-          let probe = min lines probe_cap in
-          let hier =
-            Cachesim.Cache.Hierarchy.create ~l1:m.Machine.l1 ?l2:m.Machine.l2 ()
-          in
-          let k = Array.length key in
-          (* the hierarchy is write-allocate: a stream's access kind
-             does not change what it hits *)
-          for i = 0 to probe - 1 do
-            let off = i * line in
-            for r = 1 to k - 1 do
-              Cachesim.Cache.Hierarchy.access hier ~addr:(key.(r) + off)
-                ~write:false
-            done
-          done;
-          let scale = float_of_int lines /. float_of_int probe in
-          let l1 =
-            float_of_int
-              (Cachesim.Cache.Hierarchy.l1_stats hier).Cachesim.Cache.misses
-            *. scale
-          in
-          let l2 =
-            match Cachesim.Cache.Hierarchy.l2_stats hier with
-            | Some s -> float_of_int s.Cachesim.Cache.misses *. scale
-            | None -> 0.0
-          in
-          Mutex.protect t.memo_lock (fun () ->
-              Probe_memo.replace t.memo key (l1, l2));
-          (l1, l2))
+          let r = sweep_misses t.cfg.machine key in
+          Mutex.protect t.memo_lock (fun () -> Probe_memo.replace t.memo key r);
+          r)
 
 let block_cost t ~block (bp : Sir.Scalarize.block_plan) =
   let info = t.blocks.(block) in

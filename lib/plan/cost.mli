@@ -24,11 +24,15 @@
 
     Block costs are weighted by the block's execution multiplier
     (enclosing sequential loops), matching [Comm.Model.analyze].
-    Per-cluster cache probes are memoized on what decides them: the
-    sweep's line count and the base addresses of its streams, in
-    order.  A search that reshuffles the same clusters, and every
-    cluster of any block that sweeps the same streams, re-pays
-    nothing.
+    A sweep is priced at [min lines probe_cap] steps and scaled
+    linearly to its real line count; those steps are not simulated
+    one by one but counted from one cache period (one step, or
+    l2_line / l1_line steps under an L2), which the simulated layout
+    makes exact.  Per-cluster cache probes are memoized on what decides
+    them: the sweep's line count and the base addresses of its
+    streams, in order.  A search that reshuffles the same clusters,
+    and every cluster of any block that sweeps the same streams,
+    re-pays nothing.
 
     The model deliberately prices {e sweeps}, not absolute seconds:
     each cluster is costed as if its working set starts uncached
@@ -74,6 +78,34 @@ val block_weight : t -> block:int -> string -> int
 val lines_of_volume : t -> int -> int
 (** Cache lines one sweep of a region of the given element volume
     touches on this machine's L1 geometry (≥ 1). *)
+
+val base : t -> string -> int option
+(** Simulated base address of a declared array.  Arrays are laid out
+    in declaration order; every base is a multiple of 256 and of every
+    line size of the machine, and consecutive allocations are separated
+    by a guard at least that long, so two arrays never share a cache
+    line.  Sweeps of programs whose references stay within their
+    arrays' bounds ([Ir.Prog.validate]) therefore share a line only
+    when they sweep the same array — which is what makes counting one
+    cache period exact. *)
+
+val probe_cap : int
+(** Sweeps longer than this many lines (512) are priced as this many
+    and scaled linearly to their real line count. *)
+
+val sweep : t -> block:int -> int list -> contracted:string list -> int array
+(** The probe key of the sweep {!cluster_misses} prices:
+    [[| lines; base_1; ...; base_k |]], its line count on the L1
+    geometry, then the base address of each stream in sweep order (each
+    statement's written array, then its reads), references to
+    [contracted] arrays excluded.  [[||]] when no stream is left. *)
+
+val sweep_misses : Machine.t -> int array -> float * float
+(** Unmemoized [(l1_misses, l2_misses)] of a probe key's sweep,
+    counted from one cache period.  Exact when every base is a multiple
+    of every line size of the machine and any two streams either share
+    a base or never touch a common line within [min lines probe_cap]
+    lines. *)
 
 val cluster_misses : t -> block:int -> int list -> contracted:string list -> float * float
 (** [(l1_misses, l2_misses)] of one fused cluster per block execution:

@@ -42,7 +42,9 @@ type stats = {
    ascending prefix of a convex set is convex for the same reason.
    Pruning on Cycle is therefore exact: the DFS emits precisely the
    valid clusters, each once. *)
-let enumerate cfg t0 n =
+let columns cfg g =
+  let n = Core.Asdg.n g in
+  let t0 = Core.Partition.trivial g in
   (* pairwise pre-filter: by downward closure, {i, j} failing a
      monotone condition rules every superset out; a Cycle veto on the
      pair does not (the blocking statement may join the set later) *)
@@ -424,7 +426,7 @@ let block ?(probe = fun (_ : Core.Partition.t) -> ()) ?(seeds = []) cfg cost_t
       (Core.Partition.clusters p)
   in
   (* ---- columns --------------------------------------------------- *)
-  let cols, complete = enumerate cfg t0 n in
+  let cols, complete = columns cfg g in
   let ncols = Array.length cols in
   let w_ns =
     Array.of_list

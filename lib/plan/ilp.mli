@@ -108,6 +108,11 @@ type stats = {
   improved : bool;  (** [best_ns] strictly beats [greedy_ns] *)
 }
 
+val columns : cfg -> Core.Asdg.t -> int list array * bool
+(** The block's columns, as {!block} enumerates them: the singletons,
+    then every valid convex cluster in ascending-index DFS order, up to
+    [max_clusters]; and whether the enumeration completed. *)
+
 val block :
   ?probe:(Core.Partition.t -> unit) ->
   ?seeds:Core.Partition.t list ->

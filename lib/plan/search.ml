@@ -32,62 +32,82 @@ let key_of n p =
   String.concat "."
     (List.init n (fun i -> string_of_int (Core.Partition.cluster_of p i)))
 
+(* What the bound asks of an array, fixed for the whole block: the
+   statements referencing it, the lines one sweep of it touches, its
+   reference weight and whether its first reference writes it. *)
+type array_facts = {
+  refs : int list;
+  lines : int;
+  weight : int;
+  first_write : bool;
+}
+
+(* Per block, the facts of each contraction candidate and of each array
+   the block references, in the order [bound_of] folds over them. *)
+let bound_table cost_t ~block ~candidates g =
+  let t0 = Core.Partition.trivial g in
+  let facts x =
+    let refs = Core.Asdg.stmts_referencing g x in
+    let vol =
+      match refs with
+      | i :: _ -> Ir.Region.volume (Core.Asdg.stmt g i).Ir.Nstmt.region
+      | [] -> 0
+    in
+    ( x,
+      {
+        refs;
+        lines = Cost.lines_of_volume cost_t vol;
+        weight = Cost.block_weight cost_t ~block x;
+        first_write = Core.Partition.first_ref_is_write t0 x;
+      } )
+  in
+  (List.map facts candidates, List.map facts (Core.Asdg.vars g))
+
 (* Admissible optimism: from state [p] a descendant can at best
    (a) contract every remaining first-ref-is-write candidate — saving
    its reference weight in L1 hits plus every sweep it still causes;
    (b) fuse all clusters referencing an array down to one sweep; and
    (c) lose the entire communication bill.  Overestimating the
    achievable savings only weakens pruning, never correctness. *)
-let bound_of cost_t ~block ~candidates g p (bp : Sir.Scalarize.block_plan)
+let bound_of cost_t ~block (candidates, vars) p (bp : Sir.Scalarize.block_plan)
     (cost : Cost.breakdown) =
   let c = Cost.cfg cost_t in
   let m = c.Cost.machine in
   let mult = float_of_int (Cost.block_mult cost_t ~block) in
   let contracted = List.map fst bp.Sir.Scalarize.contracted in
   let miss_ub = m.Machine.l1_miss_ns +. m.Machine.l2_miss_ns in
-  let sweep_info x =
-    let refs = Core.Asdg.stmts_referencing g x in
-    let k =
-      List.length
-        (List.sort_uniq compare (List.map (Core.Partition.cluster_of p) refs))
-    in
-    let vol =
-      match refs with
-      | i :: _ -> Ir.Region.volume (Core.Asdg.stmt g i).Ir.Nstmt.region
-      | [] -> 0
-    in
-    (k, Cost.lines_of_volume cost_t vol)
+  (* clusters of [p] sweeping the array *)
+  let sweeps f =
+    List.length
+      (List.sort_uniq compare (List.map (Core.Partition.cluster_of p) f.refs))
   in
   let h_contract =
     List.fold_left
-      (fun acc x ->
+      (fun acc (x, f) ->
         if List.mem x contracted then acc
-        else if not (Core.Partition.first_ref_is_write p x) then acc
+        else if not f.first_write then acc
         else
-          let k, lines = sweep_info x in
           acc
-          +. (float_of_int (Cost.block_weight cost_t ~block x)
-             *. m.Machine.l1_hit_ns)
-          +. (float_of_int (k * lines) *. miss_ub))
+          +. (float_of_int f.weight *. m.Machine.l1_hit_ns)
+          +. (float_of_int (sweeps f * f.lines) *. miss_ub))
       0.0 candidates
   in
   let h_locality =
     List.fold_left
-      (fun acc x ->
+      (fun acc (x, f) ->
         if List.mem x contracted then acc
         else
-          let k, lines = sweep_info x in
+          let k = sweeps f in
           if k <= 1 then acc
-          else acc +. (float_of_int ((k - 1) * lines) *. miss_ub))
-      0.0 (Core.Asdg.vars g)
+          else acc +. (float_of_int ((k - 1) * f.lines) *. miss_ub))
+      0.0 vars
   in
   cost.Cost.total_ns
   -. ((mult *. (h_contract +. h_locality)) +. cost.Cost.comm_ns)
 
-(* All legal merge moves from [p]: the Figure-3 array moves plus
-   pairwise cluster merges, each closed under GROW (so acyclicity is
-   preserved by construction) and vetted by check_merge. *)
-let moves g p =
+(* The merge sets tried from [p]: the Figure-3 array moves plus
+   pairwise cluster merges, each closed under GROW. *)
+let merge_sets g p =
   let grow = Core.Partition.grow p in
   let closure c =
     let c = List.sort_uniq compare c in
@@ -114,8 +134,15 @@ let moves g p =
       reps
   in
   List.sort_uniq compare (array_moves @ pair_moves)
-  |> List.filter (fun c ->
-         List.length c > 1 && Core.Partition.check_merge p c = Ok ())
+  |> List.filter (fun c -> List.length c > 1)
+
+(* All legal merge moves from [p].  Every state is acyclic and every
+   merge set grow-closed, so merging cannot form a cycle: only
+   Definition 5 (i), (ii) and (iv) are left to vet. *)
+let moves g p =
+  List.filter
+    (fun c -> Core.Partition.check_closed_merge p c = Ok ())
+    (merge_sets g p)
 
 module Frontier = Map.Make (struct
   type t = float * int
@@ -127,6 +154,7 @@ let block ?(probe = fun (_ : Core.Partition.t) -> ()) cfg cost_t ~block
     ~candidates g =
   Obs.span "plan-search" @@ fun () ->
   let n = Core.Asdg.n g in
+  let table = bound_table cost_t ~block ~candidates g in
   (* pure: safe to evaluate from any pool worker (Cost.t serializes its
      memo internally; everything else it touches is read-only) *)
   let mk p =
@@ -139,7 +167,7 @@ let block ?(probe = fun (_ : Core.Partition.t) -> ()) cfg cost_t ~block
       }
     in
     let cost = Cost.block_cost cost_t ~block bp in
-    let bound = bound_of cost_t ~block ~candidates g p bp cost in
+    let bound = bound_of cost_t ~block table p bp cost in
     { p; key = key_of n p; cost; bound }
   in
   let expanded = ref 0

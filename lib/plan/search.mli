@@ -6,9 +6,9 @@
     searches the partition space instead:
 
     - {e states} are valid Definition 5 partitions by construction —
-      every move is a merge set vetted by [Core.Partition.check_merge],
-      closed under [Core.Partition.grow] so no inter-cluster cycle can
-      form;
+      every move is a merge set closed under [Core.Partition.grow], so
+      no inter-cluster cycle can form, and vetted for the remaining
+      conditions by [Core.Partition.check_closed_merge];
     - {e moves} are (a) the Figure-3 array moves (all clusters
       referencing an array, grown), and (b) pairwise cluster merges
       (grown), which reach the partial fusions the greedy all-or-
@@ -18,7 +18,10 @@
       estimate of what is still winnable (remaining contractable
       weight in ns, one-sweep-per-array cache floor, and the state's
       entire communication bill), so the reported optimum is exact
-      whenever the search terminates within budget;
+      whenever the search terminates within budget.  What the bound
+      asks of each array (referencing statements, sweep lines,
+      reference weight, first reference a write) is tabulated once per
+      block, so pricing a state only counts its clusters;
     - {e memoization}: states are canonicalized by their cluster-
       representative vector and never costed twice;
     - {e beam fallback}: past [max_states] cost evaluations the search
@@ -54,6 +57,13 @@ type stats = {
   best_ns : float;  (** block cost of the returned partition *)
   improved : bool;  (** [best_ns] strictly beats [greedy_ns] *)
 }
+
+val merge_sets : Core.Asdg.t -> Core.Partition.t -> int list list
+(** The merge sets the search tries from a state, before vetting: the
+    Figure-3 array moves and the pairwise cluster merges, each closed
+    under [Core.Partition.grow] — so on an acyclic state
+    [Core.Partition.check_closed_merge] and [Core.Partition.check_merge]
+    agree on every one (tests assert it). *)
 
 val block :
   ?probe:(Core.Partition.t -> unit) ->

@@ -3,7 +3,9 @@
     One call, one exchange — connect, send the request line, read the
     response line, close.  All transport and protocol failures come
     back as diagnostics (phase ["connect"]), so the CLI reports a dead
-    daemon exactly like any other error. *)
+    daemon exactly like any other error.  A request whose line is
+    longer than {!Server.max_request_bytes} is refused before
+    connecting, with the [protocol] diagnostic the daemon would send. *)
 
 val roundtrip :
   socket:string -> Api.request -> (Api.response, Obs.Diagnostic.t) result

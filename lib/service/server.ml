@@ -1,26 +1,57 @@
 module Diag = Obs.Diagnostic
 module Json = Obs.Json
 
+let max_request_bytes = 1 lsl 20
+
+(* [input_line], reading at most [max_request_bytes] bytes of the line:
+   [`Too_long] as soon as one more arrives without a newline. *)
+let read_request ic =
+  let buf = Buffer.create 256 in
+  let rec go () =
+    match input_char ic with
+    | exception End_of_file ->
+        if Buffer.length buf = 0 then `Eof else `Line (Buffer.contents buf)
+    | '\n' -> `Line (Buffer.contents buf)
+    | _ when Buffer.length buf >= max_request_bytes -> `Too_long
+    | c ->
+        Buffer.add_char buf c;
+        go ()
+  in
+  go ()
+
 (* One request/response exchange.  Returns [`Continue] to keep the
-   connection, [`Close] on client EOF, [`Shutdown] after acknowledging
-   a shutdown request. *)
+   connection, [`Close] on client EOF or after refusing an over-long
+   line, [`Shutdown] after acknowledging a shutdown request. *)
 let exchange engine ic oc =
-  match input_line ic with
-  | exception End_of_file -> `Close
-  | line when String.trim line = "" -> `Continue
-  | line ->
+  let reply resp =
+    output_string oc (Json.to_string (Api.response_to_json resp));
+    output_char oc '\n';
+    flush oc
+  in
+  let protocol_error msg =
+    Engine.note_protocol_error engine;
+    Api.Failed (Diag.error ~phase:"protocol" msg)
+  in
+  match read_request ic with
+  | `Eof -> `Close
+  | `Too_long ->
+      (* the rest of the line is never read: answer, then drop the
+         connection rather than resynchronize on a later newline *)
+      reply
+        (protocol_error
+           (Printf.sprintf "request line longer than %d bytes"
+              max_request_bytes));
+      `Close
+  | `Line line when String.trim line = "" -> `Continue
+  | `Line line ->
       let resp, verdict =
         match Api.request_of_line line with
-        | Error msg ->
-            Engine.note_protocol_error engine;
-            (Api.Failed (Diag.error ~phase:"protocol" msg), `Continue)
+        | Error msg -> (protocol_error msg, `Continue)
         | Ok Api.Shutdown ->
             (Engine.handle engine Api.Shutdown, `Shutdown)
         | Ok req -> (Engine.handle engine req, `Continue)
       in
-      output_string oc (Json.to_string (Api.response_to_json resp));
-      output_char oc '\n';
-      flush oc;
+      reply resp;
       verdict
 
 let serve_connection engine fd =

@@ -7,7 +7,10 @@
     request/response exchanges; it ends when the client closes or
     after a [Shutdown] is acknowledged.  Lines that fail to parse get
     a [Failed] reply (phase ["protocol"]) and bump
-    ["service.protocol.error"]; the connection stays open.
+    ["service.protocol.error"]; the connection stays open.  A line
+    longer than {!max_request_bytes} gets the same reply as soon as
+    its first byte past the cap arrives, and its connection is then
+    closed: the daemon never buffers more than that of one request.
 
     Connections are accepted and served one at a time — [zapc
     --connect] holds a connection only for the duration of one
@@ -15,6 +18,10 @@
     already uses the engine's domain pool.  Serial accept is also what
     keeps the daemon's observable behavior independent of client
     arrival order. *)
+
+val max_request_bytes : int
+(** The longest request line read: 1 MiB, far above any legitimate
+    request (the largest suite source is 6.2 KB). *)
 
 val serve :
   ?on_ready:(unit -> unit) ->

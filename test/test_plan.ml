@@ -515,6 +515,297 @@ let test_never_worse_across_suite () =
         <= prov.Plan.Driver.greedy_total_ns +. 1e-6))
     Suite.all
 
+(* ------------------------------------------------------------------ *)
+(* One-period probe vs the stepped simulation                          *)
+(* ------------------------------------------------------------------ *)
+
+(* The probe as first written, kept as the oracle: every one of
+   [min lines probe_cap] steps simulated, one L1 line per stream per
+   step, and the measured misses scaled to [lines]. *)
+let stepped_misses (m : Machine.t) key =
+  let line = m.Machine.l1.Cachesim.Cache.line_bytes in
+  let lines = key.(0) in
+  let steps = min lines Plan.Cost.probe_cap in
+  let hier =
+    Cachesim.Cache.Hierarchy.create ~l1:m.Machine.l1 ?l2:m.Machine.l2 ()
+  in
+  for i = 0 to steps - 1 do
+    for r = 1 to Array.length key - 1 do
+      Cachesim.Cache.Hierarchy.access hier ~addr:(key.(r) + (i * line))
+        ~write:false
+    done
+  done;
+  let scale = float_of_int lines /. float_of_int steps in
+  let misses (s : Cachesim.Cache.stats) =
+    float_of_int s.Cachesim.Cache.misses *. scale
+  in
+  ( misses (Cachesim.Cache.Hierarchy.l1_stats hier),
+    match Cachesim.Cache.Hierarchy.l2_stats hier with
+    | Some s -> misses s
+    | None -> 0.0 )
+
+let same_bits (a1, a2) (b1, b2) =
+  Int64.equal (Int64.bits_of_float a1) (Int64.bits_of_float b1)
+  && Int64.equal (Int64.bits_of_float a2) (Int64.bits_of_float b2)
+
+(* None of the paper's machines has an L2 line longer than 64 bytes;
+   this one has 512-byte L2 lines: 16 L1 lines to a period, and longer
+   than the layout's 256-byte alignment floor. *)
+let long_l2 =
+  {
+    Machine.t3e with
+    Machine.name = "t3e with 512-byte L2 lines";
+    l2 =
+      Some
+        { Cachesim.Cache.size_bytes = 96 * 1024; line_bytes = 512; assoc = 3 };
+  }
+
+let probe_machines = Machine.all @ [ long_l2 ]
+
+let line_sizes (m : Machine.t) =
+  List.map
+    (fun (c : Cachesim.Cache.config) -> c.Cachesim.Cache.line_bytes)
+    (m.Machine.l1 :: Option.to_list m.Machine.l2)
+
+let cost_on m prog =
+  Plan.Cost.create
+    { Plan.Cost.machine = m; procs = 1; opts = Comm.Model.all_on }
+    prog
+
+(* A random sweep: 1–8 arrays, each with room for the sweep plus a
+   random pad, and 1–64 streams drawn from them with repeats.  Short
+   sweeps are drawn often, so that sweeps shorter than a period occur. *)
+let sweep_gen =
+  let open QCheck.Gen in
+  let* lines = oneof [ int_range 1 4; int_range 1 2000 ] in
+  let* pads = list_size (int_range 1 8) (int_range 0 4096) in
+  let* picks =
+    list_size (int_range 1 64) (int_range 0 (List.length pads - 1))
+  in
+  return (lines, pads, picks)
+
+let print_sweep (lines, pads, picks) =
+  Printf.sprintf "lines %d, pads [%s], streams [%s]" lines
+    (String.concat ";" (List.map string_of_int pads))
+    (String.concat ";" (List.map string_of_int picks))
+
+(* The sweep's probe key, its streams' bases as Cost.create lays the
+   arrays out on [m]. *)
+let layout_sweep m (lines, pads, picks) =
+  let line = m.Machine.l1.Cachesim.Cache.line_bytes in
+  let sweep_elems = ((min lines Plan.Cost.probe_cap * line) + 7) / 8 in
+  let name k = Printf.sprintf "a%d" k in
+  let prog =
+    {
+      Prog.name = "sweep";
+      arrays =
+        List.mapi
+          (fun k pad ->
+            {
+              Prog.name = name k;
+              bounds = Region.of_bounds [ (1, sweep_elems + pad) ];
+              kind = Prog.User;
+            })
+          pads;
+      scalars = [];
+      body = [];
+      live_out = [];
+    }
+  in
+  let cost = cost_on m prog in
+  let base k = Option.get (Plan.Cost.base cost (name k)) in
+  Array.of_list (lines :: List.map base picks)
+
+let prop_probe_period_exact =
+  QCheck.Test.make ~name:"one-period probe == stepped simulation" ~count:300
+    (QCheck.make ~print:print_sweep sweep_gen)
+    (fun case ->
+      List.for_all
+        (fun m ->
+          let key = layout_sweep m case in
+          same_bits (Plan.Cost.sweep_misses m key) (stepped_misses m key))
+        probe_machines)
+
+let suite_programs () =
+  List.concat_map
+    (fun (b : Suite.bench) ->
+      [
+        (b.Suite.name, Suite.program b);
+        (b.Suite.name ^ " tile 16", Suite.program ~tile:16 b);
+      ])
+    Suite.all
+
+(* The exactness argument rests on Cost.create's layout: every base a
+   multiple of every line size, and allocations at least the longest
+   line apart, so that two arrays never share a line. *)
+let test_layout_precondition () =
+  let programs = suite_programs () in
+  List.iter
+    (fun m ->
+      let sizes = line_sizes m in
+      let longest = List.fold_left max 0 sizes in
+      List.iter
+        (fun (what, prog) ->
+          let cost = cost_on m prog in
+          let placed =
+            List.sort compare
+              (List.map
+                 (fun (a : Prog.array_info) ->
+                   ( Option.get (Plan.Cost.base cost a.Prog.name),
+                     8 * Region.volume a.Prog.bounds,
+                     a.Prog.name ))
+                 prog.Prog.arrays)
+          in
+          List.iter
+            (fun (b, _, x) ->
+              List.iter
+                (fun l ->
+                  if b mod l <> 0 then
+                    Alcotest.failf "%s on %s: %s at %d is not %d-byte aligned"
+                      what m.Machine.name x b l)
+                sizes)
+            placed;
+          let rec gaps = function
+            | (b1, bytes1, x1) :: ((b2, _, x2) :: _ as tl) ->
+                if b2 - (b1 + bytes1) < longest then
+                  Alcotest.failf "%s on %s: %s ends %d bytes before %s" what
+                    m.Machine.name x1
+                    (b2 - (b1 + bytes1))
+                    x2;
+                gaps tl
+            | _ -> ()
+          in
+          gaps placed)
+        programs)
+    probe_machines
+
+(* Every column the ILP enumerates on the six suite programs, at
+   default tiles and at tile 16, swept with and without its
+   contractions on every machine: the memoized one-period count equals
+   the stepped simulation bit for bit.  Each (machine, program) pair is
+   one task on the domain pool, with its own Cost.t and its own memo of
+   the oracle, which is a pure function of the probe key. *)
+let probe_exact_on what m prog =
+  let cost = cost_on m prog in
+  let oracle = Hashtbl.create 4096 in
+  let probes = ref 0 in
+  let check ~block c ~contracted =
+    let key = Plan.Cost.sweep cost ~block c ~contracted in
+    if key <> [||] then begin
+      incr probes;
+      let id = String.concat "," (List.map string_of_int (Array.to_list key)) in
+      let want =
+        match Hashtbl.find_opt oracle id with
+        | Some r -> r
+        | None ->
+            let r = stepped_misses m key in
+            Hashtbl.add oracle id r;
+            r
+      in
+      let got = Plan.Cost.cluster_misses cost ~block c ~contracted in
+      if not (same_bits got want) then
+        Alcotest.failf "%s on %s, block %d, column [%s]: (%h, %h) <> (%h, %h)"
+          what m.Machine.name block
+          (String.concat ";" (List.map string_of_int c))
+          (fst got) (snd got) (fst want) (snd want)
+    end
+  in
+  let partition ~block ~compiler ~user g =
+    let t0 = Core.Partition.trivial g in
+    let cols, _ = Plan.Ilp.columns Plan.Ilp.default g in
+    Array.iter
+      (fun c ->
+        check ~block c ~contracted:[];
+        check ~block c
+          ~contracted:
+            (Core.Contraction.decide (Core.Partition.merge t0 c)
+               ~candidates:(compiler @ user)))
+      cols;
+    t0
+  in
+  match Compilers.Driver.(compile_custom_opts default_opts) prog ~partition with
+  | Ok _ -> !probes
+  | Error d -> Alcotest.failf "%s: %s" what (Obs.Diagnostic.to_string d)
+
+let test_probe_exact_on_suite () =
+  let tasks =
+    List.concat_map
+      (fun m ->
+        List.map (fun (what, prog) -> (what, m, prog)) (suite_programs ()))
+      Machine.all
+  in
+  let probes =
+    Support.Pool.map ~domains:(Support.Pool.default_domains ())
+      (fun (what, m, prog) -> probe_exact_on what m prog)
+      tasks
+  in
+  Alcotest.(check bool) "columns were probed" true
+    (List.for_all (fun n -> n > 0) probes)
+
+(* ------------------------------------------------------------------ *)
+(* Closed moves vs the full Definition 5 check                         *)
+(* ------------------------------------------------------------------ *)
+
+(* Every state the search reaches is acyclic and every merge set it
+   tries is closed under GROW, so skipping the cycle check must not
+   change a single verdict. *)
+let closed_moves_agree what prog =
+  let cost = Plan.Cost.create cost_cfg prog in
+  let moves = ref 0 in
+  let partition ~block ~compiler ~user g =
+    let probe p =
+      List.iter
+        (fun c ->
+          incr moves;
+          if
+            Core.Partition.check_closed_merge p c
+            <> Core.Partition.check_merge p c
+          then
+            Alcotest.failf "%s, block %d: closed check disagrees on [%s]" what
+              block
+              (String.concat ";" (List.map string_of_int c)))
+        (Plan.Search.merge_sets g p)
+    in
+    fst
+      (Plan.Search.block ~probe Plan.Search.default cost ~block
+         ~candidates:(compiler @ user) g)
+  in
+  match Compilers.Driver.(compile_custom_opts default_opts) prog ~partition with
+  | Ok _ -> !moves
+  | Error d -> Alcotest.failf "%s: %s" what (Obs.Diagnostic.to_string d)
+
+(* test/corpus, 120 generated programs, 120 more drawn denser (rank 1,
+   up to 14 statements, so blocks are longer and share regions more
+   often), and frac at tile 16 *)
+let test_closed_moves_agree () =
+  let corpus =
+    Sys.readdir "corpus" |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".zir")
+    |> List.sort compare
+    |> List.map (fun f ->
+           match Fuzz.Repro.load (Filename.concat "corpus" f) with
+           | Ok prog -> (f, prog)
+           | Error m -> Alcotest.failf "%s: %s" f m)
+  in
+  Alcotest.(check bool) "corpus is not empty" true (corpus <> []);
+  let generated ?cfg what seed =
+    let rng = Support.Prng.create seed in
+    List.init 120 (fun i ->
+        let name = Printf.sprintf "%s program %d" what (i + 1) in
+        (name, Fuzz.Gen.generate ?cfg rng))
+  in
+  let dense = { Fuzz.Gen.default with Fuzz.Gen.max_stmts = 14; max_rank = 1 } in
+  let moves =
+    List.fold_left
+      (fun acc (what, prog) -> acc + closed_moves_agree what prog)
+      0
+      (corpus
+      @ generated "generated" 2026L
+      @ generated ~cfg:dense "dense generated" 7L
+      @ [ ("frac tile 16", Suite.load ~tile:16 "frac") ])
+  in
+  Alcotest.(check bool) "moves were checked" true (moves > 0)
+
 let suites =
   [
     ( "plan",
@@ -523,6 +814,13 @@ let suites =
           test_cost_prefers_contraction;
         Alcotest.test_case "probe memo never changes an answer" `Quick
           test_probe_memo_exact;
+        QCheck_alcotest.to_alcotest prop_probe_period_exact;
+        Alcotest.test_case "layout aligns to every line size" `Quick
+          test_layout_precondition;
+        Alcotest.test_case "one-period probe exact on suite columns" `Slow
+          test_probe_exact_on_suite;
+        Alcotest.test_case "closed moves agree with check_merge" `Slow
+          test_closed_moves_agree;
         Alcotest.test_case "simple: search beats greedy, checksum equal" `Slow
           test_simple_search_wins;
         Alcotest.test_case "deterministic plans and provenance" `Slow

@@ -831,19 +831,19 @@ let socket_protocol_error () =
       | Ok _ -> Alcotest.fail "expected a stats reply"
       | Error d -> Alcotest.failf "stats: %s" (Obs.Diagnostic.to_string d))
 
-(* A client that hangs up before reading its reply must not take the
-   daemon down: writing that reply raises SIGPIPE, which kills a
-   process that does not ignore it.  The real zapd runs as a child
-   process, so a daemon that dies fails this test instead of killing
-   the test runner. *)
 let zapd = "../bin/zapd.exe"
 
-let zapd_survives_hangup () =
+(* Run [f] against the real zapd, started as a child process, with a
+   connection already open; then shut the daemon down, which must exit
+   cleanly.  A daemon that dies fails the test instead of killing the
+   test runner.  [f] gets the socket path, the open connection and a
+   description of the child's state for failure messages. *)
+let with_zapd name f =
   if Sys.file_exists zapd then begin
     let socket =
       Filename.concat
         (Filename.get_temp_dir_name ())
-        (Printf.sprintf "zapd-hangup-%d-%d.sock" (Unix.getpid ())
+        (Printf.sprintf "zapd-%s-%d-%d.sock" name (Unix.getpid ())
            (Random.int 10000))
     in
     let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
@@ -886,20 +886,7 @@ let zapd_survives_hangup () =
               await (tries - 1)
           | None -> Alcotest.failf "zapd did not come up (%s)" (status ())
         in
-        let fd = await 200 in
-        (* a slow cold plan, then hang up before the reply *)
-        let line =
-          {|{"op":"plan","source":{"bench":"frac"},"opts":{"plan":"ilp"}}|}
-          ^ "\n"
-        in
-        ignore (Unix.write_substring fd line 0 (String.length line));
-        Unix.close fd;
-        (match Service.Client.roundtrip ~socket Api.Stats with
-        | Ok (Api.Stats_reply _) -> ()
-        | Ok _ -> Alcotest.fail "expected a stats reply"
-        | Error d ->
-            Alcotest.failf "zapd %s: %s" (status ())
-              (Obs.Diagnostic.to_string d));
+        f ~socket ~status (await 200);
         (match Service.Client.roundtrip ~socket Api.Shutdown with
         | Ok _ -> ()
         | Error d ->
@@ -909,6 +896,80 @@ let zapd_survives_hangup () =
         | _, Unix.WEXITED 0 -> ()
         | _ -> Alcotest.fail "zapd did not exit cleanly after shutdown")
   end
+
+let expect_stats ~socket ~status =
+  match Service.Client.roundtrip ~socket Api.Stats with
+  | Ok (Api.Stats_reply _) -> ()
+  | Ok _ -> Alcotest.fail "expected a stats reply"
+  | Error d ->
+      Alcotest.failf "zapd %s: %s" (status ()) (Obs.Diagnostic.to_string d)
+
+(* A client that hangs up before reading its reply must not take the
+   daemon down: writing that reply raises SIGPIPE, which kills a
+   process that does not ignore it. *)
+let zapd_survives_hangup () =
+  with_zapd "hangup" (fun ~socket ~status fd ->
+      (* a slow cold plan, then hang up before the reply *)
+      let line =
+        {|{"op":"plan","source":{"bench":"frac"},"opts":{"plan":"ilp"}}|}
+        ^ "\n"
+      in
+      ignore (Unix.write_substring fd line 0 (String.length line));
+      Unix.close fd;
+      expect_stats ~socket ~status)
+
+(* A client that never sends a newline must not grow the daemon's
+   memory without bound: the first byte past the cap is answered with
+   a protocol diagnostic, that connection is closed, and the next
+   client is served. *)
+let zapd_caps_request_size () =
+  with_zapd "cap" (fun ~socket ~status fd ->
+      (* a daemon that hangs up early must fail this test, not kill the
+         runner with SIGPIPE *)
+      Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+      let flood = Bytes.make (Service.Server.max_request_bytes + 1) 'x' in
+      ignore (Unix.write fd flood 0 (Bytes.length flood));
+      (match Unix.select [ fd ] [] [] 10.0 with
+      | [], _, _ ->
+          Alcotest.failf "no reply to an over-long line within 10 s (zapd %s)"
+            (status ())
+      | _ -> (
+          let ic = Unix.in_channel_of_descr fd in
+          match
+            Result.bind (Obs.Json.of_string (input_line ic)) Api.response_of_json
+          with
+          | Ok (Api.Failed d) ->
+              Alcotest.(check string) "protocol phase" "protocol"
+                d.Obs.Diagnostic.phase;
+              Alcotest.(check bool) "connection closed after the reply" true
+                (match input_line ic with
+                | exception End_of_file -> true
+                | _ -> false)
+          | Ok _ -> Alcotest.fail "expected a Failed response"
+          | Error e -> Alcotest.failf "unparseable reply: %s" e
+          | exception End_of_file ->
+              Alcotest.failf "connection closed without a reply (zapd %s)"
+                (status ())));
+      Unix.close fd;
+      expect_stats ~socket ~status;
+      (* [zapc --connect] on a source past the cap gets the same
+         diagnostic, not a broken pipe from a daemon that already hung
+         up on a half-written line *)
+      let text = String.make (Service.Server.max_request_bytes + 1) ' ' in
+      (match
+         Service.Client.roundtrip ~socket
+           (Api.Compile
+              {
+                source = Api.Text { name = "big.zap"; text };
+                opts = Api.default_compile_opts;
+                target = Api.default_target;
+              })
+       with
+      | Error d ->
+          Alcotest.(check string) "client-side protocol phase" "protocol"
+            d.Obs.Diagnostic.phase
+      | Ok _ -> Alcotest.fail "an over-long source reached the daemon");
+      expect_stats ~socket ~status)
 
 let suites =
   [
@@ -958,5 +1019,7 @@ let suites =
           socket_protocol_error;
         Alcotest.test_case "zapd survives a client hang-up" `Quick
           zapd_survives_hangup;
+        Alcotest.test_case "zapd caps the request size" `Quick
+          zapd_caps_request_size;
       ] );
   ]
