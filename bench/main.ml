@@ -74,7 +74,6 @@ let sections =
     ("plan", Plan_gap.section);
     ("native", Native_exec.section);
     ("fuzz", Fuzz_smoke.section);
-    ("zapd", Zapd_load.section);
     ("lazy", Lazy_stream.section);
     ("speed", optimizer_speed);
   ]

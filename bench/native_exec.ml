@@ -91,7 +91,7 @@ type rowr = {
   interp_checksum : string;
   native_checksum : string;
   agrees : bool;
-  units : int;  (* cluster translation units in the artifact *)
+  units : int;  (* fused clusters, one C function each *)
   key : string;  (* artifact content address *)
   built : bool;  (* this cell's cold pass actually compiled *)
 }

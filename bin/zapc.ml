@@ -201,7 +201,7 @@ let print_spmd ~quiet (p : Api.perf) (s : Api.spmd_summary) =
 let print_native ~quiet (n : Api.native_summary) =
   if not quiet then
     Printf.printf
-      "native: wall %.3f ms over %d cluster units (%s)\n\
+      "native: wall %.3f ms over %d clusters (%s)\n\
       \  compiler %s\n\
       \  checksum %s\n"
       (Int64.to_float n.Api.native_wall_ns /. 1e6)
@@ -224,8 +224,16 @@ let render ~quiet ~emit_c_path ~stats ~recorder (s : Api.summary) provenance
         | oc ->
             output_string oc text;
             close_out oc;
-            if not quiet then
-              Printf.printf "wrote %s (compile with: cc -O2 %s -lm)\n" path path;
+            if not quiet then begin
+              let exe =
+                match Filename.extension path with
+                | "" -> path ^ ".out"
+                | _ -> Filename.remove_extension path
+              in
+              Printf.printf "wrote %s (compile with: %s)\n" path
+                (Native.Proc.render_argv
+                   (Native.Toolchain.cc_argv () @ [ "-o"; exe; path; "-lm" ]))
+            end;
             Ok ()
         | exception Sys_error m -> Error (Diag.error ~phase:"cli" m))
     | _ -> Ok ()
@@ -560,7 +568,8 @@ let dump_plan_arg =
 let dump_c_arg =
   Arg.(
     value & flag
-    & info [ "dump-c" ] ~doc:"Print the generated scalar code as C.")
+    & info [ "dump-c" ]
+        ~doc:"Print the generated C translation unit (the text $(b,--emit-c) writes).")
 
 let emit_c_arg =
   Arg.(
@@ -568,7 +577,9 @@ let emit_c_arg =
     & opt (some string) None
     & info [ "emit-c" ] ~docv:"FILE.c"
         ~doc:
-          "Write a complete, runnable C translation unit that prints the            result digest (the differential-test back end).")
+          "Write the generated C translation unit to $(docv) and print the \
+           command that compiles it.  The program prints the live-out \
+           digest $(b,--run) reports and the nanoseconds its clusters took.")
 
 let run_arg =
   Arg.(

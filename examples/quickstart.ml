@@ -55,6 +55,7 @@ let () =
   Format.printf "@.c2 contracted: %s@."
     (String.concat ", " (List.map fst c2.Compilers.Driver.contracted));
 
-  (* and the generated scalar code, as C, for inspection *)
-  Format.printf "@.=== generated code (c2) ===@.%a@." Sir.Code.pp_c
+  (* and the C the native engine compiles: one function per fused
+     cluster, a main that prints the digest and the cluster time *)
+  Format.printf "@.=== generated C (c2) ===@.%a" Sir.Emit_c.emit
     c2.Compilers.Driver.code

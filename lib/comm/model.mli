@@ -129,6 +129,12 @@ val analyze :
     execution multipliers, then sums each block's messages.  With
     [procs = 1] everything is local: the summary is all zeros. *)
 
+val expr_flops : Ir.Expr.t -> int
+(** The models' static flop count of one evaluation: one per [Unop],
+    [Binop] and [Select] node, comparisons included.  [Plan.Cost]
+    prices with it too.  The executors count differently
+    ({!Ir.Expr.is_flop}). *)
+
 val cluster_cost_ns :
   machine:Machine.t -> Core.Partition.t -> int -> float
 (** Static per-execution compute estimate for one cluster (used for

@@ -51,10 +51,6 @@ let mk_arr base (a : Code.alloc) =
 
 let undefined_array name = err "undefined (or contracted) array %s" name
 
-let is_flop : Ir.Expr.binop -> bool = function
-  | Add | Sub | Mul | Div | Pow | Min | Max -> true
-  | Lt | Le | Gt | Ge | Eq | Ne | And | Or -> false
-
 (* Loads and flops one evaluation of [e] performs.  Static: Select
    evaluates both arms and a raise ends the run. *)
 let rec cost (e : Code.expr) =
@@ -66,7 +62,7 @@ let rec cost (e : Code.expr) =
       (l, f + 1)
   | Binop (op, a, b) ->
       let la, fa = cost a and lb, fb = cost b in
-      (la + lb, fa + fb + Bool.to_int (is_flop op))
+      (la + lb, fa + fb + Bool.to_int (Ir.Expr.is_flop op))
   | Select (c, a, b) ->
       let lc, fc = cost c and la, fa = cost a and lb, fb = cost b in
       (lc + la + lb, fc + fa + fb)

@@ -8,7 +8,7 @@
      - the search-based planner (zapc --plan search);
      - the SPMD engine on 1/4/16 simulated processors;
      - when a C compiler is present, the Native runner built from the
-       Sir.Emit_c translation units and executed as a subprocess.
+       Sir.Emit_c translation unit and executed as a subprocess.
 
    Checksums go through Interp.Digest, which canonicalizes NaN
    payloads — a payload difference between OCaml's ** and libm's pow

@@ -5,7 +5,7 @@
     {!Exec.Interp} on the code of each greedy optimization level,
     the search-based and ILP planners, the SPMD engine at several
     processor counts, and — when a C compiler is available — the
-    {!Native} runner built from the {!Sir.Emit_c} translation units.
+    {!Native} runner built from the {!Sir.Emit_c} translation unit.
     Checksums use
     {!Exec.Interp.Digest}, which canonicalizes NaN payloads, so only
     semantic differences register. *)

@@ -131,6 +131,10 @@ let apply_binop op x y =
   | And -> of_bool (bool_of x && bool_of y)
   | Or -> of_bool (bool_of x || bool_of y)
 
+let is_flop = function
+  | Add | Sub | Mul | Div | Pow | Min | Max -> true
+  | Lt | Le | Gt | Ge | Eq | Ne | And | Or -> false
+
 let unop_name = function
   | Neg -> "-"
   | Sqrt -> "sqrt"

@@ -66,6 +66,13 @@ val rank_consistent : rank:int -> t -> bool
 val apply_unop : unop -> float -> float
 val apply_binop : binop -> float -> float -> float
 
+val is_flop : binop -> bool
+(** Whether an executed [Binop] counts as a flop in the executors'
+    counters ([Exec.Interp], [Spmd]): arithmetic, [Min] and [Max] do;
+    comparisons and logical connectives do not.  There, every [Unop]
+    counts one and a [Select] none.  The models' static count
+    ([Comm.Model.expr_flops]) is a different rule. *)
+
 val fmin : float -> float -> float
 val fmax : float -> float -> float
 (** The semantics of [Min]/[Max] (and of the [Rmin]/[Rmax] reduction

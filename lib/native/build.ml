@@ -69,57 +69,26 @@ let rec remove_tree path =
 (* Compile                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let fail_of (o : Proc.outcome) =
-  Error
-    {
-      argv = o.Proc.argv;
-      status = Proc.status_string o.Proc.status;
-      detail = (if o.Proc.stderr <> "" then o.Proc.stderr else o.Proc.stdout);
-    }
-
 let write_and_compile ~dir code =
   if not (Toolchain.available ()) then
     Error { argv = [ "cc"; "--version" ]; status = "exit 127"; detail = "no C compiler on PATH" }
   else begin
-    let units = Sir.Emit_c.to_units code in
-    List.iter
-      (fun (u : Sir.Emit_c.unit_file) ->
-        Out_channel.with_open_bin (Filename.concat dir u.Sir.Emit_c.filename)
-          (fun oc -> Out_channel.output_string oc u.Sir.Emit_c.contents))
-      units;
-    let c_units =
-      List.filter
-        (fun (u : Sir.Emit_c.unit_file) ->
-          Filename.check_suffix u.Sir.Emit_c.filename ".c")
-        units
-    in
-    let objects = ref [] in
-    let compile_unit (u : Sir.Emit_c.unit_file) =
-      let src = Filename.concat dir u.Sir.Emit_c.filename in
-      let obj = Filename.concat dir (Filename.chop_suffix u.Sir.Emit_c.filename ".c" ^ ".o") in
-      let o = Proc.run (Toolchain.cc_argv () @ [ "-c"; src; "-o"; obj ]) in
-      if Proc.succeeded o then begin
-        objects := obj :: !objects;
-        Ok ()
-      end
-      else fail_of o
-    in
-    let rec compile_all = function
-      | [] -> Ok ()
-      | u :: tl -> Result.bind (compile_unit u) (fun () -> compile_all tl)
-    in
-    Result.bind (compile_all c_units) @@ fun () ->
+    let src = Filename.concat dir "prog.c" in
+    Out_channel.with_open_bin src (fun oc ->
+        Out_channel.output_string oc (Sir.Emit_c.to_string code));
     let runner = Filename.concat dir "runner" in
-    let o =
-      Proc.run
-        (Toolchain.cc_argv () @ [ "-o"; runner ] @ List.rev !objects @ [ "-lm" ])
-    in
+    let o = Proc.run (Toolchain.cc_argv () @ [ "-o"; runner; src; "-lm" ]) in
     if Proc.succeeded o then begin
       Atomic.incr builds;
-      (* clusters = every .c except the driver *)
-      Ok { runner; units = List.length c_units - 1 }
+      Ok { runner; units = Sir.Emit_c.cluster_count code }
     end
-    else fail_of o
+    else
+      Error
+        {
+          argv = o.Proc.argv;
+          status = Proc.status_string o.Proc.status;
+          detail = (if o.Proc.stderr <> "" then o.Proc.stderr else o.Proc.stdout);
+        }
   end
 
 (* ------------------------------------------------------------------ *)

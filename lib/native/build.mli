@@ -1,9 +1,10 @@
 (** Compile a scalarized program to a native runner and execute it.
 
-    The program is lowered through {!Sir.Emit_c.to_units} — one C
-    translation unit per fused cluster plus a driver — compiled unit
-    by unit and linked into a standalone runner executable.  The
-    runner speaks the oracle's checksum protocol: one stdout line,
+    The program is printed by {!Sir.Emit_c.to_string} — one C
+    translation unit with one function per fused cluster — into
+    [prog.c], and one cc call compiles and links it into a standalone
+    runner executable.  The runner speaks the oracle's checksum
+    protocol: one stdout line,
     [<16-hex live-out digest> <wall nanoseconds>], where the digest is
     bit-identical to {!Exec.Interp.checksum} and the nanoseconds cover
     exactly the cluster calls (array setup and digesting excluded).
@@ -22,11 +23,11 @@ type error = {
 }
 
 val error_to_string : error -> string
-(** ["`cc -O2 ... cluster_0.c` failed (exit 1): <stderr>"]. *)
+(** ["`cc -O2 ... prog.c -lm` failed (exit 1): <stderr>"]. *)
 
 type built = {
   runner : string;  (** absolute path of the linked executable *)
-  units : int;  (** cluster translation units compiled *)
+  units : int;  (** fused clusters, one C function each *)
 }
 
 type run_result = {
@@ -39,9 +40,10 @@ val total_builds : unit -> int
     the warm-path tests assert this does not move on cache hits. *)
 
 val write_and_compile : dir:string -> Sir.Code.program -> (built, error) result
-(** Write the units into [dir] (created by the caller) and compile
-    them there.  Requires {!Toolchain.available}; reports the probe
-    failure as an [error] otherwise. *)
+(** Write [prog.c] into [dir] (created by the caller) and compile it
+    there with one [Toolchain.cc_argv () @ ["-o"; runner; prog.c; "-lm"]].
+    Requires {!Toolchain.available}; reports the probe failure as an
+    [error] otherwise. *)
 
 val run_exe : string -> (run_result, error) result
 (** Execute a runner and parse the protocol line. *)

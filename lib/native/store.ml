@@ -33,18 +33,11 @@ let ensure_root t =
     try Sys.mkdir t.root 0o700 with
     | Sys_error _ when Sys.file_exists t.root -> ()
 
-(* the content address: emitted units + compile command + toolchain.
+(* the content address: the emitted C + compile command + toolchain.
    A compiler upgrade changes the key, so stale binaries built by an
    older cc are never adopted. *)
-let content_key units =
-  let h =
-    List.fold_left
-      (fun h (u : Sir.Emit_c.unit_file) ->
-        Support.Hash64.mix_string
-          (Support.Hash64.mix_string h u.Sir.Emit_c.filename)
-          u.Sir.Emit_c.contents)
-      Support.Hash64.empty units
-  in
+let content_key source =
+  let h = Support.Hash64.mix_string Support.Hash64.empty source in
   let h = Support.Hash64.mix_string h (String.concat "\x00" (Toolchain.cc_argv ())) in
   let h = Support.Hash64.mix_string h (Toolchain.describe ()) in
   Support.Hash64.to_hex h
@@ -60,8 +53,7 @@ let publish ~tmp ~final =
       Sys.file_exists final
 
 let get t (code : Sir.Code.program) =
-  let units = Sir.Emit_c.to_units code in
-  let key = content_key units in
+  let key = content_key (Sir.Emit_c.to_string code) in
   match Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.memo key) with
   | Some a ->
       Atomic.incr t.reused;
@@ -75,7 +67,7 @@ let get t (code : Sir.Code.program) =
           {
             key;
             runner;
-            units = List.length units - 2 (* minus prog.h and main.c *);
+            units = Sir.Emit_c.cluster_count code;
             compiler = Toolchain.describe ();
           }
         in

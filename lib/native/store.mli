@@ -1,19 +1,20 @@
 (** Content-addressed store of compiled native artifacts.
 
-    An artifact — the linked runner executable plus its sources — is a
-    pure function of the emitted C units, the compile command, and the
-    toolchain that answered the probe; its {e content key} is a 64-bit
-    hash of exactly those, so a plan recompiled to identical C (same
-    fingerprint, same planning regime) reuses the artifact with zero
-    cc invocations, across requests {e and} across process restarts
-    (the store root survives on disk; a re-started daemon re-adopts
-    artifacts it finds there without recompiling).
+    An artifact — the runner executable plus its source — is a pure
+    function of the emitted C ({!Sir.Emit_c.to_string}), the compile
+    command, and the toolchain that answered the probe; its
+    {e content key} is a 64-bit hash of exactly those, so a plan
+    recompiled to identical C (same fingerprint, same planning regime)
+    reuses the artifact with zero cc invocations, across requests
+    {e and} across process restarts (the store root survives on disk;
+    a re-started daemon re-adopts artifacts it finds there without
+    recompiling).
 
-    Layout: [<root>/<key16hex>/] holding [prog.h], [cluster_<k>.c],
-    [main.c], [runner] and a one-line [meta] provenance file.  Builds
-    go to a private [<root>/tmp-...] directory and are published by an
-    atomic [rename]; a concurrent builder that loses the race adopts
-    the winner's artifact.  In-memory, a mutexed memo makes the warm
+    Layout: [<root>/<key16hex>/] holding [prog.c], [runner] and a
+    one-line [meta] provenance file.  Builds go to a private
+    [<root>/tmp-...] directory and are published by an atomic
+    [rename]; a concurrent builder that loses the race adopts the
+    winner's artifact.  In-memory, a mutexed memo makes the warm
     path a hash lookup — higher-level caching (and in-flight miss
     coalescing) lives in [Service.Engine]. *)
 
@@ -22,7 +23,7 @@ type t
 type artifact = {
   key : string;  (** 16-hex content address *)
   runner : string;  (** absolute path of the executable *)
-  units : int;  (** cluster translation units *)
+  units : int;  (** fused clusters, one C function each *)
   compiler : string;  (** {!Toolchain.describe} at build time *)
 }
 

@@ -145,13 +145,6 @@ let sweep_misses (m : Machine.t) key =
   ( float_of_int (count l1_after) *. scale,
     float_of_int (count l2_after) *. scale )
 
-let rec expr_flops (e : Expr.t) =
-  match e with
-  | Expr.Const _ | Expr.Svar _ | Expr.Ref _ | Expr.Idx _ -> 0
-  | Expr.Unop (_, a) -> 1 + expr_flops a
-  | Expr.Binop (_, a, b) -> 1 + expr_flops a + expr_flops b
-  | Expr.Select (c, a, b) -> 1 + expr_flops c + expr_flops a + expr_flops b
-
 let create cfg prog =
   let blocks = Prog.blocks prog in
   let mults, red_execs = Comm.Model.block_multipliers prog in
@@ -182,7 +175,7 @@ let create cfg prog =
         let flops =
           List.fold_left
             (fun acc (s : Nstmt.t) ->
-              acc + (expr_flops s.rhs * Region.volume s.region))
+              acc + (Comm.Model.expr_flops s.rhs * Region.volume s.region))
             0 stmts
         in
         let per_stmt f = Array.of_list (List.map f stmts) in

@@ -307,7 +307,7 @@ type native_summary = {
   native_checksum : string;
   native_wall_ns : int64;
   native_compiler : string;  (** {!Native.Toolchain.describe} at build time *)
-  native_units : int;  (** cluster translation units in the artifact *)
+  native_units : int;  (** fused clusters, one C function each *)
   native_matches : bool;  (** checksum equals the modeled run's *)
 }
 

@@ -49,8 +49,8 @@ type compile_opts = {
   simplify : bool;  (** run the scalar back end (constant folding + CSE) *)
   dump_ir : bool;  (** include the rendered array IR in the response *)
   dump_plan : bool;  (** include the rendered fusion/contraction plan *)
-  dump_c : bool;  (** include the generated scalar code as C *)
-  emit_c : bool;  (** include the complete runnable C translation unit *)
+  dump_c : bool;  (** include the generated C ({!Sir.Emit_c.to_string}) *)
+  emit_c : bool;  (** the same text, for [zapc --emit-c] to write to a file *)
 }
 
 val default_compile_opts : compile_opts
@@ -144,7 +144,7 @@ type native_summary = {
           timing-dependent field in a [Ran] response; everything else
           is byte-identical cold vs warm *)
   native_compiler : string;  (** toolchain description at build time *)
-  native_units : int;  (** cluster translation units in the artifact *)
+  native_units : int;  (** fused clusters, one C function each *)
   native_matches : bool;  (** [native_checksum] equals [perf.checksum] *)
 }
 

@@ -323,6 +323,11 @@ let render_plan (c : Compilers.Driver.compiled) =
 let summary_of ~fingerprint ~merged_away ~(opts : Api.compile_opts) prog
     (c : Compilers.Driver.compiled) =
   let nc, nu = Compilers.Driver.contracted_counts c in
+  let c_text =
+    if opts.Api.dump_c || opts.Api.emit_c then
+      Some (Sir.Emit_c.to_string c.Compilers.Driver.code)
+    else None
+  in
   {
     Api.program = prog.Ir.Prog.name;
     level = Compilers.Driver.level_name c.Compilers.Driver.level;
@@ -342,17 +347,8 @@ let summary_of ~fingerprint ~merged_away ~(opts : Api.compile_opts) prog
          Some (render_fmt (fun ppf -> Format.fprintf ppf "%a@." Ir.Prog.pp prog))
        else None);
     dump_plan = (if opts.Api.dump_plan then Some (render_plan c) else None);
-    dump_c =
-      (if opts.Api.dump_c then
-         Some
-           (render_fmt (fun ppf ->
-                Format.fprintf ppf "%a@." Sir.Code.pp_c
-                  c.Compilers.Driver.code))
-       else None);
-    emit_c =
-      (if opts.Api.emit_c then
-         Some (Sir.Emit_c.to_string c.Compilers.Driver.code)
-       else None);
+    dump_c = (if opts.Api.dump_c then c_text else None);
+    emit_c = (if opts.Api.emit_c then c_text else None);
   }
 
 (* ------------------------------------------------------------------ *)

@@ -54,132 +54,3 @@ let count_nests p =
     | _ :: tl -> top acc tl
   in
   top 0 p.body
-
-let rec free_scalars = function
-  | Const _ -> []
-  | Scalar s -> [ s ]
-  | Load (_, subs) ->
-      Array.to_list subs
-      |> List.filter_map (fun s -> if s.base = "" then None else Some s.base)
-  | Unop (_, a) -> free_scalars a
-  | Binop (_, a, b) -> free_scalars a @ free_scalars b
-  | Select (c, a, b) -> free_scalars c @ free_scalars a @ free_scalars b
-
-(* ------------------------------------------------------------------ *)
-(* Printing                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let pp_subscript ppf s =
-  if s.base = "" then Format.pp_print_int ppf s.off
-  else if s.off = 0 then Format.pp_print_string ppf s.base
-  else Format.fprintf ppf "%s%+d" s.base s.off
-
-let pp_subs ppf subs =
-  Array.iter (fun s -> Format.fprintf ppf "[%a]" pp_subscript s) subs
-
-let unop_c : Ir.Expr.unop -> string = function
-  | Neg -> "-"
-  | Sqrt -> "sqrt"
-  | Exp -> "exp"
-  | Log -> "log"
-  | Sin -> "sin"
-  | Cos -> "cos"
-  | Abs -> "fabs"
-  | Floor -> "floor"
-  | Not -> "!"
-  | Hashrand -> "hashrand"
-
-let binop_c : Ir.Expr.binop -> string = function
-  | Add -> "+"
-  | Sub -> "-"
-  | Mul -> "*"
-  | Div -> "/"
-  | Pow -> "pow"
-  | Min -> "fmin"
-  | Max -> "fmax"
-  | Lt -> "<"
-  | Le -> "<="
-  | Gt -> ">"
-  | Ge -> ">="
-  | Eq -> "=="
-  | Ne -> "!="
-  | And -> "&&"
-  | Or -> "||"
-
-let rec pp_expr ppf = function
-  | Const f -> Format.fprintf ppf "%g" f
-  | Scalar s -> Format.pp_print_string ppf s
-  | Load (x, subs) -> Format.fprintf ppf "%s%a" x pp_subs subs
-  | Unop ((Neg | Not) as op, a) ->
-      Format.fprintf ppf "%s(%a)" (unop_c op) pp_expr a
-  | Unop (op, a) -> Format.fprintf ppf "%s(%a)" (unop_c op) pp_expr a
-  | Binop ((Pow | Min | Max) as op, a, b) ->
-      Format.fprintf ppf "%s(%a, %a)" (binop_c op) pp_expr a pp_expr b
-  | Binop (op, a, b) ->
-      Format.fprintf ppf "(%a %s %a)" pp_expr a (binop_c op) pp_expr b
-  | Select (c, a, b) ->
-      Format.fprintf ppf "(%a ? %a : %a)" pp_expr c pp_expr a pp_expr b
-
-let rec pp_stmt ppf = function
-  | Sassign (x, e) -> Format.fprintf ppf "@[<h>%s = %a;@]" x pp_expr e
-  | Store (x, subs, e) ->
-      Format.fprintf ppf "@[<h>%s%a = %a;@]" x pp_subs subs pp_expr e
-  | For { var; lo; hi; step; body } ->
-      let init, cond, next =
-        if step >= 0 then
-          ( Printf.sprintf "%s = %d" var lo,
-            Printf.sprintf "%s <= %d" var hi,
-            var ^ "++" )
-        else
-          ( Printf.sprintf "%s = %d" var hi,
-            Printf.sprintf "%s >= %d" var lo,
-            var ^ "--" )
-      in
-      Format.fprintf ppf "@[<v 2>for (%s; %s; %s) {@,%a@]@,}" init cond next
-        pp_body body
-
-and pp_body ppf body =
-  Format.pp_print_list
-    ~pp_sep:(fun ppf () -> Format.pp_print_cut ppf ())
-    pp_stmt ppf body
-
-let pp ppf p =
-  Format.fprintf ppf "@[<v>/* %s */@," p.name;
-  List.iter
-    (fun (a : alloc) ->
-      Format.fprintf ppf "double %s%s;@," a.name
-        (String.concat ""
-           (Array.to_list
-              (Array.map (fun (lo, hi) -> Printf.sprintf "[%d..%d]" lo hi) a.dims))))
-    p.allocs;
-  List.iter (fun (s, v) -> Format.fprintf ppf "double %s = %g;@," s v) p.scalars;
-  pp_body ppf p.body;
-  Format.fprintf ppf "@]"
-
-let pp_c ppf p =
-  Format.fprintf ppf "@[<v>/* generated from array program %s */@," p.name;
-  Format.fprintf ppf "#include <math.h>@,@,";
-  List.iter
-    (fun (a : alloc) ->
-      (* C arrays are 0-based; we allocate the full inclusive extent and
-         index with the original bounds via offset macros for clarity. *)
-      Format.fprintf ppf "static double %s%s;@," a.name
-        (String.concat ""
-           (Array.to_list
-              (Array.map
-                 (fun (lo, hi) -> Printf.sprintf "[%d]" (hi - lo + 1))
-                 a.dims)));
-      Format.fprintf ppf "/* %s bounds:%s (subscripts shown unshifted) */@,"
-        a.name
-        (String.concat ""
-           (Array.to_list
-              (Array.map (fun (lo, hi) -> Printf.sprintf " [%d..%d]" lo hi) a.dims))))
-    p.allocs;
-  Format.fprintf ppf "@,void %s(void) {@," p.name;
-  List.iter
-    (fun (s, v) -> Format.fprintf ppf "  double %s = %g;@," s v)
-    p.scalars;
-  Format.fprintf ppf "  int %s;@,"
-    (String.concat ", "
-       (List.init 8 (fun i -> loop_var (i + 1))));
-  Format.fprintf ppf "  @[<v>%a@]@,}@]" pp_body p.body

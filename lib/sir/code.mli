@@ -4,7 +4,7 @@
     nest over explicit scalar loads and stores.  This IR is what a
     scalarized array program looks like just before native code
     generation; our instrumented interpreter executes it directly, and
-    {!pp_c} prints it as compilable C for inspection.
+    {!Emit_c} prints it as a runnable C program.
 
     Loop index variables are reserved names [__i1 .. __in], one per
     array dimension; the frontend rejects user identifiers beginning
@@ -62,18 +62,3 @@ val count_loops : program -> int
 val count_nests : program -> int
 (** Number of outermost loop nests in straight-line positions — fused
     programs have fewer nests. *)
-
-val free_scalars : expr -> string list
-(** Scalar names an expression reads (excluding loop variables of
-    enclosing loops, which the caller tracks). *)
-
-val pp_expr : Format.formatter -> expr -> unit
-(** One expression, C-like syntax. *)
-
-val pp_c : Format.formatter -> program -> unit
-(** Renders the program as a self-contained C translation unit (for
-    human inspection and documentation; the interpreter is the
-    authoritative executor). *)
-
-val pp : Format.formatter -> program -> unit
-(** Compact IR dump. *)

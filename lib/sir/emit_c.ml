@@ -1,14 +1,17 @@
-(* A complete C program equivalent to the scalar IR. *)
+(* The one C printer: a complete, runnable translation unit equivalent
+   to the scalar IR, with one function per fused cluster. *)
 
 let header =
   {|#include <stdio.h>
 #include <stdint.h>
 #include <string.h>
 #include <math.h>
+#include <time.h>
 
 /* bit-exact port of Ir.Expr.hashrand (splitmix64 over the double's
-   bit pattern, top 53 bits to (0,1)) */
-static double hashrand(double x) {
+   bit pattern, top 53 bits to (0,1)); inline, or cc keeps it an
+   out-of-line call in clusters that use it often (ep at baseline) */
+static inline double hashrand(double x) {
   uint64_t z;
   memcpy(&z, &x, 8);
   z += 0x9E3779B97F4A7C15ULL;
@@ -21,10 +24,10 @@ static double hashrand(double x) {
 /* bit-exact port of Ir.Expr.fmin/fmax: NaN-propagating, left-biased
    on ties (so signed zeros resolve as in the interpreters).  libm's
    fmin/fmax return the non-NaN operand and must not be used here. */
-static double zap_min(double x, double y) {
+static inline double zap_min(double x, double y) {
   return (x != x || y != y) ? NAN : (x <= y ? x : y);
 }
-static double zap_max(double x, double y) {
+static inline double zap_max(double x, double y) {
   return (x != x || y != y) ? NAN : (x >= y ? x : y);
 }
 
@@ -37,6 +40,15 @@ static void mix(double v) {
   digest = digest * 6364136223846793005ULL
          + (bits ^ 1442695040888963407ULL);
 }
+
+/* each fused cluster stays its own function: inlined into main, its
+   loop nest could be merged with its neighbours' by the compiler, and
+   the runner would no longer measure the plan's partition */
+#ifdef __GNUC__
+#define NOINLINE __attribute__((noinline))
+#else
+#define NOINLINE
+#endif
 |}
 
 (* accessor macro name for an array *)
@@ -46,7 +58,7 @@ let acc name = "AT_" ^ name
    collide with libc/libm symbols (e.g. a config named "gamma") *)
 let m name = "v_" ^ name
 
-let collect_loop_vars_stmts (body : Code.stmt list) =
+let collect_loop_vars (body : Code.stmt list) =
   let seen = Hashtbl.create 16 in
   let rec go = function
     | Code.For { var; body; _ } ->
@@ -56,8 +68,6 @@ let collect_loop_vars_stmts (body : Code.stmt list) =
   in
   List.iter go body;
   Hashtbl.fold (fun v () acc -> v :: acc) seen [] |> List.sort compare
-
-let collect_loop_vars (p : Code.program) = collect_loop_vars_stmts p.Code.body
 
 let pp_subscripts ppf (subs : Code.subscript array) =
   Format.fprintf ppf "(%s)"
@@ -156,58 +166,6 @@ let acc_macro (a : Code.alloc) =
   in
   (String.concat ", " params, index)
 
-let pp_acc_define ppf (a : Code.alloc) =
-  let params, index = acc_macro a in
-  Format.fprintf ppf "#define %s(%s) %s_[%s]@," (acc a.Code.name) params
-    a.Code.name index
-
-let emit ppf (p : Code.program) =
-  let loopvars = collect_loop_vars p in
-  Format.fprintf ppf "@[<v>/* generated from %s — differential-test back end */@," p.Code.name;
-  Format.fprintf ppf "%s@," header;
-  (* arrays: flat storage + accessor macros over the original bounds *)
-  List.iter
-    (fun (a : Code.alloc) ->
-      let vol = max 1 (Code.alloc_volume a) in
-      Format.fprintf ppf "static double %s_[%d];@," a.Code.name vol;
-      pp_acc_define ppf a)
-    p.Code.allocs;
-  (* scalars *)
-  List.iter
-    (fun (s, v) -> Format.fprintf ppf "static double %s = %h;@," (m s) v)
-    p.Code.scalars;
-  Format.fprintf ppf "@,int main(void) {@,";
-  if loopvars <> [] then
-    Format.fprintf ppf "  long %s;@,"
-      (String.concat ", " (List.map m loopvars));
-  Format.fprintf ppf "  @[<v>";
-  List.iter (pp_stmt loopvars 0 ppf) p.Code.body;
-  Format.fprintf ppf "@]@,";
-  (* digest of the live-out set, exactly as Exec.Interp.checksum *)
-  List.iter
-    (fun out ->
-      match
-        List.find_opt (fun (a : Code.alloc) -> a.Code.name = out) p.Code.allocs
-      with
-      | Some a ->
-          Format.fprintf ppf
-            "  for (long k_ = 0; k_ < %d; k_++) mix(%s_[k_]);@,"
-            (max 1 (Code.alloc_volume a))
-            a.Code.name
-      | None -> Format.fprintf ppf "  mix(%s);@," (m out))
-    p.Code.live_out;
-  Format.fprintf ppf "  printf(\"%%016llx\\n\", (unsigned long long)digest);@,";
-  Format.fprintf ppf "  return 0;@,}@]@."
-
-let to_string p = Format.asprintf "%a" emit p
-
-(* ------------------------------------------------------------------ *)
-(* Multi-unit emission: one translation unit per fused cluster plus a
-   driver, for the native execution engine.                            *)
-(* ------------------------------------------------------------------ *)
-
-type unit_file = { filename : string; contents : string }
-
 (* A fused cluster, in the scalarized code, is an outermost loop nest
    together with the scalar assignments that immediately precede it
    (reduction-accumulator initializations and the like).  A trailing
@@ -227,127 +185,55 @@ let clusters_of_body (body : Code.stmt list) =
 
 let cluster_count (p : Code.program) = List.length (clusters_of_body p.Code.body)
 
-(* helpers shared by every cluster unit: static inline in the header,
-   so each unit gets its own copy and the linker sees no duplicates *)
-let shared_helpers =
-  {|/* bit-exact port of Ir.Expr.hashrand (splitmix64 over the double's
-   bit pattern, top 53 bits to (0,1)) */
-static inline double hashrand(double x) {
-  uint64_t z;
-  memcpy(&z, &x, 8);
-  z += 0x9E3779B97F4A7C15ULL;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  z = z ^ (z >> 31);
-  return ((double)(z >> 11) + 0.5) * (1.0 / 9007199254740992.0);
-}
+let pp_cluster ppf k body =
+  let loopvars = collect_loop_vars body in
+  Format.fprintf ppf "@,static NOINLINE void cluster_%d(void) {@," k;
+  if loopvars <> [] then
+    Format.fprintf ppf "  long %s;@," (String.concat ", " (List.map m loopvars));
+  List.iter (pp_stmt loopvars 2 ppf) body;
+  Format.fprintf ppf "}@,"
 
-/* bit-exact port of Ir.Expr.fmin/fmax: NaN-propagating, left-biased
-   on ties.  libm's fmin/fmax return the non-NaN operand and must not
-   be used here. */
-static inline double zap_min(double x, double y) {
-  return (x != x || y != y) ? NAN : (x <= y ? x : y);
-}
-static inline double zap_max(double x, double y) {
-  return (x != x || y != y) ? NAN : (x >= y ? x : y);
-}
-|}
-
-let render f =
-  let buf = Buffer.create 1024 in
-  let ppf = Format.formatter_of_buffer buf in
-  f ppf;
-  Format.pp_print_flush ppf ();
-  Buffer.contents buf
-
-let emit_header (p : Code.program) ~clusters =
-  render (fun ppf ->
-      Format.fprintf ppf
-        "@[<v>/* generated from %s — native engine shared header */@,"
-        p.Code.name;
-      Format.fprintf ppf "#ifndef ZAP_PROG_H@,#define ZAP_PROG_H@,";
-      Format.fprintf ppf
-        "#include <stdint.h>@,#include <string.h>@,#include <math.h>@,@,";
-      Format.fprintf ppf "%s@," shared_helpers;
-      List.iter
-        (fun (a : Code.alloc) ->
-          let vol = max 1 (Code.alloc_volume a) in
-          Format.fprintf ppf "extern double %s_[%d];@," a.Code.name vol;
-          pp_acc_define ppf a)
-        p.Code.allocs;
-      List.iter
-        (fun (s, _) -> Format.fprintf ppf "extern double %s;@," (m s))
-        p.Code.scalars;
-      Format.fprintf ppf "@,";
-      List.iteri
-        (fun k _ -> Format.fprintf ppf "void cluster_%d(void);@," k)
-        clusters;
-      Format.fprintf ppf "#endif@]@.")
-
-let emit_cluster (p : Code.program) ~k (body : Code.stmt list) =
-  render (fun ppf ->
-      let loopvars = collect_loop_vars_stmts body in
-      Format.fprintf ppf "@[<v>/* %s — fused cluster %d */@," p.Code.name k;
-      Format.fprintf ppf "#include \"prog.h\"@,@,";
-      Format.fprintf ppf "void cluster_%d(void) {@," k;
-      if loopvars <> [] then
-        Format.fprintf ppf "  long %s;@," (String.concat ", " (List.map m loopvars));
-      Format.fprintf ppf "  @[<v>";
-      List.iter (pp_stmt loopvars 0 ppf) body;
-      Format.fprintf ppf "@]@,}@]@.")
-
-let emit_driver (p : Code.program) ~clusters =
-  render (fun ppf ->
-      Format.fprintf ppf "@[<v>/* %s — native engine driver */@," p.Code.name;
-      Format.fprintf ppf "#include \"prog.h\"@,#include <stdio.h>@,#include <time.h>@,@,";
-      (* the storage the header declares extern *)
-      List.iter
-        (fun (a : Code.alloc) ->
-          Format.fprintf ppf "double %s_[%d];@," a.Code.name
-            (max 1 (Code.alloc_volume a)))
-        p.Code.allocs;
-      List.iter
-        (fun (s, v) -> Format.fprintf ppf "double %s = %h;@," (m s) v)
-        p.Code.scalars;
-      Format.fprintf ppf
-        {|@,static uint64_t digest = 0;@,static void mix(double v) {@,  uint64_t bits;@,  /* canonicalize NaN payloads, as Exec.Interp.Digest.mix does */@,  if (v != v) bits = 0x7FF8000000000000ULL;@,  else memcpy(&bits, &v, 8);@,  digest = digest * 6364136223846793005ULL@,         + (bits ^ 1442695040888963407ULL);@,}@,@,|};
-      Format.fprintf ppf "int main(void) {@,";
-      Format.fprintf ppf "  struct timespec t0_, t1_;@,";
-      Format.fprintf ppf "  clock_gettime(CLOCK_MONOTONIC, &t0_);@,";
-      List.iteri
-        (fun k _ -> Format.fprintf ppf "  cluster_%d();@," k)
-        clusters;
-      Format.fprintf ppf "  clock_gettime(CLOCK_MONOTONIC, &t1_);@,";
-      Format.fprintf ppf
-        "  long long ns_ = (long long)(t1_.tv_sec - t0_.tv_sec) * 1000000000LL@,\
-        \              + (t1_.tv_nsec - t0_.tv_nsec);@,";
-      (* digest of the live-out set, exactly as Exec.Interp.checksum *)
-      List.iter
-        (fun out ->
-          match
-            List.find_opt
-              (fun (a : Code.alloc) -> a.Code.name = out)
-              p.Code.allocs
-          with
-          | Some a ->
-              Format.fprintf ppf
-                "  for (long k_ = 0; k_ < %d; k_++) mix(%s_[k_]);@,"
-                (max 1 (Code.alloc_volume a))
-                a.Code.name
-          | None -> Format.fprintf ppf "  mix(%s);@," (m out))
-        p.Code.live_out;
-      Format.fprintf ppf
-        "  printf(\"%%016llx %%lld\\n\", (unsigned long long)digest, ns_);@,";
-      Format.fprintf ppf "  return 0;@,}@]@.")
-
-let to_units (p : Code.program) =
+let emit ppf (p : Code.program) =
   let clusters = clusters_of_body p.Code.body in
-  { filename = "prog.h"; contents = emit_header p ~clusters }
-  :: List.mapi
-       (fun k body ->
-         {
-           filename = Printf.sprintf "cluster_%d.c" k;
-           contents = emit_cluster p ~k body;
-         })
-       clusters
-  @ [ { filename = "main.c"; contents = emit_driver p ~clusters } ]
+  Format.fprintf ppf "@[<v>/* generated from %s */@,%s@," p.Code.name header;
+  (* external linkage, so cc keeps every store and folds no scalar *)
+  List.iter
+    (fun (a : Code.alloc) ->
+      let params, index = acc_macro a in
+      Format.fprintf ppf "double %s_[%d];@,#define %s(%s) %s_[%s]@,"
+        a.Code.name
+        (max 1 (Code.alloc_volume a))
+        (acc a.Code.name) params a.Code.name index)
+    p.Code.allocs;
+  List.iter
+    (fun (s, v) -> Format.fprintf ppf "double %s = %h;@," (m s) v)
+    p.Code.scalars;
+  List.iteri (pp_cluster ppf) clusters;
+  (* main's locals end in no underscore, so no array's storage
+     ([<name>_]) can be shadowed by one *)
+  Format.fprintf ppf "@,int main(void) {@,";
+  Format.fprintf ppf "  struct timespec t0, t1;@,";
+  Format.fprintf ppf "  clock_gettime(CLOCK_MONOTONIC, &t0);@,";
+  List.iteri (fun k _ -> Format.fprintf ppf "  cluster_%d();@," k) clusters;
+  Format.fprintf ppf "  clock_gettime(CLOCK_MONOTONIC, &t1);@,";
+  Format.fprintf ppf
+    "  long long ns = (long long)(t1.tv_sec - t0.tv_sec) * 1000000000LL@,\
+    \                + (t1.tv_nsec - t0.tv_nsec);@,";
+  (* digest of the live-out set, exactly as Exec.Interp.checksum *)
+  List.iter
+    (fun out ->
+      match
+        List.find_opt (fun (a : Code.alloc) -> a.Code.name = out) p.Code.allocs
+      with
+      | Some a ->
+          Format.fprintf ppf
+            "  for (long k = 0; k < %d; k++) mix(%s_[k]);@,"
+            (max 1 (Code.alloc_volume a))
+            a.Code.name
+      | None -> Format.fprintf ppf "  mix(%s);@," (m out))
+    p.Code.live_out;
+  Format.fprintf ppf
+    "  printf(\"%%016llx %%lld\\n\", (unsigned long long)digest, ns);@,";
+  Format.fprintf ppf "  return 0;@,}@]@."
+
+let to_string p = Format.asprintf "%a" emit p

@@ -1,55 +1,44 @@
-(** Native back end: emit a complete, runnable C translation unit.
+(** The C back end: the one printer of the scalar IR as C.
 
-    The generated program zero-initializes its arrays, executes the
-    scalarized code, and prints the same 64-bit digest of the live-out
-    set that {!Exec.Interp.checksum} computes — so compiling with a
-    real C compiler and running gives a {e differential test} of the
-    whole pipeline (parser → optimizer → scalarizer → codegen) against
-    the interpreter, down to the last bit.
+    {!emit} prints one complete, runnable translation unit.  It is the
+    text [zapc --dump-c] and [--emit-c] show, and the text the native
+    engine ([Native.Build]), the fuzz oracle and the native
+    differential tests compile.  In order:
 
-    Bit-exactness holds because every primitive maps to the operation
-    OCaml itself uses: IEEE doubles throughout, libm for sqrt/sin/...,
-    [hashrand] ported bit-for-bit (splitmix64 over the double's bit
-    pattern), and the digest arithmetic in wrapping [uint64_t].
+    - the includes and the bit-exact helpers: [hashrand], the
+      NaN-propagating [zap_min]/[zap_max] and the digest's [mix];
+    - the array storage and the scalars, with external linkage, so the
+      compiler can neither fold a configuration scalar nor drop a store
+      that nothing in the unit reads;
+    - one [static] function [cluster_<k>] per fused cluster, marked
+      [noinline] under GCC and Clang so each cluster stays its own
+      function in the object code.  A cluster is an outermost loop nest
+      together with the scalar assignments just before it (reduction
+      initializations and the like); a trailing run of scalar
+      statements is one more;
+    - a [main] that calls the clusters in program order under a
+      [CLOCK_MONOTONIC] stopwatch, digests the live-out set and prints
+      the runner line
+
+    {v <16-hex live-out digest> <wall nanoseconds> v}
+
+    The digest is byte-identical to {!Exec.Interp.checksum}: every
+    primitive maps to the operation OCaml itself uses (IEEE doubles
+    throughout, libm for sqrt/sin/..., [hashrand] ported bit for bit,
+    the digest arithmetic in wrapping [uint64_t]), provided the
+    compiler neither folds libm calls nor contracts to fma — see
+    [Native.Toolchain.cc_argv].  The nanoseconds cover the cluster
+    calls only.
 
     Scalars and loop variables are emitted with a [v_] prefix and
     arrays behind [AT_] accessor macros, so user names can never
     collide with libc/libm symbols (a config named [gamma], say). *)
 
 val emit : Format.formatter -> Code.program -> unit
-(** Print the full translation unit ([#include]s, array definitions,
-    accessor macros, [hashrand], [main]). *)
+(** Print the translation unit. *)
 
 val to_string : Code.program -> string
-
-(** {1 Multi-unit emission (the native execution engine)}
-
-    The native engine compiles a planned program as one translation
-    unit {e per fused cluster} plus a driver: each outermost loop nest
-    of the scalarized code (together with the scalar assignments that
-    set it up — reduction initializations and the like) becomes
-    [cluster_<k>.c] defining [void cluster_<k>(void)], a shared
-    [prog.h] declares the array storage, accessor macros and the
-    bit-exact helpers, and [main.c] defines the storage, calls the
-    clusters in program order under a [CLOCK_MONOTONIC] stopwatch, and
-    prints the runner protocol line:
-
-    {v <16-hex live-out digest> <wall nanoseconds> v}
-
-    The digest is byte-identical to the single-unit backend's (and to
-    {!Exec.Interp.checksum}); the second field is what the native
-    benches measure. *)
-
-type unit_file = {
-  filename : string;  (** ["prog.h"], ["cluster_<k>.c"] or ["main.c"] *)
-  contents : string;
-}
-
-val to_units : Code.program -> unit_file list
-(** The complete multi-unit program, header first, driver last.  The
-    number of [cluster_<k>.c] entries is the number of fused clusters
-    (outermost loop nests, counting a trailing scalar epilogue as one
-    more). *)
+(** {!emit} into a string. *)
 
 val cluster_count : Code.program -> int
-(** How many cluster units {!to_units} will emit. *)
+(** How many [cluster_<k>] functions {!emit} prints. *)

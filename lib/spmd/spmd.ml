@@ -317,10 +317,6 @@ let peek arr pr idx = arr.tiles.(pr).data.(flat_of arr.tiles.(pr) idx)
 (* Expression evaluation (mirrors Exec.Interp's operation counting)    *)
 (* ------------------------------------------------------------------ *)
 
-let is_flop : Expr.binop -> bool = function
-  | Add | Sub | Mul | Div | Pow | Min | Max -> true
-  | Lt | Le | Gt | Ge | Eq | Ne | And | Or -> false
-
 let rec eval env pr idx (e : Expr.t) : float =
   match e with
   | Expr.Const f -> f
@@ -337,7 +333,7 @@ let rec eval env pr idx (e : Expr.t) : float =
   | Expr.Binop (op, a, b) ->
       let va = eval env pr idx a in
       let vb = eval env pr idx b in
-      if is_flop op then env.pc.(pr).flops <- env.pc.(pr).flops + 1;
+      if Expr.is_flop op then env.pc.(pr).flops <- env.pc.(pr).flops + 1;
       Expr.apply_binop op va vb
   | Expr.Select (c, a, b) ->
       let vc = eval env pr idx c in

@@ -67,6 +67,41 @@ end.
     Alcotest.(check bool) "emits C" true (contains out "#include <math.h>")
   end
 
+(* --emit-c writes the C the native engine compiles and prints the
+   command that compiles it: Native.Toolchain.cc_argv, whose fp flags
+   the digest depends on.  Built that way, the program prints --run's
+   checksum first. *)
+let test_emit_c_roundtrip () =
+  if available then begin
+    let dir = Native.Build.fresh_workdir ~salt:2718 () in
+    Fun.protect ~finally:(fun () -> Native.Build.remove_tree dir) @@ fun () ->
+    let file = Filename.concat dir "frac.c" in
+    let exe = Filename.concat dir "frac" in
+    let args = "--bench frac --tile 16 -O c2+f3" in
+    let code, out =
+      run (Printf.sprintf "%s --emit-c %s" args (Filename.quote file))
+    in
+    Alcotest.(check int) "exit 0" 0 code;
+    let argv = Native.Toolchain.cc_argv () @ [ "-o"; exe; file; "-lm" ] in
+    Alcotest.(check bool) "prints the cc_argv command" true
+      (contains out
+         (Printf.sprintf "wrote %s (compile with: %s)\n" file
+            (Native.Proc.render_argv argv)));
+    if Native.Toolchain.available () then begin
+      Alcotest.(check bool) "the printed command compiles" true
+        (Native.Proc.succeeded (Native.Proc.run argv));
+      let ran = Native.Proc.run [ exe ] in
+      let _, run_out = run (args ^ " --run") in
+      let checksum =
+        match Astring.String.find_sub ~sub:"checksum " run_out with
+        | Some i -> String.sub run_out (i + 9) 16
+        | None -> Alcotest.failf "no checksum in --run output: %s" run_out
+      in
+      Alcotest.(check string) "first field is --run's checksum" checksum
+        (List.hd (String.split_on_char ' ' ran.Native.Proc.stdout))
+    end
+  end
+
 (* Golden test for the machine-readable compile report: valid JSON on
    stdout, stable schema, fusion/contraction counters and the pass-span
    tree present. *)
@@ -250,6 +285,8 @@ let suites =
         Alcotest.test_case "dump plan" `Quick test_dump_plan;
         Alcotest.test_case "run with machine model" `Quick test_run_flag;
         Alcotest.test_case "file input + dump-c" `Quick test_file_input;
+        Alcotest.test_case "emit-c compiles to --run's checksum" `Quick
+          test_emit_c_roundtrip;
         Alcotest.test_case "stats json report" `Quick test_stats_json;
         Alcotest.test_case "level spellings" `Quick test_level_spellings;
         Alcotest.test_case "list levels golden" `Quick test_list_levels;

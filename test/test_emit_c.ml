@@ -1,6 +1,6 @@
 (* Differential testing against a real C compiler: the emitted C
    program must print exactly the interpreter's checksum.  Compilation
-   goes through [Native.Build] (argv arrays, multi-unit emission) —
+   goes through [Native.Build] (argv arrays, one translation unit) —
    no shell ever parses a path here. *)
 
 let cc_available = Native.Toolchain.available ()
@@ -44,6 +44,26 @@ end.
 |}
   in
   check_program "heat" (Zap.Elaborate.compile_string src)
+
+(* Arrays named like main's locals: their storage ([k_], [t0_], ...)
+   must not be shadowed by the stopwatch or the digest loop. *)
+let test_local_names () =
+  let src =
+    {|
+program locals;
+config n := 6;
+region R = [1..n];
+var k, t0, t1, ns : [0..n+1];
+export k, t0, t1, ns;
+begin
+  [R] k := index1 * 2.0;
+  [R] t0 := k + 1.0;
+  [R] t1 := t0 * k;
+  [R] ns := t1 - k@[-1];
+end.
+|}
+  in
+  check_program "locals" (Zap.Elaborate.compile_string src)
 
 let test_benchmarks_native () =
   (* the interesting benchmarks, small tiles: EP exercises hashrand and
@@ -134,6 +154,8 @@ let suites =
     ( "emit_c",
       [
         Alcotest.test_case "heat differential" `Quick test_heat;
+        Alcotest.test_case "arrays named like main's locals" `Quick
+          test_local_names;
         Alcotest.test_case "benchmarks differential" `Quick test_benchmarks_native;
         Alcotest.test_case "simplified differential" `Quick test_simplified_native;
         Alcotest.test_case "random differential" `Quick test_random_differential;

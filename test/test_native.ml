@@ -196,6 +196,16 @@ let test_store_warm_path () =
     in
     let cold, fresh_cold = get store in
     let builds_after_cold = Native.Build.total_builds () in
+    let dir = Filename.dirname cold.Native.Store.runner in
+    Alcotest.(check (list string)) "artifact layout"
+      [ "meta"; "prog.c"; "runner" ]
+      (List.sort String.compare (Array.to_list (Sys.readdir dir)));
+    Alcotest.(check string) "prog.c is the emitted C, byte for byte"
+      (Sir.Emit_c.to_string code)
+      (In_channel.with_open_bin (Filename.concat dir "prog.c")
+         In_channel.input_all);
+    Alcotest.(check int) "units = clusters"
+      (Sir.Emit_c.cluster_count code) cold.Native.Store.units;
     let cold_sum = run cold in
     let warm, fresh_warm = get store in
     Alcotest.(check bool) "cold get compiles" true fresh_cold;
@@ -218,6 +228,38 @@ let test_store_warm_path () =
     Alcotest.(check int) "adoption never invokes cc" builds_after_cold
       (Native.Build.total_builds ());
     Alcotest.(check string) "adopted runner agrees" cold_sum (run adopted)
+
+(* Each fused cluster is its own function in the runner: the noinline
+   marker keeps cc from folding the clusters into main, where the
+   runner's time would no longer be the plan's loop nests. *)
+let test_clusters_survive_cc () =
+  let nm_available = Native.Proc.succeeded (Native.Proc.run [ "nm"; "--version" ]) in
+  if cc && nm_available then begin
+    let code =
+      compile_code Compilers.Driver.C2F3 (Suite.load ~tile:16 "simple")
+    in
+    Alcotest.(check int) "simple @ c2+f3, tile 16 has 14 clusters" 14
+      (Sir.Emit_c.cluster_count code);
+    let dir = Native.Build.fresh_workdir ~salt:1414 () in
+    Fun.protect ~finally:(fun () -> Native.Build.remove_tree dir) @@ fun () ->
+    match Native.Build.write_and_compile ~dir code with
+    | Error e -> Alcotest.fail (Native.Build.error_to_string e)
+    | Ok b ->
+        let o = Native.Proc.run [ "nm"; b.Native.Build.runner ] in
+        Alcotest.(check bool) "nm succeeded" true (Native.Proc.succeeded o);
+        let symbols =
+          String.split_on_char '\n' o.Native.Proc.stdout
+          |> List.filter_map (fun line ->
+                 match String.split_on_char ' ' (String.trim line) with
+                 | [ _; _; name ] | [ _; name ] -> Some name
+                 | _ -> None)
+        in
+        for k = 0 to 13 do
+          let name = Printf.sprintf "cluster_%d" k in
+          Alcotest.(check bool) (name ^ " is a symbol of the runner") true
+            (List.mem name symbols)
+        done
+  end
 
 (* Engine level: [Run {native = true}] twice — one build, two runs,
    responses identical modulo the wall clock. *)
@@ -276,6 +318,8 @@ let suites =
         Alcotest.test_case "corpus differential" `Slow test_corpus_differential;
         QCheck_alcotest.to_alcotest qcheck_generated;
         Alcotest.test_case "store warm path" `Quick test_store_warm_path;
+        Alcotest.test_case "every cluster survives cc" `Quick
+          test_clusters_survive_cc;
         Alcotest.test_case "engine native run" `Quick test_engine_native;
       ] );
   ]

@@ -583,6 +583,32 @@ let engine_cache_hit_matches_cold () =
   Alcotest.(check int) "second request hit the cache" 1 s.Cache.hits;
   Alcotest.(check int) "one plan entry" 1 s.Cache.insertions
 
+(* --dump-c and --emit-c show one printer's text: a request for both
+   gets the same bytes twice, and each flag alone gets them too. *)
+let engine_one_c_text () =
+  let e = Engine.create ~jobs:1 () in
+  let c_of dump_c emit_c =
+    match
+      Engine.handle e
+        (Api.Compile
+           {
+             source = source_ep;
+             opts = { Api.default_compile_opts with Api.dump_c; emit_c };
+             target = Api.default_target;
+           })
+    with
+    | Api.Compiled { summary; _ } -> (summary.Api.dump_c, summary.Api.emit_c)
+    | other -> Alcotest.failf "expected Compiled: %s" (render other)
+  in
+  match (c_of true true, c_of true false, c_of false true) with
+  | (Some d, Some c), (Some d', None), (None, Some c') ->
+      Alcotest.(check string) "dump_c == emit_c in one reply" d c;
+      Alcotest.(check string) "dump_c alone is the same text" d d';
+      Alcotest.(check string) "emit_c alone is the same text" d c';
+      Alcotest.(check bool) "it is the C translation unit" true
+        (Astring.String.is_infix ~affix:"int main(void)" d)
+  | _ -> Alcotest.fail "each requested C field must be present, and only those"
+
 let engine_warm_search_skips_planning () =
   let e = Engine.create ~jobs:1 () in
   let cold = Engine.handle e search_compile in
@@ -1003,6 +1029,8 @@ let suites =
       [
         Alcotest.test_case "cache hit matches cold compile" `Quick
           engine_cache_hit_matches_cold;
+        Alcotest.test_case "dump_c and emit_c share one text" `Quick
+          engine_one_c_text;
         Alcotest.test_case "warm search skips planning" `Slow
           engine_warm_search_skips_planning;
         Alcotest.test_case "batch deterministic at 1/2/8 domains" `Slow

@@ -164,7 +164,7 @@ let test_trivial_plan_matches_blocks () =
 let test_c_printer_mentions_arrays () =
   let prog = prog_of [ astmt "B" Expr.(Ref ("A", v [ -1; 1 ])) ] in
   let code = compile Compilers.Driver.Baseline prog in
-  let c_text = Format.asprintf "%a" Code.pp_c code in
+  let c_text = Sir.Emit_c.to_string code in
   List.iter
     (fun needle ->
       Alcotest.(check bool) ("contains " ^ needle) true
