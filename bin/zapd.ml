@@ -2,19 +2,18 @@
 
    Listens on a Unix-domain socket and serves the typed request API
    (Service.Api) as newline-delimited JSON: compile, run, plan, batch,
-   stats, shutdown.  A long-lived zapd amortizes planning across
-   requests through the sharded LRU plan cache — the first --plan
-   search for a program pays the full branch-and-bound search, every
-   later request with the same (fingerprint, mode, machine, procs) key
-   is a lookup.  zapc --connect SOCKET is the stock client; protocol
-   grammar and operational notes live in docs/zapd.md. *)
+   stats, shutdown.  It serves one connection at a time, one request
+   at a time.  A long-lived zapd amortizes planning across requests
+   through the LRU plan cache — the first --plan search for a program
+   pays the full branch-and-bound search, every later request with the
+   same (fingerprint, mode, machine, procs) key is a lookup.
+   zapc --connect SOCKET is the stock client; protocol grammar and
+   operational notes live in docs/zapd.md. *)
 
 open Cmdliner
 
-let main socket shards capacity jobs native_root quiet =
-  let engine =
-    Service.Engine.create ~shards ~capacity ~jobs ?native_root ()
-  in
+let main socket capacity jobs native_root quiet =
+  let engine = Service.Engine.create ~capacity ~jobs ?native_root () in
   let on_ready () =
     if not quiet then Printf.printf "zapd: listening on %s\n%!" socket
   in
@@ -32,21 +31,14 @@ let socket_arg =
           "Unix-domain socket to listen on (a stale socket file left by a \
            dead daemon is replaced).")
 
-let shards_arg =
-  Arg.(
-    value & opt int 8
-    & info [ "shards" ] ~docv:"N"
-        ~doc:
-          "Independently locked plan-cache partitions; requests on \
-           different pool domains contend only within a shard.")
-
 let capacity_arg =
   Arg.(
     value & opt int 256
     & info [ "cache-capacity" ] ~docv:"N"
         ~doc:
-          "Total plan-cache entries (split evenly across shards); \
-           least-recently-used entries are evicted beyond it.")
+          "Plan-cache entries kept; beyond $(docv) the least-recently-used \
+           entry is evicted.  Each entry holds one compiled plan, so \
+           $(docv) bounds the daemon's memory.")
 
 let jobs_arg =
   Arg.(
@@ -54,8 +46,10 @@ let jobs_arg =
     & opt int (Support.Pool.default_domains ())
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
-          "Worker domains for batch requests and search-planner candidate \
-           costing.  Responses are byte-identical at every $(docv).")
+          "Worker domains for the requests of one batch and for \
+           search-planner candidate costing; connections and requests \
+           are still served one at a time.  Responses are byte-identical \
+           at every $(docv).")
 
 let native_root_arg =
   Arg.(
@@ -79,7 +73,7 @@ let cmd =
     (Cmd.info "zapd" ~version:"1.0" ~doc)
     Term.(
       term_result ~usage:false
-        (const main $ socket_arg $ shards_arg $ capacity_arg $ jobs_arg
-       $ native_root_arg $ quiet_arg))
+        (const main $ socket_arg $ capacity_arg $ jobs_arg $ native_root_arg
+       $ quiet_arg))
 
 let () = exit (Cmd.eval cmd)

@@ -11,10 +11,6 @@ type built = { runner : string; units : int }
 
 type run_result = { checksum : string; wall_ns : int64 }
 
-let builds = Atomic.make 0
-
-let total_builds () = Atomic.get builds
-
 (* ------------------------------------------------------------------ *)
 (* Workdirs                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -78,10 +74,7 @@ let write_and_compile ~dir code =
         Out_channel.output_string oc (Sir.Emit_c.to_string code));
     let runner = Filename.concat dir "runner" in
     let o = Proc.run (Toolchain.cc_argv () @ [ "-o"; runner; src; "-lm" ]) in
-    if Proc.succeeded o then begin
-      Atomic.incr builds;
-      Ok { runner; units = Sir.Emit_c.cluster_count code }
-    end
+    if Proc.succeeded o then Ok { runner; units = Sir.Emit_c.cluster_count code }
     else
       Error
         {

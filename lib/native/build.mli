@@ -35,10 +35,6 @@ type run_result = {
   wall_ns : int64;  (** monotonic nanoseconds over the cluster calls *)
 }
 
-val total_builds : unit -> int
-(** Process-global count of runners actually compiled and linked —
-    the warm-path tests assert this does not move on cache hits. *)
-
 val write_and_compile : dir:string -> Sir.Code.program -> (built, error) result
 (** Write [prog.c] into [dir] (created by the caller) and compile it
     there with one [Toolchain.cc_argv () @ ["-o"; runner; prog.c; "-lm"]].

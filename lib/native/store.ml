@@ -5,7 +5,9 @@ type stats = { builds : int; reuses : int }
 type t = {
   root : string;
   lock : Mutex.t;
+  settled : Condition.t;  (* broadcast whenever a building key is released *)
   memo : (string, artifact) Hashtbl.t;
+  building : (string, unit) Hashtbl.t;
   built : int Atomic.t;
   reused : int Atomic.t;
 }
@@ -19,7 +21,9 @@ let create ?root () =
   {
     root = (match root with Some r -> r | None -> default_root ());
     lock = Mutex.create ();
+    settled = Condition.create ();
     memo = Hashtbl.create 32;
+    building = Hashtbl.create 8;
     built = Atomic.make 0;
     reused = Atomic.make 0;
   }
@@ -27,6 +31,9 @@ let create ?root () =
 let root t = t.root
 
 let stats t = { builds = Atomic.get t.built; reuses = Atomic.get t.reused }
+
+let store_error detail =
+  Error { Build.argv = []; status = "-"; detail = "store: " ^ detail }
 
 let ensure_root t =
   if not (Sys.file_exists t.root) then
@@ -44,63 +51,71 @@ let content_key source =
 
 let tmp_counter = Atomic.make 0
 
-let publish ~tmp ~final =
-  match Unix.rename tmp final with
-  | () -> true
-  | exception Unix.Unix_error _ ->
-      (* a concurrent builder won the rename: adopt its artifact *)
-      Build.remove_tree tmp;
-      Sys.file_exists final
+(* The runner for [key]: adopted from disk, or compiled in a private
+   temp dir and published by an atomic rename — [true] when this call
+   compiled.  A concurrent process that wins the rename is adopted.
+   Raises [Sys_error] when the root or the temp dir is unusable. *)
+let fetch t key code =
+  let final = Filename.concat t.root key in
+  let runner = Filename.concat final "runner" in
+  ensure_root t;
+  if Sys.file_exists runner then Ok (runner, false)
+  else
+    let tmp =
+      Filename.concat t.root
+        (Printf.sprintf "tmp-%d-%d" (Unix.getpid ())
+           (Atomic.fetch_and_add tmp_counter 1))
+    in
+    Sys.mkdir tmp 0o700;
+    Fun.protect ~finally:(fun () -> Build.remove_tree tmp) @@ fun () ->
+    Result.bind (Build.write_and_compile ~dir:tmp code) @@ fun _ ->
+    Out_channel.with_open_bin (Filename.concat tmp "meta") (fun oc ->
+        Out_channel.output_string oc (Toolchain.describe () ^ "\n"));
+    match Unix.rename tmp final with
+    | () -> Ok (runner, true)
+    | exception Unix.Unix_error _ when Sys.file_exists final -> Ok (runner, true)
+    | exception Unix.Unix_error (e, _, _) ->
+        store_error
+          (Printf.sprintf "cannot publish artifact %s: %s" key
+             (Unix.error_message e))
 
 let get t (code : Sir.Code.program) =
   let key = content_key (Sir.Emit_c.to_string code) in
-  match Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.memo key) with
+  (* the memoized artifact, or [None] once this caller has claimed the
+     build of [key]; a get that finds [key] being built waits for it *)
+  let rec claim () =
+    match Hashtbl.find_opt t.memo key with
+    | Some _ as a -> a
+    | None when Hashtbl.mem t.building key ->
+        Condition.wait t.settled t.lock;
+        claim ()
+    | None ->
+        Hashtbl.replace t.building key ();
+        None
+  in
+  match Mutex.protect t.lock claim with
   | Some a ->
       Atomic.incr t.reused;
       Ok (a, false)
   | None -> (
-      ensure_root t;
-      let final = Filename.concat t.root key in
-      let runner = Filename.concat final "runner" in
-      let adopt ~fresh =
-        let a =
-          {
-            key;
-            runner;
-            units = Sir.Emit_c.cluster_count code;
-            compiler = Toolchain.describe ();
-          }
-        in
-        Mutex.protect t.lock (fun () ->
-            if not (Hashtbl.mem t.memo key) then Hashtbl.add t.memo key a);
-        Atomic.incr (if fresh then t.built else t.reused);
-        Ok (a, fresh)
-      in
-      if Sys.file_exists runner then adopt ~fresh:false
-      else
-        let tmp =
-          Filename.concat t.root
-            (Printf.sprintf "tmp-%d-%d" (Unix.getpid ())
-               (Atomic.fetch_and_add tmp_counter 1))
-        in
-        match Sys.mkdir tmp 0o700 with
-        | exception Sys_error m ->
-            Error { Build.argv = []; status = "-"; detail = "store: " ^ m }
-        | () -> (
-            match Build.write_and_compile ~dir:tmp code with
-            | Error e ->
-                Build.remove_tree tmp;
-                Error e
-            | Ok _ ->
-                Out_channel.with_open_bin (Filename.concat tmp "meta")
-                  (fun oc ->
-                    Out_channel.output_string oc (Toolchain.describe () ^ "\n"));
-                if publish ~tmp ~final then adopt ~fresh:true
-                else
-                  Error
-                    {
-                      Build.argv = [];
-                      status = "-";
-                      detail =
-                        Printf.sprintf "store: cannot publish artifact %s" key;
-                    }))
+      Fun.protect
+        ~finally:(fun () ->
+          Mutex.protect t.lock (fun () ->
+              Hashtbl.remove t.building key;
+              Condition.broadcast t.settled))
+      @@ fun () ->
+      match fetch t key code with
+      | exception Sys_error m -> store_error m
+      | Error _ as e -> e
+      | Ok (runner, fresh) ->
+          let a =
+            {
+              key;
+              runner;
+              units = Sir.Emit_c.cluster_count code;
+              compiler = Toolchain.describe ();
+            }
+          in
+          Mutex.protect t.lock (fun () -> Hashtbl.replace t.memo key a);
+          Atomic.incr (if fresh then t.built else t.reused);
+          Ok (a, fresh))

@@ -13,10 +13,10 @@
     Layout: [<root>/<key16hex>/] holding [prog.c], [runner] and a
     one-line [meta] provenance file.  Builds go to a private
     [<root>/tmp-...] directory and are published by an atomic
-    [rename]; a concurrent builder that loses the race adopts the
-    winner's artifact.  In-memory, a mutexed memo makes the warm
-    path a hash lookup — higher-level caching (and in-flight miss
-    coalescing) lives in [Service.Engine]. *)
+    [rename]; a concurrent process that loses the race adopts the
+    winner's artifact.  Within a process, a mutexed memo makes the
+    warm path a hash lookup, and concurrent {!get}s of one content key
+    share one build: the first compiles, the others wait for it. *)
 
 type t
 
@@ -31,7 +31,8 @@ val default_root : unit -> string
 (** [<tmpdir>/zap-native-store-<uid>]. *)
 
 val create : ?root:string -> unit -> t
-(** The root is created on first use, not here. *)
+(** The root is created on first use, not here; a root that cannot be
+    created makes {!get} return an error. *)
 
 val root : t -> string
 
@@ -39,10 +40,13 @@ val get : t -> Sir.Code.program -> (artifact * bool, Build.error) result
 (** The artifact for this program's emitted C, building it if no
     process has yet.  The boolean is [true] when this call actually
     compiled (a fresh build) — [false] on every reuse, whether from
-    the memo or adopted from disk. *)
+    the memo, after waiting for a concurrent build of the same key, or
+    adopted from disk.  A failed build is not memoized: a waiter then
+    builds in its turn.  An unusable root or temp dir is an error
+    whose detail starts with ["store: "]; [get] does not raise. *)
 
 type stats = { builds : int; reuses : int }
 
 val stats : t -> stats
-(** Per-store counters (reset with the store, unlike
-    {!Build.total_builds}). *)
+(** Per-store counters: [builds] counts the calls that compiled,
+    [reuses] the others that succeeded. *)

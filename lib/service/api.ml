@@ -2,7 +2,7 @@ module Json = Obs.Json
 module Diag = Obs.Diagnostic
 module C = Obs.Codec
 
-let protocol_version = 1
+let protocol_version = 2
 
 (* Each wire type is followed by its codec, the one description of its
    JSON shape: both directions come from it. *)
@@ -329,7 +329,6 @@ let native_codec =
     |+ field "matches" bool (fun n -> n.native_matches))
 
 type cache_stats = {
-  shards : int;
   cache_capacity : int;
   entries : int;
   hits : int;
@@ -342,10 +341,8 @@ let cache_stats =
   let open C in
   obj
     (record
-       (fun shards cache_capacity entries hits misses evictions insertions ->
-         { shards; cache_capacity; entries; hits; misses; evictions;
-           insertions })
-    |+ field "shards" int (fun c -> c.shards)
+       (fun cache_capacity entries hits misses evictions insertions ->
+         { cache_capacity; entries; hits; misses; evictions; insertions })
     |+ field "capacity" int (fun c -> c.cache_capacity)
     |+ field "entries" int (fun c -> c.entries)
     |+ field "hits" int (fun c -> c.hits)

@@ -149,7 +149,6 @@ type native_summary = {
 }
 
 type cache_stats = {
-  shards : int;
   cache_capacity : int;
   entries : int;
   hits : int;

@@ -16,135 +16,126 @@ type stats = {
   entries : int;
 }
 
-(* One shard: a hash table plus an LRU clock.  Entries carry the tick
-   of their last touch; eviction scans for the minimum, which is exact
-   LRU at O(shard size) per eviction — shards are bounded at a few
-   dozen entries, so the scan is cheaper than maintaining an intrusive
-   list and much harder to get wrong under concurrency. *)
-type 'v shard = {
-  lock : Mutex.t;
-  table : (string, 'v entry) Hashtbl.t;
-  mutable clock : int;
-}
+(* Entries carry the tick of their last touch; eviction scans for the
+   minimum, which is exact LRU at O(capacity) per eviction — cheaper
+   than a cold compile by orders of magnitude, and much harder to get
+   wrong than an intrusive list. *)
+type 'v entry = { value : 'v; mutable tick : int }
 
-and 'v entry = { value : 'v; mutable tick : int }
-
+(* [lock] guards every mutable field and both tables *)
 type 'v t = {
-  shard_arr : 'v shard array;
-  per_shard : int;  (* capacity bound of each shard *)
-  hits : int Atomic.t;
-  misses : int Atomic.t;
-  evictions : int Atomic.t;
-  insertions : int Atomic.t;
+  lock : Mutex.t;
+  settled : Condition.t;  (* broadcast whenever a computing key is released *)
+  table : (string, 'v entry) Hashtbl.t;
+  computing : (string, unit) Hashtbl.t;
+  capacity : int;
+  mutable clock : int;
+  mutable hits : int;
+  mutable misses : int;
+  mutable evictions : int;
+  mutable insertions : int;
 }
 
-let create ?(shards = 8) ?(capacity = 256) () =
-  let shards = max 1 shards in
-  let per_shard = max 1 ((capacity + shards - 1) / shards) in
+let create ?(capacity = 256) () =
+  let capacity = max 1 capacity in
   {
-    shard_arr =
-      Array.init shards (fun _ ->
-          {
-            lock = Mutex.create ();
-            table = Hashtbl.create (per_shard * 2);
-            clock = 0;
-          });
-    per_shard;
-    hits = Atomic.make 0;
-    misses = Atomic.make 0;
-    evictions = Atomic.make 0;
-    insertions = Atomic.make 0;
+    lock = Mutex.create ();
+    settled = Condition.create ();
+    table = Hashtbl.create (capacity * 2);
+    computing = Hashtbl.create 8;
+    capacity;
+    clock = 0;
+    hits = 0;
+    misses = 0;
+    evictions = 0;
+    insertions = 0;
   }
 
-let shards t = Array.length t.shard_arr
+let capacity t = t.capacity
 
-let capacity t = t.per_shard * shards t
+(* The helpers below run with [t.lock] held. *)
 
-(* Stable shard assignment: Support.Hash64 over the canonical key
-   string (never [Hashtbl.hash], which is not pinned across compiler
-   versions). *)
-let shard_of t k =
-  let h = Support.Hash64.(mix_string empty (key_to_string k)) in
-  Int64.to_int (Int64.unsigned_rem h (Int64.of_int (shards t)))
+let lookup t ks =
+  match Hashtbl.find_opt t.table ks with
+  | Some e ->
+      t.clock <- t.clock + 1;
+      e.tick <- t.clock;
+      Some e.value
+  | None -> None
 
-let bump a = Atomic.incr a
-
-let find t k =
-  let s = t.shard_arr.(shard_of t k) in
-  let ks = key_to_string k in
-  Mutex.protect s.lock (fun () ->
-      match Hashtbl.find_opt s.table ks with
-      | Some e ->
-          s.clock <- s.clock + 1;
-          e.tick <- s.clock;
-          bump t.hits;
-          Some e.value
-      | None ->
-          bump t.misses;
-          None)
-
-let peek t k =
-  let s = t.shard_arr.(shard_of t k) in
-  let ks = key_to_string k in
-  Mutex.protect s.lock (fun () ->
-      match Hashtbl.find_opt s.table ks with
-      | Some e ->
-          s.clock <- s.clock + 1;
-          e.tick <- s.clock;
-          Some e.value
-      | None -> None)
-
-let evict_lru t (s : _ shard) =
+let evict_lru t =
   let victim = ref None in
   Hashtbl.iter
     (fun ks e ->
       match !victim with
       | Some (_, best) when best.tick <= e.tick -> ()
       | _ -> victim := Some (ks, e))
-    s.table;
-  match !victim with
-  | Some (ks, _) ->
-      Hashtbl.remove s.table ks;
-      bump t.evictions
-  | None -> ()
+    t.table;
+  Option.iter
+    (fun (ks, _) ->
+      Hashtbl.remove t.table ks;
+      t.evictions <- t.evictions + 1)
+    !victim
+
+let insert t ks v =
+  if not (Hashtbl.mem t.table ks) then begin
+    if Hashtbl.length t.table >= t.capacity then evict_lru t;
+    t.clock <- t.clock + 1;
+    Hashtbl.replace t.table ks { value = v; tick = t.clock };
+    t.insertions <- t.insertions + 1
+  end
+
+let counted_lookup t ks =
+  let hit = lookup t ks in
+  if Option.is_some hit then t.hits <- t.hits + 1
+  else t.misses <- t.misses + 1;
+  hit
+
+let find t k =
+  let ks = key_to_string k in
+  Mutex.protect t.lock (fun () -> counted_lookup t ks)
 
 let add t k v =
-  let s = t.shard_arr.(shard_of t k) in
   let ks = key_to_string k in
-  Mutex.protect s.lock (fun () ->
-      (* first writer wins: a racing double-miss computed the same
-         (deterministic) value twice; re-inserting would only churn
-         the LRU order *)
-      if not (Hashtbl.mem s.table ks) then begin
-        if Hashtbl.length s.table >= t.per_shard then evict_lru t s;
-        s.clock <- s.clock + 1;
-        Hashtbl.replace s.table ks { value = v; tick = s.clock };
-        bump t.insertions
-      end)
+  Mutex.protect t.lock (fun () -> insert t ks v)
 
-let find_or_add t k produce =
-  match find t k with
-  | Some v -> v
+let find_or_compute t k compute =
+  let ks = key_to_string k in
+  (* after a counted miss: wait while another caller computes [ks],
+     then take its value, or claim [ks] ([None]) when there is none *)
+  let rec await () =
+    if Hashtbl.mem t.computing ks then begin
+      Condition.wait t.settled t.lock;
+      match lookup t ks with Some _ as hit -> hit | None -> await ()
+    end
+    else begin
+      Hashtbl.replace t.computing ks ();
+      None
+    end
+  in
+  let found =
+    Mutex.protect t.lock (fun () ->
+        match counted_lookup t ks with Some _ as hit -> hit | None -> await ())
+  in
+  match found with
+  | Some v -> Ok v
   | None ->
-      let v = produce () in
-      add t k v;
-      v
+      Fun.protect
+        ~finally:(fun () ->
+          Mutex.protect t.lock (fun () ->
+              Hashtbl.remove t.computing ks;
+              Condition.broadcast t.settled))
+        (fun () ->
+          let r = compute () in
+          Result.iter (fun v -> Mutex.protect t.lock (fun () -> insert t ks v)) r;
+          r)
 
 let stats t =
-  {
-    hits = Atomic.get t.hits;
-    misses = Atomic.get t.misses;
-    evictions = Atomic.get t.evictions;
-    insertions = Atomic.get t.insertions;
-    entries =
-      Array.fold_left
-        (fun acc s ->
-          acc + Mutex.protect s.lock (fun () -> Hashtbl.length s.table))
-        0 t.shard_arr;
-  }
-
-let entries_per_shard t =
-  Array.to_list
-    (Array.map
-       (fun s -> Mutex.protect s.lock (fun () -> Hashtbl.length s.table))
-       t.shard_arr)
+  Mutex.protect t.lock (fun () ->
+      {
+        hits = t.hits;
+        misses = t.misses;
+        evictions = t.evictions;
+        insertions = t.insertions;
+        entries = Hashtbl.length t.table;
+      })

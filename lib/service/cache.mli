@@ -1,41 +1,36 @@
-(** The sharded, LRU-bounded, content-addressed plan cache.
+(** The LRU-bounded, content-addressed plan cache.
 
     Amortizing planning across requests is zapd's reason to exist:
     the first request for a program pays the full pipeline (for
-    [--plan search], thousands of costed states), every later request
-    with the same key is a lookup.  Keys are {e content} addresses —
-    {!Ir.Prog.fingerprint} of the normalized program after every
-    frontend rewrite — plus the planning regime, so two textually
-    different files elaborating to the same IR share an entry, and no
-    stale entry can ever be returned (a changed program changes its
-    key).
+    [--plan search] or [--plan ilp], thousands of costed states),
+    every later request with the same key is a lookup.  Keys are
+    {e content} addresses — {!Ir.Prog.fingerprint} of the normalized
+    program after every frontend rewrite — plus the planning regime,
+    so two textually different files elaborating to the same IR share
+    an entry, and no stale entry can ever be returned (a changed
+    program changes its key).
 
-    Concurrency: the table is split into [shards] independently locked
-    shards (keys choose a shard by a stable 64-bit hash, so the
-    assignment is deterministic across runs and processes); requests
-    running on different {!Support.Pool} domains contend only when
-    they touch the same shard.  Values must therefore be immutable or
-    internally synchronized — compiled plans are.  Eviction is exact
-    least-recently-used {e per shard}, bounded at
-    [ceil (capacity / shards)] entries each.
+    Concurrency: one mutex guards the table; a lookup holds it for one
+    hash probe.  Several domains reach the cache only inside a
+    [batch] request's {!Support.Pool} fan-out.  Values must be
+    immutable or internally synchronized — compiled plans are.
+    Eviction is exact least-recently-used over the whole [capacity].
 
-    Counters ({!stats}) are process-global atomics, not [Obs] state:
-    they must aggregate across pool domains, and domain-local [Obs]
-    recorders are not installed in workers.  The engine mirrors them
-    into [Obs] counters (under the {!Metrics} keys) at request rate on
-    the serving domain. *)
+    {!find_or_compute} is the single-flight entry: concurrent misses
+    on one key wait for the first caller's compute instead of
+    repeating a multi-second search per domain. *)
 
 type key = {
   fingerprint : string;  (** [Ir.Prog.fingerprint] of the program compiled *)
   mode : string;
-      (** planning regime: ["greedy:<level>"] or ["search"] (see
-          {!Engine} for the exact encoding) *)
+      (** planning regime: ["greedy:<level>"], ["search"] or ["ilp"]
+          (see {!Engine} for the exact encoding) *)
   machine : string;  (** cost-model target (["-"] when machine-blind) *)
   procs : int;  (** cost-model processor count (0 when machine-blind) *)
 }
 
 val key_to_string : key -> string
-(** Canonical rendering (also the hashed form):
+(** Canonical rendering (also the table key):
     ["<fingerprint>/<mode>@<machine>x<procs>"]. *)
 
 type stats = {
@@ -43,48 +38,32 @@ type stats = {
   misses : int;
   evictions : int;
   insertions : int;
-  entries : int;  (** current population, summed over shards *)
+  entries : int;  (** current population *)
 }
 
 type 'v t
 
-val create : ?shards:int -> ?capacity:int -> unit -> 'v t
-(** [shards] (default 8, min 1) independently locked partitions;
-    [capacity] (default 256, min [shards]) total entries, split evenly
-    across shards. *)
+val create : ?capacity:int -> unit -> 'v t
+(** [capacity] (default 256, min 1) entries. *)
 
-val shards : _ t -> int
 val capacity : _ t -> int
-(** Effective total bound: per-shard bound × shard count. *)
-
-val shard_of : _ t -> key -> int
-(** The shard a key lives in — stable across runs (the assignment
-    hashes {!key_to_string} through [Support.Hash64]). *)
 
 val find : 'v t -> key -> 'v option
 (** Lookup; counts a hit or a miss and freshens the entry's LRU
     position. *)
 
-val peek : 'v t -> key -> 'v option
-(** Like {!find} but touches no hit/miss counter (the LRU position is
-    still freshened).  For re-checks that follow a counted {!find} —
-    the engine's in-flight coalescing — so one logical lookup is never
-    accounted twice. *)
-
 val add : 'v t -> key -> 'v -> unit
-(** Insert (first writer wins on a racing double-insert — values for
-    one key are deterministic, so dropping the loser is sound),
-    evicting the shard's least-recently-used entry when full. *)
+(** Insert (first writer wins: values for one key are deterministic,
+    so a second insert is dropped), evicting the least-recently-used
+    entry when full. *)
 
-val find_or_add : 'v t -> key -> (unit -> 'v) -> 'v
-(** [find_or_add t k produce] — {!find}, or [produce ()] + {!add} on a
-    miss.  [produce] runs {e outside} the shard lock (planning can
-    take seconds; blocking the shard would serialize unrelated
-    requests), so two domains missing concurrently both compute;
-    determinism of [produce] makes the race benign. *)
+val find_or_compute :
+  'v t -> key -> (unit -> ('v, 'e) result) -> ('v, 'e) result
+(** {!find}, or on a miss [compute ()] and {!add} of an [Ok] result.
+    Each call counts one hit or one miss.  [compute] runs outside the
+    lock; a caller that misses while another computes the same key
+    waits for it and takes its value (having counted a miss).  An
+    [Error] is not cached, and a [compute] that raises releases the
+    key: a waiter then computes in its turn. *)
 
 val stats : _ t -> stats
-
-val entries_per_shard : _ t -> int list
-(** Current population per shard, in shard order (tests assert the
-    spread). *)

@@ -2,6 +2,10 @@ module Diag = Obs.Diagnostic
 module Json = Obs.Json
 
 let roundtrip ~socket req =
+  (* a daemon that hangs up while we are still writing must not kill
+     us: with SIGPIPE ignored the write fails with EPIPE, which
+     surfaces as [Sys_error] and is reported as a diagnostic *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let request = Json.to_string (Api.request_to_json req) in
   (* the daemon would refuse this line after its first byte past the
      cap and hang up while we are still writing the rest *)

@@ -20,60 +20,42 @@ type t = {
   pool_jobs : int;
   cache : cached Cache.t;
   native_store : Native.Store.t;
-  natives_built : int Atomic.t;
-  natives_reused : int Atomic.t;
-  native_runs : int Atomic.t;
-  req_compile : int Atomic.t;
-  req_run : int Atomic.t;
-  req_plan : int Atomic.t;
-  req_batch : int Atomic.t;
-  req_stats : int Atomic.t;
-  req_shutdown : int Atomic.t;
-  compiles_computed : int Atomic.t;
-  plans_computed : int Atomic.t;
-  protocol_errors : int Atomic.t;
+  (* one counter per Metrics key outside [Metrics.cache], which the
+     plan cache counts itself; the table is never resized after
+     [create], so domains share it without a lock *)
+  counters : (string, int Atomic.t) Hashtbl.t;
   (* last values mirrored into Obs, so each sync advances counters by
      the delta only (serving domain; guarded for safety) *)
   mirror_lock : Mutex.t;
   mirrored : (string, int) Hashtbl.t;
-  (* keys whose value is being computed right now: concurrent misses
-     on one key coalesce onto the first computer instead of redoing a
-     multi-second search per domain *)
-  inflight_lock : Mutex.t;
-  inflight_cond : Condition.t;
-  inflight : (string, unit) Hashtbl.t;
 }
 
-let create ?shards ?capacity ?(jobs = Support.Pool.default_domains ())
-    ?native_root () =
+let create ?capacity ?(jobs = Support.Pool.default_domains ()) ?native_root ()
+    =
+  let counters = Hashtbl.create 16 in
+  List.iter
+    (fun k ->
+      if not (List.mem k Metrics.cache) then
+        Hashtbl.add counters k (Atomic.make 0))
+    Metrics.all;
   {
     pool_jobs = max 1 jobs;
-    cache = Cache.create ?shards ?capacity ();
+    cache = Cache.create ?capacity ();
     native_store = Native.Store.create ?root:native_root ();
-    natives_built = Atomic.make 0;
-    natives_reused = Atomic.make 0;
-    native_runs = Atomic.make 0;
-    req_compile = Atomic.make 0;
-    req_run = Atomic.make 0;
-    req_plan = Atomic.make 0;
-    req_batch = Atomic.make 0;
-    req_stats = Atomic.make 0;
-    req_shutdown = Atomic.make 0;
-    compiles_computed = Atomic.make 0;
-    plans_computed = Atomic.make 0;
-    protocol_errors = Atomic.make 0;
+    counters;
     mirror_lock = Mutex.create ();
     mirrored = Hashtbl.create 16;
-    inflight_lock = Mutex.create ();
-    inflight_cond = Condition.create ();
-    inflight = Hashtbl.create 8;
   }
 
 let jobs t = t.pool_jobs
 
 let cache_stats t = Cache.stats t.cache
 
-let note_protocol_error t = Atomic.incr t.protocol_errors
+let bump t key = Atomic.incr (Hashtbl.find t.counters key)
+
+let count t key = Atomic.get (Hashtbl.find t.counters key)
+
+let note_protocol_error t = bump t Metrics.protocol_error
 
 (* ------------------------------------------------------------------ *)
 (* Counters                                                            *)
@@ -81,24 +63,14 @@ let note_protocol_error t = Atomic.incr t.protocol_errors
 
 let counter_values t =
   let cs = Cache.stats t.cache in
-  [
-    (Metrics.request_compile, Atomic.get t.req_compile);
-    (Metrics.request_run, Atomic.get t.req_run);
-    (Metrics.request_plan, Atomic.get t.req_plan);
-    (Metrics.request_batch, Atomic.get t.req_batch);
-    (Metrics.request_stats, Atomic.get t.req_stats);
-    (Metrics.request_shutdown, Atomic.get t.req_shutdown);
-    (Metrics.cache_hit, cs.Cache.hits);
-    (Metrics.cache_miss, cs.Cache.misses);
-    (Metrics.cache_eviction, cs.Cache.evictions);
-    (Metrics.cache_insertion, cs.Cache.insertions);
-    (Metrics.compile_computed, Atomic.get t.compiles_computed);
-    (Metrics.plan_computed, Atomic.get t.plans_computed);
-    (Metrics.native_build, Atomic.get t.natives_built);
-    (Metrics.native_reuse, Atomic.get t.natives_reused);
-    (Metrics.native_run, Atomic.get t.native_runs);
-    (Metrics.protocol_error, Atomic.get t.protocol_errors);
-  ]
+  Metrics.
+    [
+      (cache_hit, cs.Cache.hits);
+      (cache_miss, cs.Cache.misses);
+      (cache_eviction, cs.Cache.evictions);
+      (cache_insertion, cs.Cache.insertions);
+    ]
+  @ Hashtbl.fold (fun k a acc -> (k, Atomic.get a) :: acc) t.counters []
 
 let sync_obs t =
   if Obs.enabled () then begin
@@ -119,30 +91,21 @@ let server_stats t =
   let cs = Cache.stats t.cache in
   {
     Api.requests =
-      List.sort compare
-        [
-          (Metrics.request_compile, Atomic.get t.req_compile);
-          (Metrics.request_run, Atomic.get t.req_run);
-          (Metrics.request_plan, Atomic.get t.req_plan);
-          (Metrics.request_batch, Atomic.get t.req_batch);
-          (Metrics.request_stats, Atomic.get t.req_stats);
-          (Metrics.request_shutdown, Atomic.get t.req_shutdown);
-        ];
+      List.sort compare (List.map (fun k -> (k, count t k)) Metrics.requests);
     cache =
       {
-        Api.shards = Cache.shards t.cache;
-        cache_capacity = Cache.capacity t.cache;
+        Api.cache_capacity = Cache.capacity t.cache;
         entries = cs.Cache.entries;
         hits = cs.Cache.hits;
         misses = cs.Cache.misses;
         evictions = cs.Cache.evictions;
         insertions = cs.Cache.insertions;
       };
-    compiles_computed = Atomic.get t.compiles_computed;
-    plans_computed = Atomic.get t.plans_computed;
-    natives_built = Atomic.get t.natives_built;
-    natives_reused = Atomic.get t.natives_reused;
-    native_runs = Atomic.get t.native_runs;
+    compiles_computed = count t Metrics.compile_computed;
+    plans_computed = count t Metrics.plan_computed;
+    natives_built = count t Metrics.native_build;
+    natives_reused = count t Metrics.native_reuse;
+    native_runs = count t Metrics.native_run;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -208,14 +171,14 @@ let compute t ~search_jobs ~level ~(opts : Api.compile_opts)
     ~(target : Api.target) prog =
   match opts.Api.plan with
   | Api.Greedy ->
-      Atomic.incr t.compiles_computed;
+      bump t Metrics.compile_computed;
       let* c =
         Compilers.Driver.compile_opts (Compilers.Driver.opts level) prog
       in
       Ok { cc = c; prov = None; artifact = Atomic.make None }
   | (Api.Search | Api.Ilp) as mode ->
-      Atomic.incr t.compiles_computed;
-      Atomic.incr t.plans_computed;
+      bump t Metrics.compile_computed;
+      bump t Metrics.plan_computed;
       let* m = Api.machine_of_target target in
       let cost =
         Plan.Cost.create
@@ -236,45 +199,16 @@ let compute t ~search_jobs ~level ~(opts : Api.compile_opts)
       in
       Ok { cc = c; prov = Some prov; artifact = Atomic.make None }
 
+(* Only successes are cached, so a failing program re-reports its
+   diagnostic on every request. *)
 let cached_compile t ~search_jobs ~level ~opts ~target prog =
   let fingerprint = Ir.Prog.fingerprint prog in
   let* key = cache_key ~fingerprint ~level ~opts ~target in
   let* entry =
-    match Cache.find t.cache key with
-    | Some v -> Ok v
-    | None -> (
-        (* miss: claim the key, or wait for whichever domain already
-           claimed it and take its cached result.  Compute happens
-           outside both the shard lock and the inflight lock; only
-           successes are cached, so a failing program re-reports its
-           diagnostic on every request. *)
-        Mutex.lock t.inflight_lock;
-        let ks = Cache.key_to_string key in
-        while Hashtbl.mem t.inflight ks do
-          Condition.wait t.inflight_cond t.inflight_lock
-        done;
-        (* peek, not find: this lookup was already counted as a miss
-           above — a waiter finding the freshly computed value must
-           not skew the hit/miss accounting *)
-        match Cache.peek t.cache key with
-        | Some v ->
-            Mutex.unlock t.inflight_lock;
-            Ok v
-        | None ->
-            Hashtbl.add t.inflight ks ();
-            Mutex.unlock t.inflight_lock;
-            let release () =
-              Mutex.lock t.inflight_lock;
-              Hashtbl.remove t.inflight ks;
-              Condition.broadcast t.inflight_cond;
-              Mutex.unlock t.inflight_lock
-            in
-            Fun.protect ~finally:release (fun () ->
-                let* v = compute t ~search_jobs ~level ~opts ~target prog in
-                Cache.add t.cache key v;
-                Ok v))
+    Cache.find_or_compute t.cache key (fun () ->
+        compute t ~search_jobs ~level ~opts ~target prog)
   in
-  Ok (fingerprint, key, entry)
+  Ok (fingerprint, entry)
 
 (* Direct (in-process) entry for callers that already hold an
    elaborated program — the lazy frontend flushes through here.  Same
@@ -283,7 +217,7 @@ let cached_compile t ~search_jobs ~level ~opts ~target prog =
 let compile_ir t ~(opts : Api.compile_opts) ~target prog =
   let r =
     let* level = Api.level_of_name opts.Api.level in
-    let* fingerprint, _key, entry =
+    let* fingerprint, entry =
       cached_compile t ~search_jobs:t.pool_jobs ~level ~opts ~target prog
     in
     Ok (fingerprint, entry.cc, entry.prov)
@@ -363,7 +297,7 @@ let compiled_of t ~search_jobs ~(opts : Api.compile_opts) ~target source =
     if opts.Api.merge then Core.Merge.run prog else (prog, [])
   in
   let* level = Api.level_of_name opts.Api.level in
-  let* fingerprint, key, entry =
+  let* fingerprint, entry =
     cached_compile t ~search_jobs ~level ~opts ~target prog
   in
   let c = entry.cc in
@@ -376,12 +310,7 @@ let compiled_of t ~search_jobs ~(opts : Api.compile_opts) ~target source =
           })
     else c
   in
-  Ok
-    ( prog,
-      summary_of ~fingerprint ~merged_away ~opts prog c,
-      c,
-      entry.prov,
-      (key, entry) )
+  Ok (summary_of ~fingerprint ~merged_away ~opts prog c, c, entry)
 
 let perf_of ~(m : Machine.t) ~procs (c : Compilers.Driver.compiled) =
   let cfg = { Comm.Perf.machine = m; procs; comm = Comm.Model.all_on } in
@@ -444,60 +373,32 @@ let spmd_of ~(m : Machine.t) ~procs (r : Comm.Perf.report)
 (* Native execution                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* The artifact for a cache entry, building it at most once.  Fast
-   path: the entry's own slot (a plain atomic read).  Cold path:
-   coalesce concurrent builders of the same plan on the inflight table
-   (same discipline as compiles, under a "native:"-prefixed key so a
-   build never blocks a compile of the same key), then consult the
-   content-addressed store — which may still answer without compiling,
-   from its memo or from an artifact a previous process left on
-   disk. *)
-let native_artifact t ~key (entry : cached) =
-  let reuse a =
-    Atomic.incr t.natives_reused;
-    Ok a
-  in
+(* The artifact for a cache entry: the entry's own slot (a plain
+   atomic read) when warm, else the content-addressed store, which
+   shares one build among concurrent requests for the same C and may
+   still answer without compiling, from its memo or from an artifact
+   a previous process left on disk. *)
+let native_artifact t (entry : cached) =
   match Atomic.get entry.artifact with
-  | Some a -> reuse a
+  | Some a ->
+      bump t Metrics.native_reuse;
+      Ok a
   | None -> (
-      Mutex.lock t.inflight_lock;
-      let ks = "native:" ^ Cache.key_to_string key in
-      while Hashtbl.mem t.inflight ks do
-        Condition.wait t.inflight_cond t.inflight_lock
-      done;
-      match Atomic.get entry.artifact with
-      | Some a ->
-          Mutex.unlock t.inflight_lock;
-          reuse a
-      | None ->
-          Hashtbl.add t.inflight ks ();
-          Mutex.unlock t.inflight_lock;
-          let release () =
-            Mutex.lock t.inflight_lock;
-            Hashtbl.remove t.inflight ks;
-            Condition.broadcast t.inflight_cond;
-            Mutex.unlock t.inflight_lock
-          in
-          Fun.protect ~finally:release (fun () ->
-              match
-                Native.Store.get t.native_store entry.cc.Compilers.Driver.code
-              with
-              | Ok (a, fresh) ->
-                  Atomic.set entry.artifact (Some a);
-                  if fresh then begin
-                    Atomic.incr t.natives_built;
-                    Native.Toolchain.note_obs ()
-                  end
-                  else Atomic.incr t.natives_reused;
-                  Ok a
-              | Error e ->
-                  Error
-                    (Diag.error ~phase:"native"
-                       (Native.Build.error_to_string e))))
+      match Native.Store.get t.native_store entry.cc.Compilers.Driver.code with
+      | Ok (a, fresh) ->
+          Atomic.set entry.artifact (Some a);
+          if fresh then begin
+            bump t Metrics.native_build;
+            Native.Toolchain.note_obs ()
+          end
+          else bump t Metrics.native_reuse;
+          Ok a
+      | Error e ->
+          Error (Diag.error ~phase:"native" (Native.Build.error_to_string e)))
 
-let native_of t ~key ~(perf : Api.perf) entry =
-  let* a = native_artifact t ~key entry in
-  Atomic.incr t.native_runs;
+let native_of t ~(perf : Api.perf) entry =
+  let* a = native_artifact t entry in
+  bump t Metrics.native_run;
   match Native.Build.run_exe a.Native.Store.runner with
   | Ok r ->
       Ok
@@ -521,25 +422,25 @@ let of_result = function Ok r -> r | Error d -> Api.Failed d
 let rec exec t ~search_jobs ~in_worker req =
   match req with
   | Api.Compile { source; opts; target } ->
-      Atomic.incr t.req_compile;
+      bump t Metrics.request_compile;
       of_result
-        (let* _, summary, _, provenance, _ =
+        (let* summary, _, entry =
            compiled_of t ~search_jobs ~opts ~target source
          in
-         Ok (Api.Compiled { summary; provenance }))
+         Ok (Api.Compiled { summary; provenance = entry.prov }))
   | Api.Plan { source; opts; target } ->
-      Atomic.incr t.req_plan;
+      bump t Metrics.request_plan;
       (* a Plan response always carries the rendered plan *)
       let opts = { opts with Api.dump_plan = true } in
       of_result
-        (let* _, summary, _, provenance, _ =
+        (let* summary, _, entry =
            compiled_of t ~search_jobs ~opts ~target source
          in
-         Ok (Api.Planned { summary; provenance }))
+         Ok (Api.Planned { summary; provenance = entry.prov }))
   | Api.Run { source; opts; target; spmd; native } ->
-      Atomic.incr t.req_run;
+      bump t Metrics.request_run;
       of_result
-        (let* _, summary, c, provenance, (key, entry) =
+        (let* summary, c, entry =
            compiled_of t ~search_jobs ~opts ~target source
          in
          let* m = Api.machine_of_target target in
@@ -551,12 +452,14 @@ let rec exec t ~search_jobs ~in_worker req =
          in
          let* native =
            if native then
-             Result.map Option.some (native_of t ~key ~perf entry)
+             Result.map Option.some (native_of t ~perf entry)
            else Ok None
          in
-         Ok (Api.Ran { summary; provenance; perf; spmd; native }))
+         Ok
+           (Api.Ran
+              { summary; provenance = entry.prov; perf; spmd; native }))
   | Api.Batch reqs ->
-      Atomic.incr t.req_batch;
+      bump t Metrics.request_batch;
       if in_worker then
         Api.Batch_reply (List.map (exec t ~search_jobs ~in_worker:true) reqs)
       else
@@ -568,10 +471,10 @@ let rec exec t ~search_jobs ~in_worker req =
              (exec t ~search_jobs:1 ~in_worker:true)
              reqs)
   | Api.Stats ->
-      Atomic.incr t.req_stats;
+      bump t Metrics.request_stats;
       Api.Stats_reply (server_stats t)
   | Api.Shutdown ->
-      Atomic.incr t.req_shutdown;
+      bump t Metrics.request_shutdown;
       Api.Shutting_down
 
 let handle t req =

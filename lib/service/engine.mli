@@ -1,21 +1,23 @@
 (** The request engine: one [handle] function behind {!Api}.
 
     Every consumer of the compiler pipeline — [zapc] running locally,
-    [zapd] serving a socket, the load bench — goes through
-    [handle : t -> Api.request -> Api.response], so the semantics of a
-    request cannot depend on who asked.  The engine owns the plan
+    [zapd] serving a socket, the lazy frontend — goes through the same
+    engine ([handle : t -> Api.request -> Api.response], or
+    {!compile_ir} for an already-elaborated program), so the semantics
+    of a request cannot depend on who asked.  The engine owns the plan
     cache: compile and plan work is keyed by
     [(Ir.Prog.fingerprint, planning mode, machine, procs)] and
-    memoized in a sharded LRU ({!Cache}), so a warm engine serves
+    memoized in an LRU ({!Cache}), so a warm engine serves
     [--plan search] requests without re-running the search (the
-    ["service.plan.computed"] counter stays flat — the proof the bench
-    and CI smoke assert).  A [Run {native = true}] additionally
-    compiles the plan's emitted C into a runner executable,
-    content-addressed in a {!Native.Store} and slotted next to the
-    plan in the same cache entry, so a warm engine re-executes native
-    code with zero [cc] invocations (["service.native.build"] stays
-    flat); concurrent first builds of one plan coalesce exactly like
-    concurrent compiles.
+    ["service.plan.computed"] counter stays flat).  A
+    [Run {native = true}] additionally compiles the plan's emitted C
+    into a runner executable, content-addressed in a {!Native.Store}
+    and slotted next to the plan in the same cache entry, so a warm
+    engine re-executes native code with zero [cc] invocations
+    (["service.native.build"] stays flat).  Concurrent misses on one
+    plan coalesce in {!Cache.find_or_compute}, and concurrent first
+    builds of one runner in {!Native.Store.get}; the engine itself
+    keeps no in-flight state.
 
     Determinism: responses are a pure function of the request — cache
     state, domain count and request interleaving never leak into a
@@ -23,18 +25,18 @@
     measurement, SPMD execution) is recomputed on every request; only
     the deterministic compile/plan result is cached.
 
-    Counters are process-global atomics mirrored into [Obs] (under the
-    {!Metrics} keys) by {!sync_obs}, which [handle] calls on the
-    serving domain whenever a recorder is installed. *)
+    Counters are atomics, one per {!Metrics} key outside
+    {!Metrics.cache} (the plan cache counts those itself), mirrored
+    into [Obs] by {!sync_obs}, which [handle] calls on the serving
+    domain whenever a recorder is installed. *)
 
 type t
 
-val create :
-  ?shards:int -> ?capacity:int -> ?jobs:int -> ?native_root:string -> unit -> t
-(** [shards]/[capacity] size the plan cache (defaults as
-    {!Cache.create}); [jobs] (default
-    [Support.Pool.default_domains ()]) bounds the domains used for
-    [Batch] fan-out and search-planner candidate costing;
+val create : ?capacity:int -> ?jobs:int -> ?native_root:string -> unit -> t
+(** [capacity] bounds the plan cache (default as {!Cache.create});
+    [jobs] (default [Support.Pool.default_domains ()]) bounds the
+    domains used for [Batch] fan-out and search-planner candidate
+    costing;
     [native_root] (default {!Native.Store.default_root}) is where
     native artifacts are content-addressed — each cache entry carries
     its artifact next to the plan, and a root that survives restarts
@@ -71,7 +73,7 @@ val cache_stats : t -> Cache.stats
 
 val server_stats : t -> Api.server_stats
 (** The payload of a [Stats] reply (also available without a request
-    round-trip, for the bench). *)
+    round-trip, for in-process callers). *)
 
 val note_protocol_error : t -> unit
 (** Bumped by the server for lines that fail {!Api.request_of_line}. *)

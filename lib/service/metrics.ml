@@ -36,7 +36,7 @@ let native_run = "service.native.run"
 (* protocol-level failures (undecodable request lines) *)
 let protocol_error = "service.protocol.error"
 
-let all =
+let requests =
   [
     request_compile;
     request_run;
@@ -44,14 +44,17 @@ let all =
     request_batch;
     request_stats;
     request_shutdown;
-    cache_hit;
-    cache_miss;
-    cache_eviction;
-    cache_insertion;
-    compile_computed;
-    plan_computed;
-    native_build;
-    native_reuse;
-    native_run;
-    protocol_error;
   ]
+
+let cache = [ cache_hit; cache_miss; cache_eviction; cache_insertion ]
+
+let all =
+  requests @ cache
+  @ [
+      compile_computed;
+      plan_computed;
+      native_build;
+      native_reuse;
+      native_run;
+      protocol_error;
+    ]

@@ -33,8 +33,8 @@ val plan_computed : string
 
 val native_build : string
 (** Cold native builds: one cc compile-and-link of a plan's emitted C
-    units.  Warm replays leaving this at zero prove native runs are
-    served from the artifact cache without recompiling. *)
+    translation unit.  Warm replays leaving this at zero prove native
+    runs are served from the artifact cache without recompiling. *)
 
 val native_reuse : string
 (** Native artifacts served without a build — from the per-plan slot,
@@ -44,6 +44,12 @@ val native_run : string
 (** Executions of a native runner (each run is one subprocess). *)
 
 val protocol_error : string
+
+val requests : string list
+(** The six [request_*] keys: the per-verb counts of a Stats reply. *)
+
+val cache : string list
+(** The four [cache_*] keys, which {!Cache} counts itself. *)
 
 val all : string list
 (** Every key above, each exactly once. *)

@@ -4,11 +4,13 @@ let zapc = "../bin/zapc.exe"
 
 let available = Sys.file_exists zapc
 
-let run args =
+(* [env] holds NAME=VALUE assignments for zapc's environment *)
+let run ?(env = []) args =
   let out = Filename.temp_file "zapc" ".out" in
   let cmd =
-    Printf.sprintf "%s %s > %s 2>&1" (Filename.quote zapc) args
-      (Filename.quote out)
+    Printf.sprintf "%s%s %s > %s 2>&1"
+      (String.concat "" (List.map (fun a -> "env " ^ Filename.quote a ^ " ") env))
+      (Filename.quote zapc) args (Filename.quote out)
   in
   let code = Sys.command cmd in
   let ic = open_in out in
@@ -277,6 +279,71 @@ let test_bad_input_fails () =
     Alcotest.(check bool) "bad level rejected" true (code <> 0)
   end
 
+(* A native store root that cannot be created is a one-line native
+   error with exit 124, not an uncaught exception. *)
+let test_unusable_tmpdir () =
+  if available then begin
+    let code, out =
+      run ~env:[ "TMPDIR=/nonexistent/zap-tmp" ]
+        "--bench frac --tile 16 --run --native"
+    in
+    Alcotest.(check int) "exit 124" 124 code;
+    Alcotest.(check bool) "native diagnostic" true (contains out "native error");
+    Alcotest.(check int) "one line" 1
+      (List.length (String.split_on_char '\n' (String.trim out)))
+  end
+
+(* zapc --connect to a daemon that hangs up mid-request reports a
+   connect error (exit 124) instead of dying of SIGPIPE (exit 141).
+   The listener reads 16 bytes and closes; the 900 KB source, under
+   the 1 MiB request cap, is still being written then. *)
+let test_connect_hangup () =
+  if available then begin
+    let dir = Native.Build.fresh_workdir ~salt:1411 () in
+    Fun.protect ~finally:(fun () -> Native.Build.remove_tree dir) @@ fun () ->
+    let src = Filename.concat dir "big.zap" in
+    Out_channel.with_open_bin src (fun oc ->
+        Out_channel.output_string oc (String.make 900_000 ' '));
+    let socket = Filename.concat dir "hangup.sock" in
+    let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.bind listener (Unix.ADDR_UNIX socket);
+    Unix.listen listener 1;
+    let server =
+      Domain.spawn (fun () ->
+          (* a zapc that never connects fails the test instead of
+             hanging it *)
+          match Unix.select [ listener ] [] [] 30.0 with
+          | [], _, _ -> ()
+          | _ ->
+              let fd, _ = Unix.accept listener in
+              let buf = Bytes.create 16 in
+              let rec read off =
+                if off < 16 then
+                  match Unix.read fd buf off (16 - off) with
+                  | 0 -> ()
+                  | n -> read (off + n)
+              in
+              read 0;
+              Unix.close fd)
+    in
+    (* zapc must start with SIGPIPE at its default action, whatever
+       this process has set *)
+    let previous = Sys.signal Sys.sigpipe Sys.Signal_default in
+    let code, out =
+      Fun.protect
+        ~finally:(fun () -> Sys.set_signal Sys.sigpipe previous)
+        (fun () ->
+          run
+            (Printf.sprintf "%s --connect %s" (Filename.quote src)
+               (Filename.quote socket)))
+    in
+    Domain.join server;
+    Unix.close listener;
+    Alcotest.(check int) "exit 124, not killed by SIGPIPE" 124 code;
+    Alcotest.(check bool) "connect diagnostic" true
+      (contains out "connect error")
+  end
+
 let suites =
   [
     ( "cli",
@@ -295,5 +362,9 @@ let suites =
         Alcotest.test_case "fuzz campaign smoke" `Slow test_fuzz_flag;
         Alcotest.test_case "bad plan rejected" `Quick test_bad_plan_fails;
         Alcotest.test_case "bad input" `Quick test_bad_input_fails;
+        Alcotest.test_case "unusable TMPDIR fails typed" `Quick
+          test_unusable_tmpdir;
+        Alcotest.test_case "connect survives a daemon hang-up" `Quick
+          test_connect_hangup;
       ] );
   ]

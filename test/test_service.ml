@@ -1,5 +1,5 @@
 (* The zapd service layer (lib/service): program fingerprints, the
-   sharded LRU plan cache, the typed request API and its wire codecs,
+   LRU plan cache, the typed request API and its wire codecs,
    the engine's caching/determinism guarantees, and the socket
    server/client pair. *)
 
@@ -123,8 +123,7 @@ let key i =
     machine = "-"; procs = 0 }
 
 let cache_lru_eviction_order () =
-  (* one shard so the LRU order is global and observable *)
-  let c = Cache.create ~shards:1 ~capacity:4 () in
+  let c = Cache.create ~capacity:4 () in
   List.iter (fun i -> Cache.add c (key i) i) [ 1; 2; 3; 4 ];
   (* freshen 1 and 3: the least recently used entry is now 2 *)
   ignore (Cache.find c (key 1));
@@ -143,44 +142,43 @@ let cache_lru_eviction_order () =
   Alcotest.(check int) "population stays at capacity" 4 s.Cache.entries
 
 let cache_capacity_bound () =
-  let c = Cache.create ~shards:4 ~capacity:16 () in
+  let c = Cache.create ~capacity:16 () in
   for i = 1 to 200 do
     Cache.add c (key i) i
   done;
   let s = Cache.stats c in
-  Alcotest.(check bool)
-    "population bounded by capacity" true
-    (s.Cache.entries <= Cache.capacity c);
-  List.iter
-    (fun n -> Alcotest.(check bool) "shard bounded" true (n <= 4))
-    (Cache.entries_per_shard c)
+  Alcotest.(check int) "population is the capacity" (Cache.capacity c)
+    s.Cache.entries;
+  Alcotest.(check int) "every insertion past it evicted one" (200 - 16)
+    s.Cache.evictions
 
-let cache_shard_distribution () =
-  let c = Cache.create ~shards:8 ~capacity:1024 () in
-  for i = 1 to 400 do
+(* The default capacity is exact: 256 distinct keys fit, and the 257th
+   evicts the least recently used one and nothing else. *)
+let cache_default_capacity_exact () =
+  let c = Cache.create () in
+  Alcotest.(check int) "default capacity" 256 (Cache.capacity c);
+  for i = 1 to 256 do
     Cache.add c (key i) i
   done;
-  let per = Cache.entries_per_shard c in
-  Alcotest.(check int) "eight shards" 8 (List.length per);
-  Alcotest.(check int) "no entry lost" 400 (List.fold_left ( + ) 0 per);
-  (* Hash64 assignment spreads: no shard should be starved or hog *)
-  List.iter
-    (fun n ->
-      Alcotest.(check bool)
-        (Printf.sprintf "shard holds a fair share (%d)" n)
-        true
-        (n >= 20 && n <= 80))
-    per;
-  (* the assignment is a pure function of the key *)
-  for i = 1 to 10 do
-    Alcotest.(check int)
-      "shard_of is stable"
-      (Cache.shard_of c (key i))
-      (Cache.shard_of c (key i))
+  let s = Cache.stats c in
+  Alcotest.(check int) "256 keys held" 256 s.Cache.entries;
+  Alcotest.(check int) "no eviction at capacity" 0 s.Cache.evictions;
+  (* freshen key 1: the least recently used entry is now key 2 *)
+  ignore (Cache.find c (key 1));
+  Cache.add c (key 257) 257;
+  let s = Cache.stats c in
+  Alcotest.(check int) "257th insertion evicts one" 1 s.Cache.evictions;
+  Alcotest.(check (option int)) "the LRU key went" None (Cache.find c (key 2));
+  for i = 1 to 257 do
+    if i <> 2 then
+      Alcotest.(check (option int))
+        (Printf.sprintf "key %d kept" i)
+        (Some i)
+        (Cache.find c (key i))
   done
 
 let cache_first_writer_wins () =
-  let c = Cache.create ~shards:1 ~capacity:4 () in
+  let c = Cache.create ~capacity:4 () in
   Cache.add c (key 1) 10;
   Cache.add c (key 1) 99;
   Alcotest.(check (option int)) "first value kept" (Some 10) (Cache.find c (key 1));
@@ -190,15 +188,57 @@ let cache_hit_miss_counts () =
   let c = Cache.create () in
   ignore (Cache.find c (key 1));
   Alcotest.(check int) "miss counted" 1 (Cache.stats c).Cache.misses;
-  Alcotest.(check int)
-    "find_or_add computes once" 7
-    (Cache.find_or_add c (key 1) (fun () -> 7));
-  Alcotest.(check int)
-    "find_or_add then hits" 7
-    (Cache.find_or_add c (key 1) (fun () -> 8));
+  Alcotest.(check (result int string))
+    "find_or_compute computes on a miss" (Ok 7)
+    (Cache.find_or_compute c (key 1) (fun () -> Ok 7));
+  Alcotest.(check (result int string))
+    "find_or_compute then hits" (Ok 7)
+    (Cache.find_or_compute c (key 1) (fun () -> Ok 8));
   let s = Cache.stats c in
   Alcotest.(check int) "hits" 1 s.Cache.hits;
   Alcotest.(check int) "misses" 2 s.Cache.misses
+
+(* Concurrent misses on one key compute once: every domain gets the
+   first caller's value, each call counts one hit or one miss.  The
+   compute sleeps so that all eight domains arrive while it runs. *)
+let cache_single_flight () =
+  let c = Cache.create () in
+  let computed = Atomic.make 0 in
+  let arrived = Atomic.make 0 in
+  let callers = 8 in
+  let call () =
+    Atomic.incr arrived;
+    while Atomic.get arrived < callers do
+      Domain.cpu_relax ()
+    done;
+    Cache.find_or_compute c (key 1) (fun () ->
+        Atomic.incr computed;
+        Unix.sleepf 0.2;
+        Ok 42)
+  in
+  let results =
+    List.map Domain.join (List.init callers (fun _ -> Domain.spawn call))
+  in
+  Alcotest.(check int) "compute ran once" 1 (Atomic.get computed);
+  List.iter
+    (Alcotest.(check (result int string)) "every caller gets the value" (Ok 42))
+    results;
+  let s = Cache.stats c in
+  Alcotest.(check int) "one lookup counted per call" callers
+    (s.Cache.hits + s.Cache.misses);
+  (* an Error is not cached: the next call computes again *)
+  let failing () = Error "no plan" in
+  Alcotest.(check (result int string)) "error returned" (Error "no plan")
+    (Cache.find_or_compute c (key 2) failing);
+  Alcotest.(check (result int string)) "error not cached" (Ok 2)
+    (Cache.find_or_compute c (key 2) (fun () -> Ok 2));
+  (* a raising compute releases its key: the next caller computes
+     instead of waiting forever *)
+  (match Cache.find_or_compute c (key 3) (fun () -> failwith "boom") with
+  | exception Failure _ -> ()
+  | _ -> Alcotest.fail "the exception must reach the caller");
+  Alcotest.(check (result int string)) "key released" (Ok 3)
+    (Cache.find_or_compute c (key 3) (fun () -> Ok 3))
 
 (* ------------------------------------------------------------------ *)
 (* Api codecs                                                          *)
@@ -411,8 +451,7 @@ let sample_responses =
         Api.requests = [ ("service.request.compile", 3) ];
         cache =
           {
-            Api.shards = 8;
-            cache_capacity = 256;
+            Api.cache_capacity = 256;
             entries = 2;
             hits = 1;
             misses = 2;
@@ -497,7 +536,7 @@ let golden_responses =
     {|{"ok":true,"type":"planned","summary":{"program":"ep","level":"c2+f3","arrays_total":22,"contracted_compiler":0,"contracted_user":22,"remaining":0,"footprint_bytes":0,"contracted":[{"array":"t1","shape":"scalar"},{"array":"t2","shape":"dims:01"}],"merged_away":["u"],"fingerprint":"00112233aabbccdd","dump_ir":"ir text\n","dump_c":"c text\n"},"provenance":{"strategy":"search","machine":"Cray T3E","procs":16,"greedy_total_ns":1234.5,"search_total_ns":1000.25,"chosen_total_ns":1000.25,"fallback":false,"blocks":[{"block":0,"expanded":10,"generated":40,"pruned":7,"deduped":3,"beam_rounds":0,"greedy_ns":1234.5,"best_ns":1000.25,"improved":true}]}}|};
     {|{"ok":true,"type":"planned","summary":{"program":"ep","level":"c2+f3","arrays_total":22,"contracted_compiler":0,"contracted_user":22,"remaining":0,"footprint_bytes":0,"contracted":[{"array":"t1","shape":"scalar"},{"array":"t2","shape":"dims:01"}],"merged_away":["u"],"fingerprint":"00112233aabbccdd","dump_ir":"ir text\n","dump_c":"c text\n"},"provenance":{"strategy":"ilp","machine":"Cray T3E","procs":16,"greedy_total_ns":1234.5,"search_total_ns":1000.25,"chosen_total_ns":990.5,"fallback":false,"ilp_total_ns":990.5,"proved_optimal":false,"certified_lb_ns":null,"blocks":[{"block":0,"expanded":10,"generated":40,"pruned":7,"deduped":3,"beam_rounds":0,"greedy_ns":1234.5,"best_ns":1000.25,"improved":true}],"ilp_blocks":[{"block":0,"clusters":512,"complete":false,"nodes":3,"cuts":1,"pivots":57,"proved":false,"objective_exact":true,"lower_bound_ns":null,"greedy_ns":1234.5,"best_ns":990.5,"improved":true}]}}|};
     {|{"ok":true,"type":"batch","responses":[{"ok":true,"type":"shutting-down"},{"ok":false,"error":{"severity":"error","phase":"cli","message":"boom"}}]}|};
-    {|{"ok":true,"type":"stats","stats":{"requests":{"service.request.compile":3},"cache":{"shards":8,"capacity":256,"entries":2,"hits":1,"misses":2,"evictions":0,"insertions":2},"compiles_computed":2,"plans_computed":1,"native":{"built":1,"reused":3,"runs":4}}}|};
+    {|{"ok":true,"type":"stats","stats":{"requests":{"service.request.compile":3},"cache":{"capacity":256,"entries":2,"hits":1,"misses":2,"evictions":0,"insertions":2},"compiles_computed":2,"plans_computed":1,"native":{"built":1,"reused":3,"runs":4}}}|};
     {|{"ok":true,"type":"shutting-down"}|};
     {|{"ok":false,"error":{"severity":"error","phase":"parse","file":"x.zap","line":3,"message":"bad token"}}|};
   ]
@@ -535,6 +574,7 @@ let request_rejects_bad_input () =
       {|{"op":"frobnicate"}|};
       {|{"op":"compile"}|};
       {|{"op":"compile","source":{"bench":"ep"},"v":999}|};
+      {|{"op":"stats","v":1}|};
       {|{"op":"compile","source":{"bench":"ep"},"opts":{"plan":"mystic"}}|};
       {|{"op":"run","source":{"bench":"ep"},"target":{"procs":1e19}}|};
       {|{"op":"\uzzzz"}|};
@@ -645,6 +685,33 @@ let engine_batch_deterministic_across_domains () =
             o1 o)
         rest
   | [] -> ()
+
+(* A batch of identical cold requests plans once: the first domain to
+   miss searches, the others wait for it and reuse its entry. *)
+let engine_batch_plans_once () =
+  let plan =
+    Api.Plan
+      {
+        source = Api.Bench { name = "frac"; tile = Some 16 };
+        opts = { Api.default_compile_opts with Api.plan = Api.Search };
+        target = Api.default_target;
+      }
+  in
+  let e = Engine.create ~jobs:8 () in
+  match Engine.handle e (Api.Batch (List.init 8 (fun _ -> plan))) with
+  | Api.Batch_reply (first :: _ as rs) ->
+      Alcotest.(check int) "eight replies" 8 (List.length rs);
+      List.iter
+        (fun r ->
+          Alcotest.(check string) "byte-identical replies" (render first)
+            (render r))
+        rs;
+      let s = Engine.server_stats e in
+      Alcotest.(check int) "planned once" 1 s.Api.plans_computed;
+      Alcotest.(check int) "compiled once" 1 s.Api.compiles_computed;
+      Alcotest.(check int) "one lookup per request" 8
+        (s.Api.cache.Api.hits + s.Api.cache.Api.misses)
+  | other -> Alcotest.failf "expected a batch reply: %s" (render other)
 
 let engine_stats_and_failures () =
   let e = Engine.create ~jobs:1 () in
@@ -1013,9 +1080,12 @@ let suites =
       [
         Alcotest.test_case "LRU eviction order" `Quick cache_lru_eviction_order;
         Alcotest.test_case "capacity bound" `Quick cache_capacity_bound;
-        Alcotest.test_case "shard distribution" `Quick cache_shard_distribution;
+        Alcotest.test_case "default capacity is exact" `Quick
+          cache_default_capacity_exact;
         Alcotest.test_case "first writer wins" `Quick cache_first_writer_wins;
         Alcotest.test_case "hit/miss accounting" `Quick cache_hit_miss_counts;
+        Alcotest.test_case "concurrent misses compute once" `Quick
+          cache_single_flight;
       ] );
     ( "service-api",
       [
@@ -1035,6 +1105,8 @@ let suites =
           engine_warm_search_skips_planning;
         Alcotest.test_case "batch deterministic at 1/2/8 domains" `Slow
           engine_batch_deterministic_across_domains;
+        Alcotest.test_case "concurrent cold plans compute once" `Slow
+          engine_batch_plans_once;
         Alcotest.test_case "failures and stats" `Quick engine_stats_and_failures;
         Alcotest.test_case "obs counters mirrored" `Quick engine_mirrors_obs;
         Alcotest.test_case "cold ILP plans match the golden" `Slow
