@@ -44,6 +44,14 @@ let decide p ~candidates =
       ok)
     candidates
 
+let scalar_if_confined g x =
+  (match Asdg.stmts_referencing g x with
+  | i :: _ -> (Asdg.stmt g i).Ir.Nstmt.lhs = x
+  | [] -> false)
+  && List.for_all
+       (fun (_, (l : Dep.label)) -> Support.Vec.is_null l.udv)
+       (Asdg.deps_on g x)
+
 let ref_offsets p x =
   let g = Partition.asdg p in
   Asdg.stmts_referencing g x

@@ -25,6 +25,16 @@ val decide : Partition.t -> candidates:string list -> string list
 (** Arrays fully contractible to scalars under the given partition, in
     candidate order. *)
 
+val scalar_if_confined : Asdg.t -> string -> bool
+(** [decide]'s test for an array whose referencing statements all lie
+    in one cluster: its first reference writes it and every dependence
+    on it has a null UDV.  A dependence on an array joins two
+    statements that reference it, so once they share a cluster every
+    such dependence lies inside it.  Fixed for the block: [decide p]
+    contracts exactly the candidates that pass it and whose
+    referencing statements share a cluster of [p], which is how the
+    planners price partitions without calling [decide]. *)
+
 val decide_partial :
   Partition.t -> candidates:string list -> (string * shape) list
 (** Full and partial contractions.  Arrays reported with [Keep_dims]

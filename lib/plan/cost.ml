@@ -259,21 +259,23 @@ let cluster_misses t ~block members ~contracted =
           Mutex.protect t.memo_lock (fun () -> Probe_memo.replace t.memo key r);
           r)
 
-let block_cost t ~block (bp : Sir.Scalarize.block_plan) =
+(* The one pricing formula.  [misses] are the clusters' (L1, L2) pairs
+   in [Core.Partition.clusters] order, folded in that order, so a
+   caller that reuses the pairs of unchanged clusters gets the same
+   float sums, bit for bit, as [block_cost]'s fresh probes. *)
+let block_cost_of_misses t ~block (bp : Sir.Scalarize.block_plan) misses =
   let info = t.blocks.(block) in
   let m = t.cfg.machine in
-  let p = bp.Sir.Scalarize.partition in
-  let contracted = scalar_contracted bp in
   let saved =
-    List.fold_left (fun acc x -> acc + block_weight t ~block x) 0 contracted
+    List.fold_left
+      (fun acc x -> acc + block_weight t ~block x)
+      0 (scalar_contracted bp)
   in
   let refs = info.base_refs - saved in
   let l1m, l2m =
     List.fold_left
-      (fun (a1, a2) cluster ->
-        let s1, s2 = cluster_misses t ~block cluster ~contracted in
-        (a1 +. s1, a2 +. s2))
-      (0.0, 0.0) (Core.Partition.clusters p)
+      (fun (a1, a2) (s1, s2) -> (a1 +. s1, a2 +. s2))
+      (0.0, 0.0) misses
   in
   let comm =
     Comm.Model.block_comm ~machine:m ~procs:t.cfg.procs ~opts:t.cfg.opts
@@ -295,6 +297,13 @@ let block_cost t ~block (bp : Sir.Scalarize.block_plan) =
     total_ns = flop_ns +. ref_ns +. miss_ns +. comm_ns;
     contracted_elems = saved;
   }
+
+let block_cost t ~block (bp : Sir.Scalarize.block_plan) =
+  let contracted = scalar_contracted bp in
+  block_cost_of_misses t ~block bp
+    (List.map
+       (fun cluster -> cluster_misses t ~block cluster ~contracted)
+       (Core.Partition.clusters bp.Sir.Scalarize.partition))
 
 let plan_cost t plan =
   let sum =

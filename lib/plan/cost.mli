@@ -120,7 +120,17 @@ val cluster_misses : t -> block:int -> int list -> contracted:string list -> flo
 val block_cost : t -> block:int -> Sir.Scalarize.block_plan -> breakdown
 (** Cost of the block under a candidate plan, scaled by the block's
     execution multiplier.  Pure given [create]'s program: safe to call
-    from a search loop. *)
+    from a search loop.  It is {!block_cost_of_misses} applied to a
+    fresh {!cluster_misses} probe of every cluster. *)
+
+val block_cost_of_misses :
+  t -> block:int -> Sir.Scalarize.block_plan -> (float * float) list -> breakdown
+(** The pricing formula {!block_cost} uses, given each cluster's
+    {!cluster_misses} pair (under the plan's scalar contractions) in
+    [Core.Partition.clusters] order.  The pairs are summed in that
+    order, so a caller that keeps the pairs of clusters a merge left
+    untouched and probes only the merged one gets {!block_cost}'s
+    breakdown bit for bit ([Plan.Search] does; see docs/planner.md). *)
 
 val plan_cost : t -> Sir.Scalarize.plan -> breakdown
 (** Whole-program cost: block costs plus the reduction combining

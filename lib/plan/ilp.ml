@@ -33,31 +33,63 @@ type stats = {
    violation prunes the whole extension subtree — plus convexity (the
    Cycle veto: no dependence path leaves the set and returns).
 
-   Convexity is not monotone over arbitrary subsets, but the DFS adds
-   statements in ascending index order and ASDG edges always point
-   from lower to higher indices, so it IS monotone along this tree: a
-   prefix's cycle witness (a path a → j → b with j outside, and hence
-   every node's index at most b <= max of the set) can never be
-   absorbed by extending with indices above the max.  Conversely every
-   ascending prefix of a convex set is convex for the same reason.
-   Pruning on Cycle is therefore exact: the DFS emits precisely the
-   valid clusters, each once. *)
+   The DFS adds statements in ascending index order and ASDG edges
+   always point from lower to higher indices, so every prefix it
+   extends is itself a column, and it checks only what an extension
+   changes:
+   - (i) and (ii) are pairwise: [compat] holds them for every pair;
+   - (iv) is FIND-LOOP-STRUCTURE over the UDVs of the dependences
+     inside the set, accumulated along the prefix (its verdict depends
+     only on which UDVs there are, so an extension that adds none keeps
+     the prefix's);
+   - convexity: a path that leaves the convex prefix [S] and re-enters
+     [S ∪ {next}] ascends, so it can only re-enter at [next]: adding
+     [next] breaks convexity iff some statement outside [S], reachable
+     from [S], reaches [next] — read off the transitive-reach table and
+     the prefix's reach set.
+   A failed extension's every superset along the DFS fails too (the
+   cycle witness a → j → next keeps its nodes at indices at most
+   [next]), so pruning is exact: the DFS emits precisely the valid
+   clusters, each once. *)
 let columns cfg g =
   let n = Core.Asdg.n g in
-  let t0 = Core.Partition.trivial g in
-  (* pairwise pre-filter: by downward closure, {i, j} failing a
-     monotone condition rules every superset out; a Cycle veto on the
-     pair does not (the blocking statement may join the set later) *)
+  let region i = (Core.Asdg.stmt g i).Ir.Nstmt.region in
+  (* [udvs.(i).(j)], i < j: the UDVs of the dependences from i to j *)
+  let udvs = Array.make_matrix n n [] in
   let compat = Array.make_matrix n n false in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
-      match Core.Partition.check_merge t0 [ i; j ] with
-      | Ok () | Error Core.Partition.Cycle ->
-          compat.(i).(j) <- true;
-          compat.(j).(i) <- true
-      | Error _ -> ()
+      let labels = Core.Asdg.labels g i j in
+      udvs.(i).(j) <- List.map (fun (l : Core.Dep.label) -> l.udv) labels;
+      if
+        Ir.Region.equal (region i) (region j)
+        && List.for_all
+             (fun (l : Core.Dep.label) ->
+               l.kind <> Core.Dep.Flow || Support.Vec.is_null l.udv)
+             labels
+        && (labels = []
+           || Core.Loopstruct.find ~rank:(Ir.Region.rank (region i))
+                udvs.(i).(j)
+              <> None)
+      then begin
+        compat.(i).(j) <- true;
+        compat.(j).(i) <- true
+      end
     done
   done;
+  (* [reach.(a).(b)]: a dependence path leads from a to b *)
+  let reach = Array.make_matrix n n false in
+  for a = n - 1 downto 0 do
+    for b = a + 1 to n - 1 do
+      if Core.Asdg.labels g a b <> [] then begin
+        reach.(a).(b) <- true;
+        for c = b + 1 to n - 1 do
+          if reach.(b).(c) then reach.(a).(c) <- true
+        done
+      end
+    done
+  done;
+  let inside = Array.make n false in
   let cols = ref [] in
   let count = ref 0 in
   let explored = ref 0 in
@@ -72,31 +104,54 @@ let columns cfg g =
     incr count;
     cols := c :: !cols
   in
+  (* [rev_members]: the prefix, descending; [first]: its minimum;
+     [within]: the UDVs inside it; [reached]: what it reaches *)
+  let rec extend rev_members first within reached =
+    let last = List.hd rev_members in
+    for next = last + 1 to n - 1 do
+      if List.for_all (fun m -> compat.(m).(next)) rev_members then begin
+        incr explored;
+        if !explored > explore_cap then begin
+          complete := false;
+          raise Enough
+        end;
+        let convex =
+          let rec ok j =
+            j >= next
+            || ((inside.(j) || not (reached.(j) && reach.(j).(next)))
+               && ok (j + 1))
+          in
+          ok (first + 1)
+        in
+        let added = List.concat_map (fun m -> udvs.(m).(next)) rev_members in
+        let within = added @ within in
+        if
+          convex
+          && (added = []
+             || Core.Loopstruct.find ~rank:(Ir.Region.rank (region next))
+                  within
+                <> None)
+        then begin
+          let members = next :: rev_members in
+          emit (List.rev members);
+          inside.(next) <- true;
+          extend members first within
+            (Array.mapi (fun j r -> r || reach.(next).(j)) reached);
+          inside.(next) <- false
+        end
+      end
+    done
+  in
   (* singletons first: whatever the caps do below, the set-partitioning
      LP stays feasible *)
   (try
      for s = 0 to n - 1 do
        emit [ s ]
      done;
-     let rec extend rev_members last =
-       for next = last + 1 to n - 1 do
-         if List.for_all (fun m -> compat.(m).(next)) rev_members then begin
-           incr explored;
-           if !explored > explore_cap then begin
-             complete := false;
-             raise Enough
-           end;
-           let c = List.rev (next :: rev_members) in
-           match Core.Partition.check_merge t0 c with
-           | Ok () ->
-               emit c;
-               extend (next :: rev_members) next
-           | Error _ -> ()
-         end
-       done
-     in
      for s = 0 to n - 1 do
-       extend [ s ] s
+       inside.(s) <- true;
+       extend [ s ] s [] reach.(s);
+       inside.(s) <- false
      done
    with Enough -> ());
   (Array.of_list (List.rev !cols), !complete)
@@ -105,40 +160,60 @@ let columns cfg g =
 (* Column pricing                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Arrays contracted within cluster [c] of the trivial ASDG: exactly
-   Core.Contraction.decide's test, specialized to an array whose
-   references all fall inside [c].  Because contraction confines every
-   reference (and hence every dependence) of the array to one cluster,
-   the decision distributes over the clusters of any partition — which
-   is what makes the objective separable. *)
-let contracted_within t0 g ~candidates c =
-  List.filter
-    (fun x ->
-      Core.Partition.first_ref_is_write t0 x
-      &&
-      match Core.Asdg.stmts_referencing g x with
-      | [] -> false
-      | refs ->
-          List.for_all (fun i -> List.mem i c) refs
-          && Core.Partition.contractible t0 x ~within:c)
-    candidates
+(* What w(C) asks of the block, tabulated once: each statement's
+   element references (1 + reads, times its region's volume), and per
+   candidate (in order) its referencing statements and whether it
+   contracts once they all lie in one cluster
+   (Core.Contraction.scalar_if_confined).  An array is thus contracted
+   within C exactly when it passes and its referencing statements are
+   a subset of C — Core.Contraction.decide's verdict for any partition
+   holding C.  Because contraction confines every reference (and hence
+   every dependence) of the array to one cluster, the decision
+   distributes over the clusters of any partition — which is what makes
+   the objective separable. *)
+type facts = {
+  stmt_refs : int array;
+  cands : (string * int list * bool) list;
+}
+
+let facts g ~candidates =
+  {
+    stmt_refs =
+      Array.map
+        (fun (s : Ir.Nstmt.t) ->
+          (1 + List.length (Ir.Expr.refs s.Ir.Nstmt.rhs))
+          * Ir.Region.volume s.Ir.Nstmt.region)
+        (Core.Asdg.stmts g);
+    cands =
+      List.map
+        (fun x ->
+          ( x,
+            Core.Asdg.stmts_referencing g x,
+            Core.Contraction.scalar_if_confined g x ))
+        candidates;
+  }
+
+(* [a] ⊆ [b], both ascending *)
+let rec subset a b =
+  match (a, b) with
+  | [], _ -> true
+  | _, [] -> false
+  | x :: a', y :: b' -> if x = y then subset a' b' else x > y && subset a b'
 
 (* w(C): the cluster's share of Cost.block_cost — reference cost after
    in-cluster contraction plus modeled miss penalties, scaled by the
-   block multiplier.  Σ_C w(C) + flop_ns = block_cost − comm_ns. *)
-let cluster_weight cost_t t0 g ~block ~candidates c =
+   block multiplier.  Σ_C w(C) + flop_ns = block_cost − comm_ns.  [c]
+   is ascending. *)
+let cluster_weight cost_t facts ~block c =
   let m = (Cost.cfg cost_t).Cost.machine in
   let mult = float_of_int (Cost.block_mult cost_t ~block) in
-  let contracted = contracted_within t0 g ~candidates c in
-  let refs =
-    List.fold_left
-      (fun acc i ->
-        let s = Core.Asdg.stmt g i in
-        acc
-        + (1 + List.length (Ir.Expr.refs s.Ir.Nstmt.rhs))
-          * Ir.Region.volume s.Ir.Nstmt.region)
-      0 c
+  let contracted =
+    List.filter_map
+      (fun (x, refs, eligible) ->
+        if eligible && subset refs c then Some x else None)
+      facts.cands
   in
+  let refs = List.fold_left (fun acc i -> acc + facts.stmt_refs.(i)) 0 c in
   let saved =
     List.fold_left
       (fun acc x -> acc + Cost.block_weight cost_t ~block x)
@@ -407,7 +482,7 @@ let block ?(probe = fun (_ : Core.Partition.t) -> ()) ?(seeds = []) cfg cost_t
   Obs.span "plan-ilp" @@ fun () ->
   let n = Core.Asdg.n g in
   let t0 = Core.Partition.trivial g in
-  let weight_of = cluster_weight cost_t t0 g ~block ~candidates in
+  let weight_of = cluster_weight cost_t (facts g ~candidates) ~block in
   let full_cost p =
     let contracted = Core.Contraction.decide p ~candidates in
     let bp =

@@ -24,10 +24,16 @@
       [Core.Partition.check_merge] on the trivial partition.  That
       check is exactly Definition 5 conditions (i), (ii) and (iv) plus
       convexity (no dependence path leaving and re-entering the set —
-      such a set can belong to {e no} acyclic partition).  Conditions
-      (i)/(ii)/(iv) are superset-monotone, so a depth-first extension
-      enumerates all columns with pruning; convexity is not monotone
-      and only filters emission, never extension;
+      such a set can belong to {e no} acyclic partition).  An
+      ascending-index depth-first extension enumerates them, checking
+      only what each extension changes: (i) and (ii) are pairwise and
+      tabulated once per block; (iv) runs FIND-LOOP-STRUCTURE on the
+      UDVs accumulated along the prefix, and only when the extension
+      adds some; and since ASDG edges ascend, adding [next] to a convex
+      prefix breaks convexity iff a statement outside it, reachable
+      from it, reaches [next] — a lookup in a transitive-reach table
+      built once per block.  Every veto is inherited by all extensions
+      of the set, so pruning at the first veto is exact;
     - {e rows}: one equality [Σ_{C ∋ i} y_C = 1] per statement — a
       chosen set of clusters is a partition;
     - {e acyclicity}: condition (iii) cannot be captured by the rows
@@ -51,6 +57,12 @@
       the objective is exact ({!stats.objective_exact}); at higher
       [procs] the ILP optimizes the comm-free part and the final
       choice among candidate partitions is made on the full model.
+      Pricing a column reads per-block facts: each statement's
+      references × volume, and per candidate its referencing
+      statements and whether it contracts once they all share a
+      cluster.  Every dependence on an array joins two statements that
+      reference it, so "contractible within [C]" reduces to "its
+      referencing statements ⊆ [C]".
 
     {2 Certificates}
 
@@ -111,7 +123,10 @@ type stats = {
 val columns : cfg -> Core.Asdg.t -> int list array * bool
 (** The block's columns, as {!block} enumerates them: the singletons,
     then every valid convex cluster in ascending-index DFS order, up to
-    [max_clusters]; and whether the enumeration completed. *)
+    [max_clusters] columns (or [32 × max_clusters] extensions tried);
+    and whether the enumeration completed.  Each column is ascending.
+    [test/test_plan.ml] keeps the enumeration that vets every
+    extension with [Core.Partition.check_merge] as the oracle. *)
 
 val block :
   ?probe:(Core.Partition.t -> unit) ->

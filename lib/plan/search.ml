@@ -18,9 +18,17 @@ type stats = {
   improved : bool;
 }
 
+(* A priced state.  Besides its partition and price it keeps what
+   pricing a child reuses: each statement's cluster representative, the
+   candidates it scalar-contracts, and each cluster's (L1, L2) misses
+   under those contractions. *)
 type state = {
   p : Core.Partition.t;
+  ids : int array;  (** statement -> cluster representative *)
   key : string;
+  contracted : bool array;  (** per candidate, in [candidates] order *)
+  misses : (float * float) array;
+      (** per representative: the cluster's [Cost.cluster_misses] *)
   cost : Cost.breakdown;
   bound : float;
 }
@@ -28,23 +36,31 @@ type state = {
 (* Canonical state identity: the cluster-representative vector.  Two
    partitions with the same vector are the same partition, so this
    both memoizes and makes every tie-break deterministic. *)
-let key_of n p =
-  String.concat "."
-    (List.init n (fun i -> string_of_int (Core.Partition.cluster_of p i)))
+let key_of ids =
+  String.concat "." (Array.to_list (Array.map string_of_int ids))
 
-(* What the bound asks of an array, fixed for the whole block: the
+(* What pricing asks of an array, fixed for the whole block: the
    statements referencing it, the lines one sweep of it touches, its
    reference weight and whether its first reference writes it. *)
 type array_facts = {
-  refs : int list;
+  refs : int array;
   lines : int;
   weight : int;
   first_write : bool;
 }
 
-(* Per block, the facts of each contraction candidate and of each array
-   the block references, in the order [bound_of] folds over them. *)
-let bound_table cost_t ~block ~candidates g =
+type table = {
+  names : string array;  (** the candidates, in order *)
+  cands : array_facts array;  (** per candidate *)
+  eligible : bool array;
+      (** per candidate: [Core.Contraction.scalar_if_confined], so
+          contracted exactly when all its references share a cluster *)
+  vars : (array_facts * int) array;
+      (** per array the block references, in [Core.Asdg.vars] order:
+          its facts and the index of its candidate entry, or -1 *)
+}
+
+let table cost_t ~block ~candidates g =
   let t0 = Core.Partition.trivial g in
   let facts x =
     let refs = Core.Asdg.stmts_referencing g x in
@@ -53,57 +69,74 @@ let bound_table cost_t ~block ~candidates g =
       | i :: _ -> Ir.Region.volume (Core.Asdg.stmt g i).Ir.Nstmt.region
       | [] -> 0
     in
-    ( x,
-      {
-        refs;
-        lines = Cost.lines_of_volume cost_t vol;
-        weight = Cost.block_weight cost_t ~block x;
-        first_write = Core.Partition.first_ref_is_write t0 x;
-      } )
+    {
+      refs = Array.of_list refs;
+      lines = Cost.lines_of_volume cost_t vol;
+      weight = Cost.block_weight cost_t ~block x;
+      first_write = Core.Partition.first_ref_is_write t0 x;
+    }
   in
-  (List.map facts candidates, List.map facts (Core.Asdg.vars g))
+  let names = Array.of_list candidates in
+  let cands = Array.map facts names in
+  let index x =
+    let rec go k =
+      if k = Array.length names then -1
+      else if names.(k) = x then k
+      else go (k + 1)
+    in
+    go 0
+  in
+  {
+    names;
+    cands;
+    eligible = Array.map (Core.Contraction.scalar_if_confined g) names;
+    vars =
+      Array.of_list
+        (List.map (fun x -> (facts x, index x)) (Core.Asdg.vars g));
+  }
 
-(* Admissible optimism: from state [p] a descendant can at best
+(* Distinct clusters among the statements [refs]. *)
+let sweeps ids refs =
+  let k = ref 0 in
+  Array.iteri
+    (fun j r ->
+      let c = ids.(r) in
+      let rec seen i = i < j && (ids.(refs.(i)) = c || seen (i + 1)) in
+      if not (seen 0) then incr k)
+    refs;
+  !k
+
+(* Admissible optimism: from a state a descendant can at best
    (a) contract every remaining first-ref-is-write candidate — saving
    its reference weight in L1 hits plus every sweep it still causes;
    (b) fuse all clusters referencing an array down to one sweep; and
    (c) lose the entire communication bill.  Overestimating the
    achievable savings only weakens pruning, never correctness. *)
-let bound_of cost_t ~block (candidates, vars) p (bp : Sir.Scalarize.block_plan)
-    (cost : Cost.breakdown) =
+let bound_of cost_t ~block tbl ids contracted (cost : Cost.breakdown) =
   let c = Cost.cfg cost_t in
   let m = c.Cost.machine in
   let mult = float_of_int (Cost.block_mult cost_t ~block) in
-  let contracted = List.map fst bp.Sir.Scalarize.contracted in
   let miss_ub = m.Machine.l1_miss_ns +. m.Machine.l2_miss_ns in
-  (* clusters of [p] sweeping the array *)
-  let sweeps f =
-    List.length
-      (List.sort_uniq compare (List.map (Core.Partition.cluster_of p) f.refs))
-  in
-  let h_contract =
-    List.fold_left
-      (fun acc (x, f) ->
-        if List.mem x contracted then acc
-        else if not f.first_write then acc
-        else
-          acc
+  let h_contract = ref 0.0 in
+  Array.iteri
+    (fun k f ->
+      if f.first_write && not contracted.(k) then
+        h_contract :=
+          !h_contract
           +. (float_of_int f.weight *. m.Machine.l1_hit_ns)
-          +. (float_of_int (sweeps f * f.lines) *. miss_ub))
-      0.0 candidates
-  in
-  let h_locality =
-    List.fold_left
-      (fun acc (x, f) ->
-        if List.mem x contracted then acc
-        else
-          let k = sweeps f in
-          if k <= 1 then acc
-          else acc +. (float_of_int ((k - 1) * f.lines) *. miss_ub))
-      0.0 vars
-  in
+          +. (float_of_int (sweeps ids f.refs * f.lines) *. miss_ub))
+    tbl.cands;
+  let h_locality = ref 0.0 in
+  Array.iter
+    (fun (f, k) ->
+      if k < 0 || not contracted.(k) then
+        let n = sweeps ids f.refs in
+        if n > 1 then
+          h_locality :=
+            !h_locality +. (float_of_int ((n - 1) * f.lines) *. miss_ub))
+    tbl.vars;
   cost.Cost.total_ns
-  -. ((mult *. (h_contract +. h_locality)) +. cost.Cost.comm_ns)
+  -. ((mult *. (!h_contract +. !h_locality)) +. cost.Cost.comm_ns)
 
 (* The merge sets tried from [p]: the Figure-3 array moves plus
    pairwise cluster merges, each closed under GROW. *)
@@ -150,44 +183,96 @@ module Frontier = Map.Make (struct
   let compare = compare
 end)
 
-let block ?(probe = fun (_ : Core.Partition.t) -> ()) cfg cost_t ~block
-    ~candidates g =
+let block ?(probe = fun (_ : Core.Partition.t) (_ : Cost.breakdown) _ -> ()) cfg
+    cost_t ~block ~candidates g =
   Obs.span "plan-search" @@ fun () ->
+  Support.Pool.with_workers ~domains:cfg.jobs @@ fun workers ->
   let n = Core.Asdg.n g in
-  let table = bound_table cost_t ~block ~candidates g in
-  (* pure: safe to evaluate from any pool worker (Cost.t serializes its
-     memo internally; everything else it touches is read-only) *)
-  let mk p =
-    let contracted = Core.Contraction.decide p ~candidates in
+  let tbl = table cost_t ~block ~candidates g in
+  (* The price of a state whose [ids], [contracted] flags (and the
+     candidates they name, in order) and cluster [misses] are known.
+     Pure: safe to evaluate from any pool worker (Cost.t serializes its
+     memo internally; everything else it touches is read-only or owned
+     by this state). *)
+  let price p ids key contracted names misses =
     let bp =
       {
         Sir.Scalarize.partition = p;
-        contracted = List.map (fun x -> (x, Core.Contraction.Scalar)) contracted;
+        contracted = List.map (fun x -> (x, Core.Contraction.Scalar)) names;
         absorbed = [];
       }
     in
-    let cost = Cost.block_cost cost_t ~block bp in
-    let bound = bound_of cost_t ~block table p bp cost in
-    { p; key = key_of n p; cost; bound }
+    (* Core.Partition.clusters order: ascending representatives *)
+    let pairs = ref [] in
+    for i = n - 1 downto 0 do
+      if ids.(i) = i then pairs := misses.(i) :: !pairs
+    done;
+    let cost = Cost.block_cost_of_misses cost_t ~block bp !pairs in
+    let bound = bound_of cost_t ~block tbl ids contracted cost in
+    { p; ids; key; contracted; misses; cost; bound }
   in
   let expanded = ref 0
   and generated = ref 0
   and pruned = ref 0
   and deduped = ref 0
   and beam_rounds = ref 0 in
-  let cost_state p =
-    probe p;
+  (* A seed is priced from scratch, on the calling domain. *)
+  let seed p =
     incr generated;
-    mk p
+    let ids = Array.init n (Core.Partition.cluster_of p) in
+    let decided = Core.Contraction.decide p ~candidates in
+    let misses = Array.make n (0.0, 0.0) in
+    List.iter
+      (fun cl ->
+        misses.(List.hd cl) <-
+          Cost.cluster_misses cost_t ~block cl ~contracted:decided)
+      (Core.Partition.clusters p);
+    let st =
+      price p ids (key_of ids)
+        (Array.map (fun x -> List.mem x decided) tbl.names)
+        decided misses
+    in
+    probe st.p st.cost st.bound;
+    st
+  in
+  (* A child differs from its parent only in the merged cluster [rep]:
+     merging never un-contracts an array, an array it newly contracts
+     has every reference in [rep], and so every other cluster sweeps
+     exactly the streams it swept in the parent.  Only [rep] is probed;
+     the pairs are then re-folded in cluster order by the same formula
+     as Cost.block_cost, so the price is bit-identical. *)
+  let child parent (p, ids, key, rep) =
+    let contracted = Array.copy parent.contracted in
+    Array.iteri
+      (fun k f ->
+        if
+          (not contracted.(k))
+          && tbl.eligible.(k)
+          && Array.for_all (fun r -> ids.(r) = rep) f.refs
+        then contracted.(k) <- true)
+      tbl.cands;
+    let names = ref [] and members = ref [] in
+    for k = Array.length contracted - 1 downto 0 do
+      if contracted.(k) then names := tbl.names.(k) :: !names
+    done;
+    for i = n - 1 downto rep do
+      if ids.(i) = rep then members := i :: !members
+    done;
+    let misses = Array.copy parent.misses in
+    misses.(rep) <-
+      Cost.cluster_misses cost_t ~block !members ~contracted:!names;
+    price p ids key contracted !names misses
   in
   (* seeds: the trivial partition (search root) and the paper's greedy
      c2+f3 result, which becomes the incumbent floor *)
-  let trivial = cost_state (Core.Partition.trivial g) in
+  let trivial = seed (Core.Partition.trivial g) in
   let greedy_p =
     Core.Fusion.for_locality (Core.Fusion.for_contraction ~candidates g)
   in
   let greedy =
-    if key_of n greedy_p = trivial.key then trivial else cost_state greedy_p
+    if key_of (Array.init n (Core.Partition.cluster_of greedy_p)) = trivial.key
+    then trivial
+    else seed greedy_p
   in
   let incumbent =
     ref
@@ -208,29 +293,33 @@ let block ?(probe = fun (_ : Core.Partition.t) -> ()) cfg cost_t ~block
   if greedy.key <> trivial.key then push greedy;
   (* Children of a state, deduplicated against everything seen.  The
      sequential prefix (move enumeration, keying, visited bookkeeping,
-     probe, stat counters) fixes exactly which states get costed and in
-     what order; only the pure costing fans out over the pool, and
-     Pool.map returns in task order — so stats and tie-breaks are
-     independent of [cfg.jobs]. *)
+     stat counters) fixes exactly which states get priced and in what
+     order; only the pure pricing fans out over the search's workers,
+     and a batch returns in task order — so stats, probes and
+     tie-breaks are independent of [cfg.jobs]. *)
   let children st =
     let fresh =
       List.filter_map
         (fun c ->
-          let p' = Core.Partition.merge st.p c in
-          let key = key_of n p' in
+          let rep = List.hd c in
+          let ids =
+            Array.map (fun r -> if List.mem r c then rep else r) st.ids
+          in
+          let key = key_of ids in
           if Hashtbl.mem visited key then begin
             incr deduped;
             None
           end
           else begin
             Hashtbl.replace visited key ();
-            probe p';
             incr generated;
-            Some p'
+            Some (Core.Partition.merge st.p c, ids, key, rep)
           end)
         (moves g st.p)
     in
-    Support.Pool.map ~domains:cfg.jobs mk fresh
+    let kids = Support.Pool.batch workers (child st) fresh in
+    List.iter (fun st' -> probe st'.p st'.cost st'.bound) kids;
+    kids
   in
   (* ---- branch and bound ------------------------------------------ *)
   let budget_left () = !generated < cfg.max_states in

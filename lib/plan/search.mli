@@ -22,6 +22,16 @@
       asks of each array (referencing statements, sweep lines,
       reference weight, first reference a write) is tabulated once per
       block, so pricing a state only counts its clusters;
+    - {e delta pricing}: a child differs from its parent in one merged
+      cluster.  Merging never un-contracts an array, and an array it
+      newly contracts has all its references in the merged cluster, so
+      every other cluster sweeps exactly the streams it swept in the
+      parent.  A child therefore probes only the merged cluster, sets
+      contraction flags only for arrays whose references all lie in
+      it, and re-folds the clusters' miss pairs in cluster order with
+      [Cost.block_cost_of_misses] — bit-identical to [Cost.block_cost]
+      under [Core.Contraction.decide]'s contractions, which only the
+      two seeds call;
     - {e memoization}: states are canonicalized by their cluster-
       representative vector and never costed twice;
     - {e beam fallback}: past [max_states] cost evaluations the search
@@ -39,9 +49,11 @@ type cfg = {
   beam_width : int;
   eps : float;  (** ns tolerance below which costs count as equal *)
   jobs : int;
-      (** domains costing sibling candidate states in parallel via
-          {!Support.Pool}; the result, stats and provenance are
-          identical at any value (see docs/parallelism.md) *)
+      (** domains pricing sibling candidate states in parallel: each
+          {!block} call keeps [jobs - 1] {!Support.Pool} workers alive
+          and hands them each expansion's children as one batch; the
+          result, stats and provenance are identical at any value (see
+          docs/parallelism.md) *)
 }
 
 val default : cfg
@@ -66,7 +78,7 @@ val merge_sets : Core.Asdg.t -> Core.Partition.t -> int list list
     agree on every one (tests assert it). *)
 
 val block :
-  ?probe:(Core.Partition.t -> unit) ->
+  ?probe:(Core.Partition.t -> Cost.breakdown -> float -> unit) ->
   cfg ->
   Cost.t ->
   block:int ->
@@ -76,7 +88,10 @@ val block :
 (** Search the fusion partitions of one basic block.  [candidates]
     are the block's contraction candidates (as handed to the greedy
     fuser); the cost of a state is [Cost.block_cost] of the partition
-    with [Core.Contraction.decide]'s scalar contractions.  [probe] is
-    called on every state the search costs (tests use it to assert
-    Definition 5 validity of the whole explored space).  Emits
-    [plan.*] Obs counters and a ["plan-search"] span. *)
+    with [Core.Contraction.decide]'s scalar contractions.  [probe p
+    cost bound] is called on every state the search prices, with its
+    breakdown and admissible bound, on the calling domain in the order
+    the states are generated (tests use it to assert Definition 5
+    validity of the whole explored space and the exactness of delta
+    pricing).  Emits [plan.*] Obs counters and a ["plan-search"]
+    span. *)

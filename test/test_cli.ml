@@ -241,6 +241,49 @@ let test_plan_search_stats () =
       (plan_str out) (plan_str out2)
   end
 
+(* The planners' decision counters (contraction.candidates and
+   .performed, loopstruct.calls, ...) count work the calling domain
+   decides, never work priced on pool workers: the whole counters
+   object is identical at any --jobs. *)
+let test_plan_counters_jobs () =
+  if available then
+    List.iter
+      (fun plan ->
+        let counters jobs =
+          let code, out =
+            run
+              (Printf.sprintf "--bench sp --plan %s --stats json:- --jobs %d"
+                 plan jobs)
+          in
+          Alcotest.(check int) (plan ^ " exit 0") 0 code;
+          match Obs.Json.of_string (String.trim out) with
+          | Ok j -> (
+              match Obs.Json.member "counters" j with
+              | Some c -> Obs.Json.to_string c
+              | None -> Alcotest.failf "%s: no counters" plan)
+          | Error e -> Alcotest.failf "%s: stats not valid JSON (%s)" plan e
+        in
+        Alcotest.(check string)
+          (plan ^ " counters at --jobs 1 and 2")
+          (counters 1) (counters 2))
+      [ "search"; "ilp" ]
+
+(* --jobs past the runtime's domain limit: the search keeps its
+   workers alive per block, the spawns the runtime refuses are skipped,
+   and the plan is the --jobs 1 plan. *)
+let test_jobs_past_domain_limit () =
+  if available then begin
+    let args jobs =
+      Printf.sprintf "--bench frac --tile 16 --plan search --dump-plan --jobs %d"
+        jobs
+    in
+    let code1, out1 = run (args 1) in
+    let code, out = run (args 200) in
+    Alcotest.(check int) "--jobs 1 exit 0" 0 code1;
+    Alcotest.(check int) "--jobs 200 exit 0" 0 code;
+    Alcotest.(check string) "--jobs 200 plan == --jobs 1 plan" out1 out
+  end
+
 let test_bad_plan_fails () =
   if available then begin
     let code, _ = run "--bench ep --tile 16 --plan fastest" in
@@ -359,6 +402,10 @@ let suites =
         Alcotest.test_case "list levels golden" `Quick test_list_levels;
         Alcotest.test_case "plan search stats + determinism" `Slow
           test_plan_search_stats;
+        Alcotest.test_case "plan counters independent of --jobs" `Slow
+          test_plan_counters_jobs;
+        Alcotest.test_case "--jobs past the domain limit" `Slow
+          test_jobs_past_domain_limit;
         Alcotest.test_case "fuzz campaign smoke" `Slow test_fuzz_flag;
         Alcotest.test_case "bad plan rejected" `Quick test_bad_plan_fails;
         Alcotest.test_case "bad input" `Quick test_bad_input_fails;

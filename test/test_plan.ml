@@ -68,7 +68,7 @@ let prop_search_states_valid =
           let g = Core.Asdg.build stmts in
           let cost = Plan.Cost.create cost_cfg (mk_prog stmts) in
           let all_valid = ref true in
-          let probe p =
+          let probe p _ _ =
             if not (Core.Partition.is_valid p) then all_valid := false
           in
           let _p, _stats =
@@ -746,6 +746,28 @@ let test_probe_exact_on_suite () =
 (* Closed moves vs the full Definition 5 check                         *)
 (* ------------------------------------------------------------------ *)
 
+let corpus_programs () =
+  let corpus =
+    Sys.readdir "corpus" |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".zir")
+    |> List.sort compare
+    |> List.map (fun f ->
+           match Fuzz.Repro.load (Filename.concat "corpus" f) with
+           | Ok prog -> (f, prog)
+           | Error m -> Alcotest.failf "%s: %s" f m)
+  in
+  Alcotest.(check bool) "corpus is not empty" true (corpus <> []);
+  corpus
+
+(* generated programs drawn denser: rank 1, up to 14 statements, so
+   blocks are longer and share regions more often *)
+let dense = { Fuzz.Gen.default with Fuzz.Gen.max_stmts = 14; max_rank = 1 }
+
+let generated_programs ?cfg what seed count =
+  let rng = Support.Prng.create seed in
+  List.init count (fun i ->
+      (Printf.sprintf "%s program %d" what (i + 1), Fuzz.Gen.generate ?cfg rng))
+
 (* Every state the search reaches is acyclic and every merge set it
    tries is closed under GROW, so skipping the cycle check must not
    change a single verdict. *)
@@ -753,7 +775,7 @@ let closed_moves_agree what prog =
   let cost = Plan.Cost.create cost_cfg prog in
   let moves = ref 0 in
   let partition ~block ~compiler ~user g =
-    let probe p =
+    let probe p _ _ =
       List.iter
         (fun c ->
           incr moves;
@@ -774,37 +796,265 @@ let closed_moves_agree what prog =
   | Ok _ -> !moves
   | Error d -> Alcotest.failf "%s: %s" what (Obs.Diagnostic.to_string d)
 
-(* test/corpus, 120 generated programs, 120 more drawn denser (rank 1,
-   up to 14 statements, so blocks are longer and share regions more
-   often), and frac at tile 16 *)
+(* test/corpus, 120 generated programs, 120 more drawn [dense], and
+   frac at tile 16 *)
 let test_closed_moves_agree () =
-  let corpus =
-    Sys.readdir "corpus" |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".zir")
-    |> List.sort compare
-    |> List.map (fun f ->
-           match Fuzz.Repro.load (Filename.concat "corpus" f) with
-           | Ok prog -> (f, prog)
-           | Error m -> Alcotest.failf "%s: %s" f m)
-  in
-  Alcotest.(check bool) "corpus is not empty" true (corpus <> []);
-  let generated ?cfg what seed =
-    let rng = Support.Prng.create seed in
-    List.init 120 (fun i ->
-        let name = Printf.sprintf "%s program %d" what (i + 1) in
-        (name, Fuzz.Gen.generate ?cfg rng))
-  in
-  let dense = { Fuzz.Gen.default with Fuzz.Gen.max_stmts = 14; max_rank = 1 } in
   let moves =
     List.fold_left
       (fun acc (what, prog) -> acc + closed_moves_agree what prog)
       0
-      (corpus
-      @ generated "generated" 2026L
-      @ generated ~cfg:dense "dense generated" 7L
+      (corpus_programs ()
+      @ generated_programs "generated" 2026L 120
+      @ generated_programs ~cfg:dense "dense generated" 7L 120
       @ [ ("frac tile 16", Suite.load ~tile:16 "frac") ])
   in
   Alcotest.(check bool) "moves were checked" true (moves > 0)
+
+(* ------------------------------------------------------------------ *)
+(* Delta-priced search states vs Cost.block_cost                       *)
+(* ------------------------------------------------------------------ *)
+
+let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* The search's admissible bound as first written, kept as the oracle:
+   every per-array question answered by scanning the partition. *)
+let scan_bound cost ~block ~candidates g p contracted
+    (bd : Plan.Cost.breakdown) =
+  let m = (Plan.Cost.cfg cost).Plan.Cost.machine in
+  let mult = float_of_int (Plan.Cost.block_mult cost ~block) in
+  let miss_ub = m.Machine.l1_miss_ns +. m.Machine.l2_miss_ns in
+  let t0 = Core.Partition.trivial g in
+  let facts x =
+    let refs = Core.Asdg.stmts_referencing g x in
+    let vol =
+      match refs with
+      | i :: _ -> Region.volume (Core.Asdg.stmt g i).Nstmt.region
+      | [] -> 0
+    in
+    ( refs,
+      Plan.Cost.lines_of_volume cost vol,
+      Plan.Cost.block_weight cost ~block x,
+      Core.Partition.first_ref_is_write t0 x )
+  in
+  let sweeps refs =
+    List.length
+      (List.sort_uniq compare (List.map (Core.Partition.cluster_of p) refs))
+  in
+  let h_contract =
+    List.fold_left
+      (fun acc x ->
+        let refs, lines, weight, first_write = facts x in
+        if List.mem x contracted then acc
+        else if not first_write then acc
+        else
+          acc
+          +. (float_of_int weight *. m.Machine.l1_hit_ns)
+          +. (float_of_int (sweeps refs * lines) *. miss_ub))
+      0.0 candidates
+  in
+  let h_locality =
+    List.fold_left
+      (fun acc x ->
+        let refs, lines, _, _ = facts x in
+        if List.mem x contracted then acc
+        else
+          let k = sweeps refs in
+          if k <= 1 then acc
+          else acc +. (float_of_int ((k - 1) * lines) *. miss_ub))
+      0.0 (Core.Asdg.vars g)
+  in
+  bd.Plan.Cost.total_ns
+  -. ((mult *. (h_contract +. h_locality)) +. bd.Plan.Cost.comm_ns)
+
+(* Every state the search prices, trivial and greedy seeds, branch and
+   bound and beam children alike: its delta-priced breakdown equals
+   Cost.block_cost under Core.Contraction.decide's contractions, and
+   its bound the scan-based bound, bit for bit. *)
+let delta_exact what ~procs prog =
+  let cost =
+    Plan.Cost.create
+      { Plan.Cost.machine = Machine.t3e; procs; opts = Comm.Model.all_on }
+      prog
+  in
+  let states = ref 0 in
+  let partition ~block ~compiler ~user g =
+    let candidates = compiler @ user in
+    let probe p (got : Plan.Cost.breakdown) bound =
+      incr states;
+      let contracted = Core.Contraction.decide p ~candidates in
+      let want =
+        Plan.Cost.block_cost cost ~block
+          {
+            Sir.Scalarize.partition = p;
+            contracted =
+              List.map (fun x -> (x, Core.Contraction.Scalar)) contracted;
+            absorbed = [];
+          }
+      in
+      let fields (b : Plan.Cost.breakdown) =
+        Plan.Cost.[ b.flop_ns; b.ref_ns; b.miss_ns; b.comm_ns; b.total_ns ]
+      in
+      if
+        not
+          (List.for_all2 same_float (fields got) (fields want)
+          && got.Plan.Cost.contracted_elems = want.Plan.Cost.contracted_elems)
+      then
+        Alcotest.failf
+          "%s at procs %d, block %d, state %s: delta %h ns <> block_cost %h ns"
+          what procs block
+          (String.concat "|"
+             (List.map
+                (fun c -> String.concat "," (List.map string_of_int c))
+                (Core.Partition.clusters p)))
+          got.Plan.Cost.total_ns want.Plan.Cost.total_ns;
+      let want_bound = scan_bound cost ~block ~candidates g p contracted want in
+      if not (same_float bound want_bound) then
+        Alcotest.failf "%s at procs %d, block %d: bound %h <> scanned %h" what
+          procs block bound want_bound
+    in
+    fst (Plan.Search.block ~probe Plan.Search.default cost ~block ~candidates g)
+  in
+  match Compilers.Driver.(compile_custom_opts default_opts) prog ~partition with
+  | Ok _ -> !states
+  | Error d -> Alcotest.failf "%s: %s" what (Obs.Diagnostic.to_string d)
+
+(* test/corpus, 200 generated programs and the suite at tile 16, at
+   procs 1 (no communication term) and 16 *)
+let test_delta_pricing_exact () =
+  let programs =
+    corpus_programs ()
+    @ generated_programs "generated" 19L 200
+    @ List.map
+        (fun (b : Suite.bench) ->
+          (b.Suite.name ^ " tile 16", Suite.program ~tile:16 b))
+        Suite.all
+  in
+  let states =
+    Support.Pool.map ~domains:(Support.Pool.default_domains ())
+      (fun (procs, (what, prog)) -> delta_exact what ~procs prog)
+      (List.concat_map (fun procs -> List.map (fun w -> (procs, w)) programs) [ 1; 16 ])
+  in
+  Alcotest.(check bool) "states were priced" true
+    (List.fold_left ( + ) 0 states > 0)
+
+(* ------------------------------------------------------------------ *)
+(* Incremental column DFS vs the check_merge enumeration               *)
+(* ------------------------------------------------------------------ *)
+
+(* The column enumeration as first written, kept as the oracle: the
+   same ascending-index DFS, every extension vetted by a full
+   Core.Partition.check_merge on the trivial partition. *)
+let check_merge_columns (cfg : Plan.Ilp.cfg) g =
+  let n = Core.Asdg.n g in
+  let t0 = Core.Partition.trivial g in
+  let compat = Array.make_matrix n n false in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      match Core.Partition.check_merge t0 [ i; j ] with
+      | Ok () | Error Core.Partition.Cycle ->
+          compat.(i).(j) <- true;
+          compat.(j).(i) <- true
+      | Error _ -> ()
+    done
+  done;
+  let cols = ref [] in
+  let count = ref 0 in
+  let explored = ref 0 in
+  let complete = ref true in
+  let explore_cap = 32 * cfg.Plan.Ilp.max_clusters in
+  let exception Enough in
+  let emit c =
+    if !count >= cfg.Plan.Ilp.max_clusters then begin
+      complete := false;
+      raise Enough
+    end;
+    incr count;
+    cols := c :: !cols
+  in
+  (try
+     for s = 0 to n - 1 do
+       emit [ s ]
+     done;
+     let rec extend rev_members last =
+       for next = last + 1 to n - 1 do
+         if List.for_all (fun m -> compat.(m).(next)) rev_members then begin
+           incr explored;
+           if !explored > explore_cap then begin
+             complete := false;
+             raise Enough
+           end;
+           let c = List.rev (next :: rev_members) in
+           match Core.Partition.check_merge t0 c with
+           | Ok () ->
+               emit c;
+               extend (next :: rev_members) next
+           | Error _ -> ()
+         end
+       done
+     in
+     for s = 0 to n - 1 do
+       extend [ s ] s
+     done
+   with Enough -> ());
+  (Array.of_list (List.rev !cols), !complete)
+
+(* Every block of [prog], at column caps 4000 and 50: the same columns
+   in the same order, and the same [complete] flag. *)
+let columns_agree what prog =
+  let cases = ref 0 in
+  let partition ~block ~compiler:_ ~user:_ g =
+    List.iter
+      (fun max_clusters ->
+        incr cases;
+        let cfg = { Plan.Ilp.default with Plan.Ilp.max_clusters } in
+        let cols, complete = Plan.Ilp.columns cfg g in
+        let want_cols, want_complete = check_merge_columns cfg g in
+        if complete <> want_complete then
+          Alcotest.failf "%s, block %d, cap %d: complete %b <> %b" what block
+            max_clusters complete want_complete;
+        if cols <> want_cols then
+          Alcotest.failf "%s, block %d, cap %d: %d columns <> %d (first: %s)"
+            what block max_clusters (Array.length cols)
+            (Array.length want_cols)
+            (let k = ref 0 in
+             while
+               !k < min (Array.length cols) (Array.length want_cols)
+               && cols.(!k) = want_cols.(!k)
+             do
+               incr k
+             done;
+             Printf.sprintf "differ at column %d" !k))
+      [ 4000; 50 ];
+    Core.Partition.trivial g
+  in
+  match Compilers.Driver.(compile_custom_opts default_opts) prog ~partition with
+  | Ok _ -> !cases
+  | Error d -> Alcotest.failf "%s: %s" what (Obs.Diagnostic.to_string d)
+
+(* test/corpus, the suite and its rank-3 extra at default tiles and at
+   tile 16, 450 generated programs and 450 denser ones *)
+let test_columns_match_check_merge () =
+  let suite =
+    List.concat_map
+      (fun (b : Suite.bench) ->
+        [
+          (b.Suite.name, Suite.program b);
+          (b.Suite.name ^ " tile 16", Suite.program ~tile:16 b);
+        ])
+      (Suite.all @ Suite.extras)
+  in
+  let programs =
+    corpus_programs () @ suite
+    @ generated_programs "generated" 23L 450
+    @ generated_programs ~cfg:dense "dense generated" 29L 450
+  in
+  let cases =
+    Support.Pool.map ~domains:(Support.Pool.default_domains ())
+      (fun (what, prog) -> columns_agree what prog)
+      programs
+  in
+  Alcotest.(check bool) "blocks were enumerated" true
+    (List.fold_left ( + ) 0 cases > 0)
 
 let suites =
   [
@@ -821,6 +1071,10 @@ let suites =
           test_probe_exact_on_suite;
         Alcotest.test_case "closed moves agree with check_merge" `Slow
           test_closed_moves_agree;
+        Alcotest.test_case "delta-priced states equal block_cost" `Slow
+          test_delta_pricing_exact;
+        Alcotest.test_case "column DFS matches check_merge enumeration" `Slow
+          test_columns_match_check_merge;
         Alcotest.test_case "simple: search beats greedy, checksum equal" `Slow
           test_simple_search_wins;
         Alcotest.test_case "deterministic plans and provenance" `Slow

@@ -241,6 +241,95 @@ let test_pool_exception () =
             1 i)
     [ 1; 2; 8 ]
 
+(* One set of workers serves many batches: each batch comes back in
+   task order, every task runs exactly once, and a raising batch
+   re-raises its lowest-indexed failure without breaking the batches
+   after it. *)
+let test_pool_batches () =
+  List.iter
+    (fun domains ->
+      Pool.with_workers ~domains (fun w ->
+          for round = 1 to 50 do
+            let n = round mod 17 in
+            let runs = Array.init n (fun _ -> Atomic.make 0) in
+            let got =
+              Pool.batch w
+                (fun i ->
+                  Atomic.incr runs.(i);
+                  (i * round) + 1)
+                (List.init n Fun.id)
+            in
+            Alcotest.(check (list int))
+              (Printf.sprintf "round %d in task order, %d domains" round domains)
+              (List.init n (fun i -> (i * round) + 1))
+              got;
+            Array.iteri
+              (fun i r ->
+                if Atomic.get r <> 1 then
+                  Alcotest.failf "round %d, %d domains: task %d ran %d times"
+                    round domains i (Atomic.get r))
+              runs;
+            if round mod 10 = 0 then
+              match
+                Pool.batch w
+                  (fun i -> if i >= 3 && i mod 2 = 1 then raise (Boom i) else i)
+                  (List.init 12 Fun.id)
+              with
+              | _ -> Alcotest.fail "expected Boom"
+              | exception Boom i ->
+                  Alcotest.(check int)
+                    (Printf.sprintf "round %d lowest failure, %d domains" round
+                       domains)
+                    3 i
+          done))
+    [ 1; 2; 8 ]
+
+(* When the callback raises, with_workers joins its workers before
+   re-raising: every worker domain that ran a task has exited. *)
+let test_pool_joins_on_raise () =
+  let caller = Domain.self () in
+  let lock = Mutex.create () in
+  let workers = ref [] in
+  let exited = Atomic.make 0 in
+  let registered = Domain.DLS.new_key (fun () -> false) in
+  let task i =
+    if Domain.self () <> caller && not (Domain.DLS.get registered) then begin
+      Domain.DLS.set registered true;
+      Mutex.protect lock (fun () -> workers := Domain.self () :: !workers);
+      Domain.at_exit (fun () -> Atomic.incr exited)
+    end;
+    Unix.sleepf 0.002;
+    i
+  in
+  (match
+     Pool.with_workers ~domains:4 (fun w ->
+         ignore (Pool.batch w task (List.init 32 Fun.id) : int list);
+         raise (Boom 0))
+   with
+  | () -> Alcotest.fail "expected Boom"
+  | exception Boom 0 -> ()
+  | exception Boom i -> Alcotest.failf "unexpected Boom %d" i);
+  Alcotest.(check int)
+    "every worker that ran a task was joined"
+    (List.length !workers) (Atomic.get exited)
+
+(* More domains than the runtime allows: the spawns it refuses are
+   skipped, and the result is still List.map's. *)
+let test_pool_past_domain_limit () =
+  let tasks = List.init 200 Fun.id in
+  let f i =
+    Unix.sleepf 0.001;
+    (i * 7) + 1
+  in
+  Alcotest.(check (list int))
+    "200 domains == List.map" (List.map f tasks)
+    (Pool.map ~domains:200 f tasks);
+  Pool.with_workers ~domains:200 (fun w ->
+      Alcotest.(check (list int))
+        "200 live workers, two batches"
+        (List.map f tasks @ List.map f tasks)
+        (Pool.batch w f tasks @ Pool.batch w f tasks))
+
 let suites =
   [
     ( "support.vec",
@@ -279,5 +368,11 @@ let suites =
         Alcotest.test_case "edge cases" `Quick test_pool_edges;
         Alcotest.test_case "first failure propagates" `Quick
           test_pool_exception;
+        Alcotest.test_case "many batches on one set of workers" `Quick
+          test_pool_batches;
+        Alcotest.test_case "workers joined when the callback raises" `Quick
+          test_pool_joins_on_raise;
+        Alcotest.test_case "past the runtime's domain limit" `Quick
+          test_pool_past_domain_limit;
       ] );
   ]
