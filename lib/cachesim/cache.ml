@@ -78,6 +78,17 @@ let access t ~addr =
     false
   end
 
+(* A set of a fresh cache: every way invalid, every stamp 0.  Later
+   stamps only grow, so an invalidated set picks its victims, and hits,
+   exactly as a fresh one does, whatever the clock says. *)
+let invalidate t ~addr =
+  let set = (addr lsr t.line_shift) mod t.sets in
+  let base = set * t.cfg.assoc in
+  for way = base to base + t.cfg.assoc - 1 do
+    t.tags.(way) <- -1;
+    t.ages.(way) <- 0
+  done
+
 let stats t =
   { accesses = t.accesses; hits = t.hits; misses = t.accesses - t.hits }
 
@@ -106,6 +117,10 @@ module Hierarchy = struct
       match h.l2 with
       | Some l2 -> ignore (access l2 ~addr)
       | None -> ()
+
+  let invalidate h ~addr =
+    invalidate h.l1 ~addr;
+    match h.l2 with Some l2 -> invalidate l2 ~addr | None -> ()
 
   let l1_stats h = stats h.l1
   let l2_stats h = Option.map stats h.l2

@@ -46,20 +46,60 @@ let cluster_graph t =
   in
   (reps, id, edges)
 
-(* Staged: [grow t] builds the cluster graph once, for every cluster
-   set then asked of it. *)
+(* Bitsets over dense ids, [word] bits to an int: bit [b] of the set
+   whose first word is [bits.(off)]. *)
+let word = Sys.int_size
+let bit_mem bits off b = bits.(off + (b / word)) land (1 lsl (b mod word)) <> 0
+
+let bit_add bits off b =
+  let w = off + (b / word) in
+  bits.(w) <- bits.(w) lor (1 lsl (b mod word))
+
+(* Staged: [grow t] tabulates the transitive reach of the cluster graph
+   once, as one bitset row per cluster, and answers every cluster set
+   then asked of it by lookup.  Clusters get dense ids in
+   representative order; bit [b] of row [a] says a dependence path of
+   at least one edge leads from cluster [a] to cluster [b]. *)
 let grow t =
   let reps, id, edges = cluster_graph t in
-  let n = Array.length reps in
-  let redges = List.map (fun (a, b) -> (b, a)) edges in
+  let k = Array.length reps in
+  let words = (k + word - 1) / word in
+  let reach = Array.make (k * words) 0 in
+  List.iter (fun (a, b) -> bit_add reach (a * words) b) edges;
+  (* Warshall: after step [m], row [a] holds every cluster reached by a
+     path whose inner clusters all lie among 0..m *)
+  for m = 0 to k - 1 do
+    for a = 0 to k - 1 do
+      if bit_mem reach (a * words) m then
+        for w = 0 to words - 1 do
+          reach.((a * words) + w) <-
+            reach.((a * words) + w) lor reach.((m * words) + w)
+        done
+    done
+  done;
   fun c ->
-    let c_ids = List.map (fun r -> id.(r)) c in
-    let fwd = Support.Toposort.reachable ~n ~edges ~from:c_ids in
-    let bwd = Support.Toposort.reachable ~n ~edges:redges ~from:c_ids in
+    (* [c]'s clusters, and every cluster they reach *)
+    let inside = Array.make words 0 and reached = Array.make words 0 in
+    List.iter
+      (fun r ->
+        let a = id.(r) in
+        bit_add inside 0 a;
+        for w = 0 to words - 1 do
+          reached.(w) <- reached.(w) lor reach.((a * words) + w)
+        done)
+      c;
+    (* does cluster [x] reach back into [c]? *)
+    let reaches_back x =
+      let w = ref 0 in
+      while !w < words && reach.((x * words) + !w) land inside.(!w) = 0 do
+        incr w
+      done;
+      !w < words
+    in
     let out = ref [] in
-    for k = n - 1 downto 0 do
-      if fwd.(k) && bwd.(k) && not (List.mem k c_ids) then
-        out := reps.(k) :: !out
+    for x = k - 1 downto 0 do
+      if bit_mem reached 0 x && (not (bit_mem inside 0 x)) && reaches_back x
+      then out := reps.(x) :: !out
     done;
     !out
 
@@ -72,11 +112,17 @@ let merge t c =
   | first :: rest -> List.iter (fun r -> Support.Dsu.union dsu first r) rest);
   { t with dsu }
 
-(* All statements of the given cluster set; the clusters are computed
-   once, not once per member. *)
+(* All statements of the given cluster set, ascending: one pass over
+   the statements, membership by representative. *)
 let stmts_of t c =
-  let groups = clusters t in
-  List.concat_map (find_members groups) c |> List.sort compare
+  let n = Asdg.n t.asdg in
+  let inside = Array.make n false in
+  List.iter (fun r -> inside.(r) <- true) c;
+  let out = ref [] in
+  for i = n - 1 downto 0 do
+    if inside.(cluster_of t i) then out := i :: !out
+  done;
+  !out
 
 (* Labels of the dependences between statements of the set, in edge
    order: one pass over the edges, membership by array. *)

@@ -46,9 +46,16 @@ val grow : t -> int list -> int list
 (** [grow p c] (the paper's GROW): representatives of clusters outside
     [c] lying on a dependence path from [c] to [c] — exactly the
     clusters that would end up on an inter-cluster cycle if [c] were
-    fused.  O(e).  Staged: [grow t] builds the cluster graph once, so
-    applying it to many cluster sets of one partition pays for the
-    graph once. *)
+    fused.  Ascending.  Staged: [grow t] tabulates the transitive reach
+    of the cluster graph once, as a bitset row per cluster (O(n + e +
+    k²·⌈k/63⌉) for [n] statements, [e] dependence edges and [k]
+    clusters), and then answers each set [c] by lookup in
+    O((|c| + k)·⌈k/63⌉), with no graph search.  Applying it to many
+    cluster sets of one partition pays for the table once. *)
+
+val stmts_of : t -> int list -> int list
+(** The statements of the given clusters (by representative),
+    ascending: one pass over the statements, O(n). *)
 
 type veto =
   | Region_mismatch  (** condition (i): statements iterate different regions *)
@@ -76,7 +83,9 @@ val check_closed_merge : t -> int list -> (unit, veto) result
     such a set cannot create an inter-cluster cycle, so only
     conditions (i), (ii) and (iv) are checked, and the verdict equals
     {!check_merge}'s without copying the partition or rebuilding its
-    cluster graph.  On any other set the verdict is unspecified. *)
+    cluster graph.  The set's statements are read off the partition in
+    one pass ({!stmts_of}).  On any other set the verdict is
+    unspecified. *)
 
 val can_merge : ?relax_flow:bool -> t -> int list -> bool
 (** [check_merge] as a predicate. *)

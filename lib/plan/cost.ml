@@ -50,27 +50,8 @@ type block_info = {
 
 (* A probe's result is decided by its line count and the base
    addresses of its streams, in order; the key is exactly that,
-   [| lines; base_1; ...; base_k |].  Bases are multiples of the
-   alignment, so the hash folds every element in and mixes the high
-   bits back down. *)
-module Probe_memo = Hashtbl.Make (struct
-  type t = int array
-
-  let equal (a : t) b =
-    let n = Array.length a in
-    n = Array.length b
-    &&
-    let rec go i = i = n || (a.(i) = b.(i) && go (i + 1)) in
-    go 0
-
-  let hash (a : t) =
-    let h = ref 0 in
-    for i = 0 to Array.length a - 1 do
-      let x = (!h lxor a.(i)) * 0x100000001b3 in
-      h := x lxor (x lsr 29)
-    done;
-    !h land max_int
-end)
+   [| lines; base_1; ...; base_k |]. *)
+module Probe_memo = Hashtbl.Make (Support.Vec)
 
 type t = {
   cfg : cfg;
@@ -95,6 +76,32 @@ let alignment (m : Machine.t) =
     256
     (m.Machine.l1 :: Option.to_list m.Machine.l2)
 
+(* Each domain probes on one hierarchy of its own, kept from probe to
+   probe and replaced only when a machine with other cache configs
+   probes.  A probe reads its misses as deltas of the hierarchy's
+   counters and afterwards invalidates every set it touched, so the
+   next probe finds what a fresh hierarchy holds — at a cost per access
+   rather than per set of the cache. *)
+module H = Cachesim.Cache.Hierarchy
+
+let probe_hierarchy :
+    (Cachesim.Cache.config * Cachesim.Cache.config option * H.h) option
+    Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
+let hierarchy (m : Machine.t) =
+  match Domain.DLS.get probe_hierarchy with
+  | Some (l1, l2, h) when l1 = m.Machine.l1 && l2 = m.Machine.l2 -> h
+  | _ ->
+      let h = H.create ~l1:m.Machine.l1 ?l2:m.Machine.l2 () in
+      Domain.DLS.set probe_hierarchy (Some (m.Machine.l1, m.Machine.l2, h));
+      h
+
+let l1_misses h = (H.l1_stats h).Cachesim.Cache.misses
+
+let l2_misses h =
+  match H.l2_stats h with Some s -> s.Cachesim.Cache.misses | None -> 0
+
 (* L1 misses of [key]'s sweep ([| lines; base_1; ...; base_k |]) and
    the L2 misses they cause, counted over [min lines probe_cap] steps
    of one L1 line per stream and scaled to [lines].
@@ -114,32 +121,38 @@ let sweep_misses (m : Machine.t) key =
     | Some l2 -> max 1 (l2.Cachesim.Cache.line_bytes / l1_line)
     | None -> 1
   in
-  let hier =
-    Cachesim.Cache.Hierarchy.create ~l1:m.Machine.l1 ?l2:m.Machine.l2 ()
-  in
-  (* [l1_after.(i)], [l2_after.(i)]: misses after the period's first
-     [i] steps *)
-  let l1_after = Array.make (period + 1) 0 in
-  let l2_after = Array.make (period + 1) 0 in
+  let hier = hierarchy m in
+  (* [l1_after.(i)], [l2_after.(i)]: the hierarchy's miss counters
+     after the period's first [i] steps *)
+  let l1_after = Array.make (period + 1) (l1_misses hier) in
+  let l2_after = Array.make (period + 1) (l2_misses hier) in
   let k = Array.length key in
+  (try
+     for i = 0 to period - 1 do
+       let off = i * l1_line in
+       (* the hierarchy is write-allocate: a stream's access kind does
+          not change what it hits *)
+       for r = 1 to k - 1 do
+         H.access hier ~addr:(key.(r) + off) ~write:false
+       done;
+       l1_after.(i + 1) <- l1_misses hier;
+       l2_after.(i + 1) <- l2_misses hier
+     done
+   with e ->
+     (* which sets the probe dirtied is unknown: drop the hierarchy *)
+     let bt = Printexc.get_raw_backtrace () in
+     Domain.DLS.set probe_hierarchy None;
+     Printexc.raise_with_backtrace e bt);
   for i = 0 to period - 1 do
-    let off = i * l1_line in
-    (* the hierarchy is write-allocate: a stream's access kind does not
-       change what it hits *)
     for r = 1 to k - 1 do
-      Cachesim.Cache.Hierarchy.access hier ~addr:(key.(r) + off) ~write:false
-    done;
-    l1_after.(i + 1) <-
-      (Cachesim.Cache.Hierarchy.l1_stats hier).Cachesim.Cache.misses;
-    l2_after.(i + 1) <-
-      (match Cachesim.Cache.Hierarchy.l2_stats hier with
-      | Some s -> s.Cachesim.Cache.misses
-      | None -> 0)
+      H.invalidate hier ~addr:(key.(r) + (i * l1_line))
+    done
   done;
   let lines = key.(0) in
   let steps = min lines probe_cap in
   let count after =
-    (steps / period * after.(period)) + after.(steps mod period)
+    (steps / period * (after.(period) - after.(0)))
+    + after.(steps mod period) - after.(0)
   in
   let scale = float_of_int lines /. float_of_int steps in
   ( float_of_int (count l1_after) *. scale,

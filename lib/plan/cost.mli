@@ -105,7 +105,16 @@ val sweep_misses : Machine.t -> int array -> float * float
     counted from one cache period.  Exact when every base is a multiple
     of every line size of the machine and any two streams either share
     a base or never touch a common line within [min lines probe_cap]
-    lines. *)
+    lines.
+
+    Each domain simulates on one [Cachesim.Cache.Hierarchy] of its own
+    (domain-local storage), created on its first probe and replaced
+    when a machine with other L1/L2 configs probes.  A probe reads its
+    misses as deltas of the hierarchy's counters and then invalidates
+    the sets it touched ({!Cachesim.Cache.Hierarchy.invalidate}), so
+    every probe answers as on a fresh hierarchy, bit for bit, in
+    O(streams × period × assoc) with no cache allocated.  A probe that
+    raises drops its domain's hierarchy. *)
 
 val cluster_misses : t -> block:int -> int list -> contracted:string list -> float * float
 (** [(l1_misses, l2_misses)] of one fused cluster per block execution:

@@ -24,8 +24,8 @@ type stats = {
    under those contractions. *)
 type state = {
   p : Core.Partition.t;
-  ids : int array;  (** statement -> cluster representative *)
-  key : string;
+  ids : int array;
+      (** statement -> cluster representative: the state's identity *)
   contracted : bool array;  (** per candidate, in [candidates] order *)
   misses : (float * float) array;
       (** per representative: the cluster's [Cost.cluster_misses] *)
@@ -34,8 +34,11 @@ type state = {
 }
 
 (* Canonical state identity: the cluster-representative vector.  Two
-   partitions with the same vector are the same partition, so this
-   both memoizes and makes every tie-break deterministic. *)
+   partitions with the same vector are the same partition, so the
+   visited table is keyed on it, and the beam breaks cost ties on its
+   printed form. *)
+module Visited = Hashtbl.Make (Support.Vec)
+
 let key_of ids =
   String.concat "." (Array.to_list (Array.map string_of_int ids))
 
@@ -95,15 +98,18 @@ let table cost_t ~block ~candidates g =
         (List.map (fun x -> (facts x, index x)) (Core.Asdg.vars g));
   }
 
-(* Distinct clusters among the statements [refs]. *)
+(* Distinct clusters among the statements [refs].  Plain loops, like
+   [bound_of]'s: they run for every array of every priced state. *)
 let sweeps ids refs =
   let k = ref 0 in
-  Array.iteri
-    (fun j r ->
-      let c = ids.(r) in
-      let rec seen i = i < j && (ids.(refs.(i)) = c || seen (i + 1)) in
-      if not (seen 0) then incr k)
-    refs;
+  for j = 0 to Array.length refs - 1 do
+    let c = ids.(refs.(j)) in
+    let i = ref 0 in
+    while !i < j && ids.(refs.(!i)) <> c do
+      incr i
+    done;
+    if !i = j then incr k
+  done;
   !k
 
 (* Admissible optimism: from a state a descendant can at best
@@ -118,23 +124,24 @@ let bound_of cost_t ~block tbl ids contracted (cost : Cost.breakdown) =
   let mult = float_of_int (Cost.block_mult cost_t ~block) in
   let miss_ub = m.Machine.l1_miss_ns +. m.Machine.l2_miss_ns in
   let h_contract = ref 0.0 in
-  Array.iteri
-    (fun k f ->
-      if f.first_write && not contracted.(k) then
-        h_contract :=
-          !h_contract
-          +. (float_of_int f.weight *. m.Machine.l1_hit_ns)
-          +. (float_of_int (sweeps ids f.refs * f.lines) *. miss_ub))
-    tbl.cands;
+  for k = 0 to Array.length tbl.cands - 1 do
+    let f = tbl.cands.(k) in
+    if f.first_write && not contracted.(k) then
+      h_contract :=
+        !h_contract
+        +. (float_of_int f.weight *. m.Machine.l1_hit_ns)
+        +. (float_of_int (sweeps ids f.refs * f.lines) *. miss_ub)
+  done;
   let h_locality = ref 0.0 in
-  Array.iter
-    (fun (f, k) ->
-      if k < 0 || not contracted.(k) then
-        let n = sweeps ids f.refs in
-        if n > 1 then
-          h_locality :=
-            !h_locality +. (float_of_int ((n - 1) * f.lines) *. miss_ub))
-    tbl.vars;
+  for v = 0 to Array.length tbl.vars - 1 do
+    let f, k = tbl.vars.(v) in
+    if k < 0 || not contracted.(k) then begin
+      let n = sweeps ids f.refs in
+      if n > 1 then
+        h_locality :=
+          !h_locality +. (float_of_int ((n - 1) * f.lines) *. miss_ub)
+    end
+  done;
   cost.Cost.total_ns
   -. ((mult *. (!h_contract +. !h_locality)) +. cost.Cost.comm_ns)
 
@@ -194,7 +201,7 @@ let block ?(probe = fun (_ : Core.Partition.t) (_ : Cost.breakdown) _ -> ()) cfg
      Pure: safe to evaluate from any pool worker (Cost.t serializes its
      memo internally; everything else it touches is read-only or owned
      by this state). *)
-  let price p ids key contracted names misses =
+  let price p ids contracted names misses =
     let bp =
       {
         Sir.Scalarize.partition = p;
@@ -209,7 +216,7 @@ let block ?(probe = fun (_ : Core.Partition.t) (_ : Cost.breakdown) _ -> ()) cfg
     done;
     let cost = Cost.block_cost_of_misses cost_t ~block bp !pairs in
     let bound = bound_of cost_t ~block tbl ids contracted cost in
-    { p; ids; key; contracted; misses; cost; bound }
+    { p; ids; contracted; misses; cost; bound }
   in
   let expanded = ref 0
   and generated = ref 0
@@ -228,7 +235,7 @@ let block ?(probe = fun (_ : Core.Partition.t) (_ : Cost.breakdown) _ -> ()) cfg
           Cost.cluster_misses cost_t ~block cl ~contracted:decided)
       (Core.Partition.clusters p);
     let st =
-      price p ids (key_of ids)
+      price p ids
         (Array.map (fun x -> List.mem x decided) tbl.names)
         decided misses
     in
@@ -241,7 +248,7 @@ let block ?(probe = fun (_ : Core.Partition.t) (_ : Cost.breakdown) _ -> ()) cfg
      exactly the streams it swept in the parent.  Only [rep] is probed;
      the pairs are then re-folded in cluster order by the same formula
      as Cost.block_cost, so the price is bit-identical. *)
-  let child parent (p, ids, key, rep) =
+  let child parent (p, ids, rep) =
     let contracted = Array.copy parent.contracted in
     Array.iteri
       (fun k f ->
@@ -261,7 +268,7 @@ let block ?(probe = fun (_ : Core.Partition.t) (_ : Cost.breakdown) _ -> ()) cfg
     let misses = Array.copy parent.misses in
     misses.(rep) <-
       Cost.cluster_misses cost_t ~block !members ~contracted:!names;
-    price p ids key contracted !names misses
+    price p ids contracted !names misses
   in
   (* seeds: the trivial partition (search root) and the paper's greedy
      c2+f3 result, which becomes the incumbent floor *)
@@ -270,7 +277,10 @@ let block ?(probe = fun (_ : Core.Partition.t) (_ : Cost.breakdown) _ -> ()) cfg
     Core.Fusion.for_locality (Core.Fusion.for_contraction ~candidates g)
   in
   let greedy =
-    if key_of (Array.init n (Core.Partition.cluster_of greedy_p)) = trivial.key
+    if
+      Support.Vec.equal
+        (Array.init n (Core.Partition.cluster_of greedy_p))
+        trivial.ids
     then trivial
     else seed greedy_p
   in
@@ -280,9 +290,9 @@ let block ?(probe = fun (_ : Core.Partition.t) (_ : Cost.breakdown) _ -> ()) cfg
        then trivial
        else greedy)
   in
-  let visited = Hashtbl.create 256 in
-  Hashtbl.replace visited trivial.key ();
-  Hashtbl.replace visited greedy.key ();
+  let visited = Visited.create 256 in
+  Visited.replace visited trivial.ids ();
+  Visited.replace visited greedy.ids ();
   let tick = ref 0 in
   let frontier = ref Frontier.empty in
   let push st =
@@ -290,7 +300,7 @@ let block ?(probe = fun (_ : Core.Partition.t) (_ : Cost.breakdown) _ -> ()) cfg
     frontier := Frontier.add (st.bound, !tick) st !frontier
   in
   push trivial;
-  if greedy.key <> trivial.key then push greedy;
+  if greedy != trivial then push greedy;
   (* Children of a state, deduplicated against everything seen.  The
      sequential prefix (move enumeration, keying, visited bookkeeping,
      stat counters) fixes exactly which states get priced and in what
@@ -305,15 +315,14 @@ let block ?(probe = fun (_ : Core.Partition.t) (_ : Cost.breakdown) _ -> ()) cfg
           let ids =
             Array.map (fun r -> if List.mem r c then rep else r) st.ids
           in
-          let key = key_of ids in
-          if Hashtbl.mem visited key then begin
+          if Visited.mem visited ids then begin
             incr deduped;
             None
           end
           else begin
-            Hashtbl.replace visited key ();
+            Visited.replace visited ids ();
             incr generated;
-            Some (Core.Partition.merge st.p c, ids, key, rep)
+            Some (Core.Partition.merge st.p c, ids, rep)
           end)
         (moves g st.p)
     in
@@ -357,10 +366,13 @@ let block ?(probe = fun (_ : Core.Partition.t) (_ : Cost.breakdown) _ -> ()) cfg
        the state), unlike an eps-tolerant float comparison, which is
        not transitive. *)
     let quantize ns = if cfg.eps > 0.0 then Float.round (ns /. cfg.eps) else ns in
-    let by_cost a b =
-      compare
-        (quantize a.cost.Cost.total_ns, a.key)
-        (quantize b.cost.Cost.total_ns, b.key)
+    (* each state's key is printed once per sort, not once per
+       comparison *)
+    let sort_by_cost states =
+      List.map (fun st -> (quantize st.cost.Cost.total_ns, key_of st.ids, st)) states
+      |> List.sort (fun (q1, k1, _) (q2, k2, _) ->
+             match Float.compare q1 q2 with 0 -> String.compare k1 k2 | c -> c)
+      |> List.map (fun (_, _, st) -> st)
     in
     let rec take k = function
       | [] -> []
@@ -369,7 +381,7 @@ let block ?(probe = fun (_ : Core.Partition.t) (_ : Cost.breakdown) _ -> ()) cfg
     in
     let seeds =
       Frontier.fold (fun _ st acc -> st :: acc) !frontier []
-      |> List.cons !incumbent |> List.sort by_cost
+      |> List.cons !incumbent |> sort_by_cost
       |> take cfg.beam_width
     in
     frontier := Frontier.empty;
@@ -385,7 +397,7 @@ let block ?(probe = fun (_ : Core.Partition.t) (_ : Cost.breakdown) _ -> ()) cfg
           if st.cost.Cost.total_ns < !incumbent.cost.Cost.total_ns -. cfg.eps
           then incumbent := st)
         kids;
-      match List.sort by_cost kids with
+      match sort_by_cost kids with
       | [] -> continue := false
       | sorted -> beam := take cfg.beam_width sorted
     done

@@ -33,16 +33,22 @@
       under [Core.Contraction.decide]'s contractions, which only the
       two seeds call;
     - {e memoization}: states are canonicalized by their cluster-
-      representative vector and never costed twice;
+      representative vector and never costed twice: the visited table
+      is keyed on that [int array] itself.  Move generation builds one
+      [Core.Partition.grow] table per expanded state and answers every
+      array move and cluster pair by lookup; the bound and the sweep
+      counts it reads are plain loops that allocate nothing;
     - {e beam fallback}: past [max_states] cost evaluations the search
       degrades to a width-[beam_width] beam (large blocks — tomcatv,
       SP — stay tractable, at the price of the optimality certificate).
 
     The incumbent is seeded with the greedy [c2+f3] partition (fusion
     for contraction + fusion for locality), so the result is {e never}
-    worse than the paper's algorithm under the cost model.  All
-    tie-breaks compare canonical keys, making the search fully
-    deterministic. *)
+    worse than the paper's algorithm under [Plan.Cost], the planners'
+    own cost model (the trace-driven simulator can disagree; see
+    ROADMAP.md).  All tie-breaks compare canonical keys — the beam's
+    cost ties the printed representative vector, printed once per
+    state per sort — making the search fully deterministic. *)
 
 type cfg = {
   max_states : int;  (** cost evaluations before the beam fallback *)

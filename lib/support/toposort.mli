@@ -2,8 +2,8 @@
 
     Graphs are given as a node count [n] (nodes are [0 .. n-1]) and an
     edge list.  Used to order fusible clusters, to order statements
-    inside a cluster, and by [GROW] to find clusters lying on would-be
-    cycles. *)
+    inside a cluster, to check a partition's cluster graph for cycles,
+    and for the communication model's dependence relatedness. *)
 
 val sort : n:int -> edges:(int * int) list -> int list option
 (** [sort ~n ~edges] is a topological order of the nodes ([Some order]),

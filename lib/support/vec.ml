@@ -17,8 +17,27 @@ let add a b = binop "add" ( + ) a b
 let sub a b = binop "sub" ( - ) a b
 let neg a = Array.map (fun x -> -x) a
 let is_null v = Array.for_all (fun x -> x = 0) v
-let equal a b = a = b
+let equal (a : t) (b : t) =
+  let n = Array.length a in
+  n = Array.length b
+  &&
+  let i = ref 0 in
+  while !i < n && a.(!i) = b.(!i) do
+    incr i
+  done;
+  !i = n
+
 let compare = Stdlib.compare
+
+(* Every component is folded in; bases and representatives share low
+   bits, so the high bits are mixed back down. *)
+let hash (a : t) =
+  let h = ref 0 in
+  for i = 0 to Array.length a - 1 do
+    let x = (!h lxor a.(i)) * 0x100000001b3 in
+    h := x lxor (x lsr 29)
+  done;
+  !h land max_int
 
 let lex_nonneg v =
   let rec go i =

@@ -40,6 +40,12 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 (** Total order (lexicographic), suitable for [Set]/[Map] keys. *)
 
+val hash : t -> int
+(** A hash over every component (the polymorphic [Hashtbl.hash] reads
+    only the first few), so [Hashtbl.Make (Support.Vec)] is a table
+    keyed on whole vectors: the planner's probe keys and cluster-id
+    vectors. *)
+
 val lex_nonneg : t -> bool
 (** Lexicographic nonnegativity (Definition 1): the vector is null or
     its leftmost nonzero component is positive.  A constrained distance

@@ -69,6 +69,67 @@ let test_hierarchy () =
   Alcotest.(check int) "L1 thrashes" 20 l1.Cache.misses;
   Alcotest.(check int) "L2 absorbs" 2 l2.Cache.misses
 
+(* A cache that ran any sequence and then had every address it touched
+   invalidated answers any later sequence access for access, and counts
+   it, exactly as a fresh cache does; so does a hierarchy, level by
+   level.  Geometries cover direct-mapped and 2- to 4-way sets, and an
+   L2 whose lines are longer than L1's. *)
+let invalidate_geometries =
+  [
+    (cfg ~size:256 ~line:32 ~assoc:1, Some (cfg ~size:1536 ~line:64 ~assoc:3));
+    (cfg ~size:512 ~line:32 ~assoc:2, Some (cfg ~size:2048 ~line:32 ~assoc:4));
+    (cfg ~size:384 ~line:16 ~assoc:3, None);
+    (cfg ~size:1024 ~line:64 ~assoc:4, Some (cfg ~size:4096 ~line:128 ~assoc:2));
+  ]
+
+let prop_invalidate_restores_fresh =
+  let addrs = QCheck.Gen.(list_size (int_range 0 300) (int_range 0 8191)) in
+  QCheck.Test.make ~name:"invalidating touched sets restores a fresh cache"
+    ~count:300
+    QCheck.(
+      make
+        ~print:(fun (g, a, b) ->
+          Printf.sprintf "geometry %d, before [%s], after [%s]" g
+            (String.concat ";" (List.map string_of_int a))
+            (String.concat ";" (List.map string_of_int b)))
+        Gen.(triple (int_range 0 (List.length invalidate_geometries - 1)) addrs addrs))
+    (fun (g, before, after) ->
+      let l1, l2 = List.nth invalidate_geometries g in
+      let used = Cache.create l1 and fresh = Cache.create l1 in
+      List.iter (fun a -> ignore (Cache.access used ~addr:a)) before;
+      List.iter (fun a -> Cache.invalidate used ~addr:a) before;
+      let s0 = Cache.stats used in
+      let same_answers =
+        List.for_all
+          (fun a -> Cache.access used ~addr:a = Cache.access fresh ~addr:a)
+          after
+      in
+      let s1 = Cache.stats used and sf = Cache.stats fresh in
+      let h_used = Cache.Hierarchy.create ~l1 ?l2 ()
+      and h_fresh = Cache.Hierarchy.create ~l1 ?l2 () in
+      let misses h =
+        ( (Cache.Hierarchy.l1_stats h).Cache.misses,
+          match Cache.Hierarchy.l2_stats h with
+          | Some s -> s.Cache.misses
+          | None -> 0 )
+      in
+      List.iter (fun a -> Cache.Hierarchy.access h_used ~addr:a ~write:false) before;
+      List.iter (fun a -> Cache.Hierarchy.invalidate h_used ~addr:a) before;
+      let m1, m2 = misses h_used in
+      let delta (a1, a2) = (a1 - m1, a2 - m2) in
+      let same_hierarchy =
+        List.for_all
+          (fun a ->
+            Cache.Hierarchy.access h_used ~addr:a ~write:false;
+            Cache.Hierarchy.access h_fresh ~addr:a ~write:false;
+            delta (misses h_used) = misses h_fresh)
+          after
+      in
+      same_answers
+      && s1.Cache.hits - s0.Cache.hits = sf.Cache.hits
+      && s1.Cache.misses - s0.Cache.misses = sf.Cache.misses
+      && same_hierarchy)
+
 (* ------------------------------------------------------------------ *)
 (* Machine model                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -200,6 +261,7 @@ let suites =
         Alcotest.test_case "direct-mapped conflicts" `Quick test_cache_direct_mapped;
         Alcotest.test_case "hierarchy" `Quick test_hierarchy;
         QCheck_alcotest.to_alcotest prop_cache_counts_consistent;
+        QCheck_alcotest.to_alcotest prop_invalidate_restores_fresh;
       ] );
     ( "machine",
       [ Alcotest.test_case "models" `Quick test_machines ] );

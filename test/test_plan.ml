@@ -811,6 +811,386 @@ let test_closed_moves_agree () =
   Alcotest.(check bool) "moves were checked" true (moves > 0)
 
 (* ------------------------------------------------------------------ *)
+(* Reused-hierarchy probe vs a fresh hierarchy per probe               *)
+(* ------------------------------------------------------------------ *)
+
+(* The one-period probe on a hierarchy created for it alone, kept as the
+   oracle: Cost.sweep_misses reuses one hierarchy per domain, reads its
+   misses as counter deltas and invalidates the sets it touched. *)
+let fresh_sweep_misses (m : Machine.t) key =
+  let l1_line = m.Machine.l1.Cachesim.Cache.line_bytes in
+  let period =
+    match m.Machine.l2 with
+    | Some l2 -> max 1 (l2.Cachesim.Cache.line_bytes / l1_line)
+    | None -> 1
+  in
+  let hier =
+    Cachesim.Cache.Hierarchy.create ~l1:m.Machine.l1 ?l2:m.Machine.l2 ()
+  in
+  (* misses after the period's first [i] steps *)
+  let l1_after = Array.make (period + 1) 0 in
+  let l2_after = Array.make (period + 1) 0 in
+  for i = 0 to period - 1 do
+    for r = 1 to Array.length key - 1 do
+      Cachesim.Cache.Hierarchy.access hier ~addr:(key.(r) + (i * l1_line))
+        ~write:false
+    done;
+    l1_after.(i + 1) <-
+      (Cachesim.Cache.Hierarchy.l1_stats hier).Cachesim.Cache.misses;
+    l2_after.(i + 1) <-
+      (match Cachesim.Cache.Hierarchy.l2_stats hier with
+      | Some s -> s.Cachesim.Cache.misses
+      | None -> 0)
+  done;
+  let lines = key.(0) in
+  let steps = min lines Plan.Cost.probe_cap in
+  let count after =
+    (steps / period * after.(period)) + after.(steps mod period)
+  in
+  let scale = float_of_int lines /. float_of_int steps in
+  ( float_of_int (count l1_after) *. scale,
+    float_of_int (count l2_after) *. scale )
+
+let print_key key =
+  String.concat ";" (List.map string_of_int (Array.to_list key))
+
+module Key_table = Hashtbl.Make (Support.Vec)
+
+let check_probe ?(fresh = fresh_sweep_misses) what m key got =
+  let want = fresh m key in
+  if not (same_bits got want) then
+    Alcotest.failf "%s on %s, key [%s]: (%h, %h) <> fresh (%h, %h)" what
+      m.Machine.name (print_key key) (fst got) (snd got) (fst want) (snd want)
+
+(* Every key the search and the ILP request on [prog] at jobs 1, so
+   every probe runs on this domain's hierarchy: the pair the planner got
+   (its memo) and a direct probe made now, between the planners' own,
+   both equal the fresh-hierarchy probe.  The search's keys are its
+   states' clusters under Core.Contraction.decide's contractions; the
+   ILP's are its columns under theirs. *)
+let planner_probes_fresh what m prog =
+  let cost = cost_on m prog in
+  let keys = ref 0 in
+  (* the oracle is a pure function of the key: memoize it *)
+  let oracle = Key_table.create 4096 in
+  let fresh m key =
+    match Key_table.find_opt oracle key with
+    | Some r -> r
+    | None ->
+        let r = fresh_sweep_misses m key in
+        Key_table.add oracle key r;
+        r
+  in
+  let check ~block c ~contracted =
+    let key = Plan.Cost.sweep cost ~block c ~contracted in
+    if key <> [||] then begin
+      incr keys;
+      check_probe ~fresh (what ^ " (planner)") m key
+        (Plan.Cost.cluster_misses cost ~block c ~contracted);
+      check_probe ~fresh (what ^ " (reprobed)") m key
+        (Plan.Cost.sweep_misses m key)
+    end
+  in
+  let partition ~block ~compiler ~user g =
+    let candidates = compiler @ user in
+    let probe p _ _ =
+      let contracted = Core.Contraction.decide p ~candidates in
+      List.iter
+        (fun c -> check ~block c ~contracted)
+        (Core.Partition.clusters p)
+    in
+    let p, _ =
+      Plan.Search.block ~probe Plan.Search.default cost ~block ~candidates g
+    in
+    ignore (Plan.Ilp.block Plan.Ilp.default cost ~block ~candidates ~seeds:[ p ] g);
+    let t0 = Core.Partition.trivial g in
+    Array.iter
+      (fun c ->
+        check ~block c
+          ~contracted:
+            (Core.Contraction.decide (Core.Partition.merge t0 c) ~candidates))
+      (fst (Plan.Ilp.columns Plan.Ilp.default g));
+    p
+  in
+  match Compilers.Driver.(compile_custom_opts default_opts) prog ~partition with
+  | Ok _ -> !keys
+  | Error d -> Alcotest.failf "%s: %s" what (Obs.Diagnostic.to_string d)
+
+(* test/corpus and the suite at tile 16, on the three machines (sp2 and
+   paragon have no L2: a period of one step) *)
+let test_probe_reuse_on_planner_keys () =
+  let programs =
+    corpus_programs ()
+    @ List.map
+        (fun (b : Suite.bench) ->
+          (b.Suite.name ^ " tile 16", Suite.program ~tile:16 b))
+        Suite.all
+  in
+  let keys =
+    Support.Pool.map ~domains:(Support.Pool.default_domains ())
+      (fun (m, (what, prog)) -> planner_probes_fresh what m prog)
+      (List.concat_map
+         (fun m -> List.map (fun w -> (m, w)) programs)
+         Machine.all)
+  in
+  Alcotest.(check bool) "keys were probed" true
+    (List.fold_left ( + ) 0 keys > 0)
+
+(* A random key: 1–64 streams drawn with repeats from up to 8 bases, some
+   of them shorter than a period *)
+let random_key rng =
+  let pick n = Support.Prng.next_int rng n in
+  let pool = Array.init (1 + pick 8) (fun _ -> 8 * pick 65536) in
+  let lines = if pick 2 = 0 then 1 + pick 4 else 1 + pick 2000 in
+  Array.init (2 + pick 64) (fun r ->
+      if r = 0 then lines else pool.(pick (Array.length pool)))
+
+(* 12000 random keys, 3000 on each probe machine in turn, so each reuses
+   its hierarchy; then 2000 more with the machine switched at random
+   between keys, on the same domain *)
+let test_probe_reuse_random () =
+  let rng = Support.Prng.create 2026L in
+  List.iter
+    (fun m ->
+      for _ = 1 to 3000 do
+        let key = random_key rng in
+        check_probe "random" m key (Plan.Cost.sweep_misses m key)
+      done)
+    probe_machines;
+  let machines = Array.of_list probe_machines in
+  let m = ref machines.(0) in
+  for _ = 1 to 2000 do
+    if Support.Prng.next_int rng 3 = 0 then
+      m := machines.(Support.Prng.next_int rng (Array.length machines));
+    let key = random_key rng in
+    check_probe "interleaved" !m key (Plan.Cost.sweep_misses !m key)
+  done
+
+(* A probe that raises leaves no dirty hierarchy behind: on 1-byte L1
+   lines a negative base indexes no set, after the probe has touched
+   base 0 — which the next probe must then miss, as a fresh one does. *)
+let test_probe_raise_leaves_fresh () =
+  let m =
+    {
+      Machine.t3e with
+      Machine.name = "1-byte L1 lines";
+      l1 = { Cachesim.Cache.size_bytes = 64; line_bytes = 1; assoc = 1 };
+      l2 = None;
+    }
+  in
+  (match Plan.Cost.sweep_misses m [| 1; 0; -5 |] with
+  | _ -> Alcotest.fail "a negative base on 1-byte lines indexes a set"
+  | exception Invalid_argument _ -> ());
+  check_probe "after a raise" m [| 1; 0 |] (Plan.Cost.sweep_misses m [| 1; 0 |])
+
+(* Past its domain's first probe, a probe allocates no cache: 1000
+   probes of a 64-stream T3E key cost under 64 words each, minor plus
+   major heap (a fresh T3E hierarchy is about 3.6k words). *)
+let test_probe_allocation () =
+  let m = Machine.t3e in
+  let key =
+    Array.init 65 (fun r -> if r = 0 then 2000 else 256 * (r * 7 mod 23))
+  in
+  ignore (Plan.Cost.sweep_misses m key);
+  let s0 = Gc.quick_stat () in
+  for _ = 1 to 1000 do
+    ignore (Sys.opaque_identity (Plan.Cost.sweep_misses m key))
+  done;
+  let s1 = Gc.quick_stat () in
+  let words =
+    s1.Gc.minor_words -. s0.Gc.minor_words
+    +. (s1.Gc.major_words -. s0.Gc.major_words)
+  in
+  let per_probe = words /. 1000.0 in
+  if per_probe >= 64.0 then
+    Alcotest.failf "%.1f words per probe (want < 64)" per_probe
+
+(* ------------------------------------------------------------------ *)
+(* Tabulated GROW and one-pass stmts_of vs their first versions        *)
+(* ------------------------------------------------------------------ *)
+
+(* GROW as first written, kept as the oracle: per cluster set, a
+   forward and a backward DFS over the cluster graph. *)
+let dfs_grow p =
+  let n = Core.Asdg.n (Core.Partition.asdg p) in
+  let reps = Array.of_list (List.map List.hd (Core.Partition.clusters p)) in
+  let k = Array.length reps in
+  let id = Array.make n (-1) in
+  Array.iteri (fun d r -> id.(r) <- d) reps;
+  let edges =
+    List.map
+      (fun (a, b) -> (id.(a), id.(b)))
+      (Core.Partition.inter_cluster_edges p)
+  in
+  let redges = List.map (fun (a, b) -> (b, a)) edges in
+  fun c ->
+    let c_ids = List.map (fun r -> id.(r)) c in
+    let fwd = Support.Toposort.reachable ~n:k ~edges ~from:c_ids in
+    let bwd = Support.Toposort.reachable ~n:k ~edges:redges ~from:c_ids in
+    let out = ref [] in
+    for d = k - 1 downto 0 do
+      if fwd.(d) && bwd.(d) && not (List.mem d c_ids) then
+        out := reps.(d) :: !out
+    done;
+    !out
+
+(* stmts_of as first written, kept as the oracle: each cluster's members
+   looked up in the partition's cluster list, then sorted. *)
+let clusters_stmts_of p c =
+  let groups = Core.Partition.clusters p in
+  List.concat_map (fun r -> List.find (fun cl -> List.hd cl = r) groups) c
+  |> List.sort compare
+
+let print_set c = String.concat ";" (List.map string_of_int c)
+
+(* On state [p]: GROW of every set the search closes (the clusters
+   referencing each array, every pair of clusters) and of every merge
+   set; and each merge set's statements and verdict.  A merge set is
+   grow-closed, so its statements are convex in the statement graph and
+   merging them in the trivial partition forms no cycle: check_merge
+   there vets conditions (i), (ii) and (iv) of the oracle's statements,
+   which is check_closed_merge's verdict. *)
+let grow_agrees what g p =
+  let grow = Core.Partition.grow p and want = dfs_grow p in
+  let t0 = Core.Partition.trivial g in
+  let reps = List.map List.hd (Core.Partition.clusters p) in
+  let seeds =
+    List.filter_map
+      (fun x ->
+        match
+          List.sort_uniq compare
+            (List.map (Core.Partition.cluster_of p)
+               (Core.Asdg.stmts_referencing g x))
+        with
+        | [] | [ _ ] -> None
+        | c -> Some c)
+      (Core.Asdg.vars g)
+    @ List.concat_map
+        (fun r1 -> List.filter_map (fun r2 -> if r2 > r1 then Some [ r1; r2 ] else None) reps)
+        reps
+  in
+  let merge_sets = Plan.Search.merge_sets g p in
+  List.iter
+    (fun c ->
+      if grow c <> want c then
+        Alcotest.failf "%s: grow [%s] = [%s], DFS says [%s]" what (print_set c)
+          (print_set (grow c)) (print_set (want c)))
+    (seeds @ merge_sets);
+  List.iter
+    (fun c ->
+      let ss = clusters_stmts_of p c in
+      if Core.Partition.stmts_of p c <> ss then
+        Alcotest.failf "%s: stmts_of [%s] = [%s], clusters say [%s]" what
+          (print_set c)
+          (print_set (Core.Partition.stmts_of p c))
+          (print_set ss);
+      if Core.Partition.check_closed_merge p c <> Core.Partition.check_merge t0 ss
+      then
+        Alcotest.failf "%s: closed check of [%s] disagrees with its statements"
+          what (print_set c))
+    merge_sets;
+  List.length seeds + List.length merge_sets
+
+(* every [every]-th state the search prices, on every block of [prog]:
+   a state is priced when it is generated, so [every = 1] covers every
+   state it expands *)
+let grow_agrees_on ?(every = 1) what prog =
+  let sets = ref 0 and priced = ref 0 in
+  let cost = Plan.Cost.create cost_cfg prog in
+  let partition ~block ~compiler ~user g =
+    let probe p _ _ =
+      if !priced mod every = 0 then
+        sets :=
+          !sets + grow_agrees (Printf.sprintf "%s, block %d" what block) g p;
+      incr priced
+    in
+    fst
+      (Plan.Search.block ~probe Plan.Search.default cost ~block
+         ~candidates:(compiler @ user) g)
+  in
+  match Compilers.Driver.(compile_custom_opts default_opts) prog ~partition with
+  | Ok _ -> !sets
+  | Error d -> Alcotest.failf "%s: %s" what (Obs.Diagnostic.to_string d)
+
+(* Every state the search prices over test/corpus and 200 generated
+   programs; every 20th over the suite at default tiles and at tile 16,
+   whose 71k states would take minutes to check in full *)
+let test_grow_matches_dfs () =
+  let tasks =
+    List.map
+      (fun w -> (1, w))
+      (corpus_programs () @ generated_programs "generated" 31L 200)
+    @ List.map (fun w -> (20, w)) (suite_programs ())
+  in
+  let sets =
+    Support.Pool.map ~domains:(Support.Pool.default_domains ())
+      (fun (every, (what, prog)) -> grow_agrees_on ~every what prog)
+      tasks
+  in
+  Alcotest.(check bool) "sets were grown" true (List.fold_left ( + ) 0 sets > 0)
+
+(* A block of 72 statements (more clusters than one 63-bit word holds):
+   X<i> reads two earlier arrays at offsets -1, 0 or 1, so some pairs
+   fuse and loop-carried flows keep others apart.  Every 25th state the
+   search prices, from the first, and 2000 random cluster sets of the
+   trivial partition. *)
+let test_grow_matches_dfs_wide () =
+  let n = 72 in
+  let rng = Support.Prng.create 72L in
+  let name i = Printf.sprintf "X%d" i in
+  let r1 = Region.of_bounds [ (1, 16) ] in
+  let read i =
+    let j = Support.Prng.next_int rng i in
+    Expr.Ref (name j, v [ Support.Prng.next_int rng 3 - 1 ])
+  in
+  let stmts =
+    List.init n (fun i ->
+        let rhs =
+          if i = 0 then Expr.Ref ("IN", v [ 0 ])
+          else Expr.Binop (Expr.Add, read i, read i)
+        in
+        Nstmt.make ~region:r1 ~lhs:(name i) rhs)
+  in
+  let array x =
+    { Prog.name = x; bounds = Region.of_bounds [ (0, 17) ]; kind = Prog.User }
+  in
+  let prog =
+    {
+      Prog.name = "wide";
+      arrays = array "IN" :: List.init n (fun i -> array (name i));
+      scalars = [];
+      body = List.map (fun s -> Prog.Astmt s) stmts;
+      live_out = [ "IN" ];
+    }
+  in
+  let g = Core.Asdg.build stmts in
+  let cost = Plan.Cost.create cost_cfg prog in
+  let priced = ref 0 and checked = ref 0 in
+  let probe p _ _ =
+    if !priced mod 25 = 0 then begin
+      incr checked;
+      ignore (grow_agrees "wide block" g p)
+    end;
+    incr priced
+  in
+  ignore
+    (Plan.Search.block ~probe search_cfg cost ~block:0
+       ~candidates:(List.init n name) g);
+  Alcotest.(check bool) "states were checked" true (!checked > 1);
+  let t0 = Core.Partition.trivial g in
+  let grow = Core.Partition.grow t0 and want = dfs_grow t0 in
+  for _ = 1 to 2000 do
+    let c =
+      List.sort_uniq compare
+        (List.init (1 + Support.Prng.next_int rng 6) (fun _ ->
+             Support.Prng.next_int rng n))
+    in
+    if grow c <> want c then
+      Alcotest.failf "wide block: grow [%s] = [%s], DFS says [%s]"
+        (print_set c) (print_set (grow c)) (print_set (want c))
+  done
+
+(* ------------------------------------------------------------------ *)
 (* Delta-priced search states vs Cost.block_cost                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -1069,8 +1449,20 @@ let suites =
           test_layout_precondition;
         Alcotest.test_case "one-period probe exact on suite columns" `Slow
           test_probe_exact_on_suite;
+        Alcotest.test_case "reused probe == fresh probe on planner keys" `Slow
+          test_probe_reuse_on_planner_keys;
+        Alcotest.test_case "reused probe == fresh probe on random keys" `Quick
+          test_probe_reuse_random;
+        Alcotest.test_case "a raising probe leaves a fresh hierarchy" `Quick
+          test_probe_raise_leaves_fresh;
+        Alcotest.test_case "a probe allocates no cache" `Quick
+          test_probe_allocation;
         Alcotest.test_case "closed moves agree with check_merge" `Slow
           test_closed_moves_agree;
+        Alcotest.test_case "tabulated GROW and stmts_of match their oracles"
+          `Slow test_grow_matches_dfs;
+        Alcotest.test_case "tabulated GROW past one word matches DFS" `Slow
+          test_grow_matches_dfs_wide;
         Alcotest.test_case "delta-priced states equal block_cost" `Slow
           test_delta_pricing_exact;
         Alcotest.test_case "column DFS matches check_merge enumeration" `Slow
