@@ -233,12 +233,12 @@ let perf_figure (m : Machine.t) =
         let prog = Suite.program b in
         let compiled_of level = compile ~level prog in
         let base = compiled_of Compilers.Driver.Baseline in
-        let base_comp = simulate m base in
+        let base_comp = Comm.Perf.simulate m base.Compilers.Driver.code in
         let level_data =
           List.map
             (fun level ->
               let c = compiled_of level in
-              let comp = simulate m c in
+              let comp = Comm.Perf.simulate m c.Compilers.Driver.code in
               if comp.checksum <> base_comp.checksum then
                 failwith
                   (Printf.sprintf "%s: %s changed the program's results!"
@@ -313,8 +313,12 @@ let sec55 () =
       row "%-9s" b.Suite.name;
       List.iter
         (fun m ->
-          let t_ff = measure_time m ~procs (simulate m ff) ff in
-          let t_fc = measure_time m ~procs (simulate m fc) fc in
+          let time c =
+            let comp = Comm.Perf.simulate m c.Compilers.Driver.code in
+            measure_time m ~procs comp c
+          in
+          let t_ff = time ff in
+          let t_fc = time fc in
           row " %11.1f%%" (100.0 *. (t_fc -. t_ff) /. t_ff))
         Machine.all;
       print_newline ())
@@ -336,8 +340,11 @@ let ablate_reduction_fusion () =
       ~level:Compilers.Driver.C2 prog
   in
   let m = Machine.t3e in
-  let t_with = measure_time m ~procs:1 (simulate m with_rf) with_rf in
-  let t_without = measure_time m ~procs:1 (simulate m without) without in
+  let time c =
+    measure_time m ~procs:1 (Comm.Perf.simulate m c.Compilers.Driver.code) c
+  in
+  let t_with = time with_rf in
+  let t_without = time without in
   row "with reduction fusion:    %2d arrays, %10.0f ns\n"
     (Compilers.Driver.remaining_arrays with_rf)
     t_with;
@@ -400,12 +407,12 @@ let ablate_partial_contraction () =
   let m = Machine.t3e in
   let report name prog level =
     let c = compile ~level prog in
-    let comp = simulate m c in
+    let comp = Comm.Perf.simulate m c.Compilers.Driver.code in
     let t = measure_time m ~procs:1 comp c in
     row "%-10s %-6s: %2d allocations, %9d bytes, %12.0f ns\n" name
       (Compilers.Driver.level_name level)
       (Compilers.Driver.remaining_arrays c)
-      comp.footprint t;
+      comp.footprint_bytes t;
     comp.checksum
   in
   (* SP itself: its self-stencil updates admit no rank reduction — the
@@ -463,7 +470,7 @@ let ablate_merge_vs_contraction () =
   let m = Machine.t3e in
   let report tag prog level =
     let c = compile ~level prog in
-    let comp = simulate m c in
+    let comp = Comm.Perf.simulate m c.Compilers.Driver.code in
     let t = measure_time m ~procs:1 comp c in
     row "  %-26s %2d arrays %9d flops %12.0f ns\n" tag
       (Compilers.Driver.remaining_arrays c)
@@ -496,36 +503,12 @@ let ablate_backend_cannot_recover () =
   let prog = Suite.load "tomcatv" in
   let m = Machine.t3e in
   let report tag code =
-    let hier =
-      Cachesim.Cache.Hierarchy.create ~l1:m.Machine.l1 ?l2:m.Machine.l2 ()
-    in
-    let r =
-      Exec.Interp.run
-        ~trace:(fun ~addr ~write ->
-          Cachesim.Cache.Hierarchy.access hier ~addr ~write)
-        code
-    in
-    let cnt = Exec.Interp.counters r in
-    let l1 = Cachesim.Cache.Hierarchy.l1_stats hier in
-    let l2m =
-      match Cachesim.Cache.Hierarchy.l2_stats hier with
-      | Some s -> s.Cachesim.Cache.misses
-      | None -> 0
-    in
-    let t =
-      Machine.time_ns m
-        {
-          Machine.flops = cnt.Exec.Interp.flops;
-          l1_accesses = l1.Cachesim.Cache.accesses;
-          l1_misses = l1.Cachesim.Cache.misses;
-          l2_misses = l2m;
-          comm_ns = 0.0;
-        }
-    in
+    let comp = Comm.Perf.simulate m code in
     row "  %-26s %2d arrays %9d flops %12.0f ns\n" tag
       (List.length code.Sir.Code.allocs)
-      cnt.Exec.Interp.flops t;
-    Exec.Interp.checksum r
+      comp.flops
+      (Comm.Perf.time_ns m comp ~comm_ns:0.0);
+    comp.checksum
   in
   let base =
     (compile ~level:Compilers.Driver.Baseline prog)

@@ -7,49 +7,13 @@
    computation once per (benchmark, level, machine) and recost only the
    communication model per processor count. *)
 
-type computation = {
-  flops : int;
-  l1 : Cachesim.Cache.stats;
-  l2 : Cachesim.Cache.stats option;
-  footprint : int;
-  checksum : string;
-}
-
-let simulate (m : Machine.t) (c : Compilers.Driver.compiled) =
-  let hier =
-    Cachesim.Cache.Hierarchy.create ~l1:m.Machine.l1 ?l2:m.Machine.l2 ()
-  in
-  let trace ~addr ~write =
-    Cachesim.Cache.Hierarchy.access hier ~addr ~write
-  in
-  let r = Exec.Interp.run ~trace c.Compilers.Driver.code in
-  let cnt = Exec.Interp.counters r in
-  {
-    flops = cnt.Exec.Interp.flops;
-    l1 = Cachesim.Cache.Hierarchy.l1_stats hier;
-    l2 = Cachesim.Cache.Hierarchy.l2_stats hier;
-    footprint = Exec.Interp.footprint_bytes c.Compilers.Driver.code;
-    checksum = Exec.Interp.checksum r;
-  }
-
-let time_ns (m : Machine.t) comp ~comm_ns =
-  Machine.time_ns m
-    {
-      Machine.flops = comp.flops;
-      l1_accesses = comp.l1.Cachesim.Cache.accesses;
-      l1_misses = comp.l1.Cachesim.Cache.misses;
-      l2_misses =
-        (match comp.l2 with Some s -> s.Cachesim.Cache.misses | None -> 0);
-      comm_ns;
-    }
-
 let comm_ns (m : Machine.t) ~procs (c : Compilers.Driver.compiled) =
   (Comm.Model.analyze ~machine:m ~procs ~opts:Comm.Model.all_on c)
     .Comm.Model.effective_ns
 
 (* Full modeled time of one configuration on p processors. *)
 let measure_time m ~procs comp compiled =
-  time_ns m comp ~comm_ns:(comm_ns m ~procs compiled)
+  Comm.Perf.time_ns m comp ~comm_ns:(comm_ns m ~procs compiled)
 
 let improvement_pct ~baseline t = 100.0 *. (baseline -. t) /. t
 

@@ -231,9 +231,9 @@ let section () =
         (fun ((b : Suite.bench), m) ->
           let prog = Suite.program ?tile:(tile_of b) b in
           let c = compile_mode prog m in
-          let comp = Harness.simulate model_machine c in
+          let comp = Comm.Perf.simulate model_machine c.Compilers.Driver.code in
           let predicted = Harness.measure_time model_machine ~procs:1 comp c in
-          (b, m, c, comp.Harness.checksum, predicted))
+          (b, m, c, comp.Comm.Perf.checksum, predicted))
         cells
     in
     (* phase 2, sequential: build through a private store (so "built"

@@ -153,7 +153,7 @@ let measure (b : Suite.bench) (machine : Machine.t) procs =
   (* the never-worse chain: search is seeded with greedy, the ILP with
      the searched partitions, so an inversion anywhere is a planner
      bug *)
-  let eps = 1e-6 in
+  let eps = Plan.Cost.eps in
   let chain_ok = i <= s +. eps && s <= g +. eps && chosen_ns <= g +. eps in
   {
     bench = b.name;

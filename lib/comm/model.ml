@@ -304,62 +304,53 @@ let reduction_stages procs =
 (* Whole-program analysis                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Per-block execution multipliers + total reduction executions, via
-   the same traversal order as Prog.blocks. *)
+(* Per-block execution multipliers + total reduction executions: a
+   loop multiplies by its trip count, and a block runs its trailing
+   reductions as often as itself. *)
 let block_multipliers prog =
-  let n_blocks = List.length (Prog.blocks prog) in
-  let block_mult = Array.make n_blocks 0 in
-  let reductions = ref 0 in
-  let next_block = ref 0 in
-  let rec walk mult pending stmts =
-    match stmts with
-    | [] -> flush mult pending
-    | Prog.Astmt _ :: tl -> walk mult (pending + 1) tl
-    | Prog.Sloop { lo; hi; body; _ } :: tl ->
-        flush mult pending;
-        walk (mult * max 0 (hi - lo + 1)) 0 body;
-        walk mult 0 tl
-    | Prog.Reduce _ :: tl ->
-        flush mult pending;
-        reductions := !reductions + mult;
-        walk mult 0 tl
-    | Prog.Sassign _ :: tl ->
-        flush mult pending;
-        walk mult 0 tl
-  and flush mult pending =
-    if pending > 0 then begin
-      block_mult.(!next_block) <- mult;
-      incr next_block
-    end
+  let rec walk mult acc nodes =
+    List.fold_left
+      (fun (mults, reds) -> function
+        | Prog.Block b ->
+            (mult :: mults, reds + (mult * List.length b.Prog.trailing))
+        | Prog.Reduction _ -> (mults, reds + mult)
+        | Prog.Scalar _ -> (mults, reds)
+        | Prog.Loop { lo; hi; body; _ } ->
+            walk (mult * max 0 (hi - lo + 1)) (mults, reds) body)
+      acc nodes
   in
-  walk 1 0 prog.Prog.body;
-  (block_mult, !reductions)
+  (* the skeleton lists blocks in index order *)
+  let mults, reds = walk 1 ([], 0) (Prog.skeleton prog) in
+  (Array.of_list (List.rev mults), reds)
 
 let zero_summary =
   { messages = 0; bytes = 0; raw_ns = 0.0; effective_ns = 0.0; reduction_ns = 0.0 }
 
-(* Cost of one block schedule for a single execution of the block —
-   the pipelining overlap windows and all per-message charges of
-   [analyze_plan], without the execution multiplier and without Obs
-   instrumentation (this runs in the planner's search loop). *)
-let sched_cost ~(machine : Machine.t) ~opts bs =
+(* One message's charge for a single execution of its block: the raw
+   cost and, under pipelining, the effective cost left after the
+   clusters between its producer and its consumer hide what they can
+   (never below 0.25 alpha). *)
+let message_ns ~(machine : Machine.t) ~opts bs m =
   let alpha = machine.Machine.msg_latency_ns in
-  let beta = machine.Machine.byte_ns in
-  let total = ref zero_summary in
-  let window_of ~producer ~consumer =
-    let w = ref 0.0 in
-    for q = producer + 1 to consumer - 1 do
-      w := !w +. bs.b_costs.(q)
+  let raw = alpha +. (machine.Machine.byte_ns *. float_of_int m.m_bytes) in
+  if not opts.pipelining then (raw, raw)
+  else begin
+    let window = ref 0.0 in
+    for q = m.m_producer + 1 to m.m_consumer - 1 do
+      window := !window +. bs.b_costs.(q)
     done;
-    !w
-  in
+    (raw, max (0.25 *. alpha) (raw -. !window))
+  end
+
+(* Cost of one block schedule for a single execution of the block —
+   the per-message charges of [analyze_plan], without the execution
+   multiplier and without Obs instrumentation (this runs in the
+   planner's search loop). *)
+let sched_cost ~machine ~opts bs =
+  let total = ref zero_summary in
   Array.iter
     (List.iter (fun m ->
-         let raw = alpha +. (beta *. float_of_int m.m_bytes) in
-         let window = window_of ~producer:m.m_producer ~consumer:m.m_consumer in
-         let eff =
-           if opts.pipelining then max (0.25 *. alpha) (raw -. window) else raw
-         in
+         let raw, eff = message_ns ~machine ~opts bs m in
          total :=
            {
              !total with
@@ -397,23 +388,9 @@ let analyze_plan ~(machine : Machine.t) ~procs ~opts prog plan =
             Obs.count "comm.combining.messages-saved"
               (mult * (bs.b_kept - n_msgs))
           end;
-          let window_of ~producer ~consumer =
-            let w = ref 0.0 in
-            for q = producer + 1 to consumer - 1 do
-              w := !w +. bs.b_costs.(q)
-            done;
-            !w
-          in
           Array.iter
             (List.iter (fun m ->
-                 let raw = alpha +. (beta *. float_of_int m.m_bytes) in
-                 let window =
-                   window_of ~producer:m.m_producer ~consumer:m.m_consumer
-                 in
-                 let eff =
-                   if opts.pipelining then max (0.25 *. alpha) (raw -. window)
-                   else raw
-                 in
+                 let raw, eff = message_ns ~machine ~opts bs m in
                  if obs then
                    Obs.total "comm.pipelining.ns-hidden"
                      (float_of_int mult *. (raw -. eff));

@@ -78,8 +78,8 @@ val schedule :
   opts:opts ->
   Compilers.Driver.compiled ->
   block_sched list
-(** One schedule per basic block, aligned with [Ir.Prog.blocks] (and
-    with the compiled plan).  Message vectorization is always applied;
+(** One schedule per basic block, in [Ir.Prog.block.index] order (the
+    compiled plan's order).  Message vectorization is always applied;
     redundancy elimination and combining follow [opts].  With
     [procs = 1] every step list is empty. *)
 
@@ -88,9 +88,11 @@ val reduction_stages : int -> int
     (0 for a single processor). *)
 
 val block_multipliers : Ir.Prog.t -> int array * int
-(** Per-block execution multipliers (how many times each basic block
-    runs, from the enclosing sequential loops; aligned with
-    [Ir.Prog.blocks]) and the total number of reduction executions.
+(** A fold over [Ir.Prog.skeleton]: per-block execution multipliers
+    (how many times each basic block runs — the product of its
+    enclosing loops' trip counts — indexed by [Ir.Prog.block.index])
+    and the total number of reduction executions (each standalone
+    reduction, and each block's trailing ones, as often as they run).
     Exposed for the fusion planner, whose cost model must weight blocks
     the same way {!analyze} does. *)
 
@@ -103,9 +105,10 @@ val block_comm :
   summary
 (** Communication cost of {e one execution} of a single basic block
     under a candidate fusion plan: the per-message charges of
-    {!analyze} without the execution multiplier, reduction trees or Obs
-    instrumentation.  This is the planner's per-state communication
-    oracle — cheap enough to call inside a partition search. *)
+    {!analyze} (both price a message with one shared function) without
+    the execution multiplier, reduction trees or Obs instrumentation.
+    This is the planner's per-state communication oracle — cheap enough
+    to call inside a partition search. *)
 
 val analyze_plan :
   machine:Machine.t ->

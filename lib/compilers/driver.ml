@@ -43,21 +43,21 @@ type compiled = {
 
 type ctx = {
   prog : Prog.t;
-  reduces : (Prog.redop * Region.t * string * Expr.t) array;
-  trailing : (int * int list) list;  (* block -> trailing reduce indices *)
+  blocks : Prog.block list;
   (* candidates computed optimistically: every trailing reduce is
      assumed absorbable; verified per block after fusion *)
   candidates : (string * int) list;
 }
 
 let make_ctx prog =
-  let trailing = Prog.trailing_reduces prog in
-  let allow b = try List.assoc b trailing with Not_found -> [] in
   {
     prog;
-    reduces = Array.of_list (Prog.reduce_stmts prog);
-    trailing;
-    candidates = Prog.confined_arrays_allowing_reduces prog allow;
+    blocks =
+      List.rev
+        (Prog.fold
+           (fun acc -> function Prog.Block b -> b :: acc | _ -> acc)
+           [] (Prog.skeleton prog));
+    candidates = Prog.confined_arrays_allowing_reduces prog;
   }
 
 let block_candidates ctx block_idx =
@@ -99,9 +99,8 @@ let block_candidates ctx block_idx =
    Among valid clusters we prefer the {e latest producer} of the
    argument's arrays: absorbing there lets an array read only by this
    reduction contract. *)
-let decide_absorption ctx block_idx (p : Core.Partition.t) =
-  let rs = try List.assoc block_idx ctx.trailing with Not_found -> [] in
-  if rs = [] then []
+let decide_absorption (b : Prog.block) (p : Core.Partition.t) =
+  if b.trailing = [] then []
   else begin
     let order = Array.of_list (Sir.Scalarize.cluster_order p) in
     let n = Array.length order in
@@ -135,8 +134,7 @@ let decide_absorption ctx block_idx (p : Core.Partition.t) =
     let prior_targets = ref [] in
     let prior_arg_svars = ref [] in
     List.iter
-      (fun ri ->
-        let _, region, target, arg = ctx.reduces.(ri) in
+      (fun { Prog.index = ri; target; region; arg; _ } ->
         let refs = Expr.refs arg in
         let arrays_read = List.map fst refs in
         (* latest cluster writing any argument array *)
@@ -173,21 +171,21 @@ let decide_absorption ctx block_idx (p : Core.Partition.t) =
         end;
         prior_targets := target :: !prior_targets;
         prior_arg_svars := Expr.svars arg @ !prior_arg_svars)
-      rs;
+      b.trailing;
     !absorbed
   end
 
 (* Arrays read by reductions may only contract when every such
    reduction is absorbed into the cluster holding all the array's block
-   references (the accumulation then reads the contraction scalar). *)
-let filter_reduce_read_candidates ctx p absorbed cands =
+   references (the accumulation then reads the contraction scalar).
+   A candidate's reduction readers all trail its block
+   ([Prog.confined_arrays_allowing_reduces]). *)
+let filter_reduce_read_candidates (b : Prog.block) p absorbed cands =
   let reduce_readers x =
-    let out = ref [] in
-    Array.iteri
-      (fun i (_, _, _, arg) ->
-        if List.mem x (Expr.ref_names arg) then out := i :: !out)
-      ctx.reduces;
-    List.rev !out
+    List.filter_map
+      (fun (r : Prog.reduction) ->
+        if List.mem x (Expr.ref_names r.arg) then Some r.index else None)
+      b.trailing
   in
   List.filter
     (fun x ->
@@ -211,9 +209,9 @@ let filter_reduce_read_candidates ctx p absorbed cands =
 
 let scalar_shapes xs = List.map (fun x -> (x, Core.Contraction.Scalar)) xs
 
-let decide_absorbed ctx block_idx p =
+let decide_absorbed b p =
   let absorbed =
-    Obs.span "reduction-fusion" (fun () -> decide_absorption ctx block_idx p)
+    Obs.span "reduction-fusion" (fun () -> decide_absorption b p)
   in
   if Obs.enabled () then
     List.iter
@@ -225,9 +223,9 @@ let decide_absorbed ctx block_idx p =
 (* Everything downstream of the fusion decision: reduction absorption,
    the reduce-read candidate filter, and the contraction decision —
    shared by the level ladder and by [compile_custom]'s partitioner. *)
-let finish_plan ~absorb ctx block_idx p cands : Sir.Scalarize.block_plan =
-  let absorbed = if absorb then decide_absorbed ctx block_idx p else [] in
-  let cands = filter_reduce_read_candidates ctx p absorbed cands in
+let finish_plan ~absorb b p cands : Sir.Scalarize.block_plan =
+  let absorbed = if absorb then decide_absorbed b p else [] in
+  let cands = filter_reduce_read_candidates b p absorbed cands in
   {
     Sir.Scalarize.partition = p;
     contracted =
@@ -236,7 +234,7 @@ let finish_plan ~absorb ctx block_idx p cands : Sir.Scalarize.block_plan =
     absorbed;
   }
 
-let plan_block ?(reduction_fusion = true) ~level ~may_fuse ctx block_idx stmts
+let plan_block ?(reduction_fusion = true) ~level ~may_fuse ctx (b : Prog.block)
     : Sir.Scalarize.block_plan =
   (* Reduction fusion belongs to the user-array strategies: f1/c1 only
      consider compiler temporaries, and reductions never involve them
@@ -244,8 +242,8 @@ let plan_block ?(reduction_fusion = true) ~level ~may_fuse ctx block_idx stmts
   let reduction_fusion =
     reduction_fusion && match level with Baseline | F1 | C1 -> false | _ -> true
   in
-  let g = Obs.span "dependence" (fun () -> Core.Asdg.build stmts) in
-  let compiler_cands, user_cands = block_candidates ctx block_idx in
+  let g = Obs.span "dependence" (fun () -> Core.Asdg.build b.stmts) in
+  let compiler_cands, user_cands = block_candidates ctx b.index in
   let all_cands = compiler_cands @ user_cands in
   let fuse_c cands =
     Obs.span "fusion" (fun () ->
@@ -256,7 +254,7 @@ let plan_block ?(reduction_fusion = true) ~level ~may_fuse ctx block_idx stmts
         Core.Fusion.for_locality ?relax_flow ~may_fuse p)
   in
   let finish ?(absorb = reduction_fusion) p cands =
-    finish_plan ~absorb ctx block_idx p cands
+    finish_plan ~absorb b p cands
   in
   match level with
   | Baseline ->
@@ -287,9 +285,9 @@ let plan_block ?(reduction_fusion = true) ~level ~may_fuse ctx block_idx stmts
          contraction to the lowest sufficient rank *)
       let p = locality ~relax_flow:true (fuse_c all_cands) in
       let absorbed =
-        if reduction_fusion then decide_absorbed ctx block_idx p else []
+        if reduction_fusion then decide_absorbed b p else []
       in
-      let cands = filter_reduce_read_candidates ctx p absorbed all_cands in
+      let cands = filter_reduce_read_candidates b p absorbed all_cands in
       {
         Sir.Scalarize.partition = p;
         contracted =
@@ -308,10 +306,8 @@ let compile_with ~level ~plan_of_block prog =
            prog.Prog.name e)
   | Ok () ->
       let ctx = make_ctx prog in
-      let blocks = Prog.blocks prog in
       let plan =
-        Obs.span "plan" (fun () ->
-            List.mapi (fun bi stmts -> plan_of_block ctx bi stmts) blocks)
+        Obs.span "plan" (fun () -> List.map (plan_of_block ctx) ctx.blocks)
       in
       let code =
         Obs.span "scalarize" (fun () -> Sir.Scalarize.scalarize prog plan)
@@ -337,22 +333,23 @@ let opts ?may_fuse ?(reduction_fusion = true) level =
   { level; may_fuse; reduction_fusion }
 
 let compile_opts o prog =
-  compile_with ~level:o.level prog ~plan_of_block:(fun ctx bi stmts ->
+  compile_with ~level:o.level prog ~plan_of_block:(fun ctx b ->
       let mf =
         match o.may_fuse with
         | None -> fun _ -> true
-        | Some f -> fun ss -> f ~block:bi ss
+        | Some f -> fun ss -> f ~block:b.Prog.index ss
       in
       plan_block ~reduction_fusion:o.reduction_fusion ~level:o.level
-        ~may_fuse:mf ctx bi stmts)
+        ~may_fuse:mf ctx b)
 
 let compile_custom_opts o ~partition prog =
-  compile_with ~level:o.level prog ~plan_of_block:(fun ctx bi stmts ->
-      let g = Obs.span "dependence" (fun () -> Core.Asdg.build stmts) in
-      let compiler_cands, user_cands = block_candidates ctx bi in
-      let p = partition ~block:bi ~compiler:compiler_cands ~user:user_cands g in
-      finish_plan ~absorb:o.reduction_fusion ctx bi p
-        (compiler_cands @ user_cands))
+  compile_with ~level:o.level prog ~plan_of_block:(fun ctx (b : Prog.block) ->
+      let g = Obs.span "dependence" (fun () -> Core.Asdg.build b.stmts) in
+      let compiler_cands, user_cands = block_candidates ctx b.index in
+      let p =
+        partition ~block:b.index ~compiler:compiler_cands ~user:user_cands g
+      in
+      finish_plan ~absorb:o.reduction_fusion b p (compiler_cands @ user_cands))
 
 let compile_exn_opts o prog =
   match compile_opts o prog with

@@ -32,11 +32,8 @@ type report = {
 type cfg = {
   levels : Compilers.Driver.level list;
   planner : bool;
-  plan_procs : int;
-  spmd_level : Compilers.Driver.level;
   spmd_procs : int list;
   native : bool;
-  native_levels : Compilers.Driver.level list;
   machine : Machine.t;
 }
 
@@ -44,13 +41,14 @@ let default =
   {
     levels = Compilers.Driver.all_levels @ [ Compilers.Driver.C2P ];
     planner = true;
-    plan_procs = 4;
-    spmd_level = Compilers.Driver.C2F3;
     spmd_procs = [ 1; 4; 16 ];
     native = true;
-    native_levels = Compilers.Driver.[ Baseline; C2F3 ];
     machine = Machine.t3e;
   }
+
+let plan_procs = 4
+let spmd_level = Compilers.Driver.C2F3
+let native_levels = Compilers.Driver.[ Baseline; C2F3 ]
 
 (* The probe, the subprocess plumbing, and the workdir logic all live
    in [Native] now; the oracle only decides what to run and how to
@@ -114,7 +112,7 @@ let run ?(cfg = default) prog =
               Plan.Cost.create
                 {
                   Plan.Cost.machine = cfg.machine;
-                  procs = cfg.plan_procs;
+                  procs = plan_procs;
                   opts = Comm.Model.all_on;
                 }
                 prog
@@ -142,8 +140,8 @@ let run ?(cfg = default) prog =
           end;
           (* SPMD on the simulated processor grid *)
           if cfg.spmd_procs <> [] then begin
-            let lname = Compilers.Driver.level_name cfg.spmd_level in
-            match compile_result ~level:cfg.spmd_level prog with
+            let lname = Compilers.Driver.level_name spmd_level in
+            match compile_result ~level:spmd_level prog with
             | Error m ->
                 List.iter
                   (fun procs ->
@@ -191,7 +189,7 @@ let run ?(cfg = default) prog =
                           record name (Crashed (Native.Build.error_to_string e))
                       | exception e ->
                           record name (Crashed (Printexc.to_string e))))
-                cfg.native_levels
+                native_levels
             else record "native" (Skipped "no C compiler")
           end;
           { reference = Some want; results = List.rev !results })

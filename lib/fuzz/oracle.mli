@@ -29,19 +29,19 @@ type report = {
 
 type cfg = {
   levels : Compilers.Driver.level list;  (** greedy ladder to check *)
-  planner : bool;  (** also run the search and ILP planners *)
-  plan_procs : int;  (** processor count the planners optimize for *)
-  spmd_level : Compilers.Driver.level;
-  spmd_procs : int list;
-  native : bool;  (** compile the emitted C when [cc] is present *)
-  native_levels : Compilers.Driver.level list;
+  planner : bool;
+      (** also run the search and ILP planners, optimizing for 4
+          processors *)
+  spmd_procs : int list;  (** SPMD processor counts, each at [c2+f3] *)
+  native : bool;
+      (** compile the emitted C of baseline and [c2+f3] when [cc] is
+          present *)
   machine : Machine.t;
 }
 
 val default : cfg
 (** Everything on: [base..c2+f4] plus [c2+p], the search and ILP
-    planners, SPMD at 1/4/16 processors, native C at baseline and
-    [c2+f3]. *)
+    planners, SPMD at 1/4/16 processors, native C. *)
 
 val cc_available : unit -> bool
 (** Whether a [cc] is on PATH — delegates to

@@ -130,165 +130,147 @@ let validate t =
 (* Basic blocks                                                        *)
 (* ------------------------------------------------------------------ *)
 
+type reduction = {
+  index : int;
+  target : string;
+  op : redop;
+  region : Region.t;
+  arg : Expr.t;
+}
+
+type block = { index : int; stmts : Nstmt.t list; trailing : reduction list }
+
+type node =
+  | Block of block
+  | Reduction of reduction
+  | Scalar of string * Expr.t
+  | Loop of { var : string; lo : int; hi : int; body : node list }
+
+let redop_init = function
+  | Rsum -> 0.0
+  | Rprod -> 1.0
+  | Rmin -> infinity
+  | Rmax -> neg_infinity
+
+let redop_binop : redop -> Expr.binop = function
+  | Rsum -> Expr.Add
+  | Rprod -> Expr.Mul
+  | Rmin -> Expr.Min
+  | Rmax -> Expr.Max
+
+(* The one owner of the block decision.  Each statement list is walked
+   once, in execution-syntax order: a maximal Astmt run is the next
+   block, the reductions right after it are its trailing ones, and a
+   loop body is numbered where the loop stands, before the statements
+   that follow the loop. *)
+let skeleton t =
+  let n_blocks = ref 0 and n_reductions = ref 0 in
+  let reduction target op region arg =
+    let index = !n_reductions in
+    incr n_reductions;
+    { index; target; op; region; arg }
+  in
+  let rec run acc = function
+    | Astmt s :: tl -> run (s :: acc) tl
+    | tl -> (List.rev acc, tl)
+  in
+  let rec trail acc = function
+    | Reduce { target; op; region; arg } :: tl ->
+        let r = reduction target op region arg in
+        trail (r :: acc) tl
+    | tl -> (List.rev acc, tl)
+  in
+  let rec go acc = function
+    | [] -> List.rev acc
+    | Astmt _ :: _ as l ->
+        let stmts, tl = run [] l in
+        let index = !n_blocks in
+        incr n_blocks;
+        let trailing, tl = trail [] tl in
+        go (Block { index; stmts; trailing } :: acc) tl
+    | Reduce { target; op; region; arg } :: tl ->
+        let r = reduction target op region arg in
+        go (Reduction r :: acc) tl
+    | Sassign (x, e) :: tl -> go (Scalar (x, e) :: acc) tl
+    | Sloop { var; lo; hi; body } :: tl ->
+        let body = go [] body in
+        go (Loop { var; lo; hi; body } :: acc) tl
+  in
+  go [] t.body
+
+let rec fold f acc nodes =
+  List.fold_left
+    (fun acc n ->
+      let acc = f acc n in
+      match n with Loop { body; _ } -> fold f acc body | _ -> acc)
+    acc nodes
+
 let blocks t =
-  let out = ref [] in
-  let cur = ref [] in
-  let flush () =
-    if !cur <> [] then begin
-      out := List.rev !cur :: !out;
-      cur := []
-    end
-  in
-  let rec go = function
-    | [] -> flush ()
-    | Astmt s :: tl ->
-        cur := s :: !cur;
-        go tl
-    | Sloop { body; _ } :: tl ->
-        flush ();
-        go body;
-        flush ();
-        go tl
-    | (Reduce _ | Sassign _) :: tl ->
-        flush ();
-        go tl
-  in
-  go t.body;
-  List.rev !out
+  List.rev
+    (fold
+       (fun acc -> function Block b -> b.stmts :: acc | _ -> acc)
+       [] (skeleton t))
+
+let reductions t =
+  List.rev
+    (fold
+       (fun acc -> function
+         | Block b -> List.rev_append b.trailing acc
+         | Reduction r -> r :: acc
+         | Scalar _ | Loop _ -> acc)
+       [] (skeleton t))
+
+let reduce_stmt (r : reduction) =
+  Reduce { target = r.target; op = r.op; region = r.region; arg = r.arg }
 
 let map_blocks f t =
-  let idx = ref (-1) in
-  let rewrite run =
-    incr idx;
-    f !idx (List.rev run)
+  let rec stmts nodes =
+    List.concat_map
+      (function
+        | Block b -> f b.index b.stmts @ List.map reduce_stmt b.trailing
+        | Reduction r -> [ reduce_stmt r ]
+        | Scalar (x, e) -> [ Sassign (x, e) ]
+        | Loop { var; lo; hi; body } ->
+            [ Sloop { var; lo; hi; body = stmts body } ])
+      nodes
   in
-  let rec go acc cur = function
-    | [] ->
-        let acc = if cur <> [] then List.rev_append (rewrite cur) acc else acc in
-        List.rev acc
-    | Astmt s :: tl -> go acc (s :: cur) tl
-    | Sloop { var; lo; hi; body } :: tl ->
-        let acc =
-          if cur <> [] then List.rev_append (rewrite cur) acc else acc
-        in
-        let body' = go [] [] body in
-        go (Sloop { var; lo; hi; body = body' } :: acc) [] tl
-    | ((Reduce _ | Sassign _) as s) :: tl ->
-        let acc =
-          if cur <> [] then List.rev_append (rewrite cur) acc else acc
-        in
-        go (s :: acc) [] tl
-  in
-  { t with body = go [] [] t.body }
+  { t with body = stmts (skeleton t) }
 
-let block_of_ref t x =
-  let in_blocks =
-    blocks t
-    |> List.mapi (fun i run -> (i, run))
-    |> List.filter_map (fun (i, run) ->
-           if List.exists (fun s -> List.mem x (Nstmt.arrays s)) run then
-             Some i
-           else None)
-  in
-  let outside = ref false in
-  let rec scan = function
-    | [] -> ()
-    | Reduce { arg; _ } :: tl ->
-        if List.mem x (Expr.ref_names arg) then outside := true;
-        scan tl
-    | Sloop { body; _ } :: tl ->
-        scan body;
-        scan tl
-    | (Astmt _ | Sassign _) :: tl -> scan tl
-  in
-  scan t.body;
-  (in_blocks, !outside)
+(* The blocks whose statements reference array [x], and one entry per
+   reduction reading [x]: [Some b] when it trails block [b], [None]
+   when it stands alone. *)
+let references sk x =
+  let reads (r : reduction) = List.mem x (Expr.ref_names r.arg) in
+  fold
+    (fun (bs, readers) -> function
+      | Block b ->
+          let bs =
+            if List.exists (fun s -> List.mem x (Nstmt.arrays s)) b.stmts then
+              b.index :: bs
+            else bs
+          in
+          ( bs,
+            List.fold_left
+              (fun rs r -> if reads r then Some b.index :: rs else rs)
+              readers b.trailing )
+      | Reduction r -> (bs, if reads r then None :: readers else readers)
+      | Scalar _ | Loop _ -> (bs, readers))
+    ([], []) sk
 
-let reduce_stmts t =
-  let out = ref [] in
-  let rec scan = function
-    | [] -> ()
-    | Reduce { target; op; region; arg } :: tl ->
-        out := (op, region, target, arg) :: !out;
-        scan tl
-    | Sloop { body; _ } :: tl ->
-        scan body;
-        scan tl
-    | (Astmt _ | Sassign _) :: tl -> scan tl
-  in
-  scan t.body;
-  List.rev !out
-
-(* Blocks and reduces share one traversal (the same order [blocks] and
-   [reduce_stmts] use); a reduce trails a block when it follows the
-   block's final Astmt with no other statement in between. *)
-let trailing_reduces t =
-  let out = ref [] in
-  let block_idx = ref (-1) in
-  let reduce_idx = ref (-1) in
-  let rec go in_run trailing = function
-    | [] -> ()
-    | Astmt _ :: tl ->
-        if not in_run then incr block_idx;
-        go true false tl
-    | Reduce _ :: tl ->
-        incr reduce_idx;
-        (* trailing iff we just left an Astmt run, or we are continuing
-           a run of trailing reduces *)
-        if in_run || trailing then
-          out := (!block_idx, !reduce_idx) :: !out;
-        go false (in_run || trailing) tl
-    | Sloop { body; _ } :: tl ->
-        go false false body;
-        go false false tl
-    | Sassign _ :: tl -> go false false tl
-  in
-  go false false t.body;
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun (b, r) ->
-      let cur = try Hashtbl.find tbl b with Not_found -> [] in
-      Hashtbl.replace tbl b (r :: cur))
-    !out;
-  Hashtbl.fold (fun b rs acc -> (b, List.sort compare rs) :: acc) tbl []
-  |> List.sort compare
-
-let confined_arrays_allowing_reduces t allow =
-  let reduces = Array.of_list (reduce_stmts t) in
-  let reduce_reads_x ri x =
-    let _, _, _, arg = reduces.(ri) in
-    List.mem x (Expr.ref_names arg)
-  in
-  let n_reduces = Array.length reduces in
+let confined ~allow t =
+  let sk = skeleton t in
   List.filter_map
     (fun (info : array_info) ->
       let x = info.name in
       if is_live_out t x then None
       else
-        match block_of_ref t x with
-        | [ b ], outside ->
-            if not outside then Some (x, b)
-            else
-              let allowed = allow b in
-              let ok = ref true in
-              for ri = 0 to n_reduces - 1 do
-                if reduce_reads_x ri x && not (List.mem ri allowed) then
-                  ok := false
-              done;
-              if !ok then Some (x, b) else None
+        match references sk x with
+        | [ b ], readers when List.for_all (allow b) readers -> Some (x, b)
         | _ -> None)
     t.arrays
 
-let confined_arrays t =
-  List.filter_map
-    (fun (info : array_info) ->
-      let x = info.name in
-      if is_live_out t x then None
-      else
-        match block_of_ref t x with
-        | [ b ], false -> Some (x, b)
-        | _ -> None)
-    t.arrays
+let confined_arrays = confined ~allow:(fun _ _ -> false)
+let confined_arrays_allowing_reduces = confined ~allow:(fun b r -> r = Some b)
 
 let static_array_counts t =
   List.fold_left

@@ -52,42 +52,82 @@ val validate : t -> (unit, string) result
     at); reduction arguments are rank-consistent with the reduction
     region; statement regions are nonempty. *)
 
+(** {1 The program skeleton}
+
+    The optimizer works one basic block at a time, and reduction fusion
+    folds the reductions that immediately follow a block into that
+    block's loop nest.  Which statements form block [k], and which
+    reductions trail it, is decided here, once: every layer that needs
+    block or reduction indices (the planners, the scalarizer, the
+    communication model, the SPMD engine) reads them from
+    {!skeleton}. *)
+
+type reduction = {
+  index : int;
+      (** position among all the program's reductions, in traversal
+          order (the index [Sir.Scalarize.block_plan.absorbed] uses) *)
+  target : string;
+  op : redop;
+  region : Region.t;
+  arg : Expr.t;
+}
+
+type block = {
+  index : int;
+      (** position among all the program's blocks, in traversal order *)
+  stmts : Nstmt.t list;  (** a maximal run of consecutive [Astmt]s *)
+  trailing : reduction list;
+      (** the reductions that immediately follow the run in the same
+          statement list — the candidates for reduction fusion into
+          the block's loop nests *)
+}
+
+type node =
+  | Block of block
+  | Reduction of reduction  (** a reduction that trails no block *)
+  | Scalar of string * Expr.t
+  | Loop of { var : string; lo : int; hi : int; body : node list }
+
+val skeleton : t -> node list
+(** The program body with every maximal [Astmt] run grouped into a
+    {!block} that carries its trailing reductions, built in one pass.
+    Blocks and reductions are numbered in execution-syntax order: a
+    loop body's blocks come where the loop stands, before anything
+    that follows the loop.  Flattening each block back into its
+    statements and trailing reductions gives [t.body]. *)
+
+val fold : ('a -> node -> 'a) -> 'a -> node list -> 'a
+(** Pre-order fold: a [Loop] node is visited before its body, so blocks
+    and reductions are visited in index order. *)
+
+val redop_init : redop -> float
+(** The identity a reduction's accumulator starts from. *)
+
+val redop_binop : redop -> Expr.binop
+(** The binary operator a reduction folds with ([Rmin]/[Rmax] are
+    [Expr.Min]/[Expr.Max], NaN-aware as [Expr.apply_binop] defines). *)
+
 val blocks : t -> Nstmt.t list list
-(** All maximal runs of consecutive [Astmt]s, in execution-syntax
-    order (loops are entered but each block is listed once).  Block
-    indices used throughout the optimizer refer to positions in this
-    list. *)
+(** The statements of every {!block}, by index. *)
+
+val reductions : t -> reduction list
+(** Every reduction, trailing or not, by index. *)
 
 val map_blocks : (int -> Nstmt.t list -> stmt list) -> t -> t
-(** Rewrite each maximal [Astmt] run, by block index; other statements
-    are preserved. *)
-
-val block_of_ref : t -> string -> int list * bool
-(** [block_of_ref p x] is [(bs, outside)]: the block indices in which
-    array [x] is referenced, and whether [x] is also referenced outside
-    any block (in a reduction). *)
+(** Rewrite each block's statements, by block index, in index order;
+    other statements are preserved. *)
 
 val confined_arrays : t -> (string * int) list
-(** Arrays whose every reference occurs in exactly one block and that
-    are not live-out: the global precondition for contraction.  Pairs
-    the array with its block index. *)
+(** Arrays that are not live-out, whose every reference occurs in
+    exactly one block, and that no reduction reads: the global
+    precondition for contraction.  Pairs the array with its block
+    index. *)
 
-val reduce_stmts : t -> (redop * Region.t * string * Expr.t) list
-(** All reductions in traversal order (the order used by reduce
-    indices): [(op, region, target, arg)]. *)
-
-val trailing_reduces : t -> (int * int list) list
-(** For each block, the indices (into {!reduce_stmts}) of the
-    reductions that {e immediately} follow it in the same statement
-    list — the candidates for reduction fusion into the block's final
-    loop nest. *)
-
-val confined_arrays_allowing_reduces : t -> (int -> int list) -> (string * int) list
+val confined_arrays_allowing_reduces : t -> (string * int) list
 (** Like {!confined_arrays}, but an array may additionally be read by
-    reductions: [allow b] lists the reduce indices treated as part of
-    block [b] (because the optimizer absorbs them into its final
-    cluster).  Used to extend contraction candidacy under reduction
-    fusion. *)
+    the reductions that trail its block (the optimizer may absorb them
+    into the block's loop nests).  Used to extend contraction
+    candidacy under reduction fusion. *)
 
 val static_array_counts : t -> int * int
 (** [(compiler, user)] static array declaration counts (Figure 7). *)

@@ -69,6 +69,7 @@ type t = {
 (* A sweep longer than this is priced as this many lines, and the
    misses scaled linearly up to the real line count. *)
 let probe_cap = 512
+let eps = 1e-6
 
 let alignment (m : Machine.t) =
   List.fold_left

@@ -93,6 +93,11 @@ val probe_cap : int
 (** Sweeps longer than this many lines (512) are priced as this many
     and scaled linearly to their real line count. *)
 
+val eps : float
+(** The planners' tie tolerance (1e-6 ns): two plan costs closer than
+    this count as equal, in [Plan.Search], [Plan.Ilp] and
+    [Plan.Driver]'s ranking alike. *)
+
 val sweep : t -> block:int -> int list -> contracted:string list -> int array
 (** The probe key of the sweep {!cluster_misses} prices:
     [[| lines; base_1; ...; base_k |]], its line count on the L1

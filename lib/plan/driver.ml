@@ -59,7 +59,7 @@ let compile ?(search = Search.default) ~cost prog =
       let s_ns = (Cost.compiled_cost cost searched).Cost.total_ns in
       (* the block search could not see reduction absorption; keep
          the searched plan only if it still prices no worse *)
-      let fallback = s_ns > g_ns +. search.Search.eps in
+      let fallback = s_ns > g_ns +. Cost.eps in
       if fallback then Obs.count "plan.fallback-greedy" 1;
       let chosen, strategy, chosen_ns =
         if fallback then (greedy, "greedy", g_ns) else (searched, "search", s_ns)
@@ -107,14 +107,13 @@ let compile_ilp ?(search = Search.default) ?(ilp = Ilp.default) ~cost prog =
           let g_ns = (Cost.compiled_cost cost greedy).Cost.total_ns in
           let s_ns = (Cost.compiled_cost cost searched).Cost.total_ns in
           let i_ns = (Cost.compiled_cost cost solved).Cost.total_ns in
-          let eps = search.Search.eps in
           (* rank on the full end-to-end model (reduction absorption
              included), preferring the stronger certificate on ties:
              the chosen plan is never worse than search or greedy *)
           let chosen, strategy, chosen_ns =
-            if i_ns <= s_ns +. eps && i_ns <= g_ns +. eps then
+            if i_ns <= s_ns +. Cost.eps && i_ns <= g_ns +. Cost.eps then
               (solved, "ilp", i_ns)
-            else if s_ns <= g_ns +. eps then (searched, "search", s_ns)
+            else if s_ns <= g_ns +. Cost.eps then (searched, "search", s_ns)
             else (greedy, "greedy", g_ns)
           in
           let fallback = strategy <> "ilp" in

@@ -1,13 +1,11 @@
 type cfg = {
   max_clusters : int;
-  max_nodes : int;
   max_pivots : int;
-  eps : float;
   jobs : int;
 }
 
-let default =
-  { max_clusters = 4000; max_nodes = 400; max_pivots = 200_000; eps = 1e-6; jobs = 1 }
+let default = { max_clusters = 4000; max_pivots = 200_000; jobs = 1 }
+let max_nodes = 400
 
 type stats = {
   clusters : int;
@@ -525,7 +523,7 @@ let block ?(probe = fun (_ : Core.Partition.t) -> ()) ?(seeds = []) cfg cost_t
   List.iter
     (fun p ->
       let s = separable p in
-      if s < !best_sep -. cfg.eps then best_sep := s)
+      if s < !best_sep -. Cost.eps then best_sep := s)
     (t0 :: seeds);
   let ilp_found = ref None in
   (* ---- search ---------------------------------------------------- *)
@@ -535,7 +533,7 @@ let block ?(probe = fun (_ : Core.Partition.t) -> ()) ?(seeds = []) cfg cost_t
   let nodes = ref 0 in
   let aborted = ref false in
   let root_lb = ref neg_infinity in
-  let prune_tol = Float.max (cfg.eps /. scale) 1e-9 in
+  let prune_tol = Float.max (Cost.eps /. scale) 1e-9 in
   let stack = ref [ (Bytes.make ncols '\000', []) ] in
   while !stack <> [] && not !aborted do
     match !stack with
@@ -543,7 +541,7 @@ let block ?(probe = fun (_ : Core.Partition.t) -> ()) ?(seeds = []) cfg cost_t
     | (fixed0, fixed1) :: rest ->
         stack := rest;
         incr nodes;
-        if !nodes > cfg.max_nodes then aborted := true
+        if !nodes > max_nodes then aborted := true
         else begin
           let covered = Array.make n false in
           List.iter
@@ -642,7 +640,7 @@ let block ?(probe = fun (_ : Core.Partition.t) -> ()) ?(seeds = []) cfg cost_t
                             chosen
                         in
                         let s = bound *. scale in
-                        if s < !best_sep -. cfg.eps then begin
+                        if s < !best_sep -. Cost.eps then begin
                           best_sep := s;
                           ilp_found := Some p
                         end
@@ -698,7 +696,7 @@ let block ?(probe = fun (_ : Core.Partition.t) -> ()) ?(seeds = []) cfg cost_t
   let chosen_ns, chosen =
     List.fold_left
       (fun (bn, bp) (ns, p) ->
-        if ns < bn -. cfg.eps then (ns, p) else (bn, bp))
+        if ns < bn -. Cost.eps then (ns, p) else (bn, bp))
       (List.hd ranked) (List.tl ranked)
   in
   let greedy_ns = full_cost greedy_p in
@@ -739,5 +737,5 @@ let block ?(probe = fun (_ : Core.Partition.t) -> ()) ?(seeds = []) cfg cost_t
       lower_bound_ns;
       greedy_ns;
       best_ns = chosen_ns;
-      improved = chosen_ns < greedy_ns -. cfg.eps;
+      improved = chosen_ns < greedy_ns -. Cost.eps;
     } )

@@ -67,7 +67,7 @@
     {2 Certificates}
 
     [proved = true] means: cluster enumeration completed under
-    [max_clusters], and branch and bound closed under [max_nodes] /
+    [max_clusters], and branch and bound closed under {!max_nodes} /
     [max_pivots] — the returned partition minimizes the separable
     objective over {e all} valid partitions.  When additionally
     [objective_exact], that is the true block-cost optimum.
@@ -89,15 +89,16 @@
 
 type cfg = {
   max_clusters : int;  (** column cap; exceeding it voids the certificate *)
-  max_nodes : int;  (** branch-and-bound node budget *)
   max_pivots : int;  (** total simplex pivot budget across all LP solves *)
-  eps : float;  (** ns tolerance below which costs count as equal *)
   jobs : int;  (** domains pricing columns in parallel (result-invariant) *)
 }
 
 val default : cfg
-(** [{ max_clusters = 4000; max_nodes = 400; max_pivots = 200_000;
-      eps = 1e-6; jobs = 1 }] *)
+(** [{ max_clusters = 4000; max_pivots = 200_000; jobs = 1 }].  Costs
+    closer than [Cost.eps] count as equal. *)
+
+val max_nodes : int
+(** Branch-and-bound node budget per block (400). *)
 
 type stats = {
   clusters : int;  (** columns enumerated (valid convex clusters) *)

@@ -1,11 +1,10 @@
 type cfg = {
   max_states : int;
   beam_width : int;
-  eps : float;
   jobs : int;
 }
 
-let default = { max_states = 4000; beam_width = 4; eps = 1e-6; jobs = 1 }
+let default = { max_states = 4000; beam_width = 4; jobs = 1 }
 
 type stats = {
   expanded : int;
@@ -286,7 +285,7 @@ let block ?(probe = fun (_ : Core.Partition.t) (_ : Cost.breakdown) _ -> ()) cfg
   in
   let incumbent =
     ref
-      (if trivial.cost.Cost.total_ns < greedy.cost.Cost.total_ns -. cfg.eps
+      (if trivial.cost.Cost.total_ns < greedy.cost.Cost.total_ns -. Cost.eps
        then trivial
        else greedy)
   in
@@ -337,7 +336,7 @@ let block ?(probe = fun (_ : Core.Partition.t) (_ : Cost.breakdown) _ -> ()) cfg
   do
     let k, st = Frontier.min_binding !frontier in
     frontier := Frontier.remove k !frontier;
-    if st.bound >= !incumbent.cost.Cost.total_ns -. cfg.eps then begin
+    if st.bound >= !incumbent.cost.Cost.total_ns -. Cost.eps then begin
       (* best-first: every remaining bound is at least this one *)
       pruned := !pruned + 1 + Frontier.cardinal !frontier;
       frontier := Frontier.empty;
@@ -347,9 +346,9 @@ let block ?(probe = fun (_ : Core.Partition.t) (_ : Cost.breakdown) _ -> ()) cfg
       incr expanded;
       List.iter
         (fun st' ->
-          if st'.cost.Cost.total_ns < !incumbent.cost.Cost.total_ns -. cfg.eps
+          if st'.cost.Cost.total_ns < !incumbent.cost.Cost.total_ns -. Cost.eps
           then incumbent := st';
-          if st'.bound < !incumbent.cost.Cost.total_ns -. cfg.eps then push st'
+          if st'.bound < !incumbent.cost.Cost.total_ns -. Cost.eps then push st'
           else incr pruned)
         (children st)
     end
@@ -357,7 +356,7 @@ let block ?(probe = fun (_ : Core.Partition.t) (_ : Cost.breakdown) _ -> ()) cfg
   (* ---- beam fallback --------------------------------------------- *)
   if not (Frontier.is_empty !frontier) then begin
     Obs.count "plan.beam-cutoffs" 1;
-    (* eps-canonical order: costs are compared at [cfg.eps] granularity
+    (* eps-canonical order: costs are compared at [Cost.eps] granularity
        so that states the search already treats as equal-cost are
        ranked by their canonical cluster-rep key, not by sub-eps float
        noise — which states survive [take beam_width] must not depend
@@ -365,7 +364,7 @@ let block ?(probe = fun (_ : Core.Partition.t) (_ : Cost.breakdown) _ -> ()) cfg
        comparison a total order (lexicographic on a pure function of
        the state), unlike an eps-tolerant float comparison, which is
        not transitive. *)
-    let quantize ns = if cfg.eps > 0.0 then Float.round (ns /. cfg.eps) else ns in
+    let quantize ns = Float.round (ns /. Cost.eps) in
     (* each state's key is printed once per sort, not once per
        comparison *)
     let sort_by_cost states =
@@ -394,7 +393,7 @@ let block ?(probe = fun (_ : Core.Partition.t) (_ : Cost.breakdown) _ -> ()) cfg
       let kids = List.concat_map children !beam in
       List.iter
         (fun st ->
-          if st.cost.Cost.total_ns < !incumbent.cost.Cost.total_ns -. cfg.eps
+          if st.cost.Cost.total_ns < !incumbent.cost.Cost.total_ns -. Cost.eps
           then incumbent := st)
         kids;
       match sort_by_cost kids with
@@ -419,5 +418,5 @@ let block ?(probe = fun (_ : Core.Partition.t) (_ : Cost.breakdown) _ -> ()) cfg
       beam_rounds = !beam_rounds;
       greedy_ns = greedy.cost.Cost.total_ns;
       best_ns = best.cost.Cost.total_ns;
-      improved = best.cost.Cost.total_ns < greedy.cost.Cost.total_ns -. cfg.eps;
+      improved = best.cost.Cost.total_ns < greedy.cost.Cost.total_ns -. Cost.eps;
     } )

@@ -53,7 +53,6 @@
 type cfg = {
   max_states : int;  (** cost evaluations before the beam fallback *)
   beam_width : int;
-  eps : float;  (** ns tolerance below which costs count as equal *)
   jobs : int;
       (** domains pricing sibling candidate states in parallel: each
           {!block} call keeps [jobs - 1] {!Support.Pool} workers alive
@@ -63,7 +62,8 @@ type cfg = {
 }
 
 val default : cfg
-(** [{ max_states = 4000; beam_width = 4; eps = 1e-6; jobs = 1 }] *)
+(** [{ max_states = 4000; beam_width = 4; jobs = 1 }].  Costs closer
+    than [Cost.eps] count as equal. *)
 
 type stats = {
   expanded : int;  (** states whose children were generated *)

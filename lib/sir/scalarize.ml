@@ -62,22 +62,6 @@ let tr_astmt ctr (s : Nstmt.t) : Code.stmt =
   | Some subs -> Code.Store (s.lhs, subs, rhs)
 
 (* ------------------------------------------------------------------ *)
-(* Reduction operators                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let red_init : Prog.redop -> float = function
-  | Prog.Rsum -> 0.0
-  | Prog.Rprod -> 1.0
-  | Prog.Rmin -> infinity
-  | Prog.Rmax -> neg_infinity
-
-let red_binop : Prog.redop -> Expr.binop = function
-  | Prog.Rsum -> Expr.Add
-  | Prog.Rprod -> Expr.Mul
-  | Prog.Rmin -> Expr.Min
-  | Prog.Rmax -> Expr.Max
-
-(* ------------------------------------------------------------------ *)
 (* Cluster -> loop nest                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -134,126 +118,87 @@ let cluster_order p =
       List.map (fun k -> arr.(k)) order
   | None -> raise (Error "inter-cluster cycle in fusion partition")
 
-(* Emit one block's loop nests; [reds] are (cluster rep, op, target,
-   arg) tuples of reductions fused into that cluster's nest. *)
-let tr_block ?(reds = []) bp =
+(* One accumulation step of a reduction, [target := target op arg]. *)
+let tr_accumulate ctr (r : Prog.reduction) =
+  Code.Sassign
+    ( r.target,
+      Code.Binop (Prog.redop_binop r.op, Code.Scalar r.target, tr_expr ctr r.arg)
+    )
+
+let tr_init (r : Prog.reduction) =
+  Code.Sassign (r.target, Code.Const (Prog.redop_init r.op))
+
+(* Emit one block's loop nests; [reds] pairs each reduction fused into
+   a nest with that cluster's representative. *)
+let tr_block ~reds bp =
   let ctr = bp.contracted in
   let order = cluster_order bp.partition in
   if order = [] then raise (Error "block with no clusters");
   List.concat_map
     (fun rep ->
-      let mine = List.filter (fun (r, _, _, _) -> r = rep) reds in
-      let init =
-        List.map
-          (fun (_, op, target, _) ->
-            Code.Sassign (target, Code.Const (red_init op)))
-          mine
+      let mine =
+        List.filter_map (fun (r, red) -> if r = rep then Some red else None) reds
       in
-      let extra =
-        List.map
-          (fun (_, op, target, arg) ->
-            Code.Sassign
-              ( target,
-                Code.Binop (red_binop op, Code.Scalar target, tr_expr ctr arg)
-              ))
-          mine
-      in
-      init @ nest_of_cluster ~extra ctr bp.partition rep)
+      List.map tr_init mine
+      @ nest_of_cluster ~extra:(List.map (tr_accumulate ctr) mine) ctr
+          bp.partition rep)
     order
 
 (* ------------------------------------------------------------------ *)
 (* Standalone reductions                                               *)
 (* ------------------------------------------------------------------ *)
 
-let tr_reduce ctr ~target ~op ~region ~arg =
-  let rank = Region.rank region in
-  let body =
-    [
-      Code.Sassign
-        ( target,
-          Code.Binop (red_binop op, Code.Scalar target, tr_expr ctr arg) );
-    ]
-  in
+let tr_reduce ctr (r : Prog.reduction) =
   let rec build d body =
     if d = 0 then body
     else
-      let { Region.lo; hi } = Region.range region d in
+      let { Region.lo; hi } = Region.range r.region d in
       build (d - 1)
         [ Code.For { var = Code.loop_var d; lo; hi; step = 1; body } ]
   in
-  Code.Sassign (target, Code.Const (red_init op)) :: build rank body
+  tr_init r :: build (Region.rank r.region) [ tr_accumulate ctr r ]
 
 (* ------------------------------------------------------------------ *)
 (* Whole program                                                       *)
 (* ------------------------------------------------------------------ *)
 
 let scalarize (prog : Prog.t) (plan : plan) : Code.program =
-  let n_blocks = List.length (Prog.blocks prog) in
-  if List.length plan <> n_blocks then
+  let skeleton = Prog.skeleton prog in
+  let plans = Array.of_list plan in
+  let n_blocks =
+    Prog.fold (fun n -> function Prog.Block _ -> n + 1 | _ -> n) 0 skeleton
+  in
+  if Array.length plans <> n_blocks then
     raise
       (Error
          (Printf.sprintf "plan has %d blocks, program has %d"
-            (List.length plan) n_blocks));
+            (Array.length plans) n_blocks));
   let ctr = contracted_of_plan plan in
-  let plans = Array.of_list plan in
-  let next_block = ref 0 in
-  let next_reduce = ref 0 in
-  let rec go_stmts acc pending = function
-    | [] -> List.rev_append (flush pending []) acc |> List.rev
-    | Prog.Astmt s :: tl -> go_stmts acc (s :: pending) tl
-    | Prog.Reduce _ :: _ as l ->
-        (* take the maximal run of consecutive reductions *)
-        let rec split rs = function
-          | Prog.Reduce { target; op; region; arg } :: tl ->
-              split ((target, op, region, arg) :: rs) tl
-          | tl -> (List.rev rs, tl)
-        in
-        let rs, tl = split [] l in
-        let first_idx = !next_reduce in
-        next_reduce := !next_reduce + List.length rs;
-        let absorbed_set =
-          if pending = [] then [] else plans.(!next_block).absorbed
-        in
-        let indexed = List.mapi (fun i r -> (first_idx + i, r)) rs in
-        let absorbed, standalone =
-          List.partition
-            (fun (i, _) -> List.mem_assoc i absorbed_set)
-            indexed
-        in
-        let reds =
-          List.map
-            (fun (i, (target, op, _, arg)) ->
-              (List.assoc i absorbed_set, op, target, arg))
-            absorbed
-        in
-        let acc = List.rev_append (flush pending reds) acc in
-        let acc =
-          List.fold_left
-            (fun acc (_, (target, op, region, arg)) ->
-              List.rev_append (tr_reduce ctr ~target ~op ~region ~arg) acc)
-            acc standalone
-        in
-        go_stmts acc [] tl
-    | Prog.Sassign (x, e) :: tl ->
-        let acc = List.rev_append (flush pending []) acc in
-        go_stmts (Code.Sassign (x, tr_expr ctr e) :: acc) [] tl
-    | Prog.Sloop { var; lo; hi; body } :: tl ->
-        let acc = List.rev_append (flush pending []) acc in
-        let inner = go_stmts [] [] body in
-        go_stmts
-          (Code.For { var; lo; hi; step = 1; body = inner } :: acc)
-          [] tl
-  and flush pending reds =
-    match pending with
-    | [] ->
-        if reds <> [] then raise (Error "absorbed reductions without a block");
-        []
-    | _ ->
-        let bi = !next_block in
-        incr next_block;
-        tr_block ~reds plans.(bi)
+  (* a block's nests hold the trailing reductions its plan absorbed;
+     the others follow the block, in order *)
+  let rec go nodes =
+    List.concat_map
+      (function
+        | Prog.Block b ->
+            let bp = plans.(b.index) in
+            let absorbed, standalone =
+              List.partition
+                (fun (r : Prog.reduction) -> List.mem_assoc r.index bp.absorbed)
+                b.trailing
+            in
+            let reds =
+              List.map
+                (fun (r : Prog.reduction) -> (List.assoc r.index bp.absorbed, r))
+                absorbed
+            in
+            tr_block ~reds bp @ List.concat_map (tr_reduce ctr) standalone
+        | Prog.Reduction r -> tr_reduce ctr r
+        | Prog.Scalar (x, e) -> [ Code.Sassign (x, tr_expr ctr e) ]
+        | Prog.Loop { var; lo; hi; body } ->
+            [ Code.For { var; lo; hi; step = 1; body = go body } ])
+      nodes
   in
-  let body = go_stmts [] [] prog.Prog.body in
+  let body = go skeleton in
   let allocs =
     List.filter_map
       (fun (a : Prog.array_info) ->

@@ -12,8 +12,9 @@ type block_plan = {
   partition : Core.Partition.t;
   contracted : (string * Core.Contraction.shape) list;
   absorbed : (int * int) list;
-      (** [(reduce index, cluster representative)] pairs: trailing
-          reductions fused into one of this block's loop nests.  The
+      (** [(reduce index, cluster representative)] pairs: reductions
+          of this block's [Ir.Prog.block.trailing] list (by their
+          [Ir.Prog.reduction.index]) fused into one of its loop nests.  The
           driver guarantees the soundness conditions: the reduction
           region equals the cluster's region; the cluster's loop
           structure is the default row-major one (so accumulation order
@@ -30,7 +31,7 @@ type block_plan = {
     elimination in the paper's Figure 7). *)
 
 type plan = block_plan list
-(** One entry per basic block, aligned with [Ir.Prog.blocks]. *)
+(** One entry per basic block, in [Ir.Prog.block.index] order. *)
 
 exception Error of string
 (** Raised on malformed plans (wrong block count, missing loop
@@ -40,9 +41,13 @@ val trivial_plan : Ir.Prog.t -> plan
 (** No fusion, no contraction: the baseline compilation. *)
 
 val scalarize : Ir.Prog.t -> plan -> Code.program
-(** Generate scalar code.  The result allocates only non-contracted
+(** Generate scalar code by walking [Ir.Prog.skeleton]: each block
+    becomes its clusters' loop nests, with the trailing reductions its
+    plan absorbed accumulated inside, followed by its other trailing
+    reductions in order.  The result allocates only non-contracted
     arrays; contracted arrays appear among the program's scalars under
-    their original names. *)
+    their original names.  Raises {!Error} when the plan's length is
+    not the program's block count. *)
 
 val contracted_of_plan : plan -> (string * Core.Contraction.shape) list
 (** All contraction decisions across blocks (for reporting). *)

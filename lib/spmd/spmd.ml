@@ -111,9 +111,7 @@ let owner_dim g k idx =
 let min_chunk_width g k =
   let total = g.ghi.(k) - g.glo.(k) + 1 in
   let p = g.per_dim.(k) in
-  if p = 1 then total
-  else if total mod p = 0 then total / p
-  else total / p
+  if p = 1 then total else total / p
 
 let coord_of g pr =
   let rank = Array.length g.per_dim in
@@ -194,17 +192,11 @@ let tile_volume t =
 (* The execution environment                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* The statically numbered execution tree: block indices match
-   Prog.blocks (and so the plan and the model schedule). *)
-type node =
-  | Nblock of int
-  | Nreduce of { target : string; op : Prog.redop; region : Region.t; arg : Expr.t }
-  | Nsassign of string * Expr.t
-  | Nsloop of { var : string; lo : int; hi : int; body : node list }
-
 type env = {
   cfg : config;
   prog : Prog.t;
+  skeleton : Prog.node list;
+      (** block indices match the plan and the model schedule *)
   arrs : (string, arr) Hashtbl.t;
   scalars : (string, float) Hashtbl.t;
   pc : proc_counters array;
@@ -623,25 +615,13 @@ let exec_block env bi =
     exec_superstep env bi si step_end block_start
   done
 
-let red_init : Prog.redop -> float = function
-  | Prog.Rsum -> 0.0
-  | Prog.Rprod -> 1.0
-  | Prog.Rmin -> infinity
-  | Prog.Rmax -> neg_infinity
-
-let red_apply : Prog.redop -> float -> float -> float = function
-  | Prog.Rsum -> ( +. )
-  | Prog.Rprod -> ( *. )
-  | Prog.Rmin -> Expr.fmin
-  | Prog.Rmax -> Expr.fmax
-
 (* Reductions: every processor evaluates the points it owns, but the
    accumulation folds contributions in canonical global row-major
    order — bit-identical to the sequential interpreters.  The clock and
    the message counters are charged for the log2 p combining tree the
    runtime would use (the divergence from a real tree's accumulation
    order is documented in docs/spmd.md). *)
-let exec_reduce env ~target ~op ~region ~arg =
+let exec_reduce env { Prog.target; op; region; arg; _ } =
   Obs.span "spmd-superstep" @@ fun () ->
   env.supersteps <- env.supersteps + 1;
   let rank = Region.rank region in
@@ -649,8 +629,8 @@ let exec_reduce env ~target ~op ~region ~arg =
   ensure_needs env rank ~region (Expr.refs arg);
   let grid = grid_for env rank in
   let snaps = Array.init procs (snapshot env) in
-  let acc = ref (red_init op) in
-  let apply = red_apply op in
+  let acc = ref (Prog.redop_init op) in
+  let apply = Expr.apply_binop (Prog.redop_binop op) in
   Region.iter region (fun idx ->
       let c = Array.mapi (fun k x -> owner_dim grid k x) idx in
       let pr = linear_of grid c in
@@ -700,11 +680,15 @@ let exec_sassign env x e =
   done;
   env.now <- env.now +. t
 
+(* A block's trailing reductions run as their own supersteps after it,
+   whether or not the plan fused them into its nests. *)
 let rec exec_node env = function
-  | Nblock bi -> exec_block env bi
-  | Nreduce { target; op; region; arg } -> exec_reduce env ~target ~op ~region ~arg
-  | Nsassign (x, e) -> exec_sassign env x e
-  | Nsloop { var; lo; hi; body } ->
+  | Prog.Block b ->
+      exec_block env b.Prog.index;
+      List.iter (exec_reduce env) b.Prog.trailing
+  | Prog.Reduction r -> exec_reduce env r
+  | Prog.Scalar (x, e) -> exec_sassign env x e
+  | Prog.Loop { var; lo; hi; body } ->
       for i = lo to hi do
         Hashtbl.replace env.scalars var (float_of_int i);
         List.iter (exec_node env) body
@@ -714,43 +698,17 @@ let rec exec_node env = function
 (* Setup                                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Number the maximal Astmt runs exactly like Prog.blocks does. *)
-let annotate (prog : Prog.t) =
-  let next = ref 0 in
-  let rec go stmts =
-    let flush pending acc =
-      if pending = [] then acc
-      else begin
-        let bi = !next in
-        incr next;
-        Nblock bi :: acc
-      end
-    in
-    let rec aux pending acc = function
-      | [] -> List.rev (flush pending acc)
-      | Prog.Astmt s :: tl -> aux (s :: pending) acc tl
-      | Prog.Sloop { var; lo; hi; body } :: tl ->
-          let acc = flush pending acc in
-          aux [] (Nsloop { var; lo; hi; body = go body } :: acc) tl
-      | Prog.Reduce { target; op; region; arg } :: tl ->
-          aux [] (Nreduce { target; op; region; arg } :: flush pending acc) tl
-      | Prog.Sassign (x, e) :: tl ->
-          aux [] (Nsassign (x, e) :: flush pending acc) tl
-    in
-    aux [] [] stmts
-  in
-  let nodes = go prog.Prog.body in
-  (nodes, !next)
-
-(* All array references (with offsets) and write offsets in the
-   program, reductions included. *)
-let rec fold_stmts f acc = function
-  | [] -> acc
-  | Prog.Astmt s :: tl -> fold_stmts f (f acc (`Astmt s)) tl
-  | Prog.Reduce { region; arg; _ } :: tl ->
-      fold_stmts f (f acc (`Reduce (region, arg))) tl
-  | Prog.Sassign _ :: tl -> fold_stmts f acc tl
-  | Prog.Sloop { body; _ } :: tl -> fold_stmts f (fold_stmts f acc body) tl
+(* Apply [astmt] to every array statement and [reduce] to every
+   reduction of the program, in program order. *)
+let iter_work ~astmt ~reduce skeleton =
+  Prog.fold
+    (fun () -> function
+      | Prog.Block b ->
+          List.iter astmt b.Prog.stmts;
+          List.iter reduce b.Prog.trailing
+      | Prog.Reduction r -> reduce r
+      | Prog.Scalar _ | Prog.Loop _ -> ())
+    () skeleton
 
 let grid_for_rank grids rank =
   match Hashtbl.find_opt grids rank with
@@ -759,6 +717,7 @@ let grid_for_rank grids rank =
 
 let setup (cfg : config) (c : Compilers.Driver.compiled) =
   let prog = c.Compilers.Driver.prog in
+  let skeleton = Prog.skeleton prog in
   let procs = cfg.procs in
   (* halos: per array, per dim, the max |offset| of any reference *)
   let halos = Hashtbl.create 16 in
@@ -773,13 +732,10 @@ let setup (cfg : config) (c : Compilers.Driver.compiled) =
     in
     Array.iteri (fun k d -> cur.(k) <- max cur.(k) (abs d)) off
   in
-  let refs_of e = Expr.refs e in
-  ignore
-    (fold_stmts
-       (fun () -> function
-         | `Astmt (s : Nstmt.t) -> List.iter (fun (x, o) -> note_ref x o) (refs_of s.rhs)
-         | `Reduce (_, arg) -> List.iter (fun (x, o) -> note_ref x o) (refs_of arg))
-       () prog.Prog.body);
+  let note_refs e = List.iter (fun (x, o) -> note_ref x o) (Expr.refs e) in
+  iter_work skeleton
+    ~astmt:(fun (s : Nstmt.t) -> note_refs s.rhs)
+    ~reduce:(fun (r : Prog.reduction) -> note_refs r.arg);
   (* grids: one per rank occurring among arrays or iteration regions *)
   let grids = Hashtbl.create 4 in
   let want_rank rank =
@@ -801,26 +757,20 @@ let setup (cfg : config) (c : Compilers.Driver.compiled) =
     end
   in
   List.iter (fun (a : Prog.array_info) -> want_rank (Region.rank a.bounds)) prog.Prog.arrays;
-  ignore
-    (fold_stmts
-       (fun () -> function
-         | `Astmt (s : Nstmt.t) -> want_rank (Region.rank s.region)
-         | `Reduce (r, _) -> want_rank (Region.rank r))
-       () prog.Prog.body);
+  iter_work skeleton
+    ~astmt:(fun (s : Nstmt.t) -> want_rank (Region.rank s.region))
+    ~reduce:(fun (r : Prog.reduction) -> want_rank (Region.rank r.region));
   (* supportability checks *)
-  ignore
-    (fold_stmts
-       (fun () -> function
-         | `Astmt (s : Nstmt.t) ->
-             let g = grid_for_rank grids (Region.rank s.region) in
-             Array.iteri
-               (fun k d ->
-                 if d <> 0 && g.per_dim.(k) > 1 then
-                   unsup "write offset %d in distributed dimension %d (%s)" d
-                     (k + 1) s.lhs)
-               s.lhs_off
-         | `Reduce _ -> ())
-       () prog.Prog.body);
+  iter_work skeleton
+    ~astmt:(fun (s : Nstmt.t) ->
+      let g = grid_for_rank grids (Region.rank s.region) in
+      Array.iteri
+        (fun k d ->
+          if d <> 0 && g.per_dim.(k) > 1 then
+            unsup "write offset %d in distributed dimension %d (%s)" d (k + 1)
+              s.lhs)
+        s.lhs_off)
+    ~reduce:ignore;
   Hashtbl.iter
     (fun x halo ->
       match Prog.find_array prog x with
@@ -874,14 +824,16 @@ let setup (cfg : config) (c : Compilers.Driver.compiled) =
     grids;
   let scalars = Hashtbl.create 16 in
   List.iter (fun (s, v) -> Hashtbl.replace scalars s v) prog.Prog.scalars;
+  let n_blocks =
+    Prog.fold (fun n -> function Prog.Block _ -> n + 1 | _ -> n) 0 skeleton
+  in
+  let n_plans = List.length c.Compilers.Driver.plan in
+  if n_plans <> n_blocks then
+    err "plan has %d blocks, program has %d" n_plans n_blocks;
   let sched =
     Array.of_list
       (Comm.Model.schedule ~machine:cfg.machine ~procs ~opts:cfg.opts c)
   in
-  let _nodes, n_blocks = annotate prog in
-  if n_blocks <> Array.length sched then
-    err "block numbering mismatch: %d blocks, %d schedules" n_blocks
-      (Array.length sched);
   let clusters =
     Array.of_list
       (List.map
@@ -913,6 +865,7 @@ let setup (cfg : config) (c : Compilers.Driver.compiled) =
   {
     cfg;
     prog;
+    skeleton;
     arrs;
     scalars;
     pc = Array.init procs (fun _ -> mk_pc ());
@@ -982,7 +935,7 @@ let execute (cfg : config) (c : Compilers.Driver.compiled) =
   if cfg.procs < 1 then invalid_arg "Spmd.execute: procs must be >= 1";
   Obs.span "spmd-execute" @@ fun () ->
   let env = setup cfg c in
-  List.iter (exec_node env) (fst (annotate env.prog));
+  List.iter (exec_node env) env.skeleton;
   let sum = checksum env in
   if Obs.enabled () then begin
     Obs.count "spmd.messages" env.wire_messages;

@@ -178,6 +178,27 @@ let test_figures_golden () =
       (List.combine want got)
   end
 
+(* The section 5.5 table and the ablations, pinned as text: they are
+   deterministic model output, and their measurement (Comm.Perf's
+   simulate and time model) is shared with the figures above.
+   Regenerate with
+     bench/main.exe sec55 ablate > test/golden/sec55_ablate.txt
+   only when a change is meant to move them. *)
+let test_sec55_ablate_golden () =
+  if available then begin
+    let code, out = run "sec55 ablate" in
+    Alcotest.(check int) "exit 0" 0 code;
+    let ic = open_in_bin "golden/sec55_ablate.txt" in
+    let want = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    let want = lines want and got = lines out in
+    Alcotest.(check int) "line count" (List.length want) (List.length got);
+    List.iteri
+      (fun i (w, g) ->
+        Alcotest.(check string) (Printf.sprintf "line %d" (i + 1)) w g)
+      (List.combine want got)
+  end
+
 let suites =
   [
     ( "bench.json",
@@ -194,5 +215,7 @@ let suites =
           test_plan_jobs_invariant;
         Alcotest.test_case "fig6-fig11 rows match the golden" `Slow
           test_figures_golden;
+        Alcotest.test_case "sec55 and ablate text match the golden" `Slow
+          test_sec55_ablate_golden;
       ] );
   ]

@@ -222,23 +222,28 @@ let test_reduce_helpers () =
     }
   in
   (match Prog.validate p with Ok () -> () | Error e -> Alcotest.fail e);
-  Alcotest.(check int) "three reduces" 3 (List.length (Prog.reduce_stmts p));
+  Alcotest.(check int) "three reduces" 3 (List.length (Prog.reductions p));
   Alcotest.(check (list (pair int (list int))))
     "trailing map"
-    [ (0, [ 0; 1 ]) ]
-    (Prog.trailing_reduces p);
-  (* A is read by reduces 0 and 1 only: eligible when both are allowed *)
-  let allow b = if b = 0 then [ 0; 1 ] else [] in
+    [ (0, [ 0; 1 ]); (1, []); (2, []) ]
+    (Prog.fold
+       (fun acc -> function
+         | Prog.Block b ->
+             let rs = List.map (fun (r : Prog.reduction) -> r.index) b.trailing in
+             acc @ [ (b.index, rs) ]
+         | _ -> acc)
+       [] (Prog.skeleton p));
+  (* A is read by reduces 0 and 1 only, both trailing its block *)
   Alcotest.(check bool)
-    "A eligible with allowance" true
-    (List.mem_assoc "A" (Prog.confined_arrays_allowing_reduces p allow));
+    "A eligible with its trailing reduces" true
+    (List.mem_assoc "A" (Prog.confined_arrays_allowing_reduces p));
   Alcotest.(check bool)
     "A ineligible without" false
     (List.mem_assoc "A" (Prog.confined_arrays p));
   (* C is read by the non-trailing reduce: never eligible *)
   Alcotest.(check bool)
     "C ineligible" false
-    (List.mem_assoc "C" (Prog.confined_arrays_allowing_reduces p allow))
+    (List.mem_assoc "C" (Prog.confined_arrays_allowing_reduces p))
 
 let test_rename_array () =
   let p = simple_prog () in

@@ -340,7 +340,6 @@ let test_parallel_search_deterministic () =
       Plan.Driver.compile
         ~search:
           {
-            Plan.Search.default with
             Plan.Search.max_states = 600;
             beam_width = 2;
             jobs;
@@ -382,7 +381,6 @@ let test_beam_fallback_deterministic () =
       Plan.Driver.compile
         ~search:
           {
-            Plan.Search.default with
             Plan.Search.max_states = 60;
             beam_width = 2;
             jobs;
@@ -430,7 +428,6 @@ let ilp_compile ?(machine = Machine.t3e) ?(procs = 1) ?(max_clusters = 1500)
     Plan.Driver.compile_ilp
       ~search:
         {
-          Plan.Search.default with
           Plan.Search.max_states = 600;
           beam_width = 2;
           jobs;
