@@ -307,7 +307,7 @@ let reduction_stages procs =
 (* Per-block execution multipliers + total reduction executions: a
    loop multiplies by its trip count, and a block runs its trailing
    reductions as often as itself. *)
-let block_multipliers prog =
+let block_multipliers skeleton =
   let rec walk mult acc nodes =
     List.fold_left
       (fun (mults, reds) -> function
@@ -320,7 +320,7 @@ let block_multipliers prog =
       acc nodes
   in
   (* the skeleton lists blocks in index order *)
-  let mults, reds = walk 1 ([], 0) (Prog.skeleton prog) in
+  let mults, reds = walk 1 ([], 0) skeleton in
   (Array.of_list (List.rev mults), reds)
 
 let zero_summary =
@@ -371,7 +371,7 @@ let analyze_plan ~(machine : Machine.t) ~procs ~opts prog plan =
   if procs <= 1 then zero_summary
   else begin
     let scheds = Array.of_list (schedule_plan ~machine ~procs ~opts prog plan) in
-    let block_mult, reductions = block_multipliers prog in
+    let block_mult, reductions = block_multipliers (Prog.skeleton prog) in
     let reductions = ref reductions in
     let alpha = machine.Machine.msg_latency_ns in
     let beta = machine.Machine.byte_ns in

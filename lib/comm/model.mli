@@ -87,12 +87,13 @@ val reduction_stages : int -> int
 (** Stages of the log₂ p reduction combining tree: ⌈log₂ procs⌉
     (0 for a single processor). *)
 
-val block_multipliers : Ir.Prog.t -> int array * int
-(** A fold over [Ir.Prog.skeleton]: per-block execution multipliers
-    (how many times each basic block runs — the product of its
-    enclosing loops' trip counts — indexed by [Ir.Prog.block.index])
-    and the total number of reduction executions (each standalone
-    reduction, and each block's trailing ones, as often as they run).
+val block_multipliers : Ir.Prog.node list -> int array * int
+(** A fold over a program's [Ir.Prog.skeleton]: per-block execution
+    multipliers (how many times each basic block runs — the product of
+    its enclosing loops' trip counts — indexed by
+    [Ir.Prog.block.index]) and the total number of reduction
+    executions (each standalone reduction, and each block's trailing
+    ones, as often as they run).
     Exposed for the fusion planner, whose cost model must weight blocks
     the same way {!analyze} does. *)
 

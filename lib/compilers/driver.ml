@@ -49,15 +49,11 @@ type ctx = {
   candidates : (string * int) list;
 }
 
-let make_ctx prog =
+let make_ctx prog skeleton =
   {
     prog;
-    blocks =
-      List.rev
-        (Prog.fold
-           (fun acc -> function Prog.Block b -> b :: acc | _ -> acc)
-           [] (Prog.skeleton prog));
-    candidates = Prog.confined_arrays_allowing_reduces prog;
+    blocks = Prog.skeleton_blocks skeleton;
+    candidates = Prog.confined_arrays_allowing_reduces prog skeleton;
   }
 
 let block_candidates ctx block_idx =
@@ -305,12 +301,15 @@ let compile_with ~level ~plan_of_block prog =
         (Obs.Diagnostic.errorf ~phase:"check" "invalid program %s: %s"
            prog.Prog.name e)
   | Ok () ->
-      let ctx = make_ctx prog in
+      (* the one skeleton of this compile *)
+      let skeleton = Prog.skeleton prog in
+      let ctx = make_ctx prog skeleton in
       let plan =
         Obs.span "plan" (fun () -> List.map (plan_of_block ctx) ctx.blocks)
       in
       let code =
-        Obs.span "scalarize" (fun () -> Sir.Scalarize.scalarize prog plan)
+        Obs.span "scalarize" (fun () ->
+            Sir.Scalarize.scalarize prog skeleton plan)
       in
       Ok
         {

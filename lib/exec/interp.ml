@@ -120,11 +120,27 @@ let scalar_slots (p : Code.program) =
     p.scalars;
   (sc, assigned)
 
+(* Iterations per strip (see [strips]). *)
+let strip = 256
+
+(* Dense strip buffers.  Innermost loops never nest, so all of them
+   number their buffers from 0 in the one pool of the run. *)
+type pool = { mutable bufs : float array array }
+
+let buffer pool j =
+  let have = Array.length pool.bufs in
+  if j >= have then
+    pool.bufs <-
+      Array.append pool.bufs
+        (Array.init (j + 1 - have) (fun _ -> Array.make strip 0.0));
+  pool.bufs.(j)
+
 type env = {
   res : result;
   assigned : (string, unit) Hashtbl.t;
   loops : string list;  (** variables of the enclosing loops: always defined *)
   trace : (addr:int -> write:bool -> unit) option;
+  pool : pool;
 }
 
 (* A slot defined before the run (a declared scalar) stays defined, and
@@ -236,6 +252,344 @@ let rec expr env (e : Code.expr) : unit -> float =
         let vb = b () in
         if vc <> 0.0 then va else vb
 
+(* ------------------------------------------------------------------ *)
+(* Strips: an innermost loop one statement at a time                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Element [j] of the current strip is [data.(off + j * step)]: a dense
+   buffer (offset 0, step 1), an array reference (its offset set per
+   strip) or a loop invariant (step 0). *)
+type operand = { data : float array; mutable off : int; step : int }
+
+let dense data = { data; off = 0; step = 1 }
+let invariant data off = { data; off; step = 0 }
+
+(* One dimension of a strip loop's array reference. *)
+type dim =
+  | On_var of int  (** this loop's variable plus an offset *)
+  | Fixed of int  (** an absolute index *)
+  | Enclosing of int * int
+      (** an enclosing loop's variable (its int-mirror slot) plus an
+          offset *)
+
+type sref = {
+  view : operand;  (** over the array's data, step [dir * per_iter] *)
+  arr : arr;
+  dims : dim array;
+  per_iter : int;  (** flat-index distance between iterations [i] and [i + 1] *)
+  mutable at0 : int;  (** flat index at iteration 0, for this loop instance *)
+}
+
+(* The entry check of one reference: in bounds at the first and the
+   last iteration.  Every dimension is invariant or moves with the loop
+   variable, so it is then in bounds throughout.  Also sets [at0]. *)
+let enter ints ~lo ~hi r =
+  let ok = ref true and flat = ref 0 in
+  for d = 0 to Array.length r.dims - 1 do
+    let dlo, dhi = r.arr.dims.(d) in
+    let c =
+      match r.dims.(d) with
+      | On_var off | Fixed off -> off
+      | Enclosing (k, off) -> ints.(k) + off
+    in
+    (match r.dims.(d) with
+    | On_var _ -> if lo + c < dlo || hi + c > dhi then ok := false
+    | Fixed _ | Enclosing _ -> if c < dlo || c > dhi then ok := false);
+    flat := !flat + ((c - dlo) * r.arr.strides.(d))
+  done;
+  r.at0 <- !flat;
+  !ok
+
+(* The passes below write element [j] of [dst] for [j < n], a strip of
+   [n] iterations; [dst] is a dense buffer or, for the right-hand side
+   of a store, the stored reference's view.  Add, Sub, Mul and Div are
+   written out so they stay unboxed; every other operator goes through
+   the same [Ir.Expr] function the element closures call.  Indices run
+   by their steps rather than being multiplied out. *)
+
+let unop_pass op (a : operand) (dst : operand) n =
+  let ad = a.data and ast = a.step and dd = dst.data and dst_step = dst.step in
+  let ia = ref a.off and id = ref dst.off in
+  match op with
+  | Ir.Expr.Neg ->
+      for _ = 1 to n do
+        dd.(!id) <- -.ad.(!ia);
+        ia := !ia + ast;
+        id := !id + dst_step
+      done
+  | op ->
+      for _ = 1 to n do
+        dd.(!id) <- Ir.Expr.apply_unop op ad.(!ia);
+        ia := !ia + ast;
+        id := !id + dst_step
+      done
+
+let binop_pass op (a : operand) (b : operand) (dst : operand) n =
+  let ad = a.data and ast = a.step and bd = b.data and bst = b.step in
+  let dd = dst.data and dst_step = dst.step in
+  let ia = ref a.off and ib = ref b.off and id = ref dst.off in
+  match op with
+  | Ir.Expr.Add ->
+      for _ = 1 to n do
+        dd.(!id) <- ad.(!ia) +. bd.(!ib);
+        ia := !ia + ast;
+        ib := !ib + bst;
+        id := !id + dst_step
+      done
+  | Sub ->
+      for _ = 1 to n do
+        dd.(!id) <- ad.(!ia) -. bd.(!ib);
+        ia := !ia + ast;
+        ib := !ib + bst;
+        id := !id + dst_step
+      done
+  | Mul ->
+      for _ = 1 to n do
+        dd.(!id) <- ad.(!ia) *. bd.(!ib);
+        ia := !ia + ast;
+        ib := !ib + bst;
+        id := !id + dst_step
+      done
+  | Div ->
+      for _ = 1 to n do
+        dd.(!id) <- ad.(!ia) /. bd.(!ib);
+        ia := !ia + ast;
+        ib := !ib + bst;
+        id := !id + dst_step
+      done
+  | op ->
+      for _ = 1 to n do
+        dd.(!id) <- Ir.Expr.apply_binop op ad.(!ia) bd.(!ib);
+        ia := !ia + ast;
+        ib := !ib + bst;
+        id := !id + dst_step
+      done
+
+let select_pass (c : operand) (a : operand) (b : operand) (dst : operand) n =
+  let cd = c.data and cst = c.step and ad = a.data and ast = a.step in
+  let bd = b.data and bst = b.step and dd = dst.data and dst_step = dst.step in
+  let ic = ref c.off and ia = ref a.off and ib = ref b.off and id = ref dst.off in
+  for _ = 1 to n do
+    dd.(!id) <- (if cd.(!ic) <> 0.0 then ad.(!ia) else bd.(!ib));
+    ic := !ic + cst;
+    ia := !ia + ast;
+    ib := !ib + bst;
+    id := !id + dst_step
+  done
+
+(* Under the strip test a copy's source and destination are disjoint or
+   the very same elements, so a blit is exact. *)
+let copy_pass (v : operand) (dst : operand) n =
+  if v.step = 1 && dst.step = 1 then Array.blit v.data v.off dst.data dst.off n
+  else begin
+    let vd = v.data and vst = v.step and dd = dst.data and dst_step = dst.step in
+    let iv = ref v.off and id = ref dst.off in
+    for _ = 1 to n do
+      dd.(!id) <- vd.(!iv);
+      iv := !iv + vst;
+      id := !id + dst_step
+    done
+  end
+
+exception Unfit
+
+(* The strip path of [for var = lo..hi step body] ([env] is the body's,
+   [var] included in [env.loops]); raises [Unfit] when the loop fails
+   the static test.  The closure performs the entry check and either
+   runs the whole loop in strips and returns [true], or does nothing and
+   returns [false] for the caller's element closures to run it. *)
+let strip_loop env ~var ~lo ~hi ~step body =
+  let require ok = if not ok then raise Unfit in
+  let { slots; values; defined; ints } = env.res.scalars in
+  let slot x = Hashtbl.find slots x in
+  let dir = if step >= 0 then 1 else -1 in
+  (* arrays the body stores to, with the subscript every reference to
+     them must have *)
+  let stored = Hashtbl.create 4 in
+  List.iter
+    (function
+      | Code.Store (x, subs, _) ->
+          require (Array.exists (fun (s : Code.subscript) -> s.base = var) subs);
+          if not (Hashtbl.mem stored x) then Hashtbl.add stored x subs
+      | Sassign _ -> ()
+      | For _ -> raise Unfit)
+    body;
+  let nbuf = ref 0 in
+  let fresh () =
+    let b = buffer env.pool !nbuf in
+    incr nbuf;
+    b
+  in
+  let passes = ref [] and refs = ref [] in
+  let pass p = passes := p :: !passes in
+  let first = ref lo in
+  let var_values =
+    lazy
+      (let b = fresh () in
+       pass (fun n ->
+           let i0 = !first in
+           for j = 0 to n - 1 do
+             b.(j) <- float_of_int (i0 + (dir * j))
+           done);
+       dense b)
+  in
+  let privates = Hashtbl.create 4 and read = Hashtbl.create 8 in
+  let must_be_defined = ref [] in
+  let reference x subs =
+    let arr =
+      match Hashtbl.find_opt env.res.arrays x with
+      | Some arr -> arr
+      | None -> raise Unfit
+    in
+    require (Array.length subs = Array.length arr.dims);
+    (match Hashtbl.find_opt stored x with
+    | Some subs' -> require (subs = subs')
+    | None -> ());
+    let per_iter = ref 0 in
+    let dims =
+      Array.mapi
+        (fun d (s : Code.subscript) ->
+          if s.base = "" then Fixed s.off
+          else begin
+            require
+              (List.mem s.base env.loops && not (Hashtbl.mem env.assigned s.base));
+            if s.base = var then begin
+              per_iter := !per_iter + arr.strides.(d);
+              On_var s.off
+            end
+            else Enclosing (slot s.base, s.off)
+          end)
+        subs
+    in
+    let r =
+      {
+        view = { data = arr.data; off = 0; step = dir * !per_iter };
+        arr;
+        dims;
+        per_iter = !per_iter;
+        at0 = 0;
+      }
+    in
+    refs := r :: !refs;
+    r.view
+  in
+  (* [operand e] is where [e]'s values are once the passes so far ran;
+     [into dst e] appends the passes that write them into [dst] *)
+  let rec operand (e : Code.expr) =
+    match e with
+    | Const f -> invariant [| f |] 0
+    | Scalar x when x = var -> Lazy.force var_values
+    | Scalar x -> (
+        match Hashtbl.find_opt privates x with
+        | Some v -> v
+        | None ->
+            let k = slot x in
+            Hashtbl.replace read x ();
+            if not (defined.(k) || List.mem x env.loops) then
+              must_be_defined := k :: !must_be_defined;
+            invariant values k)
+    | Load (x, subs) -> reference x subs
+    | Unop _ | Binop _ | Select _ ->
+        let dst = dense (fresh ()) in
+        into dst e;
+        dst
+  and into dst (e : Code.expr) =
+    match e with
+    | Unop (op, a) ->
+        let a = operand a in
+        pass (unop_pass op a dst)
+    | Binop (op, a, b) ->
+        let a = operand a in
+        let b = operand b in
+        pass (binop_pass op a b dst)
+    | Select (c, a, b) ->
+        let c = operand c in
+        let a = operand a in
+        let b = operand b in
+        pass (select_pass c a b dst)
+    | Const _ | Scalar _ | Load _ -> pass (copy_pass (operand e) dst)
+  in
+  let loads = ref 0 and flops = ref 0 and stores = ref 0 in
+  let count e =
+    let l, f = cost e in
+    loads := !loads + l;
+    flops := !flops + f
+  in
+  List.iter
+    (fun (s : Code.stmt) ->
+      match s with
+      | Sassign (x, e) ->
+          let v =
+            match e with
+            | Load _ ->
+                (* a later store may overwrite what the view reads *)
+                let b = dense (fresh ()) in
+                into b e;
+                b
+            | _ -> operand e
+          in
+          (* a private scalar: written once, read only after its write,
+             not a loop variable *)
+          require
+            (not
+               (Hashtbl.mem privates x || Hashtbl.mem read x
+               || List.mem x env.loops));
+          Hashtbl.add privates x v;
+          count e
+      | Store (x, subs, e) ->
+          into (reference x subs) e;
+          count e;
+          incr stores
+      | For _ -> raise Unfit)
+    body;
+  let refs = Array.of_list (List.rev !refs) in
+  let passes = Array.of_list (List.rev !passes) in
+  let must_be_defined = !must_be_defined in
+  let privates =
+    Hashtbl.fold (fun x v acc -> (slot x, v) :: acc) privates []
+  in
+  let trip = hi - lo + 1 in
+  let cnt = env.res.cnt and k = slot var in
+  let loads = trip * !loads and flops = trip * !flops in
+  let stores = trip * !stores in
+  let last = if dir > 0 then hi else lo in
+  fun () ->
+    if
+      Array.for_all (enter ints ~lo ~hi) refs
+      && List.for_all (fun k -> defined.(k)) must_be_defined
+    then begin
+      let left = ref trip and n = ref 0 in
+      first := if dir > 0 then lo else hi;
+      while !left > 0 do
+        n := min strip !left;
+        Array.iter (fun r -> r.view.off <- r.at0 + (!first * r.per_iter)) refs;
+        Array.iter (fun p -> p !n) passes;
+        first := !first + (dir * !n);
+        left := !left - !n
+      done;
+      (* the state the last iteration leaves *)
+      ints.(k) <- last;
+      values.(k) <- float_of_int last;
+      defined.(k) <- true;
+      List.iter
+        (fun (k, v) ->
+          values.(k) <- v.data.(v.off + ((!n - 1) * v.step));
+          defined.(k) <- true)
+        privates;
+      cnt.loads <- cnt.loads + loads;
+      cnt.flops <- cnt.flops + flops;
+      cnt.stores <- cnt.stores + stores;
+      cnt.iters <- cnt.iters + stores;
+      true
+    end
+    else false
+
+(* [None] for a traced run, a zero-trip loop, or a loop that fails the
+   static test. *)
+let strips env ~var ~lo ~hi ~step body =
+  if env.trace <> None || lo > hi then None
+  else try Some (strip_loop env ~var ~lo ~hi ~step body) with Unfit -> None
+
 let rec stmt env (s : Code.stmt) : unit -> unit =
   let cnt = env.res.cnt in
   match s with
@@ -277,8 +631,9 @@ let rec stmt env (s : Code.stmt) : unit -> unit =
                 let i = index () in
                 touch ~addr:((base + i) * 8) ~write:true;
                 store v i))
-  | For { var; lo; hi; step; body } ->
-      let body = block { env with loops = var :: env.loops } body in
+  | For { var; lo; hi; step; body = stmts } -> (
+      let env = { env with loops = var :: env.loops } in
+      let body = block env stmts in
       let { slots; values; defined; ints } = env.res.scalars in
       let k = Hashtbl.find slots var in
       let iteration i =
@@ -286,16 +641,21 @@ let rec stmt env (s : Code.stmt) : unit -> unit =
         values.(k) <- float_of_int i;
         body ()
       in
-      if step >= 0 then fun () ->
-        if lo <= hi then defined.(k) <- true;
-        for i = lo to hi do
-          iteration i
-        done
-      else fun () ->
-        if lo <= hi then defined.(k) <- true;
-        for i = hi downto lo do
-          iteration i
-        done
+      let by_element =
+        if step >= 0 then fun () ->
+          if lo <= hi then defined.(k) <- true;
+          for i = lo to hi do
+            iteration i
+          done
+        else fun () ->
+          if lo <= hi then defined.(k) <- true;
+          for i = hi downto lo do
+            iteration i
+          done
+      in
+      match strips env ~var ~lo ~hi ~step stmts with
+      | None -> by_element
+      | Some by_strip -> fun () -> if not (by_strip ()) then by_element ())
 
 and block env stmts =
   match Array.of_list (List.map (stmt env) stmts) with
@@ -318,7 +678,8 @@ let resolve ?trace (p : Code.program) =
   let scalars, assigned = scalar_slots p in
   let cnt = { loads = 0; stores = 0; flops = 0; iters = 0 } in
   let res = { arrays; scalars; live_out = p.live_out; cnt } in
-  (res, block { res; assigned; loops = []; trace } p.body)
+  let pool = { bufs = [||] } in
+  (res, block { res; assigned; loops = []; trace; pool } p.body)
 
 let run ?trace (p : Code.program) =
   let res =
@@ -367,21 +728,20 @@ module Digest = struct
 
   let empty = Support.Hash64.empty
   let mix = Support.Hash64.mix_float
+  let mix_array = Support.Hash64.mix_float_array
   let to_hex = Support.Hash64.to_hex
 end
 
 let checksum r =
-  let digest = ref Digest.empty in
-  let mix v = digest := Digest.mix !digest v in
-  List.iter
-    (fun name ->
-      match Hashtbl.find_opt r.arrays name with
-      | Some a -> Array.iter mix a.data
-      | None -> (
-          match find_scalar r name with
-          | Some v -> mix v
-          | None -> err "live-out %s not found" name))
-    r.live_out;
-  Digest.to_hex !digest
+  Digest.to_hex
+    (List.fold_left
+       (fun d name ->
+         match Hashtbl.find_opt r.arrays name with
+         | Some a -> Digest.mix_array d a.data
+         | None -> (
+             match find_scalar r name with
+             | Some v -> Digest.mix d v
+             | None -> err "live-out %s not found" name))
+       Digest.empty r.live_out)
 
 let footprint_bytes p = 8 * Code.program_elements p

@@ -17,6 +17,54 @@
     this state belongs to the one call, so concurrent runs are
     independent.
 
+    {b Strips.}  An untraced run executes an innermost loop (a [For]
+    with no loop in its body) one statement at a time over strips of
+    {!strip} consecutive iterations, into unboxed float buffers, when
+    the loop passes a static test at resolve time and an entry check
+    each time it starts.  Any other loop runs its element closures
+    above: every loop of a traced run, loops that fail the test, and
+    loop instances whose entry check fails.  The static test:
+    - every subscript base is [""] or the variable of this loop or of
+      an enclosing loop that no [Sassign] of the program writes (the
+      int-mirror condition);
+    - every referenced array is allocated and every reference has the
+      array's rank;
+    - every array the body stores to is referenced in the body, by
+      loads and stores alike, through one identical subscript that
+      contains this loop's variable;
+    - every scalar an [Sassign] of the body writes is written once, is
+      not read earlier in the body (its own right-hand side included),
+      and is not a loop variable: it is private to the iteration.
+
+    The entry check evaluates every reference's subscripts at the
+    first and the last iteration (each dimension is the loop variable
+    plus an offset, or invariant in the loop, so in bounds at both
+    ends is in bounds throughout) and checks that every invariant
+    scalar the body reads that is neither declared nor a loop
+    variable is defined.  If either fails, the instance runs its
+    element closures, with nothing done first.  Otherwise no
+    statement of the loop can raise, and the loop leaves the state
+    the last executed iteration leaves ([hi] ascending, [lo]
+    descending): the loop variable's slots, each private scalar's
+    value and definedness, and the four counters, added once as trip
+    × the static per-iteration counts.  A zero-trip loop changes
+    nothing.
+
+    Why strip order is exact.  Under the test, iteration [i] touches
+    only its own element of every stored array; every other array it
+    reads, the loop never writes.  So an operand statement [s] reads
+    at iteration [i] is: an element of an unwritten array (the same in
+    any order); its own element of a stored array, which since the loop
+    started only the statements before [s] in iteration [i] have
+    written, in either order; a private scalar, which a statement
+    before [s] in iteration [i] wrote; the loop variable; or a loop
+    invariant.  Each statement
+    therefore performs the same float operations on the same operands
+    in strip order as in loop order, with [Add], [Sub], [Mul], [Div]
+    and [Neg] as the same OCaml primitives and every other operator
+    through the same [Ir.Expr] function; and since nothing raises,
+    only the final state is observable.
+
     Array elements are modelled as 8-byte doubles laid out row-major;
     each allocation gets a disjoint base address.  Out-of-bounds
     subscripts raise — the interpreter doubles as a scalarizer
@@ -35,6 +83,9 @@ type counters = {
 type result
 
 exception Runtime_error of string
+
+val strip : int
+(** Iterations per strip on the strip path. *)
 
 val run :
   ?trace:(addr:int -> write:bool -> unit) ->
@@ -65,6 +116,10 @@ module Digest : sig
 
   val empty : t
   val mix : t -> float -> t
+
+  val mix_array : t -> float array -> t
+  (** [Array.fold_left mix], in one loop that allocates nothing. *)
+
   val to_hex : t -> string
 end
 

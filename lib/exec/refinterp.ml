@@ -135,15 +135,13 @@ let get_array r name =
 (* Identical digest to Interp.checksum so the two interpreters are
    directly comparable. *)
 let checksum r =
-  let digest = ref Interp.Digest.empty in
-  let mix v = digest := Interp.Digest.mix !digest v in
-  List.iter
-    (fun name ->
-      match Hashtbl.find_opt r.arrays name with
-      | Some a -> Array.iter mix a.data
-      | None -> (
-          match Hashtbl.find_opt r.scalars name with
-          | Some v -> mix v
-          | None -> err "live-out %s not found" name))
-    r.live_out;
-  Interp.Digest.to_hex !digest
+  Interp.Digest.to_hex
+    (List.fold_left
+       (fun d name ->
+         match Hashtbl.find_opt r.arrays name with
+         | Some a -> Interp.Digest.mix_array d a.data
+         | None -> (
+             match Hashtbl.find_opt r.scalars name with
+             | Some v -> Interp.Digest.mix d v
+             | None -> err "live-out %s not found" name))
+       Interp.Digest.empty r.live_out)

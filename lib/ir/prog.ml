@@ -205,11 +205,10 @@ let rec fold f acc nodes =
       match n with Loop { body; _ } -> fold f acc body | _ -> acc)
     acc nodes
 
-let blocks t =
-  List.rev
-    (fold
-       (fun acc -> function Block b -> b.stmts :: acc | _ -> acc)
-       [] (skeleton t))
+let skeleton_blocks sk =
+  List.rev (fold (fun acc -> function Block b -> b :: acc | _ -> acc) [] sk)
+
+let blocks t = List.map (fun b -> b.stmts) (skeleton_blocks (skeleton t))
 
 let reductions t =
   List.rev
@@ -257,8 +256,7 @@ let references sk x =
       | Scalar _ | Loop _ -> (bs, readers))
     ([], []) sk
 
-let confined ~allow t =
-  let sk = skeleton t in
+let confined ~allow t sk =
   List.filter_map
     (fun (info : array_info) ->
       let x = info.name in
@@ -269,7 +267,7 @@ let confined ~allow t =
         | _ -> None)
     t.arrays
 
-let confined_arrays = confined ~allow:(fun _ _ -> false)
+let confined_arrays t = confined ~allow:(fun _ _ -> false) t (skeleton t)
 let confined_arrays_allowing_reduces = confined ~allow:(fun b r -> r = Some b)
 
 let static_array_counts t =

@@ -107,6 +107,9 @@ val redop_binop : redop -> Expr.binop
 (** The binary operator a reduction folds with ([Rmin]/[Rmax] are
     [Expr.Min]/[Expr.Max], NaN-aware as [Expr.apply_binop] defines). *)
 
+val skeleton_blocks : node list -> block list
+(** The {!block}s of a skeleton, by index. *)
+
 val blocks : t -> Nstmt.t list list
 (** The statements of every {!block}, by index. *)
 
@@ -123,11 +126,13 @@ val confined_arrays : t -> (string * int) list
     precondition for contraction.  Pairs the array with its block
     index. *)
 
-val confined_arrays_allowing_reduces : t -> (string * int) list
-(** Like {!confined_arrays}, but an array may additionally be read by
-    the reductions that trail its block (the optimizer may absorb them
-    into the block's loop nests).  Used to extend contraction
-    candidacy under reduction fusion. *)
+val confined_arrays_allowing_reduces : t -> node list -> (string * int) list
+(** [confined_arrays_allowing_reduces t (skeleton t)] is like
+    {!confined_arrays}, but an array may additionally be read by the
+    reductions that trail its block (the optimizer may absorb them into
+    the block's loop nests).  Used to extend contraction candidacy
+    under reduction fusion; the compiler hands in the skeleton it
+    already built. *)
 
 val static_array_counts : t -> int * int
 (** [(compiler, user)] static array declaration counts (Figure 7). *)

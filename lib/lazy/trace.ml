@@ -528,8 +528,7 @@ let force_scalar (s : scalar) =
       Option.get s.r.value
 
 let digest_of values =
-  Exec.Interp.Digest.to_hex
-    (Array.fold_left Exec.Interp.Digest.mix Exec.Interp.Digest.empty values)
+  Exec.Interp.Digest.(to_hex (mix_array empty values))
 
 let checksum (a : arr) =
   (match a.n.values with

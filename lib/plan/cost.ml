@@ -160,8 +160,11 @@ let sweep_misses (m : Machine.t) key =
     float_of_int (count l2_after) *. scale )
 
 let create cfg prog =
-  let blocks = Prog.blocks prog in
-  let mults, red_execs = Comm.Model.block_multipliers prog in
+  let skeleton = Prog.skeleton prog in
+  let blocks =
+    List.map (fun (b : Prog.block) -> b.stmts) (Prog.skeleton_blocks skeleton)
+  in
+  let mults, red_execs = Comm.Model.block_multipliers skeleton in
   (* Deterministic simulated layout: arrays in declaration order, each
      base aligned to a multiple of every line size of the machine, with
      a guard of that size between allocations so distinct arrays never

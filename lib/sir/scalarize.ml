@@ -162,8 +162,7 @@ let tr_reduce ctr (r : Prog.reduction) =
 (* Whole program                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let scalarize (prog : Prog.t) (plan : plan) : Code.program =
-  let skeleton = Prog.skeleton prog in
+let scalarize (prog : Prog.t) skeleton (plan : plan) : Code.program =
   let plans = Array.of_list plan in
   let n_blocks =
     Prog.fold (fun n -> function Prog.Block _ -> n + 1 | _ -> n) 0 skeleton

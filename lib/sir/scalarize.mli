@@ -40,11 +40,12 @@ exception Error of string
 val trivial_plan : Ir.Prog.t -> plan
 (** No fusion, no contraction: the baseline compilation. *)
 
-val scalarize : Ir.Prog.t -> plan -> Code.program
-(** Generate scalar code by walking [Ir.Prog.skeleton]: each block
-    becomes its clusters' loop nests, with the trailing reductions its
-    plan absorbed accumulated inside, followed by its other trailing
-    reductions in order.  The result allocates only non-contracted
+val scalarize : Ir.Prog.t -> Ir.Prog.node list -> plan -> Code.program
+(** [scalarize prog (Ir.Prog.skeleton prog) plan] generates scalar
+    code by walking the skeleton: each block becomes its clusters'
+    loop nests, with the trailing reductions its plan absorbed
+    accumulated inside, followed by its other trailing reductions in
+    order.  The result allocates only non-contracted
     arrays; contracted arrays appear among the program's scalars under
     their original names.  Raises {!Error} when the plan's length is
     not the program's block count. *)

@@ -4,12 +4,21 @@ let empty = 0L
 
 let canonical_nan = 0x7FF8000000000000L
 
-let mix_bits d bits =
+let[@inline] mix_bits d bits =
   Int64.add (Int64.mul d 6364136223846793005L)
     (Int64.logxor bits 1442695040888963407L)
 
-let mix_float d v =
+let[@inline] mix_float d v =
   mix_bits d (if v <> v then canonical_nan else Int64.bits_of_float v)
+
+(* [mix_bits] and [mix_float] inline here, so the running state stays
+   unboxed *)
+let mix_float_array d a =
+  let d = ref d in
+  for k = 0 to Array.length a - 1 do
+    d := mix_float !d a.(k)
+  done;
+  !d
 
 let mix_int d i = mix_bits d (Int64.of_int i)
 

@@ -26,6 +26,9 @@ val mix_bits : t -> int64 -> t
 val mix_float : t -> float -> t
 (** Mix the IEEE-754 bits, NaN-canonicalized (see above). *)
 
+val mix_float_array : t -> float array -> t
+(** [Array.fold_left mix_float], in one loop that allocates nothing. *)
+
 val mix_int : t -> int -> t
 
 val mix_string : t -> string -> t

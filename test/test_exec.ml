@@ -360,6 +360,291 @@ let test_edge_behaviour () =
     (Exec.Interp.get_array r "A")
 
 (* ------------------------------------------------------------------ *)
+(* The strip path agrees with the element path                         *)
+(* ------------------------------------------------------------------ *)
+
+(* A traced run executes every loop element by element; an untraced
+   run takes the strip path wherever a loop passes its test. *)
+let by_element code = Exec.Interp.run ~trace:(fun ~addr:_ ~write:_ -> ()) code
+
+let outcome f =
+  match f () with v -> Ok v | exception Exec.Interp.Runtime_error m -> Error m
+
+(* every declared scalar, Sassign target and loop variable *)
+let scalar_names (p : Code.program) =
+  let rec stmt acc = function
+    | Code.Sassign (x, _) -> x :: acc
+    | Code.Store _ -> acc
+    | Code.For { var; body; _ } -> List.fold_left stmt (var :: acc) body
+  in
+  List.sort_uniq compare
+    (List.fold_left stmt (List.map fst p.Code.scalars) p.Code.body)
+
+let agrees what (code : Code.program) =
+  let bits = Result.map Int64.bits_of_float in
+  let check_bits name a b =
+    Alcotest.(check (array int64))
+      (Printf.sprintf "%s: array %s" what name)
+      (Array.map Int64.bits_of_float a)
+      (Array.map Int64.bits_of_float b)
+  in
+  match (outcome (fun () -> by_element code), outcome (fun () -> Exec.Interp.run code)) with
+  | Error m, Error m' -> Alcotest.(check string) (what ^ ": error") m m'
+  | Error m, Ok _ -> Alcotest.failf "%s: only the element path raised %s" what m
+  | Ok _, Error m -> Alcotest.failf "%s: only the strip path raised %s" what m
+  | Ok e, Ok s ->
+      let counts r =
+        let c = Exec.Interp.counters r in
+        Exec.Interp.[ c.loads; c.stores; c.flops; c.iters ]
+      in
+      Alcotest.(check (list int)) (what ^ ": counters") (counts e) (counts s);
+      Alcotest.(check (result string string))
+        (what ^ ": checksum")
+        (outcome (fun () -> Exec.Interp.checksum e))
+        (outcome (fun () -> Exec.Interp.checksum s));
+      List.iter
+        (fun (a : Code.alloc) ->
+          check_bits a.name (Exec.Interp.get_array e a.name)
+            (Exec.Interp.get_array s a.name))
+        code.allocs;
+      List.iter
+        (fun x ->
+          Alcotest.(check (result int64 string))
+            (Printf.sprintf "%s: scalar %s" what x)
+            (bits (outcome (fun () -> Exec.Interp.get_scalar e x)))
+            (bits (outcome (fun () -> Exec.Interp.get_scalar s x))))
+        (scalar_names code)
+
+let levels = Compilers.Driver.(all_levels @ [ C2P ])
+
+let compiled level prog =
+  (Compilers.Driver.compile_exn_opts (Compilers.Driver.opts level) prog)
+    .Compilers.Driver.code
+
+let agrees_at_levels what prog =
+  List.iter
+    (fun level ->
+      agrees
+        (what ^ " " ^ Compilers.Driver.level_name level)
+        (compiled level prog))
+    levels
+
+let test_strip_corpus () =
+  let files =
+    Sys.readdir "corpus" |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".zir")
+    |> List.sort compare
+  in
+  Alcotest.(check bool) "corpus is not empty" true (files <> []);
+  List.iter
+    (fun f ->
+      match Fuzz.Repro.load (Filename.concat "corpus" f) with
+      | Ok p -> agrees_at_levels f p
+      | Error m -> Alcotest.failf "%s: %s" f m)
+    files
+
+let test_strip_suite () =
+  List.iter
+    (fun (b : Suite.bench) ->
+      agrees_at_levels b.Suite.name (Suite.program b);
+      agrees_at_levels (b.Suite.name ^ " tile 16") (Suite.program ~tile:16 b))
+    (Suite.all @ Suite.extras)
+
+(* each generated program at one level of the ladder, in turn *)
+let test_strip_generated () =
+  let rng = Support.Prng.create 25L in
+  let level i = List.nth levels (i mod List.length levels) in
+  for i = 1 to 200 do
+    let p = Fuzz.Gen.generate rng in
+    agrees
+      (Printf.sprintf "generated program %d" i)
+      (compiled (level i) p)
+  done;
+  for i = 1 to 100 do
+    let p = Fuzz.Gen.generate_trace rng in
+    agrees (Printf.sprintf "trace program %d" i) (compiled (level i) p)
+  done
+
+(* A and B: 0..big, M: 0..rows x 0..cols; s and t declared. *)
+let big = (2 * Exec.Interp.strip) + 40
+let rows = Exec.Interp.strip + 5
+let cols = 3
+
+let hazard_program body =
+  {
+    Code.name = "hazard";
+    allocs =
+      [
+        { Code.name = "A"; dims = [| (0, big) |] };
+        { Code.name = "B"; dims = [| (0, big) |] };
+        { Code.name = "M"; dims = [| (0, rows); (0, cols) |] };
+      ];
+    scalars = [ ("s", 2.7); ("t", -0.7) ];
+    body;
+    live_out = [ "A"; "B"; "M" ];
+  }
+
+let i = "__i1"
+let at ?(off = 0) x = Code.Load (x, [| sub i off |])
+let store ?(off = 0) x e = Code.Store (x, [| sub i off |], e)
+let ( +: ) a b = Code.Binop (Expr.Add, a, b)
+let ( *: ) a b = Code.Binop (Expr.Mul, a, b)
+let sc x = Code.Scalar x
+let num f = Code.Const f
+
+(* A[i] = i/2 + s and B[i] = A[i] * t over the whole range: values that
+   differ at every element *)
+let init =
+  [
+    loop i 0 big [ store "A" ((sc i *: num 0.5) +: sc "s") ];
+    loop ~step:(-1) i 0 big [ store "B" (at "A" *: sc "t") ];
+  ]
+
+let test_strip_hazards () =
+  let n = Exec.Interp.strip in
+  let case what body = agrees what (hazard_program (init @ body)) in
+  List.iter
+    (fun (step, dir) ->
+      let loop = loop ~step in
+      let case what = case (what ^ " " ^ dir) in
+      case "recurrence A[i] = (A[i-1] + 1) * t"
+        [ loop i 1 big [ store "A" ((at ~off:(-1) "A" +: num 1.0) *: sc "t") ] ];
+      case "recurrence A[i] = A[i+1] + 1"
+        [ loop i 0 (big - 1) [ store "A" (at ~off:1 "A" +: num 1.0) ] ];
+      case "flow dependence at an offset"
+        [
+          loop i 1 big
+            [ store "A" (at "B" *: sc "s"); store "B" (at ~off:(-1) "A") ];
+        ];
+      case "anti dependence at an offset"
+        [
+          loop i 0 (big - 1)
+            [ store "B" (at ~off:1 "A"); store "A" (at "B" +: sc "t") ];
+        ];
+      case "store at an invariant subscript"
+        [
+          loop i 0 big
+            [ Code.Store ("A", [| sub "" 3 |], Code.Load ("A", [| sub "" 3 |]) +: at "B") ];
+        ];
+      case "carried scalar s = s + A[i]"
+        [ loop i 0 big [ Code.Sassign ("s", sc "s" +: at "A") ] ];
+      case "scalar read before its write"
+        [
+          Code.Sassign ("x", num 1.5);
+          loop i 0 big [ store "B" (sc "x"); Code.Sassign ("x", at "A") ];
+        ];
+      case "scalar written twice"
+        [
+          loop i 0 big
+            [
+              Code.Sassign ("x", at "A");
+              store "B" (sc "x");
+              Code.Sassign ("x", at "B" *: sc "t");
+              store "A" (sc "x" +: sc i);
+            ];
+        ];
+      case "reassigned loop variable"
+        [ loop i 0 7 [ Code.Sassign (i, num 5.5); store "A" (sc i) ] ];
+      case "private scalars, loop variable read"
+        [
+          loop i 0 big
+            [
+              Code.Sassign ("x", at "A" *: sc "s");
+              Code.Sassign ("y", sc "x" +: sc i);
+              store "B" (sc "y" *: sc "x");
+              store "A" (Code.Select (sc "x", sc "y", at "A"));
+              Code.Sassign ("z", at "B");
+              Code.Sassign ("c", sc "t");
+            ];
+        ];
+      case "zero-trip loop"
+        [ loop i 5 4 [ Code.Sassign ("x", at "A"); store "B" (sc "x") ] ];
+      List.iter
+        (fun trip ->
+          case
+            (Printf.sprintf "trip %d (strip %d)" trip n)
+            [
+              loop i 3 (trip + 2)
+                [
+                  Code.Sassign ("x", Code.Unop (Expr.Neg, at "A"));
+                  store "B" (sc "x" +: at ~off:(-3) "A");
+                ];
+            ])
+        [ 1; 2; n - 1; n; n + 1; 2 * n; (2 * n) + 3 ];
+      (* the inner loop walks M's rows, the non-contiguous dimension *)
+      case "inner loop over rows of M"
+        [
+          loop "__i2" 0 cols
+            [
+              loop i 0 rows
+                [
+                  Code.Sassign ("x", at "A" *: sc "__i2");
+                  Code.Store
+                    ( "M",
+                      [| sub i 0; sub "__i2" 0 |],
+                      Code.Load ("M", [| sub i 0; sub "__i2" 0 |]) +: sc "x" );
+                  store ~off:1 "B" (at "A" +: sc "x");
+                ];
+            ];
+        ])
+    [ (1, "ascending"); (-1, "descending") ]
+
+(* Runtime errors inside loops that would take the strip path, with the
+   element path's texts (the same as before the strip path existed). *)
+let test_strip_error_text () =
+  let raises what msg body =
+    match Exec.Interp.run (hazard_program body) with
+    | _ -> Alcotest.failf "%s: no Runtime_error" what
+    | exception Exec.Interp.Runtime_error m -> Alcotest.(check string) what msg m
+  in
+  List.iter
+    (fun (step, dir) ->
+      let loop = loop ~step in
+      let raises what = raises (what ^ " " ^ dir) in
+      let oob x sub hi =
+        Printf.sprintf "%s: subscript %d out of bounds [0..%d] in dim 1" x sub hi
+      in
+      raises "out of bounds at i = 0" (oob "A" (-1) big)
+        [ loop i 0 big [ Code.Sassign ("x", at "B"); store "B" (at ~off:(-1) "A") ] ];
+      raises "out of bounds at i = big" (oob "A" (big + 1) big)
+        [ loop i 0 big [ store "B" (at ~off:1 "A" +: sc "s") ] ];
+      raises "store out of bounds at i = big" (oob "B" (big + 1) big)
+        [ loop i 0 big [ store ~off:1 "B" (at "A") ] ];
+      raises "2-D out of bounds in the last row" (oob "M" (rows + 1) rows)
+        [
+          loop "__i2" 0 cols
+            [ loop i 0 rows [ Code.Store ("M", [| sub i 1; sub "__i2" 0 |], num 1.0) ] ];
+        ];
+      raises "undefined invariant scalar"
+        "undefined scalar nope"
+        [ loop i 0 big [ Code.Sassign ("x", at "A"); store "B" (sc "x" *: sc "nope") ] ];
+      raises "rank mismatch"
+        "M: rank 1 subscript on rank 2 array"
+        [ loop i 0 big [ Code.Store ("M", [| sub i 0 |], at "A") ] ])
+    [ (1, "ascending"); (-1, "descending") ]
+
+(* Digest.mix_array is the per-element fold, NaN payloads, signed
+   zeros, infinities and empty arrays included. *)
+let prop_mix_array =
+  let special =
+    List.map Int64.float_of_bits
+      [
+        0x7FF8000000000000L; 0xFFF8000000000000L; 0x7FF0000000000001L;
+        0x7FF8DEADBEEF0001L; 0xFFFFFFFFFFFFFFFFL; 0x0000000000000001L;
+      ]
+    @ [ 0.0; -0.0; infinity; neg_infinity; 1.0; -1.5 ]
+  in
+  QCheck.Test.make ~name:"Digest.mix_array == fold of Digest.mix" ~count:300
+    QCheck.(
+      pair (option float)
+        (array_of_size Gen.(int_range 0 40)
+           (make Gen.(oneof [ oneofl special; float ]))))
+    (fun (prefix, a) ->
+      let module D = Exec.Interp.Digest in
+      let d = match prefix with Some v -> D.mix D.empty v | None -> D.empty in
+      D.to_hex (D.mix_array d a) = D.to_hex (Array.fold_left D.mix d a))
+
+(* ------------------------------------------------------------------ *)
 (* Reference interpreter                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -450,6 +735,17 @@ let suites =
           test_suite_golden;
         Alcotest.test_case "golden error text" `Quick test_error_text;
         Alcotest.test_case "golden edge behaviour" `Quick test_edge_behaviour;
+        Alcotest.test_case "strip path == element path: corpus" `Quick
+          test_strip_corpus;
+        Alcotest.test_case "strip path == element path: suite" `Quick
+          test_strip_suite;
+        Alcotest.test_case "strip path == element path: generated" `Quick
+          test_strip_generated;
+        Alcotest.test_case "strip path == element path: hazards" `Quick
+          test_strip_hazards;
+        Alcotest.test_case "golden error text inside loops" `Quick
+          test_strip_error_text;
+        QCheck_alcotest.to_alcotest prop_mix_array;
       ] );
     ( "exec.refinterp",
       [

@@ -236,14 +236,14 @@ let test_reduce_helpers () =
   (* A is read by reduces 0 and 1 only, both trailing its block *)
   Alcotest.(check bool)
     "A eligible with its trailing reduces" true
-    (List.mem_assoc "A" (Prog.confined_arrays_allowing_reduces p));
+    (List.mem_assoc "A" (Prog.confined_arrays_allowing_reduces p (Prog.skeleton p)));
   Alcotest.(check bool)
     "A ineligible without" false
     (List.mem_assoc "A" (Prog.confined_arrays p));
   (* C is read by the non-trailing reduce: never eligible *)
   Alcotest.(check bool)
     "C ineligible" false
-    (List.mem_assoc "C" (Prog.confined_arrays_allowing_reduces p))
+    (List.mem_assoc "C" (Prog.confined_arrays_allowing_reduces p (Prog.skeleton p)))
 
 let test_rename_array () =
   let p = simple_prog () in

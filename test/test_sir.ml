@@ -143,7 +143,7 @@ let test_plan_length_mismatch () =
   Alcotest.(check bool)
     "wrong plan rejected" true
     (try
-       ignore (Sir.Scalarize.scalarize prog []);
+       ignore (Sir.Scalarize.scalarize prog (Prog.skeleton prog) []);
        false
      with Sir.Scalarize.Error _ -> true)
 

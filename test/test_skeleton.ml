@@ -239,10 +239,10 @@ let check_program what (p : Prog.t) =
   if Prog.confined_arrays p <> Oracle.confined_arrays p then
     fail "confined arrays differ";
   if
-    Prog.confined_arrays_allowing_reduces p
+    Prog.confined_arrays_allowing_reduces p sk
     <> Oracle.confined_arrays_allowing_reduces p
   then fail "confined arrays allowing reduces differ";
-  if Comm.Model.block_multipliers p <> Oracle.block_multipliers p then
+  if Comm.Model.block_multipliers sk <> Oracle.block_multipliers p then
     fail "block multipliers differ";
   if annotated sk <> Oracle.annotate p then fail "SPMD numbering differs";
   let q = Prog.map_blocks (fun _ ss -> List.map (fun s -> Prog.Astmt s) ss) p in
@@ -302,7 +302,7 @@ let test_pinned_shapes () =
   ] ->
       Alcotest.(check (pair (array int) int))
         "multipliers" ([| 3; 1 |], 4)
-        (Comm.Model.block_multipliers p)
+        (Comm.Model.block_multipliers (Prog.skeleton p))
   | _ -> Alcotest.fail "unexpected skeleton"
 
 let test_corpus () =
