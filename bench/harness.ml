@@ -43,7 +43,7 @@ let json_mode = ref false
 let tiny_mode = ref false
 
 (* --jobs N: worker domains for the matrix sections (fig7-11, spmd,
-   plan, fuzz).  Rows are computed on a Support.Pool and printed
+   plan).  Rows are computed on a Support.Pool and printed
    sequentially in task order, so every section's output is
    byte-identical at any value. *)
 let jobs = ref 1

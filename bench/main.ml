@@ -73,7 +73,6 @@ let sections =
     ("spmd", Spmd_agree.section);
     ("plan", Plan_gap.section);
     ("native", Native_exec.section);
-    ("fuzz", Fuzz_smoke.section);
     ("lazy", Lazy_stream.section);
     ("speed", optimizer_speed);
   ]

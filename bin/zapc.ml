@@ -664,9 +664,9 @@ let fuzz_arg =
         ~doc:
           "Differential fuzzing: generate $(docv) random programs from \
            $(b,--seed) and run each through the reference interpreter, \
-           every optimization level, the search planner, the SPMD engine \
-           and (when $(b,cc) is installed) the emitted C, comparing result \
-           digests.  Diverging cases are shrunk and written to \
+           every optimization level, the search and ILP planners, the SPMD \
+           engine and (when $(b,cc) is installed) the emitted C, comparing \
+           result digests.  Diverging cases are shrunk and written to \
            $(b,--fuzz-out) as self-contained repros; exits nonzero if any \
            case diverges.")
 
@@ -711,10 +711,11 @@ let jobs_arg =
     & opt int (Support.Pool.default_domains ())
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
-          "Worker domains for $(b,--fuzz) campaigns and $(b,--plan search) \
-           candidate costing (default: the machine's recommended domain \
-           count).  Results are deterministic: output is byte-identical \
-           at every $(docv), only the wall-clock changes.")
+          "Worker domains for $(b,--fuzz) campaigns, $(b,--plan search) \
+           candidate costing and $(b,--plan ilp) column pricing (default: \
+           the machine's recommended domain count).  Results are \
+           deterministic: output is byte-identical at every $(docv), only \
+           the wall-clock changes.")
 
 let connect_arg =
   Arg.(

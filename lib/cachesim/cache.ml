@@ -92,12 +92,6 @@ let invalidate t ~addr =
 let stats t =
   { accesses = t.accesses; hits = t.hits; misses = t.accesses - t.hits }
 
-let reset t =
-  Array.fill t.tags 0 (Array.length t.tags) (-1);
-  Array.fill t.ages 0 (Array.length t.ages) 0;
-  t.clock <- 0;
-  t.accesses <- 0;
-  t.hits <- 0
 
 let miss_rate (s : stats) =
   if s.accesses = 0 then 0.0
@@ -135,8 +129,4 @@ module Hierarchy = struct
       level "l1" (l1_stats h);
       Option.iter (level "l2") (l2_stats h)
     end
-
-  let reset h =
-    reset h.l1;
-    Option.iter reset h.l2
 end

@@ -41,7 +41,6 @@ val invalidate : t -> addr:int -> unit
     set of the cache.  O(assoc). *)
 
 val stats : t -> stats
-val reset : t -> unit
 val miss_rate : stats -> float
 
 module Hierarchy : sig
@@ -64,7 +63,6 @@ module Hierarchy : sig
 
   val l1_stats : h -> stats
   val l2_stats : h -> stats option
-  val reset : h -> unit
 
   val observe : ?prefix:string -> h -> unit
   (** Push the hierarchy's hit/miss totals into the installed [Obs]

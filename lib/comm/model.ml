@@ -343,7 +343,7 @@ let message_ns ~(machine : Machine.t) ~opts bs m =
   end
 
 (* Cost of one block schedule for a single execution of the block —
-   the per-message charges of [analyze_plan], without the execution
+   the per-message charges of [analyze], without the execution
    multiplier and without Obs instrumentation (this runs in the
    planner's search loop). *)
 let sched_cost ~machine ~opts bs =
@@ -366,11 +366,16 @@ let block_comm ~machine ~procs ~opts stmts bp =
   if procs <= 1 then zero_summary
   else sched_cost ~machine ~opts (block_sched_of ~machine ~procs ~opts stmts bp)
 
-let analyze_plan ~(machine : Machine.t) ~procs ~opts prog plan =
+let analyze ~(machine : Machine.t) ~procs ~opts
+    (c : Compilers.Driver.compiled) =
   Obs.span "comm-model" @@ fun () ->
   if procs <= 1 then zero_summary
   else begin
-    let scheds = Array.of_list (schedule_plan ~machine ~procs ~opts prog plan) in
+    let prog = c.Compilers.Driver.prog in
+    let scheds =
+      Array.of_list
+        (schedule_plan ~machine ~procs ~opts prog c.Compilers.Driver.plan)
+    in
     let block_mult, reductions = block_multipliers (Prog.skeleton prog) in
     let reductions = ref reductions in
     let alpha = machine.Machine.msg_latency_ns in
@@ -428,7 +433,3 @@ let analyze_plan ~(machine : Machine.t) ~procs ~opts prog plan =
     end;
     summary
   end
-
-let analyze ~machine ~procs ~opts (c : Compilers.Driver.compiled) =
-  analyze_plan ~machine ~procs ~opts c.Compilers.Driver.prog
-    c.Compilers.Driver.plan

@@ -111,17 +111,6 @@ val block_comm :
     This is the planner's per-state communication oracle — cheap enough
     to call inside a partition search. *)
 
-val analyze_plan :
-  machine:Machine.t ->
-  procs:int ->
-  opts:opts ->
-  Ir.Prog.t ->
-  Sir.Scalarize.plan ->
-  summary
-(** {!analyze} on a bare (program, fusion plan) pair — the compiled
-    record's scalar code is never consulted, so a planner can cost a
-    candidate plan before committing to scalarization. *)
-
 val analyze :
   machine:Machine.t ->
   procs:int ->

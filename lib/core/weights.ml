@@ -8,6 +8,3 @@ let by_decreasing_weight g names =
   let weighted = List.map (fun x -> (x, weight g x)) names in
   List.stable_sort (fun (_, a) (_, b) -> compare b a) weighted
   |> List.map fst
-
-let contraction_benefit g names =
-  List.fold_left (fun acc x -> acc + weight g x) 0 names

@@ -13,6 +13,3 @@ val weight : Asdg.t -> string -> int
 val by_decreasing_weight : Asdg.t -> string list -> string list
 (** Stable sort of the given arrays by decreasing {!weight} (ties keep
     first-occurrence order, making the optimizer deterministic). *)
-
-val contraction_benefit : Asdg.t -> string list -> int
-(** Total weight of a set of contracted arrays. *)

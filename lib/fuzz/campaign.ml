@@ -1,5 +1,5 @@
-(* A seeded fuzz campaign: the one sweep loop shared by [zapc --fuzz],
-   the bench fuzz section and the determinism tests.
+(* A seeded fuzz campaign: the one sweep loop shared by [zapc --fuzz]
+   and the determinism tests.
 
    Per-case PRNG streams are split off the campaign seed sequentially
    *before* any task runs, so case [i] sees the same stream whether

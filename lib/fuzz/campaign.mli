@@ -1,7 +1,7 @@
 (** Seeded differential-fuzz campaigns over a domain pool.
 
-    The sweep loop shared by [zapc --fuzz], the bench fuzz section and
-    the parallel-determinism tests: generate [n] programs from [seed]
+    The sweep loop shared by [zapc --fuzz] and the
+    parallel-determinism tests: generate [n] programs from [seed]
     (one {!Support.Prng.split} stream per case, split off sequentially
     before any task runs) and push each through the full differential
     {!Oracle}, fanning the cases out over [jobs] domains with

@@ -5,7 +5,7 @@
    Against it we hold:
      - Exec.Interp on the code of every greedy optimization level
        (the paper ladder base..c2+f4, plus the c2+p extension);
-     - the search-based planner (zapc --plan search);
+     - the search-based and ILP planners (zapc --plan search|ilp);
      - the SPMD engine on 1/4/16 simulated processors;
      - when a C compiler is present, the Native runner built from the
        Sir.Emit_c translation unit and executed as a subprocess.

@@ -29,10 +29,6 @@ let contains outer inner =
           (fun o i -> o.lo <= i.lo && i.hi <= o.hi)
           outer inner)
 
-let contains_point r p =
-  Array.length r = Array.length p
-  && Array.for_all2 (fun { lo; hi } x -> lo <= x && x <= hi) r p
-
 let inter a b =
   if Array.length a <> Array.length b then
     invalid_arg "Region.inter: rank mismatch";

@@ -38,8 +38,6 @@ val contains : t -> t -> bool
 (** [contains outer inner] holds iff every index of [inner] lies in
     [outer].  An empty [inner] is contained in anything. *)
 
-val contains_point : t -> int array -> bool
-
 val inter : t -> t -> t option
 (** Intersection, or [None] when empty. *)
 

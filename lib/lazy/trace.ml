@@ -465,24 +465,18 @@ let flush_obs ctx ~obs_arrays ~obs_reds =
           plan = ctx.plan;
         }
       in
-      let s0 = Service.Engine.server_stats ctx.eng in
-      let fingerprint, compiled =
+      let fingerprint, compiled, (lookup : Service.Engine.lookup) =
         match
           Service.Engine.compile_ir ctx.eng ~opts ~target:ctx.target l.prog
         with
-        | Ok (fp, c, _provenance) -> (fp, c)
+        | Ok (fp, c, _provenance, lookup) -> (fp, c, lookup)
         | Error d -> raise (Obs.Error d)
       in
-      let s1 = Service.Engine.server_stats ctx.eng in
-      ctx.cache_hits <-
-        ctx.cache_hits + s1.Api.cache.Api.hits - s0.Api.cache.Api.hits;
-      ctx.cache_misses <-
-        ctx.cache_misses + s1.Api.cache.Api.misses - s0.Api.cache.Api.misses;
+      ctx.cache_hits <- ctx.cache_hits + Bool.to_int lookup.hit;
+      ctx.cache_misses <- ctx.cache_misses + Bool.to_int (not lookup.hit);
       ctx.compiles_computed <-
-        ctx.compiles_computed + s1.Api.compiles_computed
-        - s0.Api.compiles_computed;
-      ctx.plans_computed <-
-        ctx.plans_computed + s1.Api.plans_computed - s0.Api.plans_computed;
+        ctx.compiles_computed + Bool.to_int lookup.compiled;
+      ctx.plans_computed <- ctx.plans_computed + Bool.to_int lookup.planned;
       ctx.last_fingerprint <- Some fingerprint;
       let code = rebind l.bindings compiled.Compilers.Driver.code in
       let res = Obs.span "lazy.execute" (fun () -> Exec.Interp.run code) in

@@ -156,9 +156,11 @@ type stats = {
   params_lifted : int;
   forces : int;
   memo_hits : int;
-  cache_hits : int;  (** engine plan-cache deltas observed by this context's flushes *)
+  cache_hits : int;
+      (** plan-cache hits of this context's flushes; other contexts on
+          a shared engine count their own *)
   cache_misses : int;
-  compiles_computed : int;
+  compiles_computed : int;  (** compiles this context's flushes ran *)
   plans_computed : int;
   last_fingerprint : string option;
       (** fingerprint of the last flushed program — equal across

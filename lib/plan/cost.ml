@@ -38,6 +38,9 @@ let add a b =
 type block_info = {
   stmts : Nstmt.t list;
   volumes : int array;  (** per statement, its region's volume *)
+  stmt_refs : int array;
+      (** per statement, its element references: 1 + reads, times its
+          volume *)
   streams : (string * int) array array;
       (** per statement, its reference streams in sweep order (the
           written array, then every read): array name and simulated
@@ -182,13 +185,6 @@ let create cfg prog =
   let info =
     List.mapi
       (fun bi stmts ->
-        let base_refs =
-          List.fold_left
-            (fun acc (s : Nstmt.t) ->
-              acc
-              + (1 + List.length (Expr.refs s.rhs)) * Region.volume s.region)
-            0 stmts
-        in
         let flops =
           List.fold_left
             (fun acc (s : Nstmt.t) ->
@@ -203,6 +199,10 @@ let create cfg prog =
                 (stream s.Nstmt.lhs
                 :: List.map (fun (x, _) -> stream x) (Expr.refs s.Nstmt.rhs)))
         in
+        (* one stream per element reference *)
+        let stmt_refs =
+          Array.mapi (fun i v -> Array.length streams.(i) * v) volumes
+        in
         let weights = Hashtbl.create 16 in
         List.iter
           (fun (s : Nstmt.t) ->
@@ -213,7 +213,16 @@ let create cfg prog =
                   + (Nstmt.ref_count s x * Region.volume s.region)))
               (Nstmt.arrays s))
           stmts;
-        { stmts; volumes; streams; weights; mult = mults.(bi); base_refs; flops })
+        {
+          stmts;
+          volumes;
+          stmt_refs;
+          streams;
+          weights;
+          mult = mults.(bi);
+          base_refs = Array.fold_left ( + ) 0 stmt_refs;
+          flops;
+        })
       blocks
   in
   {
@@ -235,6 +244,52 @@ let block_weight t ~block x =
 let lines_of_volume t vol =
   let line = t.cfg.machine.Machine.l1.Cachesim.Cache.line_bytes in
   max 1 (((8 * vol) + line - 1) / line)
+
+type array_facts = {
+  refs : int array;
+  lines : int;
+  weight : int;
+  first_write : bool;
+  eligible : bool;
+}
+
+type facts = {
+  names : string array;
+  cands : array_facts array;
+  vars : (array_facts * int) array;
+}
+
+let facts t ~block ~candidates g =
+  let t0 = Core.Partition.trivial g in
+  let facts_of x =
+    let refs = Core.Asdg.stmts_referencing g x in
+    let vol =
+      match refs with
+      | i :: _ -> Region.volume (Core.Asdg.stmt g i).Nstmt.region
+      | [] -> 0
+    in
+    {
+      refs = Array.of_list refs;
+      lines = lines_of_volume t vol;
+      weight = block_weight t ~block x;
+      first_write = Core.Partition.first_ref_is_write t0 x;
+      eligible = Core.Contraction.scalar_if_confined g x;
+    }
+  in
+  let names = Array.of_list candidates in
+  let cands = Array.map facts_of names in
+  {
+    names;
+    cands;
+    vars =
+      Array.of_list
+        (List.map
+           (fun x ->
+             match Array.find_index (String.equal x) names with
+             | Some k -> (cands.(k), k)
+             | None -> (facts_of x, -1))
+           (Core.Asdg.vars g));
+  }
 
 let scalar_contracted (bp : Sir.Scalarize.block_plan) =
   List.filter_map
@@ -276,6 +331,37 @@ let cluster_misses t ~block members ~contracted =
           Mutex.protect t.memo_lock (fun () -> Probe_memo.replace t.memo key r);
           r)
 
+(* every statement of [refs] from index [k] on is a member of [c];
+   a plain recursion, since it runs per candidate per ILP column *)
+let rec all_in refs k c =
+  k >= Array.length refs || (List.mem refs.(k) c && all_in refs (k + 1) c)
+
+(* w(C): the reference term after the contractions confined to [c] and
+   the miss terms of its sweep, as [block_cost_of_misses] folds them
+   for one cluster. *)
+let cluster_weight t ~block facts c =
+  let info = t.blocks.(block) in
+  let m = t.cfg.machine in
+  let contracted = ref [] and saved = ref 0 in
+  for k = Array.length facts.cands - 1 downto 0 do
+    let f = facts.cands.(k) in
+    if f.eligible && all_in f.refs 0 c then begin
+      contracted := facts.names.(k) :: !contracted;
+      saved := !saved + f.weight
+    end
+  done;
+  let refs = List.fold_left (fun acc i -> acc + info.stmt_refs.(i)) 0 c in
+  let l1m, l2m = cluster_misses t ~block c ~contracted:!contracted in
+  float_of_int info.mult
+  *. ((float_of_int (refs - !saved) *. m.Machine.l1_hit_ns)
+     +. (l1m *. m.Machine.l1_miss_ns)
+     +. (l2m *. m.Machine.l2_miss_ns))
+
+let flop_ns t ~block =
+  let info = t.blocks.(block) in
+  float_of_int info.mult *. float_of_int info.flops
+  *. t.cfg.machine.Machine.flop_ns
+
 (* The one pricing formula.  [misses] are the clusters' (L1, L2) pairs
    in [Core.Partition.clusters] order, folded in that order, so a
    caller that reuses the pairs of unchanged clusters gets the same
@@ -299,7 +385,7 @@ let block_cost_of_misses t ~block (bp : Sir.Scalarize.block_plan) misses =
       info.stmts bp
   in
   let fmult = float_of_int info.mult in
-  let flop_ns = fmult *. float_of_int info.flops *. m.Machine.flop_ns in
+  let flop_ns = flop_ns t ~block in
   let ref_ns = fmult *. float_of_int refs *. m.Machine.l1_hit_ns in
   let miss_ns =
     fmult

@@ -98,6 +98,50 @@ val eps : float
     this count as equal, in [Plan.Search], [Plan.Ilp] and
     [Plan.Driver]'s ranking alike. *)
 
+(** {2 What both planners ask of a block}
+
+    [Plan.Search] and [Plan.Ilp] read one per-array fact table per
+    block, and the ILP minimizes {!cluster_weight}, the per-cluster part
+    of {!block_cost_of_misses}, plus {!flop_ns}. *)
+
+type array_facts = {
+  refs : int array;  (** the statements referencing the array, ascending *)
+  lines : int;  (** {!lines_of_volume} of their region *)
+  weight : int;  (** {!block_weight} *)
+  first_write : bool;  (** its first reference writes it *)
+  eligible : bool;
+      (** [Core.Contraction.scalar_if_confined]: contracted exactly when
+          all its references share a cluster *)
+}
+
+type facts = {
+  names : string array;  (** the contraction candidates, in order *)
+  cands : array_facts array;  (** per candidate *)
+  vars : (array_facts * int) array;
+      (** per array the block references, in [Core.Asdg.vars] order:
+          its facts and the index of its candidate entry, or -1 *)
+}
+
+val facts : t -> block:int -> candidates:string list -> Core.Asdg.t -> facts
+(** The block's fact table, built once per planner call. *)
+
+val cluster_weight : t -> block:int -> facts -> int list -> float
+(** w(C), the term the ILP minimizes per cluster [C] (ascending):
+    [mult × (refs_C × l1_hit + l1m(C) × l1_miss + l2m(C) × l2_miss)],
+    where [refs_C] counts the element references of [C]'s statements
+    minus the weight of every eligible candidate whose referencing
+    statements all lie in [C], and the misses are {!cluster_misses}
+    under those contractions.  Contraction confines an array's every
+    reference, hence every dependence on it, to one cluster, so
+    [Core.Contraction.decide]'s verdict for a partition distributes
+    over its clusters, and Σ_C w(C) + {!flop_ns} equals
+    [block_cost − comm_ns] for any partition under [decide]'s scalar
+    contractions, up to float rounding (see docs/planner.md). *)
+
+val flop_ns : t -> block:int -> float
+(** The block's arithmetic term, [mult × flops × flop_ns]: the
+    [flop_ns] of every plan's {!block_cost}. *)
+
 val sweep : t -> block:int -> int list -> contracted:string list -> int array
 (** The probe key of the sweep {!cluster_misses} prices:
     [[| lines; base_1; ...; base_k |]], its line count on the L1
@@ -126,10 +170,8 @@ val cluster_misses : t -> block:int -> int list -> contracted:string list -> flo
     the cluster's statements (by block-local index) swept as one loop
     nest through the machine's cache hierarchy, references to
     [contracted] arrays excluded.  Memoized; safe to call from
-    parallel cost workers.  This is the per-cluster term {!block_cost}
-    sums — exposed so the ILP planner can price clusters
-    individually (the model is separable per cluster except for
-    communication; see docs/planner.md). *)
+    parallel cost workers.  This is the per-cluster miss term
+    {!block_cost} sums and {!cluster_weight} charges. *)
 
 val block_cost : t -> block:int -> Sir.Scalarize.block_plan -> breakdown
 (** Cost of the block under a candidate plan, scaled by the block's

@@ -23,157 +23,130 @@ type provenance = {
   ilp_blocks : ilp_report list;
 }
 
-(* greedy c2+f3 and the searched configuration, each compiled end to
-   end, plus the per-block search reports and partitions (the latter
-   seed the ILP). *)
-let greedy_and_search ~search ~cost prog =
-  match Compilers.Driver.(compile_opts default_opts) prog with
-  | Error d -> Error d
-  | Ok greedy -> (
-      let reports = ref [] in
-      let partitions = ref [] in
-      let searched =
-        Compilers.Driver.(compile_custom_opts default_opts) prog
-          ~partition:(fun ~block ~compiler ~user g ->
-            let p, stats =
-              Search.block search cost ~block ~candidates:(compiler @ user) g
-            in
-            reports := { block; stats } :: !reports;
-            partitions := (block, p) :: !partitions;
-            p)
-      in
-      match searched with
-      | Error d -> Error d
-      | Ok searched ->
-          Ok
-            ( greedy,
-              searched,
-              List.sort (fun a b -> compare a.block b.block) (List.rev !reports),
-              !partitions ))
+(* One compile whose blocks [partition] plans, and its per-block
+   (block, partition, report) triples in block order. *)
+let per_block ~partition prog =
+  let reports = ref [] in
+  Compilers.Driver.(compile_custom_opts default_opts) prog
+    ~partition:(fun ~block ~compiler ~user g ->
+      let p, report = partition ~block ~candidates:(compiler @ user) g in
+      reports := (block, p, report) :: !reports;
+      p)
+  |> Result.map (fun c ->
+         (c, List.sort (fun (a, _, _) (b, _, _) -> compare a b) !reports))
 
-let compile ?(search = Search.default) ~cost prog =
-  match greedy_and_search ~search ~cost prog with
-  | Error d -> Error d
-  | Ok (greedy, searched, reports, _) ->
-      let g_ns = (Cost.compiled_cost cost greedy).Cost.total_ns in
-      let s_ns = (Cost.compiled_cost cost searched).Cost.total_ns in
-      (* the block search could not see reduction absorption; keep
-         the searched plan only if it still prices no worse *)
-      let fallback = s_ns > g_ns +. Cost.eps in
-      if fallback then Obs.count "plan.fallback-greedy" 1;
-      let chosen, strategy, chosen_ns =
-        if fallback then (greedy, "greedy", g_ns) else (searched, "search", s_ns)
+(* The one pipeline: greedy c2+f3, the search and, given [ilp], the
+   branch-and-cut seeded with the searched partitions.  Each plan is
+   compiled end to end, so reduction absorption (which the block
+   planners cannot see) is priced too; the strongest plan within
+   Cost.eps of every weaker one is returned. *)
+let plan ~search ?ilp ~cost prog =
+  let ( let* ) = Result.bind in
+  let* greedy = Compilers.Driver.(compile_opts default_opts) prog in
+  let* searched, searches =
+    per_block prog ~partition:(Search.block search cost)
+  in
+  let* solved =
+    match ilp with
+    | None -> Ok None
+    | Some ilp ->
+        let seeds block =
+          List.filter_map
+            (fun (b, p, _) -> if b = block then Some p else None)
+            searches
+        in
+        per_block prog ~partition:(fun ~block ~candidates g ->
+            Ilp.block ilp cost ~block ~candidates ~seeds:(seeds block) g)
+        |> Result.map Option.some
+  in
+  let ns c = (Cost.compiled_cost cost c).Cost.total_ns in
+  let g_ns = ns greedy in
+  let s_ns = ns searched in
+  let solved =
+    Option.map
+      (fun (c, solves) ->
+        ( c,
+          ns c,
+          List.map (fun (iblock, _, istats) -> { iblock; istats }) solves ))
+      solved
+  in
+  (* strongest first *)
+  let finalists =
+    (match solved with Some (c, i_ns, _) -> [ (c, "ilp", i_ns) ] | None -> [])
+    @ [ (searched, "search", s_ns); (greedy, "greedy", g_ns) ]
+  in
+  let rec pick = function
+    | ((_, _, x) as f) :: weaker
+      when List.for_all (fun (_, _, y) -> x <= y +. Cost.eps) weaker ->
+        f
+    | _ :: weaker -> pick weaker
+    | [] -> assert false
+  in
+  let chosen, strategy, chosen_ns = pick finalists in
+  let _, strongest, _ = List.hd finalists in
+  let fallback = strategy <> strongest in
+  if fallback then
+    Obs.count
+      (if Option.is_some solved then "plan.ilp.fallback"
+       else "plan.fallback-greedy")
+      1;
+  (* whole-program certified lower bound: the per-block LP bounds plus
+     the plan-invariant reduction-tree term.  Certifies the pure
+     Definition-5 plan space (scalar contraction, no reduction
+     absorption). *)
+  let certified_lb ilp_blocks =
+    let lbs = List.map (fun r -> r.istats.Ilp.lower_bound_ns) ilp_blocks in
+    if List.for_all Option.is_some lbs then begin
+      let block_lb =
+        List.fold_left (fun acc lb -> acc +. Option.get lb) 0.0 lbs
       in
-      let c = Cost.cfg cost in
-      Ok
-        ( chosen,
-          {
-            strategy;
-            machine = c.Cost.machine.Machine.name;
-            procs = c.Cost.procs;
-            greedy_total_ns = g_ns;
-            search_total_ns = s_ns;
-            ilp_total_ns = None;
-            chosen_total_ns = chosen_ns;
-            fallback;
-            proved_optimal = None;
-            certified_lb_ns = None;
-            blocks = reports;
-            ilp_blocks = [];
-          } )
-
-let compile_ilp ?(search = Search.default) ?(ilp = Ilp.default) ~cost prog =
-  match greedy_and_search ~search ~cost prog with
-  | Error d -> Error d
-  | Ok (greedy, searched, reports, partitions) -> (
-      let ilp_reports = ref [] in
-      let solved =
-        Compilers.Driver.(compile_custom_opts default_opts) prog
-          ~partition:(fun ~block ~compiler ~user g ->
-            let seeds =
-              match List.assoc_opt block partitions with
-              | Some p -> [ p ]
-              | None -> []
-            in
-            let p, istats =
-              Ilp.block ilp cost ~block ~candidates:(compiler @ user) ~seeds g
-            in
-            ilp_reports := { iblock = block; istats } :: !ilp_reports;
-            p)
+      let plan = greedy.Compilers.Driver.plan in
+      let block_sum =
+        List.fold_left ( +. ) 0.0
+          (List.mapi
+             (fun bi bp -> (Cost.block_cost cost ~block:bi bp).Cost.total_ns)
+             plan)
       in
-      match solved with
-      | Error d -> Error d
-      | Ok solved ->
-          let g_ns = (Cost.compiled_cost cost greedy).Cost.total_ns in
-          let s_ns = (Cost.compiled_cost cost searched).Cost.total_ns in
-          let i_ns = (Cost.compiled_cost cost solved).Cost.total_ns in
-          (* rank on the full end-to-end model (reduction absorption
-             included), preferring the stronger certificate on ties:
-             the chosen plan is never worse than search or greedy *)
-          let chosen, strategy, chosen_ns =
-            if i_ns <= s_ns +. Cost.eps && i_ns <= g_ns +. Cost.eps then
-              (solved, "ilp", i_ns)
-            else if s_ns <= g_ns +. Cost.eps then (searched, "search", s_ns)
-            else (greedy, "greedy", g_ns)
-          in
-          let fallback = strategy <> "ilp" in
-          if fallback then Obs.count "plan.ilp.fallback" 1;
-          let ilp_blocks =
-            List.sort (fun a b -> compare a.iblock b.iblock)
-              (List.rev !ilp_reports)
-          in
-          let proved_optimal =
-            strategy = "ilp"
+      let red_ns = (Cost.plan_cost cost plan).Cost.total_ns -. block_sum in
+      Some (block_lb +. red_ns)
+    end
+    else None
+  in
+  let ilp_total_ns, proved_optimal, certified_lb_ns, ilp_blocks =
+    match solved with
+    | None -> (None, None, None, [])
+    | Some (_, i_ns, ilp_blocks) ->
+        ( Some i_ns,
+          Some
+            (strategy = "ilp"
             && List.for_all
                  (fun r -> r.istats.Ilp.proved && r.istats.Ilp.objective_exact)
-                 ilp_blocks
-          in
-          (* whole-program certified lower bound: the per-block LP
-             bounds plus the plan-invariant reduction-tree term.
-             Certifies the pure Definition-5 plan space (scalar
-             contraction, no reduction absorption). *)
-          let certified_lb_ns =
-            let lbs =
-              List.map (fun r -> r.istats.Ilp.lower_bound_ns) ilp_blocks
-            in
-            if List.for_all Option.is_some lbs then begin
-              let block_lb =
-                List.fold_left
-                  (fun acc lb -> acc +. Option.get lb)
-                  0.0 lbs
-              in
-              let plan = greedy.Compilers.Driver.plan in
-              let block_sum =
-                List.fold_left ( +. ) 0.0
-                  (List.mapi
-                     (fun bi bp ->
-                       (Cost.block_cost cost ~block:bi bp).Cost.total_ns)
-                     plan)
-              in
-              let red_ns =
-                (Cost.plan_cost cost plan).Cost.total_ns -. block_sum
-              in
-              Some (block_lb +. red_ns)
-            end
-            else None
-          in
-          let c = Cost.cfg cost in
-          Ok
-            ( chosen,
-              {
-                strategy;
-                machine = c.Cost.machine.Machine.name;
-                procs = c.Cost.procs;
-                greedy_total_ns = g_ns;
-                search_total_ns = s_ns;
-                ilp_total_ns = Some i_ns;
-                chosen_total_ns = chosen_ns;
-                fallback;
-                proved_optimal = Some proved_optimal;
-                certified_lb_ns;
-                blocks = reports;
-                ilp_blocks;
-              } ))
+                 ilp_blocks),
+          certified_lb ilp_blocks,
+          ilp_blocks )
+  in
+  let c = Cost.cfg cost in
+  Ok
+    ( chosen,
+      {
+        strategy;
+        machine = c.Cost.machine.Machine.name;
+        procs = c.Cost.procs;
+        greedy_total_ns = g_ns;
+        search_total_ns = s_ns;
+        ilp_total_ns;
+        chosen_total_ns = chosen_ns;
+        fallback;
+        proved_optimal;
+        certified_lb_ns;
+        blocks = List.map (fun (block, _, stats) -> { block; stats }) searches;
+        ilp_blocks;
+      } )
+
+let compile ?(search = Search.default) ~cost prog = plan ~search ~cost prog
+
+let compile_ilp ?(search = Search.default) ?(ilp = Ilp.default) ~cost prog =
+  plan ~search ~ilp ~cost prog
 
 (* The ILP members are written, nulls allowed, exactly when the ILP ran
    (ilp_total_ns is Some).  Absent or null, they decode to None. *)

@@ -2,25 +2,23 @@
     or ILP-based fusion/contraction strategy and report how it
     compares with the paper's greedy ladder.
 
-    {!compile} runs compilation twice — the greedy [c2+f3] level, and
-    [Compilers.Driver.compile_custom_opts] with {!Search.block} choosing
-    each block's partition — and both final plans (after reduction
-    absorption and the contraction decision, which the per-block
-    search cannot see) are priced with {!Cost.plan_cost}.  If the
-    searched whole-program plan prices worse than greedy's, the greedy
-    result is returned instead (counter ["plan.fallback-greedy"]):
-    the planner is never worse than the paper's algorithm under its
-    own model, by construction.
-
-    {!compile_ilp} adds a third configuration solved per block by
-    {!Ilp.block} (seeded with the searched partitions, so the ILP
-    incumbent starts at least as good as the search result) and
-    returns the cheapest of the three end to end, preferring the
-    stronger certificate on ties: [ilp_total_ns <= search_total_ns <=
-    greedy]-or-better holds on every cell by construction.  The
-    provenance then records per-block solver certificates and, when
-    every block's column enumeration completed, a whole-program
-    certified lower bound on the pure Definition-5 plan space. *)
+    Both entry points run one pipeline.  It compiles the greedy
+    [c2+f3] level, then [Compilers.Driver.compile_custom_opts] with
+    {!Search.block} choosing each block's partition, and under
+    {!compile_ilp} once more with {!Ilp.block} (seeded with the searched
+    partitions).  Every final plan, after the reduction absorption and
+    contraction decision the block planners cannot see, is priced with
+    {!Cost.compiled_cost}, and the strongest plan (ILP, then search,
+    then greedy) that prices within [Cost.eps] of every weaker one is
+    returned.  So the planner is never worse than the paper's
+    algorithm under its own model, and [ilp_total_ns <=
+    search_total_ns <= greedy]-or-better holds on every cell.  When the
+    strongest plan loses, counter ["plan.fallback-greedy"]
+    ({!compile}) or ["plan.ilp.fallback"] ({!compile_ilp}) fires.  The
+    provenance records per-block reports and, under {!compile_ilp}, the
+    solver certificates and, when every block's column enumeration
+    completed, a whole-program certified lower bound on the pure
+    Definition-5 plan space. *)
 
 type block_report = {
   block : int;
@@ -75,9 +73,7 @@ val compile_ilp :
   cost:Cost.t ->
   Ir.Prog.t ->
   (Compilers.Driver.compiled * provenance, Obs.Diagnostic.t) result
-(** As {!compile}, plus the branch-and-cut solve ([zapc --plan ilp]).
-    Counter ["plan.ilp.fallback"] fires when the ILP plan is not the
-    one returned. *)
+(** As {!compile}, plus the branch-and-cut solve ([zapc --plan ilp]). *)
 
 val provenance_codec : provenance Obs.Codec.t
 (** The wire shape, used by [zapc --stats], the plan bench and the

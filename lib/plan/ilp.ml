@@ -155,75 +155,6 @@ let columns cfg g =
   (Array.of_list (List.rev !cols), !complete)
 
 (* ------------------------------------------------------------------ *)
-(* Column pricing                                                      *)
-(* ------------------------------------------------------------------ *)
-
-(* What w(C) asks of the block, tabulated once: each statement's
-   element references (1 + reads, times its region's volume), and per
-   candidate (in order) its referencing statements and whether it
-   contracts once they all lie in one cluster
-   (Core.Contraction.scalar_if_confined).  An array is thus contracted
-   within C exactly when it passes and its referencing statements are
-   a subset of C — Core.Contraction.decide's verdict for any partition
-   holding C.  Because contraction confines every reference (and hence
-   every dependence) of the array to one cluster, the decision
-   distributes over the clusters of any partition — which is what makes
-   the objective separable. *)
-type facts = {
-  stmt_refs : int array;
-  cands : (string * int list * bool) list;
-}
-
-let facts g ~candidates =
-  {
-    stmt_refs =
-      Array.map
-        (fun (s : Ir.Nstmt.t) ->
-          (1 + List.length (Ir.Expr.refs s.Ir.Nstmt.rhs))
-          * Ir.Region.volume s.Ir.Nstmt.region)
-        (Core.Asdg.stmts g);
-    cands =
-      List.map
-        (fun x ->
-          ( x,
-            Core.Asdg.stmts_referencing g x,
-            Core.Contraction.scalar_if_confined g x ))
-        candidates;
-  }
-
-(* [a] ⊆ [b], both ascending *)
-let rec subset a b =
-  match (a, b) with
-  | [], _ -> true
-  | _, [] -> false
-  | x :: a', y :: b' -> if x = y then subset a' b' else x > y && subset a b'
-
-(* w(C): the cluster's share of Cost.block_cost — reference cost after
-   in-cluster contraction plus modeled miss penalties, scaled by the
-   block multiplier.  Σ_C w(C) + flop_ns = block_cost − comm_ns.  [c]
-   is ascending. *)
-let cluster_weight cost_t facts ~block c =
-  let m = (Cost.cfg cost_t).Cost.machine in
-  let mult = float_of_int (Cost.block_mult cost_t ~block) in
-  let contracted =
-    List.filter_map
-      (fun (x, refs, eligible) ->
-        if eligible && subset refs c then Some x else None)
-      facts.cands
-  in
-  let refs = List.fold_left (fun acc i -> acc + facts.stmt_refs.(i)) 0 c in
-  let saved =
-    List.fold_left
-      (fun acc x -> acc + Cost.block_weight cost_t ~block x)
-      0 contracted
-  in
-  let l1m, l2m = Cost.cluster_misses cost_t ~block c ~contracted in
-  mult
-  *. ((float_of_int (refs - saved) *. m.Machine.l1_hit_ns)
-     +. (l1m *. m.Machine.l1_miss_ns)
-     +. (l2m *. m.Machine.l2_miss_ns))
-
-(* ------------------------------------------------------------------ *)
 (* Dense two-phase primal simplex                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -480,7 +411,9 @@ let block ?(probe = fun (_ : Core.Partition.t) -> ()) ?(seeds = []) cfg cost_t
   Obs.span "plan-ilp" @@ fun () ->
   let n = Core.Asdg.n g in
   let t0 = Core.Partition.trivial g in
-  let weight_of = cluster_weight cost_t (facts g ~candidates) ~block in
+  let weight_of =
+    Cost.cluster_weight cost_t ~block (Cost.facts cost_t ~block ~candidates g)
+  in
   let full_cost p =
     let contracted = Core.Contraction.decide p ~candidates in
     let bp =
@@ -700,18 +633,7 @@ let block ?(probe = fun (_ : Core.Partition.t) -> ()) ?(seeds = []) cfg cost_t
       (List.hd ranked) (List.tl ranked)
   in
   let greedy_ns = full_cost greedy_p in
-  let flop_ns =
-    (* plan-invariant arithmetic term, for absolute lower bounds *)
-    let contracted = Core.Contraction.decide t0 ~candidates in
-    let bp =
-      {
-        Sir.Scalarize.partition = t0;
-        contracted = List.map (fun x -> (x, Core.Contraction.Scalar)) contracted;
-        absorbed = [];
-      }
-    in
-    (Cost.block_cost cost_t ~block bp).Cost.flop_ns
-  in
+  let flop_ns = Cost.flop_ns cost_t ~block in
   let lower_bound_ns =
     if not complete then None
     else if proved then Some (!best_sep +. flop_ns)

@@ -42,27 +42,16 @@
       LP solution is integral but its cluster graph has a cycle
       [C_1 → … → C_k → C_1], the globally valid cut
       [Σ y_{C_j} ≤ k - 1] is added and the node re-solved;
-    - {e objective}: the exact per-cluster cost
-      [w(C) = mult · (refs_C · l1_hit + l1m(C) · l1_miss + l2m(C) ·
-      l2_miss)], with [refs_C] the element references of [C]'s
-      statements minus the reference weight of every array contracted
-      {e within} [C].  Contraction is per-cluster decidable: an array
-      whose references all fall in [C] is contracted iff its first
-      reference writes and all its dependence UDVs are null — the
-      same test as [Core.Contraction.decide], which therefore
-      distributes over the chosen clusters.  Summed over a partition
-      this reproduces {!Cost.block_cost} exactly, {e except} for the
-      communication term, which couples clusters through pipelining
-      windows.  At [procs <= 1] communication is identically zero and
-      the objective is exact ({!stats.objective_exact}); at higher
-      [procs] the ILP optimizes the comm-free part and the final
-      choice among candidate partitions is made on the full model.
-      Pricing a column reads per-block facts: each statement's
-      references × volume, and per candidate its referencing
-      statements and whether it contracts once they all share a
-      cluster.  Every dependence on an array joins two statements that
-      reference it, so "contractible within [C]" reduces to "its
-      referencing statements ⊆ [C]".
+    - {e objective}: {!Cost.cluster_weight}, the per-cluster part of
+      {!Cost.block_cost}: reference weight after the contractions
+      confined to [C], plus [C]'s sweep misses.  Summed over a
+      partition, plus {!Cost.flop_ns}, it reproduces the block cost
+      {e except} for the communication term, which couples clusters
+      through pipelining windows.  At [procs <= 1] communication is
+      identically zero and the objective is exact
+      ({!stats.objective_exact}); at higher [procs] the ILP optimizes
+      the comm-free part and the final choice among candidate
+      partitions is made on the full model.
 
     {2 Certificates}
 

@@ -41,62 +41,6 @@ module Visited = Hashtbl.Make (Support.Vec)
 let key_of ids =
   String.concat "." (Array.to_list (Array.map string_of_int ids))
 
-(* What pricing asks of an array, fixed for the whole block: the
-   statements referencing it, the lines one sweep of it touches, its
-   reference weight and whether its first reference writes it. *)
-type array_facts = {
-  refs : int array;
-  lines : int;
-  weight : int;
-  first_write : bool;
-}
-
-type table = {
-  names : string array;  (** the candidates, in order *)
-  cands : array_facts array;  (** per candidate *)
-  eligible : bool array;
-      (** per candidate: [Core.Contraction.scalar_if_confined], so
-          contracted exactly when all its references share a cluster *)
-  vars : (array_facts * int) array;
-      (** per array the block references, in [Core.Asdg.vars] order:
-          its facts and the index of its candidate entry, or -1 *)
-}
-
-let table cost_t ~block ~candidates g =
-  let t0 = Core.Partition.trivial g in
-  let facts x =
-    let refs = Core.Asdg.stmts_referencing g x in
-    let vol =
-      match refs with
-      | i :: _ -> Ir.Region.volume (Core.Asdg.stmt g i).Ir.Nstmt.region
-      | [] -> 0
-    in
-    {
-      refs = Array.of_list refs;
-      lines = Cost.lines_of_volume cost_t vol;
-      weight = Cost.block_weight cost_t ~block x;
-      first_write = Core.Partition.first_ref_is_write t0 x;
-    }
-  in
-  let names = Array.of_list candidates in
-  let cands = Array.map facts names in
-  let index x =
-    let rec go k =
-      if k = Array.length names then -1
-      else if names.(k) = x then k
-      else go (k + 1)
-    in
-    go 0
-  in
-  {
-    names;
-    cands;
-    eligible = Array.map (Core.Contraction.scalar_if_confined g) names;
-    vars =
-      Array.of_list
-        (List.map (fun x -> (facts x, index x)) (Core.Asdg.vars g));
-  }
-
 (* Distinct clusters among the statements [refs].  Plain loops, like
    [bound_of]'s: they run for every array of every priced state. *)
 let sweeps ids refs =
@@ -117,7 +61,8 @@ let sweeps ids refs =
    (b) fuse all clusters referencing an array down to one sweep; and
    (c) lose the entire communication bill.  Overestimating the
    achievable savings only weakens pruning, never correctness. *)
-let bound_of cost_t ~block tbl ids contracted (cost : Cost.breakdown) =
+let bound_of cost_t ~block (tbl : Cost.facts) ids contracted
+    (cost : Cost.breakdown) =
   let c = Cost.cfg cost_t in
   let m = c.Cost.machine in
   let mult = float_of_int (Cost.block_mult cost_t ~block) in
@@ -125,7 +70,7 @@ let bound_of cost_t ~block tbl ids contracted (cost : Cost.breakdown) =
   let h_contract = ref 0.0 in
   for k = 0 to Array.length tbl.cands - 1 do
     let f = tbl.cands.(k) in
-    if f.first_write && not contracted.(k) then
+    if f.Cost.first_write && not contracted.(k) then
       h_contract :=
         !h_contract
         +. (float_of_int f.weight *. m.Machine.l1_hit_ns)
@@ -194,7 +139,7 @@ let block ?(probe = fun (_ : Core.Partition.t) (_ : Cost.breakdown) _ -> ()) cfg
   Obs.span "plan-search" @@ fun () ->
   Support.Pool.with_workers ~domains:cfg.jobs @@ fun workers ->
   let n = Core.Asdg.n g in
-  let tbl = table cost_t ~block ~candidates g in
+  let tbl = Cost.facts cost_t ~block ~candidates g in
   (* The price of a state whose [ids], [contracted] flags (and the
      candidates they name, in order) and cluster [misses] are known.
      Pure: safe to evaluate from any pool worker (Cost.t serializes its
@@ -253,8 +198,8 @@ let block ?(probe = fun (_ : Core.Partition.t) (_ : Cost.breakdown) _ -> ()) cfg
       (fun k f ->
         if
           (not contracted.(k))
-          && tbl.eligible.(k)
-          && Array.for_all (fun r -> ids.(r) = rep) f.refs
+          && f.Cost.eligible
+          && Array.for_all (fun r -> ids.(r) = rep) f.Cost.refs
         then contracted.(k) <- true)
       tbl.cands;
     let names = ref [] and members = ref [] in

@@ -18,9 +18,8 @@
       estimate of what is still winnable (remaining contractable
       weight in ns, one-sweep-per-array cache floor, and the state's
       entire communication bill), so the reported optimum is exact
-      whenever the search terminates within budget.  What the bound
-      asks of each array (referencing statements, sweep lines,
-      reference weight, first reference a write) is tabulated once per
+      whenever the search terminates within budget.  The bound reads
+      what it asks of each array from {!Cost.facts}, built once per
       block, so pricing a state only counts its clusters;
     - {e delta pricing}: a child differs from its parent in one merged
       cluster.  Merging never un-contracts an array, and an array it

@@ -113,12 +113,14 @@ let find_or_compute t k compute =
       None
     end
   in
-  let found =
+  let hit, found =
     Mutex.protect t.lock (fun () ->
-        match counted_lookup t ks with Some _ as hit -> hit | None -> await ())
+        match counted_lookup t ks with
+        | Some _ as found -> (true, found)
+        | None -> (false, await ()))
   in
   match found with
-  | Some v -> Ok v
+  | Some v -> Ok (v, hit)
   | None ->
       Fun.protect
         ~finally:(fun () ->
@@ -128,7 +130,7 @@ let find_or_compute t k compute =
         (fun () ->
           let r = compute () in
           Result.iter (fun v -> Mutex.protect t.lock (fun () -> insert t ks v)) r;
-          r)
+          Result.map (fun v -> (v, false)) r)
 
 let stats t =
   Mutex.protect t.lock (fun () ->

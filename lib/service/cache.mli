@@ -11,9 +11,10 @@
     program changes its key).
 
     Concurrency: one mutex guards the table; a lookup holds it for one
-    hash probe.  Several domains reach the cache only inside a
-    [batch] request's {!Support.Pool} fan-out.  Values must be
-    immutable or internally synchronized — compiled plans are.
+    hash probe.  Any domain holding the engine may call in: a [batch]
+    request's {!Support.Pool} fan-out, or lazy contexts on several
+    domains sharing one engine.  Values must be immutable or
+    internally synchronized — compiled plans are.
     Eviction is exact least-recently-used over the whole [capacity].
 
     {!find_or_compute} is the single-flight entry: concurrent misses
@@ -58,12 +59,13 @@ val add : 'v t -> key -> 'v -> unit
     entry when full. *)
 
 val find_or_compute :
-  'v t -> key -> (unit -> ('v, 'e) result) -> ('v, 'e) result
-(** {!find}, or on a miss [compute ()] and {!add} of an [Ok] result.
-    Each call counts one hit or one miss.  [compute] runs outside the
-    lock; a caller that misses while another computes the same key
-    waits for it and takes its value (having counted a miss).  An
-    [Error] is not cached, and a [compute] that raises releases the
-    key: a waiter then computes in its turn. *)
+  'v t -> key -> (unit -> ('v, 'e) result) -> ('v * bool, 'e) result
+(** {!find}, or on a miss [compute ()] and {!add} of an [Ok] result,
+    with [true] exactly when this call counted a hit.  Each call counts
+    one hit or one miss.  [compute] runs outside the lock; a caller
+    that misses while another computes the same key waits for it and
+    takes its value (having counted a miss).  An [Error] is not cached,
+    and a [compute] that raises releases the key: a waiter then
+    computes in its turn. *)
 
 val stats : _ t -> stats

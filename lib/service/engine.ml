@@ -199,16 +199,27 @@ let compute t ~search_jobs ~level ~(opts : Api.compile_opts)
       in
       Ok { cc = c; prov = Some prov; artifact = Atomic.make None }
 
+type lookup = {
+  hit : bool;
+  compiled : bool;
+  planned : bool;
+}
+
 (* Only successes are cached, so a failing program re-reports its
-   diagnostic on every request. *)
-let cached_compile t ~search_jobs ~level ~opts ~target prog =
+   diagnostic on every request.  [compute] runs on the calling domain,
+   so the flag says whether this very call computed. *)
+let cached_compile t ~search_jobs ~level ~(opts : Api.compile_opts) ~target
+    prog =
   let fingerprint = Ir.Prog.fingerprint prog in
   let* key = cache_key ~fingerprint ~level ~opts ~target in
-  let* entry =
+  let computed = ref false in
+  let* entry, hit =
     Cache.find_or_compute t.cache key (fun () ->
+        computed := true;
         compute t ~search_jobs ~level ~opts ~target prog)
   in
-  Ok (fingerprint, entry)
+  let planned = !computed && opts.Api.plan <> Api.Greedy in
+  Ok (fingerprint, entry, { hit; compiled = !computed; planned })
 
 (* Direct (in-process) entry for callers that already hold an
    elaborated program — the lazy frontend flushes through here.  Same
@@ -217,10 +228,10 @@ let cached_compile t ~search_jobs ~level ~opts ~target prog =
 let compile_ir t ~(opts : Api.compile_opts) ~target prog =
   let r =
     let* level = Api.level_of_name opts.Api.level in
-    let* fingerprint, entry =
+    let* fingerprint, entry, lookup =
       cached_compile t ~search_jobs:t.pool_jobs ~level ~opts ~target prog
     in
-    Ok (fingerprint, entry.cc, entry.prov)
+    Ok (fingerprint, entry.cc, entry.prov, lookup)
   in
   sync_obs t;
   r
@@ -297,7 +308,7 @@ let compiled_of t ~search_jobs ~(opts : Api.compile_opts) ~target source =
     if opts.Api.merge then Core.Merge.run prog else (prog, [])
   in
   let* level = Api.level_of_name opts.Api.level in
-  let* fingerprint, entry =
+  let* fingerprint, entry, _ =
     cached_compile t ~search_jobs ~level ~opts ~target prog
   in
   let c = entry.cc in

@@ -52,22 +52,33 @@ val handle : t -> Api.request -> Api.response
     their worker.  [Shutdown] only answers [Shutting_down] — process
     exit is the server's decision. *)
 
+type lookup = {
+  hit : bool;  (** the plan cache counted a hit for this call, else a miss *)
+  compiled : bool;
+      (** this call compiled the program (["service.compile.computed"]);
+          a miss that waited for another caller's compute did not *)
+  planned : bool;
+      (** ...and ran the search or ILP planner
+          (["service.plan.computed"]) *)
+}
+
 val compile_ir :
   t ->
   opts:Api.compile_opts ->
   target:Api.target ->
   Ir.Prog.t ->
-  ( string * Compilers.Driver.compiled * Plan.Driver.provenance option,
+  ( string * Compilers.Driver.compiled * Plan.Driver.provenance option * lookup,
     Obs.Diagnostic.t )
   result
 (** In-process compile of an already-elaborated program through the
     same plan cache as a [Compile] request — the entry the lazy
     frontend ([Lazyarr.Trace]) flushes through.  Returns the
     program's fingerprint (the cache key component), the compiled
-    result, and search provenance when [opts.plan] is [Search].
-    [opts.merge] and [opts.simplify] are ignored (the caller owns any
-    program-level rewrites); counters advance exactly as for a served
-    request, and [sync_obs] runs before returning. *)
+    result, planner provenance when [opts.plan] is [Search] or [Ilp],
+    and what this call itself did in the cache, whatever other domains
+    do meanwhile.  [opts.merge] and [opts.simplify] are ignored (the
+    caller owns any program-level rewrites); counters advance exactly
+    as for a served request, and [sync_obs] runs before returning. *)
 
 val cache_stats : t -> Cache.stats
 

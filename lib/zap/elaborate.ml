@@ -318,10 +318,3 @@ let elaborate ?(config = []) (p : Ast.program) : Prog.t =
 let compile_string ?config src =
   let ast = Obs.span "parse" (fun () -> Parser.parse src) in
   Obs.span "elaborate" (fun () -> elaborate ?config ast)
-
-let compile_file ?config path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let src = really_input_string ic len in
-  close_in ic;
-  compile_string ?config src

@@ -20,5 +20,3 @@ val elaborate : ?config:(string * float) list -> Ast.program -> Ir.Prog.t
 val compile_string : ?config:(string * float) list -> string -> Ir.Prog.t
 (** Parse and elaborate.  Raises {!Error}, {!Parser.Error} or
     {!Lexer.Error}. *)
-
-val compile_file : ?config:(string * float) list -> string -> Ir.Prog.t

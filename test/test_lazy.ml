@@ -198,6 +198,39 @@ let test_shared_engine () =
   Alcotest.(check int) "no second compile"
     0 (T.stats ctx2).T.compiles_computed
 
+(* Two domains, each flushing one trace shape [k] times through its
+   own context on one shared engine, starting together so their first
+   flushes race: each context counts exactly its own lookups, and one
+   compile serves both. *)
+let test_shared_engine_domains () =
+  let engine = Service.Engine.create ~jobs:1 () in
+  let k = 25 in
+  let arrived = Atomic.make 0 in
+  let run () =
+    let ctx = T.create ~engine () in
+    Atomic.incr arrived;
+    while Atomic.get arrived < 2 do
+      Domain.cpu_relax ()
+    done;
+    for i = 1 to k do
+      ignore (T.force (chain ctx (float_of_int i)))
+    done;
+    T.stats ctx
+  in
+  let other = Domain.spawn run in
+  let mine = run () in
+  let theirs = Domain.join other in
+  List.iter
+    (fun (st : T.stats) ->
+      Alcotest.(check int) "one flush per force" k st.T.flushes;
+      Alcotest.(check int) "hits + misses = own flushes" st.T.flushes
+        (st.T.cache_hits + st.T.cache_misses))
+    [ mine; theirs ];
+  Alcotest.(check int) "one compile across both contexts" 1
+    (mine.T.compiles_computed + theirs.T.compiles_computed);
+  Alcotest.(check int) "one compile in the engine" 1
+    (Service.Engine.server_stats engine).Service.Api.compiles_computed
+
 (* ------------------------------------------------------------------ *)
 (* Obs metrics                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -318,6 +351,8 @@ let suites =
           test_shape_reuse;
         Alcotest.test_case "contexts share an engine's cache" `Quick
           test_shared_engine;
+        Alcotest.test_case "contexts on two domains count their own" `Quick
+          test_shared_engine_domains;
       ] );
     ( "lazy-metrics",
       [

@@ -1433,6 +1433,206 @@ let test_columns_match_check_merge () =
   Alcotest.(check bool) "blocks were enumerated" true
     (List.fold_left ( + ) 0 cases > 0)
 
+(* ------------------------------------------------------------------ *)
+(* Plan.Cost's block terms vs the planners' former copies              *)
+(* ------------------------------------------------------------------ *)
+
+(* The ILP's column pricing as it was written in Plan.Ilp before
+   Plan.Cost priced clusters for both planners, kept as the oracle:
+   its own per-statement reference counts and per-candidate facts, a
+   list subset test, and the same float association. *)
+let ilp_facts g ~candidates =
+  ( Array.map
+      (fun (s : Nstmt.t) ->
+        (1 + List.length (Expr.refs s.Nstmt.rhs))
+        * Region.volume s.Nstmt.region)
+      (Core.Asdg.stmts g),
+    List.map
+      (fun x ->
+        ( x,
+          Core.Asdg.stmts_referencing g x,
+          Core.Contraction.scalar_if_confined g x ))
+      candidates )
+
+let rec ilp_subset a b =
+  match (a, b) with
+  | [], _ -> true
+  | _, [] -> false
+  | x :: a', y :: b' ->
+      if x = y then ilp_subset a' b' else x > y && ilp_subset a b'
+
+let ilp_cluster_weight cost (stmt_refs, cands) ~block c =
+  let m = (Plan.Cost.cfg cost).Plan.Cost.machine in
+  let mult = float_of_int (Plan.Cost.block_mult cost ~block) in
+  let contracted =
+    List.filter_map
+      (fun (x, refs, eligible) ->
+        if eligible && ilp_subset refs c then Some x else None)
+      cands
+  in
+  let refs = List.fold_left (fun acc i -> acc + stmt_refs.(i)) 0 c in
+  let saved =
+    List.fold_left
+      (fun acc x -> acc + Plan.Cost.block_weight cost ~block x)
+      0 contracted
+  in
+  let l1m, l2m = Plan.Cost.cluster_misses cost ~block c ~contracted in
+  mult
+  *. ((float_of_int (refs - saved) *. m.Machine.l1_hit_ns)
+     +. (l1m *. m.Machine.l1_miss_ns)
+     +. (l2m *. m.Machine.l2_miss_ns))
+
+let decided_plan p ~candidates =
+  {
+    Sir.Scalarize.partition = p;
+    contracted =
+      List.map
+        (fun x -> (x, Core.Contraction.Scalar))
+        (Core.Contraction.decide p ~candidates);
+    absorbed = [];
+  }
+
+(* The flop term as Plan.Ilp read it: a full block_cost of the trivial
+   partition. *)
+let trivial_flop_ns cost ~block ~candidates g =
+  (Plan.Cost.block_cost cost ~block
+     (decided_plan (Core.Partition.trivial g) ~candidates))
+    .Plan.Cost.flop_ns
+
+(* Plan.Search's per-block table as it was written there: per
+   candidate and per referenced array, (refs, lines, weight,
+   first_write), the candidates' eligibility, and each array's
+   candidate index. *)
+let search_table cost ~block ~candidates g =
+  let t0 = Core.Partition.trivial g in
+  let facts x =
+    let refs = Core.Asdg.stmts_referencing g x in
+    let vol =
+      match refs with
+      | i :: _ -> Region.volume (Core.Asdg.stmt g i).Nstmt.region
+      | [] -> 0
+    in
+    ( Array.of_list refs,
+      Plan.Cost.lines_of_volume cost vol,
+      Plan.Cost.block_weight cost ~block x,
+      Core.Partition.first_ref_is_write t0 x )
+  in
+  let names = Array.of_list candidates in
+  let index x =
+    let rec go k =
+      if k = Array.length names then -1
+      else if names.(k) = x then k
+      else go (k + 1)
+    in
+    go 0
+  in
+  ( names,
+    Array.map facts names,
+    Array.map (Core.Contraction.scalar_if_confined g) names,
+    Array.of_list (List.map (fun x -> (facts x, index x)) (Core.Asdg.vars g)) )
+
+let check_facts what (tbl : Plan.Cost.facts) (names, cands, eligible, vars) =
+  let same (f : Plan.Cost.array_facts) (refs, lines, weight, first_write) =
+    f.Plan.Cost.refs = refs && f.lines = lines && f.weight = weight
+    && f.first_write = first_write
+  in
+  if tbl.Plan.Cost.names <> names then
+    Alcotest.failf "%s: candidate names" what;
+  Array.iteri
+    (fun k f ->
+      if not (same f cands.(k) && f.Plan.Cost.eligible = eligible.(k)) then
+        Alcotest.failf "%s: facts of candidate %s" what names.(k))
+    tbl.cands;
+  if Array.length tbl.vars <> Array.length vars then
+    Alcotest.failf "%s: %d arrays <> %d" what (Array.length tbl.vars)
+      (Array.length vars);
+  Array.iteri
+    (fun v (f, k) ->
+      let want, want_k = vars.(v) in
+      if not (same f want && k = want_k) then
+        Alcotest.failf "%s: facts of array %d" what v)
+    tbl.vars
+
+(* One program on one cost configuration, every block: the fact table
+   equals Search.table's, the flop term the trivial partition's
+   flop_ns, and w(C) the ILP's own pricing on every column the ILP
+   enumerates, bit for bit; and for every partition the ILP ranks,
+   Σ_C w(C) + flop term is block_cost − comm_ns within Cost.eps. *)
+let cost_terms_exact what cfg prog =
+  let cost = Plan.Cost.create cfg prog in
+  let columns = ref 0 in
+  let where block =
+    Printf.sprintf "%s on %s x%d, block %d" what
+      cfg.Plan.Cost.machine.Machine.name cfg.Plan.Cost.procs block
+  in
+  let partition ~block ~compiler ~user g =
+    let candidates = compiler @ user in
+    let tbl = Plan.Cost.facts cost ~block ~candidates g in
+    check_facts (where block) tbl (search_table cost ~block ~candidates g);
+    let flop = Plan.Cost.flop_ns cost ~block in
+    if not (same_float flop (trivial_flop_ns cost ~block ~candidates g)) then
+      Alcotest.failf "%s: flop term %h" (where block) flop;
+    let oracle = ilp_facts g ~candidates in
+    let cols, _ = Plan.Ilp.columns Plan.Ilp.default g in
+    Array.iter
+      (fun c ->
+        incr columns;
+        let got = Plan.Cost.cluster_weight cost ~block tbl c in
+        let want = ilp_cluster_weight cost oracle ~block c in
+        if not (same_float got want) then
+          Alcotest.failf "%s, column [%s]: w(C) %h <> %h" (where block)
+            (String.concat ";" (List.map string_of_int c))
+            got want)
+      cols;
+    let probe p =
+      let bd = Plan.Cost.block_cost cost ~block (decided_plan p ~candidates) in
+      let sep =
+        List.fold_left
+          (fun acc c -> acc +. Plan.Cost.cluster_weight cost ~block tbl c)
+          0.0 (Core.Partition.clusters p)
+        +. flop
+      in
+      let want = bd.Plan.Cost.total_ns -. bd.Plan.Cost.comm_ns in
+      if Float.abs (sep -. want) > Plan.Cost.eps then
+        Alcotest.failf "%s: Σ w(C) + flop %h <> block_cost - comm %h"
+          (where block) sep want
+    in
+    fst (Plan.Ilp.block ~probe Plan.Ilp.default cost ~block ~candidates g)
+  in
+  match Compilers.Driver.(compile_custom_opts default_opts) prog ~partition with
+  | Ok _ -> !columns
+  | Error d -> Alcotest.failf "%s: %s" what (Obs.Diagnostic.to_string d)
+
+(* test/corpus, the seven suite programs at default tiles and at tile
+   16, and 200 generated programs, on every machine at procs 1 and 16 *)
+let test_cost_terms_exact () =
+  let programs =
+    corpus_programs ()
+    @ List.concat_map
+        (fun (b : Suite.bench) ->
+          [
+            (b.Suite.name, Suite.program b);
+            (b.Suite.name ^ " tile 16", Suite.program ~tile:16 b);
+          ])
+        (Suite.all @ Suite.extras)
+    @ generated_programs "generated" 31L 200
+  in
+  let cfgs =
+    List.concat_map
+      (fun machine ->
+        List.map
+          (fun procs -> { Plan.Cost.machine; procs; opts = Comm.Model.all_on })
+          [ 1; 16 ])
+      Machine.all
+  in
+  let columns =
+    Support.Pool.map ~domains:(Support.Pool.default_domains ())
+      (fun (cfg, (what, prog)) -> cost_terms_exact what cfg prog)
+      (List.concat_map (fun cfg -> List.map (fun w -> (cfg, w)) programs) cfgs)
+  in
+  Alcotest.(check bool) "columns were priced" true
+    (List.fold_left ( + ) 0 columns > 0)
+
 let suites =
   [
     ( "plan",
@@ -1464,6 +1664,8 @@ let suites =
           test_delta_pricing_exact;
         Alcotest.test_case "column DFS matches check_merge enumeration" `Slow
           test_columns_match_check_merge;
+        Alcotest.test_case "facts, flop term and w(C) match oracles"
+          `Slow test_cost_terms_exact;
         Alcotest.test_case "simple: search beats greedy, checksum equal" `Slow
           test_simple_search_wins;
         Alcotest.test_case "deterministic plans and provenance" `Slow

@@ -188,11 +188,11 @@ let cache_hit_miss_counts () =
   let c = Cache.create () in
   ignore (Cache.find c (key 1));
   Alcotest.(check int) "miss counted" 1 (Cache.stats c).Cache.misses;
-  Alcotest.(check (result int string))
-    "find_or_compute computes on a miss" (Ok 7)
+  Alcotest.(check (result (pair int bool) string))
+    "find_or_compute computes on a miss" (Ok (7, false))
     (Cache.find_or_compute c (key 1) (fun () -> Ok 7));
-  Alcotest.(check (result int string))
-    "find_or_compute then hits" (Ok 7)
+  Alcotest.(check (result (pair int bool) string))
+    "find_or_compute then hits" (Ok (7, true))
     (Cache.find_or_compute c (key 1) (fun () -> Ok 8));
   let s = Cache.stats c in
   Alcotest.(check int) "hits" 1 s.Cache.hits;
@@ -221,23 +221,31 @@ let cache_single_flight () =
   in
   Alcotest.(check int) "compute ran once" 1 (Atomic.get computed);
   List.iter
-    (Alcotest.(check (result int string)) "every caller gets the value" (Ok 42))
+    (fun r ->
+      Alcotest.(check (result int string)) "every caller gets the value" (Ok 42)
+        (Result.map fst r))
     results;
   let s = Cache.stats c in
   Alcotest.(check int) "one lookup counted per call" callers
     (s.Cache.hits + s.Cache.misses);
+  Alcotest.(check int) "each caller told whether it counted a hit"
+    s.Cache.hits
+    (List.length (List.filter (fun r -> Result.map snd r = Ok true) results));
   (* an Error is not cached: the next call computes again *)
   let failing () = Error "no plan" in
-  Alcotest.(check (result int string)) "error returned" (Error "no plan")
+  Alcotest.(check (result (pair int bool) string)) "error returned"
+    (Error "no plan")
     (Cache.find_or_compute c (key 2) failing);
-  Alcotest.(check (result int string)) "error not cached" (Ok 2)
+  Alcotest.(check (result (pair int bool) string)) "error not cached"
+    (Ok (2, false))
     (Cache.find_or_compute c (key 2) (fun () -> Ok 2));
   (* a raising compute releases its key: the next caller computes
      instead of waiting forever *)
   (match Cache.find_or_compute c (key 3) (fun () -> failwith "boom") with
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "the exception must reach the caller");
-  Alcotest.(check (result int string)) "key released" (Ok 3)
+  Alcotest.(check (result (pair int bool) string)) "key released"
+    (Ok (3, false))
     (Cache.find_or_compute c (key 3) (fun () -> Ok 3))
 
 (* ------------------------------------------------------------------ *)
