@@ -414,12 +414,13 @@ let run_lazy_demo ~level ~iters =
   done;
   let st = T.stats ctx in
   Printf.printf
-    "flushes=%d ops recorded=%d lowered=%d elided=%d params lifted=%d\n\
+    "flushes=%d ops recorded=%d lowered=%d elided=%d forwarded=%d \
+     params lifted=%d\n\
      plan cache: %d hits, %d misses; %d compiles computed, %d plans computed\n\
      trace-shape fingerprint: %s\n"
     st.T.flushes st.T.ops_recorded st.T.ops_lowered st.T.ops_elided
-    st.T.params_lifted st.T.cache_hits st.T.cache_misses st.T.compiles_computed
-    st.T.plans_computed
+    st.T.ops_forwarded st.T.params_lifted st.T.cache_hits st.T.cache_misses
+    st.T.compiles_computed st.T.plans_computed
     (Option.value ~default:"-" st.T.last_fingerprint);
   if st.T.cache_misses > 1 then
     Error

@@ -29,20 +29,21 @@ let observe_performed x shape =
   if Obs.enabled () then
     Obs.event (Obs.Contraction_perform { array = x; shape = shape_name shape })
 
-let decide p ~candidates =
-  observe_candidates candidates;
+let scalars p ~candidates =
   List.filter
     (fun x ->
-      let ok =
-        Partition.first_ref_is_write p x
-        &&
-        match single_cluster p x with
-        | Some rep -> Partition.contractible p x ~within:[ rep ]
-        | None -> false
-      in
-      if ok then observe_performed x Scalar;
-      ok)
+      Partition.first_ref_is_write p x
+      &&
+      match single_cluster p x with
+      | Some rep -> Partition.contractible p x ~within:[ rep ]
+      | None -> false)
     candidates
+
+let decide p ~candidates =
+  observe_candidates candidates;
+  let contracted = scalars p ~candidates in
+  List.iter (fun x -> observe_performed x Scalar) contracted;
+  contracted
 
 let scalar_if_confined g x =
   (match Asdg.stmts_referencing g x with

@@ -23,7 +23,14 @@ type shape =
 
 val decide : Partition.t -> candidates:string list -> string list
 (** Arrays fully contractible to scalars under the given partition, in
-    candidate order. *)
+    candidate order.  The decision a compile makes: it emits a
+    [contraction.candidates] event per candidate and a
+    [contraction.performed] event per contraction. *)
+
+val scalars : Partition.t -> candidates:string list -> string list
+(** [decide]'s result without its events, for callers that only price
+    a partition (the search's seeds, the ILP's ranking): a priced
+    partition is not a decision, so it must not count as one. *)
 
 val scalar_if_confined : Asdg.t -> string -> bool
 (** [decide]'s test for an array whose referencing statements all lie

@@ -11,9 +11,19 @@ let flush = "lazy.flush"
 let op_recorded = "lazy.op.recorded"
 let op_lowered = "lazy.op.lowered"
 let op_elided = "lazy.op.elided"
+let op_forwarded = "lazy.op.forwarded"
 let param_lifted = "lazy.param.lifted"
 let force = "lazy.force"
 let force_memo = "lazy.force.memo"
 
 let all =
-  [ flush; op_recorded; op_lowered; op_elided; param_lifted; force; force_memo ]
+  [
+    flush;
+    op_recorded;
+    op_lowered;
+    op_elided;
+    op_forwarded;
+    param_lifted;
+    force;
+    force_memo;
+  ]

@@ -19,15 +19,22 @@ val op_recorded : string
 (** Combinator applications recorded into a trace. *)
 
 val op_lowered : string
-(** Trace ops lowered into statements across all flushes (one op can
-    be lowered more than once: a cone is recomputed when a previously
-    contracted intermediate is observed later). *)
+(** Trace ops lowered across all flushes: each op of a flushed cone,
+    whether it became a statement or was forwarded (see
+    {!op_forwarded}).  One op can be lowered more than once: a cone is
+    recomputed when a previously contracted intermediate is observed
+    later. *)
 
 val op_elided : string
 (** Ops a flush passed over — pending, outside the observed cone, and
     never lowered before — i.e. the dead-op elision the lowering
     performs.  Each op counts at most once across a context's
     lifetime. *)
+
+val op_forwarded : string
+(** Lowered ops that got no statement and no array: unobserved shift
+    and identity ops, which their readers read in place as
+    [ancestor@offset] references.  A subset of {!op_lowered}. *)
 
 val param_lifted : string
 (** Constants lifted to parameter scalars during canonical lowering —

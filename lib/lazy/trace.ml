@@ -74,6 +74,7 @@ type ctx = {
   mutable ops_recorded : int;
   mutable ops_lowered : int;
   mutable ops_elided : int;
+  mutable ops_forwarded : int;
   mutable params_lifted : int;
   mutable forces : int;
   mutable memo_hits : int;
@@ -107,6 +108,7 @@ let create ?(name = "lazy") ?engine ?(level = Compilers.Driver.C2F3)
     ops_recorded = 0;
     ops_lowered = 0;
     ops_elided = 0;
+    ops_forwarded = 0;
     params_lifted = 0;
     forces = 0;
     memo_hits = 0;
@@ -272,17 +274,45 @@ type lowered = {
   named_reds : (red * string) list;
   cone_ids : int list;
   n_lowered : int;
+  n_forwarded : int;
 }
+
+(* Forwarding: a cone op whose right-hand side is a bare reference
+   [#src@d] (a shift, an identity map, a zip_with returning one
+   operand) that the flush does not observe is read in place, the way
+   ZPL writes a neighbour: every reference to it becomes a reference to
+   its first non-forwarded ancestor at the summed offset, and it gets
+   no statement, no array and no canonical name.  Record-time checks
+   keep each read inside its producer's domain, so the summed read
+   stays inside the ancestor's.  [forwarded] maps each such op to
+   (ancestor, offset); ascending ids visit a chain's inner ops first. *)
+let forwarded ctx ~cone_ids ~observed =
+  let fwd = Hashtbl.create 8 in
+  List.iter
+    (fun id ->
+      match (Hashtbl.find ctx.nodes id).rhs with
+      | Expr.Ref (x, d) when not (List.mem id observed) ->
+          let src = Option.get (id_of_placeholder x) in
+          Hashtbl.add fwd id
+            (match Hashtbl.find_opt fwd src with
+            | Some (anc, d0) -> (anc, Support.Vec.add d0 d)
+            | None -> (src, d))
+      | _ -> ())
+    cone_ids;
+  fwd
 
 (* [canonical]: lift constants to parameter scalars (the cache-reuse
    lowering).  Without it, constants stay inline — the eager twin the
    oracle and the tests replay. *)
 let lower ctx ~canonical ~(obs_arrays : node list) ~(obs_reds : red list) =
   let cone_ids = cone ctx ~obs_arrays ~obs_reds in
+  let observed = List.map (fun (n : node) -> n.id) obs_arrays in
+  let fwd = forwarded ctx ~cone_ids ~observed in
+  let kept = List.filter (fun id -> not (Hashtbl.mem fwd id)) cone_ids in
   let names = Hashtbl.create 16 in
   List.iteri
     (fun i id -> Hashtbl.add names id (Printf.sprintf "a%d" (i + 1)))
-    cone_ids;
+    kept;
   let obs_reds = List.sort (fun a b -> compare a.rid b.rid) obs_reds in
   let red_names =
     List.mapi (fun i r -> (r, Printf.sprintf "r%d" (i + 1))) obs_reds
@@ -303,7 +333,11 @@ let lower ctx ~canonical ~(obs_arrays : node list) ~(obs_reds : red list) =
     | Expr.Idx _ -> e
     | Expr.Ref (x, d) -> (
         match id_of_placeholder x with
-        | Some id -> Expr.Ref (Hashtbl.find names id, d)
+        | Some id -> (
+            match Hashtbl.find_opt fwd id with
+            | Some (anc, d0) ->
+                Expr.Ref (Hashtbl.find names anc, Support.Vec.add d0 d)
+            | None -> Expr.Ref (Hashtbl.find names id, d))
         | None -> assert false)
     | Expr.Unop (op, a) -> Expr.Unop (op, tr a)
     | Expr.Binop (op, a, b) ->
@@ -316,14 +350,13 @@ let lower ctx ~canonical ~(obs_arrays : node list) ~(obs_reds : red list) =
         let b = tr b in
         Expr.Select (c, a, b)
   in
-  let observed = List.map (fun (n : node) -> n.id) obs_arrays in
   let body =
     List.map
       (fun id ->
         let n = Hashtbl.find ctx.nodes id in
         Prog.Astmt
           (Nstmt.make ~region:n.region ~lhs:(Hashtbl.find names id) (tr n.rhs)))
-      cone_ids
+      kept
     @ List.map
         (fun ((r : red), target) ->
           Prog.Reduce
@@ -331,7 +364,7 @@ let lower ctx ~canonical ~(obs_arrays : node list) ~(obs_reds : red list) =
               target;
               op = r.op;
               region = r.red_region;
-              arg = Expr.Ref (Hashtbl.find names r.src, Support.Vec.zero (Region.rank r.red_region));
+              arg = tr (placeholder r.src (Region.rank r.red_region));
             })
         red_names
   in
@@ -344,7 +377,7 @@ let lower ctx ~canonical ~(obs_arrays : node list) ~(obs_reds : red list) =
           bounds = n.region;
           kind = (if List.mem id observed then Prog.User else Prog.Compiler);
         })
-      cone_ids
+      kept
   in
   let bindings = List.rev !params in
   let scalars =
@@ -355,7 +388,7 @@ let lower ctx ~canonical ~(obs_arrays : node list) ~(obs_reds : red list) =
     List.filter_map
       (fun id ->
         if List.mem id observed then Some (Hashtbl.find names id) else None)
-      cone_ids
+      kept
     @ List.map snd red_names
   in
   let prog =
@@ -385,6 +418,7 @@ let lower ctx ~canonical ~(obs_arrays : node list) ~(obs_reds : red list) =
     named_reds = red_names;
     cone_ids;
     n_lowered;
+    n_forwarded = Hashtbl.length fwd;
   }
 
 let lower_direct ctx (a : arr) =
@@ -428,6 +462,7 @@ let flush_obs ctx ~obs_arrays ~obs_reds =
       in
       ctx.flushes <- ctx.flushes + 1;
       ctx.ops_lowered <- ctx.ops_lowered + l.n_lowered;
+      ctx.ops_forwarded <- ctx.ops_forwarded + l.n_forwarded;
       (* dead-op elision accounting: a pending op outside the cone is
          elided — counted once, the first time a flush passes it over
          without ever having lowered it *)
@@ -456,6 +491,7 @@ let flush_obs ctx ~obs_arrays ~obs_reds =
       Obs.count Metrics.flush 1;
       Obs.count Metrics.op_lowered l.n_lowered;
       if n_elided > 0 then Obs.count Metrics.op_elided n_elided;
+      if l.n_forwarded > 0 then Obs.count Metrics.op_forwarded l.n_forwarded;
       if l.bindings <> [] then
         Obs.count Metrics.param_lifted (List.length l.bindings);
       let opts =
@@ -563,6 +599,7 @@ type stats = {
   ops_recorded : int;
   ops_lowered : int;
   ops_elided : int;
+  ops_forwarded : int;
   params_lifted : int;
   forces : int;
   memo_hits : int;
@@ -579,6 +616,7 @@ let stats (ctx : ctx) =
     ops_recorded = ctx.ops_recorded;
     ops_lowered = ctx.ops_lowered;
     ops_elided = ctx.ops_elided;
+    ops_forwarded = ctx.ops_forwarded;
     params_lifted = ctx.params_lifted;
     forces = ctx.forces;
     memo_hits = ctx.memo_hits;

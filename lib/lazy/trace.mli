@@ -15,6 +15,11 @@
     {- lowers the cone of trace ops the observation depends on to an
        {!Ir.Prog} (ops outside the cone are elided — dead temporaries
        cost nothing);}
+    {- reads every unobserved op whose value is a bare reference to
+       one operand (a {!shift}, an identity {!map}, a {!zip_with}
+       returning one operand) in place, as an [@]-offset reference to
+       its first materialized ancestor, so it costs no loop and no
+       array;}
     {- lifts every constant to a parameter scalar and renames ops
        canonically, so two flushes with the same trace {e shape} (same
        structure, different constants) lower to byte-identical
@@ -102,7 +107,9 @@ val shift : Support.Vec.t -> arr -> arr
 (** [shift d a] reads [a] at constant offset [d]: element [i] of the
     result is [a@d], i.e. [a[i + d]].  The result's region is [a]'s
     region translated by [-d] (exactly the indices at which the read
-    stays inside [a]'s domain). *)
+    stays inside [a]'s domain).  A flush that does not observe the
+    shift copies nothing: its readers read [a] (or [a]'s own first
+    materialized ancestor) at the summed offset. *)
 
 val reduce : ?region:Ir.Region.t -> Ir.Prog.redop -> arr -> scalar
 (** Full-region reduction of an array into a scalar.  [region]
@@ -137,10 +144,14 @@ val flush : ctx -> unit
 
 val lower_direct : ctx -> arr -> Ir.Prog.t
 (** The eager equivalent of forcing [a]: the cone of [a] lowered with
-    constants inline (no parameter lifting) and live-out [= a].
-    Running it under any executor must produce {!checksum}[ a] — the
-    differential property the trace-mode fuzzer and the qcheck suite
-    replay.  Does not flush and records nothing. *)
+    constants inline (no parameter lifting) and live-out [= a].  It
+    shares the flush's lowering otherwise: an unobserved shift or
+    identity op gets no statement and no array, and its readers read
+    its first materialized ancestor at the summed offset; [a] itself
+    always has its array.  Running it under any executor must produce
+    {!checksum}[ a] — the differential property the trace-mode fuzzer
+    and the qcheck suite replay.  Does not flush and records
+    nothing. *)
 
 val lower_direct_scalar : ctx -> scalar -> Ir.Prog.t
 
@@ -149,10 +160,13 @@ val lower_direct_scalar : ctx -> scalar -> Ir.Prog.t
 type stats = {
   flushes : int;
   ops_recorded : int;
-  ops_lowered : int;  (** statements emitted across all flushes *)
+  ops_lowered : int;  (** cone ops lowered across all flushes *)
   ops_elided : int;
       (** never-lowered ops that some flush passed over (dead at that
           observation; each op counts at most once) *)
+  ops_forwarded : int;
+      (** lowered ops read in place, with no statement and no array:
+          unobserved shift and identity ops *)
   params_lifted : int;
   forces : int;
   memo_hits : int;

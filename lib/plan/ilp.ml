@@ -415,7 +415,7 @@ let block ?(probe = fun (_ : Core.Partition.t) -> ()) ?(seeds = []) cfg cost_t
     Cost.cluster_weight cost_t ~block (Cost.facts cost_t ~block ~candidates g)
   in
   let full_cost p =
-    let contracted = Core.Contraction.decide p ~candidates in
+    let contracted = Core.Contraction.scalars p ~candidates in
     let bp =
       {
         Sir.Scalarize.partition = p;

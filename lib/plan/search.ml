@@ -171,7 +171,7 @@ let block ?(probe = fun (_ : Core.Partition.t) (_ : Cost.breakdown) _ -> ()) cfg
   let seed p =
     incr generated;
     let ids = Array.init n (Core.Partition.cluster_of p) in
-    let decided = Core.Contraction.decide p ~candidates in
+    let decided = Core.Contraction.scalars p ~candidates in
     let misses = Array.make n (0.0, 0.0) in
     List.iter
       (fun cl ->

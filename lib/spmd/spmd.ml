@@ -5,10 +5,11 @@
    rank (Comm.Dist supplies the factorization, so the engine and the
    analytical model agree on the grid).  Chunk boundaries are computed
    once per (rank, dimension) from the union of all same-rank array
-   bounds, so same-index elements of different arrays — and the
-   iteration point that computes them — always live on the same
-   processor: offset-0 references are local by construction, and the
-   owner of an iteration point is the owner of its chunk.
+   bounds and statement and reduction regions, so same-index elements
+   of different arrays — and the iteration point that computes them —
+   always live on the same processor: offset-0 references are local by
+   construction, and every iteration point has an owner, the owner of
+   its chunk.
 
    Execution is superstep-structured (BSP): one superstep per fusible
    cluster, in the same emission order the scalarizer and the
@@ -79,8 +80,9 @@ let unsup fmt = Printf.ksprintf (fun s -> raise (Unsupported s)) fmt
 (* ------------------------------------------------------------------ *)
 
 (* One grid per array rank: Dist's factorization plus the global
-   chunking range per dimension (union of all same-rank array bounds,
-   so chunk boundaries align across arrays). *)
+   chunking range per dimension (union of all same-rank array bounds
+   and iteration regions, so chunk boundaries align across arrays and
+   every iteration point has an owner). *)
 type grid = {
   per_dim : int array;
   glo : int array;
@@ -736,30 +738,38 @@ let setup (cfg : config) (c : Compilers.Driver.compiled) =
   iter_work skeleton
     ~astmt:(fun (s : Nstmt.t) -> note_refs s.rhs)
     ~reduce:(fun (r : Prog.reduction) -> note_refs r.arg);
-  (* grids: one per rank occurring among arrays or iteration regions *)
+  (* grids: one per array rank, chunking each dimension over the union
+     of that rank's array bounds and iteration regions, so that every
+     iteration point has an owner (a region may lie outside every
+     array, e.g. a reduction of a constant) *)
   let grids = Hashtbl.create 4 in
-  let want_rank rank =
-    if not (Hashtbl.mem grids rank) then begin
-      let dist = Comm.Dist.make ~rank ~procs in
-      let glo = Array.make rank max_int and ghi = Array.make rank min_int in
-      List.iter
-        (fun (a : Prog.array_info) ->
-          if Region.rank a.bounds = rank then
-            for k = 0 to rank - 1 do
-              let { Region.lo; hi } = Region.range a.bounds (k + 1) in
-              glo.(k) <- min glo.(k) lo;
-              ghi.(k) <- max ghi.(k) hi
-            done)
-        prog.Prog.arrays;
-      if Array.exists (fun x -> x = max_int) glo then
-        unsup "iteration of rank %d has no arrays to derive a grid from" rank;
-      Hashtbl.replace grids rank { per_dim = Comm.Dist.per_dim dist; glo; ghi }
-    end
+  let cover ~array (r : Region.t) =
+    let rank = Region.rank r in
+    let g =
+      match Hashtbl.find_opt grids rank with
+      | Some g -> g
+      | None when array ->
+          let g =
+            {
+              per_dim = Comm.Dist.per_dim (Comm.Dist.make ~rank ~procs);
+              glo = Array.make rank max_int;
+              ghi = Array.make rank min_int;
+            }
+          in
+          Hashtbl.replace grids rank g;
+          g
+      | None -> unsup "iteration of rank %d has no arrays to derive a grid from" rank
+    in
+    for k = 0 to rank - 1 do
+      let { Region.lo; hi } = Region.range r (k + 1) in
+      g.glo.(k) <- min g.glo.(k) lo;
+      g.ghi.(k) <- max g.ghi.(k) hi
+    done
   in
-  List.iter (fun (a : Prog.array_info) -> want_rank (Region.rank a.bounds)) prog.Prog.arrays;
+  List.iter (fun (a : Prog.array_info) -> cover ~array:true a.bounds) prog.Prog.arrays;
   iter_work skeleton
-    ~astmt:(fun (s : Nstmt.t) -> want_rank (Region.rank s.region))
-    ~reduce:(fun (r : Prog.reduction) -> want_rank (Region.rank r.region));
+    ~astmt:(fun (s : Nstmt.t) -> cover ~array:false s.region)
+    ~reduce:(fun (r : Prog.reduction) -> cover ~array:false r.region);
   (* supportability checks *)
   iter_work skeleton
     ~astmt:(fun (s : Nstmt.t) ->

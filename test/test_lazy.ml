@@ -327,6 +327,282 @@ let test_traced_deterministic () =
           ~trace:true ~n:6 ~seed:5L ())
     = [])
 
+(* ------------------------------------------------------------------ *)
+(* Forwarded shift and identity ops                                    *)
+(* ------------------------------------------------------------------ *)
+
+let region2 (l1, h1) (l2, h2) = Region.of_bounds [ (l1, h1); (l2, h2) ]
+let sub a b = Expr.Binop (Expr.Sub, a, b)
+
+(* perfbench's lazy-stream iteration (perfbench/lazy_stream.ml): the
+   1-D three-point stencil chain over 65536 points, its constants drawn
+   from the seed and the iteration *)
+let stream_chain ctx ~seed t =
+  let s = float_of_int (1 + (abs seed mod 1000)) /. 1000.0 in
+  let ft = float_of_int t in
+  let a = 1.0 +. (0.125 *. ft *. s) and b = ft +. s and c = 0.25 /. (ft +. s) in
+  let src =
+    T.gen ctx (region1 0 65535)
+      (mul (Expr.Const a) (add (Expr.Idx 1) (Expr.Const b)))
+  in
+  T.map
+    (fun x -> mul (Expr.Const c) x)
+    (T.zip_with add (T.shift [| -1 |] src) (T.shift [| 1 |] src))
+
+(* Hand-built traces around shift and identity ops.  Each returns its
+   observations in the order it makes them, as (label, checksum);
+   which op a flush observes and which it only consumes depends on that
+   order. *)
+let hand_cases : (string * (T.ctx -> (string * string) list)) list =
+  [
+    ( "shift-of-shift",
+      fun ctx ->
+        let a = src ctx in
+        (* s2[i] = a[i - 3] over [3..18] *)
+        let s2 = T.shift [| -2 |] (T.shift [| -1 |] a) in
+        let m = T.map (fun x -> mul (Expr.Const 2.0) x) s2 in
+        let vm = T.checksum m in
+        let back = T.zip_with sub (T.shift [| 3 |] s2) a in
+        let vb = T.checksum back in
+        [ ("map", vm); ("back", vb); ("outer", T.checksum s2) ] );
+    ( "observed-and-consumed",
+      fun ctx ->
+        let a = src ctx in
+        let s = T.shift [| 1 |] a in
+        let vs = T.checksum s in
+        let z = T.zip_with sub s a in
+        let vz = T.checksum z in
+        (* one flush observes the sink shift [l] and consumes [r] *)
+        let l = T.shift [| -1 |] a in
+        let r = T.shift [| 2 |] a in
+        let m = T.map (fun x -> add x (Expr.Const 0.5)) r in
+        T.flush ctx;
+        [ ("s", vs); ("z", vz); ("l", T.checksum l); ("m", T.checksum m) ] );
+    ( "reduce-over-shift",
+      fun ctx ->
+        let a = src ctx in
+        let s = T.shift [| 3 |] a in
+        let sum = T.reduce Prog.Rsum s in
+        (* a region outside the source's own index range *)
+        let prod = T.reduce ~region:(region1 (-3) (-1)) Prog.Rprod s in
+        let mx = T.reduce Prog.Rmax (T.shift [| -2 |] s) in
+        T.flush ctx;
+        let one = T.reduce ~region:(region1 (-2) 0) Prog.Rmin s in
+        [
+          ("sum", T.scalar_checksum sum);
+          ("prod", T.scalar_checksum prod);
+          ("max", T.scalar_checksum mx);
+          ("min", T.scalar_checksum one);
+        ] );
+    ( "identity-map-region",
+      fun ctx ->
+        let a = src ctx in
+        let m = T.map ~region:(region1 2 12) (fun x -> x) a in
+        let sq = T.map (fun x -> mul x x) m in
+        let vsq = T.checksum sq in
+        let k = T.map ~region:(region1 4 9) (fun x -> x) (T.shift [| 1 |] m) in
+        let vk = T.checksum k in
+        let total = T.reduce Prog.Rsum (T.map (fun x -> x) k) in
+        [
+          ("sq", vsq);
+          ("k", vk);
+          ("m", T.checksum m);
+          ("total", T.scalar_checksum total);
+        ] );
+    ( "zip-returns-operand",
+      fun ctx ->
+        let a = src ctx in
+        let b = T.map (fun x -> add x (Expr.Const 1.0)) a in
+        let l = T.zip_with (fun x _ -> x) (T.shift [| 1 |] a) b in
+        let r = T.zip_with (fun _ y -> y) a (T.shift [| -1 |] b) in
+        let self = T.zip_with (fun x _ -> x) r r in
+        let z = T.zip_with mul l self in
+        let vz = T.checksum z in
+        [ ("z", vz); ("l", T.checksum l); ("r", T.checksum r) ] );
+    ( "shift-chain-2d",
+      fun ctx ->
+        let g =
+          T.gen ctx
+            (region2 (0, 7) (0, 9))
+            (add (mul (Expr.Const 10.0) (Expr.Idx 1)) (Expr.Idx 2))
+        in
+        let s1 = T.shift [| 1; 0 |] g in
+        let s2 = T.shift [| 0; -1 |] s1 in
+        (* s3[i, j] = g[i, j] through three forwarded reads *)
+        let s3 = T.shift [| -1; 1 |] s2 in
+        let d = T.zip_with sub s3 g in
+        let vd = T.checksum d in
+        let w = T.zip_with (fun x y -> sub (mul (Expr.Const 2.0) x) y) s2 g in
+        let vw = T.checksum w in
+        let corner = T.reduce ~region:(region2 (-1, 0) (1, 2)) Prog.Rsum s2 in
+        [
+          ("d", vd);
+          ("w", vw);
+          ("corner", T.scalar_checksum corner);
+          ("s1", T.checksum s1);
+        ] );
+  ]
+
+(* Every case of the forced-checksum golden, as (name, checksum): 300
+   generated traces forced at baseline and at c2+f3, three lazy-stream
+   iterations, and the hand cases at both levels. *)
+let golden_cases () =
+  let levels = Compilers.Driver.[ Baseline; C2F3 ] in
+  let traced =
+    List.concat_map
+      (fun level ->
+        List.init 300 (fun i ->
+            let seed = i + 1 in
+            let tr =
+              Fuzz.Gen.generate_traced ~level
+                (Support.Prng.create (Int64.of_int seed))
+            in
+            let sum =
+              match tr.Fuzz.Gen.sink with
+              | Fuzz.Gen.Arr a -> T.checksum a
+              | Fuzz.Gen.Scalar s -> T.scalar_checksum s
+            in
+            ( Printf.sprintf "trace.%s.%d" (Compilers.Driver.level_name level) seed,
+              sum )))
+      levels
+  in
+  let stream =
+    let ctx = T.create ~name:"lazy-stream" () in
+    List.init 3 (fun i ->
+        let t = i + 1 in
+        (Printf.sprintf "lazy-stream.%d" t, T.checksum (stream_chain ctx ~seed:1 t)))
+  in
+  let hand =
+    List.concat_map
+      (fun level ->
+        List.concat_map
+          (fun (case, run) ->
+            List.map
+              (fun (label, sum) ->
+                ( Printf.sprintf "hand.%s.%s.%s" case
+                    (Compilers.Driver.level_name level)
+                    label,
+                  sum ))
+              (run (T.create ~level ())))
+          hand_cases)
+      levels
+  in
+  traced @ stream @ hand
+
+(* test/golden/lazy_checksums.txt holds one "name checksum" line per
+   case of [golden_cases], written by the lowering that still copied
+   every shift into an array of its own.  Forwarding a shift reads the
+   same elements where they already are, so every forced value must
+   come back bit for bit.  Regenerate only for a change that means to
+   move forced values. *)
+let test_checksum_golden () =
+  let ic = open_in_bin "golden/lazy_checksums.txt" in
+  let want = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  let want =
+    String.split_on_char '\n' want
+    |> List.filter (( <> ) "")
+    |> List.map (fun l ->
+           match String.split_on_char ' ' l with
+           | [ n; c ] -> (n, c)
+           | _ -> Alcotest.failf "malformed golden line %S" l)
+  in
+  let got = golden_cases () in
+  Alcotest.(check int) "case count" (List.length want) (List.length got);
+  List.iter2
+    (fun (wn, wc) (gn, gc) ->
+      Alcotest.(check string) "case name" wn gn;
+      Alcotest.(check string) wn wc gc)
+    want got
+
+let astmts (p : Prog.t) =
+  List.filter_map (function Prog.Astmt s -> Some s | _ -> None) p.Prog.body
+
+(* What [lower_direct] allocates around shift and identity ops: an op
+   whose value is a bare reference to one operand gets no array of its
+   own unless the flush observes it; its readers read the first
+   materialized ancestor at the summed offset. *)
+let test_forwarding_structure () =
+  let ctx = T.create () in
+  let a = src ctx in
+  let s1 = T.shift [| -1 |] a in
+  let s2 = T.shift [| -2 |] s1 in
+  let m = T.map (fun x -> mul (Expr.Const 2.0) x) s2 in
+  let p = T.lower_direct ctx m in
+  Alcotest.(check int) "shift chain: source and map only" 2
+    (List.length p.Prog.arrays);
+  Alcotest.(check int) "shift chain: two statements" 2
+    (List.length (astmts p));
+  (match astmts p with
+  | [ _; last ] ->
+      Alcotest.(check (list (pair string (list int))))
+        "the map reads the source at the summed offset"
+        [ ("a1", [ -3 ]) ]
+        (List.map (fun (x, d) -> (x, Array.to_list d)) (Expr.refs last.Nstmt.rhs))
+  | _ -> Alcotest.fail "expected two statements");
+  (* an observed shift keeps its array; its ancestor shift does not *)
+  let p = T.lower_direct ctx s2 in
+  Alcotest.(check (list string)) "observed shift materialized"
+    [ "a1"; "a2" ]
+    (List.map (fun (x : Prog.array_info) -> x.Prog.name) p.Prog.arrays);
+  Alcotest.(check (list string)) "its array is the live-out" [ "a2" ] p.Prog.live_out;
+  (* identity map and operand-returning zip_with *)
+  let id = T.map ~region:(region1 2 12) (fun x -> x) a in
+  let z = T.zip_with (fun _ y -> y) a (T.shift [| 1 |] id) in
+  let m = T.map (fun x -> add x (Expr.Const 1.0)) z in
+  let p = T.lower_direct ctx m in
+  Alcotest.(check int) "identity ops allocate nothing" 2 (List.length p.Prog.arrays);
+  (match astmts p with
+  | [ _; last ] ->
+      Alcotest.(check (list (pair string (list int))))
+        "read through zip, shift and identity map"
+        [ ("a1", [ 1 ]) ]
+        (List.map (fun (x, d) -> (x, Array.to_list d)) (Expr.refs last.Nstmt.rhs))
+  | _ -> Alcotest.fail "expected two statements");
+  (* a reduction over a shifted node reduces the source at the offset *)
+  let sum = T.reduce Prog.Rsum (T.shift [| 3 |] a) in
+  let p = T.lower_direct_scalar ctx sum in
+  Alcotest.(check int) "reduction over a shift: one array" 1
+    (List.length p.Prog.arrays);
+  (match List.rev p.Prog.body with
+  | Prog.Reduce { arg; region; _ } :: _ ->
+      Alcotest.(check bool) "over the shifted region" true
+        (Region.equal region (region1 (-3) 12));
+      Alcotest.(check (list (pair string (list int))))
+        "reading the source at the shift"
+        [ ("a1", [ 3 ]) ]
+        (List.map (fun (x, d) -> (x, Array.to_list d)) (Expr.refs arg))
+  | _ -> Alcotest.fail "expected a trailing reduction");
+  (* the lazy-stream flush: gen, the sum, the scaled sum; under c2+f3
+     the sum is contracted, leaving two loops over two arrays *)
+  let ctx = T.create () in
+  let p = T.lower_direct ctx (stream_chain ctx ~seed:1 1) in
+  Alcotest.(check int) "lazy-stream lowers three statements" 3
+    (List.length (astmts p));
+  let c = Compilers.Driver.compile_exn_opts Compilers.Driver.default_opts p in
+  Alcotest.(check int) "lazy-stream code: two arrays" 2
+    (List.length c.Compilers.Driver.code.Sir.Code.allocs);
+  Alcotest.(check int) "lazy-stream code: two loops" 2
+    (Sir.Code.count_loops c.Compilers.Driver.code)
+
+(* A forwarded op still counts as lowered; the two counts of the
+   stencil chain's flush (two forwarded shifts of five ops) agree
+   between the stats and the Obs counters. *)
+let test_forwarding_counted () =
+  let r = Obs.create () in
+  let st =
+    Obs.run r (fun () ->
+        let ctx = T.create () in
+        ignore (T.force (chain ctx 1.0));
+        T.stats ctx)
+  in
+  let counters = (Obs.report r).Obs.counters in
+  let get k = try List.assoc k counters with Not_found -> 0 in
+  Alcotest.(check int) "stats: lowered" 5 st.T.ops_lowered;
+  Alcotest.(check int) "stats: forwarded" 2 st.T.ops_forwarded;
+  Alcotest.(check int) "lazy.op.lowered" 5 (get Lazyarr.Metrics.op_lowered);
+  Alcotest.(check int) "lazy.op.forwarded" 2 (get Lazyarr.Metrics.op_forwarded)
+
 let suites =
   [
     ( "lazy-flush",
@@ -367,5 +643,14 @@ let suites =
           (prop_lazy_matches_reference Compilers.Driver.C2F3);
         Alcotest.test_case "trace generation deterministic + campaign" `Quick
           test_traced_deterministic;
+      ] );
+    ( "lazy-forward",
+      [
+        Alcotest.test_case "forced checksums match the golden" `Quick
+          test_checksum_golden;
+        Alcotest.test_case "shift and identity ops are read in place" `Quick
+          test_forwarding_structure;
+        Alcotest.test_case "forwarded ops are counted" `Quick
+          test_forwarding_counted;
       ] );
   ]

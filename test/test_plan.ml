@@ -200,6 +200,31 @@ let prop_ilp_never_worse =
           istats.Plan.Ilp.best_ns <= sstats.Plan.Search.best_ns +. 1e-6
           && sstats.Plan.Search.best_ns <= sstats.Plan.Search.greedy_ns +. 1e-6)
 
+(* pricing is not deciding: both planners price many partitions under
+   Core.Contraction's verdict, but only a compile's decisions may count
+   as contraction.candidates / .performed events *)
+let prop_pricing_is_silent =
+  QCheck.Test.make ~name:"planners price without decision events" ~count:60
+    (QCheck.make random_block_gen)
+    (fun specs ->
+      match mk_block specs with
+      | [] -> true
+      | stmts ->
+          let g = Core.Asdg.build stmts in
+          let cost = Plan.Cost.create cost_cfg (mk_prog stmts) in
+          let r = Obs.create () in
+          Obs.run r (fun () ->
+              let sp, _ =
+                Plan.Search.block search_cfg cost ~block:0
+                  ~candidates:all_candidates g
+              in
+              ignore
+                (Plan.Ilp.block ~seeds:[ sp ] ilp_cfg cost ~block:0
+                   ~candidates:all_candidates g));
+          let counters = (Obs.report r).Obs.counters in
+          let get k = Option.value ~default:0 (List.assoc_opt k counters) in
+          get "contraction.candidates" = 0 && get "contraction.performed" = 0)
+
 (* when the solver proves optimality the certified bound must bracket
    the incumbent from below (and match it at the reported objective) *)
 let prop_ilp_bound_sound =
@@ -1687,5 +1712,6 @@ let suites =
         QCheck_alcotest.to_alcotest prop_ilp_partitions_valid;
         QCheck_alcotest.to_alcotest prop_ilp_never_worse;
         QCheck_alcotest.to_alcotest prop_ilp_bound_sound;
+        QCheck_alcotest.to_alcotest prop_pricing_is_silent;
       ] );
   ]
