@@ -711,7 +711,7 @@ let get_scalar r name =
 
 let get_array r name =
   match Hashtbl.find_opt r.arrays name with
-  | Some a -> Array.copy a.data
+  | Some a -> a.data
   | None -> undefined_array name
 
 let read_point r name idx =

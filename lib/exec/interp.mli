@@ -102,8 +102,10 @@ val get_scalar : result -> string -> float
     Raises [Runtime_error] if undefined. *)
 
 val get_array : result -> string -> float array
-(** Final contents of an allocated array, row-major.  Raises
-    [Runtime_error] if the array was contracted away or undeclared. *)
+(** Final contents of an allocated array, row-major: the result's own
+    array, not a copy, so writing to it changes what {!checksum} and
+    {!read_point} see.  Raises [Runtime_error] if the array was
+    contracted away or undeclared. *)
 
 val read_point : result -> string -> int array -> float
 (** One element by its original (bounds-relative) index. *)

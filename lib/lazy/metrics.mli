@@ -26,8 +26,8 @@ val op_lowered : string
     later. *)
 
 val op_elided : string
-(** Ops a flush passed over — pending, outside the observed cone, and
-    never lowered before — i.e. the dead-op elision the lowering
+(** Ops a flush passed over — recorded since the previous flush and
+    outside the observed cone — i.e. the dead-op elision the lowering
     performs.  Each op counts at most once across a context's
     lifetime. *)
 

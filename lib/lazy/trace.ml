@@ -1,10 +1,12 @@
 (* The lazy array-expression frontend.
 
-   Combinators record ops into a per-context trace; observation
-   flushes: the observed cone is lowered to an Ir.Prog, compiled
-   through the Service.Engine plan cache, and executed under
-   Exec.Interp.  Two decisions make the plan cache effective across a
-   stream of structurally repeating traces:
+   Combinators record ops; each op points at the ops it reads, so the
+   caller's handles own the op graph and a context keeps only its
+   pending sinks and unforced reductions.  Observation flushes: the
+   observed cone is lowered to an Ir.Prog, compiled through the
+   Service.Engine plan cache, and executed under Exec.Interp.  Two
+   decisions make the plan cache effective across a stream of
+   structurally repeating traces:
 
    - canonical naming: lowered arrays/scalars are named by cone
      position ("a1", "a2", ... / "r1", ...), never by trace node id,
@@ -30,20 +32,17 @@ exception Shape_error of string
 
 let err fmt = Printf.ksprintf (fun s -> raise (Shape_error s)) fmt
 
-(* A trace op producing an array.  [rhs] references producer ops via
-   placeholder names "#<id>"; canonical names are assigned per flush,
-   so ids never leak into lowered programs. *)
+(* A trace op producing an array.  [rhs] references the ops it reads
+   via placeholder names "#<id>", and [deps] holds exactly those ops, so
+   a handle keeps its whole defining cone alive.  Canonical names are
+   assigned per flush, so ids never leak into lowered programs. *)
 type node = {
   id : int;
   region : Region.t;
   rhs : Expr.t;
-  deps : int list;
+  deps : node list;
   mutable consumed : bool;  (* some later op reads this one *)
   mutable values : float array option;  (* memoized observation *)
-  mutable accounted : bool;
-      (* already counted by some flush, as lowered or as elided — keeps
-         the ops_lowered/ops_elided split from recounting leftovers of
-         earlier flushes forever *)
 }
 
 (* A reduction op producing a scalar.  Reductions are always sinks:
@@ -52,9 +51,24 @@ type red = {
   rid : int;
   op : Prog.redop;
   red_region : Region.t;
-  src : int;
+  src : node;
   mutable value : float option;
-  mutable racc : bool;  (* as [accounted] *)
+}
+
+type stats = {
+  flushes : int;
+  ops_recorded : int;
+  ops_lowered : int;
+  ops_elided : int;
+  ops_forwarded : int;
+  params_lifted : int;
+  forces : int;
+  memo_hits : int;
+  cache_hits : int;
+  cache_misses : int;
+  compiles_computed : int;
+  plans_computed : int;
+  last_fingerprint : string option;
 }
 
 type ctx = {
@@ -63,26 +77,16 @@ type ctx = {
   plan : Api.plan_mode;
   target : Api.target;
   eng : Service.Engine.t;
-  nodes : (int, node) Hashtbl.t;
-  reds : (int, red) Hashtbl.t;
-  mutable next_id : int;
-  mutable next_rid : int;
+  mutable sinks : node list;
+      (* newest first: every op recorded since the last flush and the
+         sinks earlier flushes left pending; each flush drops the ones
+         read or forced since *)
+  mutable reds : red list;  (* unforced reductions, newest first *)
+  mutable flushed_at : int;  (* [ops_recorded] when the last flush ran *)
   mutable flushing : bool;
-  (* statistics (kept unconditionally; Obs counters additionally fire
-     when a recorder is installed) *)
-  mutable flushes : int;
-  mutable ops_recorded : int;
-  mutable ops_lowered : int;
-  mutable ops_elided : int;
-  mutable ops_forwarded : int;
-  mutable params_lifted : int;
-  mutable forces : int;
-  mutable memo_hits : int;
-  mutable cache_hits : int;
-  mutable cache_misses : int;
-  mutable compiles_computed : int;
-  mutable plans_computed : int;
-  mutable last_fingerprint : string option;
+  mutable stats : stats;
+      (* kept unconditionally; Obs counters additionally fire when a
+         recorder is installed *)
 }
 
 type arr = { actx : ctx; n : node }
@@ -99,34 +103,38 @@ let create ?(name = "lazy") ?engine ?(level = Compilers.Driver.C2F3)
     plan;
     target;
     eng;
-    nodes = Hashtbl.create 64;
-    reds = Hashtbl.create 8;
-    next_id = 0;
-    next_rid = 0;
+    sinks = [];
+    reds = [];
+    flushed_at = 0;
     flushing = false;
-    flushes = 0;
-    ops_recorded = 0;
-    ops_lowered = 0;
-    ops_elided = 0;
-    ops_forwarded = 0;
-    params_lifted = 0;
-    forces = 0;
-    memo_hits = 0;
-    cache_hits = 0;
-    cache_misses = 0;
-    compiles_computed = 0;
-    plans_computed = 0;
-    last_fingerprint = None;
+    stats =
+      {
+        flushes = 0;
+        ops_recorded = 0;
+        ops_lowered = 0;
+        ops_elided = 0;
+        ops_forwarded = 0;
+        params_lifted = 0;
+        forces = 0;
+        memo_hits = 0;
+        cache_hits = 0;
+        cache_misses = 0;
+        compiles_computed = 0;
+        plans_computed = 0;
+        last_fingerprint = None;
+      };
   }
 
 let engine ctx = ctx.eng
+let stats ctx = ctx.stats
 let region_of (a : arr) = a.n.region
 
 (* ------------------------------------------------------------------ *)
 (* Placeholders                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let placeholder id rank = Expr.Ref (Printf.sprintf "#%d" id, Support.Vec.zero rank)
+let pname (n : node) = Printf.sprintf "#%d" n.id
+let placeholder (n : node) rank = Expr.Ref (pname n, Support.Vec.zero rank)
 
 let id_of_placeholder x =
   if String.length x > 1 && x.[0] = '#' then
@@ -137,10 +145,10 @@ let id_of_placeholder x =
 (* Record-time shape checking                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* [allowed] maps each operand's placeholder name to its region; every
-   reference of [rhs] must target an operand, at the statement's rank,
-   and stay within the operand's computed domain over [region]. *)
-let check_rhs ~op ~(region : Region.t) ~allowed rhs =
+(* Every reference of [rhs] must name one of [operands], at the
+   statement's rank, and stay within that operand's computed domain
+   over [region].  Returns the operands [rhs] reads: the op's deps. *)
+let check_rhs ~op ~(region : Region.t) ~(operands : node list) rhs =
   let rank = Region.rank region in
   if Region.is_empty region then err "lazyarr.%s: empty region %s" op (Region.to_string region);
   (match Expr.svars rhs with
@@ -149,32 +157,38 @@ let check_rhs ~op ~(region : Region.t) ~allowed rhs =
   if not (Expr.rank_consistent ~rank rhs) then
     err "lazyarr.%s: expression index of rank inconsistent with region %s" op
       (Region.to_string region);
+  let named = List.map (fun n -> (pname n, n)) operands in
+  let refs = Expr.refs rhs in
   List.iter
     (fun (x, off) ->
-      match List.assoc_opt x allowed with
+      match List.assoc_opt x named with
       | None -> err "lazyarr.%s: expression references a foreign array" op
       | Some producer ->
-          if not (Region.contains producer (Region.shift region off)) then
+          if not (Region.contains producer.region (Region.shift region off)) then
             err
               "lazyarr.%s: read at offset %s over %s escapes the operand's \
                domain %s"
               op
               (Support.Vec.to_string off)
               (Region.to_string region)
-              (Region.to_string producer))
-    (Expr.refs rhs)
+              (Region.to_string producer.region))
+    refs;
+  List.filter_map (fun (x, n) -> if List.mem_assoc x refs then Some n else None) named
 
 let same_ctx op a b =
   if a.actx != b.actx then err "lazyarr.%s: operands from different contexts" op
 
-let record ctx ~region ~rhs ~deps =
-  let id = ctx.next_id in
-  ctx.next_id <- id + 1;
-  let n = { id; region; rhs; deps; consumed = false; values = None; accounted = false } in
-  Hashtbl.add ctx.nodes id n;
-  List.iter (fun d -> (Hashtbl.find ctx.nodes d).consumed <- true) deps;
-  ctx.ops_recorded <- ctx.ops_recorded + 1;
+(* The next op id; ids count the ops recorded, reductions included. *)
+let next_id ctx =
+  let st = ctx.stats in
+  ctx.stats <- { st with ops_recorded = st.ops_recorded + 1 };
   Obs.count Metrics.op_recorded 1;
+  st.ops_recorded
+
+let record ctx ~region ~rhs ~deps =
+  let n = { id = next_id ctx; region; rhs; deps; consumed = false; values = None } in
+  List.iter (fun (d : node) -> d.consumed <- true) deps;
+  ctx.sinks <- n :: ctx.sinks;
   { actx = ctx; n }
 
 (* ------------------------------------------------------------------ *)
@@ -182,15 +196,13 @@ let record ctx ~region ~rhs ~deps =
 (* ------------------------------------------------------------------ *)
 
 let gen ctx region e =
-  check_rhs ~op:"gen" ~region ~allowed:[] e;
-  record ctx ~region ~rhs:e ~deps:[]
+  record ctx ~region ~rhs:e ~deps:(check_rhs ~op:"gen" ~region ~operands:[] e)
 
 let map ?region f (a : arr) =
   let region = Option.value ~default:a.n.region region in
-  let pname = Printf.sprintf "#%d" a.n.id in
-  let rhs = f (placeholder a.n.id (Region.rank a.n.region)) in
-  check_rhs ~op:"map" ~region ~allowed:[ (pname, a.n.region) ] rhs;
-  record a.actx ~region ~rhs ~deps:[ a.n.id ]
+  let rhs = f (placeholder a.n (Region.rank a.n.region)) in
+  record a.actx ~region ~rhs
+    ~deps:(check_rhs ~op:"map" ~region ~operands:[ a.n ] rhs)
 
 let zip_with ?region f (a : arr) (b : arr) =
   same_ctx "zip_with" a b;
@@ -205,15 +217,12 @@ let zip_with ?region f (a : arr) (b : arr) =
               (Region.to_string a.n.region)
               (Region.to_string b.n.region))
   in
-  let pa = Printf.sprintf "#%d" a.n.id and pb = Printf.sprintf "#%d" b.n.id in
   let rank = Region.rank a.n.region in
-  let rhs = f (placeholder a.n.id rank) (placeholder b.n.id rank) in
-  (* self-zip reads one producer through both placeholders; the
-     [allowed] list just carries the region twice *)
-  check_rhs ~op:"zip_with" ~region
-    ~allowed:[ (pa, a.n.region); (pb, b.n.region) ]
-    rhs;
-  record a.actx ~region ~rhs ~deps:(if a.n.id = b.n.id then [ a.n.id ] else [ a.n.id; b.n.id ])
+  let rhs = f (placeholder a.n rank) (placeholder b.n rank) in
+  (* self-zip reads one producer through both placeholders *)
+  let operands = if a.n == b.n then [ a.n ] else [ a.n; b.n ] in
+  record a.actx ~region ~rhs
+    ~deps:(check_rhs ~op:"zip_with" ~region ~operands rhs)
 
 let shift d (a : arr) =
   let rank = Region.rank a.n.region in
@@ -221,11 +230,9 @@ let shift d (a : arr) =
     err "lazyarr.shift: offset rank %d, operand rank %d" (Support.Vec.rank d)
       rank;
   let region = Region.shift a.n.region (Support.Vec.neg d) in
-  let rhs = Expr.Ref (Printf.sprintf "#%d" a.n.id, d) in
-  check_rhs ~op:"shift" ~region
-    ~allowed:[ (Printf.sprintf "#%d" a.n.id, a.n.region) ]
-    rhs;
-  record a.actx ~region ~rhs ~deps:[ a.n.id ]
+  let rhs = Expr.Ref (pname a.n, d) in
+  record a.actx ~region ~rhs
+    ~deps:(check_rhs ~op:"shift" ~region ~operands:[ a.n ] rhs)
 
 let reduce ?region op (a : arr) =
   let ctx = a.actx in
@@ -239,41 +246,38 @@ let reduce ?region op (a : arr) =
     err "lazyarr.reduce: region %s escapes the operand's domain %s"
       (Region.to_string region)
       (Region.to_string a.n.region);
-  let rid = ctx.next_rid in
-  ctx.next_rid <- rid + 1;
-  let r = { rid; op; red_region = region; src = a.n.id; value = None; racc = false } in
-  Hashtbl.add ctx.reds rid r;
+  let r = { rid = next_id ctx; op; red_region = region; src = a.n; value = None } in
   a.n.consumed <- true;
-  ctx.ops_recorded <- ctx.ops_recorded + 1;
-  Obs.count Metrics.op_recorded 1;
+  ctx.reds <- r :: ctx.reds;
   { sctx = ctx; r }
 
 (* ------------------------------------------------------------------ *)
 (* Lowering                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Dependence cone of the observed ops: ids in ascending order (an
-   op's dependencies always have smaller ids, so ascending id order is
-   a topological order of the cone). *)
-let cone ctx ~(obs_arrays : node list) ~(obs_reds : red list) =
+(* Dependence cone of the observed ops, in ascending id order (an op's
+   operands always have smaller ids, so that is a topological order).
+   It follows [deps], so an operand the expression ignores is not in
+   it. *)
+let cone ~(obs_arrays : node list) ~(obs_reds : red list) =
   let seen = Hashtbl.create 32 in
-  let rec visit id =
-    if not (Hashtbl.mem seen id) then begin
-      Hashtbl.add seen id ();
-      List.iter visit (Hashtbl.find ctx.nodes id).deps
+  let rec visit (n : node) =
+    if not (Hashtbl.mem seen n.id) then begin
+      Hashtbl.add seen n.id n;
+      List.iter visit n.deps
     end
   in
-  List.iter (fun (n : node) -> visit n.id) obs_arrays;
+  List.iter visit obs_arrays;
   List.iter (fun (r : red) -> visit r.src) obs_reds;
-  Hashtbl.fold (fun id () acc -> id :: acc) seen [] |> List.sort compare
+  Hashtbl.fold (fun _ n acc -> n :: acc) seen []
+  |> List.sort (fun (a : node) b -> compare a.id b.id)
 
 type lowered = {
   prog : Prog.t;
   bindings : (string * float) list;  (* parameter scalar -> actual value *)
   named_arrays : (node * string) list;  (* observed nodes, canonical names *)
   named_reds : (red * string) list;
-  cone_ids : int list;
-  n_lowered : int;
+  cone : node list;
   n_forwarded : int;
 }
 
@@ -284,34 +288,34 @@ type lowered = {
    its first non-forwarded ancestor at the summed offset, and it gets
    no statement, no array and no canonical name.  Record-time checks
    keep each read inside its producer's domain, so the summed read
-   stays inside the ancestor's.  [forwarded] maps each such op to
-   (ancestor, offset); ascending ids visit a chain's inner ops first. *)
-let forwarded ctx ~cone_ids ~observed =
+   stays inside the ancestor's.  [forwarded] maps each such op's id to
+   (ancestor id, offset); ascending ids visit a chain's inner ops
+   first. *)
+let forwarded ~cone ~observed =
   let fwd = Hashtbl.create 8 in
   List.iter
-    (fun id ->
-      match (Hashtbl.find ctx.nodes id).rhs with
-      | Expr.Ref (x, d) when not (List.mem id observed) ->
-          let src = Option.get (id_of_placeholder x) in
-          Hashtbl.add fwd id
-            (match Hashtbl.find_opt fwd src with
+    (fun (n : node) ->
+      match (n.rhs, n.deps) with
+      | Expr.Ref (_, d), [ src ] when not (List.mem n.id observed) ->
+          Hashtbl.add fwd n.id
+            (match Hashtbl.find_opt fwd src.id with
             | Some (anc, d0) -> (anc, Support.Vec.add d0 d)
-            | None -> (src, d))
+            | None -> (src.id, d))
       | _ -> ())
-    cone_ids;
+    cone;
   fwd
 
 (* [canonical]: lift constants to parameter scalars (the cache-reuse
    lowering).  Without it, constants stay inline — the eager twin the
    oracle and the tests replay. *)
 let lower ctx ~canonical ~(obs_arrays : node list) ~(obs_reds : red list) =
-  let cone_ids = cone ctx ~obs_arrays ~obs_reds in
+  let cone = cone ~obs_arrays ~obs_reds in
   let observed = List.map (fun (n : node) -> n.id) obs_arrays in
-  let fwd = forwarded ctx ~cone_ids ~observed in
-  let kept = List.filter (fun id -> not (Hashtbl.mem fwd id)) cone_ids in
+  let fwd = forwarded ~cone ~observed in
+  let kept = List.filter (fun (n : node) -> not (Hashtbl.mem fwd n.id)) cone in
   let names = Hashtbl.create 16 in
   List.iteri
-    (fun i id -> Hashtbl.add names id (Printf.sprintf "a%d" (i + 1)))
+    (fun i (n : node) -> Hashtbl.add names n.id (Printf.sprintf "a%d" (i + 1)))
     kept;
   let obs_reds = List.sort (fun a b -> compare a.rid b.rid) obs_reds in
   let red_names =
@@ -352,10 +356,9 @@ let lower ctx ~canonical ~(obs_arrays : node list) ~(obs_reds : red list) =
   in
   let body =
     List.map
-      (fun id ->
-        let n = Hashtbl.find ctx.nodes id in
+      (fun (n : node) ->
         Prog.Astmt
-          (Nstmt.make ~region:n.region ~lhs:(Hashtbl.find names id) (tr n.rhs)))
+          (Nstmt.make ~region:n.region ~lhs:(Hashtbl.find names n.id) (tr n.rhs)))
       kept
     @ List.map
         (fun ((r : red), target) ->
@@ -370,12 +373,11 @@ let lower ctx ~canonical ~(obs_arrays : node list) ~(obs_reds : red list) =
   in
   let arrays =
     List.map
-      (fun id ->
-        let n = Hashtbl.find ctx.nodes id in
+      (fun (n : node) ->
         {
-          Prog.name = Hashtbl.find names id;
+          Prog.name = Hashtbl.find names n.id;
           bounds = n.region;
-          kind = (if List.mem id observed then Prog.User else Prog.Compiler);
+          kind = (if List.mem n.id observed then Prog.User else Prog.Compiler);
         })
       kept
   in
@@ -386,14 +388,14 @@ let lower ctx ~canonical ~(obs_arrays : node list) ~(obs_reds : red list) =
   in
   let live_out =
     List.filter_map
-      (fun id ->
-        if List.mem id observed then Some (Hashtbl.find names id) else None)
+      (fun (n : node) ->
+        if List.mem n.id observed then Some (Hashtbl.find names n.id) else None)
       kept
     @ List.map snd red_names
   in
   let prog =
     {
-      Prog.name = Printf.sprintf "%s.flush%d" ctx.name (ctx.flushes + 1);
+      Prog.name = Printf.sprintf "%s.flush%d" ctx.name (ctx.stats.flushes + 1);
       arrays;
       scalars;
       body;
@@ -405,19 +407,13 @@ let lower ctx ~canonical ~(obs_arrays : node list) ~(obs_reds : red list) =
   | Error m ->
       (* record-time checks are meant to make this unreachable *)
       err "lazyarr: lowered program is invalid (%s)" m);
-  let n_lowered = List.length cone_ids + List.length obs_reds in
   {
     prog;
     bindings;
     named_arrays =
-      List.filter_map
-        (fun (n : node) ->
-          if List.mem n.id cone_ids then Some (n, Hashtbl.find names n.id)
-          else None)
-        obs_arrays;
+      List.map (fun (n : node) -> (n, Hashtbl.find names n.id)) obs_arrays;
     named_reds = red_names;
-    cone_ids;
-    n_lowered;
+    cone;
     n_forwarded = Hashtbl.length fwd;
   }
 
@@ -449,6 +445,12 @@ let rebind bindings (code : Sir.Code.program) =
           code.Sir.Code.scalars;
     }
 
+let count p l = List.fold_left (fun k x -> if p x then k + 1 else k) 0 l
+
+(* A sink an explicit flush still has to compute: nothing has read it
+   and nothing has forced it. *)
+let pending (n : node) = (not n.consumed) && n.values = None
+
 let flush_obs ctx ~obs_arrays ~obs_reds =
   if ctx.flushing then err "lazyarr: re-entrant flush";
   ctx.flushing <- true;
@@ -460,36 +462,29 @@ let flush_obs ctx ~obs_arrays ~obs_reds =
         Obs.span "lazy.lower" (fun () ->
             lower ctx ~canonical:true ~obs_arrays ~obs_reds)
       in
-      ctx.flushes <- ctx.flushes + 1;
-      ctx.ops_lowered <- ctx.ops_lowered + l.n_lowered;
-      ctx.ops_forwarded <- ctx.ops_forwarded + l.n_forwarded;
-      (* dead-op elision accounting: a pending op outside the cone is
-         elided — counted once, the first time a flush passes it over
-         without ever having lowered it *)
-      List.iter
-        (fun id -> (Hashtbl.find ctx.nodes id).accounted <- true)
-        l.cone_ids;
-      List.iter (fun ((r : red), _) -> r.racc <- true) l.named_reds;
-      let n_elided = ref 0 in
-      Hashtbl.iter
-        (fun _ (n : node) ->
-          if (not n.accounted) && n.values = None then begin
-            n.accounted <- true;
-            incr n_elided
-          end)
-        ctx.nodes;
-      Hashtbl.iter
-        (fun _ (r : red) ->
-          if (not r.racc) && r.value = None then begin
-            r.racc <- true;
-            incr n_elided
-          end)
-        ctx.reds;
-      let n_elided = !n_elided in
-      ctx.ops_elided <- ctx.ops_elided + n_elided;
-      ctx.params_lifted <- ctx.params_lifted + List.length l.bindings;
+      let n_lowered = List.length l.cone + List.length l.named_reds in
+      (* dead-op elision: the previous flush counted every earlier op, as
+         lowered or as elided, so the ops this one passes over are those
+         recorded since, outside its cone *)
+      let st = ctx.stats in
+      let fresh id = id >= ctx.flushed_at in
+      let n_elided =
+        st.ops_recorded - ctx.flushed_at
+        - count (fun (n : node) -> fresh n.id) l.cone
+        - count (fun ((r : red), _) -> fresh r.rid) l.named_reds
+      in
+      ctx.flushed_at <- st.ops_recorded;
+      ctx.stats <-
+        {
+          st with
+          flushes = st.flushes + 1;
+          ops_lowered = st.ops_lowered + n_lowered;
+          ops_elided = st.ops_elided + n_elided;
+          ops_forwarded = st.ops_forwarded + l.n_forwarded;
+          params_lifted = st.params_lifted + List.length l.bindings;
+        };
       Obs.count Metrics.flush 1;
-      Obs.count Metrics.op_lowered l.n_lowered;
+      Obs.count Metrics.op_lowered n_lowered;
       if n_elided > 0 then Obs.count Metrics.op_elided n_elided;
       if l.n_forwarded > 0 then Obs.count Metrics.op_forwarded l.n_forwarded;
       if l.bindings <> [] then
@@ -508,12 +503,16 @@ let flush_obs ctx ~obs_arrays ~obs_reds =
         | Ok (fp, c, _provenance, lookup) -> (fp, c, lookup)
         | Error d -> raise (Obs.Error d)
       in
-      ctx.cache_hits <- ctx.cache_hits + Bool.to_int lookup.hit;
-      ctx.cache_misses <- ctx.cache_misses + Bool.to_int (not lookup.hit);
-      ctx.compiles_computed <-
-        ctx.compiles_computed + Bool.to_int lookup.compiled;
-      ctx.plans_computed <- ctx.plans_computed + Bool.to_int lookup.planned;
-      ctx.last_fingerprint <- Some fingerprint;
+      let st = ctx.stats in
+      ctx.stats <-
+        {
+          st with
+          cache_hits = st.cache_hits + Bool.to_int lookup.hit;
+          cache_misses = st.cache_misses + Bool.to_int (not lookup.hit);
+          compiles_computed = st.compiles_computed + Bool.to_int lookup.compiled;
+          plans_computed = st.plans_computed + Bool.to_int lookup.planned;
+          last_fingerprint = Some fingerprint;
+        };
       let code = rebind l.bindings compiled.Compilers.Driver.code in
       let res = Obs.span "lazy.execute" (fun () -> Exec.Interp.run code) in
       List.iter
@@ -523,29 +522,33 @@ let flush_obs ctx ~obs_arrays ~obs_reds =
       List.iter
         (fun ((r : red), name) ->
           r.value <- Some (Exec.Interp.get_scalar res name))
-        l.named_reds)
+        l.named_reds;
+      ctx.sinks <- List.filter pending ctx.sinks;
+      ctx.reds <- List.filter (fun (r : red) -> r.value = None) ctx.reds)
 
 (* ------------------------------------------------------------------ *)
 (* Observation                                                         *)
 (* ------------------------------------------------------------------ *)
 
 let note_force ctx ~memo =
-  ctx.forces <- ctx.forces + 1;
+  let st = ctx.stats in
+  ctx.stats <-
+    { st with forces = st.forces + 1; memo_hits = st.memo_hits + Bool.to_int memo };
   Obs.count Metrics.force 1;
-  if memo then begin
-    ctx.memo_hits <- ctx.memo_hits + 1;
-    Obs.count Metrics.force_memo 1
-  end
+  if memo then Obs.count Metrics.force_memo 1
 
-let force (a : arr) =
+(* The observed value, from the memo or from a flush of its cone. *)
+let values (a : arr) =
   match a.n.values with
   | Some v ->
       note_force a.actx ~memo:true;
-      Array.copy v
+      v
   | None ->
       note_force a.actx ~memo:false;
       flush_obs a.actx ~obs_arrays:[ a.n ] ~obs_reds:[];
-      Array.copy (Option.get a.n.values)
+      Option.get a.n.values
+
+let force a = Array.copy (values a)
 
 let force_scalar (s : scalar) =
   match s.r.value with
@@ -557,72 +560,16 @@ let force_scalar (s : scalar) =
       flush_obs s.sctx ~obs_arrays:[] ~obs_reds:[ s.r ];
       Option.get s.r.value
 
-let digest_of values =
-  Exec.Interp.Digest.(to_hex (mix_array empty values))
-
-let checksum (a : arr) =
-  (match a.n.values with
-  | Some _ -> note_force a.actx ~memo:true
-  | None ->
-      note_force a.actx ~memo:false;
-      flush_obs a.actx ~obs_arrays:[ a.n ] ~obs_reds:[]);
-  digest_of (Option.get a.n.values)
+let checksum a = Exec.Interp.Digest.(to_hex (mix_array empty (values a)))
 
 let scalar_checksum (s : scalar) =
   let v = force_scalar s in
   Exec.Interp.Digest.to_hex
     (Exec.Interp.Digest.mix Exec.Interp.Digest.empty v)
 
+(* Every pending sink and unforced reduction, oldest first. *)
 let flush ctx =
-  let obs_arrays =
-    Hashtbl.fold
-      (fun _ (n : node) acc ->
-        if (not n.consumed) && n.values = None then n :: acc else acc)
-      ctx.nodes []
-    |> List.sort (fun (a : node) b -> compare a.id b.id)
-  in
-  let obs_reds =
-    Hashtbl.fold
-      (fun _ (r : red) acc -> if r.value = None then r :: acc else acc)
-      ctx.reds []
-    |> List.sort (fun (a : red) b -> compare a.rid b.rid)
-  in
+  let obs_arrays = List.rev (List.filter pending ctx.sinks) in
+  let obs_reds = List.rev ctx.reds in
   if obs_arrays <> [] || obs_reds <> [] then
     flush_obs ctx ~obs_arrays ~obs_reds
-
-(* ------------------------------------------------------------------ *)
-(* Statistics                                                          *)
-(* ------------------------------------------------------------------ *)
-
-type stats = {
-  flushes : int;
-  ops_recorded : int;
-  ops_lowered : int;
-  ops_elided : int;
-  ops_forwarded : int;
-  params_lifted : int;
-  forces : int;
-  memo_hits : int;
-  cache_hits : int;
-  cache_misses : int;
-  compiles_computed : int;
-  plans_computed : int;
-  last_fingerprint : string option;
-}
-
-let stats (ctx : ctx) =
-  {
-    flushes = ctx.flushes;
-    ops_recorded = ctx.ops_recorded;
-    ops_lowered = ctx.ops_lowered;
-    ops_elided = ctx.ops_elided;
-    ops_forwarded = ctx.ops_forwarded;
-    params_lifted = ctx.params_lifted;
-    forces = ctx.forces;
-    memo_hits = ctx.memo_hits;
-    cache_hits = ctx.cache_hits;
-    cache_misses = ctx.cache_misses;
-    compiles_computed = ctx.compiles_computed;
-    plans_computed = ctx.plans_computed;
-    last_fingerprint = ctx.last_fingerprint;
-  }

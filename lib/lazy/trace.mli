@@ -5,16 +5,18 @@
     (Kristensen et al.) describes — operations arrive {e one at a
     time}, and the system batches, shape-checks and fuses them
     dynamically.  Combinators ({!gen}, {!map}, {!zip_with}, {!shift},
-    {!reduce}) do no array work: each records one op into its
-    context's trace, after shape-checking it so errors surface at the
-    offending call.  Array work happens at a {e flush} — triggered by
-    an observation ({!force}, {!force_scalar}, {!checksum}) or by an
-    explicit {!flush} — which
+    {!reduce}) do no array work: each records one op, after
+    shape-checking it so errors surface at the offending call.  An op
+    points at the operands its expression reads, so the caller's
+    handles keep the op graph alive; the context keeps only what an
+    explicit {!flush} may still have to compute.  Array work happens
+    at a {e flush} — triggered by an observation ({!force},
+    {!force_scalar}, {!checksum}) or by an explicit {!flush} — which
 
     {ol
-    {- lowers the cone of trace ops the observation depends on to an
-       {!Ir.Prog} (ops outside the cone are elided — dead temporaries
-       cost nothing);}
+    {- lowers the cone of the observation — the ops it reads, and the
+       ops those read — to an {!Ir.Prog} (ops outside the cone are
+       elided — dead temporaries cost nothing);}
     {- reads every unobserved op whose value is a bare reference to
        one operand (a {!shift}, an identity {!map}, a {!zip_with}
        returning one operand) in place, as an [@]-offset reference to
@@ -32,9 +34,10 @@
     Intermediate ops inside a cone are compiler temporaries: the
     optimizer fuses their loops and contracts their storage exactly as
     it would for a whole-program input.  Observed results are
-    memoized; re-forcing is free.  A node observed {e after} some
-    flush already consumed it is recomputed from its (still recorded)
-    defining ops — all ops are pure, so recomputation is exact.
+    memoized, for as long as their handle lives; re-forcing is free.
+    A node observed {e after} some flush already consumed it is
+    recomputed from the ops its handle keeps alive — all ops are pure,
+    so recomputation is exact.
 
     Instrumentation: flushes run under [Obs] spans ["lazy.flush"] /
     ["lazy.lower"] / ["lazy.execute"] and bump the {!Metrics}
@@ -48,11 +51,16 @@ exception Shape_error of string
     anything but the operands it was given). *)
 
 type ctx
-(** A trace context: the op log, the engine handle, and the
-    compile configuration (level / plan mode / target). *)
+(** A trace context: the engine handle, the compile configuration
+    (level / plan mode / target), the {!stats}, and the pending sinks
+    and unforced reductions an explicit {!flush} would compute.  Every
+    other op lives only as long as a handle reaches it, so a context
+    that streams flushes and drops its handles runs in bounded
+    memory. *)
 
 type arr
-(** A lazy array: a handle to one trace op and its region. *)
+(** A lazy array: a handle to one trace op, which keeps the ops it
+    reads alive, and its forced value once there is one. *)
 
 type scalar
 (** A lazy scalar: the pending result of a {!reduce}. *)
@@ -69,8 +77,8 @@ val create :
     {!Service.Engine.create}; pass a shared engine to pool plan-cache
     state across contexts (that sharing is what a daemon does).
     [level] defaults to [C2F3], [plan] to [Greedy], [target] to
-    {!Service.Api.default_target} ([target] only matters under
-    [Search]). *)
+    {!Service.Api.default_target} ([target] keys and prices the plan
+    under [Search] and [Ilp]; the greedy ladder ignores it). *)
 
 val engine : ctx -> Service.Engine.t
 
@@ -136,9 +144,10 @@ val checksum : arr -> string
 val scalar_checksum : scalar -> string
 
 val flush : ctx -> unit
-(** Materialize every pending sink (ops no recorded op consumes) in
-    one batched program — multi-output fusion.  A context with no
-    pending sink is a no-op. *)
+(** Materialize every pending sink (an op no recorded op reads and
+    nothing has forced) and every unforced reduction in one batched
+    program — multi-output fusion.  A context with no pending sink is
+    a no-op. *)
 
 (** {1 Lowering (exposed for tests, the fuzzer and the bench)} *)
 
@@ -162,8 +171,9 @@ type stats = {
   ops_recorded : int;
   ops_lowered : int;  (** cone ops lowered across all flushes *)
   ops_elided : int;
-      (** never-lowered ops that some flush passed over (dead at that
-          observation; each op counts at most once) *)
+      (** ops a flush passed over: recorded since the previous flush
+          and outside its cone (dead at that observation; each op
+          counts at most once) *)
   ops_forwarded : int;
       (** lowered ops read in place, with no statement and no array:
           unobserved shift and identity ops *)

@@ -335,14 +335,14 @@ let region2 (l1, h1) (l2, h2) = Region.of_bounds [ (l1, h1); (l2, h2) ]
 let sub a b = Expr.Binop (Expr.Sub, a, b)
 
 (* perfbench's lazy-stream iteration (perfbench/lazy_stream.ml): the
-   1-D three-point stencil chain over 65536 points, its constants drawn
-   from the seed and the iteration *)
-let stream_chain ctx ~seed t =
+   1-D three-point stencil chain over [n] points (perfbench's 65536 by
+   default), its constants drawn from the seed and the iteration *)
+let stream_chain ?(n = 65536) ctx ~seed t =
   let s = float_of_int (1 + (abs seed mod 1000)) /. 1000.0 in
   let ft = float_of_int t in
   let a = 1.0 +. (0.125 *. ft *. s) and b = ft +. s and c = 0.25 /. (ft +. s) in
   let src =
-    T.gen ctx (region1 0 65535)
+    T.gen ctx (region1 0 (n - 1))
       (mul (Expr.Const a) (add (Expr.Idx 1) (Expr.Const b)))
   in
   T.map
@@ -603,6 +603,83 @@ let test_forwarding_counted () =
   Alcotest.(check int) "lazy.op.lowered" 5 (get Lazyarr.Metrics.op_lowered);
   Alcotest.(check int) "lazy.op.forwarded" 2 (get Lazyarr.Metrics.op_forwarded)
 
+(* ------------------------------------------------------------------ *)
+(* What a context holds                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* An op's cone follows the operands its expression reads: a zip_with
+   that returns one operand does not pull in the other, which stays a
+   pending sink until an explicit flush computes it. *)
+let test_cone_follows_reads () =
+  let ctx = T.create () in
+  let a = src ctx in
+  let b = T.map (fun x -> add x (Expr.Const 1.0)) a in
+  let z = T.zip_with (fun x _ -> x) (T.shift [| 1 |] a) b in
+  let sq = T.map (fun x -> mul x x) z in
+  Alcotest.(check int) "the source and the square only" 2
+    (List.length (astmts (T.lower_direct ctx sq)));
+  (* over [0..14]: a[i+1]^2 = (3i+4)^2 *)
+  check_floats "sq values"
+    (Array.init 15 (fun i -> float_of_int (((3 * i) + 4) * ((3 * i) + 4))))
+    (T.force sq);
+  let st = T.stats ctx in
+  Alcotest.(check int) "one flush" 1 st.T.flushes;
+  Alcotest.(check int) "source, shift, zip and square lowered" 4 st.T.ops_lowered;
+  Alcotest.(check int) "shift and zip read in place" 2 st.T.ops_forwarded;
+  Alcotest.(check int) "b elided" 1 st.T.ops_elided;
+  T.flush ctx;
+  let st = T.stats ctx in
+  Alcotest.(check int) "b was a pending sink" 2 st.T.flushes;
+  Alcotest.(check int) "source and b lowered" 6 st.T.ops_lowered;
+  Alcotest.(check int) "elision counted once" 1 st.T.ops_elided;
+  check_floats "b = 3i+2" (Array.init 16 (fun i -> float_of_int ((3 * i) + 2))) (T.force b);
+  Alcotest.(check int) "b served from memo" 1 (T.stats ctx).T.memo_hits
+
+(* A sink one flush passes over stays pending: an explicit flush
+   computes it. *)
+let test_flush_computes_passed_over_sink () =
+  let ctx = T.create () in
+  let a = src ctx in
+  let b = T.map (fun x -> add x (Expr.Const 1.0)) a in
+  let c = T.map (fun x -> mul x (Expr.Const 2.0)) a in
+  check_floats "b = 3i+2" (Array.init 16 (fun i -> float_of_int ((3 * i) + 2))) (T.force b);
+  T.flush ctx;
+  let st = T.stats ctx in
+  Alcotest.(check int) "the flush computed c" 2 st.T.flushes;
+  Alcotest.(check int) "a and b, then a and c" 4 st.T.ops_lowered;
+  Alcotest.(check int) "c elided by the first flush" 1 st.T.ops_elided;
+  check_floats "c = 6i+2" (Array.init 16 (fun i -> float_of_int ((6 * i) + 2))) (T.force c);
+  let st = T.stats ctx in
+  Alcotest.(check int) "c served from memo" 1 st.T.memo_hits;
+  Alcotest.(check int) "no third flush" 2 st.T.flushes;
+  T.flush ctx;
+  Alcotest.(check int) "nothing left pending" 2 (T.stats ctx).T.flushes
+
+(* One context streams the lazy-stream chain, each handle dropped once
+   forced: the context keeps no forced array and no op, so the live
+   heap after the last flush is within 1 MB of the live heap after
+   flush 20 (a context that kept each forced 32 KB array would grow by
+   about 5.8 MB). *)
+let test_stream_bounded_memory () =
+  let ctx = T.create ~name:"lazy-stream" () in
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let flushes = 200 and checkpoint = 20 in
+  let at_checkpoint = ref 0 in
+  for t = 1 to flushes do
+    ignore (T.checksum (stream_chain ~n:4096 ctx ~seed:1 t));
+    if t = checkpoint then at_checkpoint := live ()
+  done;
+  let last = live () in
+  Alcotest.(check int) "one flush per iteration" flushes (T.stats ctx).T.flushes;
+  let mb = (1 lsl 20) / (Sys.word_size / 8) in
+  if abs (last - !at_checkpoint) > mb then
+    Alcotest.failf "live words: %d after flush %d, %d after flush %d (%.1f MB apart)"
+      !at_checkpoint checkpoint last flushes
+      (float_of_int (abs (last - !at_checkpoint)) /. float_of_int mb)
+
 let suites =
   [
     ( "lazy-flush",
@@ -652,5 +729,14 @@ let suites =
           test_forwarding_structure;
         Alcotest.test_case "forwarded ops are counted" `Quick
           test_forwarding_counted;
+      ] );
+    ( "lazy-context",
+      [
+        Alcotest.test_case "cone follows the operands an op reads" `Quick
+          test_cone_follows_reads;
+        Alcotest.test_case "flush computes a passed-over sink" `Quick
+          test_flush_computes_passed_over_sink;
+        Alcotest.test_case "one context streams in bounded memory" `Quick
+          test_stream_bounded_memory;
       ] );
   ]
