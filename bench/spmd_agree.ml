@@ -75,13 +75,13 @@ let measure (b : Suite.bench) level procs =
   let c = Harness.compile ~level prog in
   let seq_sum = Exec.Interp.checksum (Exec.Interp.run c.Compilers.Driver.code) in
   let a = Comm.Model.analyze ~machine ~procs ~opts:Comm.Model.all_on c in
-  let r =
+  let { Spmd.report = r; per_proc } =
     Spmd.execute { Spmd.machine; procs; opts = Comm.Model.all_on; cachesim = false } c
   in
   let comm_ns =
     Array.fold_left
-      (fun acc (p : Spmd.proc_counters) -> max acc p.Spmd.comm_ns)
-      0.0 r.Spmd.per_proc
+      (fun acc (p : Spmd.proc_counters) -> max acc p.comm_ns)
+      0.0 per_proc
   in
   {
     bench = b.name;

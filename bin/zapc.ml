@@ -128,7 +128,11 @@ let stats_json ?spmd ?native ?plan (s : Api.summary) report =
       ("footprint_bytes", Int s.Api.footprint_bytes);
     ]
   in
-  let base = match spmd with Some j -> base @ [ ("spmd", j) ] | None -> base in
+  let base =
+    match spmd with
+    | Some r -> base @ [ ("spmd", Obs.Codec.encode Spmd.report_codec r) ]
+    | None -> base
+  in
   let base =
     match native with
     | Some n -> base @ [ ("native", Obs.Codec.encode Api.native_codec n) ]
@@ -179,7 +183,7 @@ let print_perf ~quiet (p : Api.perf) =
       | None -> "")
       p.Api.messages p.Api.msg_bytes p.Api.checksum
 
-let print_spmd ~quiet (p : Api.perf) (s : Api.spmd_summary) =
+let print_spmd ~quiet (p : Api.perf) (s : Spmd.report) =
   if not quiet then
     Printf.printf
       "spmd on %s x%d: time %.3f ms over %d supersteps (%s)\n\
@@ -187,16 +191,22 @@ let print_spmd ~quiet (p : Api.perf) (s : Api.spmd_summary) =
       \  ghost fills %d  unmodeled %d  reduction messages %d%s\n\
       \  checksum %s\n"
       p.Api.machine p.Api.procs
-      (s.Api.spmd_time_ns /. 1e6)
-      s.Api.supersteps
-      (if s.Api.matches_model then "matches model" else "DIVERGES from model")
-      s.Api.charged_messages s.Api.charged_bytes s.Api.wire_messages
-      s.Api.wire_bytes s.Api.ghost_fills s.Api.unmodeled_exchanges
-      s.Api.reduction_messages
-      (match s.Api.spmd_l1_miss_pct with
-      | Some pct -> Printf.sprintf "  L1 miss %.2f%%" pct
+      (s.Spmd.time_ns /. 1e6)
+      s.Spmd.supersteps
+      (if
+         String.equal s.Spmd.checksum p.Api.checksum
+         && s.Spmd.charged_messages = p.Api.messages
+         && s.Spmd.charged_bytes = p.Api.msg_bytes
+       then "matches model"
+       else "DIVERGES from model")
+      s.Spmd.charged_messages s.Spmd.charged_bytes s.Spmd.wire_messages
+      s.Spmd.wire_bytes s.Spmd.ghost_fills s.Spmd.unmodeled_exchanges
+      s.Spmd.reduction_messages
+      (match s.Spmd.l1 with
+      | Some l1 ->
+          Printf.sprintf "  L1 miss %.2f%%" (100.0 *. Cachesim.Cache.miss_rate l1)
       | None -> "")
-      s.Api.spmd_checksum
+      s.Spmd.checksum
 
 let print_native ~quiet (n : Api.native_summary) =
   if not quiet then
@@ -273,7 +283,7 @@ let render ~quiet ~emit_c_path ~stats ~recorder (s : Api.summary) provenance
         print_perf ~quiet perf;
         Option.iter (fun sp -> print_spmd ~quiet perf sp) spmd;
         Option.iter (fun n -> print_native ~quiet n) native;
-        (Option.map (fun sp -> sp.Api.report) spmd, native)
+        (spmd, native)
     | None -> (None, None)
   in
   match (recorder, stats) with

@@ -42,6 +42,26 @@ let cluster_cost_ns ~machine p rep =
     (Core.Partition.members p rep)
 
 (* ------------------------------------------------------------------ *)
+(* Prices                                                              *)
+(* ------------------------------------------------------------------ *)
+
+let transfer_ns ~(machine : Machine.t) bytes =
+  machine.Machine.msg_latency_ns +. (machine.Machine.byte_ns *. float_of_int bytes)
+
+let wait_ns ~(machine : Machine.t) ~opts ~window bytes =
+  let raw = transfer_ns ~machine bytes in
+  if opts.pipelining then
+    max (0.25 *. machine.Machine.msg_latency_ns) (raw -. window)
+  else raw
+
+let reduction_stages procs =
+  if procs <= 1 then 0
+  else int_of_float (ceil (log (float_of_int procs) /. log 2.0))
+
+let tree_ns ~machine ~procs =
+  float_of_int (reduction_stages procs) *. transfer_ns ~machine 8
+
+(* ------------------------------------------------------------------ *)
 (* Per-block message schedules                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -60,10 +80,15 @@ type message = {
   m_bytes : int;
 }
 
+type step = {
+  s_stmts : Nstmt.t list;
+  s_cost : float;
+  s_messages : message list;
+}
+
 type block_sched = {
   b_rank : int;
-  b_costs : float array;
-  b_steps : message list array;
+  b_steps : step array;
   b_inferred : int;
   b_kept : int;
 }
@@ -92,10 +117,11 @@ let depth_covers a b =
 let depth_max a b = Array.map2 max a b
 
 (* The schedule of one basic block: clusters in emission order, each
-   with the arrays it writes, its remote reads (with componentwise-max
-   merged ghost depths), and its compute cost.  Fusion legality
+   with its statements, the arrays it writes, its remote reads (with
+   componentwise-max merged ghost depths), and its compute cost.  Fusion legality
    (Def. 5(i)) makes all members of a cluster share one region. *)
 type sched_entry = {
+  stmts : Nstmt.t list;
   writes : string list;
   region : Region.t option;
   remote : (string * int array * int array) list;  (** array, dir, depth *)
@@ -143,6 +169,7 @@ let block_schedule ~machine ~dist (bp : Sir.Scalarize.block_plan) =
             (Expr.refs s.rhs))
         stmts;
       {
+        stmts;
         writes;
         region;
         remote = List.rev !remote;
@@ -274,14 +301,16 @@ let block_sched_of ~(machine : Machine.t) ~procs ~opts stmts bp =
   in
   let kept = List.length events in
   let msgs = messages_of_events ~opts events in
-  let n = List.length sched in
-  let steps = Array.make n [] in
-  List.iter (fun m -> steps.(m.m_consumer) <- m :: steps.(m.m_consumer)) msgs;
-  Array.iteri (fun i l -> steps.(i) <- List.rev l) steps;
+  let at = Array.make (List.length sched) [] in
+  List.iter (fun m -> at.(m.m_consumer) <- m :: at.(m.m_consumer)) msgs;
   {
     b_rank = rank;
-    b_costs = Array.of_list (List.map (fun e -> e.cost) sched);
-    b_steps = steps;
+    b_steps =
+      Array.of_list
+        (List.mapi
+           (fun i e ->
+             { s_stmts = e.stmts; s_cost = e.cost; s_messages = List.rev at.(i) })
+           sched);
     b_inferred = inferred;
     b_kept = kept;
   }
@@ -295,10 +324,6 @@ let schedule ~(machine : Machine.t) ~procs ~opts
     (c : Compilers.Driver.compiled) =
   schedule_plan ~machine ~procs ~opts c.Compilers.Driver.prog
     c.Compilers.Driver.plan
-
-let reduction_stages procs =
-  if procs <= 1 then 0
-  else int_of_float (ceil (log (float_of_int procs) /. log 2.0))
 
 (* ------------------------------------------------------------------ *)
 (* Whole-program analysis                                              *)
@@ -327,20 +352,20 @@ let zero_summary =
   { messages = 0; bytes = 0; raw_ns = 0.0; effective_ns = 0.0; reduction_ns = 0.0 }
 
 (* One message's charge for a single execution of its block: the raw
-   cost and, under pipelining, the effective cost left after the
-   clusters between its producer and its consumer hide what they can
-   (never below 0.25 alpha). *)
-let message_ns ~(machine : Machine.t) ~opts bs m =
-  let alpha = machine.Machine.msg_latency_ns in
-  let raw = alpha +. (machine.Machine.byte_ns *. float_of_int m.m_bytes) in
-  if not opts.pipelining then (raw, raw)
-  else begin
-    let window = ref 0.0 in
+   cost and the wait left after the clusters between its producer and
+   its consumer hide what they can. *)
+let message_ns ~machine ~opts bs m =
+  let window = ref 0.0 in
+  if opts.pipelining then
     for q = m.m_producer + 1 to m.m_consumer - 1 do
-      window := !window +. bs.b_costs.(q)
+      window := !window +. bs.b_steps.(q).s_cost
     done;
-    (raw, max (0.25 *. alpha) (raw -. !window))
-  end
+  ( transfer_ns ~machine m.m_bytes,
+    wait_ns ~machine ~opts ~window:!window m.m_bytes )
+
+(* Each message of a block schedule, in step order. *)
+let iter_messages f bs =
+  Array.iter (fun st -> List.iter f st.s_messages) bs.b_steps
 
 (* Cost of one block schedule for a single execution of the block —
    the per-message charges of [analyze], without the execution
@@ -348,18 +373,18 @@ let message_ns ~(machine : Machine.t) ~opts bs m =
    planner's search loop). *)
 let sched_cost ~machine ~opts bs =
   let total = ref zero_summary in
-  Array.iter
-    (List.iter (fun m ->
-         let raw, eff = message_ns ~machine ~opts bs m in
-         total :=
-           {
-             !total with
-             messages = !total.messages + 1;
-             bytes = !total.bytes + m.m_bytes;
-             raw_ns = !total.raw_ns +. raw;
-             effective_ns = !total.effective_ns +. eff;
-           }))
-    bs.b_steps;
+  iter_messages
+    (fun m ->
+      let raw, eff = message_ns ~machine ~opts bs m in
+      total :=
+        {
+          !total with
+          messages = !total.messages + 1;
+          bytes = !total.bytes + m.m_bytes;
+          raw_ns = !total.raw_ns +. raw;
+          effective_ns = !total.effective_ns +. eff;
+        })
+    bs;
   !total
 
 let block_comm ~machine ~procs ~opts stmts bp =
@@ -377,15 +402,16 @@ let analyze ~(machine : Machine.t) ~procs ~opts
         (schedule_plan ~machine ~procs ~opts prog c.Compilers.Driver.plan)
     in
     let block_mult, reductions = block_multipliers (Prog.skeleton prog) in
-    let reductions = ref reductions in
-    let alpha = machine.Machine.msg_latency_ns in
-    let beta = machine.Machine.byte_ns in
     let total = ref zero_summary in
     Array.iteri
       (fun bi bs ->
         let mult = block_mult.(bi) in
         if mult > 0 then begin
-          let n_msgs = Array.fold_left (fun a l -> a + List.length l) 0 bs.b_steps in
+          let n_msgs =
+            Array.fold_left
+              (fun a st -> a + List.length st.s_messages)
+              0 bs.b_steps
+          in
           let obs = Obs.enabled () in
           if obs then begin
             Obs.count "comm.redundancy.exchanges-eliminated"
@@ -393,32 +419,30 @@ let analyze ~(machine : Machine.t) ~procs ~opts
             Obs.count "comm.combining.messages-saved"
               (mult * (bs.b_kept - n_msgs))
           end;
-          Array.iter
-            (List.iter (fun m ->
-                 let raw, eff = message_ns ~machine ~opts bs m in
-                 if obs then
-                   Obs.total "comm.pipelining.ns-hidden"
-                     (float_of_int mult *. (raw -. eff));
-                 total :=
-                   {
-                     !total with
-                     messages = !total.messages + mult;
-                     bytes = !total.bytes + (mult * m.m_bytes);
-                     raw_ns = !total.raw_ns +. (float_of_int mult *. raw);
-                     effective_ns =
-                       !total.effective_ns +. (float_of_int mult *. eff);
-                   }))
-            bs.b_steps
+          iter_messages
+            (fun m ->
+              let raw, eff = message_ns ~machine ~opts bs m in
+              if obs then
+                Obs.total "comm.pipelining.ns-hidden"
+                  (float_of_int mult *. (raw -. eff));
+              total :=
+                {
+                  !total with
+                  messages = !total.messages + mult;
+                  bytes = !total.bytes + (mult * m.m_bytes);
+                  raw_ns = !total.raw_ns +. (float_of_int mult *. raw);
+                  effective_ns =
+                    !total.effective_ns +. (float_of_int mult *. eff);
+                })
+            bs
         end)
       scheds;
     (* reduction combining trees *)
-    let stages = reduction_stages procs in
-    let red_one = float_of_int stages *. (alpha +. (8.0 *. beta)) in
-    let red_total = float_of_int !reductions *. red_one in
+    let red_total = float_of_int reductions *. tree_ns ~machine ~procs in
     let summary =
       {
         !total with
-        messages = !total.messages + (!reductions * stages);
+        messages = !total.messages + (reductions * reduction_stages procs);
         raw_ns = !total.raw_ns +. red_total;
         effective_ns = !total.effective_ns +. red_total;
         reduction_ns = red_total;

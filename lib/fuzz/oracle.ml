@@ -163,7 +163,7 @@ let run ?(cfg = default) prog =
                         }
                         c
                     with
-                    | r -> check name r.Spmd.checksum
+                    | r -> check name r.Spmd.report.checksum
                     | exception Spmd.Unsupported m -> record name (Skipped m)
                     | exception Spmd.Runtime_error m -> record name (Crashed m)
                     | exception e ->

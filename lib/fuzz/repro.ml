@@ -78,7 +78,7 @@ let float_str f =
 
 let float_of_atom s =
   match s with
-  | "nan" -> Float.nan
+  | "nan" -> Expr.nan
   | "inf" -> Float.infinity
   | "-inf" -> Float.neg_infinity
   | s -> (

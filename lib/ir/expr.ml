@@ -96,9 +96,12 @@ let of_bool b = if b then 1.0 else 0.0
    OCaml's polymorphic min/max disagree with each other (min
    propagates NaN, max drops it); we standardize on propagation.  On
    ordered operands the tie goes to the left argument, so signed
-   zeros are resolved identically everywhere. *)
-let fmin x y = if x <> x || y <> y then Float.nan else if x <= y then x else y
-let fmax x y = if x <> x || y <> y then Float.nan else if x >= y then x else y
+   zeros are resolved identically everywhere.  The NaN they return is
+   C's [NAN], not OCaml's [Float.nan] (0x7FF8000000000001): [Hashrand]
+   reads the bit pattern. *)
+let nan = Int64.float_of_bits Support.Hash64.canonical_nan
+let fmin x y = if x <> x || y <> y then nan else if x <= y then x else y
+let fmax x y = if x <> x || y <> y then nan else if x >= y then x else y
 
 let apply_unop op x =
   match op with

@@ -73,14 +73,21 @@ val is_flop : binop -> bool
     counts one and a [Select] none.  The models' static count
     ([Comm.Model.expr_flops]) is a different rule. *)
 
+val nan : float
+(** The quiet NaN with bits [Support.Hash64.canonical_nan]
+    (0x7FF8000000000000): C's [NAN], which OCaml's [Float.nan]
+    (0x7FF8000000000001) is not. *)
+
 val fmin : float -> float -> float
 val fmax : float -> float -> float
 (** The semantics of [Min]/[Max] (and of the [Rmin]/[Rmax] reduction
-    combiners): NaN-propagating, left-biased on ties.  Every executor
-    — both interpreters, the SPMD engine, the emitted C — must use
-    exactly these, bit for bit; C's [fmin]/[fmax] (which return the
-    non-NaN operand) and OCaml's polymorphic [min]/[max] (which
-    disagree with each other on NaN) are all wrong here. *)
+    combiners): NaN-propagating, left-biased on ties, and a NaN result
+    is {!nan}, the bits the emitted C's [NAN] has ([Hashrand] hashes
+    them).  Every executor — both interpreters, the SPMD engine, the
+    emitted C — must use exactly these, bit for bit; C's
+    [fmin]/[fmax] (which return the non-NaN operand) and OCaml's
+    polymorphic [min]/[max] (which disagree with each other on NaN)
+    are all wrong here. *)
 
 val hashrand : float -> float
 (** The pure PRN function behind [Hashrand] (exposed for tests and for

@@ -415,11 +415,9 @@ let plan_cost t plan =
   in
   (* reduction combining trees, exactly as Comm.Model.analyze charges
      them; plan-invariant, kept so totals line up with the model *)
-  let m = t.cfg.machine in
-  let stages = Comm.Model.reduction_stages t.cfg.procs in
   let red =
-    float_of_int (t.red_execs * stages)
-    *. (m.Machine.msg_latency_ns +. (8.0 *. m.Machine.byte_ns))
+    float_of_int t.red_execs
+    *. Comm.Model.tree_ns ~machine:t.cfg.machine ~procs:t.cfg.procs
   in
   { sum with comm_ns = sum.comm_ns +. red; total_ns = sum.total_ns +. red }
 

@@ -2,7 +2,7 @@ module Json = Obs.Json
 module Diag = Obs.Diagnostic
 module C = Obs.Codec
 
-let protocol_version = 2
+let protocol_version = 3
 
 (* Each wire type is followed by its codec, the one description of its
    JSON shape: both directions come from it. *)
@@ -258,47 +258,6 @@ let perf =
     |+ field "msg_bytes" int (fun p -> p.msg_bytes)
     |+ field "checksum" string (fun p -> p.checksum))
 
-type spmd_summary = {
-  spmd_time_ns : float;
-  supersteps : int;
-  matches_model : bool;
-  charged_messages : int;
-  charged_bytes : int;
-  wire_messages : int;
-  wire_bytes : int;
-  ghost_fills : int;
-  unmodeled_exchanges : int;
-  reduction_messages : int;
-  spmd_l1_miss_pct : float option;
-  spmd_checksum : string;
-  report : Json.t;
-}
-
-let spmd_summary =
-  let open C in
-  obj
-    (record
-       (fun spmd_time_ns supersteps matches_model charged_messages charged_bytes
-            wire_messages wire_bytes ghost_fills unmodeled_exchanges
-            reduction_messages spmd_l1_miss_pct spmd_checksum report ->
-         { spmd_time_ns; supersteps; matches_model; charged_messages;
-           charged_bytes; wire_messages; wire_bytes; ghost_fills;
-           unmodeled_exchanges; reduction_messages; spmd_l1_miss_pct;
-           spmd_checksum; report })
-    |+ field "time_ns" float (fun s -> s.spmd_time_ns)
-    |+ field "supersteps" int (fun s -> s.supersteps)
-    |+ field "matches_model" bool (fun s -> s.matches_model)
-    |+ field "charged_messages" int (fun s -> s.charged_messages)
-    |+ field "charged_bytes" int (fun s -> s.charged_bytes)
-    |+ field "wire_messages" int (fun s -> s.wire_messages)
-    |+ field "wire_bytes" int (fun s -> s.wire_bytes)
-    |+ field "ghost_fills" int (fun s -> s.ghost_fills)
-    |+ field "unmodeled_exchanges" int (fun s -> s.unmodeled_exchanges)
-    |+ field "reduction_messages" int (fun s -> s.reduction_messages)
-    |+ opt "l1_miss_pct" float (fun s -> s.spmd_l1_miss_pct)
-    |+ field "checksum" string (fun s -> s.spmd_checksum)
-    |+ field "report" json (fun s -> s.report))
-
 (* Wall-clock is the single timing-dependent field: everything else in
    a Ran response is byte-identical between a cold and a warm serve of
    the same request, and the stats *shape* (field set and order) never
@@ -392,7 +351,7 @@ type response =
       summary : summary;
       provenance : Plan.Driver.provenance option;
       perf : perf;
-      spmd : spmd_summary option;
+      spmd : Spmd.report option;
       native : native_summary option;
     }
   | Planned of {
@@ -427,7 +386,7 @@ let response =
           (record (fun sp perf spmd native -> (sp, perf, spmd, native))
           |+ spread summary_provenance (fun (sp, _, _, _) -> sp)
           |+ field "perf" perf (fun (_, p, _, _) -> p)
-          |+ opt "spmd" spmd_summary (fun (_, _, s, _) -> s)
+          |+ opt "spmd" Spmd.report_codec (fun (_, _, s, _) -> s)
           |+ opt "native" native_codec (fun (_, _, _, n) -> n))
           (function
             | Ran r ->

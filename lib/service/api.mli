@@ -57,8 +57,9 @@ val default_compile_opts : compile_opts
 (** [level = "c2+f3"], [plan = Greedy], everything else off/empty. *)
 
 type target = { machine : string; procs : int }
-(** The machine model a run or search-plan request is priced against
-    (any spelling {!machine_of_name} accepts). *)
+(** The machine model a run, or a request planned with [Search] or
+    [Ilp], is priced against (any spelling {!machine_of_name}
+    accepts). *)
 
 val default_target : target
 (** [{ machine = "t3e"; procs = 1 }]. *)
@@ -66,7 +67,8 @@ val default_target : target
 type request =
   | Compile of { source : source; opts : compile_opts; target : target }
       (** optimize + scalarize (plan cache consulted); [target] only
-          matters under [plan = Search] *)
+          matters under [plan = Search] or [Ilp], which price plans
+          against it (and key the cache on it) *)
   | Run of {
       source : source;
       opts : compile_opts;
@@ -78,8 +80,8 @@ type request =
     }
   | Plan of { source : source; opts : compile_opts; target : target }
       (** like [Compile] but the response centers on planning: the
-          rendered plan is always included, with search provenance
-          when [plan = Search] *)
+          rendered plan is always included, with provenance when
+          [plan = Search] or [Ilp] *)
   | Batch of request list
       (** handled across the engine's domain pool; replies in request
           order *)
@@ -121,22 +123,6 @@ type perf = {
   checksum : string;
 }
 
-type spmd_summary = {
-  spmd_time_ns : float;
-  supersteps : int;
-  matches_model : bool;  (** checksum and charged traffic equal the model's *)
-  charged_messages : int;
-  charged_bytes : int;
-  wire_messages : int;
-  wire_bytes : int;
-  ghost_fills : int;
-  unmodeled_exchanges : int;
-  reduction_messages : int;
-  spmd_l1_miss_pct : float option;
-  spmd_checksum : string;
-  report : Obs.Json.t;  (** full {!Spmd.report_json} payload, for [--stats] *)
-}
-
 type native_summary = {
   native_checksum : string;  (** live-out digest printed by the runner *)
   native_wall_ns : int64;
@@ -172,13 +158,17 @@ type server_stats = {
 type response =
   | Compiled of {
       summary : summary;
-      provenance : Plan.Driver.provenance option;  (** present under [Search] *)
+      provenance : Plan.Driver.provenance option;
+          (** present under [Search] and [Ilp] *)
     }
   | Ran of {
       summary : summary;
       provenance : Plan.Driver.provenance option;
       perf : perf;
-      spmd : spmd_summary option;
+      spmd : Spmd.report option;
+          (** the SPMD engine's report, carried by {!Spmd.report_codec}:
+              the same object [zapc --stats] writes as its [spmd]
+              section *)
       native : native_summary option;
     }
   | Planned of {

@@ -326,56 +326,32 @@ let compiled_of t ~search_jobs ~(opts : Api.compile_opts) ~target source =
 let perf_of ~(m : Machine.t) ~procs (c : Compilers.Driver.compiled) =
   let cfg = { Comm.Perf.machine = m; procs; comm = Comm.Model.all_on } in
   let r = Comm.Perf.measure cfg c in
-  ( r,
-    {
-      Api.machine = m.Machine.name;
-      procs;
-      time_ns = r.Comm.Perf.time_ns;
-      comp_ns = r.Comm.Perf.comp_ns;
-      comm_ns = r.Comm.Perf.comm_ns;
-      flops = r.Comm.Perf.flops;
-      loads = r.Comm.Perf.loads;
-      stores = r.Comm.Perf.stores;
-      l1_miss_pct = 100.0 *. Cachesim.Cache.miss_rate r.Comm.Perf.l1;
-      l2_miss_pct =
-        Option.map
-          (fun l2 -> 100.0 *. Cachesim.Cache.miss_rate l2)
-          r.Comm.Perf.l2;
-      messages = r.Comm.Perf.messages;
-      msg_bytes = r.Comm.Perf.msg_bytes;
-      checksum = r.Comm.Perf.checksum;
-    } )
+  {
+    Api.machine = m.Machine.name;
+    procs;
+    time_ns = r.Comm.Perf.time_ns;
+    comp_ns = r.Comm.Perf.comp_ns;
+    comm_ns = r.Comm.Perf.comm_ns;
+    flops = r.Comm.Perf.flops;
+    loads = r.Comm.Perf.loads;
+    stores = r.Comm.Perf.stores;
+    l1_miss_pct = 100.0 *. Cachesim.Cache.miss_rate r.Comm.Perf.l1;
+    l2_miss_pct =
+      Option.map
+        (fun l2 -> 100.0 *. Cachesim.Cache.miss_rate l2)
+        r.Comm.Perf.l2;
+    messages = r.Comm.Perf.messages;
+    msg_bytes = r.Comm.Perf.msg_bytes;
+    checksum = r.Comm.Perf.checksum;
+  }
 
-let spmd_of ~(m : Machine.t) ~procs (r : Comm.Perf.report)
-    (c : Compilers.Driver.compiled) =
+let spmd_of ~(m : Machine.t) ~procs (c : Compilers.Driver.compiled) =
   match
     Spmd.execute
       { Spmd.machine = m; procs; opts = Comm.Model.all_on; cachesim = true }
       c
   with
-  | s ->
-      Ok
-        {
-          Api.spmd_time_ns = s.Spmd.time_ns;
-          supersteps = s.Spmd.supersteps;
-          matches_model =
-            String.equal s.Spmd.checksum r.Comm.Perf.checksum
-            && s.Spmd.charged_messages = r.Comm.Perf.messages
-            && s.Spmd.charged_bytes = r.Comm.Perf.msg_bytes;
-          charged_messages = s.Spmd.charged_messages;
-          charged_bytes = s.Spmd.charged_bytes;
-          wire_messages = s.Spmd.wire_messages;
-          wire_bytes = s.Spmd.wire_bytes;
-          ghost_fills = s.Spmd.ghost_fills;
-          unmodeled_exchanges = s.Spmd.unmodeled_exchanges;
-          reduction_messages = s.Spmd.reduction_messages;
-          spmd_l1_miss_pct =
-            Option.map
-              (fun l1 -> 100.0 *. Cachesim.Cache.miss_rate l1)
-              s.Spmd.l1;
-          spmd_checksum = s.Spmd.checksum;
-          report = Spmd.report_json ~machine:m s;
-        }
+  | r -> Ok r.Spmd.report
   | exception Spmd.Unsupported msg ->
       Error (Diag.errorf ~phase:"spmd" "unsupported: %s" msg)
   | exception Spmd.Runtime_error msg -> Error (Diag.error ~phase:"spmd" msg)
@@ -455,10 +431,10 @@ let rec exec t ~search_jobs ~in_worker req =
            compiled_of t ~search_jobs ~opts ~target source
          in
          let* m = Api.machine_of_target target in
-         let r, perf = perf_of ~m ~procs:target.Api.procs c in
+         let perf = perf_of ~m ~procs:target.Api.procs c in
          let* spmd =
            if spmd then
-             Result.map Option.some (spmd_of ~m ~procs:target.Api.procs r c)
+             Result.map Option.some (spmd_of ~m ~procs:target.Api.procs c)
            else Ok None
          in
          let* native =

@@ -11,13 +11,14 @@
    construction, and every iteration point has an owner, the owner of
    its chunk.
 
-   Execution is superstep-structured (BSP): one superstep per fusible
-   cluster, in the same emission order the scalarizer and the
-   communication model use.  A superstep delivers the messages of
-   Comm.Model.schedule, tops up any ghost slabs the model did not
-   schedule (counted as [unmodeled_exchanges]), executes the cluster's
-   members statement-at-a-time over each processor's owned points, and
-   barriers.  Statement-at-a-time execution in cluster order is a
+   Execution is superstep-structured (BSP): one superstep per step of
+   Comm.Model.schedule, i.e. per fusible cluster in the emission order
+   the scalarizer uses.  A superstep delivers the step's messages, tops
+   up any ghost slabs the model did not schedule (counted as
+   [unmodeled_exchanges]), executes the cluster's members
+   statement-at-a-time over each processor's owned points, and
+   barriers.  Every message and reduction tree is priced by
+   Comm.Model.  Statement-at-a-time execution in cluster order is a
    linear extension of the block's dependence graph, so values are
    bit-identical to the sequential reference execution; reductions
    accumulate in canonical global row-major order for the same reason,
@@ -43,16 +44,11 @@ type proc_counters = {
   mutable loads : int;
   mutable stores : int;
   mutable flops : int;
-  mutable iters : int;
-  mutable sent_messages : int;
-  mutable sent_bytes : int;
-  mutable recv_messages : int;
-  mutable recv_bytes : int;
-  mutable compute_ns : float;
   mutable comm_ns : float;
 }
 
 type report = {
+  machine : string;
   procs : int;
   checksum : string;
   time_ns : float;
@@ -64,10 +60,49 @@ type report = {
   reduction_messages : int;
   unmodeled_exchanges : int;
   ghost_fills : int;
-  per_proc : proc_counters array;
   l1 : Cachesim.Cache.stats option;
   l2 : Cachesim.Cache.stats option;
 }
+
+(* the charged and wire totals are flat here and nested on the wire *)
+let report_codec =
+  let open Obs.Codec in
+  let traffic =
+    obj
+      (record (fun messages bytes -> (messages, bytes))
+      |+ field "messages" int fst |+ field "bytes" int snd)
+  in
+  let stats =
+    obj
+      (record (fun accesses hits misses ->
+           { Cachesim.Cache.accesses; hits; misses })
+      |+ field "accesses" int (fun (s : Cachesim.Cache.stats) -> s.accesses)
+      |+ field "hits" int (fun (s : Cachesim.Cache.stats) -> s.hits)
+      |+ field "misses" int (fun (s : Cachesim.Cache.stats) -> s.misses))
+  in
+  obj
+    (record
+       (fun () machine procs checksum time_ns supersteps
+            (charged_messages, charged_bytes) (wire_messages, wire_bytes)
+            reduction_messages unmodeled_exchanges ghost_fills l1 l2 ->
+         { machine; procs; checksum; time_ns; supersteps; charged_messages;
+           charged_bytes; wire_messages; wire_bytes; reduction_messages;
+           unmodeled_exchanges; ghost_fills; l1; l2 })
+    |+ field "schema" (const (Obs.Json.String "zapc/spmd-report/1")) ignore
+    |+ field "machine" string (fun r -> r.machine)
+    |+ field "procs" int (fun r -> r.procs)
+    |+ field "checksum" string (fun r -> r.checksum)
+    |+ field "time_ns" float (fun r -> r.time_ns)
+    |+ field "supersteps" int (fun r -> r.supersteps)
+    |+ field "charged" traffic (fun r -> (r.charged_messages, r.charged_bytes))
+    |+ field "wire" traffic (fun r -> (r.wire_messages, r.wire_bytes))
+    |+ field "reduction_messages" int (fun r -> r.reduction_messages)
+    |+ field "unmodeled_exchanges" int (fun r -> r.unmodeled_exchanges)
+    |+ field "ghost_fills" int (fun r -> r.ghost_fills)
+    |+ field "l1" (nullable stats) (fun r -> r.l1)
+    |+ field "l2" (nullable stats) (fun r -> r.l2))
+
+type run = { report : report; per_proc : proc_counters array }
 
 exception Unsupported of string
 exception Runtime_error of string
@@ -151,7 +186,6 @@ type arr = {
   info : Prog.array_info;
   grid : grid;
   rank : int;
-  halo : int array;
   tiles : tile array;
   mutable wgen : int;  (** write generation, bumped per writing cluster execution *)
   slabs : (int array, int * int array) Hashtbl.t array;
@@ -205,8 +239,7 @@ type env = {
   hier : Cachesim.Cache.Hierarchy.h array;  (** empty when cachesim is off *)
   grids : (int, grid) Hashtbl.t;  (** by rank *)
   coords : (int, int array array) Hashtbl.t;  (** by rank, per proc *)
-  sched : Comm.Model.block_sched array;
-  clusters : Nstmt.t list array array;  (** block -> step -> members, source order *)
+  sched : Comm.Model.block_sched array;  (** by block index *)
   tp : float array;  (** per-proc clock *)
   mutable now : float;  (** common clock at the last barrier *)
   mutable supersteps : int;
@@ -224,8 +257,8 @@ let find_arr env x =
   | Some a -> a
   | None -> err "undeclared array %s" x
 
-let grid_for env rank =
-  match Hashtbl.find_opt env.grids rank with
+let grid_for grids rank =
+  match Hashtbl.find_opt grids rank with
   | Some g -> g
   | None -> err "no grid of rank %d" rank
 
@@ -301,7 +334,6 @@ let write_elem env pr arr idx v =
         err "write outside owned chunk of %s on proc %d" arr.info.name pr)
     idx;
   env.pc.(pr).stores <- env.pc.(pr).stores + 1;
-  env.pc.(pr).iters <- env.pc.(pr).iters + 1;
   touch env pr tile flat ~write:true;
   tile.data.(flat) <- v
 
@@ -389,57 +421,58 @@ let fill_slab env arr ~pr ~sr dir depth =
     !n
   end
 
-let account_wire env ~pr ~sr bytes =
+let count_wire env bytes =
   env.wire_messages <- env.wire_messages + 1;
-  env.wire_bytes <- env.wire_bytes + bytes;
-  env.pc.(sr).sent_messages <- env.pc.(sr).sent_messages + 1;
-  env.pc.(sr).sent_bytes <- env.pc.(sr).sent_bytes + bytes;
-  env.pc.(pr).recv_messages <- env.pc.(pr).recv_messages + 1;
-  env.pc.(pr).recv_bytes <- env.pc.(pr).recv_bytes + bytes
+  env.wire_bytes <- env.wire_bytes + bytes
+
+(* The one exchange path, scheduled or not: processor [pr] receives
+   [slabs] (array, direction, depth) from its neighbor at [dir].  Every
+   slab is filled and recorded, an empty one too; if any element moved,
+   one wire message is counted and the receiver's clock and [comm_ns]
+   are charged [price bytes].  False when [pr] has no neighbor at
+   [dir]. *)
+let exchange env rank ~pr dir slabs ~price =
+  let grid = grid_for env.grids rank in
+  let c = (coords_for env rank).(pr) in
+  let sc = Array.init rank (fun k -> c.(k) + dir.(k)) in
+  in_grid grid sc
+  && begin
+       let sr = linear_of grid sc in
+       let elems =
+         List.fold_left
+           (fun acc (arr, d, depth) -> acc + fill_slab env arr ~pr ~sr d depth)
+           0 slabs
+       in
+       if elems > 0 then begin
+         let bytes = 8 * elems in
+         count_wire env bytes;
+         let wait = price bytes in
+         env.tp.(pr) <- env.tp.(pr) +. wait;
+         env.pc.(pr).comm_ns <- env.pc.(pr).comm_ns +. wait
+       end;
+       true
+     end
 
 (* Deliver one scheduled message on every processor that has the
    matching neighbor.  The charge (model currency) is per message per
    block execution; the wire cost is per actual sender->receiver pair,
-   with the receiver's wait overlapped against the time since the
-   producing superstep when pipelining is on. *)
-let deliver env rank (m : Comm.Model.message) step_end block_start =
-  let machine = env.cfg.machine in
-  let alpha = machine.Machine.msg_latency_ns in
-  let beta = machine.Machine.byte_ns in
+   and the receiver waits what Comm.Model.wait_ns leaves of it after
+   the time since the message was [posted]. *)
+let deliver env rank (m : Comm.Model.message) ~posted =
   env.charged_messages <- env.charged_messages + 1;
-  env.charged_bytes <- env.charged_bytes + m.Comm.Model.m_bytes;
-  let posted =
-    if m.Comm.Model.m_producer < 0 then block_start
-    else step_end.(m.Comm.Model.m_producer)
+  env.charged_bytes <- env.charged_bytes + m.m_bytes;
+  let slabs =
+    List.map
+      (fun (p : Comm.Model.part) ->
+        (find_arr env p.p_array, p.p_dir, p.p_depth))
+      m.m_parts
   in
-  let grid = grid_for env rank in
-  let coords = coords_for env rank in
+  let price =
+    Comm.Model.wait_ns ~machine:env.cfg.machine ~opts:env.cfg.opts
+      ~window:(env.now -. posted)
+  in
   for pr = 0 to env.cfg.procs - 1 do
-    let sc =
-      Array.init rank (fun k -> coords.(pr).(k) + m.Comm.Model.m_dir.(k))
-    in
-    if in_grid grid sc then begin
-      let sr = linear_of grid sc in
-      let elems =
-        List.fold_left
-          (fun acc (p : Comm.Model.part) ->
-            let arr = find_arr env p.Comm.Model.p_array in
-            acc + fill_slab env arr ~pr ~sr p.Comm.Model.p_dir p.Comm.Model.p_depth)
-          0 m.Comm.Model.m_parts
-      in
-      if elems > 0 then begin
-        let bytes = 8 * elems in
-        account_wire env ~pr ~sr bytes;
-        let raw = alpha +. (beta *. float_of_int bytes) in
-        let wait =
-          if env.cfg.opts.Comm.Model.pipelining then
-            max (0.25 *. alpha) (raw -. (env.now -. posted))
-          else raw
-        in
-        env.tp.(pr) <- env.tp.(pr) +. wait;
-        env.pc.(pr).comm_ns <- env.pc.(pr).comm_ns +. wait
-      end
-    end
+    ignore (exchange env rank ~pr m.m_dir slabs ~price : bool)
   done
 
 (* Ghost needs the schedule may not cover: for every remote reference,
@@ -450,10 +483,7 @@ let deliver env rank (m : Comm.Model.message) step_end block_start =
    subset patterns, reduction arguments at an offset, contracted
    arrays under c2+p) and are counted as [unmodeled]. *)
 let ensure_needs env rank ~(region : Region.t) refs =
-  let machine = env.cfg.machine in
-  let alpha = machine.Machine.msg_latency_ns in
-  let beta = machine.Machine.byte_ns in
-  let grid = grid_for env rank in
+  let grid = grid_for env.grids rank in
   let coords = coords_for env rank in
   List.iter
     (fun (x, (off : Support.Vec.t)) ->
@@ -499,19 +529,12 @@ let ensure_needs env rank ~(region : Region.t) refs =
                     | _ -> false
                   in
                   if not fresh then begin
-                    let sc = Array.init rank (fun j -> c.(j) + dir.(j)) in
-                    if not (in_grid grid sc) then
-                      err "unmodeled exchange with no neighbor (%s)" x;
-                    let sr = linear_of grid sc in
-                    let n = fill_slab env arr ~pr ~sr dir need in
-                    env.unmodeled <- env.unmodeled + 1;
-                    if n > 0 then begin
-                      let bytes = 8 * n in
-                      account_wire env ~pr ~sr bytes;
-                      let raw = alpha +. (beta *. float_of_int bytes) in
-                      env.tp.(pr) <- env.tp.(pr) +. raw;
-                      env.pc.(pr).comm_ns <- env.pc.(pr).comm_ns +. raw
-                    end
+                    if
+                      not
+                        (exchange env rank ~pr dir [ (arr, dir, need) ]
+                           ~price:(Comm.Model.transfer_ns ~machine:env.cfg.machine))
+                    then err "unmodeled exchange with no neighbor (%s)" x;
+                    env.unmodeled <- env.unmodeled + 1
                   end
                 end
               else
@@ -548,7 +571,6 @@ let snapshot env pr =
 
 let charge_compute env pr s0 =
   let s1 = snapshot env pr in
-  let c = env.pc.(pr) in
   let t =
     Machine.time_ns env.cfg.machine
       {
@@ -559,8 +581,7 @@ let charge_compute env pr s0 =
         comm_ns = 0.0;
       }
   in
-  env.tp.(pr) <- env.tp.(pr) +. t;
-  c.compute_ns <- c.compute_ns +. t
+  env.tp.(pr) <- env.tp.(pr) +. t
 
 let barrier env =
   let m = Array.fold_left max env.now env.tp in
@@ -588,34 +609,37 @@ let exec_stmt_on env pr (s : Nstmt.t) =
         let tgt = Array.init rank (fun k -> idx.(k) + s.lhs_off.(k)) in
         write_elem env pr arr tgt v)
 
-let exec_superstep env bi si step_end block_start =
+let exec_superstep env rank (step : Comm.Model.step) ~posted =
   Obs.span "spmd-superstep" @@ fun () ->
   env.supersteps <- env.supersteps + 1;
-  let bs = env.sched.(bi) in
-  let rank = bs.Comm.Model.b_rank in
-  let stmts = env.clusters.(bi).(si) in
   List.iter
-    (fun m -> deliver env rank m step_end block_start)
-    bs.Comm.Model.b_steps.(si);
+    (fun (m : Comm.Model.message) ->
+      deliver env rank m ~posted:(posted m.m_producer))
+    step.s_messages;
   List.iter
     (fun (s : Nstmt.t) -> ensure_needs env rank ~region:s.region (Expr.refs s.rhs))
-    stmts;
+    step.s_stmts;
   for pr = 0 to env.cfg.procs - 1 do
     let s0 = snapshot env pr in
-    List.iter (exec_stmt_on env pr) stmts;
+    List.iter (exec_stmt_on env pr) step.s_stmts;
     charge_compute env pr s0
   done;
-  let written = List.sort_uniq compare (List.map (fun (s : Nstmt.t) -> s.lhs) stmts) in
+  let written =
+    List.sort_uniq compare (List.map (fun (s : Nstmt.t) -> s.lhs) step.s_stmts)
+  in
   List.iter (fun x -> let a = find_arr env x in a.wgen <- a.wgen + 1) written;
-  step_end.(si) <- barrier env
+  barrier env
 
+(* A message is posted at the end of its producer's superstep, or at
+   block entry when no earlier cluster of the block writes it. *)
 let exec_block env bi =
-  let n = Array.length env.clusters.(bi) in
-  let step_end = Array.make n 0.0 in
+  let bs = env.sched.(bi) in
+  let step_end = Array.make (Array.length bs.Comm.Model.b_steps) 0.0 in
   let block_start = env.now in
-  for si = 0 to n - 1 do
-    exec_superstep env bi si step_end block_start
-  done
+  let posted q = if q < 0 then block_start else step_end.(q) in
+  Array.iteri
+    (fun si step -> step_end.(si) <- exec_superstep env bs.b_rank step ~posted)
+    bs.b_steps
 
 (* Reductions: every processor evaluates the points it owns, but the
    accumulation folds contributions in canonical global row-major
@@ -629,7 +653,7 @@ let exec_reduce env { Prog.target; op; region; arg; _ } =
   let rank = Region.rank region in
   let procs = env.cfg.procs in
   ensure_needs env rank ~region (Expr.refs arg);
-  let grid = grid_for env rank in
+  let grid = grid_for env.grids rank in
   let snaps = Array.init procs (snapshot env) in
   let acc = ref (Prog.redop_init op) in
   let apply = Expr.apply_binop (Prog.redop_binop op) in
@@ -645,12 +669,9 @@ let exec_reduce env { Prog.target; op; region; arg; _ } =
   done;
   let stages = Comm.Model.reduction_stages procs in
   if stages > 0 then begin
-    let machine = env.cfg.machine in
-    let alpha = machine.Machine.msg_latency_ns in
-    let beta = machine.Machine.byte_ns in
     env.charged_messages <- env.charged_messages + stages;
     env.reduction_messages <- env.reduction_messages + stages;
-    let cost = float_of_int stages *. (alpha +. (8.0 *. beta)) in
+    let cost = Comm.Model.tree_ns ~machine:env.cfg.machine ~procs in
     for pr = 0 to procs - 1 do
       env.tp.(pr) <- env.tp.(pr) +. cost;
       env.pc.(pr).comm_ns <- env.pc.(pr).comm_ns +. cost
@@ -660,7 +681,7 @@ let exec_reduce env { Prog.target; op; region; arg; _ } =
       let step = 1 lsl s in
       let r = ref 0 in
       while !r + step < procs do
-        account_wire env ~pr:!r ~sr:(!r + step) 8;
+        count_wire env 8;
         r := !r + (2 * step)
       done
     done
@@ -677,8 +698,7 @@ let exec_sassign env x e =
   let t = float_of_int df *. env.cfg.machine.Machine.flop_ns in
   for pr = 0 to procs - 1 do
     if pr > 0 then env.pc.(pr).flops <- env.pc.(pr).flops + df;
-    env.tp.(pr) <- env.tp.(pr) +. t;
-    env.pc.(pr).compute_ns <- env.pc.(pr).compute_ns +. t
+    env.tp.(pr) <- env.tp.(pr) +. t
   done;
   env.now <- env.now +. t
 
@@ -711,11 +731,6 @@ let iter_work ~astmt ~reduce skeleton =
       | Prog.Reduction r -> reduce r
       | Prog.Scalar _ | Prog.Loop _ -> ())
     () skeleton
-
-let grid_for_rank grids rank =
-  match Hashtbl.find_opt grids rank with
-  | Some g -> g
-  | None -> err "no grid of rank %d" rank
 
 let setup (cfg : config) (c : Compilers.Driver.compiled) =
   let prog = c.Compilers.Driver.prog in
@@ -773,7 +788,7 @@ let setup (cfg : config) (c : Compilers.Driver.compiled) =
   (* supportability checks *)
   iter_work skeleton
     ~astmt:(fun (s : Nstmt.t) ->
-      let g = grid_for_rank grids (Region.rank s.region) in
+      let g = grid_for grids (Region.rank s.region) in
       Array.iteri
         (fun k d ->
           if d <> 0 && g.per_dim.(k) > 1 then
@@ -786,7 +801,7 @@ let setup (cfg : config) (c : Compilers.Driver.compiled) =
       match Prog.find_array prog x with
       | None -> ()
       | Some a ->
-          let g = grid_for_rank grids (Region.rank a.bounds) in
+          let g = grid_for grids (Region.rank a.bounds) in
           Array.iteri
             (fun k h ->
               if h > 0 && g.per_dim.(k) > 1 && h > min_chunk_width g k then
@@ -818,7 +833,6 @@ let setup (cfg : config) (c : Compilers.Driver.compiled) =
           info = a;
           grid;
           rank;
-          halo;
           tiles;
           wgen = 0;
           slabs = Array.init procs (fun _ -> Hashtbl.create 8);
@@ -844,41 +858,15 @@ let setup (cfg : config) (c : Compilers.Driver.compiled) =
     Array.of_list
       (Comm.Model.schedule ~machine:cfg.machine ~procs ~opts:cfg.opts c)
   in
-  let clusters =
-    Array.of_list
-      (List.map
-         (fun (bp : Sir.Scalarize.block_plan) ->
-           let p = bp.Sir.Scalarize.partition in
-           let g = Core.Partition.asdg p in
-           Array.of_list
-             (List.map
-                (fun rep ->
-                  List.map (Core.Asdg.stmt g)
-                    (List.sort compare (Core.Partition.members p rep)))
-                (Sir.Scalarize.cluster_order p)))
-         c.Compilers.Driver.plan)
-  in
-  let mk_pc () =
-    {
-      loads = 0;
-      stores = 0;
-      flops = 0;
-      iters = 0;
-      sent_messages = 0;
-      sent_bytes = 0;
-      recv_messages = 0;
-      recv_bytes = 0;
-      compute_ns = 0.0;
-      comm_ns = 0.0;
-    }
-  in
   {
     cfg;
     prog;
     skeleton;
     arrs;
     scalars;
-    pc = Array.init procs (fun _ -> mk_pc ());
+    pc =
+      Array.init procs (fun _ ->
+          { loads = 0; stores = 0; flops = 0; comm_ns = 0.0 });
     hier =
       (if cfg.cachesim then
          Array.init procs (fun _ ->
@@ -888,7 +876,6 @@ let setup (cfg : config) (c : Compilers.Driver.compiled) =
     grids;
     coords;
     sched;
-    clusters;
     tp = Array.make procs 0.0;
     now = 0.0;
     supersteps = 0;
@@ -957,50 +944,22 @@ let execute (cfg : config) (c : Compilers.Driver.compiled) =
     Obs.count "spmd.supersteps" env.supersteps
   end;
   {
-    procs = cfg.procs;
-    checksum = sum;
-    time_ns = env.now;
-    supersteps = env.supersteps;
-    charged_messages = env.charged_messages;
-    charged_bytes = env.charged_bytes;
-    wire_messages = env.wire_messages;
-    wire_bytes = env.wire_bytes;
-    reduction_messages = env.reduction_messages;
-    unmodeled_exchanges = env.unmodeled;
-    ghost_fills = env.ghost_fills;
+    report =
+      {
+        machine = cfg.machine.Machine.name;
+        procs = cfg.procs;
+        checksum = sum;
+        time_ns = env.now;
+        supersteps = env.supersteps;
+        charged_messages = env.charged_messages;
+        charged_bytes = env.charged_bytes;
+        wire_messages = env.wire_messages;
+        wire_bytes = env.wire_bytes;
+        reduction_messages = env.reduction_messages;
+        unmodeled_exchanges = env.unmodeled;
+        ghost_fills = env.ghost_fills;
+        l1 = sum_stats (fun h -> Some (Cachesim.Cache.Hierarchy.l1_stats h)) env;
+        l2 = sum_stats Cachesim.Cache.Hierarchy.l2_stats env;
+      };
     per_proc = env.pc;
-    l1 =
-      sum_stats (fun h -> Some (Cachesim.Cache.Hierarchy.l1_stats h)) env;
-    l2 = sum_stats Cachesim.Cache.Hierarchy.l2_stats env;
   }
-
-let report_json ~(machine : Machine.t) (r : report) =
-  let open Obs.Json in
-  let stats = function
-    | None -> Null
-    | Some (s : Cachesim.Cache.stats) ->
-        Obj
-          [
-            ("accesses", Int s.accesses);
-            ("hits", Int s.hits);
-            ("misses", Int s.misses);
-          ]
-  in
-  Obj
-    [
-      ("schema", String "zapc/spmd-report/1");
-      ("machine", String machine.Machine.name);
-      ("procs", Int r.procs);
-      ("checksum", String r.checksum);
-      ("time_ns", Float r.time_ns);
-      ("supersteps", Int r.supersteps);
-      ( "charged",
-        Obj [ ("messages", Int r.charged_messages); ("bytes", Int r.charged_bytes) ] );
-      ( "wire",
-        Obj [ ("messages", Int r.wire_messages); ("bytes", Int r.wire_bytes) ] );
-      ("reduction_messages", Int r.reduction_messages);
-      ("unmodeled_exchanges", Int r.unmodeled_exchanges);
-      ("ghost_fills", Int r.ghost_fills);
-      ("l1", stats r.l1);
-      ("l2", stats r.l2);
-    ]

@@ -7,15 +7,17 @@
     rank, with globally aligned chunk boundaries): each virtual
     processor owns a local tile extended by ghost halos sized from the
     program's reference offsets.  Execution proceeds in supersteps —
-    one per fusible cluster, in the cluster emission order — and each
-    superstep first delivers exactly the messages of the model's
-    {!Comm.Model.schedule} (vectorized border slabs, with redundancy
-    elimination and combining as configured), then runs the cluster's
-    statements on every processor over its owned iteration points, and
-    finally meets at a barrier that advances the simulated clock.
-    Reductions are evaluated in the canonical global row-major order
-    (bit-identical to the sequential interpreters) while a log₂ p
-    combining tree is charged and its messages counted.
+    one per step of the model's {!Comm.Model.schedule}, i.e. per fusible
+    cluster in emission order — and each superstep first delivers
+    exactly the step's messages (vectorized border slabs, with
+    redundancy elimination and combining as configured), then runs the
+    step's statements on every processor over its owned iteration
+    points, and finally meets at a barrier that advances the simulated
+    clock.  Reductions are evaluated in the canonical global row-major
+    order (bit-identical to the sequential interpreters) while a log₂ p
+    combining tree is charged and its messages counted.  Messages and
+    trees are priced by {!Comm.Model.wait_ns}, {!Comm.Model.transfer_ns}
+    and {!Comm.Model.tree_ns}.
 
     Determinism and agreement: the run is bit-deterministic, its
     checksum equals the sequential {!Exec.Interp.checksum} of the same
@@ -33,20 +35,19 @@ type config = {
   cachesim : bool;  (** simulate a per-processor cache hierarchy *)
 }
 
+(** One processor's counters: what its compute charges are priced
+    from, and its communication wait. *)
 type proc_counters = {
   mutable loads : int;
   mutable stores : int;
   mutable flops : int;
-  mutable iters : int;
-  mutable sent_messages : int;
-  mutable sent_bytes : int;
-  mutable recv_messages : int;
-  mutable recv_bytes : int;
-  mutable compute_ns : float;
-  mutable comm_ns : float;
+  mutable comm_ns : float;  (** clock time charged to receiving *)
 }
 
+(** The run's report: the [spmd] member of a zapd [ran] reply and the
+    [spmd] section of [zapc --stats], both written by {!report_codec}. *)
 type report = {
+  machine : string;  (** display name, e.g. ["Cray T3E"] *)
   procs : int;
   checksum : string;  (** equals the sequential interpreter's *)
   time_ns : float;  (** critical path: the clock at the final barrier *)
@@ -65,26 +66,37 @@ type report = {
           at an offset, contracted arrays under c2+p); 0 for all paper
           benchmarks *)
   ghost_fills : int;  (** slabs filled, scheduled + unscheduled *)
-  per_proc : proc_counters array;
-  l1 : Cachesim.Cache.stats option;  (** summed over processors *)
+  l1 : Cachesim.Cache.stats option;
+      (** summed over processors; [None] without cachesim *)
   l2 : Cachesim.Cache.stats option;
 }
+
+val report_codec : report Obs.Codec.t
+(** Schema [zapc/spmd-report/1]:
+    [{"schema", "machine", "procs", "checksum", "time_ns",
+    "supersteps", "charged": {"messages", "bytes"},
+    "wire": {"messages", "bytes"}, "reduction_messages",
+    "unmodeled_exchanges", "ghost_fills", "l1", "l2"}], the cache
+    stats as [{"accesses", "hits", "misses"}] or [null]. *)
+
+type run = { report : report; per_proc : proc_counters array }
+(** A finished run: its report and each processor's counters, by
+    processor. *)
 
 exception Unsupported of string
 (** The program/grid combination is outside the engine's domain:
     a ghost halo deeper than the smallest chunk of a split dimension,
-    or a write offset ([lhs_off]) in a split dimension. *)
+    a write offset ([lhs_off]) in a split dimension, or an iteration
+    of a rank no array has. *)
 
 exception Runtime_error of string
 (** Internal invariant violation (stale ghost read, index outside its
     halo window) — indicates an engine or model bug, not bad input. *)
 
-val execute : config -> Compilers.Driver.compiled -> report
+val execute : config -> Compilers.Driver.compiled -> run
 (** Run the program to completion on [config.procs] virtual
     processors.  Emits [Obs] instrumentation when a recorder is
-    installed: a span per superstep and the [spmd.*] counters
-    (messages, bytes, ghost-fills, unmodeled-exchanges). *)
-
-val report_json : machine:Machine.t -> report -> Obs.Json.t
-(** Stable JSON rendering of a report (schema [zapc/spmd-report/1]),
-    shared by [zapc --stats] and the bench agreement harness. *)
+    installed: a span per superstep and the seven [spmd.*] counters
+    [messages] and [bytes] (wire), [charged-messages],
+    [charged-bytes], [ghost-fills], [unmodeled-exchanges] and
+    [supersteps]. *)

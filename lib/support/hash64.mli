@@ -20,6 +20,9 @@ type t = int64
 
 val empty : t
 
+val canonical_nan : int64
+(** [0x7FF8000000000000], the bits every NaN mixes as: C's [NAN]. *)
+
 val mix_bits : t -> int64 -> t
 (** The raw step; all other [mix_*] reduce to it. *)
 

@@ -159,6 +159,44 @@ let prop_repro_roundtrip =
       | Error m -> QCheck.Test.fail_reportf "parse failed: %s@.%s" m text
       | Ok p' -> String.equal text (Fuzz.Repro.to_string ~comment:"roundtrip" p'))
 
+(* The NaN min/max return has the bits of the emitted C's NAN, whatever
+   NaN came in: [Hashrand] hashes the bit pattern, so OCaml's
+   [Float.nan] (0x7FF8000000000001) made native and interpreter
+   disagree on generated seed 15009.  The repro format's "nan" atom
+   reads as the same value. *)
+let test_minmax_nan_bits () =
+  let bits what f =
+    Alcotest.(check int64) what 0x7FF8000000000000L (Int64.bits_of_float f)
+  in
+  List.iter
+    (fun (name, nan) ->
+      bits ("fmin " ^ name ^ " l") (Expr.fmin nan 1.0);
+      bits ("fmin " ^ name ^ " r") (Expr.fmin 1.0 nan);
+      bits ("fmax " ^ name ^ " l") (Expr.fmax nan 1.0);
+      bits ("fmax " ^ name ^ " r") (Expr.fmax 1.0 nan))
+    [
+      ("Float.nan", Float.nan);
+      ("0/0", 0.0 /. 0.0);
+      ("negative payload", Int64.float_of_bits 0xFFF8000000000001L);
+    ];
+  bits "Expr.nan" Expr.nan;
+  let text =
+    Fuzz.Repro.to_string
+      (mk_prog ~arrays:[ rank1_a ]
+         [
+           Prog.Astmt
+             (Nstmt.make
+                ~region:(Region.of_bounds [ (1, 8) ])
+                ~lhs:"A" (Expr.Const Float.nan));
+         ]
+         [ "A" ])
+  in
+  match Fuzz.Repro.of_string text with
+  | Ok { Prog.body = [ Prog.Astmt { rhs = Expr.Const f; _ } ]; _ } ->
+      bits "repro nan atom" f
+  | Ok _ -> Alcotest.fail "unexpected repro shape"
+  | Error m -> Alcotest.failf "parse failed: %s" m
+
 let test_repro_special_floats () =
   let p =
     mk_prog ~arrays:[ rank1_a ]
@@ -359,6 +397,8 @@ let suites =
     ( "fuzz-nan",
       [
         Alcotest.test_case "min/max propagate NaN" `Quick test_minmax_nan;
+        Alcotest.test_case "min/max NaN has C's NAN bits" `Quick
+          test_minmax_nan_bits;
         Alcotest.test_case "min/max tie on signed zero" `Quick
           test_minmax_signed_zero;
         Alcotest.test_case "digest canonicalizes NaN" `Quick

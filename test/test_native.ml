@@ -174,6 +174,19 @@ let qcheck_generated =
               QCheck.Test.fail_report (Native.Build.error_to_string e))
         Compilers.Driver.[ Baseline; C2F3 ])
 
+(* Generated seed 15009 computes a NaN through min/max and hashes it
+   with hashrand: native and interpreter agree only while both return
+   the same NaN bits. *)
+let test_nan_hashrand_seed () =
+  if cc then
+    let prog = Fuzz.Gen.generate (Support.Prng.create 15009L) in
+    List.iter
+      (fun level ->
+        check_native_matches
+          ("seed 15009 @ " ^ Compilers.Driver.level_name level)
+          (compile_code level prog))
+      Compilers.Driver.[ Baseline; C2F3 ]
+
 (* The artifact store's warm path: one cc invocation ever, byte-identical
    checksums cold vs warm, and disk adoption across a "restart" (a second
    store over the same root).  The root has a space in its name. *)
@@ -385,6 +398,8 @@ let suites =
         Alcotest.test_case "spaced temp dir regression" `Quick test_space_dir;
         Alcotest.test_case "corpus differential" `Slow test_corpus_differential;
         QCheck_alcotest.to_alcotest qcheck_generated;
+        Alcotest.test_case "generated seed 15009: NaN through hashrand" `Quick
+          test_nan_hashrand_seed;
         Alcotest.test_case "store warm path" `Quick test_store_warm_path;
         Alcotest.test_case "every cluster survives cc" `Quick
           test_clusters_survive_cc;

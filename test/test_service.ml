@@ -406,19 +406,20 @@ let sample_perf =
 
 let sample_spmd =
   {
-    Api.spmd_time_ns = 4440000.0;
+    Spmd.machine = "Cray T3E";
+    procs = 4;
+    checksum = "308149a4cb0e1adc";
+    time_ns = 4440000.0;
     supersteps = 13;
-    matches_model = true;
     charged_messages = 4;
     charged_bytes = 128;
-    wire_messages = 4;
-    wire_bytes = 128;
-    ghost_fills = 2;
-    unmodeled_exchanges = 0;
+    wire_messages = 6;
+    wire_bytes = 160;
     reduction_messages = 1;
-    spmd_l1_miss_pct = None;
-    spmd_checksum = "308149a4cb0e1adc";
-    report = Obs.Json.Obj [ ("supersteps", Obs.Json.Int 13) ];
+    unmodeled_exchanges = 0;
+    ghost_fills = 2;
+    l1 = Some { Cachesim.Cache.accesses = 20992; hits = 19472; misses = 1520 };
+    l2 = None;
   }
 
 let sample_native =
@@ -539,7 +540,7 @@ let golden_responses =
   [
     {|{"ok":true,"type":"compiled","summary":{"program":"ep","level":"c2+f3","arrays_total":22,"contracted_compiler":0,"contracted_user":22,"remaining":0,"footprint_bytes":0,"contracted":[{"array":"t1","shape":"scalar"},{"array":"t2","shape":"dims:01"}],"merged_away":["u"],"fingerprint":"00112233aabbccdd","dump_ir":"ir text\n","dump_c":"c text\n"},"provenance":{"strategy":"search","machine":"Cray T3E","procs":16,"greedy_total_ns":1234.5,"search_total_ns":1000.25,"chosen_total_ns":1000.25,"fallback":false,"blocks":[{"block":0,"expanded":10,"generated":40,"pruned":7,"deduped":3,"beam_rounds":0,"greedy_ns":1234.5,"best_ns":1000.25,"improved":true}]}}|};
     {|{"ok":true,"type":"compiled","summary":{"program":"ep","level":"c2+f3","arrays_total":22,"contracted_compiler":0,"contracted_user":22,"remaining":0,"footprint_bytes":0,"contracted":[{"array":"t1","shape":"scalar"},{"array":"t2","shape":"dims:01"}],"merged_away":["u"],"fingerprint":"00112233aabbccdd","dump_ir":"ir text\n","dump_c":"c text\n"}}|};
-    {|{"ok":true,"type":"ran","summary":{"program":"ep","level":"c2+f3","arrays_total":22,"contracted_compiler":0,"contracted_user":22,"remaining":0,"footprint_bytes":0,"contracted":[{"array":"t1","shape":"scalar"},{"array":"t2","shape":"dims:01"}],"merged_away":["u"],"fingerprint":"00112233aabbccdd","dump_ir":"ir text\n","dump_c":"c text\n"},"perf":{"machine":"Cray T3E","procs":4,"time_ns":487000.5,"comp_ns":487000.25,"comm_ns":0.25,"flops":221184,"loads":17,"stores":3,"l1_miss_pct":21.34,"l2_miss_pct":1.5,"messages":12,"msg_bytes":4096,"checksum":"308149a4cb0e1adc"},"spmd":{"time_ns":4440000.0,"supersteps":13,"matches_model":true,"charged_messages":4,"charged_bytes":128,"wire_messages":4,"wire_bytes":128,"ghost_fills":2,"unmodeled_exchanges":0,"reduction_messages":1,"checksum":"308149a4cb0e1adc","report":{"supersteps":13}}}|};
+    {|{"ok":true,"type":"ran","summary":{"program":"ep","level":"c2+f3","arrays_total":22,"contracted_compiler":0,"contracted_user":22,"remaining":0,"footprint_bytes":0,"contracted":[{"array":"t1","shape":"scalar"},{"array":"t2","shape":"dims:01"}],"merged_away":["u"],"fingerprint":"00112233aabbccdd","dump_ir":"ir text\n","dump_c":"c text\n"},"perf":{"machine":"Cray T3E","procs":4,"time_ns":487000.5,"comp_ns":487000.25,"comm_ns":0.25,"flops":221184,"loads":17,"stores":3,"l1_miss_pct":21.34,"l2_miss_pct":1.5,"messages":12,"msg_bytes":4096,"checksum":"308149a4cb0e1adc"},"spmd":{"schema":"zapc/spmd-report/1","machine":"Cray T3E","procs":4,"checksum":"308149a4cb0e1adc","time_ns":4440000.0,"supersteps":13,"charged":{"messages":4,"bytes":128},"wire":{"messages":6,"bytes":160},"reduction_messages":1,"unmodeled_exchanges":0,"ghost_fills":2,"l1":{"accesses":20992,"hits":19472,"misses":1520},"l2":null}}|};
     {|{"ok":true,"type":"ran","summary":{"program":"ep","level":"c2+f3","arrays_total":22,"contracted_compiler":0,"contracted_user":22,"remaining":0,"footprint_bytes":0,"contracted":[{"array":"t1","shape":"scalar"},{"array":"t2","shape":"dims:01"}],"merged_away":["u"],"fingerprint":"00112233aabbccdd","dump_ir":"ir text\n","dump_c":"c text\n"},"provenance":{"strategy":"search","machine":"Cray T3E","procs":16,"greedy_total_ns":1234.5,"search_total_ns":1000.25,"chosen_total_ns":1000.25,"fallback":false,"blocks":[{"block":0,"expanded":10,"generated":40,"pruned":7,"deduped":3,"beam_rounds":0,"greedy_ns":1234.5,"best_ns":1000.25,"improved":true}]},"perf":{"machine":"Cray T3E","procs":4,"time_ns":487000.5,"comp_ns":487000.25,"comm_ns":0.25,"flops":221184,"loads":17,"stores":3,"l1_miss_pct":21.34,"messages":12,"msg_bytes":4096,"checksum":"308149a4cb0e1adc"},"native":{"checksum":"308149a4cb0e1adc","wall_ns":57049,"compiler":"cc (Debian 12.2.0) 12.2.0","units":13,"matches":true}}|};
     {|{"ok":true,"type":"planned","summary":{"program":"ep","level":"c2+f3","arrays_total":22,"contracted_compiler":0,"contracted_user":22,"remaining":0,"footprint_bytes":0,"contracted":[{"array":"t1","shape":"scalar"},{"array":"t2","shape":"dims:01"}],"merged_away":["u"],"fingerprint":"00112233aabbccdd","dump_ir":"ir text\n","dump_c":"c text\n"},"provenance":{"strategy":"search","machine":"Cray T3E","procs":16,"greedy_total_ns":1234.5,"search_total_ns":1000.25,"chosen_total_ns":1000.25,"fallback":false,"blocks":[{"block":0,"expanded":10,"generated":40,"pruned":7,"deduped":3,"beam_rounds":0,"greedy_ns":1234.5,"best_ns":1000.25,"improved":true}]}}|};
     {|{"ok":true,"type":"planned","summary":{"program":"ep","level":"c2+f3","arrays_total":22,"contracted_compiler":0,"contracted_user":22,"remaining":0,"footprint_bytes":0,"contracted":[{"array":"t1","shape":"scalar"},{"array":"t2","shape":"dims:01"}],"merged_away":["u"],"fingerprint":"00112233aabbccdd","dump_ir":"ir text\n","dump_c":"c text\n"},"provenance":{"strategy":"ilp","machine":"Cray T3E","procs":16,"greedy_total_ns":1234.5,"search_total_ns":1000.25,"chosen_total_ns":990.5,"fallback":false,"ilp_total_ns":990.5,"proved_optimal":false,"certified_lb_ns":null,"blocks":[{"block":0,"expanded":10,"generated":40,"pruned":7,"deduped":3,"beam_rounds":0,"greedy_ns":1234.5,"best_ns":1000.25,"improved":true}],"ilp_blocks":[{"block":0,"clusters":512,"complete":false,"nodes":3,"cuts":1,"pivots":57,"proved":false,"objective_exact":true,"lower_bound_ns":null,"greedy_ns":1234.5,"best_ns":990.5,"improved":true}]}}|};
@@ -583,6 +584,7 @@ let request_rejects_bad_input () =
       {|{"op":"compile"}|};
       {|{"op":"compile","source":{"bench":"ep"},"v":999}|};
       {|{"op":"stats","v":1}|};
+      {|{"op":"stats","v":2}|};
       {|{"op":"compile","source":{"bench":"ep"},"opts":{"plan":"mystic"}}|};
       {|{"op":"run","source":{"bench":"ep"},"target":{"procs":1e19}}|};
       {|{"op":"\uzzzz"}|};

@@ -87,16 +87,21 @@ both search-c --bench tomcatv --tile 16 --plan search --dump-c --simplify
 both parse-error "$WORK/bad.zap"
 grep -q '^exit 124$' "$WORK/parse-error.local"
 
-# --stats: the plan object comes from the reply; spans and counters are
-# the client process's own and differ
-plan_of() {
-  python3 -c 'import json, sys; print(json.dumps(json.load(sys.stdin)["plan"]))'
+# --stats: the plan and spmd objects come from the reply; spans and
+# counters are the client process's own and differ
+member() {
+  python3 -c 'import json, sys; print(json.dumps(json.load(sys.stdin)[sys.argv[1]]))' "$1"
 }
-"$ZAPC" --bench frac --tile 16 --plan ilp --stats json:- | plan_of > "$WORK/plan.local"
-"$ZAPC" --bench frac --tile 16 --plan ilp --stats json:- --connect "$SOCK" \
-  | plan_of > "$WORK/plan.remote"
-diff "$WORK/plan.local" "$WORK/plan.remote"
-echo "local vs --connect: 5 cases identical"
+stats_both() {
+  name=$1
+  shift
+  "$ZAPC" "$@" --stats json:- | member "$name" > "$WORK/$name.local"
+  "$ZAPC" "$@" --stats json:- --connect "$SOCK" | member "$name" > "$WORK/$name.remote"
+  diff "$WORK/$name.local" "$WORK/$name.remote"
+}
+stats_both plan --bench frac --tile 16 --plan ilp
+stats_both spmd --bench ep --tile 256 --run --spmd -p 4
+echo "local vs --connect: 6 cases identical"
 
 "$ZAPC" --shutdown --connect "$SOCK" > /dev/null
 wait "$ZAPD_PID"
