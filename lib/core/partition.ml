@@ -56,16 +56,26 @@ let bit_add bits off b =
   bits.(w) <- bits.(w) lor (1 lsl (b mod word))
 
 (* Staged: [grow t] tabulates the transitive reach of the cluster graph
-   once, as one bitset row per cluster, and answers every cluster set
-   then asked of it by lookup.  Clusters get dense ids in
-   representative order; bit [b] of row [a] says a dependence path of
-   at least one edge leads from cluster [a] to cluster [b]. *)
+   once, as one bitset row per cluster, and its transpose, and answers
+   every cluster set then asked of it by word operations.  Clusters get
+   dense ids in representative order; bit [b] of row [a] of [reach]
+   says a dependence path of at least one edge leads from cluster [a]
+   to cluster [b], and bit [a] of row [b] of [back] says the same. *)
 let grow t =
-  let reps, id, edges = cluster_graph t in
+  let n = Asdg.n t.asdg in
+  let id = Array.make n (-1) in
+  let reps = Array.of_list (List.map List.hd (clusters t)) in
+  Array.iteri (fun k r -> id.(r) <- k) reps;
   let k = Array.length reps in
   let words = (k + word - 1) / word in
   let reach = Array.make (k * words) 0 in
-  List.iter (fun (a, b) -> bit_add reach (a * words) b) edges;
+  (* the cluster graph's edges, straight from the statement edges:
+     setting a bit twice is harmless, so nothing is sorted *)
+  List.iter
+    (fun (i, j) ->
+      let a = id.(cluster_of t i) and b = id.(cluster_of t j) in
+      if a <> b then bit_add reach (a * words) b)
+    (Asdg.edges t.asdg);
   (* Warshall: after step [m], row [a] holds every cluster reached by a
      path whose inner clusters all lie among 0..m *)
   for m = 0 to k - 1 do
@@ -77,31 +87,42 @@ let grow t =
         done
     done
   done;
+  let back = Array.make (k * words) 0 in
+  for a = 0 to k - 1 do
+    for b = 0 to k - 1 do
+      if bit_mem reach (a * words) b then bit_add back (b * words) a
+    done
+  done;
   fun c ->
-    (* [c]'s clusters, and every cluster they reach *)
-    let inside = Array.make words 0 and reached = Array.make words 0 in
+    (* the clusters [c] reaches and those that reach back into it, then
+       both and outside [c] *)
+    let out = Array.make words 0 and into = Array.make words 0 in
+    List.iter
+      (fun r ->
+        let a = id.(r) * words in
+        for w = 0 to words - 1 do
+          out.(w) <- out.(w) lor reach.(a + w);
+          into.(w) <- into.(w) lor back.(a + w)
+        done)
+      c;
+    for w = 0 to words - 1 do
+      out.(w) <- out.(w) land into.(w)
+    done;
     List.iter
       (fun r ->
         let a = id.(r) in
-        bit_add inside 0 a;
-        for w = 0 to words - 1 do
-          reached.(w) <- reached.(w) lor reach.((a * words) + w)
-        done)
+        let w = a / word in
+        out.(w) <- out.(w) land lnot (1 lsl (a mod word)))
       c;
-    (* does cluster [x] reach back into [c]? *)
-    let reaches_back x =
-      let w = ref 0 in
-      while !w < words && reach.((x * words) + !w) land inside.(!w) = 0 do
-        incr w
-      done;
-      !w < words
-    in
-    let out = ref [] in
-    for x = k - 1 downto 0 do
-      if bit_mem reached 0 x && (not (bit_mem inside 0 x)) && reaches_back x
-      then out := reps.(x) :: !out
+    let acc = ref [] in
+    for w = words - 1 downto 0 do
+      if out.(w) <> 0 then
+        for b = word - 1 downto 0 do
+          if out.(w) land (1 lsl b) <> 0 then
+            acc := reps.((w * word) + b) :: !acc
+        done
     done;
-    !out
+    !acc
 
 (* ---- hypothetical merge ------------------------------------------- *)
 
@@ -186,12 +207,6 @@ let check_merge ?relax_flow t c =
       match check_stmt_set ?relax_flow t (stmts_of t c) with
       | Error _ as e -> e
       | Ok () -> if acyclic (merge t c) then Ok () else Error Cycle)
-
-(* Contracting a set of an acyclic cluster graph creates a cycle only
-   through a path that leaves the set and comes back; a grow-closed set
-   has none, so condition (iii) holds without rebuilding the graph. *)
-let check_closed_merge t c =
-  match c with [] | [ _ ] -> Ok () | _ -> check_stmt_set t (stmts_of t c)
 
 let can_merge ?relax_flow t c = check_merge ?relax_flow t c = Ok ()
 

@@ -47,11 +47,12 @@ val grow : t -> int list -> int list
     [c] lying on a dependence path from [c] to [c] — exactly the
     clusters that would end up on an inter-cluster cycle if [c] were
     fused.  Ascending.  Staged: [grow t] tabulates the transitive reach
-    of the cluster graph once, as a bitset row per cluster (O(n + e +
-    k²·⌈k/63⌉) for [n] statements, [e] dependence edges and [k]
-    clusters), and then answers each set [c] by lookup in
-    O((|c| + k)·⌈k/63⌉), with no graph search.  Applying it to many
-    cluster sets of one partition pays for the table once. *)
+    of the cluster graph once, and its transpose, as a bitset row per
+    cluster (O(n + e + k²·⌈k/63⌉) for [n] statements, [e] dependence
+    edges and [k] clusters), and then answers each set [c] by word
+    operations in O(|c|·⌈k/63⌉ + 63·w) for the [w] nonzero words of the
+    answer, with no graph search.  Applying it to many cluster sets of
+    one partition pays for the table once. *)
 
 val stmts_of : t -> int list -> int list
 (** The statements of the given clusters (by representative),
@@ -76,16 +77,6 @@ val check_merge : ?relax_flow:bool -> t -> int list -> (unit, veto) result
     compiler would perform it, sacrificing the parallelism guarantee;
     it enables the partial-contraction extension (see
     {!Contraction.decide_partial}). *)
-
-val check_closed_merge : t -> int list -> (unit, veto) result
-(** {!check_merge} for a set closed under {!grow} ([grow t c = []]) of
-    an acyclic partition — e.g. [c @ grow t c] for any [c].  Merging
-    such a set cannot create an inter-cluster cycle, so only
-    conditions (i), (ii) and (iv) are checked, and the verdict equals
-    {!check_merge}'s without copying the partition or rebuilding its
-    cluster graph.  The set's statements are read off the partition in
-    one pass ({!stmts_of}).  On any other set the verdict is
-    unspecified. *)
 
 val can_merge : ?relax_flow:bool -> t -> int list -> bool
 (** [check_merge] as a predicate. *)

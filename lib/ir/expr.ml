@@ -79,7 +79,7 @@ let rank_consistent ~rank e =
 (* splitmix64 finalizer over the bit pattern of the argument *)
 let hashrand x =
   let open Int64 in
-  let z = bits_of_float x in
+  let z = if x <> x then Support.Hash64.canonical_nan else bits_of_float x in
   let z = add z 0x9E3779B97F4A7C15L in
   let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in

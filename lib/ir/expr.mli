@@ -91,7 +91,11 @@ val fmax : float -> float -> float
 
 val hashrand : float -> float
 (** The pure PRN function behind [Hashrand] (exposed for tests and for
-    scalar-language reference implementations of the benchmarks). *)
+    scalar-language reference implementations of the benchmarks):
+    splitmix64 over the argument's bits, every NaN hashed as
+    [Support.Hash64.canonical_nan], so a NaN's sign or payload (which
+    cc may produce differently from OCaml, e.g. by folding [a / -b]
+    into [-a / b]) never reaches the result. *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

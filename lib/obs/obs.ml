@@ -325,6 +325,13 @@ module Codec = struct
     scalar (Json.to_string v) (fun () -> v) (fun j ->
         if j = v then Some () else None)
 
+  let check f c =
+    let decode j =
+      let* v = c.decode j in
+      Result.map (fun () -> v) (f v)
+    in
+    { c with decode }
+
   let conv of_a to_a c =
     let decode j = Result.map of_a (c.decode j) in
     { encode = (fun b -> c.encode (to_a b)); decode }

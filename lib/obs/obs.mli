@@ -90,6 +90,10 @@ module Codec : sig
   val const : Json.t -> unit t
   (** Exactly this value; anything else fails to decode. *)
 
+  val check : ('a -> (unit, string) result) -> 'a t -> 'a t
+  (** [check f c]: [c], except that a decoded value [f] refuses fails
+      to decode, with [f]'s message. *)
+
   val conv : ('a -> 'b) -> ('b -> 'a) -> 'a t -> 'b t
   (** [conv of_a to_a c]: a ['b] carried as [c]'s ['a]. *)
 

@@ -41,10 +41,14 @@ type block_info = {
   stmt_refs : int array;
       (** per statement, its element references: 1 + reads, times its
           volume *)
-  streams : (string * int) array array;
+  slots : (string, int) Hashtbl.t;
+      (** array -> its slot: a dense per-block index, in order of first
+          reference *)
+  stream_slots : int array array;
+  stream_bases : int array array;
       (** per statement, its reference streams in sweep order (the
-          written array, then every read): array name and simulated
-          base address *)
+          written array, then every read): each stream's slot and
+          simulated base address *)
   weights : (string, int) Hashtbl.t;  (** array -> reference weight *)
   mult : int;
   base_refs : int;  (** element references per execution, before contraction *)
@@ -181,7 +185,6 @@ let create cfg prog =
       let bytes = (8 * Region.volume a.Prog.bounds) + align in
       next := (!next + bytes + align - 1) / align * align)
     prog.Prog.arrays;
-  let stream x = (x, Option.value ~default:0 (Hashtbl.find_opt base x)) in
   let info =
     List.mapi
       (fun bi stmts ->
@@ -196,8 +199,23 @@ let create cfg prog =
         let streams =
           per_stmt (fun s ->
               Array.of_list
-                (stream s.Nstmt.lhs
-                :: List.map (fun (x, _) -> stream x) (Expr.refs s.Nstmt.rhs)))
+                (s.Nstmt.lhs :: List.map fst (Expr.refs s.Nstmt.rhs)))
+        in
+        let slots = Hashtbl.create 16 in
+        let slot x =
+          match Hashtbl.find_opt slots x with
+          | Some k -> k
+          | None ->
+              let k = Hashtbl.length slots in
+              Hashtbl.add slots x k;
+              k
+        in
+        let stream_slots = Array.map (Array.map slot) streams in
+        let stream_bases =
+          Array.map
+            (Array.map (fun x ->
+                 Option.value ~default:0 (Hashtbl.find_opt base x)))
+            streams
         in
         (* one stream per element reference *)
         let stmt_refs =
@@ -217,7 +235,9 @@ let create cfg prog =
           stmts;
           volumes;
           stmt_refs;
-          streams;
+          slots;
+          stream_slots;
+          stream_bases;
           weights;
           mult = mults.(bi);
           base_refs = Array.fold_left ( + ) 0 stmt_refs;
@@ -245,12 +265,23 @@ let lines_of_volume t vol =
   let line = t.cfg.machine.Machine.l1.Cachesim.Cache.line_bytes in
   max 1 (((8 * vol) + line - 1) / line)
 
+let slots t ~block = Hashtbl.length t.blocks.(block).slots
+let slot t ~block x = Hashtbl.find_opt t.blocks.(block).slots x
+
+let flags t ~block names =
+  let f = Array.make (slots t ~block) false in
+  List.iter
+    (fun x -> Option.iter (fun k -> f.(k) <- true) (slot t ~block x))
+    names;
+  f
+
 type array_facts = {
   refs : int array;
   lines : int;
   weight : int;
   first_write : bool;
   eligible : bool;
+  slot : int;
 }
 
 type facts = {
@@ -274,6 +305,7 @@ let facts t ~block ~candidates g =
       weight = block_weight t ~block x;
       first_write = Core.Partition.first_ref_is_write t0 x;
       eligible = Core.Contraction.scalar_if_confined g x;
+      slot = Option.value ~default:(-1) (slot t ~block x);
     }
   in
   let names = Array.of_list candidates in
@@ -301,21 +333,34 @@ let scalar_contracted (bp : Sir.Scalarize.block_plan) =
 (* One fused cluster = one loop nest sweeping the cluster's region:
    an interleaved line-granular stream per reference, contracted arrays
    excluded.  Its probe key: the sweep's line count, then the streams'
-   base addresses in sweep order. *)
+   base addresses in sweep order.  Two passes over the streams: count,
+   then fill. *)
 let sweep t ~block members ~contracted =
   let info = t.blocks.(block) in
-  let bases =
-    List.concat_map
+  let k = ref 0 in
+  List.iter
+    (fun i ->
+      Array.iter
+        (fun s -> if not contracted.(s) then incr k)
+        info.stream_slots.(i))
+    members;
+  if !k = 0 then [||]
+  else begin
+    let key = Array.make (!k + 1) 0 in
+    key.(0) <- lines_of_volume t info.volumes.(List.hd members);
+    let j = ref 1 in
+    List.iter
       (fun i ->
-        Array.fold_right
-          (fun (x, b) acc -> if List.mem x contracted then acc else b :: acc)
-          info.streams.(i) [])
-      members
-  in
-  match bases with
-  | [] -> [||]
-  | _ ->
-      Array.of_list (lines_of_volume t info.volumes.(List.hd members) :: bases)
+        let slots = info.stream_slots.(i) and bases = info.stream_bases.(i) in
+        for r = 0 to Array.length slots - 1 do
+          if not contracted.(slots.(r)) then begin
+            key.(!j) <- bases.(r);
+            incr j
+          end
+        done)
+      members;
+    key
+  end
 
 let cluster_misses t ~block members ~contracted =
   match sweep t ~block members ~contracted with
@@ -331,10 +376,11 @@ let cluster_misses t ~block members ~contracted =
           Mutex.protect t.memo_lock (fun () -> Probe_memo.replace t.memo key r);
           r)
 
-(* every statement of [refs] from index [k] on is a member of [c];
-   a plain recursion, since it runs per candidate per ILP column *)
-let rec all_in refs k c =
-  k >= Array.length refs || (List.mem refs.(k) c && all_in refs (k + 1) c)
+(* every statement of [refs] from index [k] on is [inside]; a plain
+   recursion, since it runs per candidate per ILP column *)
+let rec all_in refs k inside =
+  k >= Array.length refs
+  || (Bytes.unsafe_get inside refs.(k) = '\001' && all_in refs (k + 1) inside)
 
 (* w(C): the reference term after the contractions confined to [c] and
    the miss terms of its sweep, as [block_cost_of_misses] folds them
@@ -342,16 +388,18 @@ let rec all_in refs k c =
 let cluster_weight t ~block facts c =
   let info = t.blocks.(block) in
   let m = t.cfg.machine in
-  let contracted = ref [] and saved = ref 0 in
-  for k = Array.length facts.cands - 1 downto 0 do
-    let f = facts.cands.(k) in
-    if f.eligible && all_in f.refs 0 c then begin
-      contracted := facts.names.(k) :: !contracted;
-      saved := !saved + f.weight
-    end
-  done;
+  let inside = Bytes.make (Array.length info.volumes) '\000' in
+  List.iter (fun i -> Bytes.set inside i '\001') c;
+  let contracted = Array.make (slots t ~block) false and saved = ref 0 in
+  Array.iter
+    (fun f ->
+      if f.eligible && all_in f.refs 0 inside then begin
+        if f.slot >= 0 then contracted.(f.slot) <- true;
+        saved := !saved + f.weight
+      end)
+    facts.cands;
   let refs = List.fold_left (fun acc i -> acc + info.stmt_refs.(i)) 0 c in
-  let l1m, l2m = cluster_misses t ~block c ~contracted:!contracted in
+  let l1m, l2m = cluster_misses t ~block c ~contracted in
   float_of_int info.mult
   *. ((float_of_int (refs - !saved) *. m.Machine.l1_hit_ns)
      +. (l1m *. m.Machine.l1_miss_ns)
@@ -366,14 +414,10 @@ let flop_ns t ~block =
    in [Core.Partition.clusters] order, folded in that order, so a
    caller that reuses the pairs of unchanged clusters gets the same
    float sums, bit for bit, as [block_cost]'s fresh probes. *)
-let block_cost_of_misses t ~block (bp : Sir.Scalarize.block_plan) misses =
+let block_cost_of_misses t ~block (bp : Sir.Scalarize.block_plan) ~saved
+    misses =
   let info = t.blocks.(block) in
   let m = t.cfg.machine in
-  let saved =
-    List.fold_left
-      (fun acc x -> acc + block_weight t ~block x)
-      0 (scalar_contracted bp)
-  in
   let refs = info.base_refs - saved in
   let l1m, l2m =
     List.fold_left
@@ -402,8 +446,11 @@ let block_cost_of_misses t ~block (bp : Sir.Scalarize.block_plan) misses =
   }
 
 let block_cost t ~block (bp : Sir.Scalarize.block_plan) =
-  let contracted = scalar_contracted bp in
+  let names = scalar_contracted bp in
+  let contracted = flags t ~block names in
   block_cost_of_misses t ~block bp
+    ~saved:
+      (List.fold_left (fun acc x -> acc + block_weight t ~block x) 0 names)
     (List.map
        (fun cluster -> cluster_misses t ~block cluster ~contracted)
        (Core.Partition.clusters bp.Sir.Scalarize.partition))

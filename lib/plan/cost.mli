@@ -112,6 +112,7 @@ type array_facts = {
   eligible : bool;
       (** [Core.Contraction.scalar_if_confined]: contracted exactly when
           all its references share a cluster *)
+  slot : int;  (** its slot (below); -1 if the block never references it *)
 }
 
 type facts = {
@@ -124,6 +125,21 @@ type facts = {
 
 val facts : t -> block:int -> candidates:string list -> Core.Asdg.t -> facts
 (** The block's fact table, built once per planner call. *)
+
+(** {2 Contraction flags}
+
+    A block's probes name arrays by {e slot}: a dense index over the
+    arrays the block references, in order of first reference (each
+    statement's written array, then its reads).  A set of contracted
+    arrays is a [bool array] of {!slots} flags, so building a probe key
+    tests a flag per stream rather than comparing names. *)
+
+val slots : t -> block:int -> int
+(** Arrays the block references: the length of its flag arrays. *)
+
+val flags : t -> block:int -> string list -> bool array
+(** The flags of the named arrays; names the block never references are
+    ignored. *)
 
 val cluster_weight : t -> block:int -> facts -> int list -> float
 (** w(C), the term the ILP minimizes per cluster [C] (ascending):
@@ -142,12 +158,13 @@ val flop_ns : t -> block:int -> float
 (** The block's arithmetic term, [mult × flops × flop_ns]: the
     [flop_ns] of every plan's {!block_cost}. *)
 
-val sweep : t -> block:int -> int list -> contracted:string list -> int array
+val sweep : t -> block:int -> int list -> contracted:bool array -> int array
 (** The probe key of the sweep {!cluster_misses} prices:
     [[| lines; base_1; ...; base_k |]], its line count on the L1
     geometry, then the base address of each stream in sweep order (each
-    statement's written array, then its reads), references to
-    [contracted] arrays excluded.  [[||]] when no stream is left. *)
+    statement's written array, then its reads), references to arrays
+    whose [contracted] flag is set excluded.  [[||]] when no stream is
+    left. *)
 
 val sweep_misses : Machine.t -> int array -> float * float
 (** Unmemoized [(l1_misses, l2_misses)] of a probe key's sweep,
@@ -165,13 +182,14 @@ val sweep_misses : Machine.t -> int array -> float * float
     O(streams × period × assoc) with no cache allocated.  A probe that
     raises drops its domain's hierarchy. *)
 
-val cluster_misses : t -> block:int -> int list -> contracted:string list -> float * float
+val cluster_misses :
+  t -> block:int -> int list -> contracted:bool array -> float * float
 (** [(l1_misses, l2_misses)] of one fused cluster per block execution:
     the cluster's statements (by block-local index) swept as one loop
     nest through the machine's cache hierarchy, references to
-    [contracted] arrays excluded.  Memoized; safe to call from
-    parallel cost workers.  This is the per-cluster miss term
-    {!block_cost} sums and {!cluster_weight} charges. *)
+    [contracted] arrays excluded (flags as in {!sweep}).  Memoized;
+    safe to call from parallel cost workers.  This is the per-cluster
+    miss term {!block_cost} sums and {!cluster_weight} charges. *)
 
 val block_cost : t -> block:int -> Sir.Scalarize.block_plan -> breakdown
 (** Cost of the block under a candidate plan, scaled by the block's
@@ -180,13 +198,20 @@ val block_cost : t -> block:int -> Sir.Scalarize.block_plan -> breakdown
     fresh {!cluster_misses} probe of every cluster. *)
 
 val block_cost_of_misses :
-  t -> block:int -> Sir.Scalarize.block_plan -> (float * float) list -> breakdown
-(** The pricing formula {!block_cost} uses, given each cluster's
-    {!cluster_misses} pair (under the plan's scalar contractions) in
-    [Core.Partition.clusters] order.  The pairs are summed in that
-    order, so a caller that keeps the pairs of clusters a merge left
-    untouched and probes only the merged one gets {!block_cost}'s
-    breakdown bit for bit ([Plan.Search] does; see docs/planner.md). *)
+  t ->
+  block:int ->
+  Sir.Scalarize.block_plan ->
+  saved:int ->
+  (float * float) list ->
+  breakdown
+(** The pricing formula {!block_cost} uses, given the reference weight
+    [saved] that the plan's scalar contractions remove (the sum of
+    their {!block_weight}s) and each cluster's {!cluster_misses} pair
+    (under those contractions) in [Core.Partition.clusters] order.
+    The pairs are summed in that order, so a caller that keeps the
+    pairs of clusters a merge left untouched and probes only the merged
+    one gets {!block_cost}'s breakdown bit for bit ([Plan.Search] does;
+    see docs/planner.md). *)
 
 val plan_cost : t -> Sir.Scalarize.plan -> breakdown
 (** Whole-program cost: block costs plus the reduction combining

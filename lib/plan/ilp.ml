@@ -35,7 +35,8 @@ type stats = {
    always point from lower to higher indices, so every prefix it
    extends is itself a column, and it checks only what an extension
    changes:
-   - (i) and (ii) are pairwise: [compat] holds them for every pair;
+   - (i) and (ii) are pairwise: the block's Pairs table holds them for
+     every pair;
    - (iv) is FIND-LOOP-STRUCTURE over the UDVs of the dependences
      inside the set, accumulated along the prefix (its verdict depends
      only on which UDVs there are, so an extension that adds none keeps
@@ -49,32 +50,9 @@ type stats = {
    cycle witness a → j → next keeps its nodes at indices at most
    [next]), so pruning is exact: the DFS emits precisely the valid
    clusters, each once. *)
-let columns cfg g =
+let enumerate cfg pairs g =
   let n = Core.Asdg.n g in
   let region i = (Core.Asdg.stmt g i).Ir.Nstmt.region in
-  (* [udvs.(i).(j)], i < j: the UDVs of the dependences from i to j *)
-  let udvs = Array.make_matrix n n [] in
-  let compat = Array.make_matrix n n false in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      let labels = Core.Asdg.labels g i j in
-      udvs.(i).(j) <- List.map (fun (l : Core.Dep.label) -> l.udv) labels;
-      if
-        Ir.Region.equal (region i) (region j)
-        && List.for_all
-             (fun (l : Core.Dep.label) ->
-               l.kind <> Core.Dep.Flow || Support.Vec.is_null l.udv)
-             labels
-        && (labels = []
-           || Core.Loopstruct.find ~rank:(Ir.Region.rank (region i))
-                udvs.(i).(j)
-              <> None)
-      then begin
-        compat.(i).(j) <- true;
-        compat.(j).(i) <- true
-      end
-    done
-  done;
   (* [reach.(a).(b)]: a dependence path leads from a to b *)
   let reach = Array.make_matrix n n false in
   for a = n - 1 downto 0 do
@@ -107,7 +85,8 @@ let columns cfg g =
   let rec extend rev_members first within reached =
     let last = List.hd rev_members in
     for next = last + 1 to n - 1 do
-      if List.for_all (fun m -> compat.(m).(next)) rev_members then begin
+      if List.for_all (fun m -> Pairs.compat pairs m next) rev_members
+      then begin
         incr explored;
         if !explored > explore_cap then begin
           complete := false;
@@ -121,7 +100,9 @@ let columns cfg g =
           in
           ok (first + 1)
         in
-        let added = List.concat_map (fun m -> udvs.(m).(next)) rev_members in
+        let added =
+          List.concat_map (fun m -> Pairs.udvs pairs m next) rev_members
+        in
         let within = added @ within in
         if
           convex
@@ -153,6 +134,8 @@ let columns cfg g =
      done
    with Enough -> ());
   (Array.of_list (List.rev !cols), !complete)
+
+let columns cfg g = enumerate cfg (Pairs.create g) g
 
 (* ------------------------------------------------------------------ *)
 (* Dense two-phase primal simplex                                      *)
@@ -258,10 +241,12 @@ let solve_phase a b basis row_active m width ~art_from c ~budget pivots =
   done;
   match !outcome with Some o -> o | None -> assert false
 
-(* Solve min w·y, Σ_{C∋i} y_C = 1 (per uncovered stmt), cut rows
-   Σ y ≤ rhs, y ≥ 0, over the active columns.  Returns the optimum
-   and the primal values of the active columns. *)
-let solve_lp ~w ~act_cols ~eq_rows ~cut_rows ~stmt_mem ~budget pivots =
+(* The starting tableau of min w·y, Σ_{C∋i} y_C = 1 (per uncovered
+   stmt), cut rows Σ y ≤ rhs, y ≥ 0, over the active columns.  A
+   statement's row gets a 1 in each active column that holds it: each
+   active column's statement list is walked once, through the
+   statement -> row index. *)
+let tableau ~n cols ~act_cols ~eq_rows ~cut_rows =
   let n_act = Array.length act_cols in
   let n_eq = Array.length eq_rows in
   let n_cut = Array.length cut_rows in
@@ -271,16 +256,20 @@ let solve_lp ~w ~act_cols ~eq_rows ~cut_rows ~stmt_mem ~budget pivots =
   let a = Array.make_matrix m width 0.0 in
   let b = Array.make m 0.0 in
   let basis = Array.make m 0 in
-  let row_active = Array.make m true in
+  let row = Array.make n (-1) in
   Array.iteri
     (fun r stmt ->
-      Array.iteri
-        (fun j id -> if stmt_mem id stmt then a.(r).(j) <- 1.0)
-        act_cols;
+      row.(stmt) <- r;
       a.(r).(art_from + r) <- 1.0;
       b.(r) <- 1.0;
       basis.(r) <- art_from + r)
     eq_rows;
+  Array.iteri
+    (fun j id ->
+      List.iter
+        (fun s -> if row.(s) >= 0 then a.(row.(s)).(j) <- 1.0)
+        cols.(id))
+    act_cols;
   Array.iteri
     (fun k (members, rhs) ->
       let r = n_eq + k in
@@ -289,6 +278,18 @@ let solve_lp ~w ~act_cols ~eq_rows ~cut_rows ~stmt_mem ~budget pivots =
       b.(r) <- float_of_int rhs;
       basis.(r) <- n_act + k)
     cut_rows;
+  (a, b, basis)
+
+(* Solve the LP of [tableau].  Returns the optimum and the primal
+   values of the active columns. *)
+let solve_lp ~w ~n cols ~act_cols ~eq_rows ~cut_rows ~budget pivots =
+  let a, b, basis = tableau ~n cols ~act_cols ~eq_rows ~cut_rows in
+  let n_act = Array.length act_cols in
+  let n_cut = Array.length cut_rows in
+  let m = Array.length b in
+  let width = n_act + n_cut + Array.length eq_rows in
+  let art_from = n_act + n_cut in
+  let row_active = Array.make m true in
   (* phase 1: minimize the artificials *)
   let c1 = Array.make width 0.0 in
   for j = art_from to width - 1 do
@@ -432,7 +433,7 @@ let block ?(probe = fun (_ : Core.Partition.t) -> ()) ?(seeds = []) cfg cost_t
       (Core.Partition.clusters p)
   in
   (* ---- columns --------------------------------------------------- *)
-  let cols, complete = columns cfg g in
+  let cols, complete = enumerate cfg (Pairs.create g) g in
   let ncols = Array.length cols in
   let w_ns =
     Array.of_list
@@ -441,12 +442,6 @@ let block ?(probe = fun (_ : Core.Partition.t) -> ()) ?(seeds = []) cfg cost_t
   (* scale the objective to O(1) so simplex tolerances are meaningful *)
   let scale = Array.fold_left (fun acc v -> Float.max acc v) 1.0 w_ns in
   let w = Array.map (fun v -> v /. scale) w_ns in
-  let stmt_cols = Array.make n [] in
-  Array.iteri
-    (fun id c -> List.iter (fun s -> stmt_cols.(s) <- id :: stmt_cols.(s)) c)
-    cols;
-  Array.iteri (fun s l -> stmt_cols.(s) <- List.rev l) stmt_cols;
-  let stmt_mem id s = List.mem s cols.(id) in
   (* ---- incumbents ------------------------------------------------ *)
   let greedy_p =
     Core.Fusion.for_locality (Core.Fusion.for_contraction ~candidates g)
@@ -525,7 +520,7 @@ let block ?(probe = fun (_ : Core.Partition.t) -> ()) ?(seeds = []) cfg cost_t
           in
           if not !infeasible then begin
             match
-              solve_lp ~w ~act_cols ~eq_rows ~cut_rows ~stmt_mem
+              solve_lp ~w ~n cols ~act_cols ~eq_rows ~cut_rows
                 ~budget:cfg.max_pivots pivots
             with
             | Lp_limit, _, _ -> aborted := true

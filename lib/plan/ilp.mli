@@ -118,6 +118,25 @@ val columns : cfg -> Core.Asdg.t -> int list array * bool
     [test/test_plan.ml] keeps the enumeration that vets every
     extension with [Core.Partition.check_merge] as the oracle. *)
 
+val tableau :
+  n:int ->
+  int list array ->
+  act_cols:int array ->
+  eq_rows:int array ->
+  cut_rows:(int list * int) array ->
+  float array array * float array * int array
+(** [tableau ~n cols ~act_cols ~eq_rows ~cut_rows]: the dense starting
+    tableau [(a, b, basis)] of one branch-and-cut node's LP over a
+    block of [n] statements.  Columns [0 .. k-1] of [a] are the active
+    columns [cols.(act_cols.(j))], then one slack per cut row, then one
+    artificial per equality row.  Row [r < |eq_rows|] is statement
+    [eq_rows.(r)]'s partition row (a 1 under every active column that
+    holds it, right-hand side 1, its artificial basic); row
+    [|eq_rows| + k] is cut [k] (a 1 under each of its members, which
+    are active-column positions, right-hand side its bound, its slack
+    basic).  Filled by walking each active column's statement list
+    once. *)
+
 val block :
   ?probe:(Core.Partition.t -> unit) ->
   ?seeds:Core.Partition.t list ->

@@ -41,17 +41,18 @@ module Visited = Hashtbl.Make (Support.Vec)
 let key_of ids =
   String.concat "." (Array.to_list (Array.map string_of_int ids))
 
-(* Distinct clusters among the statements [refs].  Plain loops, like
-   [bound_of]'s: they run for every array of every priced state. *)
-let sweeps ids refs =
+(* Distinct clusters among the statements [refs], each counted when
+   [seen] first gets the caller's [stamp] for it; a caller passes a
+   stamp per call.  Plain loops, like [bound_of]'s: they run for every
+   array of every priced state. *)
+let sweeps seen stamp ids refs =
   let k = ref 0 in
   for j = 0 to Array.length refs - 1 do
     let c = ids.(refs.(j)) in
-    let i = ref 0 in
-    while !i < j && ids.(refs.(!i)) <> c do
-      incr i
-    done;
-    if !i = j then incr k
+    if seen.(c) <> stamp then begin
+      seen.(c) <- stamp;
+      incr k
+    end
   done;
   !k
 
@@ -67,6 +68,7 @@ let bound_of cost_t ~block (tbl : Cost.facts) ids contracted
   let m = c.Cost.machine in
   let mult = float_of_int (Cost.block_mult cost_t ~block) in
   let miss_ub = m.Machine.l1_miss_ns +. m.Machine.l2_miss_ns in
+  let seen = Array.make (Array.length ids) (-1) in
   let h_contract = ref 0.0 in
   for k = 0 to Array.length tbl.cands - 1 do
     let f = tbl.cands.(k) in
@@ -74,13 +76,14 @@ let bound_of cost_t ~block (tbl : Cost.facts) ids contracted
       h_contract :=
         !h_contract
         +. (float_of_int f.weight *. m.Machine.l1_hit_ns)
-        +. (float_of_int (sweeps ids f.refs * f.lines) *. miss_ub)
+        +. (float_of_int (sweeps seen k ids f.refs * f.lines) *. miss_ub)
   done;
   let h_locality = ref 0.0 in
+  let stamps = Array.length tbl.cands in
   for v = 0 to Array.length tbl.vars - 1 do
     let f, k = tbl.vars.(v) in
     if k < 0 || not contracted.(k) then begin
-      let n = sweeps ids f.refs in
+      let n = sweeps seen (stamps + v) ids f.refs in
       if n > 1 then
         h_locality :=
           !h_locality +. (float_of_int ((n - 1) * f.lines) *. miss_ub)
@@ -89,44 +92,78 @@ let bound_of cost_t ~block (tbl : Cost.facts) ids contracted
   cost.Cost.total_ns
   -. ((mult *. (!h_contract +. !h_locality)) +. cost.Cost.comm_ns)
 
-(* The merge sets tried from [p]: the Figure-3 array moves plus
-   pairwise cluster merges, each closed under GROW. *)
-let merge_sets g p =
+(* Merge sets are ascending representative lists, ordered as
+   polymorphic [compare] orders them, by an int comparison. *)
+let rec compare_sets a b =
+  match (a, b) with
+  | [], [] -> 0
+  | [], _ -> -1
+  | _, [] -> 1
+  | (x : int) :: a', y :: b' ->
+      if x < y then -1 else if x > y then 1 else compare_sets a' b'
+
+(* The union of two ascending lists with no element in common. *)
+let rec union a b =
+  match (a, b) with
+  | [], l | l, [] -> l
+  | (x : int) :: a', y :: b' ->
+      if x < y then x :: union a' b else y :: union a b'
+
+(* The merge sets tried from [p], whose statement -> representative
+   vector is [ids]: the Figure-3 array moves plus pairwise cluster
+   merges, each closed under GROW.  GROW answers outside its ascending
+   argument in ascending order, so a closure is one list merge. *)
+let sets g p ids =
   let grow = Core.Partition.grow p in
-  let closure c =
-    let c = List.sort_uniq compare c in
-    List.sort_uniq compare (c @ grow c)
-  in
+  let closure c = union c (grow c) in
   let array_moves =
     List.filter_map
       (fun x ->
-        let refs = Core.Asdg.stmts_referencing g x in
         match
-          List.sort_uniq compare (List.map (Core.Partition.cluster_of p) refs)
+          List.sort_uniq Int.compare
+            (List.map (fun i -> ids.(i)) (Core.Asdg.stmts_referencing g x))
         with
         | [] | [ _ ] -> None
         | c -> Some (closure c))
       (Core.Asdg.vars g)
   in
   let reps = List.map List.hd (Core.Partition.clusters p) in
-  let pair_moves =
-    List.concat_map
-      (fun r1 ->
-        List.filter_map
-          (fun r2 -> if r2 <= r1 then None else Some (closure [ r1; r2 ]))
-          reps)
-      reps
+  let rec pair_moves acc = function
+    | [] -> acc
+    | r1 :: rest ->
+        pair_moves
+          (List.fold_left (fun acc r2 -> closure [ r1; r2 ] :: acc) acc rest)
+          rest
   in
-  List.sort_uniq compare (array_moves @ pair_moves)
-  |> List.filter (fun c -> List.length c > 1)
+  List.sort_uniq compare_sets (pair_moves array_moves reps)
 
-(* All legal merge moves from [p].  Every state is acyclic and every
-   merge set grow-closed, so merging cannot form a cycle: only
-   Definition 5 (i), (ii) and (iv) are left to vet. *)
-let moves g p =
-  List.filter
-    (fun c -> Core.Partition.check_closed_merge p c = Ok ())
-    (merge_sets g p)
+let ids_of p =
+  Array.init (Core.Asdg.n (Core.Partition.asdg p)) (Core.Partition.cluster_of p)
+
+let merge_sets g p = sets g p (ids_of p)
+
+(* Each merge set from [p] with the pair table's verdict on its
+   statements: the set's clusters' statement bitsets, OR-ed.  Every
+   state is acyclic and every merge set grow-closed, so merging cannot
+   form a cycle: only Definition 5 (i), (ii) and (iv) are left to
+   vet. *)
+let vetted pairs p =
+  let ids = ids_of p in
+  let words = Pairs.words pairs in
+  let rows = Array.make_matrix (Array.length ids) words 0 in
+  Array.iteri (fun i r -> Pairs.add rows.(r) i) ids;
+  List.map
+    (fun c ->
+      let set = Array.make words 0 in
+      List.iter
+        (fun r ->
+          let row = rows.(r) in
+          for w = 0 to words - 1 do
+            set.(w) <- set.(w) lor row.(w)
+          done)
+        c;
+      (c, Pairs.vet pairs set))
+    (sets (Core.Partition.asdg p) p ids)
 
 module Frontier = Map.Make (struct
   type t = float * int
@@ -140,12 +177,28 @@ let block ?(probe = fun (_ : Core.Partition.t) (_ : Cost.breakdown) _ -> ()) cfg
   Support.Pool.with_workers ~domains:cfg.jobs @@ fun workers ->
   let n = Core.Asdg.n g in
   let tbl = Cost.facts cost_t ~block ~candidates g in
+  let pair_table = Pairs.create g in
+  (* the slot flags of the contracted candidates, and the reference
+     weight they save *)
+  let contraction contracted =
+    let flags = Array.make (Cost.slots cost_t ~block) false
+    and saved = ref 0 in
+    Array.iteri
+      (fun k on ->
+        if on then begin
+          let f = tbl.cands.(k) in
+          if f.Cost.slot >= 0 then flags.(f.Cost.slot) <- true;
+          saved := !saved + f.Cost.weight
+        end)
+      contracted;
+    (flags, !saved)
+  in
   (* The price of a state whose [ids], [contracted] flags (and the
      candidates they name, in order) and cluster [misses] are known.
      Pure: safe to evaluate from any pool worker (Cost.t serializes its
      memo internally; everything else it touches is read-only or owned
      by this state). *)
-  let price p ids contracted names misses =
+  let price p ids contracted names ~saved misses =
     let bp =
       {
         Sir.Scalarize.partition = p;
@@ -158,7 +211,7 @@ let block ?(probe = fun (_ : Core.Partition.t) (_ : Cost.breakdown) _ -> ()) cfg
     for i = n - 1 downto 0 do
       if ids.(i) = i then pairs := misses.(i) :: !pairs
     done;
-    let cost = Cost.block_cost_of_misses cost_t ~block bp !pairs in
+    let cost = Cost.block_cost_of_misses cost_t ~block bp ~saved !pairs in
     let bound = bound_of cost_t ~block tbl ids contracted cost in
     { p; ids; contracted; misses; cost; bound }
   in
@@ -170,19 +223,19 @@ let block ?(probe = fun (_ : Core.Partition.t) (_ : Cost.breakdown) _ -> ()) cfg
   (* A seed is priced from scratch, on the calling domain. *)
   let seed p =
     incr generated;
-    let ids = Array.init n (Core.Partition.cluster_of p) in
+    let ids = ids_of p in
     let decided = Core.Contraction.scalars p ~candidates in
+    let contracted =
+      Array.map (fun x -> List.exists (String.equal x) decided) tbl.names
+    in
+    let flags, saved = contraction contracted in
     let misses = Array.make n (0.0, 0.0) in
     List.iter
       (fun cl ->
         misses.(List.hd cl) <-
-          Cost.cluster_misses cost_t ~block cl ~contracted:decided)
+          Cost.cluster_misses cost_t ~block cl ~contracted:flags)
       (Core.Partition.clusters p);
-    let st =
-      price p ids
-        (Array.map (fun x -> List.mem x decided) tbl.names)
-        decided misses
-    in
+    let st = price p ids contracted decided ~saved misses in
     probe st.p st.cost st.bound;
     st
   in
@@ -209,10 +262,11 @@ let block ?(probe = fun (_ : Core.Partition.t) (_ : Cost.breakdown) _ -> ()) cfg
     for i = n - 1 downto rep do
       if ids.(i) = rep then members := i :: !members
     done;
+    let flags, saved = contraction contracted in
     let misses = Array.copy parent.misses in
     misses.(rep) <-
-      Cost.cluster_misses cost_t ~block !members ~contracted:!names;
-    price p ids contracted !names misses
+      Cost.cluster_misses cost_t ~block !members ~contracted:flags;
+    price p ids contracted !names ~saved misses
   in
   (* seeds: the trivial partition (search root) and the paper's greedy
      c2+f3 result, which becomes the incumbent floor *)
@@ -221,11 +275,7 @@ let block ?(probe = fun (_ : Core.Partition.t) (_ : Cost.breakdown) _ -> ()) cfg
     Core.Fusion.for_locality (Core.Fusion.for_contraction ~candidates g)
   in
   let greedy =
-    if
-      Support.Vec.equal
-        (Array.init n (Core.Partition.cluster_of greedy_p))
-        trivial.ids
-    then trivial
+    if Support.Vec.equal (ids_of greedy_p) trivial.ids then trivial
     else seed greedy_p
   in
   let incumbent =
@@ -251,24 +301,32 @@ let block ?(probe = fun (_ : Core.Partition.t) (_ : Cost.breakdown) _ -> ()) cfg
      order; only the pure pricing fans out over the search's workers,
      and a batch returns in task order — so stats, probes and
      tie-breaks are independent of [cfg.jobs]. *)
+  let marked = Bytes.make n '\000' in
   let children st =
     let fresh =
       List.filter_map
-        (fun c ->
-          let rep = List.hd c in
-          let ids =
-            Array.map (fun r -> if List.mem r c then rep else r) st.ids
-          in
-          if Visited.mem visited ids then begin
-            incr deduped;
-            None
-          end
-          else begin
-            Visited.replace visited ids ();
-            incr generated;
-            Some (Core.Partition.merge st.p c, ids, rep)
-          end)
-        (moves g st.p)
+        (fun (c, verdict) ->
+          match verdict with
+          | Error _ -> None
+          | Ok () ->
+              let rep = List.hd c in
+              List.iter (fun r -> Bytes.set marked r '\001') c;
+              let ids =
+                Array.map
+                  (fun r -> if Bytes.get marked r = '\001' then rep else r)
+                  st.ids
+              in
+              List.iter (fun r -> Bytes.set marked r '\000') c;
+              if Visited.mem visited ids then begin
+                incr deduped;
+                None
+              end
+              else begin
+                Visited.replace visited ids ();
+                incr generated;
+                Some (Core.Partition.merge st.p c, ids, rep)
+              end)
+        (vetted pair_table st.p)
     in
     let kids = Support.Pool.batch workers (child st) fresh in
     List.iter (fun st' -> probe st'.p st'.cost st'.bound) kids;

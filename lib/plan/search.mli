@@ -8,7 +8,9 @@
     - {e states} are valid Definition 5 partitions by construction —
       every move is a merge set closed under [Core.Partition.grow], so
       no inter-cluster cycle can form, and vetted for the remaining
-      conditions by [Core.Partition.check_closed_merge];
+      conditions by the block's {!Pairs} table: pair lookups, then one
+      FIND-LOOP-STRUCTURE over the UDVs of the set's pairs, memoized
+      on the set's statements;
     - {e moves} are (a) the Figure-3 array moves (all clusters
       referencing an array, grown), and (b) pairwise cluster merges
       (grown), which reach the partial fusions the greedy all-or-
@@ -78,9 +80,18 @@ type stats = {
 val merge_sets : Core.Asdg.t -> Core.Partition.t -> int list list
 (** The merge sets the search tries from a state, before vetting: the
     Figure-3 array moves and the pairwise cluster merges, each closed
-    under [Core.Partition.grow] — so on an acyclic state
-    [Core.Partition.check_closed_merge] and [Core.Partition.check_merge]
-    agree on every one (tests assert it). *)
+    under [Core.Partition.grow] and ascending, in polymorphic
+    [compare]'s order without duplicates.  On an acyclic state merging
+    any of them forms no cycle, so [Core.Partition.check_merge] decides
+    it by conditions (i), (ii) and (iv) alone (tests assert it). *)
+
+val vetted :
+  Pairs.t ->
+  Core.Partition.t ->
+  (int list * (unit, Core.Partition.veto) result) list
+(** Each of {!merge_sets} with the verdict the search acts on:
+    [Pairs.vet] of the set's statements, on the table of the state's
+    block.  The search expands a state into the sets vetted [Ok ()]. *)
 
 val block :
   ?probe:(Core.Partition.t -> Cost.breakdown -> float -> unit) ->

@@ -161,12 +161,22 @@ let request =
           (fun () -> Shutdown) );
     ]
   in
-  (* "v" is checked on every request, batched ones included, and never
-     written: absence means the current version *)
+  (* "v" is written on every request and checked on every request,
+     batched ones included: absence means the current version *)
+  let version =
+    check
+      (fun v ->
+        if v = protocol_version then Ok ()
+        else
+          Error
+            (Printf.sprintf
+               "protocol version %d requested, but this zapd speaks version %d"
+               v protocol_version))
+      int
+  in
   obj
-    (record (fun () r -> r)
-    |+ field "v" (const (Json.Int protocol_version)) ignore ~default:()
-         ~omit:(fun _ -> true)
+    (record (fun _ r -> r)
+    |+ field "v" version (fun _ -> protocol_version) ~default:protocol_version
     |+ spread (variant "op" string ops) Fun.id)
 
 (* ------------------------------------------------------------------ *)

@@ -21,8 +21,10 @@
     aggregate {!Stats} request. *)
 
 val protocol_version : int
-(** Bumped on any incompatible wire change; [zapd] rejects requests
-    carrying a different ["v"] field (absent means current). *)
+(** Bumped on any incompatible wire change.  Every request is written
+    with it as its ["v"] member; [zapd] answers a request carrying
+    another ["v"] with a protocol diagnostic naming both versions
+    (absent means current). *)
 
 (** {1 Requests} *)
 

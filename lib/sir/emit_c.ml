@@ -9,11 +9,13 @@ let header =
 #include <time.h>
 
 /* bit-exact port of Ir.Expr.hashrand (splitmix64 over the double's
-   bit pattern, top 53 bits to (0,1)); inline, or cc keeps it an
-   out-of-line call in clusters that use it often (ep at baseline) */
+   bit pattern, every NaN as NAN's, top 53 bits to (0,1)); inline, or
+   cc keeps it an out-of-line call in clusters that use it often (ep at
+   baseline) */
 static inline double hashrand(double x) {
   uint64_t z;
-  memcpy(&z, &x, 8);
+  if (x != x) z = 0x7FF8000000000000ULL;
+  else memcpy(&z, &x, 8);
   z += 0x9E3779B97F4A7C15ULL;
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;

@@ -174,18 +174,29 @@ let qcheck_generated =
               QCheck.Test.fail_report (Native.Build.error_to_string e))
         Compilers.Driver.[ Baseline; C2F3 ])
 
-(* Generated seed 15009 computes a NaN through min/max and hashes it
-   with hashrand: native and interpreter agree only while both return
-   the same NaN bits. *)
-let test_nan_hashrand_seed () =
+(* A generated program, native against the interpreter at the base and
+   fully fused levels. *)
+let check_generated_seed seed =
   if cc then
-    let prog = Fuzz.Gen.generate (Support.Prng.create 15009L) in
+    let prog = Fuzz.Gen.generate (Support.Prng.create (Int64.of_int seed)) in
     List.iter
       (fun level ->
         check_native_matches
-          ("seed 15009 @ " ^ Compilers.Driver.level_name level)
+          (Printf.sprintf "seed %d @ %s" seed
+             (Compilers.Driver.level_name level))
           (compile_code level prog))
       Compilers.Driver.[ Baseline; C2F3 ]
+
+(* Generated seed 15009 computes a NaN through min/max and hashes it
+   with hashrand: native and interpreter agree only while both return
+   the same NaN bits. *)
+let test_nan_hashrand_seed () = check_generated_seed 15009
+
+(* Generated seed 66180 hashes [(max(B, A) - A@-1) / -(A@1)], a NaN
+   whose sign cc and OCaml decide differently (cc folds [a / -(b)] into
+   [(-a) / b]): they agree only because hashrand hashes every NaN as
+   one. *)
+let test_nan_sign_hashrand_seed () = check_generated_seed 66180
 
 (* The artifact store's warm path: one cc invocation ever, byte-identical
    checksums cold vs warm, and disk adoption across a "restart" (a second
@@ -400,6 +411,8 @@ let suites =
         QCheck_alcotest.to_alcotest qcheck_generated;
         Alcotest.test_case "generated seed 15009: NaN through hashrand" `Quick
           test_nan_hashrand_seed;
+        Alcotest.test_case "generated seed 66180: NaN sign through hashrand"
+          `Quick test_nan_sign_hashrand_seed;
         Alcotest.test_case "store warm path" `Quick test_store_warm_path;
         Alcotest.test_case "every cluster survives cc" `Quick
           test_clusters_survive_cc;

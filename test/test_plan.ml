@@ -120,6 +120,7 @@ let test_probe_memo_exact () =
           (String.concat ";" (List.map string_of_int members))
           (String.concat ";" contracted)
       in
+      let contracted = Plan.Cost.flags shared ~block:0 contracted in
       Alcotest.(check (pair (float 0.0) (float 0.0)))
         name
         (Plan.Cost.cluster_misses fresh ~block:0 members ~contracted)
@@ -712,6 +713,7 @@ let probe_exact_on what m prog =
   let oracle = Hashtbl.create 4096 in
   let probes = ref 0 in
   let check ~block c ~contracted =
+    let contracted = Plan.Cost.flags cost ~block contracted in
     let key = Plan.Cost.sweep cost ~block c ~contracted in
     if key <> [||] then begin
       incr probes;
@@ -790,6 +792,48 @@ let generated_programs ?cfg what seed count =
   List.init count (fun i ->
       (Printf.sprintf "%s program %d" what (i + 1), Fuzz.Gen.generate ?cfg rng))
 
+(* Core.Partition.check_closed_merge as it was written there, kept as
+   the oracle of the search's table verdict: the set's statements read
+   off the partition, the labels between them in one pass over the
+   ASDG's edges, then Definition 5 (i), (ii) and (iv) in that order. *)
+let check_closed_merge p c =
+  let g = Core.Partition.asdg p in
+  let region i = (Core.Asdg.stmt g i).Nstmt.region in
+  let check_stmt_set ss =
+    let same_region =
+      match ss with
+      | [] -> true
+      | s0 :: rest ->
+          List.for_all (fun i -> Region.equal (region s0) (region i)) rest
+    in
+    if not same_region then Error Core.Partition.Region_mismatch
+    else
+      let mem = Array.make (Core.Asdg.n g) false in
+      List.iter (fun i -> mem.(i) <- true) ss;
+      let within =
+        Core.Asdg.edges g
+        |> List.concat_map (fun (i, j) ->
+               if mem.(i) && mem.(j) then Core.Asdg.labels g i j else [])
+      in
+      if
+        List.exists
+          (fun (l : Core.Dep.label) ->
+            l.kind = Core.Dep.Flow && not (Vec.is_null l.udv))
+          within
+      then Error Core.Partition.Nonnull_flow
+      else
+        match ss with
+        | [] -> Ok ()
+        | s :: _ ->
+            let udvs = List.map (fun (l : Core.Dep.label) -> l.udv) within in
+            if Core.Loopstruct.find ~rank:(Region.rank (region s)) udvs <> None
+            then Ok ()
+            else Error Core.Partition.No_loop_structure
+  in
+  match c with
+  | [] | [ _ ] -> Ok ()
+  | _ -> check_stmt_set (Core.Partition.stmts_of p c)
+
 (* Every state the search reaches is acyclic and every merge set it
    tries is closed under GROW, so skipping the cycle check must not
    change a single verdict. *)
@@ -801,10 +845,7 @@ let closed_moves_agree what prog =
       List.iter
         (fun c ->
           incr moves;
-          if
-            Core.Partition.check_closed_merge p c
-            <> Core.Partition.check_merge p c
-          then
+          if check_closed_merge p c <> Core.Partition.check_merge p c then
             Alcotest.failf "%s, block %d: closed check disagrees on [%s]" what
               block
               (String.concat ";" (List.map string_of_int c)))
@@ -904,6 +945,7 @@ let planner_probes_fresh what m prog =
         r
   in
   let check ~block c ~contracted =
+    let contracted = Plan.Cost.flags cost ~block contracted in
     let key = Plan.Cost.sweep cost ~block c ~contracted in
     if key <> [||] then begin
       incr keys;
@@ -1106,8 +1148,7 @@ let grow_agrees what g p =
           (print_set c)
           (print_set (Core.Partition.stmts_of p c))
           (print_set ss);
-      if Core.Partition.check_closed_merge p c <> Core.Partition.check_merge t0 ss
-      then
+      if check_closed_merge p c <> Core.Partition.check_merge t0 ss then
         Alcotest.failf "%s: closed check of [%s] disagrees with its statements"
           what (print_set c))
     merge_sets;
@@ -1156,7 +1197,7 @@ let test_grow_matches_dfs () =
    fuse and loop-carried flows keep others apart.  Every 25th state the
    search prices, from the first, and 2000 random cluster sets of the
    trivial partition. *)
-let test_grow_matches_dfs_wide () =
+let wide_block () =
   let n = 72 in
   let rng = Support.Prng.create 72L in
   let name i = Printf.sprintf "X%d" i in
@@ -1185,7 +1226,10 @@ let test_grow_matches_dfs_wide () =
       live_out = [ "IN" ];
     }
   in
-  let g = Core.Asdg.build stmts in
+  (rng, n, List.init n name, prog, Core.Asdg.build stmts)
+
+let test_grow_matches_dfs_wide () =
+  let rng, n, names, prog, g = wide_block () in
   let cost = Plan.Cost.create cost_cfg prog in
   let priced = ref 0 and checked = ref 0 in
   let probe p _ _ =
@@ -1196,8 +1240,7 @@ let test_grow_matches_dfs_wide () =
     incr priced
   in
   ignore
-    (Plan.Search.block ~probe search_cfg cost ~block:0
-       ~candidates:(List.init n name) g);
+    (Plan.Search.block ~probe search_cfg cost ~block:0 ~candidates:names g);
   Alcotest.(check bool) "states were checked" true (!checked > 1);
   let t0 = Core.Partition.trivial g in
   let grow = Core.Partition.grow t0 and want = dfs_grow t0 in
@@ -1211,6 +1254,275 @@ let test_grow_matches_dfs_wide () =
       Alcotest.failf "wide block: grow [%s] = [%s], DFS says [%s]"
         (print_set c) (print_set (grow c)) (print_set (want c))
   done
+
+(* ------------------------------------------------------------------ *)
+(* The pair table's verdict vs check_closed_merge                      *)
+(* ------------------------------------------------------------------ *)
+
+(* On every [every]-th state the search prices on one block, from the
+   first (with [every = 1], every state it expands among them): the
+   verdict the search acts on, from one pair table kept across the
+   block's states as the search keeps its own, equals
+   check_closed_merge's on each merge set.  The oracle is a pure
+   function of the set's statements, so it is memoized on them. *)
+let table_verdicts_agree ?(every = 1) what g search =
+  let pairs = Plan.Pairs.create g in
+  let oracle = Key_table.create 4096 in
+  let sets = ref 0 and priced = ref 0 in
+  let check p (c, got) =
+    incr sets;
+    let ss = Array.of_list (Core.Partition.stmts_of p c) in
+    let want =
+      match Key_table.find_opt oracle ss with
+      | Some v -> v
+      | None ->
+          let v = check_closed_merge p c in
+          Key_table.add oracle ss v;
+          v
+    in
+    if got <> want then
+      Alcotest.failf
+        "%s: the table's verdict on [%s] is not check_closed_merge's" what
+        (print_set c)
+  in
+  let probe p _ _ =
+    if !priced mod every = 0 then
+      List.iter (check p) (Plan.Search.vetted pairs p);
+    incr priced
+  in
+  ignore (search ~probe);
+  !sets
+
+let table_verdicts_on what prog =
+  let cost = Plan.Cost.create cost_cfg prog in
+  let sets = ref 0 in
+  let partition ~block ~compiler ~user g =
+    let p = ref None in
+    sets :=
+      !sets
+      + table_verdicts_agree (Printf.sprintf "%s, block %d" what block) g
+          (fun ~probe ->
+            p :=
+              Some
+                (fst
+                   (Plan.Search.block ~probe Plan.Search.default cost ~block
+                      ~candidates:(compiler @ user) g)));
+    Option.get !p
+  in
+  match Compilers.Driver.(compile_custom_opts default_opts) prog ~partition with
+  | Ok _ -> !sets
+  | Error d -> Alcotest.failf "%s: %s" what (Obs.Diagnostic.to_string d)
+
+(* Every state of test/corpus and 200 generated programs, and every
+   5th of the 72-statement block, whose statement sets span two words:
+   it prices about 800 states of some 5800 merge sets each, nearly all
+   of them children it never expands, and checking them all would take
+   four times as long as this whole test *)
+let test_table_verdicts () =
+  let wide () =
+    let _, _, names, prog, g = wide_block () in
+    let cost = Plan.Cost.create cost_cfg prog in
+    table_verdicts_agree ~every:5 "wide block" g (fun ~probe ->
+        Plan.Search.block ~probe search_cfg cost ~block:0 ~candidates:names g)
+  in
+  let sets =
+    Support.Pool.map ~domains:(Support.Pool.default_domains ())
+      (fun task -> task ())
+      (wide
+      :: List.map
+           (fun (what, prog) () -> table_verdicts_on what prog)
+           (corpus_programs () @ generated_programs "generated" 37L 200))
+  in
+  Alcotest.(check bool) "sets were vetted" true
+    (List.hd sets > 0 && List.fold_left ( + ) 0 sets > 0)
+
+(* ------------------------------------------------------------------ *)
+(* Index-keyed probe keys vs name-keyed ones                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Plan.Cost.sweep as it was written there, kept as the oracle: each
+   stream named by its array, and the contracted arrays a name list
+   searched per stream. *)
+let named_sweep cost g members ~contracted =
+  let bases =
+    List.concat_map
+      (fun i ->
+        let s = Core.Asdg.stmt g i in
+        List.filter_map
+          (fun x ->
+            if List.mem x contracted then None
+            else Some (Option.value ~default:0 (Plan.Cost.base cost x)))
+          (s.Nstmt.lhs :: List.map fst (Expr.refs s.Nstmt.rhs)))
+      members
+  in
+  match bases with
+  | [] -> [||]
+  | _ ->
+      let s = Core.Asdg.stmt g (List.hd members) in
+      let lines = Plan.Cost.lines_of_volume cost (Region.volume s.Nstmt.region) in
+      Array.of_list (lines :: bases)
+
+(* Every cluster the planners probe on [prog]: each cluster of each
+   state the search prices, under Core.Contraction.decide's
+   contractions, and each ILP column under decide's contractions and
+   under w(C)'s (the eligible candidates confined to it).  The key
+   built from slot flags equals the name-keyed one. *)
+let sweeps_agree what cfg prog =
+  let cost = Plan.Cost.create cfg prog in
+  let keys = ref 0 in
+  let partition ~block ~compiler ~user g =
+    let candidates = compiler @ user in
+    let check c contracted =
+      incr keys;
+      let got =
+        Plan.Cost.sweep cost ~block c
+          ~contracted:(Plan.Cost.flags cost ~block contracted)
+      in
+      if got <> named_sweep cost g c ~contracted then
+        Alcotest.failf "%s, block %d: key of [%s] without [%s]" what block
+          (print_set c) (String.concat ";" contracted)
+    in
+    let probe p _ _ =
+      let contracted = Core.Contraction.decide p ~candidates in
+      List.iter (fun c -> check c contracted) (Core.Partition.clusters p)
+    in
+    let p, _ =
+      Plan.Search.block ~probe Plan.Search.default cost ~block ~candidates g
+    in
+    let t0 = Core.Partition.trivial g in
+    let tbl = Plan.Cost.facts cost ~block ~candidates g in
+    Array.iter
+      (fun c ->
+        check c
+          (Core.Contraction.decide (Core.Partition.merge t0 c) ~candidates);
+        check c
+          (List.filteri
+             (fun k _ ->
+               let f = tbl.Plan.Cost.cands.(k) in
+               f.Plan.Cost.eligible
+               && Array.for_all (fun i -> List.mem i c) f.Plan.Cost.refs)
+             candidates))
+      (fst (Plan.Ilp.columns Plan.Ilp.default g));
+    p
+  in
+  match Compilers.Driver.(compile_custom_opts default_opts) prog ~partition with
+  | Ok _ -> !keys
+  | Error d -> Alcotest.failf "%s: %s" what (Obs.Diagnostic.to_string d)
+
+(* test/corpus and the suite at tile 16, on every machine (each lays
+   the arrays out at its own alignment) *)
+let test_sweeps_match_names () =
+  let programs =
+    corpus_programs ()
+    @ List.map
+        (fun (b : Suite.bench) ->
+          (b.Suite.name ^ " tile 16", Suite.program ~tile:16 b))
+        Suite.all
+  in
+  let keys =
+    Support.Pool.map ~domains:(Support.Pool.default_domains ())
+      (fun (machine, (what, prog)) ->
+        sweeps_agree what
+          { Plan.Cost.machine; procs = 1; opts = Comm.Model.all_on }
+          prog)
+      (List.concat_map
+         (fun m -> List.map (fun w -> (m, w)) programs)
+         Machine.all)
+  in
+  Alcotest.(check bool) "keys were built" true
+    (List.fold_left ( + ) 0 keys > 0)
+
+(* ------------------------------------------------------------------ *)
+(* Column-list LP tableau vs the List.mem fill                         *)
+(* ------------------------------------------------------------------ *)
+
+(* Plan.Ilp's starting tableau as it was filled there, kept as the
+   oracle: one List.mem per (statement row, active column) cell. *)
+let mem_tableau cols ~act_cols ~eq_rows ~cut_rows =
+  let n_act = Array.length act_cols in
+  let n_eq = Array.length eq_rows in
+  let n_cut = Array.length cut_rows in
+  let m = n_eq + n_cut in
+  let width = n_act + n_cut + n_eq in
+  let art_from = n_act + n_cut in
+  let a = Array.make_matrix m width 0.0 in
+  let b = Array.make m 0.0 in
+  let basis = Array.make m 0 in
+  Array.iteri
+    (fun r stmt ->
+      Array.iteri
+        (fun j id -> if List.mem stmt cols.(id) then a.(r).(j) <- 1.0)
+        act_cols;
+      a.(r).(art_from + r) <- 1.0;
+      b.(r) <- 1.0;
+      basis.(r) <- art_from + r)
+    eq_rows;
+  Array.iteri
+    (fun k (members, rhs) ->
+      let r = n_eq + k in
+      List.iter (fun j -> a.(r).(j) <- 1.0) members;
+      a.(r).(n_act + k) <- 1.0;
+      b.(r) <- float_of_int rhs;
+      basis.(r) <- n_act + k)
+    cut_rows;
+  (a, b, basis)
+
+(* On every block of the suite at default tiles and at tile 16: the
+   root node (every column active, every statement a row, no cut), and
+   nodes with the columns of an ascending run of disjoint multi-
+   statement columns fixed to 1, the columns they cover dropped, and
+   one cut over the first active columns. *)
+let tableaus_agree what prog =
+  let nodes = ref 0 in
+  let partition ~block ~compiler:_ ~user:_ g =
+    let n = Core.Asdg.n g in
+    let cols, _ = Plan.Ilp.columns Plan.Ilp.default g in
+    let check ~covered ~cut_rows =
+      incr nodes;
+      let act_cols =
+        Array.of_list
+          (List.filter
+             (fun id -> not (List.exists (fun s -> covered.(s)) cols.(id)))
+             (List.init (Array.length cols) Fun.id))
+      in
+      let eq_rows =
+        Array.of_list
+          (List.filter (fun s -> not covered.(s)) (List.init n Fun.id))
+      in
+      let cut_rows = cut_rows (Array.length act_cols) in
+      if
+        Plan.Ilp.tableau ~n cols ~act_cols ~eq_rows ~cut_rows
+        <> mem_tableau cols ~act_cols ~eq_rows ~cut_rows
+      then
+        Alcotest.failf "%s, block %d: tableau with %d rows covered" what block
+          (Array.fold_left (fun k c -> if c then k + 1 else k) 0 covered)
+    in
+    check ~covered:(Array.make n false) ~cut_rows:(fun _ -> [||]);
+    let covered = Array.make n false in
+    Array.iter
+      (fun c ->
+        if
+          List.length c > 1 && not (List.exists (fun s -> covered.(s)) c)
+        then begin
+          List.iter (fun s -> covered.(s) <- true) c;
+          check ~covered ~cut_rows:(fun k ->
+              if k >= 3 then [| ([ 0; 1; k - 1 ], 2) |] else [||])
+        end)
+      cols;
+    Core.Partition.trivial g
+  in
+  match Compilers.Driver.(compile_custom_opts default_opts) prog ~partition with
+  | Ok _ -> !nodes
+  | Error d -> Alcotest.failf "%s: %s" what (Obs.Diagnostic.to_string d)
+
+let test_tableau_matches_mem () =
+  let nodes =
+    Support.Pool.map ~domains:(Support.Pool.default_domains ())
+      (fun (what, prog) -> tableaus_agree what prog)
+      (suite_programs ())
+  in
+  Alcotest.(check bool) "tableaus were built" true
+    (List.fold_left ( + ) 0 nodes > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Delta-priced search states vs Cost.block_cost                       *)
@@ -1501,7 +1813,10 @@ let ilp_cluster_weight cost (stmt_refs, cands) ~block c =
       (fun acc x -> acc + Plan.Cost.block_weight cost ~block x)
       0 contracted
   in
-  let l1m, l2m = Plan.Cost.cluster_misses cost ~block c ~contracted in
+  let l1m, l2m =
+    Plan.Cost.cluster_misses cost ~block c
+      ~contracted:(Plan.Cost.flags cost ~block contracted)
+  in
   mult
   *. ((float_of_int (refs - saved) *. m.Machine.l1_hit_ns)
      +. (l1m *. m.Machine.l1_miss_ns)
@@ -1685,6 +2000,12 @@ let suites =
           `Slow test_grow_matches_dfs;
         Alcotest.test_case "tabulated GROW past one word matches DFS" `Slow
           test_grow_matches_dfs_wide;
+        Alcotest.test_case "pair-table verdicts match check_closed_merge"
+          `Slow test_table_verdicts;
+        Alcotest.test_case "slot-keyed probe keys match name-keyed" `Slow
+          test_sweeps_match_names;
+        Alcotest.test_case "column-list tableau matches List.mem fill" `Slow
+          test_tableau_matches_mem;
         Alcotest.test_case "delta-priced states equal block_cost" `Slow
           test_delta_pricing_exact;
         Alcotest.test_case "column DFS matches check_merge enumeration" `Slow

@@ -527,13 +527,13 @@ let wire_roundtrip () =
    change here is a protocol change (bump [Api.protocol_version]). *)
 let golden_requests =
   [
-    {|{"op":"compile","source":{"bench":"ep","tile":256},"opts":{"level":"c2+f4","plan":"search","config":{"n":32.0,"eps":0.125},"merge":true,"simplify":true,"dump_ir":true,"dump_c":true,"emit_c":true},"target":{"machine":"paragon","procs":16}}|};
-    {|{"op":"run","source":{"name":"x.zap","text":"program x;\n"},"opts":{"level":"c2+f3","plan":"greedy"},"target":{"machine":"t3e","procs":1},"spmd":true}|};
-    {|{"op":"plan","source":{"bench":"tomcatv"},"opts":{"level":"c2+f3","plan":"search"},"target":{"machine":"sp2","procs":4}}|};
-    {|{"op":"run","source":{"bench":"frac","tile":16},"opts":{"level":"c2+f3","plan":"ilp","config":{"n":48.0}},"target":{"machine":"t3e","procs":4},"native":true}|};
-    {|{"op":"batch","requests":[{"op":"stats"},{"op":"shutdown"}]}|};
-    {|{"op":"stats"}|};
-    {|{"op":"shutdown"}|};
+    {|{"v":3,"op":"compile","source":{"bench":"ep","tile":256},"opts":{"level":"c2+f4","plan":"search","config":{"n":32.0,"eps":0.125},"merge":true,"simplify":true,"dump_ir":true,"dump_c":true,"emit_c":true},"target":{"machine":"paragon","procs":16}}|};
+    {|{"v":3,"op":"run","source":{"name":"x.zap","text":"program x;\n"},"opts":{"level":"c2+f3","plan":"greedy"},"target":{"machine":"t3e","procs":1},"spmd":true}|};
+    {|{"v":3,"op":"plan","source":{"bench":"tomcatv"},"opts":{"level":"c2+f3","plan":"search"},"target":{"machine":"sp2","procs":4}}|};
+    {|{"v":3,"op":"run","source":{"bench":"frac","tile":16},"opts":{"level":"c2+f3","plan":"ilp","config":{"n":48.0}},"target":{"machine":"t3e","procs":4},"native":true}|};
+    {|{"v":3,"op":"batch","requests":[{"v":3,"op":"stats"},{"v":3,"op":"shutdown"}]}|};
+    {|{"v":3,"op":"stats"}|};
+    {|{"v":3,"op":"shutdown"}|};
   ]
 
 let golden_responses =
@@ -1007,6 +1007,39 @@ let expect_stats ~socket ~status =
   | Error d ->
       Alcotest.failf "zapd %s: %s" (status ()) (Obs.Diagnostic.to_string d)
 
+(* A client of another protocol version gets a protocol diagnostic that
+   names both versions, on a connection that stays open: the next
+   request on it, a Stats, is answered. *)
+let zapd_names_both_versions () =
+  with_zapd "version" (fun ~socket:_ ~status fd ->
+      let oc = Unix.out_channel_of_descr fd in
+      let ic = Unix.in_channel_of_descr fd in
+      let send line =
+        output_string oc (line ^ "\n");
+        flush oc;
+        match input_line ic with
+        | reply -> Result.bind (Obs.Json.of_string reply) Api.response_of_json
+        | exception End_of_file ->
+            Alcotest.failf "connection closed without a reply (zapd %s)"
+              (status ())
+      in
+      (match send {|{"op":"stats","v":999}|} with
+      | Ok (Api.Failed d) ->
+          Alcotest.(check string) "protocol phase" "protocol"
+            d.Obs.Diagnostic.phase;
+          Alcotest.(check string) "both versions named"
+            "v: protocol version 999 requested, but this zapd speaks version 3"
+            d.Obs.Diagnostic.message
+      | Ok _ -> Alcotest.fail "expected a Failed response"
+      | Error e -> Alcotest.failf "unparseable reply: %s" e);
+      (match
+         send (Obs.Json.to_string (Api.request_to_json Api.Stats))
+       with
+      | Ok (Api.Stats_reply _) -> ()
+      | Ok _ -> Alcotest.fail "expected a stats reply"
+      | Error e -> Alcotest.failf "unparseable reply: %s" e);
+      Unix.close fd)
+
 (* A client that hangs up before reading its reply must not take the
    daemon down: writing that reply raises SIGPIPE, which kills a
    process that does not ignore it. *)
@@ -1131,5 +1164,7 @@ let suites =
           zapd_survives_hangup;
         Alcotest.test_case "zapd caps the request size" `Quick
           zapd_caps_request_size;
+        Alcotest.test_case "zapd names both protocol versions" `Quick
+          zapd_names_both_versions;
       ] );
   ]
