@@ -51,26 +51,52 @@ let content_key source =
 
 let tmp_counter = Atomic.make 0
 
+(* [<root>/<prefix>-<pid>-<n>]: a name no other call of any process
+   picks *)
+let private_dir t prefix =
+  Filename.concat t.root
+    (Printf.sprintf "%s-%d-%d" prefix (Unix.getpid ())
+       (Atomic.fetch_and_add tmp_counter 1))
+
+let meta_line () = Toolchain.describe () ^ "\n"
+
+(* An artifact directory is adopted only when its [meta] names this
+   toolchain and its [runner] is a non-empty regular file. *)
+let sound dir =
+  match
+    ( In_channel.with_open_bin (Filename.concat dir "meta") In_channel.input_all,
+      Unix.stat (Filename.concat dir "runner") )
+  with
+  | meta, { Unix.st_kind = Unix.S_REG; st_size; _ } ->
+      meta = meta_line () && st_size > 0
+  | _ -> false
+  | exception (Sys_error _ | Unix.Unix_error _) -> false
+
 (* The runner for [key]: adopted from disk, or compiled in a private
    temp dir and published by an atomic rename — [true] when this call
-   compiled.  A concurrent process that wins the rename is adopted.
+   compiled.  A directory at [key] that is not sound is first moved
+   aside to [<root>/unsound-...] (a concurrent process may have moved
+   it already).  A concurrent process that wins the rename is adopted.
    Raises [Sys_error] when the root or the temp dir is unusable. *)
 let fetch t key code =
   let final = Filename.concat t.root key in
   let runner = Filename.concat final "runner" in
   ensure_root t;
-  if Sys.file_exists runner then Ok (runner, false)
-  else
-    let tmp =
-      Filename.concat t.root
-        (Printf.sprintf "tmp-%d-%d" (Unix.getpid ())
-           (Atomic.fetch_and_add tmp_counter 1))
-    in
+  if sound final then Ok (runner, false)
+  else begin
+    (match Unix.rename final (private_dir t ("unsound-" ^ key)) with
+    | () | (exception Unix.Unix_error (Unix.ENOENT, _, _)) -> ()
+    | exception Unix.Unix_error (e, _, _) ->
+        raise
+          (Sys_error
+             (Printf.sprintf "cannot move aside unsound artifact %s: %s" key
+                (Unix.error_message e))));
+    let tmp = private_dir t "tmp" in
     Sys.mkdir tmp 0o700;
     Fun.protect ~finally:(fun () -> Build.remove_tree tmp) @@ fun () ->
     Result.bind (Build.write_and_compile ~dir:tmp code) @@ fun _ ->
     Out_channel.with_open_bin (Filename.concat tmp "meta") (fun oc ->
-        Out_channel.output_string oc (Toolchain.describe () ^ "\n"));
+        Out_channel.output_string oc (meta_line ()));
     match Unix.rename tmp final with
     | () -> Ok (runner, true)
     | exception Unix.Unix_error _ when Sys.file_exists final -> Ok (runner, true)
@@ -78,6 +104,7 @@ let fetch t key code =
         store_error
           (Printf.sprintf "cannot publish artifact %s: %s" key
              (Unix.error_message e))
+  end
 
 let get t (code : Sir.Code.program) =
   let key = content_key (Sir.Emit_c.to_string code) in

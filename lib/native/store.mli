@@ -8,7 +8,11 @@
     reuses the artifact with zero cc invocations, across requests
     {e and} across process restarts (the store root survives on disk;
     a re-started daemon re-adopts artifacts it finds there without
-    recompiling).
+    recompiling).  Only a sound artifact is adopted: its [meta] reads
+    {!Toolchain.describe} and its [runner] is a non-empty regular file.
+    Anything else at the key (a truncated runner, a missing [meta], one
+    naming another toolchain) is moved aside to
+    [<root>/unsound-<key>-...] and rebuilt as on a miss.
 
     Layout: [<root>/<key16hex>/] holding [prog.c], [runner] and a
     one-line [meta] provenance file.  Builds go to a private
@@ -41,7 +45,8 @@ val get : t -> Sir.Code.program -> (artifact * bool, Build.error) result
     process has yet.  The boolean is [true] when this call actually
     compiled (a fresh build) — [false] on every reuse, whether from
     the memo, after waiting for a concurrent build of the same key, or
-    adopted from disk.  A failed build is not memoized: a waiter then
+    adopted from disk; rebuilding an unsound artifact is a fresh
+    build.  A failed build is not memoized: a waiter then
     builds in its turn.  An unusable root or temp dir is an error
     whose detail starts with ["store: "]; [get] does not raise. *)
 

@@ -165,14 +165,55 @@ let vetted pairs p =
       (c, Pairs.vet pairs set))
     (sets (Core.Partition.asdg p) p ids)
 
+(* (bound, tick), in polymorphic [compare]'s order on the pair — NaN
+   lowest and equal to itself, -0.0 equal to 0.0 — without its generic
+   dispatch. *)
 module Frontier = Map.Make (struct
   type t = float * int
 
-  let compare = compare
+  let compare (b1, t1) (b2, t2) =
+    match Float.compare b1 b2 with 0 -> Int.compare t1 t2 | c -> c
 end)
 
-let block ?(probe = fun (_ : Core.Partition.t) (_ : Cost.breakdown) _ -> ()) cfg
-    cost_t ~block ~candidates g =
+let rec take k = function
+  | [] -> []
+  | _ when k = 0 -> []
+  | x :: tl -> x :: take (k - 1) tl
+
+(* The [width] smallest of [entries] in (cost, printed key) order,
+   ties kept in list order: the stable sort by that order, then [take
+   width].  Only the entries at or below the [width]-th smallest cost
+   can be taken, so only theirs are printed and sorted. *)
+let beam_pick width entries =
+  if width <= 0 then []
+  else begin
+    (* the [width] smallest costs, ascending; infinity past the list's
+       length, where every entry is at or below the cutoff *)
+    let least = Array.make width Float.infinity in
+    List.iter
+      (fun (q, _, _) ->
+        if Float.compare q least.(width - 1) < 0 then begin
+          let i = ref (width - 1) in
+          while !i > 0 && Float.compare q least.(!i - 1) < 0 do
+            least.(!i) <- least.(!i - 1);
+            decr i
+          done;
+          least.(!i) <- q
+        end)
+      entries;
+    List.filter_map
+      (fun (q, ids, x) ->
+        if Float.compare q least.(width - 1) <= 0 then Some (q, key_of ids, x)
+        else None)
+      entries
+    |> List.stable_sort (fun (q1, k1, _) (q2, k2, _) ->
+           match Float.compare q1 q2 with 0 -> String.compare k1 k2 | c -> c)
+    |> take width
+    |> List.map (fun (_, _, x) -> x)
+  end
+
+let block ?(probe = fun (_ : Core.Partition.t) (_ : Cost.breakdown) _ -> ())
+    ?on_pick cfg cost_t ~block ~candidates g =
   Obs.span "plan-search" @@ fun () ->
   Support.Pool.with_workers ~domains:cfg.jobs @@ fun workers ->
   let n = Core.Asdg.n g in
@@ -367,24 +408,21 @@ let block ?(probe = fun (_ : Core.Partition.t) (_ : Cost.breakdown) _ -> ()) cfg
        comparison a total order (lexicographic on a pure function of
        the state), unlike an eps-tolerant float comparison, which is
        not transitive. *)
-    let quantize ns = Float.round (ns /. Cost.eps) in
-    (* each state's key is printed once per sort, not once per
-       comparison *)
-    let sort_by_cost states =
-      List.map (fun st -> (quantize st.cost.Cost.total_ns, key_of st.ids, st)) states
-      |> List.sort (fun (q1, k1, _) (q2, k2, _) ->
-             match Float.compare q1 q2 with 0 -> String.compare k1 k2 | c -> c)
-      |> List.map (fun (_, _, st) -> st)
-    in
-    let rec take k = function
-      | [] -> []
-      | _ when k = 0 -> []
-      | x :: tl -> x :: take (k - 1) tl
+    let quantize st = Float.round (st.cost.Cost.total_ns /. Cost.eps) in
+    let pick states =
+      let picked =
+        beam_pick cfg.beam_width
+          (List.map (fun st -> (quantize st, st.ids, st)) states)
+      in
+      Option.iter
+        (fun f ->
+          let view = List.map (fun st -> (quantize st, st.ids)) in
+          f cfg.beam_width (view states) (view picked))
+        on_pick;
+      picked
     in
     let seeds =
-      Frontier.fold (fun _ st acc -> st :: acc) !frontier []
-      |> List.cons !incumbent |> sort_by_cost
-      |> take cfg.beam_width
+      pick (!incumbent :: Frontier.fold (fun _ st acc -> st :: acc) !frontier [])
     in
     frontier := Frontier.empty;
     let beam = ref seeds in
@@ -399,9 +437,9 @@ let block ?(probe = fun (_ : Core.Partition.t) (_ : Cost.breakdown) _ -> ()) cfg
           if st.cost.Cost.total_ns < !incumbent.cost.Cost.total_ns -. Cost.eps
           then incumbent := st)
         kids;
-      match sort_by_cost kids with
+      match kids with
       | [] -> continue := false
-      | sorted -> beam := take cfg.beam_width sorted
+      | _ -> beam := pick kids
     done
   end;
   if Obs.enabled () then begin

@@ -37,19 +37,24 @@
       representative vector and never costed twice: the visited table
       is keyed on that [int array] itself.  Move generation builds one
       [Core.Partition.grow] table per expanded state and answers every
-      array move and cluster pair by lookup; the bound and the sweep
-      counts it reads are plain loops that allocate nothing;
+      array move and cluster pair by lookup; the bound counts each
+      array's sweeps in plain loops, marking clusters in one stamp
+      array allocated per call;
     - {e beam fallback}: past [max_states] cost evaluations the search
       degrades to a width-[beam_width] beam (large blocks — tomcatv,
       SP — stay tractable, at the price of the optimality certificate).
+      A beam keeps the [beam_width] states of least cost, ties broken
+      by the printed representative vector ({!beam_pick}).
 
     The incumbent is seeded with the greedy [c2+f3] partition (fusion
     for contraction + fusion for locality), so the result is {e never}
     worse than the paper's algorithm under [Plan.Cost], the planners'
     own cost model (the trace-driven simulator can disagree; see
-    ROADMAP.md).  All tie-breaks compare canonical keys — the beam's
-    cost ties the printed representative vector, printed once per
-    state per sort — making the search fully deterministic. *)
+    ROADMAP.md).  All tie-breaks compare canonical keys — the
+    frontier breaks bound ties by the order states were generated in,
+    the beam breaks cost ties by the printed representative vector,
+    printed only for states at or below the beam's cutoff cost —
+    making the search fully deterministic. *)
 
 type cfg = {
   max_states : int;  (** cost evaluations before the beam fallback *)
@@ -93,8 +98,20 @@ val vetted :
     [Pairs.vet] of the set's statements, on the table of the state's
     block.  The search expands a state into the sets vetted [Ok ()]. *)
 
+val beam_pick : int -> (float * int array * 'a) list -> 'a list
+(** [beam_pick width entries]: the payloads of the first [width] of
+    [entries] — each a quantized cost, a state's representative vector
+    and a payload — stably sorted by cost ([Float.compare]), ties by
+    the vector printed as ["r0.r1..."] ([String.compare]); [[]] when
+    [width <= 0].  Equal entries are kept, in list order.  It finds the
+    [width]-th smallest cost first and prints and sorts only the
+    entries at or below it.  The search picks every beam with it;
+    exposed so tests can hold it to that stable sort as an oracle. *)
+
 val block :
   ?probe:(Core.Partition.t -> Cost.breakdown -> float -> unit) ->
+  ?on_pick:
+    (int -> (float * int array) list -> (float * int array) list -> unit) ->
   cfg ->
   Cost.t ->
   block:int ->
@@ -109,5 +126,8 @@ val block :
     breakdown and admissible bound, on the calling domain in the order
     the states are generated (tests use it to assert Definition 5
     validity of the whole explored space and the exactness of delta
-    pricing).  Emits [plan.*] Obs counters and a ["plan-search"]
-    span. *)
+    pricing).  [on_pick width entries picked] is called on every beam
+    the fallback picks, with the (quantized cost, representative
+    vector) of each state offered to {!beam_pick} in order and of each
+    it kept (tests hold every pick to the oracle).  Emits [plan.*] Obs
+    counters and a ["plan-search"] span. *)

@@ -249,6 +249,58 @@ let test_store_warm_path () =
       (Native.Store.stats restarted).Native.Store.builds;
     Alcotest.(check string) "adopted runner agrees" cold_sum (run adopted)
 
+(* A restarted store adopts only a sound artifact: with its runner
+   emptied, its meta deleted or naming another toolchain, the directory
+   at the key is moved aside and rebuilt, and the rebuilt runner agrees
+   with the cold one. *)
+let test_store_rebuilds_unsound () =
+  if cc then
+    with_space_dir @@ fun root ->
+    let code =
+      compile_code Compilers.Driver.C2F3 (Suite.load ~tile:8 "frac")
+    in
+    let get s =
+      match Native.Store.get s code with
+      | Ok (a, _) -> a
+      | Error e -> Alcotest.fail (Native.Build.error_to_string e)
+    in
+    let run a =
+      match Native.Build.run_exe a.Native.Store.runner with
+      | Ok r -> r.Native.Build.checksum
+      | Error e -> Alcotest.fail (Native.Build.error_to_string e)
+    in
+    let cold = get (Native.Store.create ~root ()) in
+    let cold_sum = run cold in
+    let dir = Filename.dirname cold.Native.Store.runner in
+    let write name text =
+      Out_channel.with_open_bin (Filename.concat dir name) (fun oc ->
+          Out_channel.output_string oc text)
+    in
+    List.iteri
+      (fun i (fault, break) ->
+        break ();
+        let restarted = Native.Store.create ~root () in
+        let rebuilt = get restarted in
+        Alcotest.(check int) (fault ^ ": rebuilt once") 1
+          (Native.Store.stats restarted).Native.Store.builds;
+        Alcotest.(check string) (fault ^ ": rebuilt runner agrees") cold_sum
+          (run rebuilt);
+        Alcotest.(check string) (fault ^ ": meta names the toolchain")
+          (Native.Toolchain.describe () ^ "\n")
+          (In_channel.with_open_bin (Filename.concat dir "meta")
+             In_channel.input_all);
+        let aside =
+          Sys.readdir root |> Array.to_list
+          |> List.filter (fun f -> String.starts_with ~prefix:"unsound-" f)
+        in
+        Alcotest.(check int) (fault ^ ": the unsound directory is aside")
+          (i + 1) (List.length aside))
+      [
+        ("empty runner", fun () -> write "runner" "");
+        ("no meta", fun () -> Sys.remove (Filename.concat dir "meta"));
+        ("another toolchain", fun () -> write "meta" "cc 0.0\n");
+      ]
+
 (* Each fused cluster is its own function in the runner: the noinline
    marker keeps cc from folding the clusters into main, where the
    runner's time would no longer be the plan's loop nests. *)
@@ -414,6 +466,8 @@ let suites =
         Alcotest.test_case "generated seed 66180: NaN sign through hashrand"
           `Quick test_nan_sign_hashrand_seed;
         Alcotest.test_case "store warm path" `Quick test_store_warm_path;
+        Alcotest.test_case "store rebuilds an unsound artifact" `Quick
+          test_store_rebuilds_unsound;
         Alcotest.test_case "every cluster survives cc" `Quick
           test_clusters_survive_cc;
         Alcotest.test_case "engine native run" `Quick test_engine_native;

@@ -439,6 +439,92 @@ let test_beam_fallback_deterministic () =
         j1 j)
     [ 2; 8 ]
 
+let print_ids ids =
+  String.concat "." (Array.to_list (Array.map string_of_int ids))
+
+let print_entry (q, ids) = Printf.sprintf "%g:%s" q (print_ids ids)
+
+(* The beam pick as first written, kept as the oracle: every entry's
+   key printed, the whole list stably sorted by (cost, printed key),
+   then the first [width] taken. *)
+let sorted_beam width entries =
+  let rec take k = function
+    | [] -> []
+    | _ when k = 0 -> []
+    | x :: tl -> x :: take (k - 1) tl
+  in
+  List.map (fun (q, ids, x) -> (q, print_ids ids, x)) entries
+  |> List.sort (fun (q1, k1, _) (q2, k2, _) ->
+         match Float.compare q1 q2 with 0 -> String.compare k1 k2 | c -> c)
+  |> take width
+  |> List.map (fun (_, _, x) -> x)
+
+(* Costs from three values, so most entries tie; vectors of one to
+   three ids up to 12, so printed and integer order differ ("10" <
+   "9"); some entries repeated, as the incumbent can be; widths 0-6
+   against lists of 0-11 entries.  Each entry's payload is its
+   position, so the order among repeats is checked too. *)
+let prop_beam_pick_is_sort =
+  let gen =
+    let open QCheck.Gen in
+    let entry =
+      pair (oneofl [ 1.0; 2.0; 3.0 ]) (array_size (int_range 1 3) (int_range 0 12))
+    in
+    list_size (int_range 0 8) entry >>= fun base ->
+    (match base with
+     | [] -> return []
+     | _ -> list_size (int_range 0 3) (oneofl base))
+    >>= fun repeats ->
+    pair (int_range 0 6) (shuffle_l (base @ repeats))
+  in
+  let print (width, entries) =
+    Printf.sprintf "width %d: [%s]" width
+      (String.concat "; " (List.map print_entry entries))
+  in
+  QCheck.Test.make ~name:"beam pick == stable sort then take" ~count:2000
+    (QCheck.make ~print gen)
+    (fun (width, entries) ->
+      let entries = List.mapi (fun i (q, ids) -> (q, ids, i)) entries in
+      Plan.Search.beam_pick width entries = sorted_beam width entries)
+
+(* Every beam the search picks while planning the four programs whose
+   cold plans exhaust its budget (default tiles, T3E, one processor),
+   under the default configuration and under [search_cfg] (200 states,
+   width 2), equals the oracle's. *)
+let test_beam_picks_on_suite () =
+  let picks = ref 0 in
+  let same (q1, ids1) (q2, ids2) = Float.equal q1 q2 && Vec.equal ids1 ids2 in
+  let on_pick width entries picked =
+    incr picks;
+    let want =
+      sorted_beam width (List.map (fun e -> (fst e, snd e, e)) entries)
+    in
+    if not (List.equal same picked want) then
+      Alcotest.failf "width %d over %d entries: picked [%s], the sort takes [%s]"
+        width (List.length entries)
+        (String.concat "; " (List.map print_entry picked))
+        (String.concat "; " (List.map print_entry want))
+  in
+  List.iter
+    (fun cfg ->
+      List.iter
+        (fun name ->
+          let prog = Suite.load name in
+          let cost = Plan.Cost.create cost_cfg prog in
+          let partition ~block ~compiler ~user g =
+            fst
+              (Plan.Search.block ~on_pick cfg cost ~block
+                 ~candidates:(compiler @ user) g)
+          in
+          match
+            Compilers.Driver.(compile_custom_opts default_opts) prog ~partition
+          with
+          | Ok _ -> ()
+          | Error d -> Alcotest.failf "%s: %s" name (Obs.Diagnostic.to_string d))
+        [ "ep"; "frac"; "tomcatv"; "sp" ])
+    [ Plan.Search.default; search_cfg ];
+  Alcotest.(check bool) "beams were picked" true (!picks > 0)
+
 let ilp_compile ?(machine = Machine.t3e) ?(procs = 1) ?(max_clusters = 1500)
     ?(jobs = 1) name =
   let b =
@@ -2020,6 +2106,9 @@ let suites =
           test_parallel_search_deterministic;
         Alcotest.test_case "beam fallback deterministic across jobs" `Slow
           test_beam_fallback_deterministic;
+        QCheck_alcotest.to_alcotest prop_beam_pick_is_sort;
+        Alcotest.test_case "every suite beam pick matches the sort" `Slow
+          test_beam_picks_on_suite;
         Alcotest.test_case "ilp chain holds, checksum equal" `Slow
           test_ilp_chain_and_checksum;
         Alcotest.test_case "ilp proves small bench optimal" `Slow
