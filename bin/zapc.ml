@@ -611,7 +611,8 @@ let spmd_arg =
     & info [ "spmd" ]
         ~doc:
           "With $(b,--run): also execute the program on a simulated \
-           processor grid (one evaluator per processor, explicit border \
+           processor grid (each processor runs its share of every \
+           statement through the interpreter, with explicit border \
            exchanges) and report the executed counters next to the \
            modeled ones.")
 

@@ -20,6 +20,3 @@ val favor_comm_veto :
     for [Compilers.Driver.opts ~may_fuse] (the [compile_opts] family).  With [procs = 1] nothing
     is remote and the predicate always allows fusion. *)
 
-val remote_readers : procs:int -> Ir.Nstmt.t list -> int list
-(** Statement indices that read remote data under the given processor
-    count (exposed for tests). *)

@@ -36,9 +36,6 @@ val inter_cluster_edges : t -> (int * int) list
 (** Edges of the cluster-level digraph, as representative pairs
     (deduplicated, self-loops removed). *)
 
-val intra_udvs : t -> int -> Support.Vec.t list
-(** UDVs of all dependences between statements of the given cluster. *)
-
 val loop_structure : t -> int -> Loopstruct.t option
 (** FIND-LOOP-STRUCTURE on the cluster's intra-cluster UDVs. *)
 

@@ -35,19 +35,14 @@ type result = {
 
 let err fmt = Printf.ksprintf (fun s -> raise (Runtime_error s)) fmt
 
-let mk_arr base (a : Code.alloc) =
-  let n = Array.length a.dims in
+let mk_arr base dims data =
+  let n = Array.length dims in
   let strides = Array.make n 1 in
   for d = n - 2 downto 0 do
-    let lo, hi = a.dims.(d + 1) in
+    let lo, hi = dims.(d + 1) in
     strides.(d) <- strides.(d + 1) * max 0 (hi - lo + 1)
   done;
-  {
-    data = Array.make (max 1 (Code.alloc_volume a)) 0.0;
-    dims = a.dims;
-    strides;
-    base;
-  }
+  { data; dims; strides; base }
 
 let undefined_array name = err "undefined (or contracted) array %s" name
 
@@ -666,27 +661,35 @@ and block env stmts =
           ss.(j) ()
         done
 
-let resolve ?trace (p : Code.program) =
-  let arrays = Hashtbl.create 16 in
-  let base = ref 0 in
-  List.iter
-    (fun (a : Code.alloc) ->
-      Hashtbl.replace arrays a.name (mk_arr !base a);
-      (* pad allocations apart so distinct arrays never share a line *)
-      base := !base + Code.alloc_volume a + 8)
-    p.allocs;
+let exec ?trace arrays (p : Code.program) =
   let scalars, assigned = scalar_slots p in
   let cnt = { loads = 0; stores = 0; flops = 0; iters = 0 } in
   let res = { arrays; scalars; live_out = p.live_out; cnt } in
   let pool = { bufs = [||] } in
-  (res, block { res; assigned; loops = []; trace; pool } p.body)
+  block { res; assigned; loops = []; trace; pool } p.body ();
+  res
+
+let run_over ?trace arrays p =
+  let tbl = Hashtbl.create 16 in
+  List.iter
+    (fun (name, base, dims, data) -> Hashtbl.replace tbl name (mk_arr base dims data))
+    arrays;
+  exec ?trace tbl p
 
 let run ?trace (p : Code.program) =
   let res =
     Obs.span "interpret" (fun () ->
-        let res, exec = resolve ?trace p in
-        exec ();
-        res)
+        let arrays = Hashtbl.create 16 in
+        let base = ref 0 in
+        List.iter
+          (fun (a : Code.alloc) ->
+            let n = Code.alloc_volume a in
+            Hashtbl.replace arrays a.name
+              (mk_arr !base a.dims (Array.make (max 1 n) 0.0));
+            (* pad allocations apart so distinct arrays never share a line *)
+            base := !base + n + 8)
+          p.allocs;
+        exec ?trace arrays p)
   in
   if Obs.enabled () then begin
     Obs.count "interp.loads" res.cnt.loads;

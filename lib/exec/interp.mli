@@ -8,14 +8,15 @@
     traffic — precisely the effect the paper measures.
 
     Each {!run} resolves the program once, then executes it.  Resolving
-    allocates the arrays, gives every scalar name a slot in one float
-    array (plus an int mirror for each loop variable no assignment
-    writes, which its subscripts read), binds every array reference to
-    its allocation, and turns each statement into an OCaml closure with
-    its load and flop counts precomputed; the traced and untraced
-    closures are built apart.  Executing runs the closures.  All of
-    this state belongs to the one call, so concurrent runs are
-    independent.
+    allocates the arrays ({!run_over} takes the caller's instead), gives
+    every scalar name a slot in one float array (plus an int mirror for
+    each loop variable no assignment writes, which its subscripts read),
+    binds every array reference to its allocation, and turns each
+    statement into an OCaml closure with its load and flop counts
+    precomputed; the traced and untraced closures are built apart.
+    Executing runs the closures.  All of this state but the caller's
+    arrays belongs to the one call, so concurrent runs over distinct
+    arrays are independent.
 
     {b Strips.}  An untraced run executes an innermost loop (a [For]
     with no loop in its body) one statement at a time over strips of
@@ -94,6 +95,20 @@ val run :
 (** Execute the program on zero-initialized arrays.  [trace] receives
     the byte address of every array element access, in execution
     order. *)
+
+val run_over :
+  ?trace:(addr:int -> write:bool -> unit) ->
+  (string * int * (int * int) array * float array) list ->
+  Sir.Code.program ->
+  result
+(** [run_over arrays p] executes [p] as {!run} does, but over the
+    caller's arrays instead of allocating [p.allocs], which it ignores.
+    Each array is [(name, base, dims, data)]: its element base address,
+    its inclusive per-dimension bounds, and its row-major data of at
+    least their volume, read and written in place.  Opens no {!Obs}
+    span and records no counter, so a caller can run many programs
+    (the SPMD engine runs one per statement and processor) without
+    them showing as interpreter runs. *)
 
 val counters : result -> counters
 

@@ -58,8 +58,3 @@ let skipped_runs cases =
   List.fold_left
     (fun acc c -> acc + List.length (Oracle.skips c.report))
     0 cases
-
-let backend_runs cases =
-  List.fold_left
-    (fun acc c -> acc + List.length c.report.Oracle.results)
-    0 cases

@@ -41,6 +41,3 @@ val divergent : case list -> case list
 
 val skipped_runs : case list -> int
 (** Total backend runs skipped across the campaign. *)
-
-val backend_runs : case list -> int
-(** Total backend runs executed across the campaign. *)

@@ -42,8 +42,6 @@ type trace_cfg = {
   trace_reductions : bool;  (** allow a reduction sink *)
 }
 
-val default_trace : trace_cfg
-
 type sink = Arr of Lazyarr.Trace.arr | Scalar of Lazyarr.Trace.scalar
 
 type traced = {

@@ -6,7 +6,8 @@
      - Exec.Interp on the code of every greedy optimization level
        (the paper ladder base..c2+f4, plus the c2+p extension);
      - the search-based and ILP planners (zapc --plan search|ilp);
-     - the SPMD engine on 1/4/16 simulated processors;
+     - the SPMD engine on 1/4/16 simulated processors, at c2+f3 and
+       at c2+p;
      - when a C compiler is present, the Native runner built from the
        Sir.Emit_c translation unit and executed as a subprocess.
 
@@ -47,7 +48,11 @@ let default =
   }
 
 let plan_procs = 4
-let spmd_level = Compilers.Driver.C2F3
+
+(* c2+p fuses across loop-carried flow, so its clusters are where a
+   statement reads at an offset what an earlier one of the same
+   superstep wrote *)
+let spmd_levels = Compilers.Driver.[ C2F3; C2P ]
 let native_levels = Compilers.Driver.[ Baseline; C2F3 ]
 
 (* The probe, the subprocess plumbing, and the workdir logic all live
@@ -139,37 +144,33 @@ let run ?(cfg = default) prog =
             | exception e -> record name (Crashed (Printexc.to_string e))
           end;
           (* SPMD on the simulated processor grid *)
-          if cfg.spmd_procs <> [] then begin
-            let lname = Compilers.Driver.level_name spmd_level in
-            match compile_result ~level:spmd_level prog with
-            | Error m ->
-                List.iter
-                  (fun procs ->
-                    record
-                      (Printf.sprintf "spmd@%s/p%d" lname procs)
-                      (Crashed m))
-                  cfg.spmd_procs
-            | Ok c ->
-                List.iter
-                  (fun procs ->
-                    let name = Printf.sprintf "spmd@%s/p%d" lname procs in
-                    match
-                      Spmd.execute
-                        {
-                          Spmd.machine = cfg.machine;
-                          procs;
-                          opts = Comm.Model.all_on;
-                          cachesim = false;
-                        }
-                        c
-                    with
-                    | r -> check name r.Spmd.report.checksum
-                    | exception Spmd.Unsupported m -> record name (Skipped m)
-                    | exception Spmd.Runtime_error m -> record name (Crashed m)
-                    | exception e ->
-                        record name (Crashed (Printexc.to_string e)))
-                  cfg.spmd_procs
-          end;
+          List.iter
+            (fun level ->
+              let compiled = lazy (compile_result ~level prog) in
+              List.iter
+                (fun procs ->
+                  let name =
+                    Printf.sprintf "spmd@%s/p%d"
+                      (Compilers.Driver.level_name level) procs
+                  in
+                  let config =
+                    {
+                      Spmd.machine = cfg.machine;
+                      procs;
+                      opts = Comm.Model.all_on;
+                      cachesim = false;
+                    }
+                  in
+                  match Lazy.force compiled with
+                  | Error m -> record name (Crashed m)
+                  | Ok c -> (
+                      match Spmd.execute config c with
+                      | r -> check name r.Spmd.report.checksum
+                      | exception Spmd.Unsupported m -> record name (Skipped m)
+                      | exception Spmd.Runtime_error m -> record name (Crashed m)
+                      | exception e -> record name (Crashed (Printexc.to_string e))))
+                cfg.spmd_procs)
+            spmd_levels;
           (* native, through the emitted C.  The salt for the workdir
              name is the emitted code itself (a pure function of the
              per-case PRNG seed), never the wall clock — see

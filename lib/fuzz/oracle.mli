@@ -4,7 +4,7 @@
     live-out checksums against the reference interpreter:
     {!Exec.Interp} on the code of each greedy optimization level,
     the search-based and ILP planners, the SPMD engine at several
-    processor counts, and — when a C compiler is available — the
+    processor counts at [c2+f3] and at [c2+p], and — when a C compiler is available — the
     {!Native} runner built from the {!Sir.Emit_c} translation unit.
     Checksums use
     {!Exec.Interp.Digest}, which canonicalizes NaN payloads, so only
@@ -32,7 +32,8 @@ type cfg = {
   planner : bool;
       (** also run the search and ILP planners, optimizing for 4
           processors *)
-  spmd_procs : int list;  (** SPMD processor counts, each at [c2+f3] *)
+  spmd_procs : int list;
+      (** SPMD processor counts, each at [c2+f3] and at [c2+p] *)
   native : bool;
       (** compile the emitted C of baseline and [c2+f3] when [cc] is
           present *)

@@ -9,10 +9,6 @@
     replace a subexpression by a child or a constant, drop a live-out
     or an unused declaration. *)
 
-val prog_shrinks : Ir.Prog.t -> Ir.Prog.t list
-(** All one-step simplifications, most aggressive first.  Candidates
-    are not validated. *)
-
 val run : ?max_checks:int -> check:(Ir.Prog.t -> bool) -> Ir.Prog.t -> Ir.Prog.t
 (** [max_checks] bounds the number of [check] invocations (default
     400); the original [p] is assumed to already satisfy [check]. *)

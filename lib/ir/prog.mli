@@ -40,7 +40,6 @@ type t = {
 }
 
 val find_array : t -> string -> array_info option
-val array_names : t -> string list
 val is_live_out : t -> string -> bool
 
 val validate : t -> (unit, string) result

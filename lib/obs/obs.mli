@@ -212,8 +212,6 @@ type fusion_reason =
 val fusion_reason_name : fusion_reason -> string
 (** Stable kebab-case name, used as counter suffix and in JSON. *)
 
-val all_fusion_reasons : fusion_reason list
-
 type event =
   | Fusion_attempt of { array : string option; clusters : int }
       (** a merge of [clusters] clusters was attempted, driven by
@@ -226,11 +224,6 @@ type event =
           contraction *)
   | Reduction_absorbed of { reduce : int; cluster : int }
   | Note of { name : string; value : string }  (** free-form marker *)
-
-val event_counter : event -> string option
-(** The counter each event bumps (e.g. [Fusion_reject] with
-    [Nonnull_flow] bumps ["fusion.rejected.nonnull-flow"]); [None] for
-    [Note]. *)
 
 (** {1 Spans and reports} *)
 
@@ -311,7 +304,9 @@ val total : string -> float -> unit
 (** Add to a named float accumulator (ns saved, bytes, ...). *)
 
 val event : event -> unit
-(** Record an event (and bump its counter, see {!event_counter}). *)
+(** Record an event and bump the counter it names (e.g. [Fusion_reject]
+    with [Nonnull_flow] bumps ["fusion.rejected.nonnull-flow"]; a
+    [Note] bumps none). *)
 
 (** {1 Rendering} *)
 
@@ -319,5 +314,4 @@ val report_to_json : report -> Json.t
 (** Stable schema: [{"spans": [{"name", "ns", "children"}...],
     "counters": {...}, "totals": {...}}]. *)
 
-val pp_spans : Format.formatter -> span list -> unit
 val pp_report : Format.formatter -> report -> unit

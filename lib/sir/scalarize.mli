@@ -50,6 +50,16 @@ val scalarize : Ir.Prog.t -> Ir.Prog.node list -> plan -> Code.program
     their original names.  Raises {!Error} when the plan's length is
     not the program's block count. *)
 
+val tr_expr : (string * Core.Contraction.shape) list -> Ir.Expr.t -> Code.expr
+(** [tr_expr contracted e]: [e] with each reference to a [contracted]
+    array read as its scalar or reduced-rank buffer, and region index
+    [d] read as {!Code.loop_var}[ d]; every other reference loads
+    through the subscripts [loop_var d + offset]. *)
+
+val tr_astmt : (string * Core.Contraction.shape) list -> Ir.Nstmt.t -> Code.stmt
+(** The loop body of one array statement, by {!tr_expr}: a [Store], or
+    an [Sassign] when its target is contracted to a scalar. *)
+
 val contracted_of_plan : plan -> (string * Core.Contraction.shape) list
 (** All contraction decisions across blocks (for reporting). *)
 

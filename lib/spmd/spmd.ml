@@ -13,23 +13,22 @@
 
    Execution is superstep-structured (BSP): one superstep per step of
    Comm.Model.schedule, i.e. per fusible cluster in the emission order
-   the scalarizer uses.  A superstep delivers the step's messages, tops
-   up any ghost slabs the model did not schedule (counted as
-   [unmodeled_exchanges]), executes the cluster's members
-   statement-at-a-time over each processor's owned points, and
-   barriers.  Every message and reduction tree is priced by
+   the scalarizer uses.  A superstep delivers the step's messages, then
+   runs the cluster's members statement by statement: each tops up the
+   ghost slabs its references cross into that the model did not
+   schedule (counted as [unmodeled_exchanges]) and then runs on every
+   processor over its owned points, through Exec.Interp.  The step ends
+   at a barrier.  Every message and reduction tree is priced by
    Comm.Model.  Statement-at-a-time execution in cluster order is a
    linear extension of the block's dependence graph, so values are
    bit-identical to the sequential reference execution; reductions
    accumulate in canonical global row-major order for the same reason,
    while the log2 p combining tree is charged to the clock.
 
-   Ghost coherence is generational: each array has a write generation
-   (bumped once per cluster execution that writes it — the same
-   granularity the model's redundancy elimination reasons at), and each
-   filled slab records the generation and depth it was filled with.  A
-   ghost read checks its slab is current and deep enough; a violation
-   is an engine/model bug and raises Runtime_error. *)
+   Ghost coherence is generational: each array has a write generation,
+   bumped after every statement that writes it, and each filled slab
+   records the generation and depth it was filled with.  A slab is
+   current when its generation is the array's. *)
 
 open Ir
 
@@ -173,10 +172,7 @@ let in_grid g c =
 (* One processor's tile of one array: the owned chunk extended by the
    halo, clipped to the array's allocation bounds. *)
 type tile = {
-  wlo : int array;  (** window (owned + halo) low, per dim *)
-  whi : int array;
-  clo : int array;  (** this processor's chunk (unclipped) *)
-  chi : int array;
+  dims : (int * int) array;  (** the window (owned + halo), per dim *)
   strides : int array;
   data : float array;
   base : int;  (** element base address (per-processor address space) *)
@@ -194,35 +190,24 @@ type arr = {
 
 let bound arr k = Region.range arr.info.bounds (k + 1)
 
+let volume dims =
+  Array.fold_left (fun v (lo, hi) -> v * max 0 (hi - lo + 1)) 1 dims
+
 let mk_tile (a : Prog.array_info) grid halo base pr =
   let rank = Region.rank a.bounds in
   let c = coord_of grid pr in
-  let wlo = Array.make rank 0
-  and whi = Array.make rank 0
-  and clo = Array.make rank 0
-  and chi = Array.make rank 0 in
-  for k = 0 to rank - 1 do
-    let lo, hi = chunk grid k c.(k) in
-    clo.(k) <- lo;
-    chi.(k) <- hi;
-    let { Region.lo = blo; hi = bhi } = Region.range a.bounds (k + 1) in
-    wlo.(k) <- max blo (lo - halo.(k));
-    whi.(k) <- min bhi (hi + halo.(k))
-  done;
+  let dims =
+    Array.init rank (fun k ->
+        let lo, hi = chunk grid k c.(k) in
+        let { Region.lo = blo; hi = bhi } = Region.range a.bounds (k + 1) in
+        (max blo (lo - halo.(k)), min bhi (hi + halo.(k))))
+  in
   let strides = Array.make rank 1 in
   for k = rank - 2 downto 0 do
-    strides.(k) <- strides.(k + 1) * max 0 (whi.(k + 1) - wlo.(k + 1) + 1)
+    let lo, hi = dims.(k + 1) in
+    strides.(k) <- strides.(k + 1) * max 0 (hi - lo + 1)
   done;
-  let vol =
-    Array.to_list (Array.init rank (fun k -> max 0 (whi.(k) - wlo.(k) + 1)))
-    |> List.fold_left ( * ) 1
-  in
-  { wlo; whi; clo; chi; strides; data = Array.make (max 1 vol) 0.0; base }
-
-let tile_volume t =
-  let v = ref 1 in
-  Array.iteri (fun k lo -> v := !v * max 0 (t.whi.(k) - lo + 1)) t.wlo;
-  !v
+  { dims; strides; data = Array.make (max 1 (volume dims)) 0.0; base }
 
 (* ------------------------------------------------------------------ *)
 (* The execution environment                                           *)
@@ -234,6 +219,8 @@ type env = {
   skeleton : Prog.node list;
       (** block indices match the plan and the model schedule *)
   arrs : (string, arr) Hashtbl.t;
+  views : (string * int * (int * int) array * float array) list array;
+      (** per proc: every array's tile, as Exec.Interp.run_over takes it *)
   scalars : (string, float) Hashtbl.t;
   pc : proc_counters array;
   hier : Cachesim.Cache.Hierarchy.h array;  (** empty when cachesim is off *)
@@ -264,108 +251,22 @@ let grid_for grids rank =
 
 let coords_for env rank = Hashtbl.find env.coords rank
 
-let get_scalar env s =
-  match Hashtbl.find_opt env.scalars s with
-  | Some v -> v
-  | None -> err "undefined scalar %s" s
-
-let touch env pr tile flat ~write =
-  if Array.length env.hier > 0 then
-    Cachesim.Cache.Hierarchy.access env.hier.(pr)
-      ~addr:((tile.base + flat) * 8)
-      ~write
-
-(* ------------------------------------------------------------------ *)
-(* Element access                                                      *)
-(* ------------------------------------------------------------------ *)
+(* Processor [pr]'s chunk of dimension [k] of the rank-[rank] grid. *)
+let chunk_of env rank pr k =
+  chunk (grid_for env.grids rank) k (coords_for env rank).(pr).(k)
 
 let flat_of tile idx =
   let f = ref 0 in
   Array.iteri
     (fun k x ->
-      if x < tile.wlo.(k) || x > tile.whi.(k) then
-        err "index %d outside halo window [%d..%d] in dim %d" x tile.wlo.(k)
-          tile.whi.(k) (k + 1);
-      f := !f + ((x - tile.wlo.(k)) * tile.strides.(k)))
+      let lo, hi = tile.dims.(k) in
+      if x < lo || x > hi then
+        err "index %d outside halo window [%d..%d] in dim %d" x lo hi (k + 1);
+      f := !f + ((x - lo) * tile.strides.(k)))
     idx;
   !f
 
-let read_elem env pr arr idx =
-  let tile = arr.tiles.(pr) in
-  let flat = flat_of tile idx in
-  (* ghost coherence check *)
-  let dir = Array.make arr.rank 0 in
-  let ghost = ref false in
-  Array.iteri
-    (fun k x ->
-      if x < tile.clo.(k) then begin
-        dir.(k) <- -1;
-        ghost := true
-      end
-      else if x > tile.chi.(k) then begin
-        dir.(k) <- 1;
-        ghost := true
-      end)
-    idx;
-  if !ghost then begin
-    match Hashtbl.find_opt arr.slabs.(pr) dir with
-    | Some (gen, depth) when gen = arr.wgen ->
-        Array.iteri
-          (fun k d ->
-            if d <> 0 then
-              let need =
-                if d < 0 then tile.clo.(k) - idx.(k) else idx.(k) - tile.chi.(k)
-              in
-              if depth.(k) < need then
-                err "ghost slab of %s too shallow on proc %d" arr.info.name pr)
-          dir
-    | _ -> err "stale ghost read of %s on proc %d" arr.info.name pr
-  end;
-  env.pc.(pr).loads <- env.pc.(pr).loads + 1;
-  touch env pr tile flat ~write:false;
-  tile.data.(flat)
-
-let write_elem env pr arr idx v =
-  let tile = arr.tiles.(pr) in
-  let flat = flat_of tile idx in
-  Array.iteri
-    (fun k x ->
-      if x < tile.clo.(k) || x > tile.chi.(k) then
-        err "write outside owned chunk of %s on proc %d" arr.info.name pr)
-    idx;
-  env.pc.(pr).stores <- env.pc.(pr).stores + 1;
-  touch env pr tile flat ~write:true;
-  tile.data.(flat) <- v
-
 let peek arr pr idx = arr.tiles.(pr).data.(flat_of arr.tiles.(pr) idx)
-
-(* ------------------------------------------------------------------ *)
-(* Expression evaluation (mirrors Exec.Interp's operation counting)    *)
-(* ------------------------------------------------------------------ *)
-
-let rec eval env pr idx (e : Expr.t) : float =
-  match e with
-  | Expr.Const f -> f
-  | Expr.Svar s -> get_scalar env s
-  | Expr.Idx i -> float_of_int idx.(i - 1)
-  | Expr.Ref (x, d) ->
-      let arr = find_arr env x in
-      let shifted = Array.init (Array.length idx) (fun k -> idx.(k) + d.(k)) in
-      read_elem env pr arr shifted
-  | Expr.Unop (op, a) ->
-      let va = eval env pr idx a in
-      env.pc.(pr).flops <- env.pc.(pr).flops + 1;
-      Expr.apply_unop op va
-  | Expr.Binop (op, a, b) ->
-      let va = eval env pr idx a in
-      let vb = eval env pr idx b in
-      if Expr.is_flop op then env.pc.(pr).flops <- env.pc.(pr).flops + 1;
-      Expr.apply_binop op va vb
-  | Expr.Select (c, a, b) ->
-      let vc = eval env pr idx c in
-      let va = eval env pr idx a in
-      let vb = eval env pr idx b in
-      if vc <> 0.0 then va else vb
 
 (* ------------------------------------------------------------------ *)
 (* Message delivery and ghost fills                                    *)
@@ -391,10 +292,11 @@ let fill_slab env arr ~pr ~sr dir depth =
   let empty = ref false in
   for k = 0 to rank - 1 do
     let { Region.lo = blo; hi = bhi } = bound arr k in
+    let clo, chi = chunk_of env rank pr k in
     let l, h =
-      if dir.(k) = 0 then (max blo tr.clo.(k), min bhi tr.chi.(k))
-      else if dir.(k) < 0 then (max blo (tr.clo.(k) - depth.(k)), min bhi (tr.clo.(k) - 1))
-      else (max blo (tr.chi.(k) + 1), min bhi (tr.chi.(k) + depth.(k)))
+      if dir.(k) = 0 then (max blo clo, min bhi chi)
+      else if dir.(k) < 0 then (max blo (clo - depth.(k)), min bhi (clo - 1))
+      else (max blo (chi + 1), min bhi (chi + depth.(k)))
     in
     lo.(k) <- l;
     hi.(k) <- h;
@@ -480,8 +382,9 @@ let deliver env rank (m : Comm.Model.message) ~posted =
    processor (exact, per-dimension interval arithmetic on rectangles)
    and top up any slab that is stale or too shallow.  Such fills exist
    only for reference shapes outside the model's vocabulary (diagonal
-   subset patterns, reduction arguments at an offset, contracted
-   arrays under c2+p) and are counted as [unmodeled]. *)
+   subset patterns, reduction arguments at an offset, and under c2+p
+   a read across a chunk boundary of what an earlier statement of the
+   cluster wrote) and are counted as [unmodeled]. *)
 let ensure_needs env rank ~(region : Region.t) refs =
   let grid = grid_for env.grids rank in
   let coords = coords_for env rank in
@@ -593,22 +496,63 @@ let barrier env =
 (* Statement execution                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let exec_stmt_on env pr (s : Nstmt.t) =
-  let arr = find_arr env s.lhs in
-  let tile = arr.tiles.(pr) in
-  let rank = arr.rank in
-  let bnds =
-    List.init rank (fun k ->
-        let { Region.lo; hi } = Region.range s.region (k + 1) in
-        (max lo tile.clo.(k), min hi tile.chi.(k)))
+(* Run [body] on processor [pr] through Exec.Interp, inside row-major
+   loops over [box] (dimension k's loop variable is [loop_var (k + 1)]),
+   over the processor's tiles and [extra] arrays and the current
+   scalars; add its loads, flops and, when [stores], its stores to the
+   processor's counters, and trace its accesses (its stores only when
+   [stores]) into the processor's caches. *)
+let run_on env pr ?(extra = []) ?(stores = true) box body =
+  let rec nest k =
+    if k = Array.length box then body
+    else
+      let lo, hi = box.(k) in
+      [
+        Sir.Code.For
+          { var = Sir.Code.loop_var (k + 1); lo; hi; step = 1; body = nest (k + 1) };
+      ]
   in
-  if List.exists (fun (lo, hi) -> lo > hi) bnds then ()
-  else
-    Region.iter (Region.of_bounds bnds) (fun idx ->
-        let v = eval env pr idx s.rhs in
-        let tgt = Array.init rank (fun k -> idx.(k) + s.lhs_off.(k)) in
-        write_elem env pr arr tgt v)
+  let p =
+    {
+      Sir.Code.name = env.prog.Prog.name;
+      allocs = [];
+      scalars = Hashtbl.fold (fun x v acc -> (x, v) :: acc) env.scalars [];
+      body = nest 0;
+      live_out = [];
+    }
+  in
+  let trace =
+    if Array.length env.hier = 0 then None
+    else
+      let h = env.hier.(pr) in
+      Some
+        (fun ~addr ~write ->
+          if stores || not write then Cachesim.Cache.Hierarchy.access h ~addr ~write)
+  in
+  match Exec.Interp.run_over ?trace (extra @ env.views.(pr)) p with
+  | exception Exec.Interp.Runtime_error m -> raise (Runtime_error m)
+  | r ->
+      let c = Exec.Interp.counters r and pc = env.pc.(pr) in
+      pc.loads <- pc.loads + c.loads;
+      pc.flops <- pc.flops + c.flops;
+      if stores then pc.stores <- pc.stores + c.stores;
+      r
 
+(* [region] clipped to processor [pr]'s chunk; [None] when empty. *)
+let owned env pr (region : Region.t) =
+  let rank = Region.rank region in
+  let box =
+    Array.init rank (fun k ->
+        let lo, hi = chunk_of env rank pr k in
+        let { Region.lo = rlo; hi = rhi } = Region.range region (k + 1) in
+        (max lo rlo, min hi rhi))
+  in
+  if Array.exists (fun (lo, hi) -> lo > hi) box then None else Some box
+
+(* Each statement runs on every processor once the ghosts its
+   references cross into are current, so a statement sees every write
+   of the statements before it, fused or not.  Compute is charged once
+   per processor per superstep. *)
 let exec_superstep env rank (step : Comm.Model.step) ~posted =
   Obs.span "spmd-superstep" @@ fun () ->
   env.supersteps <- env.supersteps + 1;
@@ -616,18 +560,20 @@ let exec_superstep env rank (step : Comm.Model.step) ~posted =
     (fun (m : Comm.Model.message) ->
       deliver env rank m ~posted:(posted m.m_producer))
     step.s_messages;
+  let snaps = Array.init env.cfg.procs (snapshot env) in
   List.iter
-    (fun (s : Nstmt.t) -> ensure_needs env rank ~region:s.region (Expr.refs s.rhs))
+    (fun (s : Nstmt.t) ->
+      ensure_needs env rank ~region:s.region (Expr.refs s.rhs);
+      let body = [ Sir.Scalarize.tr_astmt [] s ] in
+      for pr = 0 to env.cfg.procs - 1 do
+        Option.iter
+          (fun box -> ignore (run_on env pr box body : Exec.Interp.result))
+          (owned env pr s.region)
+      done;
+      let a = find_arr env s.lhs in
+      a.wgen <- a.wgen + 1)
     step.s_stmts;
-  for pr = 0 to env.cfg.procs - 1 do
-    let s0 = snapshot env pr in
-    List.iter (exec_stmt_on env pr) step.s_stmts;
-    charge_compute env pr s0
-  done;
-  let written =
-    List.sort_uniq compare (List.map (fun (s : Nstmt.t) -> s.lhs) step.s_stmts)
-  in
-  List.iter (fun x -> let a = find_arr env x in a.wgen <- a.wgen + 1) written;
+  Array.iteri (charge_compute env) snaps;
   barrier env
 
 (* A message is posted at the end of its producer's superstep, or at
@@ -641,10 +587,11 @@ let exec_block env bi =
     (fun si step -> step_end.(si) <- exec_superstep env bs.b_rank step ~posted)
     bs.b_steps
 
-(* Reductions: every processor evaluates the points it owns, but the
-   accumulation folds contributions in canonical global row-major
-   order — bit-identical to the sequential interpreters.  The clock and
-   the message counters are charged for the log2 p combining tree the
+(* Reductions: every processor evaluates the argument at the points it
+   owns into a buffer of its own (untraced, uncounted stores), and the
+   contributions are folded in canonical global row-major order —
+   bit-identical to the sequential interpreters.  The clock and the
+   message counters are charged for the log2 p combining tree the
    runtime would use (the divergence from a real tree's accumulation
    order is documented in docs/spmd.md). *)
 let exec_reduce env { Prog.target; op; region; arg; _ } =
@@ -655,12 +602,35 @@ let exec_reduce env { Prog.target; op; region; arg; _ } =
   ensure_needs env rank ~region (Expr.refs arg);
   let grid = grid_for env.grids rank in
   let snaps = Array.init procs (snapshot env) in
+  (* the buffer's name is empty, which no declared array's is *)
+  let body =
+    [
+      Sir.Code.Store
+        ( "",
+          Array.init rank (fun k ->
+              { Sir.Code.base = Sir.Code.loop_var (k + 1); off = 0 }),
+          Sir.Scalarize.tr_expr [] arg );
+    ]
+  in
+  let args =
+    Array.init procs (fun pr ->
+        match owned env pr region with
+        | None -> [||]
+        | Some box ->
+            let buf = Array.make (volume box) 0.0 in
+            ignore
+              (run_on env pr ~extra:[ ("", 0, box, buf) ] ~stores:false box body
+                : Exec.Interp.result);
+            buf)
+  in
+  let next = Array.make procs 0 in
   let acc = ref (Prog.redop_init op) in
   let apply = Expr.apply_binop (Prog.redop_binop op) in
   Region.iter region (fun idx ->
       let c = Array.mapi (fun k x -> owner_dim grid k x) idx in
       let pr = linear_of grid c in
-      let v = eval env pr idx arg in
+      let v = args.(pr).(next.(pr)) in
+      next.(pr) <- next.(pr) + 1;
       env.pc.(pr).flops <- env.pc.(pr).flops + 1;
       acc := apply !acc v);
   Hashtbl.replace env.scalars target !acc;
@@ -690,10 +660,9 @@ let exec_reduce env { Prog.target; op; region; arg; _ } =
 
 let exec_sassign env x e =
   let procs = env.cfg.procs in
-  let f0 = env.pc.(0).flops in
-  let v = eval env 0 [||] e in
-  let df = env.pc.(0).flops - f0 in
-  Hashtbl.replace env.scalars x v;
+  let r = run_on env 0 [||] [ Sir.Code.Sassign (x, Sir.Scalarize.tr_expr [] e) ] in
+  let df = (Exec.Interp.counters r).flops in
+  Hashtbl.replace env.scalars x (Exec.Interp.get_scalar r x);
   (* scalar work is replicated on every processor *)
   let t = float_of_int df *. env.cfg.machine.Machine.flop_ns in
   for pr = 0 to procs - 1 do
@@ -825,7 +794,7 @@ let setup (cfg : config) (c : Compilers.Driver.compiled) =
         Array.init procs (fun pr ->
             let t = mk_tile a grid halo bases.(pr) pr in
             (* pad allocations apart, as the sequential interpreter does *)
-            bases.(pr) <- bases.(pr) + tile_volume t + 8;
+            bases.(pr) <- bases.(pr) + volume t.dims + 8;
             t)
       in
       Hashtbl.replace arrs a.name
@@ -838,6 +807,14 @@ let setup (cfg : config) (c : Compilers.Driver.compiled) =
           slabs = Array.init procs (fun _ -> Hashtbl.create 8);
         })
     prog.Prog.arrays;
+  let views =
+    Array.init procs (fun pr ->
+        Hashtbl.fold
+          (fun name arr acc ->
+            let t = arr.tiles.(pr) in
+            (name, t.base, t.dims, t.data) :: acc)
+          arrs [])
+  in
   let coords = Hashtbl.create 4 in
   Hashtbl.iter
     (fun rank grid ->
@@ -863,6 +840,7 @@ let setup (cfg : config) (c : Compilers.Driver.compiled) =
     prog;
     skeleton;
     arrs;
+    views;
     scalars;
     pc =
       Array.init procs (fun _ ->

@@ -11,13 +11,17 @@
     cluster in emission order — and each superstep first delivers
     exactly the step's messages (vectorized border slabs, with
     redundancy elimination and combining as configured), then runs the
-    step's statements on every processor over its owned iteration
-    points, and finally meets at a barrier that advances the simulated
-    clock.  Reductions are evaluated in the canonical global row-major
-    order (bit-identical to the sequential interpreters) while a log₂ p
-    combining tree is charged and its messages counted.  Messages and
-    trees are priced by {!Comm.Model.wait_ns}, {!Comm.Model.transfer_ns}
-    and {!Comm.Model.tree_ns}.
+    step's statements one at a time, each on every processor over its
+    owned iteration points once the ghosts it reads are current, and
+    finally meets at a barrier that advances the simulated clock.  A
+    processor runs a statement through {!Exec.Interp.run_over}, as
+    {!Sir.Scalarize.tr_astmt}'s loop body inside row-major loops over
+    its owned points, on its tiles.  Reductions are evaluated the same
+    way into a buffer per processor and folded in the canonical global
+    row-major order (bit-identical to the sequential interpreters)
+    while a log₂ p combining tree is charged and its messages counted.
+    Messages and trees are priced by {!Comm.Model.wait_ns},
+    {!Comm.Model.transfer_ns} and {!Comm.Model.tree_ns}.
 
     Determinism and agreement: the run is bit-deterministic, its
     checksum equals the sequential {!Exec.Interp.checksum} of the same
@@ -63,8 +67,9 @@ type report = {
   unmodeled_exchanges : int;
       (** ghost fills the engine needed but the model did not schedule
           (diagonal-only reference patterns, reduction arguments read
-          at an offset, contracted arrays under c2+p); 0 for all paper
-          benchmarks *)
+          at an offset, and under c2+p reads at an offset of what an
+          earlier statement of the same cluster wrote); 0 for all paper
+          benchmarks through c2+f3 *)
   ghost_fills : int;  (** slabs filled, scheduled + unscheduled *)
   l1 : Cachesim.Cache.stats option;
       (** summed over processors; [None] without cachesim *)
@@ -90,8 +95,11 @@ exception Unsupported of string
     of a rank no array has. *)
 
 exception Runtime_error of string
-(** Internal invariant violation (stale ghost read, index outside its
-    halo window) — indicates an engine or model bug, not bad input. *)
+(** An {!Exec.Interp.Runtime_error} out of a processor's run, with the
+    same text (a subscript outside the processor's tile, an undefined
+    scalar), or an internal invariant violation (a slab outside its
+    halo window, a top-up with no neighbor) — an engine or model bug,
+    or a program {!Ir.Prog.validate} rejects, not bad input. *)
 
 val execute : config -> Compilers.Driver.compiled -> run
 (** Run the program to completion on [config.procs] virtual

@@ -421,7 +421,7 @@ let compiled level prog =
   (Compilers.Driver.compile_exn_opts (Compilers.Driver.opts level) prog)
     .Compilers.Driver.code
 
-let agrees_at_levels what prog =
+let agrees_at_levels ?(agrees = agrees) what prog =
   List.iter
     (fun level ->
       agrees
@@ -429,19 +429,22 @@ let agrees_at_levels what prog =
         (compiled level prog))
     levels
 
-let test_strip_corpus () =
+let corpus () =
   let files =
     Sys.readdir "corpus" |> Array.to_list
     |> List.filter (fun f -> Filename.check_suffix f ".zir")
     |> List.sort compare
   in
   Alcotest.(check bool) "corpus is not empty" true (files <> []);
-  List.iter
+  List.map
     (fun f ->
       match Fuzz.Repro.load (Filename.concat "corpus" f) with
-      | Ok p -> agrees_at_levels f p
+      | Ok p -> (f, p)
       | Error m -> Alcotest.failf "%s: %s" f m)
     files
+
+let test_strip_corpus () =
+  List.iter (fun (f, p) -> agrees_at_levels f p) (corpus ())
 
 let test_strip_suite () =
   List.iter
@@ -464,6 +467,48 @@ let test_strip_generated () =
     let p = Fuzz.Gen.generate_trace rng in
     agrees (Printf.sprintf "trace program %d" i) (compiled (level i) p)
   done
+
+(* [run_over] on zeroed arrays laid out as [run] lays them out, in
+   [allocs] order with bases 8 elements apart, runs as [run] does:
+   the same checksum and counters, traced and untraced, and the same
+   address trace. *)
+let over_agrees what (code : Code.program) =
+  let zeroed () =
+    snd
+      (List.fold_left_map
+         (fun base (a : Code.alloc) ->
+           let n = Code.alloc_volume a in
+           (base + n + 8, (a.name, base, a.dims, Array.make (max 1 n) 0.0)))
+         0 code.allocs)
+  in
+  let observe run =
+    outcome (fun () ->
+        let r = run () in
+        let c = Exec.Interp.counters r in
+        (Exec.Interp.checksum r, Exec.Interp.[ c.loads; c.stores; c.flops; c.iters ]))
+  in
+  let same kind a b =
+    Alcotest.(check (result (pair string (list int)) string)) (what ^ kind) a b
+  in
+  let trace events ~addr ~write = events := (addr, write) :: !events in
+  let by_run = ref [] and by_over = ref [] in
+  same ": traced"
+    (observe (fun () -> Exec.Interp.run ~trace:(trace by_run) code))
+    (observe (fun () -> Exec.Interp.run_over ~trace:(trace by_over) (zeroed ()) code));
+  Alcotest.(check int) (what ^ ": trace length") (List.length !by_run)
+    (List.length !by_over);
+  Alcotest.(check bool) (what ^ ": trace") true (!by_run = !by_over);
+  same ": untraced"
+    (observe (fun () -> Exec.Interp.run code))
+    (observe (fun () -> Exec.Interp.run_over (zeroed ()) code))
+
+let test_run_over () =
+  List.iter (fun (f, p) -> agrees_at_levels ~agrees:over_agrees f p) (corpus ());
+  List.iter
+    (fun (b : Suite.bench) ->
+      agrees_at_levels ~agrees:over_agrees (b.Suite.name ^ " tile 16")
+        (Suite.program ~tile:16 b))
+    Suite.all
 
 (* A and B: 0..big, M: 0..rows x 0..cols; s and t declared. *)
 let big = (2 * Exec.Interp.strip) + 40
@@ -745,6 +790,8 @@ let suites =
           test_strip_hazards;
         Alcotest.test_case "golden error text inside loops" `Quick
           test_strip_error_text;
+        Alcotest.test_case "run_over on run's layout == run" `Quick
+          test_run_over;
         QCheck_alcotest.to_alcotest prop_mix_array;
       ] );
     ( "exec.refinterp",
