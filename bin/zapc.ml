@@ -652,7 +652,7 @@ let plan_arg =
     & info [ "plan" ] ~docv:"STRATEGY"
         ~doc:
           "Fusion planning strategy: $(b,greedy) (the paper's level \
-           ladder, default), $(b,search) (branch-and-bound over fusion \
+           ladder, default), $(b,search) (beam search over fusion \
            partitions against the unified cost model for \
            $(b,--machine)/$(b,--procs); never worse than greedy under \
            the model) or $(b,ilp) (0/1 integer program over valid \

@@ -5,7 +5,7 @@
    stats, shutdown.  It serves one connection at a time, one request
    at a time.  A long-lived zapd amortizes planning across requests
    through the LRU plan cache — the first --plan search for a program
-   pays the full branch-and-bound search, every later request with the
+   pays the full beam search, every later request with the
    same (fingerprint, mode, machine, procs) key is a lookup.
    zapc --connect SOCKET is the stock client; protocol grammar and
    operational notes live in docs/zapd.md. *)

@@ -256,7 +256,6 @@ let create cfg prog =
 
 let cfg t = t.cfg
 let base t x = Hashtbl.find_opt t.base x
-let block_mult t ~block = t.blocks.(block).mult
 
 let block_weight t ~block x =
   Option.value ~default:0 (Hashtbl.find_opt t.blocks.(block).weights x)
@@ -277,9 +276,7 @@ let flags t ~block names =
 
 type array_facts = {
   refs : int array;
-  lines : int;
   weight : int;
-  first_write : bool;
   eligible : bool;
   slot : int;
 }
@@ -287,40 +284,22 @@ type array_facts = {
 type facts = {
   names : string array;
   cands : array_facts array;
-  vars : (array_facts * int) array;
 }
 
 let facts t ~block ~candidates g =
-  let t0 = Core.Partition.trivial g in
-  let facts_of x =
-    let refs = Core.Asdg.stmts_referencing g x in
-    let vol =
-      match refs with
-      | i :: _ -> Region.volume (Core.Asdg.stmt g i).Nstmt.region
-      | [] -> 0
-    in
-    {
-      refs = Array.of_list refs;
-      lines = lines_of_volume t vol;
-      weight = block_weight t ~block x;
-      first_write = Core.Partition.first_ref_is_write t0 x;
-      eligible = Core.Contraction.scalar_if_confined g x;
-      slot = Option.value ~default:(-1) (slot t ~block x);
-    }
-  in
   let names = Array.of_list candidates in
-  let cands = Array.map facts_of names in
   {
     names;
-    cands;
-    vars =
-      Array.of_list
-        (List.map
-           (fun x ->
-             match Array.find_index (String.equal x) names with
-             | Some k -> (cands.(k), k)
-             | None -> (facts_of x, -1))
-           (Core.Asdg.vars g));
+    cands =
+      Array.map
+        (fun x ->
+          {
+            refs = Array.of_list (Core.Asdg.stmts_referencing g x);
+            weight = block_weight t ~block x;
+            eligible = Core.Contraction.scalar_if_confined g x;
+            slot = Option.value ~default:(-1) (slot t ~block x);
+          })
+        names;
   }
 
 let scalar_contracted (bp : Sir.Scalarize.block_plan) =

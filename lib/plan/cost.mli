@@ -66,9 +66,6 @@ type t
 val create : cfg -> Ir.Prog.t -> t
 
 val cfg : t -> cfg
-val block_mult : t -> block:int -> int
-(** The block's execution multiplier (see
-    [Comm.Model.block_multipliers]). *)
 
 val block_weight : t -> block:int -> string -> int
 (** Reference weight of an array within the block: Σ references ×
@@ -100,15 +97,13 @@ val eps : float
 
 (** {2 What both planners ask of a block}
 
-    [Plan.Search] and [Plan.Ilp] read one per-array fact table per
+    [Plan.Search] and [Plan.Ilp] read one per-candidate fact table per
     block, and the ILP minimizes {!cluster_weight}, the per-cluster part
     of {!block_cost_of_misses}, plus {!flop_ns}. *)
 
 type array_facts = {
   refs : int array;  (** the statements referencing the array, ascending *)
-  lines : int;  (** {!lines_of_volume} of their region *)
   weight : int;  (** {!block_weight} *)
-  first_write : bool;  (** its first reference writes it *)
   eligible : bool;
       (** [Core.Contraction.scalar_if_confined]: contracted exactly when
           all its references share a cluster *)
@@ -118,9 +113,6 @@ type array_facts = {
 type facts = {
   names : string array;  (** the contraction candidates, in order *)
   cands : array_facts array;  (** per candidate *)
-  vars : (array_facts * int) array;
-      (** per array the block references, in [Core.Asdg.vars] order:
-          its facts and the index of its candidate entry, or -1 *)
 }
 
 val facts : t -> block:int -> candidates:string list -> Core.Asdg.t -> facts

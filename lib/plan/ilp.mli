@@ -1,12 +1,11 @@
 (** ILP-optimal fusion/contraction partitioning (the planner's
     certificate engine).
 
-    {!Search} explores the partition space heuristically and loses its
-    optimality certificate the moment the beam fallback kicks in.
-    This module closes that gap: it formulates the Definition 5
-    partition problem as a 0/1 integer linear program and solves it
-    with a dependency-free branch-and-cut built on a two-phase primal
-    simplex — pure OCaml, no external solver.
+    {!Search} explores the partition space with a beam, which
+    certifies nothing.  This module closes that gap: it formulates
+    the Definition 5 partition problem as a 0/1 integer linear program
+    and solves it with a dependency-free branch-and-cut built on a
+    two-phase primal simplex — pure OCaml, no external solver.
 
     {2 Encoding}
 

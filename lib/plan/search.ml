@@ -4,7 +4,7 @@ type cfg = {
   jobs : int;
 }
 
-let default = { max_states = 4000; beam_width = 4; jobs = 1 }
+let default = { max_states = 16000; beam_width = 12; jobs = 1 }
 
 type stats = {
   expanded : int;
@@ -29,7 +29,6 @@ type state = {
   misses : (float * float) array;
       (** per representative: the cluster's [Cost.cluster_misses] *)
   cost : Cost.breakdown;
-  bound : float;
 }
 
 (* Canonical state identity: the cluster-representative vector.  Two
@@ -40,57 +39,6 @@ module Visited = Hashtbl.Make (Support.Vec)
 
 let key_of ids =
   String.concat "." (Array.to_list (Array.map string_of_int ids))
-
-(* Distinct clusters among the statements [refs], each counted when
-   [seen] first gets the caller's [stamp] for it; a caller passes a
-   stamp per call.  Plain loops, like [bound_of]'s: they run for every
-   array of every priced state. *)
-let sweeps seen stamp ids refs =
-  let k = ref 0 in
-  for j = 0 to Array.length refs - 1 do
-    let c = ids.(refs.(j)) in
-    if seen.(c) <> stamp then begin
-      seen.(c) <- stamp;
-      incr k
-    end
-  done;
-  !k
-
-(* Admissible optimism: from a state a descendant can at best
-   (a) contract every remaining first-ref-is-write candidate — saving
-   its reference weight in L1 hits plus every sweep it still causes;
-   (b) fuse all clusters referencing an array down to one sweep; and
-   (c) lose the entire communication bill.  Overestimating the
-   achievable savings only weakens pruning, never correctness. *)
-let bound_of cost_t ~block (tbl : Cost.facts) ids contracted
-    (cost : Cost.breakdown) =
-  let c = Cost.cfg cost_t in
-  let m = c.Cost.machine in
-  let mult = float_of_int (Cost.block_mult cost_t ~block) in
-  let miss_ub = m.Machine.l1_miss_ns +. m.Machine.l2_miss_ns in
-  let seen = Array.make (Array.length ids) (-1) in
-  let h_contract = ref 0.0 in
-  for k = 0 to Array.length tbl.cands - 1 do
-    let f = tbl.cands.(k) in
-    if f.Cost.first_write && not contracted.(k) then
-      h_contract :=
-        !h_contract
-        +. (float_of_int f.weight *. m.Machine.l1_hit_ns)
-        +. (float_of_int (sweeps seen k ids f.refs * f.lines) *. miss_ub)
-  done;
-  let h_locality = ref 0.0 in
-  let stamps = Array.length tbl.cands in
-  for v = 0 to Array.length tbl.vars - 1 do
-    let f, k = tbl.vars.(v) in
-    if k < 0 || not contracted.(k) then begin
-      let n = sweeps seen (stamps + v) ids f.refs in
-      if n > 1 then
-        h_locality :=
-          !h_locality +. (float_of_int ((n - 1) * f.lines) *. miss_ub)
-    end
-  done;
-  cost.Cost.total_ns
-  -. ((mult *. (!h_contract +. !h_locality)) +. cost.Cost.comm_ns)
 
 (* Merge sets are ascending representative lists, ordered as
    polymorphic [compare] orders them, by an int comparison. *)
@@ -165,16 +113,6 @@ let vetted pairs p =
       (c, Pairs.vet pairs set))
     (sets (Core.Partition.asdg p) p ids)
 
-(* (bound, tick), in polymorphic [compare]'s order on the pair — NaN
-   lowest and equal to itself, -0.0 equal to 0.0 — without its generic
-   dispatch. *)
-module Frontier = Map.Make (struct
-  type t = float * int
-
-  let compare (b1, t1) (b2, t2) =
-    match Float.compare b1 b2 with 0 -> Int.compare t1 t2 | c -> c
-end)
-
 let rec take k = function
   | [] -> []
   | _ when k = 0 -> []
@@ -212,7 +150,7 @@ let beam_pick width entries =
     |> List.map (fun (_, _, x) -> x)
   end
 
-let block ?(probe = fun (_ : Core.Partition.t) (_ : Cost.breakdown) _ -> ())
+let block ?(probe = fun (_ : Core.Partition.t) (_ : Cost.breakdown) -> ())
     ?on_pick cfg cost_t ~block ~candidates g =
   Obs.span "plan-search" @@ fun () ->
   Support.Pool.with_workers ~domains:cfg.jobs @@ fun workers ->
@@ -253,8 +191,7 @@ let block ?(probe = fun (_ : Core.Partition.t) (_ : Cost.breakdown) _ -> ())
       if ids.(i) = i then pairs := misses.(i) :: !pairs
     done;
     let cost = Cost.block_cost_of_misses cost_t ~block bp ~saved !pairs in
-    let bound = bound_of cost_t ~block tbl ids contracted cost in
-    { p; ids; contracted; misses; cost; bound }
+    { p; ids; contracted; misses; cost }
   in
   let expanded = ref 0
   and generated = ref 0
@@ -277,7 +214,7 @@ let block ?(probe = fun (_ : Core.Partition.t) (_ : Cost.breakdown) _ -> ())
           Cost.cluster_misses cost_t ~block cl ~contracted:flags)
       (Core.Partition.clusters p);
     let st = price p ids contracted decided ~saved misses in
-    probe st.p st.cost st.bound;
+    probe st.p st.cost;
     st
   in
   (* A child differs from its parent only in the merged cluster [rep]:
@@ -286,7 +223,7 @@ let block ?(probe = fun (_ : Core.Partition.t) (_ : Cost.breakdown) _ -> ())
      exactly the streams it swept in the parent.  Only [rep] is probed;
      the pairs are then re-folded in cluster order by the same formula
      as Cost.block_cost, so the price is bit-identical. *)
-  let child parent (p, ids, rep) =
+  let child (parent, p, ids, rep) =
     let contracted = Array.copy parent.contracted in
     Array.iteri
       (fun k f ->
@@ -309,8 +246,8 @@ let block ?(probe = fun (_ : Core.Partition.t) (_ : Cost.breakdown) _ -> ())
       Cost.cluster_misses cost_t ~block !members ~contracted:flags;
     price p ids contracted !names ~saved misses
   in
-  (* seeds: the trivial partition (search root) and the paper's greedy
-     c2+f3 result, which becomes the incumbent floor *)
+  (* seeds: the trivial partition and the paper's greedy c2+f3 result;
+     the cheaper is the first incumbent *)
   let trivial = seed (Core.Partition.trivial g) in
   let greedy_p =
     Core.Fusion.for_locality (Core.Fusion.for_contraction ~candidates g)
@@ -328,120 +265,83 @@ let block ?(probe = fun (_ : Core.Partition.t) (_ : Cost.breakdown) _ -> ())
   let visited = Visited.create 256 in
   Visited.replace visited trivial.ids ();
   Visited.replace visited greedy.ids ();
-  let tick = ref 0 in
-  let frontier = ref Frontier.empty in
-  let push st =
-    incr tick;
-    frontier := Frontier.add (st.bound, !tick) st !frontier
-  in
-  push trivial;
-  if greedy != trivial then push greedy;
-  (* Children of a state, deduplicated against everything seen.  The
+  (* The merges a round prices: every vetted merge set of every beam
+     state whose result is not yet visited, in beam order.  This
      sequential prefix (move enumeration, keying, visited bookkeeping,
      stat counters) fixes exactly which states get priced and in what
      order; only the pure pricing fans out over the search's workers,
-     and a batch returns in task order — so stats, probes and
-     tie-breaks are independent of [cfg.jobs]. *)
+     and a batch returns in task order, so stats, probes and tie-breaks
+     are independent of [cfg.jobs]. *)
   let marked = Bytes.make n '\000' in
-  let children st =
-    let fresh =
-      List.filter_map
-        (fun (c, verdict) ->
-          match verdict with
-          | Error _ -> None
-          | Ok () ->
-              let rep = List.hd c in
-              List.iter (fun r -> Bytes.set marked r '\001') c;
-              let ids =
-                Array.map
-                  (fun r -> if Bytes.get marked r = '\001' then rep else r)
-                  st.ids
-              in
-              List.iter (fun r -> Bytes.set marked r '\000') c;
-              if Visited.mem visited ids then begin
-                incr deduped;
-                None
-              end
-              else begin
-                Visited.replace visited ids ();
-                incr generated;
-                Some (Core.Partition.merge st.p c, ids, rep)
-              end)
-        (vetted pair_table st.p)
-    in
-    let kids = Support.Pool.batch workers (child st) fresh in
-    List.iter (fun st' -> probe st'.p st'.cost st'.bound) kids;
-    kids
+  let merges st =
+    List.filter_map
+      (fun (c, verdict) ->
+        match verdict with
+        | Error _ -> None
+        | Ok () ->
+            let rep = List.hd c in
+            List.iter (fun r -> Bytes.set marked r '\001') c;
+            let ids =
+              Array.map
+                (fun r -> if Bytes.get marked r = '\001' then rep else r)
+                st.ids
+            in
+            List.iter (fun r -> Bytes.set marked r '\000') c;
+            if Visited.mem visited ids then begin
+              incr deduped;
+              None
+            end
+            else begin
+              Visited.replace visited ids ();
+              incr generated;
+              Some (st, Core.Partition.merge st.p c, ids, rep)
+            end)
+      (vetted pair_table st.p)
   in
-  (* ---- branch and bound ------------------------------------------ *)
-  let budget_left () = !generated < cfg.max_states in
-  let exhausted = ref false in
-  while (not !exhausted) && (not (Frontier.is_empty !frontier)) && budget_left ()
-  do
-    let k, st = Frontier.min_binding !frontier in
-    frontier := Frontier.remove k !frontier;
-    if st.bound >= !incumbent.cost.Cost.total_ns -. Cost.eps then begin
-      (* best-first: every remaining bound is at least this one *)
-      pruned := !pruned + 1 + Frontier.cardinal !frontier;
-      frontier := Frontier.empty;
-      exhausted := true
-    end
-    else begin
-      incr expanded;
-      List.iter
-        (fun st' ->
-          if st'.cost.Cost.total_ns < !incumbent.cost.Cost.total_ns -. Cost.eps
-          then incumbent := st';
-          if st'.bound < !incumbent.cost.Cost.total_ns -. Cost.eps then push st'
-          else incr pruned)
-        (children st)
-    end
-  done;
-  (* ---- beam fallback --------------------------------------------- *)
-  if not (Frontier.is_empty !frontier) then begin
-    Obs.count "plan.beam-cutoffs" 1;
-    (* eps-canonical order: costs are compared at [Cost.eps] granularity
-       so that states the search already treats as equal-cost are
-       ranked by their canonical cluster-rep key, not by sub-eps float
-       noise — which states survive [take beam_width] must not depend
-       on how the costs were accumulated.  Quantizing keeps the
-       comparison a total order (lexicographic on a pure function of
-       the state), unlike an eps-tolerant float comparison, which is
-       not transitive. *)
-    let quantize st = Float.round (st.cost.Cost.total_ns /. Cost.eps) in
-    let pick states =
-      let picked =
-        beam_pick cfg.beam_width
-          (List.map (fun st -> (quantize st, st.ids, st)) states)
-      in
-      Option.iter
-        (fun f ->
-          let view = List.map (fun st -> (quantize st, st.ids)) in
-          f cfg.beam_width (view states) (view picked))
-        on_pick;
-      picked
+  (* eps-canonical order: costs are compared at [Cost.eps] granularity
+     so that states the search already treats as equal-cost are ranked
+     by their canonical cluster-rep key, not by sub-eps float noise —
+     which states survive [take beam_width] must not depend on how the
+     costs were accumulated.  Quantizing keeps the comparison a total
+     order (lexicographic on a pure function of the state), unlike an
+     eps-tolerant float comparison, which is not transitive. *)
+  let quantize st = Float.round (st.cost.Cost.total_ns /. Cost.eps) in
+  let pick states =
+    let picked =
+      beam_pick cfg.beam_width
+        (List.map (fun st -> (quantize st, st.ids, st)) states)
     in
-    let seeds =
-      pick (!incumbent :: Frontier.fold (fun _ st acc -> st :: acc) !frontier [])
-    in
-    frontier := Frontier.empty;
-    let beam = ref seeds in
-    let continue = ref true in
-    (* a block of n statements admits at most n-1 merges from any
-       state, so n rounds always reach a fixpoint *)
-    while !continue && !beam_rounds < n && !generated < 4 * cfg.max_states do
+    Option.iter
+      (fun f ->
+        let view = List.map (fun st -> (quantize st, st.ids)) in
+        f cfg.beam_width (view states) (view picked))
+      on_pick;
+    picked
+  in
+  (* a block of n statements admits at most n-1 merges from any state,
+     so n rounds always reach a fixpoint *)
+  let rec round beam =
+    if !beam_rounds < n && !generated < cfg.max_states then begin
       incr beam_rounds;
-      let kids = List.concat_map children !beam in
+      expanded := !expanded + List.length beam;
+      let kids =
+        Support.Pool.batch workers child (List.concat_map merges beam)
+      in
       List.iter
         (fun st ->
+          probe st.p st.cost;
           if st.cost.Cost.total_ns < !incumbent.cost.Cost.total_ns -. Cost.eps
           then incumbent := st)
         kids;
       match kids with
-      | [] -> continue := false
-      | _ -> beam := pick kids
-    done
-  end;
+      | [] -> ()
+      | _ ->
+          let beam = pick kids in
+          pruned := !pruned + List.length kids - List.length beam;
+          round beam
+    end
+  in
+  round (if greedy == trivial then [ trivial ] else [ trivial; greedy ]);
   if Obs.enabled () then begin
     Obs.count "plan.nodes-expanded" !expanded;
     Obs.count "plan.states-generated" !generated;

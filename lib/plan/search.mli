@@ -1,4 +1,4 @@
-(** Search over fusion partitions (the planner's engine).
+(** Beam search over fusion partitions (the planner's engine).
 
     The paper's FUSION-FOR-CONTRACTION (Fig. 3) is a greedy pass in
     decreasing reference-weight order, and §5.2 concedes it can miss
@@ -15,14 +15,15 @@
       referencing an array, grown), and (b) pairwise cluster merges
       (grown), which reach the partial fusions the greedy all-or-
       nothing per-array rule cannot;
-    - {e branch and bound}: states are expanded best-lower-bound-first;
-      the bound is admissible — current cost minus an optimistic
-      estimate of what is still winnable (remaining contractable
-      weight in ns, one-sweep-per-array cache floor, and the state's
-      entire communication bill), so the reported optimum is exact
-      whenever the search terminates within budget.  The bound reads
-      what it asks of each array from {!Cost.facts}, built once per
-      block, so pricing a state only counts its clusters;
+    - {e beam}: the search starts from the trivial partition and the
+      greedy [c2+f3] one.  Each round prices every vetted child of the
+      beam's states and keeps the [beam_width] children of least cost,
+      ties broken by the printed representative vector ({!beam_pick}).
+      It stops when a round leaves no child, after [n] rounds for a
+      block of [n] statements (no state admits more merges), or once
+      [max_states] states have been priced.  A beam is a heuristic:
+      it certifies nothing, and {!Ilp} is the planner that proves
+      optimality;
     - {e delta pricing}: a child differs from its parent in one merged
       cluster.  Merging never un-contracts an array, and an array it
       newly contracts has all its references in the merged cluster, so
@@ -37,46 +38,40 @@
       representative vector and never costed twice: the visited table
       is keyed on that [int array] itself.  Move generation builds one
       [Core.Partition.grow] table per expanded state and answers every
-      array move and cluster pair by lookup; the bound counts each
-      array's sweeps in plain loops, marking clusters in one stamp
-      array allocated per call;
-    - {e beam fallback}: past [max_states] cost evaluations the search
-      degrades to a width-[beam_width] beam (large blocks — tomcatv,
-      SP — stay tractable, at the price of the optimality certificate).
-      A beam keeps the [beam_width] states of least cost, ties broken
-      by the printed representative vector ({!beam_pick}).
+      array move and cluster pair by lookup.
 
-    The incumbent is seeded with the greedy [c2+f3] partition (fusion
-    for contraction + fusion for locality), so the result is {e never}
-    worse than the paper's algorithm under [Plan.Cost], the planners'
-    own cost model (the trace-driven simulator can disagree; see
-    ROADMAP.md).  All tie-breaks compare canonical keys — the
-    frontier breaks bound ties by the order states were generated in,
-    the beam breaks cost ties by the printed representative vector,
-    printed only for states at or below the beam's cutoff cost —
-    making the search fully deterministic. *)
+    The incumbent is the cheaper seed, and is replaced only by a
+    cheaper priced state, so the result is {e never} worse than the
+    paper's algorithm under [Plan.Cost], the planners' own cost model
+    (the trace-driven simulator can disagree; see ROADMAP.md).  Costs
+    are compared at [Cost.eps] granularity and cost ties broken by
+    the printed representative vector, printed only for states at or
+    below the beam's cutoff cost, making the search fully
+    deterministic. *)
 
 type cfg = {
-  max_states : int;  (** cost evaluations before the beam fallback *)
-  beam_width : int;
+  max_states : int;
+      (** states priced (seeds included) after which no further round
+          starts *)
+  beam_width : int;  (** children each round keeps *)
   jobs : int;
       (** domains pricing sibling candidate states in parallel: each
           {!block} call keeps [jobs - 1] {!Support.Pool} workers alive
-          and hands them each expansion's children as one batch; the
+          and hands them each round's children as one batch; the
           result, stats and provenance are identical at any value (see
           docs/parallelism.md) *)
 }
 
 val default : cfg
-(** [{ max_states = 4000; beam_width = 4; jobs = 1 }].  Costs closer
+(** [{ max_states = 16000; beam_width = 12; jobs = 1 }].  Costs closer
     than [Cost.eps] count as equal. *)
 
 type stats = {
-  expanded : int;  (** states whose children were generated *)
+  expanded : int;  (** beam states whose children were generated *)
   generated : int;  (** states costed (including seeds) *)
-  pruned : int;  (** children discarded by the admissible bound *)
+  pruned : int;  (** priced children the beam did not keep *)
   deduped : int;  (** children skipped as already-visited states *)
-  beam_rounds : int;  (** 0 when branch and bound completed in budget *)
+  beam_rounds : int;  (** rounds run *)
   greedy_ns : float;  (** block cost of the greedy c2+f3 partition *)
   best_ns : float;  (** block cost of the returned partition *)
   improved : bool;  (** [best_ns] strictly beats [greedy_ns] *)
@@ -109,7 +104,7 @@ val beam_pick : int -> (float * int array * 'a) list -> 'a list
     exposed so tests can hold it to that stable sort as an oracle. *)
 
 val block :
-  ?probe:(Core.Partition.t -> Cost.breakdown -> float -> unit) ->
+  ?probe:(Core.Partition.t -> Cost.breakdown -> unit) ->
   ?on_pick:
     (int -> (float * int array) list -> (float * int array) list -> unit) ->
   cfg ->
@@ -122,12 +117,13 @@ val block :
     are the block's contraction candidates (as handed to the greedy
     fuser); the cost of a state is [Cost.block_cost] of the partition
     with [Core.Contraction.decide]'s scalar contractions.  [probe p
-    cost bound] is called on every state the search prices, with its
-    breakdown and admissible bound, on the calling domain in the order
-    the states are generated (tests use it to assert Definition 5
-    validity of the whole explored space and the exactness of delta
-    pricing).  [on_pick width entries picked] is called on every beam
-    the fallback picks, with the (quantized cost, representative
-    vector) of each state offered to {!beam_pick} in order and of each
-    it kept (tests hold every pick to the oracle).  Emits [plan.*] Obs
-    counters and a ["plan-search"] span. *)
+    cost] is called on every state the search prices, with its
+    breakdown, on the calling domain in the order the states are
+    generated (tests use it to assert Definition 5 validity of the
+    whole explored space and the exactness of delta pricing).
+    [on_pick width entries picked] is called on every beam the search
+    picks, with the (quantized cost, representative vector) of each
+    state offered to {!beam_pick} in order and of each it kept (tests
+    hold every pick to the oracle).  Each round's children are priced
+    as one {!Support.Pool.batch}.  Emits [plan.*] Obs counters and a
+    ["plan-search"] span. *)

@@ -68,7 +68,7 @@ let prop_search_states_valid =
           let g = Core.Asdg.build stmts in
           let cost = Plan.Cost.create cost_cfg (mk_prog stmts) in
           let all_valid = ref true in
-          let probe p _ _ =
+          let probe p _ =
             if not (Core.Partition.is_valid p) then all_valid := false
           in
           let _p, _stats =
@@ -390,11 +390,13 @@ let test_parallel_search_deterministic () =
         j1 j)
     [ 2; 8 ]
 
-(* the beam fallback engages when max_states is exhausted with a
-   non-empty frontier; its survivor set is ordered by eps-quantized
-   cost then canonical cluster key, so the plan must be bit-identical
-   however many domains costed the candidates *)
-let test_beam_fallback_deterministic () =
+(* a budget far below what the beam would price stops the search
+   between rounds; which states were priced by then is fixed by the
+   sequential prefix and the beam's eps-quantized, key-broken order, so
+   the plan must be bit-identical however many domains costed the
+   candidates *)
+let test_budget_cut_beam_deterministic () =
+  let max_states = 60 in
   let run jobs =
     let b = Option.get (Suite.by_name "simple") in
     let prog = Suite.program ~tile:16 b in
@@ -405,29 +407,24 @@ let test_beam_fallback_deterministic () =
     in
     match
       Plan.Driver.compile
-        ~search:
-          {
-            Plan.Search.max_states = 60;
-            beam_width = 2;
-            jobs;
-          }
+        ~search:{ Plan.Search.default with Plan.Search.max_states; jobs }
         ~cost prog
     with
     | Ok (c, prov) ->
-        let rounds =
-          List.fold_left
-            (fun acc (r : Plan.Driver.block_report) ->
-              acc + r.Plan.Driver.stats.Plan.Search.beam_rounds)
-            0 prov.Plan.Driver.blocks
+        let cut =
+          List.exists
+            (fun (r : Plan.Driver.block_report) ->
+              r.Plan.Driver.stats.Plan.Search.generated >= max_states)
+            prov.Plan.Driver.blocks
         in
         ( plan_fingerprint c,
           Obs.Json.to_string (Obs.Codec.encode Plan.Driver.provenance_codec prov),
-          rounds )
+          cut )
     | Error d ->
         Alcotest.failf "plan compile failed: %s" (Obs.Diagnostic.to_string d)
   in
-  let f1, j1, rounds = run 1 in
-  Alcotest.(check bool) "beam fallback actually ran" true (rounds > 0);
+  let f1, j1, cut = run 1 in
+  Alcotest.(check bool) "the budget stopped a search" true cut;
   List.iter
     (fun jobs ->
       let f, j, _ = run jobs in
@@ -438,6 +435,34 @@ let test_beam_fallback_deterministic () =
         (Printf.sprintf "beam provenance identical at %d jobs" jobs)
         j1 j)
     [ 2; 8 ]
+
+(* On the four programs perfbench plans cold (default tiles, T3E, one
+   processor) every search ends before its budget: quadrupling
+   max_states changes no plan and no provenance field. *)
+let test_budget_does_not_bind () =
+  let plan search name =
+    let prog = Suite.load name in
+    let cost = Plan.Cost.create cost_cfg prog in
+    match Plan.Driver.compile_ilp ~search ~cost prog with
+    | Ok (c, prov) ->
+        ( plan_fingerprint c,
+          Obs.Json.to_string (Obs.Codec.encode Plan.Driver.provenance_codec prov)
+        )
+    | Error d -> Alcotest.failf "%s: %s" name (Obs.Diagnostic.to_string d)
+  in
+  let wide =
+    {
+      Plan.Search.default with
+      Plan.Search.max_states = 4 * Plan.Search.default.Plan.Search.max_states;
+    }
+  in
+  List.iter
+    (fun name ->
+      let f, j = plan Plan.Search.default name in
+      let f4, j4 = plan wide name in
+      Alcotest.(check string) (name ^ ": plan at 4x max_states") f f4;
+      Alcotest.(check string) (name ^ ": provenance at 4x max_states") j j4)
+    [ "ep"; "frac"; "tomcatv"; "sp" ]
 
 let print_ids ids =
   String.concat "." (Array.to_list (Array.map string_of_int ids))
@@ -487,8 +512,8 @@ let prop_beam_pick_is_sort =
       let entries = List.mapi (fun i (q, ids) -> (q, ids, i)) entries in
       Plan.Search.beam_pick width entries = sorted_beam width entries)
 
-(* Every beam the search picks while planning the four programs whose
-   cold plans exhaust its budget (default tiles, T3E, one processor),
+(* Every beam the search picks while planning the four programs
+   perfbench plans cold (default tiles, T3E, one processor),
    under the default configuration and under [search_cfg] (200 states,
    width 2), equals the oracle's. *)
 let test_beam_picks_on_suite () =
@@ -927,7 +952,7 @@ let closed_moves_agree what prog =
   let cost = Plan.Cost.create cost_cfg prog in
   let moves = ref 0 in
   let partition ~block ~compiler ~user g =
-    let probe p _ _ =
+    let probe p _ =
       List.iter
         (fun c ->
           incr moves;
@@ -1043,7 +1068,7 @@ let planner_probes_fresh what m prog =
   in
   let partition ~block ~compiler ~user g =
     let candidates = compiler @ user in
-    let probe p _ _ =
+    let probe p _ =
       let contracted = Core.Contraction.decide p ~candidates in
       List.iter
         (fun c -> check ~block c ~contracted)
@@ -1247,7 +1272,7 @@ let grow_agrees_on ?(every = 1) what prog =
   let sets = ref 0 and priced = ref 0 in
   let cost = Plan.Cost.create cost_cfg prog in
   let partition ~block ~compiler ~user g =
-    let probe p _ _ =
+    let probe p _ =
       if !priced mod every = 0 then
         sets :=
           !sets + grow_agrees (Printf.sprintf "%s, block %d" what block) g p;
@@ -1263,7 +1288,7 @@ let grow_agrees_on ?(every = 1) what prog =
 
 (* Every state the search prices over test/corpus and 200 generated
    programs; every 20th over the suite at default tiles and at tile 16,
-   whose 71k states would take minutes to check in full *)
+   whose 34k states would take minutes to check in full *)
 let test_grow_matches_dfs () =
   let tasks =
     List.map
@@ -1318,7 +1343,7 @@ let test_grow_matches_dfs_wide () =
   let rng, n, names, prog, g = wide_block () in
   let cost = Plan.Cost.create cost_cfg prog in
   let priced = ref 0 and checked = ref 0 in
-  let probe p _ _ =
+  let probe p _ =
     if !priced mod 25 = 0 then begin
       incr checked;
       ignore (grow_agrees "wide block" g p)
@@ -1371,7 +1396,7 @@ let table_verdicts_agree ?(every = 1) what g search =
         "%s: the table's verdict on [%s] is not check_closed_merge's" what
         (print_set c)
   in
-  let probe p _ _ =
+  let probe p _ =
     if !priced mod every = 0 then
       List.iter (check p) (Plan.Search.vetted pairs p);
     incr priced
@@ -1468,7 +1493,7 @@ let sweeps_agree what cfg prog =
         Alcotest.failf "%s, block %d: key of [%s] without [%s]" what block
           (print_set c) (String.concat ";" contracted)
     in
-    let probe p _ _ =
+    let probe p _ =
       let contracted = Core.Contraction.decide p ~candidates in
       List.iter (fun c -> check c contracted) (Core.Partition.clusters p)
     in
@@ -1616,60 +1641,9 @@ let test_tableau_matches_mem () =
 
 let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
-(* The search's admissible bound as first written, kept as the oracle:
-   every per-array question answered by scanning the partition. *)
-let scan_bound cost ~block ~candidates g p contracted
-    (bd : Plan.Cost.breakdown) =
-  let m = (Plan.Cost.cfg cost).Plan.Cost.machine in
-  let mult = float_of_int (Plan.Cost.block_mult cost ~block) in
-  let miss_ub = m.Machine.l1_miss_ns +. m.Machine.l2_miss_ns in
-  let t0 = Core.Partition.trivial g in
-  let facts x =
-    let refs = Core.Asdg.stmts_referencing g x in
-    let vol =
-      match refs with
-      | i :: _ -> Region.volume (Core.Asdg.stmt g i).Nstmt.region
-      | [] -> 0
-    in
-    ( refs,
-      Plan.Cost.lines_of_volume cost vol,
-      Plan.Cost.block_weight cost ~block x,
-      Core.Partition.first_ref_is_write t0 x )
-  in
-  let sweeps refs =
-    List.length
-      (List.sort_uniq compare (List.map (Core.Partition.cluster_of p) refs))
-  in
-  let h_contract =
-    List.fold_left
-      (fun acc x ->
-        let refs, lines, weight, first_write = facts x in
-        if List.mem x contracted then acc
-        else if not first_write then acc
-        else
-          acc
-          +. (float_of_int weight *. m.Machine.l1_hit_ns)
-          +. (float_of_int (sweeps refs * lines) *. miss_ub))
-      0.0 candidates
-  in
-  let h_locality =
-    List.fold_left
-      (fun acc x ->
-        let refs, lines, _, _ = facts x in
-        if List.mem x contracted then acc
-        else
-          let k = sweeps refs in
-          if k <= 1 then acc
-          else acc +. (float_of_int ((k - 1) * lines) *. miss_ub))
-      0.0 (Core.Asdg.vars g)
-  in
-  bd.Plan.Cost.total_ns
-  -. ((mult *. (h_contract +. h_locality)) +. bd.Plan.Cost.comm_ns)
-
-(* Every state the search prices, trivial and greedy seeds, branch and
-   bound and beam children alike: its delta-priced breakdown equals
-   Cost.block_cost under Core.Contraction.decide's contractions, and
-   its bound the scan-based bound, bit for bit. *)
+(* Every state the search prices, trivial and greedy seeds and beam
+   children alike: its delta-priced breakdown equals Cost.block_cost
+   under Core.Contraction.decide's contractions, bit for bit. *)
 let delta_exact what ~procs prog =
   let cost =
     Plan.Cost.create
@@ -1679,7 +1653,7 @@ let delta_exact what ~procs prog =
   let states = ref 0 in
   let partition ~block ~compiler ~user g =
     let candidates = compiler @ user in
-    let probe p (got : Plan.Cost.breakdown) bound =
+    let probe p (got : Plan.Cost.breakdown) =
       incr states;
       let contracted = Core.Contraction.decide p ~candidates in
       let want =
@@ -1706,11 +1680,7 @@ let delta_exact what ~procs prog =
              (List.map
                 (fun c -> String.concat "," (List.map string_of_int c))
                 (Core.Partition.clusters p)))
-          got.Plan.Cost.total_ns want.Plan.Cost.total_ns;
-      let want_bound = scan_bound cost ~block ~candidates g p contracted want in
-      if not (same_float bound want_bound) then
-        Alcotest.failf "%s at procs %d, block %d: bound %h <> scanned %h" what
-          procs block bound want_bound
+          got.Plan.Cost.total_ns want.Plan.Cost.total_ns
     in
     fst (Plan.Search.block ~probe Plan.Search.default cost ~block ~candidates g)
   in
@@ -1884,9 +1854,8 @@ let rec ilp_subset a b =
   | x :: a', y :: b' ->
       if x = y then ilp_subset a' b' else x > y && ilp_subset a b'
 
-let ilp_cluster_weight cost (stmt_refs, cands) ~block c =
+let ilp_cluster_weight cost (stmt_refs, cands) ~mult ~block c =
   let m = (Plan.Cost.cfg cost).Plan.Cost.machine in
-  let mult = float_of_int (Plan.Cost.block_mult cost ~block) in
   let contracted =
     List.filter_map
       (fun (x, refs, eligible) ->
@@ -1926,66 +1895,37 @@ let trivial_flop_ns cost ~block ~candidates g =
     .Plan.Cost.flop_ns
 
 (* Plan.Search's per-block table as it was written there: per
-   candidate and per referenced array, (refs, lines, weight,
-   first_write), the candidates' eligibility, and each array's
-   candidate index. *)
+   candidate, (refs, weight) and its eligibility. *)
 let search_table cost ~block ~candidates g =
-  let t0 = Core.Partition.trivial g in
-  let facts x =
-    let refs = Core.Asdg.stmts_referencing g x in
-    let vol =
-      match refs with
-      | i :: _ -> Region.volume (Core.Asdg.stmt g i).Nstmt.region
-      | [] -> 0
-    in
-    ( Array.of_list refs,
-      Plan.Cost.lines_of_volume cost vol,
-      Plan.Cost.block_weight cost ~block x,
-      Core.Partition.first_ref_is_write t0 x )
-  in
   let names = Array.of_list candidates in
-  let index x =
-    let rec go k =
-      if k = Array.length names then -1
-      else if names.(k) = x then k
-      else go (k + 1)
-    in
-    go 0
-  in
   ( names,
-    Array.map facts names,
-    Array.map (Core.Contraction.scalar_if_confined g) names,
-    Array.of_list (List.map (fun x -> (facts x, index x)) (Core.Asdg.vars g)) )
+    Array.map
+      (fun x ->
+        ( Array.of_list (Core.Asdg.stmts_referencing g x),
+          Plan.Cost.block_weight cost ~block x ))
+      names,
+    Array.map (Core.Contraction.scalar_if_confined g) names )
 
-let check_facts what (tbl : Plan.Cost.facts) (names, cands, eligible, vars) =
-  let same (f : Plan.Cost.array_facts) (refs, lines, weight, first_write) =
-    f.Plan.Cost.refs = refs && f.lines = lines && f.weight = weight
-    && f.first_write = first_write
-  in
+let check_facts what (tbl : Plan.Cost.facts) (names, cands, eligible) =
   if tbl.Plan.Cost.names <> names then
     Alcotest.failf "%s: candidate names" what;
   Array.iteri
-    (fun k f ->
-      if not (same f cands.(k) && f.Plan.Cost.eligible = eligible.(k)) then
-        Alcotest.failf "%s: facts of candidate %s" what names.(k))
-    tbl.cands;
-  if Array.length tbl.vars <> Array.length vars then
-    Alcotest.failf "%s: %d arrays <> %d" what (Array.length tbl.vars)
-      (Array.length vars);
-  Array.iteri
-    (fun v (f, k) ->
-      let want, want_k = vars.(v) in
-      if not (same f want && k = want_k) then
-        Alcotest.failf "%s: facts of array %d" what v)
-    tbl.vars
+    (fun k (f : Plan.Cost.array_facts) ->
+      if
+        not
+          ((f.Plan.Cost.refs, f.weight) = cands.(k)
+          && f.Plan.Cost.eligible = eligible.(k))
+      then Alcotest.failf "%s: facts of candidate %s" what names.(k))
+    tbl.cands
 
 (* One program on one cost configuration, every block: the fact table
-   equals Search.table's, the flop term the trivial partition's
+   equals search_table's, the flop term the trivial partition's
    flop_ns, and w(C) the ILP's own pricing on every column the ILP
    enumerates, bit for bit; and for every partition the ILP ranks,
    Σ_C w(C) + flop term is block_cost − comm_ns within Cost.eps. *)
 let cost_terms_exact what cfg prog =
   let cost = Plan.Cost.create cfg prog in
+  let mults, _ = Comm.Model.block_multipliers (Prog.skeleton prog) in
   let columns = ref 0 in
   let where block =
     Printf.sprintf "%s on %s x%d, block %d" what
@@ -2004,7 +1944,11 @@ let cost_terms_exact what cfg prog =
       (fun c ->
         incr columns;
         let got = Plan.Cost.cluster_weight cost ~block tbl c in
-        let want = ilp_cluster_weight cost oracle ~block c in
+        let want =
+          ilp_cluster_weight cost oracle
+            ~mult:(float_of_int mults.(block))
+            ~block c
+        in
         if not (same_float got want) then
           Alcotest.failf "%s, column [%s]: w(C) %h <> %h" (where block)
             (String.concat ";" (List.map string_of_int c))
@@ -2104,8 +2048,10 @@ let suites =
           test_deterministic;
         Alcotest.test_case "parallel search matches sequential" `Slow
           test_parallel_search_deterministic;
-        Alcotest.test_case "beam fallback deterministic across jobs" `Slow
-          test_beam_fallback_deterministic;
+        Alcotest.test_case "budget-cut beam deterministic across jobs" `Slow
+          test_budget_cut_beam_deterministic;
+        Alcotest.test_case "budget does not bind on plan-cold programs" `Slow
+          test_budget_does_not_bind;
         QCheck_alcotest.to_alcotest prop_beam_pick_is_sort;
         Alcotest.test_case "every suite beam pick matches the sort" `Slow
           test_beam_picks_on_suite;
