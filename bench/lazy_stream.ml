@@ -4,8 +4,8 @@
    Three scenarios, each a loop that records the same trace *shape*
    with iteration-dependent constants and forces it: a 1-D 3-point
    stencil chain (greedy), a map-square + reduction (greedy), and a
-   2-D 5-point stencil under the search planner.  Iteration 1 is the
-   cold pass (the shape's one compile — and, under search, its one
+   2-D 5-point stencil under the ILP planner.  Iteration 1 is the
+   cold pass (the shape's one compile — and, under ilp, its one
    plan); iterations 2.. are the warm pass and must be served entirely
    from the engine's fingerprint-keyed cache.
 
@@ -128,7 +128,7 @@ let section () =
     [
       ("stencil", Api.Greedy, stencil_iter ~n:n1);
       ("reduction", Api.Greedy, reduction_iter ~n:n1);
-      ("stencil2d-search", Api.Search, stencil2d_iter ~n:n2);
+      ("stencil2d-ilp", Api.Ilp, stencil2d_iter ~n:n2);
     ]
   in
   let failures = ref [] in

@@ -2,7 +2,7 @@
    executed, next to the cachesim model's predictions.
 
    For every (benchmark, plan mode) cell — the full greedy ladder plus
-   the search and ILP planners — the plan's emitted C is built through
+   the ILP planning pipeline — the plan's emitted C is built through
    the content-addressed artifact store (Native.Store) and executed;
    the row carries the measured wall-clock next to the modeled
    nanoseconds (t3e x1, the same unified cost model the planners
@@ -31,11 +31,10 @@
 
 let model_machine = Machine.t3e
 
-type mode = Greedy of Compilers.Driver.level | Search | Ilp
+type mode = Greedy of Compilers.Driver.level | Ilp
 
 let mode_name = function
   | Greedy l -> "greedy:" ^ Compilers.Driver.level_name l
-  | Search -> "search"
   | Ilp -> "ilp"
 
 let modes () =
@@ -43,7 +42,7 @@ let modes () =
     if !Harness.tiny_mode then Compilers.Driver.[ Baseline; C2F3 ]
     else Compilers.Driver.all_levels @ [ Compilers.Driver.C2P ]
   in
-  List.map (fun l -> Greedy l) levels @ [ Search; Ilp ]
+  List.map (fun l -> Greedy l) levels @ [ Ilp ]
 
 let tile_of (b : Suite.bench) =
   if !Harness.tiny_mode then Some (if b.rank = 1 then 256 else 16) else None
@@ -63,22 +62,17 @@ let ilp_cfg () =
 
 let compile_mode prog = function
   | Greedy l -> Harness.compile ~level:l prog
-  | (Search | Ilp) as m -> (
+  | Ilp -> (
       let cost =
         Plan.Cost.create
           { Plan.Cost.machine = model_machine; procs = 1; opts = Comm.Model.all_on }
           prog
       in
-      let r =
-        match m with
-        | Ilp ->
-            Result.map fst
-              (Plan.Driver.compile_ilp ~search:(search_cfg ()) ~ilp:(ilp_cfg ())
-                 ~cost prog)
-        | _ -> Result.map fst (Plan.Driver.compile ~search:(search_cfg ()) ~cost prog)
-      in
-      match r with
-      | Ok c -> c
+      match
+        Plan.Driver.compile_ilp ~search:(search_cfg ()) ~ilp:(ilp_cfg ()) ~cost
+          prog
+      with
+      | Ok (c, _) -> c
       | Error d ->
           Printf.eprintf "bench: %s\n" (Obs.Diagnostic.to_string d);
           exit 1)

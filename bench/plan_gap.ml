@@ -146,8 +146,8 @@ let measure (b : Suite.bench) (machine : Machine.t) procs =
   in
   let g = prov.Plan.Driver.greedy_total_ns
   and s = prov.Plan.Driver.search_total_ns in
-  let i = Option.value prov.Plan.Driver.ilp_total_ns ~default:s in
-  let proved = Option.value prov.Plan.Driver.proved_optimal ~default:false in
+  let i = prov.Plan.Driver.ilp_total_ns in
+  let proved = prov.Plan.Driver.proved_optimal in
   let lb = prov.Plan.Driver.certified_lb_ns in
   let chosen_ns = prov.Plan.Driver.chosen_total_ns in
   (* the never-worse chain: search is seeded with greedy, the ILP with

@@ -44,11 +44,12 @@ let parse_config kvs =
   |> Result.map List.rev
 
 let parse_plan name =
-  match Api.plan_mode_of_name name with
+  match List.assoc_opt name Api.plan_modes with
   | Some m -> Ok m
   | None ->
       Error
-        (Diag.errorf ~phase:"cli" "unknown --plan %S (greedy|search|ilp)" name)
+        (Diag.errorf ~phase:"cli" "unknown --plan %S (%s)" name
+           (String.concat "|" (List.map fst Api.plan_modes)))
 
 (* --stats SPEC: "json:FILE", "text:FILE", or the bare format name
    (destination defaults to stdout, spelled "-"). *)
@@ -144,7 +145,7 @@ let stats_json ?spmd ?native ?plan (s : Api.summary) report =
         base @ [ ("plan", Obs.Codec.encode Plan.Driver.provenance_codec p) ]
     | None -> base
   in
-  match Obs.report_to_json report with
+  match Obs.Codec.encode Obs.report_codec report with
   | Obj fields -> Obj (base @ fields)
   | other -> Obj (base @ [ ("report", other) ])
 
@@ -258,20 +259,13 @@ let render ~quiet ~emit_c_path ~stats ~recorder (s : Api.summary) provenance
       s.Api.footprint_bytes;
     match provenance with
     | Some p ->
-        let ilp =
-          match p.Plan.Driver.ilp_total_ns with
-          | Some ns ->
-              Printf.sprintf ", ilp %.3f ms%s" (ns /. 1e6)
-                (if p.Plan.Driver.proved_optimal = Some true then
-                   " (proved optimal)"
-                 else "")
-          | None -> ""
-        in
-        Printf.printf "plan %s on %s x%d: greedy %.3f ms, search %.3f ms%s%s\n"
+        Printf.printf
+          "plan %s on %s x%d: greedy %.3f ms, search %.3f ms, ilp %.3f ms%s%s\n"
           p.Plan.Driver.strategy p.Plan.Driver.machine p.Plan.Driver.procs
           (p.Plan.Driver.greedy_total_ns /. 1e6)
           (p.Plan.Driver.search_total_ns /. 1e6)
-          ilp
+          (p.Plan.Driver.ilp_total_ns /. 1e6)
+          (if p.Plan.Driver.proved_optimal then " (proved optimal)" else "")
           (if p.Plan.Driver.fallback then
              Printf.sprintf " (kept %s)" p.Plan.Driver.strategy
            else "")
@@ -519,7 +513,7 @@ let main bench file level config tile merge simplify dump_ir dump_plan_f
     | Api.Planned { summary; provenance } ->
         render ~quiet ~emit_c_path:emit_c ~stats ~recorder summary provenance
           None
-    | Api.Batch_reply _ | Api.Stats_reply _ | Api.Shutting_down ->
+    | Api.Stats_reply _ | Api.Shutting_down ->
         Error (Diag.error ~phase:"protocol" "unexpected response type")
   in
   Result.map_error (fun d -> `Msg (Diag.to_string d)) result
@@ -652,13 +646,13 @@ let plan_arg =
     & info [ "plan" ] ~docv:"STRATEGY"
         ~doc:
           "Fusion planning strategy: $(b,greedy) (the paper's level \
-           ladder, default), $(b,search) (beam search over fusion \
-           partitions against the unified cost model for \
-           $(b,--machine)/$(b,--procs); never worse than greedy under \
-           the model) or $(b,ilp) (0/1 integer program over valid \
-           clusters, solved by branch-and-cut: never worse than search, \
-           and provably optimal when the certificate closes — see \
-           docs/planner.md; provenance lands in $(b,--stats json)).")
+           ladder, default) or $(b,ilp) (against the unified cost model \
+           for $(b,--machine)/$(b,--procs): a beam search over fusion \
+           partitions, then a 0/1 integer program over valid clusters \
+           seeded with its result and solved by branch-and-cut; never \
+           worse than greedy under the model, and provably optimal when \
+           the certificate closes — see docs/planner.md; provenance \
+           lands in $(b,--stats json)).")
 
 let list_levels_arg =
   Arg.(
@@ -676,7 +670,7 @@ let fuzz_arg =
         ~doc:
           "Differential fuzzing: generate $(docv) random programs from \
            $(b,--seed) and run each through the reference interpreter, \
-           every optimization level, the search and ILP planners, the SPMD \
+           every optimization level, the ILP planning pipeline, the SPMD \
            engine and (when $(b,cc) is installed) the emitted C, comparing \
            result digests.  Diverging cases are shrunk and written to \
            $(b,--fuzz-out) as self-contained repros; exits nonzero if any \
@@ -723,11 +717,13 @@ let jobs_arg =
     & opt int (Support.Pool.default_domains ())
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
-          "Worker domains for $(b,--fuzz) campaigns, $(b,--plan search) \
-           candidate costing and $(b,--plan ilp) column pricing (default: \
-           the machine's recommended domain count).  Results are \
-           deterministic: output is byte-identical at every $(docv), only \
-           the wall-clock changes.")
+          "Worker domains for $(b,--fuzz) campaigns, and for \
+           $(b,--plan ilp)'s state and column pricing when $(b,--procs) \
+           is above 1 (at one processor the planners price on one \
+           domain, which is faster there; default: the machine's \
+           recommended domain count).  Results are deterministic: output \
+           is byte-identical at every $(docv), only the wall-clock \
+           changes.")
 
 let connect_arg =
   Arg.(
@@ -738,7 +734,7 @@ let connect_arg =
           "Send the request to a running $(b,zapd) daemon on this \
            Unix-domain socket instead of compiling in-process.  Output is \
            byte-identical either way; the daemon's plan cache makes \
-           repeated compiles (notably $(b,--plan search)) fast.")
+           repeated compiles (notably $(b,--plan ilp)) fast.")
 
 let server_stats_arg =
   Arg.(

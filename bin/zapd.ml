@@ -1,11 +1,11 @@
 (* zapd — the persistent compile-and-run daemon.
 
    Listens on a Unix-domain socket and serves the typed request API
-   (Service.Api) as newline-delimited JSON: compile, run, plan, batch,
-   stats, shutdown.  It serves one connection at a time, one request
-   at a time.  A long-lived zapd amortizes planning across requests
-   through the LRU plan cache — the first --plan search for a program
-   pays the full beam search, every later request with the
+   (Service.Api) as newline-delimited JSON: compile, run, plan, stats,
+   shutdown.  It serves one connection at a time, one request at a
+   time.  A long-lived zapd amortizes planning across requests through
+   the LRU plan cache — the first --plan ilp for a program pays the
+   full beam search and branch-and-cut, every later request with the
    same (fingerprint, mode, machine, procs) key is a lookup.
    zapc --connect SOCKET is the stock client; protocol grammar and
    operational notes live in docs/zapd.md. *)
@@ -46,10 +46,11 @@ let jobs_arg =
     & opt int (Support.Pool.default_domains ())
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
-          "Worker domains for the requests of one batch and for \
-           search-planner candidate costing; connections and requests \
-           are still served one at a time.  Responses are byte-identical \
-           at every $(docv).")
+          "Worker domains for a cold $(b,plan=ilp) request's state and \
+           column pricing when its target's $(b,procs) is above 1 (at \
+           one processor the planners price on one domain, which is \
+           faster there); connections and requests are served one at a \
+           time.  Responses are byte-identical at every $(docv).")
 
 let native_root_arg =
   Arg.(

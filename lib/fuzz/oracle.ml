@@ -5,7 +5,8 @@
    Against it we hold:
      - Exec.Interp on the code of every greedy optimization level
        (the paper ladder base..c2+f4, plus the c2+p extension);
-     - the search-based and ILP planners (zapc --plan search|ilp);
+     - the ILP planning pipeline (zapc --plan ilp), which runs the
+       beam search first and may return its plan;
      - the SPMD engine on 1/4/16 simulated processors, at c2+f3 and
        at c2+p;
      - when a C compiler is present, the Native runner built from the
@@ -107,13 +108,13 @@ let run ?(cfg = default) prog =
                       record name (Crashed m)
                   | exception e -> record name (Crashed (Printexc.to_string e))))
             cfg.levels;
-          (* search-based and ILP planners — both must agree with the
-             reference; fuzz programs are small, so a modest column cap
-             keeps the ILP's worst case bounded without ever affecting
-             correctness (capped blocks fall back, which is exactly a
-             code path worth fuzzing) *)
+          (* the planning pipeline must agree with the reference; fuzz
+             programs are small, so a modest column cap keeps the ILP's
+             worst case bounded without ever affecting correctness
+             (capped blocks fall back, which is exactly a code path
+             worth fuzzing) *)
           if cfg.planner then begin
-            let cost () =
+            let cost =
               Plan.Cost.create
                 {
                   Plan.Cost.machine = cfg.machine;
@@ -122,19 +123,9 @@ let run ?(cfg = default) prog =
                 }
                 prog
             in
-            (let name = "plan@search" in
-             match Plan.Driver.compile ~cost:(cost ()) prog with
-             | Ok (c, _) -> (
-                 match Exec.Interp.run c.Compilers.Driver.code with
-                 | r -> check name (Exec.Interp.checksum r)
-                 | exception Exec.Interp.Runtime_error m ->
-                     record name (Crashed m))
-             | Error d ->
-                 record name (Crashed ("compile: " ^ Obs.Diagnostic.to_string d))
-             | exception e -> record name (Crashed (Printexc.to_string e)));
             let name = "plan@ilp" in
             let ilp = { Plan.Ilp.default with Plan.Ilp.max_clusters = 512 } in
-            match Plan.Driver.compile_ilp ~ilp ~cost:(cost ()) prog with
+            match Plan.Driver.compile_ilp ~ilp ~cost prog with
             | Ok (c, _) -> (
                 match Exec.Interp.run c.Compilers.Driver.code with
                 | r -> check name (Exec.Interp.checksum r)

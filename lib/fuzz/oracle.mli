@@ -3,7 +3,7 @@
     Runs one program through every executor in the repo and compares
     live-out checksums against the reference interpreter:
     {!Exec.Interp} on the code of each greedy optimization level,
-    the search-based and ILP planners, the SPMD engine at several
+    the ILP planning pipeline, the SPMD engine at several
     processor counts at [c2+f3] and at [c2+p], and — when a C compiler is available — the
     {!Native} runner built from the {!Sir.Emit_c} translation unit.
     Checksums use
@@ -30,7 +30,7 @@ type report = {
 type cfg = {
   levels : Compilers.Driver.level list;  (** greedy ladder to check *)
   planner : bool;
-      (** also run the search and ILP planners, optimizing for 4
+      (** also run the ILP planning pipeline, optimizing for 4
           processors *)
   spmd_procs : int list;
       (** SPMD processor counts, each at [c2+f3] and at [c2+p] *)
@@ -41,8 +41,8 @@ type cfg = {
 }
 
 val default : cfg
-(** Everything on: [base..c2+f4] plus [c2+p], the search and ILP
-    planners, SPMD at 1/4/16 processors, native C. *)
+(** Everything on: [base..c2+f4] plus [c2+p], the ILP planning
+    pipeline, SPMD at 1/4/16 processors, native C. *)
 
 val cc_available : unit -> bool
 (** Whether a [cc] is on PATH — delegates to

@@ -78,7 +78,7 @@ val create :
     state across contexts (that sharing is what a daemon does).
     [level] defaults to [C2F3], [plan] to [Greedy], [target] to
     {!Service.Api.default_target} ([target] keys and prices the plan
-    under [Search] and [Ilp]; the greedy ladder ignores it). *)
+    under [Ilp]; the greedy ladder ignores it). *)
 
 val engine : ctx -> Service.Engine.t
 

@@ -765,17 +765,24 @@ let merge t (r : report) =
 (* Rendering                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let rec span_to_json s =
-  Json.Obj
-    [ ("name", Json.String s.span_name);
-      ("ns", Json.Float s.elapsed_ns);
-      ("children", Json.List (List.map span_to_json s.children)) ]
-
-let report_to_json r =
-  Json.Obj
-    [ ("spans", Json.List (List.map span_to_json r.spans));
-      ("counters", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) r.counters));
-      ("totals", Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) r.totals)) ]
+(* events are not on the wire: a decoded report has none *)
+let report_codec =
+  let open Codec in
+  let span =
+    fix @@ fun span ->
+    obj
+      (record (fun span_name elapsed_ns children ->
+           { span_name; elapsed_ns; children })
+      |+ field "name" string (fun s -> s.span_name)
+      |+ field "ns" float (fun s -> s.elapsed_ns)
+      |+ field "children" (list span) (fun s -> s.children))
+  in
+  obj
+    (record (fun spans counters totals ->
+         { spans; counters; totals; events = [] })
+    |+ field "spans" (list span) (fun (r : report) -> r.spans)
+    |+ field "counters" (assoc int) (fun (r : report) -> r.counters)
+    |+ field "totals" (assoc float) (fun (r : report) -> r.totals))
 
 let pp_spans ppf spans =
   let rec go depth s =

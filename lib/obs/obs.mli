@@ -310,8 +310,9 @@ val event : event -> unit
 
 (** {1 Rendering} *)
 
-val report_to_json : report -> Json.t
+val report_codec : report Codec.t
 (** Stable schema: [{"spans": [{"name", "ns", "children"}...],
-    "counters": {...}, "totals": {...}}]. *)
+    "counters": {...}, "totals": {...}}].  Events are not written, and
+    a decoded report has none. *)
 
 val pp_report : Format.formatter -> report -> unit

@@ -255,6 +255,7 @@ let create cfg prog =
   }
 
 let cfg t = t.cfg
+let pricing_domains t ~jobs = if t.cfg.procs > 1 then jobs else 1
 let base t x = Hashtbl.find_opt t.base x
 
 let block_weight t ~block x =

@@ -67,6 +67,12 @@ val create : cfg -> Ir.Prog.t -> t
 
 val cfg : t -> cfg
 
+val pricing_domains : t -> jobs:int -> int
+(** The domains a planner prices one block's candidates on: [jobs] when
+    [procs] is above 1, where every search child prices
+    [Comm.Model.block_comm]; at [procs = 1] the calling domain alone,
+    which measured faster there (docs/parallelism.md). *)
+
 val block_weight : t -> block:int -> string -> int
 (** Reference weight of an array within the block: Σ references ×
     region volume over the block's statements (equals

@@ -14,10 +14,10 @@ type provenance = {
   procs : int;
   greedy_total_ns : float;
   search_total_ns : float;
-  ilp_total_ns : float option;
+  ilp_total_ns : float;
   chosen_total_ns : float;
   fallback : bool;
-  proved_optimal : bool option;
+  proved_optimal : bool;
   certified_lb_ns : float option;
   blocks : block_report list;
   ilp_blocks : ilp_report list;
@@ -35,46 +35,32 @@ let per_block ~partition prog =
   |> Result.map (fun c ->
          (c, List.sort (fun (a, _, _) (b, _, _) -> compare a b) !reports))
 
-(* The one pipeline: greedy c2+f3, the search and, given [ilp], the
-   branch-and-cut seeded with the searched partitions.  Each plan is
-   compiled end to end, so reduction absorption (which the block
-   planners cannot see) is priced too; the strongest plan within
-   Cost.eps of every weaker one is returned. *)
-let plan ~search ?ilp ~cost prog =
+(* The one pipeline: greedy c2+f3, the search, and the branch-and-cut
+   seeded with the searched partitions.  Each plan is compiled end to
+   end, so reduction absorption (which the block planners cannot see)
+   is priced too; the strongest plan within Cost.eps of every weaker
+   one is returned. *)
+let compile_ilp ?(search = Search.default) ?(ilp = Ilp.default) ~cost prog =
   let ( let* ) = Result.bind in
   let* greedy = Compilers.Driver.(compile_opts default_opts) prog in
   let* searched, searches =
     per_block prog ~partition:(Search.block search cost)
   in
-  let* solved =
-    match ilp with
-    | None -> Ok None
-    | Some ilp ->
-        let seeds block =
-          List.filter_map
-            (fun (b, p, _) -> if b = block then Some p else None)
-            searches
-        in
-        per_block prog ~partition:(fun ~block ~candidates g ->
-            Ilp.block ilp cost ~block ~candidates ~seeds:(seeds block) g)
-        |> Result.map Option.some
+  let seeds block =
+    List.filter_map
+      (fun (b, p, _) -> if b = block then Some p else None)
+      searches
+  in
+  let* solved, solves =
+    per_block prog ~partition:(fun ~block ~candidates g ->
+        Ilp.block ilp cost ~block ~candidates ~seeds:(seeds block) g)
   in
   let ns c = (Cost.compiled_cost cost c).Cost.total_ns in
-  let g_ns = ns greedy in
-  let s_ns = ns searched in
-  let solved =
-    Option.map
-      (fun (c, solves) ->
-        ( c,
-          ns c,
-          List.map (fun (iblock, _, istats) -> { iblock; istats }) solves ))
-      solved
+  let g_ns = ns greedy and s_ns = ns searched and i_ns = ns solved in
+  let ilp_blocks =
+    List.map (fun (iblock, _, istats) -> { iblock; istats }) solves
   in
   (* strongest first *)
-  let finalists =
-    (match solved with Some (c, i_ns, _) -> [ (c, "ilp", i_ns) ] | None -> [])
-    @ [ (searched, "search", s_ns); (greedy, "greedy", g_ns) ]
-  in
   let rec pick = function
     | ((_, _, x) as f) :: weaker
       when List.for_all (fun (_, _, y) -> x <= y +. Cost.eps) weaker ->
@@ -82,19 +68,21 @@ let plan ~search ?ilp ~cost prog =
     | _ :: weaker -> pick weaker
     | [] -> assert false
   in
-  let chosen, strategy, chosen_ns = pick finalists in
-  let _, strongest, _ = List.hd finalists in
-  let fallback = strategy <> strongest in
-  if fallback then
-    Obs.count
-      (if Option.is_some solved then "plan.ilp.fallback"
-       else "plan.fallback-greedy")
-      1;
+  let chosen, strategy, chosen_ns =
+    pick
+      [
+        (solved, "ilp", i_ns);
+        (searched, "search", s_ns);
+        (greedy, "greedy", g_ns);
+      ]
+  in
+  let fallback = strategy <> "ilp" in
+  if fallback then Obs.count "plan.ilp.fallback" 1;
   (* whole-program certified lower bound: the per-block LP bounds plus
      the plan-invariant reduction-tree term.  Certifies the pure
      Definition-5 plan space (scalar contraction, no reduction
      absorption). *)
-  let certified_lb ilp_blocks =
+  let certified_lb_ns =
     let lbs = List.map (fun r -> r.istats.Ilp.lower_bound_ns) ilp_blocks in
     if List.for_all Option.is_some lbs then begin
       let block_lb =
@@ -112,19 +100,6 @@ let plan ~search ?ilp ~cost prog =
     end
     else None
   in
-  let ilp_total_ns, proved_optimal, certified_lb_ns, ilp_blocks =
-    match solved with
-    | None -> (None, None, None, [])
-    | Some (_, i_ns, ilp_blocks) ->
-        ( Some i_ns,
-          Some
-            (strategy = "ilp"
-            && List.for_all
-                 (fun r -> r.istats.Ilp.proved && r.istats.Ilp.objective_exact)
-                 ilp_blocks),
-          certified_lb ilp_blocks,
-          ilp_blocks )
-  in
   let c = Cost.cfg cost in
   Ok
     ( chosen,
@@ -134,28 +109,21 @@ let plan ~search ?ilp ~cost prog =
         procs = c.Cost.procs;
         greedy_total_ns = g_ns;
         search_total_ns = s_ns;
-        ilp_total_ns;
+        ilp_total_ns = i_ns;
         chosen_total_ns = chosen_ns;
         fallback;
-        proved_optimal;
+        proved_optimal =
+          (not fallback)
+          && List.for_all
+               (fun r -> r.istats.Ilp.proved && r.istats.Ilp.objective_exact)
+               ilp_blocks;
         certified_lb_ns;
         blocks = List.map (fun (block, _, stats) -> { block; stats }) searches;
         ilp_blocks;
       } )
 
-let compile ?(search = Search.default) ~cost prog = plan ~search ~cost prog
-
-let compile_ilp ?(search = Search.default) ?(ilp = Ilp.default) ~cost prog =
-  plan ~search ~ilp ~cost prog
-
-(* The ILP members are written, nulls allowed, exactly when the ILP ran
-   (ilp_total_ns is Some).  Absent or null, they decode to None. *)
 let provenance_codec =
   let open Obs.Codec in
-  let ilp_only name c get =
-    field name (nullable c) get ~default:None ~omit:(fun p ->
-        p.ilp_total_ns = None)
-  in
   (* the members a search block report and an ILP one share *)
   let number get = field "block" int get in
   let outcome =
@@ -216,9 +184,11 @@ let provenance_codec =
     |+ field "search_total_ns" float (fun p -> p.search_total_ns)
     |+ field "chosen_total_ns" float (fun p -> p.chosen_total_ns)
     |+ field "fallback" bool (fun p -> p.fallback)
-    |+ ilp_only "ilp_total_ns" float (fun p -> p.ilp_total_ns)
-    |+ ilp_only "proved_optimal" bool (fun p -> p.proved_optimal)
-    |+ ilp_only "certified_lb_ns" float (fun p -> p.certified_lb_ns)
+    |+ field "ilp_total_ns" float (fun p -> p.ilp_total_ns)
+    |+ field "proved_optimal" bool (fun p -> p.proved_optimal)
+    |+ field "certified_lb_ns" (nullable float) (fun p -> p.certified_lb_ns)
     |+ field "blocks" (list block) (fun p -> p.blocks)
+    (* omitted when empty, as protocol 3 wrote it for a program
+       without blocks *)
     |+ field "ilp_blocks" (list ilp_block) (fun p -> p.ilp_blocks) ~default:[]
          ~omit:(fun p -> p.ilp_blocks = []))

@@ -437,7 +437,9 @@ let block ?(probe = fun (_ : Core.Partition.t) -> ()) ?(seeds = []) cfg cost_t
   let ncols = Array.length cols in
   let w_ns =
     Array.of_list
-      (Support.Pool.map ~domains:cfg.jobs weight_of (Array.to_list cols))
+      (Support.Pool.map
+         ~domains:(Cost.pricing_domains cost_t ~jobs:cfg.jobs)
+         weight_of (Array.to_list cols))
   in
   (* scale the objective to O(1) so simplex tolerances are meaningful *)
   let scale = Array.fold_left (fun acc v -> Float.max acc v) 1.0 w_ns in

@@ -72,13 +72,16 @@
     enumeration order, simplex pivoting (Dantzig with lowest-index
     tie-breaks, Bland after degeneracy), branching (most-fractional,
     lowest-index ties) — is deterministic, and [jobs] only
-    parallelizes column pricing through [Support.Pool] (task-order
-    results), so the outcome is independent of [jobs]. *)
+    parallelizes column pricing at [procs > 1] through [Support.Pool]
+    (task-order results), so the outcome is independent of [jobs]. *)
 
 type cfg = {
   max_clusters : int;  (** column cap; exceeding it voids the certificate *)
   max_pivots : int;  (** total simplex pivot budget across all LP solves *)
-  jobs : int;  (** domains pricing columns in parallel (result-invariant) *)
+  jobs : int;
+      (** domains pricing columns in parallel, as
+          {!Cost.pricing_domains} allows (at [procs = 1], the calling
+          domain alone); result-invariant *)
 }
 
 val default : cfg

@@ -153,7 +153,8 @@ let beam_pick width entries =
 let block ?(probe = fun (_ : Core.Partition.t) (_ : Cost.breakdown) -> ())
     ?on_pick cfg cost_t ~block ~candidates g =
   Obs.span "plan-search" @@ fun () ->
-  Support.Pool.with_workers ~domains:cfg.jobs @@ fun workers ->
+  Support.Pool.with_workers ~domains:(Cost.pricing_domains cost_t ~jobs:cfg.jobs)
+  @@ fun workers ->
   let n = Core.Asdg.n g in
   let tbl = Cost.facts cost_t ~block ~candidates g in
   let pair_table = Pairs.create g in

@@ -55,11 +55,12 @@ type cfg = {
           starts *)
   beam_width : int;  (** children each round keeps *)
   jobs : int;
-      (** domains pricing sibling candidate states in parallel: each
-          {!block} call keeps [jobs - 1] {!Support.Pool} workers alive
-          and hands them each round's children as one batch; the
-          result, stats and provenance are identical at any value (see
-          docs/parallelism.md) *)
+      (** domains pricing sibling candidate states in parallel, as
+          {!Cost.pricing_domains} allows (at [procs = 1], the calling
+          domain alone): each {!block} call keeps that many less one
+          {!Support.Pool} workers alive and hands them each round's
+          children as one batch.  The result, stats and provenance are
+          identical at any value (see docs/parallelism.md) *)
 }
 
 val default : cfg

@@ -2,7 +2,7 @@ module Json = Obs.Json
 module Diag = Obs.Diagnostic
 module C = Obs.Codec
 
-let protocol_version = 3
+let protocol_version = 4
 
 (* Each wire type is followed by its codec, the one description of its
    JSON shape: both directions come from it. *)
@@ -38,11 +38,9 @@ let source =
   in
   obj (keyed [ ("bench", bench); ("text", text) ])
 
-type plan_mode = Greedy | Search | Ilp
+type plan_mode = Greedy | Ilp
 
-let plan_modes = [ ("greedy", Greedy); ("search", Search); ("ilp", Ilp) ]
-let plan_mode_name m = fst (List.find (fun (_, m') -> m' = m) plan_modes)
-let plan_mode_of_name n = List.assoc_opt n plan_modes
+let plan_modes = [ ("greedy", Greedy); ("ilp", Ilp) ]
 
 type compile_opts = {
   level : string;
@@ -110,7 +108,6 @@ type request =
       native : bool;
     }
   | Plan of { source : source; opts : compile_opts; target : target }
-  | Batch of request list
   | Stats
   | Shutdown
 
@@ -124,7 +121,6 @@ let source_opts_target =
   |+ field "target" target (fun (_, _, t) -> t) ~default:default_target
 
 let request =
-  C.fix @@ fun request ->
   let open C in
   let ops =
     [
@@ -147,11 +143,6 @@ let request =
         case source_opts_target
           (function Plan r -> Some (r.source, r.opts, r.target) | _ -> None)
           (fun (source, opts, target) -> Plan { source; opts; target }) );
-      ( "batch",
-        case
-          (record Fun.id |+ field "requests" (list request) Fun.id)
-          (function Batch rs -> Some rs | _ -> None)
-          (fun rs -> Batch rs) );
       ( "stats",
         case (record ()) (function Stats -> Some () | _ -> None) (fun () ->
             Stats) );
@@ -161,8 +152,8 @@ let request =
           (fun () -> Shutdown) );
     ]
   in
-  (* "v" is written on every request and checked on every request,
-     batched ones included: absence means the current version *)
+  (* "v" is written on every request and checked on every request:
+     absence means the current version *)
   let version =
     check
       (fun v ->
@@ -368,7 +359,6 @@ type response =
       summary : summary;
       provenance : Plan.Driver.provenance option;
     }
-  | Batch_reply of response list
   | Stats_reply of server_stats
   | Shutting_down
   | Failed of Diag.t
@@ -382,7 +372,6 @@ let summary_provenance =
 
 (* {"ok":false,"error":...} for a failure, else {"ok":true,"type":...} *)
 let response =
-  C.fix @@ fun response ->
   let open C in
   let one name c = record Fun.id |+ field name c Fun.id in
   let types =
@@ -408,10 +397,6 @@ let response =
         case summary_provenance
           (function Planned r -> Some (r.summary, r.provenance) | _ -> None)
           (fun (summary, provenance) -> Planned { summary; provenance }) );
-      ( "batch",
-        case (one "responses" (list response))
-          (function Batch_reply rs -> Some rs | _ -> None)
-          (fun rs -> Batch_reply rs) );
       ( "stats",
         case (one "stats" server_stats)
           (function Stats_reply s -> Some s | _ -> None)

@@ -36,12 +36,10 @@ type source =
       (** zap source text; [name] labels diagnostics (the client's
           file path) *)
 
-type plan_mode = Greedy | Search | Ilp
+type plan_mode = Greedy | Ilp
 
-val plan_mode_name : plan_mode -> string
-(** ["greedy"], ["search"] or ["ilp"] — the wire spelling. *)
-
-val plan_mode_of_name : string -> plan_mode option
+val plan_modes : (string * plan_mode) list
+(** Every mode with its wire spelling, ["greedy"] then ["ilp"]. *)
 
 type compile_opts = {
   level : string;  (** optimization level, any spelling {!Compilers.Driver.level_of_name} accepts *)
@@ -59,9 +57,8 @@ val default_compile_opts : compile_opts
 (** [level = "c2+f3"], [plan = Greedy], everything else off/empty. *)
 
 type target = { machine : string; procs : int }
-(** The machine model a run, or a request planned with [Search] or
-    [Ilp], is priced against (any spelling {!machine_of_name}
-    accepts). *)
+(** The machine model a run, or a request planned with [Ilp], is
+    priced against (any spelling {!machine_of_name} accepts). *)
 
 val default_target : target
 (** [{ machine = "t3e"; procs = 1 }]. *)
@@ -69,8 +66,8 @@ val default_target : target
 type request =
   | Compile of { source : source; opts : compile_opts; target : target }
       (** optimize + scalarize (plan cache consulted); [target] only
-          matters under [plan = Search] or [Ilp], which price plans
-          against it (and key the cache on it) *)
+          matters under [plan = Ilp], which prices plans against it
+          (and keys the cache on it) *)
   | Run of {
       source : source;
       opts : compile_opts;
@@ -83,10 +80,7 @@ type request =
   | Plan of { source : source; opts : compile_opts; target : target }
       (** like [Compile] but the response centers on planning: the
           rendered plan is always included, with provenance when
-          [plan = Search] or [Ilp] *)
-  | Batch of request list
-      (** handled across the engine's domain pool; replies in request
-          order *)
+          [plan = Ilp] *)
   | Stats  (** server/cache counters *)
   | Shutdown  (** orderly daemon exit (acknowledged before closing) *)
 
@@ -161,7 +155,7 @@ type response =
   | Compiled of {
       summary : summary;
       provenance : Plan.Driver.provenance option;
-          (** present under [Search] and [Ilp] *)
+          (** present under [Ilp] *)
     }
   | Ran of {
       summary : summary;
@@ -177,7 +171,6 @@ type response =
       summary : summary;
       provenance : Plan.Driver.provenance option;
     }
-  | Batch_reply of response list
   | Stats_reply of server_stats
   | Shutting_down
   | Failed of Obs.Diagnostic.t

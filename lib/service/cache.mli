@@ -2,7 +2,7 @@
 
     Amortizing planning across requests is zapd's reason to exist:
     the first request for a program pays the full pipeline (for
-    [--plan search] or [--plan ilp], thousands of costed states),
+    [--plan ilp], thousands of costed states and a branch-and-cut),
     every later request with the same key is a lookup.  Keys are
     {e content} addresses — {!Ir.Prog.fingerprint} of the normalized
     program after every frontend rewrite — plus the planning regime,
@@ -11,20 +11,20 @@
     program changes its key).
 
     Concurrency: one mutex guards the table; a lookup holds it for one
-    hash probe.  Any domain holding the engine may call in: a [batch]
-    request's {!Support.Pool} fan-out, or lazy contexts on several
-    domains sharing one engine.  Values must be immutable or
+    hash probe.  Any domain holding the engine may call in: lazy
+    contexts on several domains sharing one engine, or callers of
+    [Engine.handle] on a {!Support.Pool}.  Values must be immutable or
     internally synchronized — compiled plans are.
     Eviction is exact least-recently-used over the whole [capacity].
 
     {!find_or_compute} is the single-flight entry: concurrent misses
     on one key wait for the first caller's compute instead of
-    repeating a multi-second search per domain. *)
+    repeating a multi-second plan per domain. *)
 
 type key = {
   fingerprint : string;  (** [Ir.Prog.fingerprint] of the program compiled *)
   mode : string;
-      (** planning regime: ["greedy:<level>"], ["search"] or ["ilp"]
+      (** planning regime: ["greedy:<level>"] or ["ilp"]
           (see {!Engine} for the exact encoding) *)
   machine : string;  (** cost-model target (["-"] when machine-blind) *)
   procs : int;  (** cost-model processor count (0 when machine-blind) *)

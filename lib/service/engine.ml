@@ -17,7 +17,7 @@ type cached = {
 }
 
 type t = {
-  pool_jobs : int;
+  jobs : int;
   cache : cached Cache.t;
   native_store : Native.Store.t;
   (* one counter per Metrics key outside [Metrics.cache], which the
@@ -39,15 +39,13 @@ let create ?capacity ?(jobs = Support.Pool.default_domains ()) ?native_root ()
         Hashtbl.add counters k (Atomic.make 0))
     Metrics.all;
   {
-    pool_jobs = max 1 jobs;
+    jobs = max 1 jobs;
     cache = Cache.create ?capacity ();
     native_store = Native.Store.create ?root:native_root ();
     counters;
     mirror_lock = Mutex.create ();
     mirrored = Hashtbl.create 16;
   }
-
-let jobs t = t.pool_jobs
 
 let cache_stats t = Cache.stats t.cache
 
@@ -157,18 +155,17 @@ let cache_key ~fingerprint ~level ~(opts : Api.compile_opts)
           machine = "-";
           procs = 0;
         }
-  | (Api.Search | Api.Ilp) as mode ->
+  | Api.Ilp ->
       let* m = Api.machine_of_target target in
       Ok
         {
           Cache.fingerprint;
-          mode = Api.plan_mode_name mode;
+          mode = "ilp";
           machine = m.Machine.name;
           procs = target.Api.procs;
         }
 
-let compute t ~search_jobs ~level ~(opts : Api.compile_opts)
-    ~(target : Api.target) prog =
+let compute t ~level ~(opts : Api.compile_opts) ~(target : Api.target) prog =
   match opts.Api.plan with
   | Api.Greedy ->
       bump t Metrics.compile_computed;
@@ -176,7 +173,7 @@ let compute t ~search_jobs ~level ~(opts : Api.compile_opts)
         Compilers.Driver.compile_opts (Compilers.Driver.opts level) prog
       in
       Ok { cc = c; prov = None; artifact = Atomic.make None }
-  | (Api.Search | Api.Ilp) as mode ->
+  | Api.Ilp ->
       bump t Metrics.compile_computed;
       bump t Metrics.plan_computed;
       let* m = Api.machine_of_target target in
@@ -189,14 +186,9 @@ let compute t ~search_jobs ~level ~(opts : Api.compile_opts)
           }
           prog
       in
-      let search = { Plan.Search.default with Plan.Search.jobs = search_jobs } in
-      let* c, prov =
-        match mode with
-        | Api.Ilp ->
-            let ilp = { Plan.Ilp.default with Plan.Ilp.jobs = search_jobs } in
-            Plan.Driver.compile_ilp ~search ~ilp ~cost prog
-        | _ -> Plan.Driver.compile ~search ~cost prog
-      in
+      let search = { Plan.Search.default with Plan.Search.jobs = t.jobs } in
+      let ilp = { Plan.Ilp.default with Plan.Ilp.jobs = t.jobs } in
+      let* c, prov = Plan.Driver.compile_ilp ~search ~ilp ~cost prog in
       Ok { cc = c; prov = Some prov; artifact = Atomic.make None }
 
 type lookup = {
@@ -208,15 +200,14 @@ type lookup = {
 (* Only successes are cached, so a failing program re-reports its
    diagnostic on every request.  [compute] runs on the calling domain,
    so the flag says whether this very call computed. *)
-let cached_compile t ~search_jobs ~level ~(opts : Api.compile_opts) ~target
-    prog =
+let cached_compile t ~level ~(opts : Api.compile_opts) ~target prog =
   let fingerprint = Ir.Prog.fingerprint prog in
   let* key = cache_key ~fingerprint ~level ~opts ~target in
   let computed = ref false in
   let* entry, hit =
     Cache.find_or_compute t.cache key (fun () ->
         computed := true;
-        compute t ~search_jobs ~level ~opts ~target prog)
+        compute t ~level ~opts ~target prog)
   in
   let planned = !computed && opts.Api.plan <> Api.Greedy in
   Ok (fingerprint, entry, { hit; compiled = !computed; planned })
@@ -229,7 +220,7 @@ let compile_ir t ~(opts : Api.compile_opts) ~target prog =
   let r =
     let* level = Api.level_of_name opts.Api.level in
     let* fingerprint, entry, lookup =
-      cached_compile t ~search_jobs:t.pool_jobs ~level ~opts ~target prog
+      cached_compile t ~level ~opts ~target prog
     in
     Ok (fingerprint, entry.cc, entry.prov, lookup)
   in
@@ -302,15 +293,13 @@ let summary_of ~fingerprint ~merged_away ~(opts : Api.compile_opts) prog
 
 (* Elaborate + (merge) + cached compile + per-request finish work —
    the shared body of Compile/Run/Plan. *)
-let compiled_of t ~search_jobs ~(opts : Api.compile_opts) ~target source =
+let compiled_of t ~(opts : Api.compile_opts) ~target source =
   let* prog = read_source opts source in
   let prog, merged_away =
     if opts.Api.merge then Core.Merge.run prog else (prog, [])
   in
   let* level = Api.level_of_name opts.Api.level in
-  let* fingerprint, entry, _ =
-    cached_compile t ~search_jobs ~level ~opts ~target prog
-  in
+  let* fingerprint, entry, _ = cached_compile t ~level ~opts ~target prog in
   let c = entry.cc in
   let c =
     if opts.Api.simplify then
@@ -402,34 +391,24 @@ let native_of t ~(perf : Api.perf) entry =
 
 let of_result = function Ok r -> r | Error d -> Api.Failed d
 
-(* [search_jobs] is the domain budget of a cold planner search;
-   [in_worker] marks execution inside a pool domain, where fanning out
-   again would oversubscribe the machine — batch workers therefore run
-   nested batches sequentially and their searches single-domain. *)
-let rec exec t ~search_jobs ~in_worker req =
+let exec t req =
   match req with
   | Api.Compile { source; opts; target } ->
       bump t Metrics.request_compile;
       of_result
-        (let* summary, _, entry =
-           compiled_of t ~search_jobs ~opts ~target source
-         in
+        (let* summary, _, entry = compiled_of t ~opts ~target source in
          Ok (Api.Compiled { summary; provenance = entry.prov }))
   | Api.Plan { source; opts; target } ->
       bump t Metrics.request_plan;
       (* a Plan response always carries the rendered plan *)
       let opts = { opts with Api.dump_plan = true } in
       of_result
-        (let* summary, _, entry =
-           compiled_of t ~search_jobs ~opts ~target source
-         in
+        (let* summary, _, entry = compiled_of t ~opts ~target source in
          Ok (Api.Planned { summary; provenance = entry.prov }))
   | Api.Run { source; opts; target; spmd; native } ->
       bump t Metrics.request_run;
       of_result
-        (let* summary, c, entry =
-           compiled_of t ~search_jobs ~opts ~target source
-         in
+        (let* summary, c, entry = compiled_of t ~opts ~target source in
          let* m = Api.machine_of_target target in
          let perf = perf_of ~m ~procs:target.Api.procs c in
          let* spmd =
@@ -445,18 +424,6 @@ let rec exec t ~search_jobs ~in_worker req =
          Ok
            (Api.Ran
               { summary; provenance = entry.prov; perf; spmd; native }))
-  | Api.Batch reqs ->
-      bump t Metrics.request_batch;
-      if in_worker then
-        Api.Batch_reply (List.map (exec t ~search_jobs ~in_worker:true) reqs)
-      else
-        (* Pool.map returns in task order, so the reply order is the
-           request order regardless of domain scheduling *)
-        let domains = max 1 (min t.pool_jobs (List.length reqs)) in
-        Api.Batch_reply
-          (Support.Pool.map ~domains
-             (exec t ~search_jobs:1 ~in_worker:true)
-             reqs)
   | Api.Stats ->
       bump t Metrics.request_stats;
       Api.Stats_reply (server_stats t)
@@ -465,6 +432,6 @@ let rec exec t ~search_jobs ~in_worker req =
       Api.Shutting_down
 
 let handle t req =
-  let resp = exec t ~search_jobs:t.pool_jobs ~in_worker:false req in
+  let resp = exec t req in
   sync_obs t;
   resp

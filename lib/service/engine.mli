@@ -8,7 +8,7 @@
     cache: compile and plan work is keyed by
     [(Ir.Prog.fingerprint, planning mode, machine, procs)] and
     memoized in an LRU ({!Cache}), so a warm engine serves
-    [--plan search] requests without re-running the search (the
+    [--plan ilp] requests without re-running the planners (the
     ["service.plan.computed"] counter stays flat).  A
     [Run {native = true}] additionally compiles the plan's emitted C
     into a runner executable, content-addressed in a {!Native.Store}
@@ -34,23 +34,20 @@ type t
 
 val create : ?capacity:int -> ?jobs:int -> ?native_root:string -> unit -> t
 (** [capacity] bounds the plan cache (default as {!Cache.create});
-    [jobs] (default [Support.Pool.default_domains ()]) bounds the
-    domains used for [Batch] fan-out and search-planner candidate
-    costing;
+    [jobs] (default [Support.Pool.default_domains ()]) is the
+    [jobs] of {!Plan.Search.cfg} and {!Plan.Ilp.cfg} on a cold plan,
+    which price on that many domains when the target's [procs] is
+    above 1;
     [native_root] (default {!Native.Store.default_root}) is where
     native artifacts are content-addressed — each cache entry carries
     its artifact next to the plan, and a root that survives restarts
     lets a fresh engine adopt previously compiled runners without
     invoking [cc]. *)
 
-val jobs : t -> int
-
 val handle : t -> Api.request -> Api.response
-(** Never raises: every failure is a [Failed] response.  [Batch]
-    requests fan out over a domain pool ([jobs] wide) with replies in
-    request order; nested batches are handled sequentially within
-    their worker.  [Shutdown] only answers [Shutting_down] — process
-    exit is the server's decision. *)
+(** Never raises: every failure is a [Failed] response.  Any number of
+    domains may call it on one engine at once.  [Shutdown] only
+    answers [Shutting_down] — process exit is the server's decision. *)
 
 type lookup = {
   hit : bool;  (** the plan cache counted a hit for this call, else a miss *)
@@ -58,7 +55,7 @@ type lookup = {
       (** this call compiled the program (["service.compile.computed"]);
           a miss that waited for another caller's compute did not *)
   planned : bool;
-      (** ...and ran the search or ILP planner
+      (** ...and ran the planners
           (["service.plan.computed"]) *)
 }
 
@@ -74,7 +71,7 @@ val compile_ir :
     same plan cache as a [Compile] request — the entry the lazy
     frontend ([Lazyarr.Trace]) flushes through.  Returns the
     program's fingerprint (the cache key component), the compiled
-    result, planner provenance when [opts.plan] is [Search] or [Ilp],
+    result, planner provenance when [opts.plan] is [Ilp],
     and what this call itself did in the cache, whatever other domains
     do meanwhile.  [opts.merge] and [opts.simplify] are ignored (the
     caller owns any program-level rewrites); counters advance exactly

@@ -12,7 +12,6 @@ let prefix = "service."
 let request_compile = "service.request.compile"
 let request_run = "service.request.run"
 let request_plan = "service.request.plan"
-let request_batch = "service.request.batch"
 let request_stats = "service.request.stats"
 let request_shutdown = "service.request.shutdown"
 
@@ -41,7 +40,6 @@ let requests =
     request_compile;
     request_run;
     request_plan;
-    request_batch;
     request_stats;
     request_shutdown;
   ]

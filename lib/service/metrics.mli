@@ -14,7 +14,6 @@ val prefix : string
 val request_compile : string
 val request_run : string
 val request_plan : string
-val request_batch : string
 val request_stats : string
 val request_shutdown : string
 
@@ -27,8 +26,8 @@ val compile_computed : string
 (** Cold compiles actually performed (cache hits perform none). *)
 
 val plan_computed : string
-(** Cold planner searches actually performed — the expensive work the
-    cache amortizes; warm replays leaving this at zero prove search
+(** Cold plans actually performed — the expensive work the cache
+    amortizes; warm replays leaving this at zero prove [plan = ilp]
     requests are served without re-planning. *)
 
 val native_build : string
@@ -46,7 +45,7 @@ val native_run : string
 val protocol_error : string
 
 val requests : string list
-(** The six [request_*] keys: the per-verb counts of a Stats reply. *)
+(** The five [request_*] keys: the per-verb counts of a Stats reply. *)
 
 val cache : string list
 (** The four [cache_*] keys, which {!Cache} counts itself. *)

@@ -14,10 +14,10 @@
 
     Connections are accepted and served one at a time — [zapc
     --connect] holds a connection only for the duration of one
-    exchange, and intra-request parallelism (batches, search costing)
-    already uses the engine's domain pool.  Serial accept is also what
-    keeps the daemon's observable behavior independent of client
-    arrival order. *)
+    exchange, and intra-request parallelism (the planners' pricing at
+    [procs > 1]) already uses the engine's [jobs] domains.  Serial
+    accept is also what keeps the daemon's observable behavior
+    independent of client arrival order. *)
 
 val max_request_bytes : int
 (** The longest request line read: 1 MiB, far above any legitimate

@@ -196,13 +196,13 @@ let test_list_levels () =
       out
   end
 
-(* --plan search: provenance lands in the stats JSON, the searched
-   cost never exceeds greedy's, and two runs emit identical plan
-   provenance (determinism satellite; span timings legitimately
-   differ, the plan must not). *)
-let test_plan_search_stats () =
+(* --plan ilp: provenance lands in the stats JSON, the ILP cost never
+   exceeds the searched one nor that greedy's, and two runs emit
+   identical plan provenance (span timings legitimately differ, the
+   plan must not). *)
+let test_plan_ilp_stats () =
   if available then begin
-    let args = "--bench frac --tile 16 --plan search -m t3e -p 4 --stats json:-" in
+    let args = "--bench frac --tile 16 --plan ilp -m t3e -p 4 --stats json:-" in
     let code, out = run args in
     Alcotest.(check int) "exit 0" 0 code;
     let j =
@@ -216,14 +216,17 @@ let test_plan_search_stats () =
       | None -> Alcotest.fail "no plan provenance in stats"
     in
     (match Obs.Json.member "strategy" plan with
-    | Some (Obs.Json.String ("search" | "greedy")) -> ()
+    | Some (Obs.Json.String ("ilp" | "search" | "greedy")) -> ()
     | _ -> Alcotest.fail "plan.strategy missing");
     (match
-       (Obs.Json.member "greedy_total_ns" plan,
-        Obs.Json.member "search_total_ns" plan)
+       ( Obs.Json.member "greedy_total_ns" plan,
+         Obs.Json.member "search_total_ns" plan,
+         Obs.Json.member "ilp_total_ns" plan )
      with
-    | Some (Obs.Json.Float g), Some (Obs.Json.Float s) ->
-        Alcotest.(check bool) "search <= greedy" true (s <= g +. 1e-6)
+    | Some (Obs.Json.Float g), Some (Obs.Json.Float s), Some (Obs.Json.Float i)
+      ->
+        Alcotest.(check bool) "search <= greedy" true (s <= g +. 1e-6);
+        Alcotest.(check bool) "ilp <= search" true (i <= s +. 1e-6)
     | _ -> Alcotest.fail "plan totals missing");
     (match Obs.Json.member "blocks" plan with
     | Some (Obs.Json.List (_ :: _)) -> ()
@@ -244,38 +247,41 @@ let test_plan_search_stats () =
 (* The planners' decision counters (contraction.candidates and
    .performed, loopstruct.calls, ...) count work the calling domain
    decides, never work priced on pool workers: the whole counters
-   object is identical at any --jobs. *)
+   object is identical at any --jobs, at one processor (one pricing
+   domain) and at 16 (a pool). *)
 let test_plan_counters_jobs () =
   if available then
     List.iter
-      (fun plan ->
+      (fun procs ->
+        let what = Printf.sprintf "-p %d" procs in
         let counters jobs =
           let code, out =
             run
-              (Printf.sprintf "--bench sp --plan %s --stats json:- --jobs %d"
-                 plan jobs)
+              (Printf.sprintf
+                 "--bench sp --plan ilp -p %d --stats json:- --jobs %d" procs
+                 jobs)
           in
-          Alcotest.(check int) (plan ^ " exit 0") 0 code;
+          Alcotest.(check int) (what ^ " exit 0") 0 code;
           match Obs.Json.of_string (String.trim out) with
           | Ok j -> (
               match Obs.Json.member "counters" j with
               | Some c -> Obs.Json.to_string c
-              | None -> Alcotest.failf "%s: no counters" plan)
-          | Error e -> Alcotest.failf "%s: stats not valid JSON (%s)" plan e
+              | None -> Alcotest.failf "%s: no counters" what)
+          | Error e -> Alcotest.failf "%s: stats not valid JSON (%s)" what e
         in
         Alcotest.(check string)
-          (plan ^ " counters at --jobs 1 and 2")
+          (what ^ " counters at --jobs 1 and 2")
           (counters 1) (counters 2))
-      [ "search"; "ilp" ]
+      [ 1; 16 ]
 
-(* --jobs past the runtime's domain limit: the search keeps its
-   workers alive per block, the spawns the runtime refuses are skipped,
-   and the plan is the --jobs 1 plan. *)
+(* --jobs past the runtime's domain limit: at 16 processors the search
+   keeps its workers alive per block, the spawns the runtime refuses
+   are skipped, and the plan is the --jobs 1 plan. *)
 let test_jobs_past_domain_limit () =
   if available then begin
     let args jobs =
-      Printf.sprintf "--bench frac --tile 16 --plan search --dump-plan --jobs %d"
-        jobs
+      Printf.sprintf
+        "--bench frac --tile 16 --plan ilp -p 16 --dump-plan --jobs %d" jobs
     in
     let code1, out1 = run (args 1) in
     let code, out = run (args 200) in
@@ -287,7 +293,13 @@ let test_jobs_past_domain_limit () =
 let test_bad_plan_fails () =
   if available then begin
     let code, _ = run "--bench ep --tile 16 --plan fastest" in
-    Alcotest.(check bool) "bad plan rejected" true (code <> 0)
+    Alcotest.(check bool) "bad plan rejected" true (code <> 0);
+    (* the search-only mode is gone: its name is a cli error listing
+       the modes there are *)
+    let code, out = run "--bench ep --tile 16 --plan search" in
+    Alcotest.(check int) "--plan search exits 124" 124 code;
+    Alcotest.(check string) "--plan search diagnostic"
+      "zapc: cli error: unknown --plan \"search\" (greedy|ilp)\n" out
   end
 
 let test_fuzz_flag () =
@@ -400,8 +412,8 @@ let suites =
         Alcotest.test_case "stats json report" `Quick test_stats_json;
         Alcotest.test_case "level spellings" `Quick test_level_spellings;
         Alcotest.test_case "list levels golden" `Quick test_list_levels;
-        Alcotest.test_case "plan search stats + determinism" `Slow
-          test_plan_search_stats;
+        Alcotest.test_case "plan ilp stats + determinism" `Slow
+          test_plan_ilp_stats;
         Alcotest.test_case "plan counters independent of --jobs" `Slow
           test_plan_counters_jobs;
         Alcotest.test_case "--jobs past the domain limit" `Slow

@@ -326,14 +326,11 @@ let test_corpus_replays () =
           let r = Fuzz.Oracle.run p in
           if not (Fuzz.Oracle.ok r) then
             Alcotest.failf "%s: diverged:@.%s" path (Fuzz.Oracle.to_string r);
-          (* both planners must actually have been exercised — the
-             corpus (reduce-same-target.zir in particular) is the
-             regression net for the plan backends *)
-          List.iter
-            (fun backend ->
-              if not (List.mem_assoc backend r.Fuzz.Oracle.results) then
-                Alcotest.failf "%s: oracle skipped %s" path backend)
-            [ "plan@search"; "plan@ilp" ]))
+          (* the planning pipeline must actually have been exercised —
+             the corpus (reduce-same-target.zir in particular) is the
+             regression net for the plan backend *)
+          if not (List.mem_assoc "plan@ilp" r.Fuzz.Oracle.results) then
+            Alcotest.failf "%s: oracle skipped plan@ilp" path))
     files
 
 (* ------------------------------------------------------------------ *)

@@ -415,8 +415,8 @@ let test_unusable_store_root () =
         (Obs.Json.to_string (Api.response_to_json other))
 
 (* Concurrent first runs of one plan build its runner once: the store
-   shares the build among the batch's domains. *)
-let test_batch_builds_once () =
+   shares the build among the domains handling the requests. *)
+let test_concurrent_runs_build_once () =
   if cc then begin
     let root = Native.Build.fresh_workdir ~salt:6161 () in
     Fun.protect ~finally:(fun () -> Native.Build.remove_tree root)
@@ -432,23 +432,18 @@ let test_batch_builds_once () =
           native = true;
         }
     in
-    match Service.Engine.handle engine (Api.Batch (List.init 4 (fun _ -> req))) with
-    | Api.Batch_reply rs ->
-        List.iter
-          (function
-            | Api.Ran { native = Some n; _ } ->
-                Alcotest.(check bool) "native checksum matches the model" true
-                  n.Api.native_matches
-            | other ->
-                Alcotest.failf "expected a native run: %s"
-                  (Obs.Json.to_string (Api.response_to_json other)))
-          rs;
-        let s = Service.Engine.server_stats engine in
-        Alcotest.(check int) "one cold build" 1 s.Api.natives_built;
-        Alcotest.(check int) "the others reuse it" 3 s.Api.natives_reused
-    | other ->
-        Alcotest.failf "expected a batch reply: %s"
-          (Obs.Json.to_string (Api.response_to_json other))
+    Support.Pool.map ~domains:4 (Service.Engine.handle engine)
+      (List.init 4 (fun _ -> req))
+    |> List.iter (function
+         | Api.Ran { native = Some n; _ } ->
+             Alcotest.(check bool) "native checksum matches the model" true
+               n.Api.native_matches
+         | other ->
+             Alcotest.failf "expected a native run: %s"
+               (Obs.Json.to_string (Api.response_to_json other)));
+    let s = Service.Engine.server_stats engine in
+    Alcotest.(check int) "one cold build" 1 s.Api.natives_built;
+    Alcotest.(check int) "the others reuse it" 3 s.Api.natives_reused
   end
 
 let suites =
@@ -474,6 +469,6 @@ let suites =
         Alcotest.test_case "unusable store root fails typed" `Quick
           test_unusable_store_root;
         Alcotest.test_case "concurrent first runs build once" `Quick
-          test_batch_builds_once;
+          test_concurrent_runs_build_once;
       ] );
   ]

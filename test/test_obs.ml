@@ -352,8 +352,9 @@ let test_compile_is_instrumented () =
   Alcotest.(check bool)
     "dependence edges recorded" true
     (match counter "dep.edges" with Some n -> n > 0 | None -> false);
-  (* the JSON rendering carries the same keys *)
-  let j = Obs.report_to_json r in
+  (* the JSON rendering carries the same keys, and decodes to the
+     report without its events *)
+  let j = Obs.Codec.encode Obs.report_codec r in
   Alcotest.(check bool)
     "json has counters" true
     (Obs.Json.find j [ "counters"; "fusion.attempted" ] <> None);
@@ -361,7 +362,31 @@ let test_compile_is_instrumented () =
     "json has spans" true
     (match Obs.Json.member "spans" j with
     | Some (Obs.Json.List (_ :: _)) -> true
-    | _ -> false)
+    | _ -> false);
+  Alcotest.(check bool) "events recorded" true (r.Obs.events <> []);
+  Alcotest.(check bool)
+    "decodes what it encodes, without events" true
+    (Obs.Codec.decode Obs.report_codec j = Ok { r with Obs.events = [] });
+  let small =
+    {
+      Obs.spans =
+        [
+          {
+            Obs.span_name = "a";
+            elapsed_ns = 1.5;
+            children =
+              [ { Obs.span_name = "b"; elapsed_ns = 2.0; children = [] } ];
+          };
+        ];
+      counters = [ ("x", 2) ];
+      totals = [ ("y", 0.25) ];
+      events = [ Obs.Note { name = "n"; value = "v" } ];
+    }
+  in
+  Alcotest.(check string)
+    "wire schema"
+    {|{"spans":[{"name":"a","ns":1.5,"children":[{"name":"b","ns":2.0,"children":[]}]}],"counters":{"x":2},"totals":{"y":0.25}}|}
+    (Obs.Json.to_string (Obs.Codec.encode Obs.report_codec small))
 
 let suites =
   [

@@ -285,24 +285,31 @@ let test_cost_prefers_contraction () =
 (* End-to-end planned compiles on suite benchmarks                     *)
 (* ------------------------------------------------------------------ *)
 
-let planned_compile ?(machine = Machine.t3e) ?(procs = 16) name =
+let ilp_compile ?(machine = Machine.t3e) ?(procs = 1) ?(max_clusters = 1500)
+    ?(jobs = 1)
+    ?(search = { Plan.Search.max_states = 600; beam_width = 2; jobs = 1 }) name
+    =
   let b =
     match Suite.by_name name with
     | Some b -> b
     | None -> Alcotest.failf "no bench %s" name
   in
   let prog = Suite.program ~tile:16 b in
-  let cost = Plan.Cost.create { Plan.Cost.machine; procs; opts = Comm.Model.all_on } prog in
+  let cost =
+    Plan.Cost.create { Plan.Cost.machine; procs; opts = Comm.Model.all_on } prog
+  in
   match
-    Plan.Driver.compile
-      ~search:{ Plan.Search.default with Plan.Search.max_states = 600; beam_width = 2 }
+    Plan.Driver.compile_ilp
+      ~search:{ search with Plan.Search.jobs }
+      ~ilp:{ Plan.Ilp.default with Plan.Ilp.max_clusters; jobs }
       ~cost prog
   with
   | Ok (c, prov) -> (prog, c, prov)
-  | Error d -> Alcotest.failf "plan compile failed: %s" (Obs.Diagnostic.to_string d)
+  | Error d ->
+      Alcotest.failf "ilp compile failed: %s" (Obs.Diagnostic.to_string d)
 
 let test_simple_search_wins () =
-  let _prog, c, prov = planned_compile "simple" in
+  let _prog, c, prov = ilp_compile ~procs:16 "simple" in
   Alcotest.(check bool) "search no worse" true
     (prov.Plan.Driver.search_total_ns
     <= prov.Plan.Driver.greedy_total_ns +. 1e-6);
@@ -311,8 +318,8 @@ let test_simple_search_wins () =
   Alcotest.(check bool) "search strictly better" true
     (prov.Plan.Driver.search_total_ns
     < prov.Plan.Driver.greedy_total_ns -. 1e-6);
-  Alcotest.(check string) "searched plan chosen" "search"
-    prov.Plan.Driver.strategy;
+  Alcotest.(check bool) "a planned plan chosen" true
+    (prov.Plan.Driver.strategy <> "greedy");
   (* same observable program: the searched plan only reshuffles loops *)
   let greedy =
     match Compilers.Driver.compile_opts (Compilers.Driver.opts Compilers.Driver.C2F3)
@@ -338,45 +345,16 @@ let plan_fingerprint (c : Compilers.Driver.compiled) =
          ^ String.concat "," (List.map fst bp.Sir.Scalarize.contracted))
        c.Compilers.Driver.plan)
 
-(* tie costs are broken on canonical cluster keys: two runs must agree
-   bit-for-bit, plans and provenance JSON alike *)
-let test_deterministic () =
-  let run () =
-    let _prog, c, prov = planned_compile ~procs:4 "sp" in
-    (plan_fingerprint c, Obs.Json.to_string (Obs.Codec.encode Plan.Driver.provenance_codec prov))
-  in
-  let f1, j1 = run () in
-  let f2, j2 = run () in
-  Alcotest.(check string) "same plan" f1 f2;
-  Alcotest.(check string) "same provenance JSON" j1 j2
-
 (* sibling candidates are costed on a domain pool when jobs > 1; the
    sequential prefix fixes the visit order and every tie-break, so the
    plan AND the full provenance must be bit-identical at any jobs *)
 let test_parallel_search_deterministic () =
   let run jobs =
-    let b = Option.get (Suite.by_name "simple") in
-    let prog = Suite.program ~tile:16 b in
-    let cost =
-      Plan.Cost.create
-        { Plan.Cost.machine = Machine.t3e; procs = 16; opts = Comm.Model.all_on }
-        prog
+    let _prog, c, prov =
+      ilp_compile ~procs:16 ~max_clusters:400 ~jobs "simple"
     in
-    match
-      Plan.Driver.compile
-        ~search:
-          {
-            Plan.Search.max_states = 600;
-            beam_width = 2;
-            jobs;
-          }
-        ~cost prog
-    with
-    | Ok (c, prov) ->
-        ( plan_fingerprint c,
-          Obs.Json.to_string (Obs.Codec.encode Plan.Driver.provenance_codec prov) )
-    | Error d ->
-        Alcotest.failf "plan compile failed: %s" (Obs.Diagnostic.to_string d)
+    ( plan_fingerprint c,
+      Obs.Json.to_string (Obs.Codec.encode Plan.Driver.provenance_codec prov) )
   in
   let f1, j1 = run 1 in
   List.iter
@@ -398,30 +376,20 @@ let test_parallel_search_deterministic () =
 let test_budget_cut_beam_deterministic () =
   let max_states = 60 in
   let run jobs =
-    let b = Option.get (Suite.by_name "simple") in
-    let prog = Suite.program ~tile:16 b in
-    let cost =
-      Plan.Cost.create
-        { Plan.Cost.machine = Machine.t3e; procs = 16; opts = Comm.Model.all_on }
-        prog
+    let _prog, c, prov =
+      ilp_compile ~procs:16 ~max_clusters:400 ~jobs
+        ~search:{ Plan.Search.default with Plan.Search.max_states }
+        "simple"
     in
-    match
-      Plan.Driver.compile
-        ~search:{ Plan.Search.default with Plan.Search.max_states; jobs }
-        ~cost prog
-    with
-    | Ok (c, prov) ->
-        let cut =
-          List.exists
-            (fun (r : Plan.Driver.block_report) ->
-              r.Plan.Driver.stats.Plan.Search.generated >= max_states)
-            prov.Plan.Driver.blocks
-        in
-        ( plan_fingerprint c,
-          Obs.Json.to_string (Obs.Codec.encode Plan.Driver.provenance_codec prov),
-          cut )
-    | Error d ->
-        Alcotest.failf "plan compile failed: %s" (Obs.Diagnostic.to_string d)
+    let cut =
+      List.exists
+        (fun (r : Plan.Driver.block_report) ->
+          r.Plan.Driver.stats.Plan.Search.generated >= max_states)
+        prov.Plan.Driver.blocks
+    in
+    ( plan_fingerprint c,
+      Obs.Json.to_string (Obs.Codec.encode Plan.Driver.provenance_codec prov),
+      cut )
   in
   let f1, j1, cut = run 1 in
   Alcotest.(check bool) "the budget stopped a search" true cut;
@@ -550,43 +518,13 @@ let test_beam_picks_on_suite () =
     [ Plan.Search.default; search_cfg ];
   Alcotest.(check bool) "beams were picked" true (!picks > 0)
 
-let ilp_compile ?(machine = Machine.t3e) ?(procs = 1) ?(max_clusters = 1500)
-    ?(jobs = 1) name =
-  let b =
-    match Suite.by_name name with
-    | Some b -> b
-    | None -> Alcotest.failf "no bench %s" name
-  in
-  let prog = Suite.program ~tile:16 b in
-  let cost =
-    Plan.Cost.create { Plan.Cost.machine; procs; opts = Comm.Model.all_on } prog
-  in
-  match
-    Plan.Driver.compile_ilp
-      ~search:
-        {
-          Plan.Search.max_states = 600;
-          beam_width = 2;
-          jobs;
-        }
-      ~ilp:{ Plan.Ilp.default with Plan.Ilp.max_clusters; jobs }
-      ~cost prog
-  with
-  | Ok (c, prov) -> (prog, c, prov)
-  | Error d ->
-      Alcotest.failf "ilp compile failed: %s" (Obs.Diagnostic.to_string d)
-
 (* the full chain on a real benchmark, plus checksum equality against
    the greedy ladder — the ILP may only reshuffle loops, never results *)
 let test_ilp_chain_and_checksum () =
   let _prog, c, prov = ilp_compile ~procs:16 "simple" in
   let g = prov.Plan.Driver.greedy_total_ns
   and s = prov.Plan.Driver.search_total_ns in
-  let i =
-    match prov.Plan.Driver.ilp_total_ns with
-    | Some i -> i
-    | None -> Alcotest.fail "compile_ilp reported no ilp_total_ns"
-  in
+  let i = prov.Plan.Driver.ilp_total_ns in
   Alcotest.(check bool) "ilp <= search" true (i <= s +. 1e-6);
   Alcotest.(check bool) "search <= greedy" true (s <= g +. 1e-6);
   Alcotest.(check bool) "ilp blocks reported" true
@@ -611,14 +549,14 @@ let test_ilp_chain_and_checksum () =
    the certified bound equal to the chosen cost *)
 let test_ilp_proves_small_bench () =
   let _prog, _c, prov = ilp_compile ~procs:1 "frac" in
-  (match prov.Plan.Driver.proved_optimal with
-  | Some true -> ()
-  | _ -> Alcotest.fail "frac @ procs=1 should be proved optimal");
-  match (prov.Plan.Driver.certified_lb_ns, prov.Plan.Driver.ilp_total_ns) with
-  | Some lb, Some i ->
+  Alcotest.(check bool) "frac @ procs=1 proved optimal" true
+    prov.Plan.Driver.proved_optimal;
+  let i = prov.Plan.Driver.ilp_total_ns in
+  match prov.Plan.Driver.certified_lb_ns with
+  | Some lb ->
       Alcotest.(check bool) "bound brackets the optimum" true
         (lb <= i +. 1e-3 && i <= lb +. 1e-3)
-  | _ -> Alcotest.fail "proved cell must carry a certified bound"
+  | None -> Alcotest.fail "proved cell must carry a certified bound"
 
 (* two identical solves must agree bit-for-bit, plans and provenance
    JSON alike — the B&B explores a deterministic tree — and so must
@@ -642,7 +580,9 @@ let test_ilp_deterministic () =
 let test_never_worse_across_suite () =
   List.iter
     (fun (b : Suite.bench) ->
-      let _prog, _c, prov = planned_compile b.Suite.name in
+      let _prog, _c, prov =
+        ilp_compile ~procs:16 ~max_clusters:400 b.Suite.name
+      in
       Alcotest.(check bool)
         (b.Suite.name ^ " search no worse") true
         (prov.Plan.Driver.chosen_total_ns
@@ -1160,23 +1100,27 @@ let test_probe_raise_leaves_fresh () =
 
 (* Past its domain's first probe, a probe allocates no cache: 1000
    probes of a 64-stream T3E key cost under 64 words each, minor plus
-   major heap (a fresh T3E hierarchy is about 3.6k words). *)
+   major heap (a fresh T3E hierarchy is about 3.6k words).  OCaml 5's
+   [Gc.quick_stat] counts minor words only as of the last minor
+   collection; [Gc.counters] also counts the minor heap in use.  The
+   loop starts on an empty minor heap, so no collection falls inside
+   it to count words allocated before it. *)
 let test_probe_allocation () =
   let m = Machine.t3e in
   let key =
     Array.init 65 (fun r -> if r = 0 then 2000 else 256 * (r * 7 mod 23))
   in
   ignore (Plan.Cost.sweep_misses m key);
-  let s0 = Gc.quick_stat () in
+  let allocated () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  Gc.minor ();
+  let w0 = allocated () in
   for _ = 1 to 1000 do
     ignore (Sys.opaque_identity (Plan.Cost.sweep_misses m key))
   done;
-  let s1 = Gc.quick_stat () in
-  let words =
-    s1.Gc.minor_words -. s0.Gc.minor_words
-    +. (s1.Gc.major_words -. s0.Gc.major_words)
-  in
-  let per_probe = words /. 1000.0 in
+  let per_probe = (allocated () -. w0) /. 1000.0 in
   if per_probe >= 64.0 then
     Alcotest.failf "%.1f words per probe (want < 64)" per_probe
 
@@ -2044,8 +1988,6 @@ let suites =
           `Slow test_cost_terms_exact;
         Alcotest.test_case "simple: search beats greedy, checksum equal" `Slow
           test_simple_search_wins;
-        Alcotest.test_case "deterministic plans and provenance" `Slow
-          test_deterministic;
         Alcotest.test_case "parallel search matches sequential" `Slow
           test_parallel_search_deterministic;
         Alcotest.test_case "budget-cut beam deterministic across jobs" `Slow

@@ -1,7 +1,7 @@
 #!/bin/sh
 # zapd CI smoke: start the daemon, replay a tiny suite twice through
 # zapc --connect, assert the second pass is served from the plan cache
-# (>= 90% hits, zero planner searches) with byte-identical responses,
+# (>= 90% hits, zero plans computed) with byte-identical responses,
 # check that zapc --connect prints what local zapc prints, then shut
 # down cleanly.
 set -eu
@@ -30,7 +30,7 @@ while [ ! -S "$SOCK" ]; do
   sleep 0.1
 done
 
-# tiny per-processor tiles, greedy and search-planned per benchmark
+# tiny per-processor tiles, greedy and ILP-planned per benchmark
 pass() {
   out=$1
   : > "$out"
@@ -38,7 +38,7 @@ pass() {
     name=${b%:*}
     tile=${b#*:}
     "$ZAPC" --bench "$name" --tile "$tile" --connect "$SOCK" >> "$out"
-    "$ZAPC" --bench "$name" --tile "$tile" --plan search --connect "$SOCK" >> "$out"
+    "$ZAPC" --bench "$name" --tile "$tile" --plan ilp --connect "$SOCK" >> "$out"
   done
 }
 
@@ -60,7 +60,7 @@ plans = warm["plans_computed"] - cold["plans_computed"]
 looked = hits + misses
 rate = hits / looked if looked else 0.0
 print(f"warm pass: {hits} hits / {looked} lookups ({100*rate:.0f}%), "
-      f"{plans} planner searches")
+      f"{plans} plans computed")
 assert rate >= 0.9, f"warm hit rate {rate:.2f} < 0.90"
 assert plans == 0, f"warm pass re-planned {plans} times"
 EOF
@@ -83,7 +83,7 @@ both() {
 printf 'program bad;\nregion R = [1..n;\n' > "$WORK/bad.zap"
 both ilp-plan --bench frac --tile 16 --plan ilp --dump-plan
 both spmd-run --bench ep --tile 256 --run --spmd -p 4
-both search-c --bench tomcatv --tile 16 --plan search --dump-c --simplify
+both ilp-c --bench tomcatv --tile 16 --plan ilp --dump-c --simplify
 both parse-error "$WORK/bad.zap"
 grep -q '^exit 124$' "$WORK/parse-error.local"
 
