@@ -300,72 +300,102 @@ let enter ints ~lo ~hi r =
    of a store, the stored reference's view.  Add, Sub, Mul and Div are
    written out so they stay unboxed; every other operator goes through
    the same [Ir.Expr] function the element closures call.  Indices run
-   by their steps rather than being multiplied out. *)
+   by their steps rather than being multiplied out.
+
+   Each pass first checks that every operand's first and last element
+   lie inside its array; the elements in between do too, since an
+   operand's index is linear in [j].  It then reads and writes without
+   per-element checks.  The check cannot fail for the operands
+   [strip_loop] builds: a reference's elements are in bounds at every
+   iteration once the loop's entry check passed, a dense buffer has
+   [strip] elements, and an invariant is one element at step 0. *)
+
+let in_bounds (o : operand) n =
+  let last = o.off + ((n - 1) * o.step) and len = Array.length o.data in
+  if n > 0 && (o.off < 0 || o.off >= len || last < 0 || last >= len) then
+    invalid_arg "Exec.Interp: strip operand out of bounds"
 
 let unop_pass op (a : operand) (dst : operand) n =
+  in_bounds a n;
+  in_bounds dst n;
   let ad = a.data and ast = a.step and dd = dst.data and dst_step = dst.step in
   let ia = ref a.off and id = ref dst.off in
   match op with
   | Ir.Expr.Neg ->
       for _ = 1 to n do
-        dd.(!id) <- -.ad.(!ia);
+        Array.unsafe_set dd !id (-.Array.unsafe_get ad !ia);
         ia := !ia + ast;
         id := !id + dst_step
       done
   | op ->
       for _ = 1 to n do
-        dd.(!id) <- Ir.Expr.apply_unop op ad.(!ia);
+        let v = Ir.Expr.apply_unop op (Array.unsafe_get ad !ia) in
+        Array.unsafe_set dd !id v;
         ia := !ia + ast;
         id := !id + dst_step
       done
 
 let binop_pass op (a : operand) (b : operand) (dst : operand) n =
+  in_bounds a n;
+  in_bounds b n;
+  in_bounds dst n;
   let ad = a.data and ast = a.step and bd = b.data and bst = b.step in
   let dd = dst.data and dst_step = dst.step in
   let ia = ref a.off and ib = ref b.off and id = ref dst.off in
   match op with
   | Ir.Expr.Add ->
       for _ = 1 to n do
-        dd.(!id) <- ad.(!ia) +. bd.(!ib);
+        let v = Array.unsafe_get ad !ia +. Array.unsafe_get bd !ib in
+        Array.unsafe_set dd !id v;
         ia := !ia + ast;
         ib := !ib + bst;
         id := !id + dst_step
       done
   | Sub ->
       for _ = 1 to n do
-        dd.(!id) <- ad.(!ia) -. bd.(!ib);
+        let v = Array.unsafe_get ad !ia -. Array.unsafe_get bd !ib in
+        Array.unsafe_set dd !id v;
         ia := !ia + ast;
         ib := !ib + bst;
         id := !id + dst_step
       done
   | Mul ->
       for _ = 1 to n do
-        dd.(!id) <- ad.(!ia) *. bd.(!ib);
+        let v = Array.unsafe_get ad !ia *. Array.unsafe_get bd !ib in
+        Array.unsafe_set dd !id v;
         ia := !ia + ast;
         ib := !ib + bst;
         id := !id + dst_step
       done
   | Div ->
       for _ = 1 to n do
-        dd.(!id) <- ad.(!ia) /. bd.(!ib);
+        let v = Array.unsafe_get ad !ia /. Array.unsafe_get bd !ib in
+        Array.unsafe_set dd !id v;
         ia := !ia + ast;
         ib := !ib + bst;
         id := !id + dst_step
       done
   | op ->
       for _ = 1 to n do
-        dd.(!id) <- Ir.Expr.apply_binop op ad.(!ia) bd.(!ib);
+        let va = Array.unsafe_get ad !ia and vb = Array.unsafe_get bd !ib in
+        Array.unsafe_set dd !id (Ir.Expr.apply_binop op va vb);
         ia := !ia + ast;
         ib := !ib + bst;
         id := !id + dst_step
       done
 
 let select_pass (c : operand) (a : operand) (b : operand) (dst : operand) n =
+  in_bounds c n;
+  in_bounds a n;
+  in_bounds b n;
+  in_bounds dst n;
   let cd = c.data and cst = c.step and ad = a.data and ast = a.step in
   let bd = b.data and bst = b.step and dd = dst.data and dst_step = dst.step in
   let ic = ref c.off and ia = ref a.off and ib = ref b.off and id = ref dst.off in
   for _ = 1 to n do
-    dd.(!id) <- (if cd.(!ic) <> 0.0 then ad.(!ia) else bd.(!ib));
+    Array.unsafe_set dd !id
+      (if Array.unsafe_get cd !ic <> 0.0 then Array.unsafe_get ad !ia
+       else Array.unsafe_get bd !ib);
     ic := !ic + cst;
     ia := !ia + ast;
     ib := !ib + bst;
@@ -377,10 +407,13 @@ let select_pass (c : operand) (a : operand) (b : operand) (dst : operand) n =
 let copy_pass (v : operand) (dst : operand) n =
   if v.step = 1 && dst.step = 1 then Array.blit v.data v.off dst.data dst.off n
   else begin
-    let vd = v.data and vst = v.step and dd = dst.data and dst_step = dst.step in
+    in_bounds v n;
+    in_bounds dst n;
+    let vd = v.data and vst = v.step in
+    let dd = dst.data and dst_step = dst.step in
     let iv = ref v.off and id = ref dst.off in
     for _ = 1 to n do
-      dd.(!id) <- vd.(!iv);
+      Array.unsafe_set dd !id (Array.unsafe_get vd !iv);
       iv := !iv + vst;
       id := !id + dst_step
     done
@@ -421,12 +454,14 @@ let strip_loop env ~var ~lo ~hi ~step body =
   let var_values =
     lazy
       (let b = fresh () in
+       let v = dense b in
        pass (fun n ->
+           in_bounds v n;
            let i0 = !first in
            for j = 0 to n - 1 do
-             b.(j) <- float_of_int (i0 + (dir * j))
+             Array.unsafe_set b j (float_of_int (i0 + (dir * j)))
            done);
-       dense b)
+       v)
   in
   let privates = Hashtbl.create 4 and read = Hashtbl.create 8 in
   let must_be_defined = ref [] in
@@ -676,7 +711,10 @@ let run_over ?trace arrays p =
     arrays;
   exec ?trace tbl p
 
-let run ?trace (p : Code.program) =
+let fresh_storage (a : Code.alloc) =
+  Array.make (max 1 (Code.alloc_volume a)) 0.0
+
+let run ?trace ?(storage = fresh_storage) (p : Code.program) =
   let res =
     Obs.span "interpret" (fun () ->
         let arrays = Hashtbl.create 16 in
@@ -684,8 +722,10 @@ let run ?trace (p : Code.program) =
         List.iter
           (fun (a : Code.alloc) ->
             let n = Code.alloc_volume a in
-            Hashtbl.replace arrays a.name
-              (mk_arr !base a.dims (Array.make (max 1 n) 0.0));
+            let data = storage a in
+            if Array.length data <> max 1 n then
+              invalid_arg "Exec.Interp.run: storage of the wrong length";
+            Hashtbl.replace arrays a.name (mk_arr !base a.dims data);
             (* pad allocations apart so distinct arrays never share a line *)
             base := !base + n + 8)
           p.allocs;

@@ -8,7 +8,8 @@
     traffic — precisely the effect the paper measures.
 
     Each {!run} resolves the program once, then executes it.  Resolving
-    allocates the arrays ({!run_over} takes the caller's instead), gives
+    allocates the arrays (or takes them from [run]'s [storage];
+    {!run_over} takes the caller's instead), gives
     every scalar name a slot in one float array (plus an int mirror for
     each loop variable no assignment writes, which its subscripts read),
     binds every array reference to its allocation, and turns each
@@ -66,6 +67,21 @@
     through the same [Ir.Expr] function; and since nothing raises,
     only the final state is observable.
 
+    Why unchecked access is sound.  A strip pass reads and writes its
+    operands without a bounds check per element.  Each operand is an
+    array reference (a view), a dense buffer or a loop invariant, and
+    its index is linear in the iteration: a view's elements are the
+    reference's at the strip's iterations, all of them inside the loop's
+    range, where the entry check has shown every reference in bounds; a
+    buffer has {!strip} elements and a strip at most {!strip}
+    iterations; an invariant is one element read at step 0.  Each pass
+    still checks, once per strip, that every operand's first and last
+    element lie inside its array, and raises [Invalid_argument]
+    otherwise, before it touches anything.  By the argument above that
+    check never fails; it guards memory against a defect in the strip
+    path itself, and never replaces the entry check, whose failure runs
+    the element closures with their [Runtime_error] texts.
+
     Array elements are modelled as 8-byte doubles laid out row-major;
     each allocation gets a disjoint base address.  Out-of-bounds
     subscripts raise — the interpreter doubles as a scalarizer
@@ -90,11 +106,27 @@ val strip : int
 
 val run :
   ?trace:(addr:int -> write:bool -> unit) ->
+  ?storage:(Sir.Code.alloc -> float array) ->
   Sir.Code.program ->
   result
 (** Execute the program on zero-initialized arrays.  [trace] receives
     the byte address of every array element access, in execution
-    order. *)
+    order.
+
+    [storage a] supplies the data of allocation [a]; it is called once
+    per allocation, in [allocs] order, before anything runs, and
+    defaults to {!fresh_storage}.  It must return an array of
+    {!fresh_storage}'s length ([Invalid_argument] otherwise) that holds
+    0.0 in every element and serves no other allocation of the run, so
+    the run still starts from zero-initialized arrays.  The run reads
+    and writes it in place and the result holds it, as {!get_array}
+    says.  A caller may hand the same array, zero-filled again, to a
+    later run; from then on it must not read that array through this
+    result, since the later run leaves its own values there. *)
+
+val fresh_storage : Sir.Code.alloc -> float array
+(** A new zero-filled array of [max 1 (alloc_volume a)] elements: the
+    default [storage] of {!run}. *)
 
 val run_over :
   ?trace:(addr:int -> write:bool -> unit) ->

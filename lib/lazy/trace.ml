@@ -84,6 +84,10 @@ type ctx = {
   mutable reds : red list;  (* unforced reductions, newest first *)
   mutable flushed_at : int;  (* [ops_recorded] when the last flush ran *)
   mutable flushing : bool;
+  mutable temps : (Sir.Code.alloc * float array) list;
+      (* storage of the temporaries of the last program run: the
+         allocations outside its live-out, which the next run of an
+         equal allocation zero-fills and takes over *)
   mutable stats : stats;
       (* kept unconditionally; Obs counters additionally fire when a
          recorder is installed *)
@@ -107,6 +111,7 @@ let create ?(name = "lazy") ?engine ?(level = Compilers.Driver.C2F3)
     reds = [];
     flushed_at = 0;
     flushing = false;
+    temps = [];
     stats =
       {
         flushes = 0;
@@ -445,6 +450,27 @@ let rebind bindings (code : Sir.Code.program) =
           code.Sir.Code.scalars;
     }
 
+(* Exec.Interp storage for a run of [code].  A live-out array is fresh:
+   the node it is forced into memoizes it.  A temporary takes over the
+   zero-filled array of an equal allocation of the previous run, if
+   there is one; the context then keeps this run's temporaries only. *)
+let storage ctx (code : Sir.Code.program) =
+  let kept = ctx.temps in
+  ctx.temps <- [];
+  fun (a : Sir.Code.alloc) ->
+    if List.mem a.name code.live_out then Exec.Interp.fresh_storage a
+    else begin
+      let data =
+        match List.assoc_opt a kept with
+        | Some data ->
+            Array.fill data 0 (Array.length data) 0.0;
+            data
+        | None -> Exec.Interp.fresh_storage a
+      in
+      ctx.temps <- (a, data) :: ctx.temps;
+      data
+    end
+
 let count p l = List.fold_left (fun k x -> if p x then k + 1 else k) 0 l
 
 (* A sink an explicit flush still has to compute: nothing has read it
@@ -514,7 +540,10 @@ let flush_obs ctx ~obs_arrays ~obs_reds =
           last_fingerprint = Some fingerprint;
         };
       let code = rebind l.bindings compiled.Compilers.Driver.code in
-      let res = Obs.span "lazy.execute" (fun () -> Exec.Interp.run code) in
+      let res =
+        Obs.span "lazy.execute" (fun () ->
+            Exec.Interp.run ~storage:(storage ctx code) code)
+      in
       List.iter
         (fun ((n : node), name) ->
           n.values <- Some (Exec.Interp.get_array res name))

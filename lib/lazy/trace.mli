@@ -52,11 +52,20 @@ exception Shape_error of string
 
 type ctx
 (** A trace context: the engine handle, the compile configuration
-    (level / plan mode / target), the {!stats}, and the pending sinks
-    and unforced reductions an explicit {!flush} would compute.  Every
-    other op lives only as long as a handle reaches it, so a context
-    that streams flushes and drops its handles runs in bounded
-    memory. *)
+    (level / plan mode / target), the {!stats}, the pending sinks
+    and unforced reductions an explicit {!flush} would compute, and the
+    storage of its last flush's temporaries.  Every other op lives only
+    as long as a handle reaches it, so a context that streams flushes
+    and drops its handles runs in bounded memory.
+
+    A flush runs its compiled program over that storage: each array the
+    program allocates outside its live-out set takes over the
+    zero-filled array of an equal allocation (same name and bounds) of
+    the previous flush, and every observed array is fresh, since its
+    node memoizes it.  The context then keeps this flush's temporaries
+    only: at most 8 bytes per element of one program's non-live-out
+    allocations.  Storage is never shared between contexts; a context,
+    like its stats, belongs to one domain at a time. *)
 
 type arr
 (** A lazy array: a handle to one trace op, which keeps the ops it

@@ -11,14 +11,35 @@ let[@inline] mix_bits d bits =
 let[@inline] mix_float d v =
   mix_bits d (if v <> v then canonical_nan else Int64.bits_of_float v)
 
-(* [mix_bits] and [mix_float] inline here, so the running state stays
-   unboxed *)
+(* [get64u b i] is the 8 bytes of [b] at byte [i], in native byte
+   order, unchecked and with no call. *)
+external get64u : bytes -> int -> int64 = "%caml_bytes_get64u"
+
+(* A flat float array stores element [k] unboxed at byte [8 k], so
+   [get64u] on it reads that element's bits; every float array is flat
+   unless OCaml was configured without flat float arrays. *)
+let flat = Obj.tag (Obj.repr (Array.make 1 0.0)) = Obj.double_array_tag
+
+(* [mix_bits] inlines here, so the running state stays unboxed.  A bit
+   pattern is a NaN exactly when its exponent is all ones and its
+   mantissa is not zero, that is when the pattern without its sign bit
+   exceeds infinity's. *)
 let mix_float_array d a =
-  let d = ref d in
-  for k = 0 to Array.length a - 1 do
-    d := mix_float !d a.(k)
-  done;
-  !d
+  if not flat then Array.fold_left mix_float d a
+  else begin
+    let b : bytes = Obj.magic a in
+    let d = ref d in
+    for k = 0 to Array.length a - 1 do
+      let bits = get64u b (8 * k) in
+      let bits =
+        if Int64.logand bits Int64.max_int > 0x7FF0000000000000L then
+          canonical_nan
+        else bits
+      in
+      d := mix_bits !d bits
+    done;
+    !d
+  end
 
 let mix_int d i = mix_bits d (Int64.of_int i)
 

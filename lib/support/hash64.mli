@@ -30,7 +30,11 @@ val mix_float : t -> float -> t
 (** Mix the IEEE-754 bits, NaN-canonicalized (see above). *)
 
 val mix_float_array : t -> float array -> t
-(** [Array.fold_left mix_float], in one loop that allocates nothing. *)
+(** [Array.fold_left mix_float], bit for bit, NaNs canonicalized alike.
+    One loop that allocates nothing and calls nothing per element: it
+    reads each element's bit pattern straight from the array and tests
+    it for NaN on the bits.  Its time is the serial multiply-add chain
+    of [mix_bits], one step per element. *)
 
 val mix_int : t -> int -> t
 

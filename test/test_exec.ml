@@ -634,6 +634,132 @@ let test_strip_hazards () =
         ])
     [ (1, "ascending"); (-1, "descending") ]
 
+(* Every kernel of the strip path over every kind of view.  A and B are
+   1-D over 0..big, M and N 2-D over 0..rows x 0..cols; each case
+   initializes all four, then runs one loop whose body reads A (or N
+   down a column) and stores B (or M): a unit view when the loop walks
+   A and B, a strided one when it walks the rows of N and M, each
+   ascending and descending, over trips of 1, [strip] and [strip + 1].
+   The bodies cover each pass (unary, binary, Select, copy, the loop
+   variable's) with view, dense-buffer and step-0 operands: constants,
+   declared scalars, a fixed subscript, an enclosing loop's variable in
+   a subscript, and private scalars. *)
+let shape_program body =
+  let j = "__i2" in
+  let cell ?(off = 0) x = Code.Load (x, [| sub i off; sub j 0 |]) in
+  {
+    Code.name = "shapes";
+    allocs =
+      [
+        { Code.name = "A"; dims = [| (0, big) |] };
+        { Code.name = "B"; dims = [| (0, big) |] };
+        { Code.name = "M"; dims = [| (0, rows); (0, cols) |] };
+        { Code.name = "N"; dims = [| (0, rows); (0, cols) |] };
+      ];
+    scalars = [ ("s", 2.7); ("t", -0.7) ];
+    body =
+      init
+      @ [
+          loop j 0 cols
+            [
+              loop i 0 rows
+                [
+                  Code.Store
+                    ( "N",
+                      [| sub i 0; sub j 0 |],
+                      ((sc i *: num 0.25) +: sc j) *: sc "t" );
+                  Code.Store ("M", [| sub i 0; sub j 0 |], cell "N" +: num 1.0);
+                ];
+            ];
+        ]
+      @ body;
+    live_out = [ "A"; "B"; "M"; "N" ];
+  }
+
+let test_strip_kernel_shapes () =
+  let n = Exec.Interp.strip in
+  let j = "__i2" in
+  (* [view] is the loop's source reference at an offset, [fixed] and
+     [outer] step-0 references, [store] the stored reference *)
+  let unit_view =
+    ( "unit",
+      (fun off -> at ~off "A"),
+      Code.Load ("A", [| sub "" 3 |]),
+      Code.Load ("A", [| sub "" 5 |]),
+      fun e -> store "B" e )
+  in
+  let strided_view =
+    ( "strided",
+      (fun off -> Code.Load ("N", [| sub i off; sub j 0 |])),
+      Code.Load ("N", [| sub "" 3; sub j 0 |]),
+      Code.Load ("A", [| sub j 1 |]),
+      fun e -> Code.Store ("M", [| sub i 0; sub j 0 |], e) )
+  in
+  let bodies view fixed outer store =
+    let x = view 0 and y = view 2 in
+    let bin op a b = Code.Binop (op, a, b) in
+    let binops =
+      List.concat_map
+        (fun (name, op) ->
+          [
+            (name ^ " view view", [ store (bin op x y) ]);
+            (name ^ " view const", [ store (bin op x (num 1.25)) ]);
+            (name ^ " scalar view", [ store (bin op (sc "s") x) ]);
+            (name ^ " fixed outer", [ store (bin op fixed outer) ]);
+          ])
+        Expr.
+          [
+            ("add", Add); ("sub", Sub); ("mul", Mul); ("div", Div);
+            ("max", Max); ("lt", Lt); ("pow", Pow);
+          ]
+    in
+    binops
+    @ [
+        ("neg view", [ store (Code.Unop (Expr.Neg, x)) ]);
+        ("neg fixed", [ store (Code.Unop (Expr.Neg, fixed)) ]);
+        ("abs view", [ store (Code.Unop (Expr.Abs, x)) ]);
+        ("hashrand outer", [ store (Code.Unop (Expr.Hashrand, outer +: x)) ]);
+        ( "select view",
+          [ store (Code.Select (bin Expr.Gt x y, x, num (-2.0))) ] );
+        ( "select invariant condition",
+          [ store (Code.Select (sc "s", fixed, y)) ] );
+        ("copy view", [ store x ]);
+        ("copy const", [ store (num 0.5) ]);
+        ("copy scalar", [ store (sc "t") ]);
+        ("copy fixed", [ store fixed ]);
+        ("copy loop variable", [ store (sc i) ]);
+        ("loop variable times view", [ store (sc i *: x) ]);
+        ( "private scalars",
+          [
+            Code.Sassign ("p", x);
+            Code.Sassign ("q", sc "p" *: sc "s");
+            Code.Sassign ("r", Code.Unop (Expr.Neg, y));
+            store (sc "q" +: sc "r" +: sc "p");
+            Code.Sassign ("z", outer);
+          ] );
+      ]
+  in
+  List.iter
+    (fun (kind, view, fixed, outer, store) ->
+      List.iter
+        (fun (step, dir) ->
+          List.iter
+            (fun trip ->
+              List.iter
+                (fun (what, body) ->
+                  let inner = loop ~step i 1 trip body in
+                  let body =
+                    if kind = "unit" then [ inner ]
+                    else [ loop j 0 cols [ inner ] ]
+                  in
+                  agrees
+                    (Printf.sprintf "%s %s, %s, trip %d" what kind dir trip)
+                    (shape_program body))
+                (bodies view fixed outer store))
+            [ 1; n; n + 1 ])
+        [ (1, "ascending"); (-1, "descending") ])
+    [ unit_view; strided_view ]
+
 (* Runtime errors inside loops that would take the strip path, with the
    element path's texts (the same as before the strip path existed). *)
 let test_strip_error_text () =
@@ -668,26 +794,48 @@ let test_strip_error_text () =
         [ loop i 0 big [ Code.Store ("M", [| sub i 0 |], at "A") ] ])
     [ (1, "ascending"); (-1, "descending") ]
 
-(* Digest.mix_array is the per-element fold, NaN payloads, signed
-   zeros, infinities and empty arrays included. *)
+(* Digest.mix_array ([Support.Hash64.mix_float_array]) is the
+   per-element fold of Digest.mix ([mix_float]): NaNs of several
+   payloads and both signs (each mixes as the canonical NaN), signed
+   zeros, infinities, subnormals and empty arrays included, over lengths
+   up to 600. *)
 let prop_mix_array =
   let special =
     List.map Int64.float_of_bits
       [
         0x7FF8000000000000L; 0xFFF8000000000000L; 0x7FF0000000000001L;
-        0x7FF8DEADBEEF0001L; 0xFFFFFFFFFFFFFFFFL; 0x0000000000000001L;
+        0xFFF0000000000001L; 0x7FF4000000000000L; 0x7FF8DEADBEEF0001L;
+        0xFFFFFFFFFFFFFFFFL; 0x7FFFFFFFFFFFFFFFL; 0x0000000000000001L;
+        0x8000000000000001L; 0x000FFFFFFFFFFFFFL; 0x800FFFFFFFFFFFFFL;
       ]
     @ [ 0.0; -0.0; infinity; neg_infinity; 1.0; -1.5 ]
   in
   QCheck.Test.make ~name:"Digest.mix_array == fold of Digest.mix" ~count:300
     QCheck.(
       pair (option float)
-        (array_of_size Gen.(int_range 0 40)
+        (array_of_size Gen.(int_range 0 600)
            (make Gen.(oneof [ oneofl special; float ]))))
     (fun (prefix, a) ->
       let module D = Exec.Interp.Digest in
       let d = match prefix with Some v -> D.mix D.empty v | None -> D.empty in
       D.to_hex (D.mix_array d a) = D.to_hex (Array.fold_left D.mix d a))
+
+(* One digest pinned: a loop that kept the fold property but moved the
+   algebra itself would show here. *)
+let test_mix_array_pinned () =
+  let a =
+    Array.init 300 (fun k ->
+        match k mod 5 with
+        | 0 -> Int64.float_of_bits (Int64.of_int (k * 0x9E3779B9))
+        | 1 -> Float.nan
+        | 2 -> -0.0
+        | 3 -> ldexp (float_of_int k) (-1074)
+        | _ -> float_of_int k /. 7.0)
+  in
+  let module D = Exec.Interp.Digest in
+  Alcotest.(check string)
+    "digest of 300 values" "d968bd2f315087f1"
+    (D.to_hex (D.mix_array D.empty a))
 
 (* ------------------------------------------------------------------ *)
 (* Reference interpreter                                               *)
@@ -788,11 +936,15 @@ let suites =
           test_strip_generated;
         Alcotest.test_case "strip path == element path: hazards" `Quick
           test_strip_hazards;
+        Alcotest.test_case "strip path == element path: kernel shapes" `Quick
+          test_strip_kernel_shapes;
         Alcotest.test_case "golden error text inside loops" `Quick
           test_strip_error_text;
         Alcotest.test_case "run_over on run's layout == run" `Quick
           test_run_over;
         QCheck_alcotest.to_alcotest prop_mix_array;
+        Alcotest.test_case "Digest.mix_array pinned" `Quick
+          test_mix_array_pinned;
       ] );
     ( "exec.refinterp",
       [

@@ -680,6 +680,101 @@ let test_stream_bounded_memory () =
       !at_checkpoint checkpoint last flushes
       (float_of_int (abs (last - !at_checkpoint)) /. float_of_int mb)
 
+(* ------------------------------------------------------------------ *)
+(* Storage kept between flushes                                        *)
+(* ------------------------------------------------------------------ *)
+
+let reference ctx a =
+  Exec.Refinterp.checksum (Exec.Refinterp.run (T.lower_direct ctx a))
+
+(* Temporaries read through shifts past the edges of shifted regions:
+   [t] covers a sub-region of the shifted source it reads, and the
+   observed op reads [t] through shifts at both ends of [t]'s region,
+   so the flush's program keeps [t] and the source as arrays.  Both are
+   temporaries the second flush (a plan-cache hit) runs over again;
+   each flush must match the reference on its direct lowering. *)
+let edge_chain ctx c =
+  let a =
+    T.gen ctx (region1 0 63)
+      (add (mul (Expr.Const c) (Expr.Idx 1)) (Expr.Const 1.0))
+  in
+  let t =
+    T.map ~region:(region1 5 60)
+      (fun x -> add (mul x (Expr.Const (c +. 0.5))) (Expr.Const 1.0))
+      (T.shift [| -3 |] a)
+  in
+  T.zip_with ~region:(region1 6 50)
+    (fun x y -> Expr.Binop (Expr.Sub, x, mul y (Expr.Const (c -. 2.0))))
+    (T.shift [| 4 |] t) (T.shift [| -1 |] t)
+
+let test_temporaries_reused () =
+  let ctx = T.create () in
+  let code =
+    (Compilers.Driver.compile_exn_opts Compilers.Driver.default_opts
+       (T.lower_direct ctx (edge_chain ctx 1.0)))
+      .Compilers.Driver.code
+  in
+  Alcotest.(check int) "two temporaries beside the observed array" 3
+    (List.length code.Sir.Code.allocs);
+  List.iter
+    (fun c ->
+      let w = edge_chain ctx c in
+      Alcotest.(check string)
+        (Printf.sprintf "flush with c = %g" c)
+        (reference ctx w) (T.checksum w))
+    [ 3.0; -1.25; 3.0 ];
+  let st = T.stats ctx in
+  Alcotest.(check int) "one shape, one compile" 1 st.T.compiles_computed;
+  Alcotest.(check int) "later flushes hit the plan cache" 2 st.T.cache_hits
+
+(* An observed array is the node's memo, so the next flush of the same
+   shape must not run over it. *)
+let test_forced_array_kept () =
+  let ctx = T.create () in
+  let x = chain ctx 1.0 in
+  let sum = T.checksum x and values = T.force x in
+  let y = chain ctx 7.0 in
+  ignore (T.checksum y);
+  Alcotest.(check int) "second flush hits the plan cache" 1
+    (T.stats ctx).T.cache_hits;
+  Alcotest.(check string) "checksum after the next flush" sum (T.checksum x);
+  check_floats "values after the next flush" values (T.force x);
+  Alcotest.(check bool) "the two flushes differ" true (T.checksum y <> sum)
+
+(* Two contexts on two domains, one engine: each flushes one shape [k]
+   times with its own constants, starting together.  Storage shared
+   between the contexts would mix their values. *)
+let test_contexts_on_domains_keep_own_storage () =
+  let engine = Service.Engine.create ~jobs:1 () in
+  let k = 50 and arrived = Atomic.make 0 in
+  let run base () =
+    let ctx = T.create ~engine () in
+    Atomic.incr arrived;
+    while Atomic.get arrived < 2 do
+      Domain.cpu_relax ()
+    done;
+    let flushed =
+      List.init k (fun i ->
+          let a = stream_chain ~n:4096 ctx ~seed:base (i + 1) in
+          (a, T.checksum a))
+    in
+    (ctx, flushed)
+  in
+  let other = Domain.spawn (run 2) in
+  let mine = run 1 () in
+  let theirs = Domain.join other in
+  List.iter
+    (fun (who, (ctx, flushed)) ->
+      Alcotest.(check int) (who ^ ": one flush per checksum") k
+        (T.stats ctx).T.flushes;
+      List.iteri
+        (fun i (a, sum) ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s: flush %d" who (i + 1))
+            (reference ctx a) sum)
+        flushed)
+    [ ("mine", mine); ("theirs", theirs) ]
+
 let suites =
   [
     ( "lazy-flush",
@@ -738,5 +833,14 @@ let suites =
           test_flush_computes_passed_over_sink;
         Alcotest.test_case "one context streams in bounded memory" `Quick
           test_stream_bounded_memory;
+      ] );
+    ( "lazy-storage",
+      [
+        Alcotest.test_case "temporaries read past shifted regions" `Quick
+          test_temporaries_reused;
+        Alcotest.test_case "a forced array survives the next flush" `Quick
+          test_forced_array_kept;
+        Alcotest.test_case "contexts on two domains keep their own" `Quick
+          test_contexts_on_domains_keep_own_storage;
       ] );
   ]
